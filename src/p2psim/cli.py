@@ -148,14 +148,20 @@ def _as_list(value) -> list:
 _SIM_FIELDS = {f.name: f for f in dataclasses.fields(SimConfig)}
 
 
+def _integral_counts(values: dict) -> dict:
+    """JSON may spell a count as 1000.0: make such values ints. Anything
+    else that is not an integer (1.5, inf, NaN) is left for SimConfig to
+    reject."""
+    out = dict(values)
+    for name in engine.INTEGER_FIELDS:
+        value = out.get(name)
+        if isinstance(value, float) and math.isfinite(value) and value == int(value):
+            out[name] = int(value)
+    return out
+
+
 def _sim_config(data: dict, problems: list[str], seed_override: int | None) -> SimConfig:
-    kwargs = {k: data[k] for k in _SIM_FIELDS if k in data}
-    for name in ("n", "attach_edges", "degree", "iterations", "seed", "window_n_prime",
-                 "newcomer_window"):
-        if name in kwargs and isinstance(kwargs[name], float):
-            if kwargs[name] != int(kwargs[name]):
-                problems.append(f"{name}: must be an integer")
-            kwargs[name] = int(kwargs[name])
+    kwargs = _integral_counts({k: data[k] for k in _SIM_FIELDS if k in data})
     if seed_override is not None:
         kwargs["seed"] = seed_override
     try:
@@ -182,7 +188,8 @@ def _grid_cells(grid, problems: list[str]) -> tuple[dict, ...]:
                 problems.append(f"grid: {name} must map to a non-empty list of values")
                 return ()
         return tuple(
-            dict(zip(names, combo)) for combo in itertools.product(*(grid[n] for n in names))
+            _integral_counts(dict(zip(names, combo)))
+            for combo in itertools.product(*(grid[n] for n in names))
         )
     if isinstance(grid, list):
         cells = []
@@ -194,7 +201,7 @@ def _grid_cells(grid, problems: list[str]) -> tuple[dict, ...]:
             if bad:
                 problems.append(f"grid[{i}]: unknown parameter(s): {', '.join(bad)}")
                 return ()
-            cells.append(dict(cell))
+            cells.append(_integral_counts(cell))
         return tuple(cells)
     problems.append('grid: expected "default", a parameter->values object, or a list of cells')
     return ()

@@ -22,6 +22,21 @@ with; cheaper offers are declined without burning an attempt. That single
 rule is what lets the estimator win: once offers collapse, the population
 of past whitewashers has nothing left to gain and goes quiet.
 
+The estimator state of step 2 lives in `estimator.EstimatorArrays`: numpy
+arrays indexed by node id, which only grow because ids are never reused. A
+(capacity, window) ring buffer with one global write slot holds every
+node's recent whitewash levels; it works because a node is swept on every
+step while its window holds a nonzero level. New nodes are primed with the
+ceiling estimate in the slot just before the next write. A dense offer
+array answers probes, and nodes a sweep left out offer the ceiling. Each
+sweep takes churn sums with `np.bincount` over the neighbor sets of the
+hosts that saw churn, and one snapshot of the neighbor-degree sums, which
+is also the next sweep's baseline. Outputs match the per-node formulas bit
+for bit: the quadratic offer goes through `estimator.offer_curve` (Python's
+float power, which numpy's square does not always equal) for positive
+levels only, and the per-iteration sums add in ascending-id order one
+element at a time, never pairwise.
+
 All randomness comes from one generator per run. Draw order inside an
 iteration: gossip noise factors (only when noise > 0); the whitewash wave
 in ascending node-id order (per agent: target index, then the attempt draw,
@@ -35,6 +50,9 @@ configurations replay bit for bit.
 from __future__ import annotations
 
 import heapq
+import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +60,20 @@ import numpy as np
 from . import agents as agents_mod
 from . import graph as graph_mod
 from .agents import AgentState, Role, WhitewashOutcome
-from .estimator import DepartureKind, classify_departure, estimate_r_ini_max
+from .estimator import (
+    DepartureKind,
+    EstimatorArrays,
+    classify_departure,
+    estimate_r_ini_max,
+)
 from .gossip import NEWCOMER_MIN_TENURE, snapshot_average_degree, take_snapshot
 
 TOPOLOGY_KINDS = ("scale_free", "regular")
+
+# SimConfig fields that count things; every other field but the topology
+# is a real number.
+INTEGER_FIELDS = ("n", "attach_edges", "degree", "iterations", "seed", "window_n_prime",
+                  "newcomer_window")
 
 # New nodes arrive in a batch every this many iterations.
 GROWTH_PERIOD = 10
@@ -84,6 +112,20 @@ class SimConfig:
 
     def __post_init__(self):
         problems = []
+        for name, value in vars(self).items():
+            if name == "topology":
+                continue
+            if name in INTEGER_FIELDS:
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    problems.append(f"{name}: must be an integer, got {value!r}")
+            elif (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                problems.append(f"{name}: must be a finite number, got {value!r}")
+        if problems:  # the range checks below need numbers
+            raise ValueError("invalid config: " + "; ".join(problems))
         if self.topology not in TOPOLOGY_KINDS:
             problems.append(f"topology: must be one of {TOPOLOGY_KINDS}, got {self.topology!r}")
         if self.n < 2:
@@ -130,30 +172,6 @@ class IterationRecord:
     mean_w_max: float
 
 
-class _OfferWindow:
-    """Ring-buffer equivalent of the estimator's sliding peak window,
-    primed with the grant ceiling known at creation."""
-
-    __slots__ = ("buf", "idx", "wmax")
-
-    def __init__(self, prime: float, size: int):
-        self.buf = [0.0] * size
-        self.buf[0] = prime
-        self.idx = 1
-        self.wmax = prime
-
-    def push(self, w: float) -> float:
-        i = self.idx % len(self.buf)
-        evicted = self.buf[i]
-        self.buf[i] = w
-        self.idx += 1
-        if w >= self.wmax:
-            self.wmax = w
-        elif evicted == self.wmax:
-            self.wmax = max(self.buf)
-        return self.wmax
-
-
 def _build_population(cfg: SimConfig, rng: np.random.Generator) -> agents_mod.Population:
     if cfg.r_ini_max0 > 0:
         pc = agents_mod.PopulationConfig(cfg.n, cfg.r_ini_max0, cfg.r_ini_min, cfg.seed)
@@ -184,21 +202,17 @@ class Simulation:
         self._est_floor = min(2 * cfg.r_ini_min, cfg.r_ini_max0)
         self.r_est = cfg.r_ini_max0
         self._mu_x = cfg.mu**cfg.x
-        # Per-node estimator state; `_active` holds the ids whose window
-        # still contains a nonzero peak, so quiet nodes cost nothing.
-        self._windows = {
-            v: _OfferWindow(self.r_est, cfg.window_n_prime) for v in self.topology.adj
-        }
-        self._active = set(self._windows) if self.r_est > 0 else set()
-        self._offers: dict[int, float] = {}
-        # Most recent per-node whitewash levels, for inspection; nodes
-        # absent from the sweep saw no churn and sit at zero.
-        self.last_w_sweep: dict[int, float] = {}
+        t = self.topology
+        self._est = EstimatorArrays(
+            cfg.window_n_prime,
+            np.fromiter(t.adj, np.int64, t.node_count),
+            self.r_est,
+            t.neighbor_degree_array(t.next_id),
+        )
         # Churn observed since the previous estimate: new neighbors per
         # host, and departures of reputable neighbors per host.
         self._arrivals: dict[int, int] = {}
         self._legit_gone: dict[int, int] = {}
-        self._prev_ndsum = self.topology.neighbor_degree_sums()
         self._prev_count = float(cfg.n)
         # Join-iteration buckets back both the transaction-start rule and
         # the newcomer window, so neither needs a full population scan.
@@ -262,75 +276,32 @@ class Simulation:
         # members between estimates.
         coef = (growth_ratio - 1.0) * cfg.attach_edges / d_avg if d_avg > 0 else 0.0
 
-        contrib_a: dict[int, float] = {}
-        for j in sorted(self._arrivals):
-            nbrs = t.adj.get(j)
-            if nbrs is None:
-                continue  # the host itself has since departed
-            aj = self._arrivals[j]
-            for i in nbrs:
-                contrib_a[i] = contrib_a.get(i, 0.0) + aj
-        contrib_l: dict[int, float] = {}
-        for j in sorted(self._legit_gone):
-            nbrs = t.adj.get(j)
-            if nbrs is None:
-                continue
-            lj = self._legit_gone[j]
-            for i in nbrs:
-                contrib_l[i] = contrib_l.get(i, 0.0) + lj
-
-        r_est = self.r_est
-        r_min = cfg.r_ini_min
-        offers: dict[int, float] = {}
-        sweep: dict[int, float] = {}
-        w_sum = 0.0
-        wmax_sum = 0.0
-        offer_sum = 0.0
-        candidates = sorted(set(contrib_a) | set(contrib_l) | self._active)
-        for i in candidates:
-            den = t.neighbor_degree_sum(i)
-            if den > 0:
-                num = (
-                    contrib_a.get(i, 0.0)
-                    - coef * self._prev_ndsum.get(i, 0.0)
-                    - contrib_l.get(i, 0.0)
-                )
-                w = min(max(num / den, 0.0), 1.0)
-            else:
-                w = 0.0
-            win = self._windows[i]
-            wmax = win.push(w)
-            if wmax > 0:
-                self._active.add(i)
-            else:
-                self._active.discard(i)
-            if w <= 0:
-                offer = r_est
-            else:
-                ratio = min(w / wmax, 1.0)
-                offer = max((1.0 - ratio) ** 2 * r_est, r_min)
-            offers[i] = offer
-            sweep[i] = w
-            w_sum += w
-            wmax_sum += wmax
-            offer_sum += offer
-
+        swept, w_sum, wmax_sum, offer_sum = self._est.sweep(
+            t.adj,
+            self._arrivals,
+            self._legit_gone,
+            t.neighbor_degree_array(self._est.capacity),
+            coef,
+            self.r_est,
+            cfg.r_ini_min,
+        )
         n_now = t.node_count
-        self._offers = offers
-        self.last_w_sweep = sweep
-        self._prev_ndsum = t.neighbor_degree_sums()
         self._prev_count = snap.node_count
         self._arrivals = {}
         self._legit_gone = {}
-        mean_offer = (offer_sum + (n_now - len(candidates)) * r_est) / n_now
+        mean_offer = (offer_sum + (n_now - swept) * self.r_est) / n_now
         return mean_offer, w_sum / n_now, wmax_sum / n_now
+
+    @property
+    def last_w_sweep(self) -> Mapping[int, float]:
+        """Most recent per-node whitewash levels, for inspection; nodes
+        absent from the sweep saw no churn and sit at zero."""
+        return self._est.last_sweep
 
     def _register_newcomer(self, vid: int, agent: AgentState, grant: float) -> None:
         self.agents[vid] = agent
         self._grant_of[vid] = grant
-        self._windows[vid] = _OfferWindow(self.r_est, self.cfg.window_n_prime)
-        if self.r_est > 0:
-            self._active.add(vid)
+        self._est.prime(vid, self.r_est)
         self._join_buckets.setdefault(agent.joined_at, []).append(vid)
         if agent.role is Role.POTENTIAL_WHITEWASHER:
             self._ready.add(vid)
@@ -338,8 +309,7 @@ class Simulation:
     def _drop_node(self, vid: int) -> None:
         graph_mod.remove_node(self.topology, vid)
         del self.agents[vid]
-        self._windows.pop(vid, None)
-        self._active.discard(vid)
+        self._est.retire(vid)
         self._ready.discard(vid)
         self._grant_of.pop(vid, None)
 
@@ -384,7 +354,7 @@ class Simulation:
                     self._ready.discard(vid)
                     continue
             target = pool[int(self.rng.integers(len(pool)))]
-            offered = self._offers.get(target, r_est)
+            offered = float(self._est.offers[target])
             if a.attempts > 0 and grant is not None and offered <= grant + _GRANT_MARGIN:
                 continue  # probed a suppressed corner; not worth a reset
             outcome = agents_mod.decide_whitewash(a, offered, self.rng)
@@ -427,7 +397,7 @@ class Simulation:
             honesty = float(self.rng.random())
             # The first host a newcomer contacts is the one that vouches
             # for it, so its offer becomes the newcomer's starting grant.
-            grant = self._offers.get(targets[0], self.r_est)
+            grant = float(self._est.offers[targets[0]])
             role = Role.POTENTIAL_WHITEWASHER if honesty < self.r_est else Role.COOPERATIVE
             self._register_newcomer(
                 vid, AgentState(vid, honesty, role, reputation=grant, joined_at=n), grant

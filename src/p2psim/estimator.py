@@ -5,13 +5,20 @@ departures cannot explain, folds the excess into a whitewash level, and
 lowers the reputation it offers newcomers quadratically as that level
 approaches the worst seen in a sliding window. A quiet neighborhood drifts
 back to the most generous offer.
+
+`offer_curve` is the one home of the quadratic offer formula. The
+simulation's per-iteration sweep runs on `EstimatorArrays`; the scalar
+`EstimatorState`, `update_w_max` and `whitewash_level` describe the same
+rules one node at a time and serve as its reference.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,9 +138,16 @@ def initial_reputation(st: EstimatorState, w: float) -> float:
     if w < 0:
         raise ValueError("whitewash level must be >= 0")
     ratio = 0.0 if st.w_max <= 0 else min(w / st.w_max, 1.0)
-    offered = (1.0 - ratio) ** 2 * st.r_ini_max
-    st.current_offer = max(offered, st.r_ini_min)
+    st.current_offer = offer_curve(ratio, st.r_ini_max, st.r_ini_min)
     return st.current_offer
+
+
+def offer_curve(ratio: float, r_max: float, r_min: float) -> float:
+    """The quadratic offer: r_max at ratio 0, falling to the r_min floor as
+    ratio reaches 1. The square is Python's float power (libm pow), not
+    x * x: the two differ in the last bit on about 0.1% of inputs, and
+    recorded outputs depend on which one is used."""
+    return max((1.0 - ratio) ** 2 * r_max, r_min)
 
 
 def estimate_r_ini_max(newcomer_mean_rep: float | None, prev: float) -> float:
@@ -174,3 +188,163 @@ def r_ini_min_from_frontier(
         else:
             hi = mid
     return lo
+
+
+def _ordered_sum(values: np.ndarray) -> float:
+    """Sum one element at a time in array order, as a Python loop would
+    (np.sum adds pairwise and rounds differently)."""
+    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
+
+
+def _churn_sums(
+    adj: dict[NodeId, set[NodeId]], counts: dict[NodeId, int], size: int
+) -> np.ndarray:
+    """Per node id, the churn events summed over its neighbors: counts[j]
+    added to every current neighbor of each host j still in the graph.
+    The weights are integers, so the float sums are exact in any order."""
+    hosts = [j for j in counts if j in adj]
+    if not hosts:
+        return np.zeros(size)
+    degrees = [len(adj[j]) for j in hosts]
+    nbrs = np.fromiter(
+        itertools.chain.from_iterable(adj[j] for j in hosts), np.int64, sum(degrees)
+    )
+    weights = np.repeat(np.array([counts[j] for j in hosts], dtype=float), degrees)
+    return np.bincount(nbrs, weights, minlength=size)
+
+
+class _SweepLevels(Mapping):
+    """Read-only view of one sweep's levels by node id, over the sweep's
+    ascending id array; nothing is copied until a value is read."""
+
+    def __init__(self, ids: np.ndarray, levels: np.ndarray):
+        self._ids = ids
+        self._levels = levels
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self):
+        return iter(self._ids.tolist())
+
+    def __getitem__(self, vid: NodeId) -> float:
+        k = int(np.searchsorted(self._ids, vid))
+        if k == len(self._ids) or self._ids[k] != vid:
+            raise KeyError(vid)
+        return float(self._levels[k])
+
+
+class EstimatorArrays:
+    """Every node's estimator state as arrays indexed by node id.
+
+    Node ids are never reused, so the arrays only grow (doubling when an id
+    outruns them) and a removed node's row is simply never read again.
+
+    The sliding windows share one ring buffer of shape (capacity, window)
+    and one global write slot. A node is swept on every step while its
+    window holds a nonzero level; a node left out of a sweep has an all-zero
+    window, so skipping it is the same as pushing the zero it would see. A
+    new node is primed in the slot just before the next write, so the prime
+    ages out after exactly `window` pushes.
+
+    `offers` is dense: after a sweep, nodes it left out offer the ceiling
+    estimate, and a node added since offers the ceiling it was primed with.
+    Outputs match a per-node loop bit for bit: the quadratic is applied
+    with `offer_curve` to the nodes with a positive level only, and the
+    sums run in ascending-id order one element at a time.
+    """
+
+    def __init__(self, window: int, ids: np.ndarray, r_est: float, ndsum: np.ndarray):
+        if window < 1:
+            raise ValueError("window must be >= 1")
+        size = len(ndsum)
+        self.window = window
+        self._w = np.zeros((size, window))
+        self._w[ids, window - 1] = r_est
+        self._active = np.zeros(size, dtype=bool)
+        self._active[ids] = r_est > 0
+        self.offers = np.full(size, r_est)
+        self._prev_ndsum = ndsum
+        self._slot = 0
+        self._swept = np.zeros(0, dtype=np.int64)
+        self._swept_w = np.zeros(0)
+
+    @property
+    def capacity(self) -> int:
+        return len(self._active)
+
+    def prime(self, vid: NodeId, r_est: float) -> None:
+        """Start a new node's window at the ceiling estimate."""
+        if vid >= self.capacity:
+            size = max(vid + 1, 2 * self.capacity)
+            for name in ("_w", "_active", "offers", "_prev_ndsum"):
+                old = getattr(self, name)
+                new = np.zeros((size,) + old.shape[1:], dtype=old.dtype)
+                new[: len(old)] = old
+                setattr(self, name, new)
+        self._w[vid, (self._slot - 1) % self.window] = r_est
+        self._active[vid] = r_est > 0
+        self.offers[vid] = r_est
+
+    def retire(self, vid: NodeId) -> None:
+        """Stop sweeping a removed node. Its last offer stays readable until
+        the next sweep, as a probe drawn before the removal may still land
+        on it."""
+        self._active[vid] = False
+
+    @property
+    def last_sweep(self) -> Mapping[NodeId, float]:
+        """Whitewash level of every node of the latest sweep, by node id."""
+        return _SweepLevels(self._swept, self._swept_w)
+
+    def sweep(
+        self,
+        adj: dict[NodeId, set[NodeId]],
+        arrivals: dict[NodeId, int],
+        legit_gone: dict[NodeId, int],
+        ndsum: np.ndarray,
+        coef: float,
+        r_est: float,
+        r_min: float,
+    ) -> tuple[int, float, float, float]:
+        """One estimator step over every node that saw churn or still holds
+        a nonzero window.
+
+        `arrivals` and `legit_gone` count new neighbors and benign
+        departures per host since the previous sweep. `ndsum` holds every
+        node's neighbor-degree sum now, indexed by id and `capacity` long;
+        it also becomes the next sweep's baseline. `coef` is the expected
+        growth arrivals per unit of the previous sweep's neighbor-degree
+        sum. Returns the number of nodes swept and the sums of their
+        levels, window peaks and offers.
+        """
+        size = self.capacity
+        gained = _churn_sums(adj, arrivals, size)
+        lost = _churn_sums(adj, legit_gone, size)
+        ids = np.flatnonzero(self._active | (gained > 0) | (lost > 0))
+        den = ndsum[ids]
+        num = gained[ids] - coef * self._prev_ndsum[ids] - lost[ids]
+        w = np.zeros(len(ids))
+        seen = den > 0
+        w[seen] = np.minimum(np.maximum(num[seen] / den[seen], 0.0), 1.0)
+
+        self._w[ids, self._slot % self.window] = w
+        self._slot += 1
+        # Column by column: numpy reduces a short row axis slowly.
+        wmax = self._w[ids, 0]
+        for k in range(1, self.window):
+            np.maximum(wmax, self._w[ids, k], out=wmax)
+        self._active[ids] = wmax > 0
+
+        offers = np.full(len(ids), r_est)
+        hot = np.flatnonzero(w > 0)
+        ratios = np.minimum(w[hot] / wmax[hot], 1.0).tolist()
+        offers[hot] = list(
+            map(offer_curve, ratios, itertools.repeat(r_est), itertools.repeat(r_min))
+        )
+        self.offers.fill(r_est)
+        self.offers[ids] = offers
+
+        self._prev_ndsum = ndsum
+        self._swept, self._swept_w = ids, w
+        return len(ids), _ordered_sum(w), _ordered_sum(wmax), _ordered_sum(offers)

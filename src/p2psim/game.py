@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .estimator import offer_curve
+
 ENUMERATION_KAPPA_CAP = 12
 RESIDUAL_TOL = 1e-9
 
@@ -35,9 +37,7 @@ def reputation_schedule(kappa: int, r_ini_max: float, r_ini_min: float) -> list[
         raise ValueError("kappa must be >= 1")
     if not 0 <= r_ini_min < r_ini_max <= 1:
         raise ValueError("need 0 <= r_ini_min < r_ini_max <= 1")
-    return [
-        max((1.0 - w / kappa) ** 2 * r_ini_max, r_ini_min) for w in range(1, kappa + 1)
-    ]
+    return [offer_curve(w / kappa, r_ini_max, r_ini_min) for w in range(1, kappa + 1)]
 
 
 @dataclass(frozen=True)
@@ -293,7 +293,7 @@ def fixed_point(r_ini_max: float, r_ini_min: float, w_max: float) -> float:
         raise ValueError("reputation bounds must be in [0, 1]")
 
     def f(w: float) -> float:
-        return max(r_ini_min, (1.0 - w / w_max) ** 2 * r_ini_max) - w
+        return offer_curve(w / w_max, r_ini_max, r_ini_min) - w
 
     lo, hi = 0.0, w_max
     if f(lo) < 0 or f(hi) > 0:

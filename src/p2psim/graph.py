@@ -89,9 +89,13 @@ class Topology:
         except KeyError:
             raise UnknownNodeError(v) from None
 
-    def neighbor_degree_sums(self) -> dict[NodeId, int]:
-        """Snapshot copy of every node's neighbor-degree sum."""
-        return dict(self._ndsum)
+    def neighbor_degree_array(self, size: int) -> np.ndarray:
+        """Snapshot of every node's neighbor-degree sum indexed by node id,
+        zero where no node is; `size` must exceed every live id."""
+        out = np.zeros(size, dtype=np.int64)
+        n = len(self._ndsum)
+        out[np.fromiter(self._ndsum, np.int64, n)] = np.fromiter(self._ndsum.values(), np.int64, n)
+        return out
 
     # ---- write side ------------------------------------------------
 

@@ -187,6 +187,34 @@ def test_config_error_is_machine_readable(tmp_path, capsys):
     assert "n:" in parsed["detail"]
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"n": "abc"}',
+        '{"gossip_noise": null}',
+        '{"n": 1e400}',
+        '{"iterations": true}',
+        '{"gossip_noise": NaN}',
+        '{"n": 100.5}',
+        '{"grid": {"degree": [1e400]}}',
+    ],
+)
+def test_wrong_typed_simulate_values_are_config_errors(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path, payload)
+    code = run_cli("simulate", "--config", cfg, "--out", tmp_path / "out")
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"
+
+
+def test_counts_spelled_as_floats_become_ints(tmp_path):
+    path = write_config(tmp_path, {"n": 100.0, "grid": [{"degree": 4.0}]})
+    plan = cli.parse_config(path, "simulate")
+    assert type(plan.base.n) is int and plan.base.n == 100
+    assert plan.cells == ({"degree": 4},) and type(plan.cells[0]["degree"]) is int
+
+
 def test_missing_config_file_fails_cleanly(tmp_path, capsys):
     code = run_cli("simulate", "--config", tmp_path / "nope.json", "--out", tmp_path)
     assert code == 2

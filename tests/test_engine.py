@@ -6,7 +6,7 @@ import pytest
 from p2psim import engine, estimator
 from p2psim.agents import Role
 from p2psim.engine import SimConfig, Simulation
-from p2psim.estimator import EstimatorState, NeighborhoodObservation
+from p2psim.estimator import NeighborhoodObservation
 
 MU_X = 0.5**0.5  # stationary cooperative reputation at the defaults
 
@@ -235,15 +235,6 @@ def test_sweep_matches_whitewash_level_observations():
         checked += 1
     assert checked > 50
     assert sum(sim.last_w_sweep.values()) > 0
-
-
-def test_offer_window_matches_estimator_window():
-    rng = np.random.default_rng(13)
-    st = EstimatorState(owner=0, r_ini_max=0.5, r_ini_min=0.03, window_size=10)
-    win = engine._OfferWindow(0.5, 10)
-    for w in rng.random(100):
-        assert win.push(float(w)) == estimator.update_w_max(st, float(w))
-        assert win.wmax == st.w_max
 
 
 # ---- closed-world ground truth -------------------------------------------

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from p2psim import estimator, payoff
+from p2psim import estimator, graph, payoff
 from p2psim.estimator import (
     DepartureKind,
     EmptyNeighborhoodError,
+    EstimatorArrays,
     EstimatorState,
     NeighborhoodObservation,
 )
@@ -157,6 +158,81 @@ def test_initial_reputation_monotone_and_bounded():
     offers = [estimator.initial_reputation(st, float(w)) for w in ws]
     assert all(a >= b for a, b in zip(offers, offers[1:]))
     assert all(0.03 <= o <= 0.5 for o in offers)
+
+
+def test_offer_curve_squares_with_float_power():
+    # 1 - ratio = 0.37796883434360806, where x * x rounds one ulp below x ** 2
+    ratio = 0.6220311656563919
+    base = 1.0 - ratio
+    assert base * base != base**2
+    assert estimator.offer_curve(ratio, 1.0, 0.0) == base**2
+    assert estimator.offer_curve(1.0, 0.5, 0.03) == 0.03
+
+
+# ---- array sweep against the scalar oracle --------------------------------
+
+
+def test_estimator_arrays_match_scalar_oracle():
+    # Seeded random churn on a graph that grows and shrinks between sweeps.
+    # After every sweep each live node's window peak and offer must equal a
+    # scalar EstimatorState fed the same levels, zero for the nodes the
+    # sweep left out, and the returned sums must add in ascending-id order.
+    rng = np.random.default_rng(21)
+    window, r_min, r_est = 4, 0.03, 0.5
+    t = graph.generate_scale_free(30, 2, rng)
+    est = EstimatorArrays(
+        window, np.fromiter(t.adj, np.int64), r_est, t.neighbor_degree_array(t.next_id)
+    )
+    oracle = {v: EstimatorState(v, r_est, r_min, window) for v in t.adj}
+    removed = added = quiet_then_busy = 0
+    for step in range(80):
+        arrivals: dict[int, int] = {}
+        legit: dict[int, int] = {}
+        if step % 9 < 6:  # three quiet sweeps in every nine
+            for j in rng.choice(sorted(t.adj), size=4).tolist():
+                arrivals[j] = arrivals.get(j, 0) + int(rng.integers(1, 4))
+            for j in rng.choice(sorted(t.adj), size=2).tolist():
+                legit[j] = legit.get(j, 0) + 1
+        # Mutate after the churn was booked: a departed host drops out, and
+        # new nodes are primed with whatever the ceiling is now.
+        for _ in range(int(rng.integers(0, 2))):
+            victim = int(rng.choice(sorted(t.adj)))
+            graph.remove_node(t, victim)
+            est.retire(victim)
+            del oracle[victim]
+            removed += 1
+        r_est = float(rng.uniform(0.1, 0.6))
+        for _ in range(int(rng.integers(0, 3))):
+            (vid,) = graph.grow(t, 1, 2, rng)
+            est.prime(vid, r_est)
+            oracle[vid] = EstimatorState(vid, r_est, r_min, window)
+            added += 1
+        coef = float(rng.uniform(-0.02, 0.05))
+        swept, w_sum, wmax_sum, offer_sum = est.sweep(
+            t.adj, arrivals, legit, t.neighbor_degree_array(est.capacity), coef, r_est, r_min
+        )
+        levels = est.last_sweep
+        assert swept == len(levels)
+        sums = [0.0, 0.0, 0.0]
+        for v in sorted(oracle):
+            st = oracle[v]
+            was_quiet = st.w_max == 0
+            w = levels.get(v, 0.0)
+            if v not in levels:
+                assert was_quiet, f"node {v} skipped with a live window"
+            elif was_quiet and w > 0:
+                quiet_then_busy += 1
+            peak = estimator.update_w_max(st, w)
+            assert est._w[v].max() == peak
+            st.r_ini_max = r_est
+            assert est.offers[v] == estimator.initial_reputation(st, w)
+            if v in levels:
+                sums[0] += w
+                sums[1] += peak
+                sums[2] += est.offers[v]
+        assert [w_sum, wmax_sum, offer_sum] == sums
+    assert removed > 10 and added > 20 and quiet_then_busy > 10
+    assert est.capacity > 30  # ids outran the first allocation
 
 
 # ---- ceiling estimate ----------------------------------------------------
