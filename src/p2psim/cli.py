@@ -21,12 +21,13 @@ import itertools
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import engine, estimator, game, payoff
+from . import engine, game, payoff
 from .engine import IterationRecord, SimConfig
 from .game import GameSpec
 from .payoff import IdentityRegime, PayoffParams
@@ -34,15 +35,6 @@ from .payoff import IdentityRegime, PayoffParams
 CSV_HEADER = (
     "iteration,n_nodes,whitewash_attempts,whitewash_successes,"
     "whitewash_fraction,mean_offered_r_ini,mean_w_estimate,mean_w_max"
-)
-
-COMMANDS = (
-    "simulate",
-    "payoff-sweep",
-    "game-report",
-    "fixed-point",
-    "frontier",
-    "estimator-check",
 )
 
 # The scenario set the defaults were tuned against: a growing scale-free
@@ -62,13 +54,48 @@ class ConfigError(ValueError):
     """Config file rejected; the message lists every violated rule."""
 
 
+# ---- config schema -------------------------------------------------------
+#
+# Every command reads its keys through one table of Specs. The same rules
+# hold for every key of every command and every grid cell: a bool, NaN, an
+# infinity, a value of the wrong kind or an empty list is rejected; a float
+# with an integral value is read as an int where an int is wanted. A number
+# outside its Spec's interval is rejected. Rules that a library object
+# enforces (SimConfig's ranges, GameSpec's) stay there: its ValueError
+# becomes one clause of the ConfigError.
+
+
 @dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_path: Path
-    output_dir: Path
-    seed_override: int | None = None
-    quiet: bool = False
+class Spec:
+    """How one config key is read: its kind (int, float, str, an Enum, or a
+    reader function), its default, the interval a number must lie in,
+    written like "(0, 1]", and whether it takes a non-empty list (a lone
+    value stands for a list of one)."""
+
+    kind: object
+    default: object = None
+    interval: str | None = None
+    many: bool = False
+
+
+def _field(default, interval: str):
+    """A plan field whose config key must lie in `interval`."""
+    return dataclasses.field(default=default, metadata={"interval": interval})
+
+
+def _specs(cls) -> dict[str, Spec]:
+    """One Spec per field of a plan or config dataclass: the kind from its
+    annotation (tuple[X, ...] is a list of X), default and interval from
+    the field."""
+    hints = typing.get_type_hints(cls)
+    specs = {}
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        many = typing.get_origin(kind) is tuple
+        specs[f.name] = Spec(
+            typing.get_args(kind)[0] if many else kind, f.default, f.metadata.get("interval"), many
+        )
+    return specs
 
 
 @dataclass(frozen=True)
@@ -80,29 +107,31 @@ class SimulatePlan:
 
 @dataclass(frozen=True)
 class PayoffSweepPlan:
-    mu: float
-    xs: tuple[float, ...]
-    r_inis: tuple[float, ...]
-    regimes: tuple[IdentityRegime, ...]
-    z_over_c: float
-    m: float
-    m_prime: float
-    delta: float
-    cap: int
+    mu: float = _field(0.5, "(0, 1]")
+    x: tuple[float, ...] = _field((0.25, 0.5, 0.75, 1.0), "(0, 1]")
+    r_ini: tuple[float, ...] = _field((0.0, 0.03, 0.1, 0.3, 0.5), "[0, 1]")
+    regimes: tuple[IdentityRegime, ...] = tuple(IdentityRegime)
+    z_over_c: float = _field(1.0, "[0, inf)")
+    m: float = _field(1.0, "[0, inf)")
+    m_prime: float = _field(1.0, "[0, inf)")
+    delta: float = _field(0.0, "[0, inf)")
+    # Work bound: a cell whose gap never closes runs all `cap` rounds.
+    cap: int = _field(payoff.DEFAULT_CROSSOVER_CAP, "[1, 1e7]")
 
 
 @dataclass(frozen=True)
 class FixedPointPlan:
-    r_ini_max: float
-    r_ini_min: float
-    w_maxes: tuple[float, ...]
+    r_ini_max: float = _field(0.5, "[0, 1]")
+    r_ini_min: float = _field(0.03, "[0, 1]")
+    w_max: tuple[float, ...] = _field((0.5,), "(0, 1]")
 
 
 @dataclass(frozen=True)
 class FrontierPlan:
-    mu: float
-    m_ratio: float
-    x_step: float
+    mu: float = _field(0.5, "(0, 1)")
+    m_ratio: float = _field(1.0, "(0, inf)")
+    # Work bound: the curve has at most 1/x_step points.
+    x_step: float = _field(0.005, "[1e-5, 0.5]")
 
 
 @dataclass(frozen=True)
@@ -111,243 +140,147 @@ class EstimatorCheckPlan:
     injected: int
 
 
-# ---- config parsing ------------------------------------------------------
+# Work bound on a simulate grid, checked before a cross product expands.
+MAX_GRID_CELLS = 1000
+
+_SIM_SPECS = _specs(SimConfig)
+# A grid cell overrides any SimConfig field but the seed, which `seeds` sets.
+_CELL_SPECS = {k: s for k, s in _SIM_SPECS.items() if k != "seed"}
+_COLUMN_SPECS = {k: dataclasses.replace(s, many=True) for k, s in _CELL_SPECS.items()}
 
 
-def _load_json_object(path: Path) -> dict:
-    try:
-        text = path.read_text()
-    except OSError as err:
-        raise ConfigError(f"cannot read config: {err}") from err
-    if not text.strip():
-        return {}
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(
-            f"config parse error at line {err.lineno} column {err.colno}: {err.msg}"
-        ) from err
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object of named parameters")
-    return data
+def _inside(value, interval: str) -> bool:
+    lo, hi = (float(end.strip("[]() ")) for end in interval.split(","))
+    above = lo < value if interval[0] == "(" else lo <= value
+    return above and (value < hi if interval[-1] == ")" else value <= hi)
 
 
-def _check_keys(data: dict, allowed: set[str]) -> list[str]:
-    unknown = sorted(set(data) - allowed)
+def _read_one(name: str, spec: Spec, value):
+    kind = spec.kind
+    if kind is int:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name}: must be an integer, got {value!r}")
+    elif kind is float:
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max
+        ):
+            raise ValueError(f"{name}: must be a finite number, got {value!r}")
+    elif kind is str:
+        if not isinstance(value, str):
+            raise ValueError(f"{name}: must be a string, got {value!r}")
+    else:  # an Enum or a reader function
+        try:
+            value = kind(value)
+        except ValueError as err:
+            raise ValueError(f"{name}: {err}") from None
+    if spec.interval and not _inside(value, spec.interval):
+        raise ValueError(f"{name}: {value!r} outside {spec.interval}")
+    return value
+
+
+def _read(name: str, spec: Spec, value):
+    """The value of one key, read by its Spec; raises ValueError listing
+    every problem. null stands for the default where that is null."""
+    if value is None and spec.default is None:
+        return None
+    if not spec.many:
+        return _read_one(name, spec, value)
+    items = value if isinstance(value, list) else [value]
+    if not items:
+        raise ValueError(f"{name}: must be a non-empty list")
+    out, problems = [], []
+    for item in items:
+        try:
+            out.append(_read_one(name, spec, item))
+        except ValueError as err:
+            problems.append(str(err))
+    if problems:
+        raise ValueError("; ".join(problems))
+    return tuple(out)
+
+
+def _read_object(data: dict, specs: dict[str, Spec], problems: list[str], where: str = "") -> dict:
+    """The keys of `data` that read cleanly; every problem, unknown keys
+    included, is added to `problems` prefixed by `where`."""
+    unknown = sorted(set(data) - set(specs))
     if unknown:
-        return [
-            f"unknown key(s): {', '.join(unknown)} (allowed: {', '.join(sorted(allowed))})"
-        ]
-    return []
-
-
-def _as_list(value) -> list:
-    return list(value) if isinstance(value, list) else [value]
-
-
-_SIM_FIELDS = {f.name: f for f in dataclasses.fields(SimConfig)}
-
-
-def _integral_counts(values: dict) -> dict:
-    """JSON may spell a count as 1000.0: make such values ints. Anything
-    else that is not an integer (1.5, inf, NaN) is left for SimConfig to
-    reject."""
-    out = dict(values)
-    for name in engine.INTEGER_FIELDS:
-        value = out.get(name)
-        if isinstance(value, float) and math.isfinite(value) and value == int(value):
-            out[name] = int(value)
+        problems.append(
+            f"{where}unknown key(s): {', '.join(unknown)} (allowed: {', '.join(sorted(specs))})"
+        )
+    out = {}
+    for name, value in data.items():
+        if name in specs:
+            try:
+                out[name] = _read(name, specs[name], value)
+            except ValueError as err:
+                problems.append(where + str(err))
     return out
 
 
-def _sim_config(data: dict, problems: list[str], seed_override: int | None) -> SimConfig:
-    kwargs = _integral_counts({k: data[k] for k in _SIM_FIELDS if k in data})
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    try:
-        return SimConfig(**kwargs)
-    except ValueError as err:
-        problems.append(str(err))
-        return SimConfig()  # placeholder; problems will be raised by the caller
-
-
-def _grid_cells(grid, problems: list[str]) -> tuple[dict, ...]:
-    if grid is None:
-        return ()
+def _grid(grid) -> tuple[dict, ...]:
+    """Read a simulate grid: "default", a {parameter: [values]} cross
+    product, or a list of override objects."""
+    problems: list[str] = []
     if grid == "default":
         return tuple(dict(c) for c in DEFAULT_GRID_CELLS)
-    if isinstance(grid, dict):
-        if not grid:
-            return ()
-        names = sorted(grid)
-        for name in names:
-            if name not in _SIM_FIELDS:
-                problems.append(f"grid: unknown parameter {name!r}")
-                return ()
-            if not isinstance(grid[name], list) or not grid[name]:
-                problems.append(f"grid: {name} must map to a non-empty list of values")
-                return ()
-        return tuple(
-            _integral_counts(dict(zip(names, combo)))
-            for combo in itertools.product(*(grid[n] for n in names))
-        )
-    if isinstance(grid, list):
+    if isinstance(grid, dict) and grid:
+        columns = _read_object(grid, _COLUMN_SPECS, problems)
+        size = math.prod(len(v) for v in columns.values())
+        if size > MAX_GRID_CELLS:
+            problems.append(f"{size} cells, more than {MAX_GRID_CELLS}")
+        if not problems:
+            names = sorted(columns)
+            return tuple(
+                dict(zip(names, combo)) for combo in itertools.product(*(columns[n] for n in names))
+            )
+    elif isinstance(grid, list) and grid:
+        if len(grid) > MAX_GRID_CELLS:
+            raise ValueError(f"{len(grid)} cells, more than {MAX_GRID_CELLS}")
         cells = []
         for i, cell in enumerate(grid):
-            if not isinstance(cell, dict):
-                problems.append(f"grid[{i}]: each cell must be an object of overrides")
-                return ()
-            bad = sorted(set(cell) - set(_SIM_FIELDS))
-            if bad:
-                problems.append(f"grid[{i}]: unknown parameter(s): {', '.join(bad)}")
-                return ()
-            cells.append(_integral_counts(cell))
-        return tuple(cells)
-    problems.append('grid: expected "default", a parameter->values object, or a list of cells')
-    return ()
-
-
-def _parse_simulate(data: dict, seed_override: int | None) -> SimulatePlan:
-    problems = _check_keys(data, set(_SIM_FIELDS) | {"grid", "seeds"})
-    base = _sim_config(data, problems, seed_override)
-    cells = _grid_cells(data.get("grid"), problems)
-    if seed_override is not None:
-        seeds = [seed_override]
+            if isinstance(cell, dict):
+                cells.append(_read_object(cell, _CELL_SPECS, problems, f"cell {i}: "))
+            else:
+                problems.append(f"cell {i}: must be an object of overrides")
+        if not problems:
+            return tuple(cells)
     else:
-        seeds = data.get("seeds", [base.seed])
-        if not isinstance(seeds, list) or not seeds:
-            problems.append("seeds: must be a non-empty list of integers")
-            seeds = [base.seed]
-        elif not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
-            problems.append("seeds: must be a non-empty list of integers")
-            seeds = [base.seed]
-    if cells and not problems:
-        for cell in cells:  # each cell must still make a valid config
-            try:
-                dataclasses.replace(base, **cell)
-            except ValueError as err:
-                problems.append(f"grid cell {_cell_id(cell)}: {err}")
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return SimulatePlan(base, cells, tuple(seeds))
-
-
-def _parse_payoff_sweep(data: dict, _: int | None) -> PayoffSweepPlan:
-    allowed = {"mu", "x", "r_ini", "regimes", "z_over_c", "m", "m_prime", "delta", "cap"}
-    problems = _check_keys(data, allowed)
-    mu = data.get("mu", 0.5)
-    xs = [float(v) for v in _as_list(data.get("x", [0.25, 0.5, 0.75, 1.0]))]
-    r_inis = [float(v) for v in _as_list(data.get("r_ini", [0.0, 0.03, 0.1, 0.3, 0.5]))]
-    names = _as_list(data.get("regimes", [r.value for r in IdentityRegime]))
-    z_over_c = float(data.get("z_over_c", 1.0))
-    regimes = []
-    for name in names:
-        try:
-            regimes.append(IdentityRegime(name))
-        except ValueError:
-            problems.append(
-                f"regimes: {name!r} is not one of {[r.value for r in IdentityRegime]}"
-            )
-    if not 0 < mu <= 1:
-        problems.append("mu: must be in (0, 1]")
-    for x in xs:
-        if not 0 < x <= 1:
-            problems.append(f"x: {x!r} outside (0, 1]")
-    for r in r_inis:
-        if not 0 <= r <= 1:
-            problems.append(f"r_ini: {r!r} outside [0, 1]")
-    if z_over_c < 0:
-        problems.append("z_over_c: must be >= 0")
-    if IdentityRegime.FINITE_COST in regimes and z_over_c <= 0:
-        problems.append("z_over_c: finite_cost regime needs a positive identity price")
-    delta = float(data.get("delta", 0.0))
-    if delta < 0:
-        problems.append("delta: must be >= 0")
-    cap = data.get("cap", payoff.DEFAULT_CROSSOVER_CAP)
-    if not isinstance(cap, int) or cap < 1:
-        problems.append("cap: must be a positive integer")
-        cap = payoff.DEFAULT_CROSSOVER_CAP
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return PayoffSweepPlan(
-        float(mu), tuple(xs), tuple(r_inis), tuple(regimes),
-        z_over_c, float(data.get("m", 1.0)), float(data.get("m_prime", 1.0)), delta, cap,
-    )
-
-
-def _parse_game_report(data: dict, _: int | None) -> GameSpec:
-    problems = _check_keys(data, {"kappa", "rounds", "r_ini_max", "r_ini_min", "honesty"})
-    kappa = data.get("kappa", 3)
-    if not isinstance(kappa, int) or isinstance(kappa, bool):
-        problems.append("kappa: must be an integer")
-        kappa = 3
-    honesty = data.get("honesty")
-    try:
-        spec = GameSpec(
-            kappa=kappa,
-            rounds=data.get("rounds", kappa),
-            r_ini_max=data.get("r_ini_max", 0.5),
-            r_ini_min=data.get("r_ini_min", 0.03),
-            honesty=tuple(honesty) if honesty is not None else None,
+        problems.append(
+            'expected "default", a non-empty {parameter: [values]} object '
+            "or a non-empty list of override objects"
         )
-    except (ValueError, TypeError) as err:
-        problems.append(str(err))
-        spec = None
+    raise ValueError("; ".join(problems))
+
+
+def _simulate_plan(grid, seeds, **sim) -> SimulatePlan:
+    base = SimConfig(**sim)
+    cells, seeds = grid or (), seeds or (base.seed,)
+    problems = []
+    for label, change in [(f"grid cell {_cell_id(c)}", c) for c in cells] + [
+        (f"seeds: {s}", {"seed": s}) for s in seeds
+    ]:
+        try:
+            dataclasses.replace(base, **change)
+        except ValueError as err:
+            problems.append(f"{label}: {err}")
     if problems:
-        raise ConfigError("; ".join(problems))
-    return spec
+        raise ValueError("; ".join(problems))
+    return SimulatePlan(base, cells, seeds)
 
 
-def _parse_fixed_point(data: dict, _: int | None) -> FixedPointPlan:
-    problems = _check_keys(data, {"r_ini_max", "r_ini_min", "w_max"})
-    r_max = float(data.get("r_ini_max", 0.5))
-    r_min = float(data.get("r_ini_min", 0.03))
-    w_maxes = [float(v) for v in _as_list(data.get("w_max", [0.5]))]
-    if not 0 <= r_min <= 1 or not 0 <= r_max <= 1:
-        problems.append("r_ini_max/r_ini_min: must be in [0, 1]")
-    for w in w_maxes:
-        if not 0 < w <= 1:
-            problems.append(f"w_max: {w!r} outside (0, 1]")
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return FixedPointPlan(r_max, r_min, tuple(w_maxes))
+def _payoff_sweep_plan(**values) -> PayoffSweepPlan:
+    plan = PayoffSweepPlan(**values)
+    if IdentityRegime.FINITE_COST in plan.regimes and plan.z_over_c <= 0:
+        raise ValueError("z_over_c: finite_cost regime needs a positive identity price")
+    return plan
 
 
-def _parse_frontier(data: dict, _: int | None) -> FrontierPlan:
-    problems = _check_keys(data, {"mu", "m_ratio", "x_step"})
-    mu = float(data.get("mu", 0.5))
-    m_ratio = float(data.get("m_ratio", 1.0))
-    x_step = float(data.get("x_step", 0.005))
-    if not 0 < mu < 1:
-        problems.append("mu: must be in (0, 1)")
-    if m_ratio <= 0:
-        problems.append("m_ratio: must be positive")
-    if not 0 < x_step <= 0.5:
-        problems.append("x_step: must be in (0, 0.5]")
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return FrontierPlan(mu, m_ratio, x_step)
-
-
-def _parse_estimator_check(data: dict, seed_override: int | None) -> EstimatorCheckPlan:
-    problems = _check_keys(data, set(_SIM_FIELDS) | {"injected"})
-    base = _sim_config(data, problems, seed_override)
-    injected = data.get("injected", 10)
-    if not isinstance(injected, int) or isinstance(injected, bool) or injected < 0:
-        problems.append("injected: must be a non-negative integer")
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return EstimatorCheckPlan(base, injected)
-
-
-_PARSERS = {
-    "simulate": _parse_simulate,
-    "payoff-sweep": _parse_payoff_sweep,
-    "game-report": _parse_game_report,
-    "fixed-point": _parse_fixed_point,
-    "frontier": _parse_frontier,
-    "estimator-check": _parse_estimator_check,
-}
+def _game_spec(kappa, rounds, **rest) -> GameSpec:
+    return GameSpec(kappa, kappa if rounds is None else rounds, **rest)
 
 
 def parse_config(path: Path, command: str = "simulate", seed_override: int | None = None):
@@ -357,9 +290,43 @@ def parse_config(path: Path, command: str = "simulate", seed_override: int | Non
     ConfigError with every problem listed (parse position for syntax
     errors, one clause per violated rule otherwise).
     """
-    if command not in _PARSERS:
+    if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    return _PARSERS[command](_load_json_object(Path(path)), seed_override)
+    specs, build, _ = _COMMANDS[command]
+    problems: list[str] = []
+    values = {name: spec.default for name, spec in specs.items()}
+    values.update(_read_object(_load_json_object(Path(path)), specs, problems))
+    if seed_override is not None and "seed" in specs:  # --seed replaces seed and seeds
+        values["seed"] = seed_override
+        if "seeds" in specs:
+            values["seeds"] = None
+    try:
+        plan = build(**values)
+    except ValueError as err:
+        problems.append(str(err))
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return plan
+
+
+def _load_json_object(path: Path) -> dict:
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config: {err}") from err
+    if not text.strip():
+        return {}
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ConfigError(
+            f"config parse error at line {err.lineno} column {err.colno}: {err.msg}"
+        ) from err
+    except RecursionError as err:
+        raise ConfigError("config nests too deeply") from err
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object of named parameters")
+    return data
 
 
 # ---- CSV emission --------------------------------------------------------
@@ -468,7 +435,7 @@ def _run_simulate(plan: SimulatePlan, out_dir: Path, quiet: bool) -> None:
 
 def _run_payoff_sweep(plan: PayoffSweepPlan, out_dir: Path, quiet: bool) -> None:
     rows = []
-    for x, r_ini, regime in itertools.product(plan.xs, plan.r_inis, plan.regimes):
+    for x, r_ini, regime in itertools.product(plan.x, plan.r_ini, plan.regimes):
         z = plan.z_over_c if regime is IdentityRegime.FINITE_COST else 0.0
         params = PayoffParams(
             mu=plan.mu, x=x, r_ini=r_ini, delta=plan.delta,
@@ -535,7 +502,7 @@ def _run_game_report(spec: GameSpec, out_dir: Path, quiet: bool) -> None:
 
 def _run_fixed_point(plan: FixedPointPlan, out_dir: Path, quiet: bool) -> None:
     rows = []
-    for w_max in plan.w_maxes:
+    for w_max in plan.w_max:
         w = game.fixed_point(plan.r_ini_max, plan.r_ini_min, w_max)
         rows.append((plan.r_ini_max, plan.r_ini_min, w_max, w))
         _say(quiet, f"w_max {_fmt(w_max)}: operating point {_fmt(w)}")
@@ -577,14 +544,34 @@ def _run_estimator_check(plan: EstimatorCheckPlan, out_dir: Path, quiet: bool) -
     )
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "payoff-sweep": _run_payoff_sweep,
-    "game-report": _run_game_report,
-    "fixed-point": _run_fixed_point,
-    "frontier": _run_frontier,
-    "estimator-check": _run_estimator_check,
+# command -> (config keys, plan builder, runner)
+_COMMANDS = {
+    "simulate": (
+        {**_SIM_SPECS, "grid": Spec(_grid), "seeds": Spec(int, many=True)},
+        _simulate_plan,
+        _run_simulate,
+    ),
+    "payoff-sweep": (_specs(PayoffSweepPlan), _payoff_sweep_plan, _run_payoff_sweep),
+    "game-report": (
+        {
+            "kappa": Spec(int, 3, f"(-inf, {game.ENUMERATION_KAPPA_CAP}]"),
+            "rounds": Spec(int),  # null means kappa
+            "r_ini_max": Spec(float, 0.5),
+            "r_ini_min": Spec(float, 0.03),
+            "honesty": Spec(float, many=True),
+        },
+        _game_spec,
+        _run_game_report,
+    ),
+    "fixed-point": (_specs(FixedPointPlan), FixedPointPlan, _run_fixed_point),
+    "frontier": (_specs(FrontierPlan), FrontierPlan, _run_frontier),
+    "estimator-check": (
+        {**_SIM_SPECS, "injected": Spec(int, 10, "[0, inf)")},
+        lambda injected, **sim: EstimatorCheckPlan(SimConfig(**sim), injected),
+        _run_estimator_check,
+    ),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 # ---- entry point ---------------------------------------------------------
@@ -611,26 +598,19 @@ def _error_line(kind: str, command: str, detail: str) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_arg_parser().parse_args(argv)
-    manifest = RunManifest(
-        command=args.command,
-        config_path=args.config,
-        output_dir=args.out,
-        seed_override=args.seed,
-        quiet=args.quiet,
-    )
     try:
-        plan = parse_config(manifest.config_path, manifest.command, manifest.seed_override)
+        plan = parse_config(args.config, args.command, args.seed)
     except ConfigError as err:
-        _error_line("config", manifest.command, str(err))
+        _error_line("config", args.command, str(err))
         return 2
     try:
-        manifest.output_dir.mkdir(parents=True, exist_ok=True)
-        _RUNNERS[manifest.command](plan, manifest.output_dir, manifest.quiet)
+        args.out.mkdir(parents=True, exist_ok=True)
+        _COMMANDS[args.command][2](plan, args.out, args.quiet)
     except OSError as err:
-        _error_line("io", manifest.command, str(err))
+        _error_line("io", args.command, str(err))
         return 3
     except Exception as err:  # noqa: BLE001 - boundary: report, do not crash
-        _error_line("run", manifest.command, f"{type(err).__name__}: {err}")
+        _error_line("run", args.command, f"{type(err).__name__}: {err}")
         return 1
     return 0
 

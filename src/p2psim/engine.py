@@ -53,7 +53,7 @@ import heapq
 import math
 import numbers
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -69,11 +69,6 @@ from .estimator import (
 from .gossip import NEWCOMER_MIN_TENURE, snapshot_average_degree, take_snapshot
 
 TOPOLOGY_KINDS = ("scale_free", "regular")
-
-# SimConfig fields that count things; every other field but the topology
-# is a real number.
-INTEGER_FIELDS = ("n", "attach_edges", "degree", "iterations", "seed", "window_n_prime",
-                  "newcomer_window")
 
 # New nodes arrive in a batch every this many iterations.
 GROWTH_PERIOD = 10
@@ -112,13 +107,12 @@ class SimConfig:
 
     def __post_init__(self):
         problems = []
-        for name, value in vars(self).items():
-            if name == "topology":
-                continue
-            if name in INTEGER_FIELDS:
+        for f in fields(self):  # annotations are strings: "int", "float", "str"
+            name, value = f.name, getattr(self, f.name)
+            if f.type == "int":
                 if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                     problems.append(f"{name}: must be an integer, got {value!r}")
-            elif (
+            elif f.type == "float" and (
                 isinstance(value, bool)
                 or not isinstance(value, numbers.Real)
                 or not math.isfinite(value)
@@ -138,6 +132,8 @@ class SimConfig:
             problems.append("growth_percent_per_10: must be >= 0")
         if self.iterations < 0:
             problems.append("iterations: must be >= 0")
+        if self.seed < 0:
+            problems.append("seed: must be >= 0")
         degenerate = self.r_ini_max0 == 0 and self.r_ini_min == 0
         if not degenerate and not 0 <= self.r_ini_min < self.r_ini_max0 <= 1:
             problems.append(

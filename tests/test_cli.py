@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import time
 
 import pytest
 
@@ -14,7 +15,10 @@ from p2psim.payoff import IdentityRegime
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
-    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return path
 
 
@@ -187,21 +191,56 @@ def test_config_error_is_machine_readable(tmp_path, capsys):
     assert "n:" in parsed["detail"]
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [
-        '{"n": "abc"}',
-        '{"gossip_noise": null}',
-        '{"n": 1e400}',
-        '{"iterations": true}',
-        '{"gossip_noise": NaN}',
-        '{"n": 100.5}',
-        '{"grid": {"degree": [1e400]}}',
-    ],
+GRID_8X8 = json.dumps(
+    {"grid": {k: list(range(2, 10)) for k in
+              ("n", "degree", "attach_edges", "iterations", "window_n_prime", "newcomer_window",
+               "x", "mu")}}
 )
-def test_wrong_typed_simulate_values_are_config_errors(tmp_path, capsys, payload):
+
+# (command words, payload); a simulate case is named by its bare payload.
+BAD_CONFIGS = [
+    pytest.param(command, payload, id=payload if command == "simulate" else f"{command} {payload}")
+    for command, payload in [
+        ("simulate", '{"n": "abc"}'),
+        ("simulate", '{"gossip_noise": null}'),
+        ("simulate", '{"n": 1e400}'),
+        ("simulate", '{"iterations": true}'),
+        ("simulate", '{"gossip_noise": NaN}'),
+        ("simulate", '{"n": 100.5}'),
+        ("simulate", '{"grid": {"degree": [1e400]}}'),
+        ("payoff-sweep", '{"x": "abc"}'),
+        ("payoff-sweep", '{"mu": null}'),
+        ("payoff-sweep", '{"m": "q"}'),
+        ("fixed-point", '{"w_max": "a"}'),
+        ("frontier", '{"mu": "a"}'),
+        ("payoff-sweep", '{"m": -1}'),
+        ("frontier", '{"m_ratio": Infinity}'),
+        ("game-report", '{"kappa": 13}'),
+        ("simulate", '{"seed": -1}'),
+        ("simulate --seed -3", "{}"),
+        ("simulate", '{"seeds": [-2], "grid": [{}]}'),
+        ("simulate", '{"grid": {"seed": [1, 2]}}'),
+        ("payoff-sweep", '{"cap": true}'),
+        ("payoff-sweep", '{"delta": NaN}'),
+        ("payoff-sweep", '{"x": []}'),
+        ("payoff-sweep", '{"cap": 100000000}'),
+        ("frontier", '{"x_step": 1e-6}'),
+        ("frontier", '{"x_step": 1e-9}'),
+    ]
+] + [
+    pytest.param("simulate", GRID_8X8, id="grid of 8^8 cells"),
+    pytest.param("simulate", '{"grid": [' + ", ".join(["{}"] * 1001) + "]}", id="grid of 1001 cells"),
+    pytest.param("simulate", "[" * 100_000 + "]" * 100_000, id="nested 100000 deep"),
+    pytest.param("simulate", b'{"n": "\xff"}', id="not UTF-8"),
+]
+
+
+@pytest.mark.parametrize("command, payload", BAD_CONFIGS)
+def test_wrong_typed_simulate_values_are_config_errors(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, payload)
-    code = run_cli("simulate", "--config", cfg, "--out", tmp_path / "out")
+    start = time.perf_counter()
+    code = run_cli(*command.split(), "--config", cfg, "--out", tmp_path / "out")
+    assert time.perf_counter() - start < 1.0  # every work bound is checked before any work
     assert code == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
@@ -213,6 +252,52 @@ def test_counts_spelled_as_floats_become_ints(tmp_path):
     plan = cli.parse_config(path, "simulate")
     assert type(plan.base.n) is int and plan.base.n == 100
     assert plan.cells == ({"degree": 4},) and type(plan.cells[0]["degree"]) is int
+    for command, key, attr in [
+        ("game-report", "kappa", "kappa"),
+        ("estimator-check", "injected", "injected"),
+        ("payoff-sweep", "cap", "cap"),
+    ]:
+        plan = cli.parse_config(write_config(tmp_path, {key: 2.0}), command)
+        assert type(getattr(plan, attr)) is int and getattr(plan, attr) == 2
+
+
+def test_any_json_object_parses_or_is_a_config_error(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path / "config.json"
+
+    def json_objects(keys):
+        names = st.sampled_from(sorted(keys)) | st.text(max_size=4)
+        leaves = (
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+            | st.sampled_from(["default", "regular", "scale_free", "permanent", "finite_cost"])
+            | st.sampled_from([0, 1, 2.0, 0.5, -1, 1e-5, 13, 10**7, 10**400])
+        )
+        values = st.recursive(
+            leaves,
+            lambda inner: st.lists(inner, max_size=4) | st.dictionaries(names, inner, max_size=4),
+            max_leaves=12,
+        )
+        return st.dictionaries(names, values, max_size=6)
+
+    cases = st.one_of(
+        [
+            st.tuples(st.just(c), json_objects(set(cli._COMMANDS[c][0]) | set(cli._SIM_SPECS)))
+            for c in cli.COMMANDS
+        ]
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=2000, database=None)
+    @hypothesis.given(cases)
+    def check(case):
+        command, config = case
+        path.write_text(json.dumps(config))
+        try:
+            cli.parse_config(path, command)
+        except ConfigError:
+            pass
+
+    check()
 
 
 def test_missing_config_file_fails_cleanly(tmp_path, capsys):
