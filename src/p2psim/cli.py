@@ -162,7 +162,7 @@ def _read_one(name: str, spec: Spec, value):
             value = int(value)
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name}: must be an integer, got {value!r}")
-    elif kind is float:
+    elif kind is float:  # the bound is false for NaN, infinities and ints past a float
         if (
             isinstance(value, bool)
             or not isinstance(value, (int, float))
