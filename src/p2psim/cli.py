@@ -455,13 +455,12 @@ def _run_game_report(spec: GameSpec, out_dir: Path, quiet: bool) -> None:
     pure = game.pure_strategy_analysis(spec)
     mixed_ok = 2 <= spec.rounds <= spec.kappa
     profile = game.mixed_equilibrium(spec) if mixed_ok else None
-    span = game.best_randomization_span(spec) if spec.kappa >= 2 else None
+    span = game.best_randomization_span(spec)
 
     rows = []
-    if span is not None:
-        for s in span.spans:
-            for j, u in enumerate(span.payoffs_by_span[s]):
-                rows.append((s, j, u))
+    for s in span.spans:
+        for j, u in enumerate(span.payoffs_by_span[s]):
+            rows.append((s, j, u))
     path = out_dir / "game_report.csv"
     _write_csv(path, "span,player,expected_payoff", rows)
     _say(quiet, f"wrote {path}")
@@ -485,16 +484,15 @@ def _run_game_report(spec: GameSpec, out_dir: Path, quiet: bool) -> None:
             f"{', '.join(_fmt(float(p)) for p in profile.probs[0])}",
             f"  indifference residual: {_fmt(residual)}",
         ]
-    if span is not None:
-        lines += [
-            "",
-            "randomization spans:",
-            f"  best span per player: {', '.join(str(s) for s in span.best_span_per_player)}",
-            f"  full span weakly dominates: {span.full_span_dominates}",
-            f"  whitewash-every-round payoffs: "
-            f"{', '.join(_fmt(u) for u in span.every_round_payoffs)}",
-        ]
-        lines += [f"  note: {n}" for n in span.notes]
+    lines += [
+        "",
+        "randomization spans:",
+        f"  best span per player: {', '.join(str(s) for s in span.best_span_per_player)}",
+        f"  full span weakly dominates: {span.full_span_dominates}",
+        f"  whitewash-every-round payoffs: "
+        f"{', '.join(_fmt(u) for u in span.every_round_payoffs)}",
+    ]
+    lines += [f"  note: {n}" for n in span.notes]
     path = out_dir / "game_report.txt"
     path.write_text("\n".join(lines) + "\n")
     _say(quiet, f"wrote {path}")
@@ -512,12 +510,13 @@ def _run_fixed_point(plan: FixedPointPlan, out_dir: Path, quiet: bool) -> None:
 
 
 def _run_frontier(plan: FrontierPlan, out_dir: Path, quiet: bool) -> None:
+    # First, so that an infeasible (mu, m_ratio) fails before any file is written.
+    r_star, x_star = payoff.max_feasible_r_ini(plan.mu, plan.m_ratio)
     xs = np.arange(plan.x_step, 1.0, plan.x_step)
     rows = [(float(x), payoff.feasibility_boundary(plan.mu, float(x), plan.m_ratio)) for x in xs]
     path = out_dir / "frontier.csv"
     _write_csv(path, "x,max_r_ini", rows)
     _say(quiet, f"wrote {path}")
-    r_star, x_star = payoff.max_feasible_r_ini(plan.mu, plan.m_ratio)
     path = out_dir / "frontier_best.csv"
     _write_csv(path, "mu,m_ratio,r_star,x_star", [(plan.mu, plan.m_ratio, r_star, x_star)])
     _say(quiet, f"wrote {path}")
@@ -554,7 +553,8 @@ _COMMANDS = {
     "payoff-sweep": (_specs(PayoffSweepPlan), _payoff_sweep_plan, _run_payoff_sweep),
     "game-report": (
         {
-            "kappa": Spec(int, 3, f"(-inf, {game.ENUMERATION_KAPPA_CAP}]"),
+            # The dominance analysis needs two players.
+            "kappa": Spec(int, 3, f"[2, {game.ENUMERATION_KAPPA_CAP}]"),
             "rounds": Spec(int),  # null means kappa
             "r_ini_max": Spec(float, 0.5),
             "r_ini_min": Spec(float, 0.03),

@@ -37,11 +37,22 @@ float power, which numpy's square does not always equal) for positive
 levels only, and the per-iteration sums add in ascending-id order one
 element at a time, never pairwise.
 
+Voluntary departures read one more array, indexed by node id and grown by
+doubling like the estimator's: each live cooperative agent's reputation,
+and -inf for every other id. The engine writes it wherever it writes a
+reputation (the founding population, the transaction start, a newcomer) and
+resets it when a node leaves, so the departure candidates are the ids at or
+above the legitimacy threshold, found with one comparison in ascending
+order.
+
 All randomness comes from one generator per run. Draw order inside an
 iteration: gossip noise factors (only when noise > 0); the whitewash wave
 in ascending node-id order (per agent: target index, then the attempt draw,
 then attachment draws on a success); voluntary departures in ascending
-node-id order (one draw per reputable candidate, only when enabled); growth
+node-id order (one draw per reputable candidate, only when enabled, and
+none once the overlay is down to attach_edges + 1 nodes; the draws come in
+batches of `Generator.random(k)`, the same stream as k scalar draws, each
+batch no longer than the departures the floor still allows); growth
 arrivals (per arrival: attachment draws, then honesty). Agents skipped
 before a target was drawn consume no randomness, so runs with identical
 configurations replay bit for bit.
@@ -65,6 +76,7 @@ from .estimator import (
     EstimatorArrays,
     classify_departure,
     estimate_r_ini_max,
+    legitimacy_threshold,
 )
 from .gossip import NEWCOMER_MIN_TENURE, snapshot_average_degree, take_snapshot
 
@@ -191,6 +203,14 @@ class Simulation:
         else:
             self.topology = graph_mod.generate_regular(cfg.n, cfg.degree, self.rng)
         self.agents = _build_population(cfg, self.rng)
+        # Reputation of each live cooperative agent by node id, -inf for
+        # every other id: the voluntary-departure candidates at a glance.
+        # The founding agents hold ids 0..n-1 in order.
+        self._coop_rep = np.fromiter(
+            (a.reputation if a.role is Role.COOPERATIVE else -np.inf for a in self.agents.values()),
+            np.float64,
+            cfg.n,
+        )
         self.iteration = 0
         # Shared estimate of the ceiling other nodes grant newcomers, held
         # at no less than twice the floor so offers never pin themselves
@@ -244,6 +264,8 @@ class Simulation:
             a.reputation = agents_mod.measure_reputation(
                 a.resource_provided, a.resource_requested
             )
+            if a.role is Role.COOPERATIVE:
+                self._coop_rep[vid] = a.reputation
 
     def _newcomer_pool(self, n: int) -> dict[int, AgentState]:
         pool: dict[int, AgentState] = {}
@@ -297,6 +319,12 @@ class Simulation:
     def _register_newcomer(self, vid: int, agent: AgentState, grant: float) -> None:
         self.agents[vid] = agent
         self._grant_of[vid] = grant
+        if vid >= len(self._coop_rep):  # ids only grow: double the array
+            grown = np.full(max(vid + 1, 2 * len(self._coop_rep)), -np.inf)
+            grown[: len(self._coop_rep)] = self._coop_rep
+            self._coop_rep = grown
+        if agent.role is Role.COOPERATIVE:
+            self._coop_rep[vid] = agent.reputation
         self._est.prime(vid, self.r_est)
         self._join_buckets.setdefault(agent.joined_at, []).append(vid)
         if agent.role is Role.POTENTIAL_WHITEWASHER:
@@ -305,6 +333,7 @@ class Simulation:
     def _drop_node(self, vid: int) -> None:
         graph_mod.remove_node(self.topology, vid)
         del self.agents[vid]
+        self._coop_rep[vid] = -np.inf
         self._est.retire(vid)
         self._ready.discard(vid)
         self._grant_of.pop(vid, None)
@@ -367,17 +396,22 @@ class Simulation:
 
     def _voluntary_departures(self) -> None:
         cfg = self.cfg
-        p = cfg.legit_departure_prob
-        threshold = (self.r_est + cfg.r_ini_min) / 2
-        for vid in sorted(self.agents):
-            a = self.agents.get(vid)
-            if a is None or a.role is not Role.COOPERATIVE or a.reputation < threshold:
-                continue
-            if self.topology.node_count <= cfg.attach_edges + 1:
-                break
-            if self.rng.random() >= p:
-                continue
-            for u in self.topology.adj[vid]:
+        threshold = legitimacy_threshold(self.r_est, cfg.r_ini_min)
+        candidates = np.flatnonzero(self._coop_rep >= threshold)
+        # Departures stop at attach_edges + 1 nodes, and no draw is made
+        # past that floor: a batch never holds more draws than departures
+        # the floor still allows, so every draw in it is one a candidate
+        # by candidate loop would make too.
+        room = self.topology.node_count - cfg.attach_edges - 1
+        leavers: list[int] = []
+        done = 0
+        while done < len(candidates) and len(leavers) < room:
+            batch = candidates[done : done + room - len(leavers)]
+            done += len(batch)
+            leavers += batch[self.rng.random(len(batch)) < cfg.legit_departure_prob].tolist()
+        adj = self.topology.adj
+        for vid in leavers:
+            for u in adj[vid]:
                 self._legit_gone[u] = self._legit_gone.get(u, 0) + 1
             self._drop_node(vid)
 

@@ -90,6 +90,12 @@ def local_growth_rate(d_local: float, d_avg: float, n_cur: float, n_prev: float)
     return (d_local / d_avg) * (n_cur / n_prev)
 
 
+def legitimacy_threshold(r_ini_max: float, r_ini_min: float) -> float:
+    """Reputation an average newcomer would be granted: a node that leaves
+    with at least this much (`>=`) leaves legitimately."""
+    return (r_ini_max + r_ini_min) / 2
+
+
 def classify_departure(rep: float, r_ini_max: float, r_ini_min: float) -> DepartureKind:
     """A departure is legitimate when the leaver had at least the reputation
     an average newcomer would be granted; leaving with less suggests the
@@ -99,7 +105,7 @@ def classify_departure(rep: float, r_ini_max: float, r_ini_min: float) -> Depart
             raise ValueError("inputs must be in [0, 1]")
     return (
         DepartureKind.LEGITIMATE
-        if rep >= (r_ini_max + r_ini_min) / 2
+        if rep >= legitimacy_threshold(r_ini_max, r_ini_min)
         else DepartureKind.POTENTIAL_WHITEWASHER
     )
 

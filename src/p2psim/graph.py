@@ -52,6 +52,7 @@ class Topology:
         self.iteration_created: dict[NodeId, int] = {}
         self.next_id: NodeId = 0
         self.edge_count: int = 0
+        self.isolated_count: int = 0  # nodes of degree zero
         # neighbor-degree sums: _ndsum[v] == sum(degree(u) for u in adj[v])
         self._ndsum: dict[NodeId, int] = {}
         # preferential-attachment pool: one entry per degree unit, lazily pruned
@@ -106,23 +107,27 @@ class Topology:
         self._ndsum[v] = 0
         self._pool_copies[v] = 0
         self.iteration_created[v] = iteration
+        self.isolated_count += 1
         return v
 
     def add_edge(self, u: NodeId, v: NodeId) -> None:
         if u == v:
             raise InvalidParameterError("self-loops are not allowed")
-        if u not in self.adj or v not in self.adj:
+        au, av = self.adj.get(u), self.adj.get(v)
+        if au is None or av is None:
             raise UnknownNodeError((u, v))
-        if v in self.adj[u]:
+        if v in au:
             return
-        for w in self.adj[u]:
-            self._ndsum[w] += 1
-        for w in self.adj[v]:
-            self._ndsum[w] += 1
-        self.adj[u].add(v)
-        self.adj[v].add(u)
-        self._ndsum[u] += len(self.adj[v])
-        self._ndsum[v] += len(self.adj[u])
+        self.isolated_count -= (not au) + (not av)
+        ndsum = self._ndsum
+        for w in au:
+            ndsum[w] += 1
+        for w in av:
+            ndsum[w] += 1
+        au.add(v)
+        av.add(u)
+        ndsum[u] += len(av)
+        ndsum[v] += len(au)
         self.edge_count += 1
         self._pool.append(u)
         self._pool.append(v)
@@ -130,16 +135,19 @@ class Topology:
         self._pool_copies[v] += 1
 
     def remove_edge(self, u: NodeId, v: NodeId) -> None:
-        if u not in self.adj or v not in self.adj or v not in self.adj[u]:
+        au, av = self.adj.get(u), self.adj.get(v)
+        if au is None or av is None or v not in au:
             raise UnknownNodeError((u, v))
-        self.adj[u].discard(v)
-        self.adj[v].discard(u)
-        for w in self.adj[u]:
-            self._ndsum[w] -= 1
-        for w in self.adj[v]:
-            self._ndsum[w] -= 1
-        self._ndsum[u] -= len(self.adj[v]) + 1
-        self._ndsum[v] -= len(self.adj[u]) + 1
+        au.discard(v)
+        av.discard(u)
+        self.isolated_count += (not au) + (not av)
+        ndsum = self._ndsum
+        for w in au:
+            ndsum[w] -= 1
+        for w in av:
+            ndsum[w] -= 1
+        ndsum[u] -= len(av) + 1
+        ndsum[v] -= len(au) + 1
         self.edge_count -= 1
         self._pool_stale += 2
 
@@ -159,7 +167,9 @@ class Topology:
         self, count: int, rng: np.random.Generator, exclude: set[NodeId] | None = None
     ) -> list[NodeId]:
         """Sample `count` distinct existing nodes with probability proportional
-        to current degree (uniform fallback while the graph has no edges)."""
+        to current degree. If fewer than `count` nodes have edges (none at
+        all in an edgeless graph), all of those are drawn that way and the
+        rest come uniformly from the isolated nodes."""
         exclude = exclude or set()
         n_candidates = len(self.adj) - sum(1 for v in exclude if v in self.adj)
         if n_candidates <= 0:
@@ -169,11 +179,10 @@ class Topology:
             self._rebuild_pool()
         chosen: list[NodeId] = []
         picked: set[NodeId] = set()
-        if self.edge_count == 0:
-            candidates = [v for v in self.adj if v not in exclude]
-            order = rng.permutation(len(candidates))
-            return [candidates[i] for i in order[:count]]
-        while len(chosen) < count:
+        linked = len(self.adj) - self.isolated_count
+        if exclude:
+            linked -= sum(1 for v in exclude if self.adj.get(v))
+        while len(chosen) < min(count, linked):
             v = self._pool[int(rng.integers(len(self._pool)))]
             if v in picked or v in exclude:
                 continue
@@ -188,6 +197,10 @@ class Topology:
                 continue  # stale excess copies: thin back to the true degree
             chosen.append(v)
             picked.add(v)
+        if len(chosen) < count:
+            isolated = [v for v, nbrs in self.adj.items() if not nbrs and v not in exclude]
+            order = rng.permutation(len(isolated))
+            chosen += [isolated[i] for i in order[: count - len(chosen)]]
         return chosen
 
 
@@ -291,6 +304,7 @@ def remove_node(t: Topology, v: NodeId) -> None:
         t.remove_edge(v, u)
     stale = t._pool_copies.pop(v, 0)
     t._pool_stale += stale
+    t.isolated_count -= 1
     del t.adj[v]
     del t._ndsum[v]
 

@@ -3,7 +3,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +220,7 @@ BAD_CONFIGS = [
         ("payoff-sweep", '{"m": -1}'),
         ("frontier", '{"m_ratio": Infinity}'),
         ("game-report", '{"kappa": 13}'),
+        ("game-report", '{"kappa": 1}'),
         ("simulate", '{"seed": -1}'),
         ("simulate --seed -3", "{}"),
         ("simulate", '{"seeds": [-2], "grid": [{}]}'),
@@ -345,6 +350,35 @@ def test_frontier_emits_curve_and_best_point(tmp_path):
     assert r_star == pytest.approx(0.036, abs=0.002)
     curve = (out / "frontier.csv").read_text().splitlines()
     assert len(curve) > 100
+
+
+def test_infeasible_frontier_writes_no_file(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"mu": 0.3, "m_ratio": 2})
+    out = tmp_path / "out"
+    assert run_cli("frontier", "--config", cfg, "--out", out, "--quiet") == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "run"
+    assert list(out.iterdir()) == []
+
+
+def test_simulate_down_to_a_graph_with_isolated_nodes(tmp_path):
+    # Departures shrink the overlay to 4 nodes, and a whitewash rejoin then
+    # asks for 3 attachment targets where only 2 nodes have edges. Run in a
+    # child process so that a hang fails the test instead of stalling it.
+    cfg = write_config(
+        tmp_path,
+        {"topology": "regular", "n": 8, "degree": 2, "legit_departure_prob": 1.0,
+         "r_ini_max0": 0.05, "r_ini_min": 0.01, "iterations": 20, "seed": 3},
+    )
+    src = str(Path(cli.__file__).parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "p2psim.cli", "simulate", "--config", cfg,
+         "--out", tmp_path / "out", "--quiet"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - start < 10
+    assert len((tmp_path / "out" / "run.csv").read_text().splitlines()) == 21
 
 
 def test_estimator_check_static_is_exact(tmp_path):

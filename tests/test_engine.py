@@ -121,6 +121,77 @@ def test_voluntary_departures_shrink_population():
     assert max(r.mean_w_estimate for r in recs) < 0.05
 
 
+class ScanDepartures(Simulation):
+    """Reference for the candidate array and the batched draws: the scan of
+    every agent they replaced, one scalar draw per reputable cooperative
+    agent in ascending id order, none once the overlay is down to
+    attach_edges + 1 nodes."""
+
+    def _voluntary_departures(self):
+        cfg = self.cfg
+        threshold = (self.r_est + cfg.r_ini_min) / 2
+        for vid in sorted(self.agents):
+            a = self.agents[vid]
+            if a.role is not Role.COOPERATIVE or a.reputation < threshold:
+                continue
+            if self.topology.node_count <= cfg.attach_edges + 1:
+                break
+            if self.rng.random() >= cfg.legit_departure_prob:
+                continue
+            for u in self.topology.adj[vid]:
+                self._legit_gone[u] = self._legit_gone.get(u, 0) + 1
+            self._drop_node(vid)
+
+
+def run_with_departure_log(sim: Simulation):
+    """Records, the ascending leaver ids of each iteration, and the final
+    generator state; checks the candidate array after every step."""
+    leavers = []
+    depart = sim._voluntary_departures
+
+    def logged():
+        before = sorted(sim.agents)
+        depart()
+        leavers.append([v for v in before if v not in sim.agents])
+
+    sim._voluntary_departures = logged
+    records = []
+    for _ in range(sim.cfg.iterations):
+        records.append(sim.step())
+        rep = sim._coop_rep
+        assert len(rep) >= sim.topology.next_id
+        listed = {int(v): float(rep[v]) for v in np.flatnonzero(rep > -np.inf)}
+        assert listed == {
+            v: a.reputation for v, a in sim.agents.items() if a.role is Role.COOPERATIVE
+        }
+    return records, leavers, sim.rng.bit_generator.state
+
+
+DEPARTURE_CASES = {
+    # growth, whitewashing and departures together
+    "growth": SimConfig(n=300, growth_percent_per_10=5.0, legit_departure_prob=0.02,
+                        iterations=80, seed=2),
+    # every candidate leaves until the attach_edges + 1 floor cuts the batch
+    "floor": SimConfig(topology="regular", n=8, degree=2, legit_departure_prob=1.0,
+                       r_ini_max0=0.05, r_ini_min=0.01, iterations=20, seed=3),
+    # candidates outnumber the room left, so one call draws several batches
+    "batches": SimConfig(topology="regular", n=12, degree=2, legit_departure_prob=0.5,
+                         r_ini_max0=0.05, r_ini_min=0.01, iterations=20, seed=4),
+}
+
+
+@pytest.mark.parametrize("name", DEPARTURE_CASES)
+def test_departures_match_the_per_agent_scan(name):
+    cfg = DEPARTURE_CASES[name]
+    records, leavers, state = run_with_departure_log(Simulation(cfg))
+    assert run_with_departure_log(ScanDepartures(cfg)) == (records, leavers, state)
+    assert sum(map(len, leavers)) > 0
+    if name == "growth":
+        assert sum(r.whitewash_successes for r in records) > 0
+    else:
+        assert records[-1].n_nodes == cfg.attach_edges + 1
+
+
 # ---- wave structure under the rejoin economics ---------------------------
 
 

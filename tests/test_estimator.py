@@ -51,6 +51,7 @@ def test_local_growth_shares_sum_to_global_arrivals():
 
 
 def test_classify_departure():
+    assert estimator.legitimacy_threshold(0.5, 0.03) == 0.265
     assert estimator.classify_departure(0.5, 0.5, 0.03) is DepartureKind.LEGITIMATE
     assert (
         estimator.classify_departure(0.0, 0.5, 0.03)

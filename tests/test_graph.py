@@ -134,6 +134,23 @@ def test_attachment_targets_distinct():
         assert len(set(targets)) == 3
 
 
+def test_attachment_falls_back_to_isolated_nodes():
+    """More targets than nodes with edges: every linked node is drawn by
+    degree, the rest uniformly from the isolated ones (this used to spin
+    forever)."""
+    t = path_topology(7)
+    for v in range(5):
+        graph.remove_node(t, v)
+    t.add_node()  # leaves {5: {6}, 6: {5}, 7: {}}
+    assert t.isolated_count == 1
+    rng = np.random.default_rng(0)
+    targets = t.sample_attachment_targets(3, rng)
+    assert sorted(targets[:2]) == [5, 6] and targets[2] == 7
+    assert t.sample_attachment_targets(3, rng, exclude={5}) == [6, 7]
+    t.remove_edge(5, 6)
+    assert t.isolated_count == 3
+
+
 # ---- growth and removal ----------------------------------------------
 
 
@@ -185,6 +202,7 @@ def test_churn_keeps_bookkeeping_consistent():
         else:
             graph.grow(t, 1, 2, seed=rng)
         assert t.edge_count == sum(len(s) for s in t.adj.values()) // 2
+        assert t.isolated_count == sum(1 for s in t.adj.values() if not s)
         for v in t.adj:
             assert t.neighbor_degree_sum(v) == brute_ndsum(t, v), (step, v)
 
