@@ -142,6 +142,9 @@ class EstimatorCheckPlan:
 
 # Work bound on a simulate grid, checked before a cross product expands.
 MAX_GRID_CELLS = 1000
+# Work bound on one simulate or estimator-check command: the node-iterations
+# all its runs project, about 170 times one 8%-growth scale-free run.
+MAX_NODE_ITERATIONS = 10**9
 
 _SIM_SPECS = _specs(SimConfig)
 # A grid cell overrides any SimConfig field but the seed, which `seeds` sets.
@@ -256,6 +259,32 @@ def _grid(grid) -> tuple[dict, ...]:
     raise ValueError("; ".join(problems))
 
 
+def _node_iterations(cfg: SimConfig, iterations: int) -> float:
+    """Node-iterations one run of `iterations` steps projects when every
+    growth batch adds its full percentage (departures only shrink it):
+    the sum over k = 1..iterations of n * (1 + g/100) ** (k // GROWTH_PERIOD),
+    in closed form per growth period. Where a lower bound of it already
+    passes MAX_NODE_ITERATIONS it returns inf, so no float can overflow."""
+    if cfg.n * iterations > MAX_NODE_ITERATIONS:  # every term is at least n
+        return math.inf
+    period = engine.GROWTH_PERIOD
+    periods = iterations // period
+    rate = math.log1p(cfg.growth_percent_per_10 / 100)
+    if periods * rate > math.log(MAX_NODE_ITERATIONS):  # the last term alone
+        return math.inf
+    full = periods if rate == 0 else math.expm1(periods * rate) / math.expm1(rate)
+    last = (iterations - period * periods + 1) * math.exp(periods * rate)
+    return cfg.n * (period * full + last - 1)
+
+
+def _check_work(node_iterations: float) -> None:
+    if node_iterations > MAX_NODE_ITERATIONS:
+        raise ValueError(
+            f"work: more than {MAX_NODE_ITERATIONS:.0e} node-iterations projected "
+            "(grid cells x seeds x nodes x iterations, with growth)"
+        )
+
+
 def _simulate_plan(grid, seeds, **sim) -> SimulatePlan:
     base = SimConfig(**sim)
     cells, seeds = grid or (), seeds or (base.seed,)
@@ -269,7 +298,15 @@ def _simulate_plan(grid, seeds, **sim) -> SimulatePlan:
             problems.append(f"{label}: {err}")
     if problems:
         raise ValueError("; ".join(problems))
+    runs = [dataclasses.replace(base, **c) for c in cells] or [base]
+    _check_work(len(seeds) * sum(_node_iterations(cfg, cfg.iterations) for cfg in runs))
     return SimulatePlan(base, cells, seeds)
+
+
+def _estimator_check_plan(injected, **sim) -> EstimatorCheckPlan:
+    base = SimConfig(**sim)
+    _check_work(_node_iterations(base, engine.GROWTH_PERIOD + 1))
+    return EstimatorCheckPlan(base, injected)
 
 
 def _payoff_sweep_plan(**values) -> PayoffSweepPlan:
@@ -567,7 +604,7 @@ _COMMANDS = {
     "frontier": (_specs(FrontierPlan), FrontierPlan, _run_frontier),
     "estimator-check": (
         {**_SIM_SPECS, "injected": Spec(int, 10, "[0, inf)")},
-        lambda injected, **sim: EstimatorCheckPlan(SimConfig(**sim), injected),
+        _estimator_check_plan,
         _run_estimator_check,
     ),
 }

@@ -31,11 +31,13 @@ ceiling estimate in the slot just before the next write. A dense offer
 array answers probes, and nodes a sweep left out offer the ceiling. Each
 sweep takes churn sums with `np.bincount` over the neighbor sets of the
 hosts that saw churn, and one snapshot of the neighbor-degree sums, which
-is also the next sweep's baseline. Outputs match the per-node formulas bit
-for bit: the quadratic offer goes through `estimator.offer_curve` (Python's
-float power, which numpy's square does not always equal) for positive
-levels only, and the per-iteration sums add in ascending-id order one
-element at a time, never pairwise.
+is also the next sweep's baseline. The topology brings that snapshot up to
+date at the sweep from the nodes whose neighbor sets changed since the
+previous one; edge events themselves keep no sums. Outputs match the
+per-node formulas bit for bit: the quadratic offer goes through
+`estimator.offer_curve` (Python's float power, which numpy's square does
+not always equal) for positive levels only, and the per-iteration sums add
+in ascending-id order one element at a time, never pairwise.
 
 Voluntary departures read one more array, indexed by node id and grown by
 doubling like the estimator's: each live cooperative agent's reputation,
@@ -347,7 +349,7 @@ class Simulation:
             for u in t.adj[vid]:
                 self._legit_gone[u] = self._legit_gone.get(u, 0) + 1
         self._drop_node(vid)
-        (new_id,) = graph_mod.grow(t, 1, self.cfg.attach_edges, self.rng, iteration=n)
+        (new_id,) = graph_mod.grow(t, 1, self.cfg.attach_edges, self.rng)
         for u in t.adj[new_id]:
             self._arrivals[u] = self._arrivals.get(u, 0) + 1
         self._register_newcomer(new_id, agents_mod.rejoin_as_newcomer(a, new_id, offered, n), offered)
@@ -420,7 +422,7 @@ class Simulation:
         count = round(t.node_count * self.cfg.growth_percent_per_10 / 100)
         for _ in range(count):
             targets = t.sample_attachment_targets(self.cfg.attach_edges, self.rng)
-            vid = t.add_node(n)
+            vid = t.add_node()
             for u in targets:
                 t.add_edge(vid, u)
                 self._arrivals[u] = self._arrivals.get(u, 0) + 1

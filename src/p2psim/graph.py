@@ -1,12 +1,17 @@
 """Mutable unstructured-overlay topologies with preferential-attachment growth.
 
 Node ids are monotonically increasing and never reused, so identity churn
-(a node leaving and rejoining) is visible in the id space. The structure
-keeps per-node neighbor-degree sums incrementally, which makes local average
-degree an O(1) query even under heavy churn.
+(a node leaving and rejoining) is visible in the id space. Edge events only
+mutate the neighbor sets and mark the nodes whose sets changed; the dense
+neighbor-degree snapshot the estimator reads once per sweep is brought up
+to date from those marked nodes alone (see `Topology.neighbor_degree_array`).
+A single node's neighbor-degree sum is counted on demand, in time linear
+in its degree.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -49,12 +54,14 @@ class Topology:
         self.kind = kind
         self.seed_label = seed_label
         self.adj: dict[NodeId, set[NodeId]] = {}
-        self.iteration_created: dict[NodeId, int] = {}
         self.next_id: NodeId = 0
         self.edge_count: int = 0
         self.isolated_count: int = 0  # nodes of degree zero
-        # neighbor-degree sums: _ndsum[v] == sum(degree(u) for u in adj[v])
-        self._ndsum: dict[NodeId, int] = {}
+        # Degree and neighbor-degree sum of every id as of the last
+        # snapshot, and the nodes whose neighbor sets changed since.
+        self._deg = np.zeros(0, dtype=np.int64)
+        self._nds = np.zeros(0, dtype=np.int64)
+        self._touched: set[NodeId] = set()
         # preferential-attachment pool: one entry per degree unit, lazily pruned
         self._pool: list[NodeId] = []
         self._pool_copies: dict[NodeId, int] = {}
@@ -69,9 +76,6 @@ class Topology:
     def node_count(self) -> int:
         return len(self.adj)
 
-    def has_node(self, v: NodeId) -> bool:
-        return v in self.adj
-
     def degree(self, v: NodeId) -> int:
         try:
             return len(self.adj[v])
@@ -85,28 +89,56 @@ class Topology:
             raise UnknownNodeError(v) from None
 
     def neighbor_degree_sum(self, v: NodeId) -> int:
+        adj = self.adj
         try:
-            return self._ndsum[v]
+            return sum(len(adj[u]) for u in adj[v])
         except KeyError:
             raise UnknownNodeError(v) from None
 
     def neighbor_degree_array(self, size: int) -> np.ndarray:
         """Snapshot of every node's neighbor-degree sum indexed by node id,
-        zero where no node is; `size` must exceed every live id."""
-        out = np.zeros(size, dtype=np.int64)
-        n = len(self._ndsum)
-        out[np.fromiter(self._ndsum, np.int64, n)] = np.fromiter(self._ndsum.values(), np.int64, n)
-        return out
+        zero where no node is; `size` must exceed every live id.
+
+        Only the nodes whose neighbor sets changed since the previous call
+        are counted again, each as the sum of its neighbors' degrees. Any
+        other node kept its neighbors, so its sum moves by exactly the
+        degree changes of its changed neighbors, handed out over their
+        neighbor sets in one pass. A changed neighbor set, not a changed
+        degree, is what marks a node: one that lost an edge and gained
+        another keeps its degree but not its sum."""
+        if max(size, self.next_id) > len(self._nds):
+            cap = max(size, self.next_id, 2 * len(self._nds))
+            for name in ("_deg", "_nds"):
+                new = np.zeros(cap, dtype=np.int64)
+                old = getattr(self, name)
+                new[: len(old)] = old
+                setattr(self, name, new)
+        adj, deg, nds = self.adj, self._deg, self._nds
+        touched, self._touched = self._touched, set()
+        live = [v for v in touched if v in adj]
+        gone = list(touched.difference(adj))
+        live_degs = np.fromiter((len(adj[v]) for v in live), np.int64, len(live))
+        nbrs = np.fromiter(
+            itertools.chain.from_iterable(adj[v] for v in live), np.int64, int(live_degs.sum())
+        )
+        ids = np.array(live, dtype=np.int64)
+        # A removed node's neighbors all lost an edge to it, so every node
+        # it reached is counted again below: only live nodes hand out.
+        np.add.at(nds, nbrs, np.repeat(live_degs - deg[ids], live_degs))
+        deg[ids] = live_degs
+        recount = np.zeros(len(ids), dtype=np.int64)
+        np.add.at(recount, np.repeat(np.arange(len(ids)), live_degs), deg[nbrs])
+        nds[ids] = recount
+        deg[gone] = nds[gone] = 0
+        return nds[:size].copy()
 
     # ---- write side ------------------------------------------------
 
-    def add_node(self, iteration: int = 0) -> NodeId:
+    def add_node(self) -> NodeId:
         v = self.next_id
         self.next_id += 1
         self.adj[v] = set()
-        self._ndsum[v] = 0
         self._pool_copies[v] = 0
-        self.iteration_created[v] = iteration
         self.isolated_count += 1
         return v
 
@@ -119,15 +151,10 @@ class Topology:
         if v in au:
             return
         self.isolated_count -= (not au) + (not av)
-        ndsum = self._ndsum
-        for w in au:
-            ndsum[w] += 1
-        for w in av:
-            ndsum[w] += 1
         au.add(v)
         av.add(u)
-        ndsum[u] += len(av)
-        ndsum[v] += len(au)
+        self._touched.add(u)
+        self._touched.add(v)
         self.edge_count += 1
         self._pool.append(u)
         self._pool.append(v)
@@ -141,13 +168,8 @@ class Topology:
         au.discard(v)
         av.discard(u)
         self.isolated_count += (not au) + (not av)
-        ndsum = self._ndsum
-        for w in au:
-            ndsum[w] -= 1
-        for w in av:
-            ndsum[w] -= 1
-        ndsum[u] -= len(av) + 1
-        ndsum[v] -= len(au) + 1
+        self._touched.add(u)
+        self._touched.add(v)
         self.edge_count -= 1
         self._pool_stale += 2
 
@@ -163,28 +185,22 @@ class Topology:
                 self._pool_copies[v] = d
         self._pool_stale = 0
 
-    def sample_attachment_targets(
-        self, count: int, rng: np.random.Generator, exclude: set[NodeId] | None = None
-    ) -> list[NodeId]:
+    def sample_attachment_targets(self, count: int, rng: np.random.Generator) -> list[NodeId]:
         """Sample `count` distinct existing nodes with probability proportional
         to current degree. If fewer than `count` nodes have edges (none at
         all in an edgeless graph), all of those are drawn that way and the
         rest come uniformly from the isolated nodes."""
-        exclude = exclude or set()
-        n_candidates = len(self.adj) - sum(1 for v in exclude if v in self.adj)
-        if n_candidates <= 0:
+        if not self.adj:
             raise InvalidParameterError("no attachment targets available")
-        count = min(count, n_candidates)
+        count = min(count, len(self.adj))
         if self._pool and self._pool_stale > _POOL_STALE_LIMIT * len(self._pool):
             self._rebuild_pool()
         chosen: list[NodeId] = []
         picked: set[NodeId] = set()
         linked = len(self.adj) - self.isolated_count
-        if exclude:
-            linked -= sum(1 for v in exclude if self.adj.get(v))
         while len(chosen) < min(count, linked):
             v = self._pool[int(rng.integers(len(self._pool)))]
-            if v in picked or v in exclude:
+            if v in picked:
                 continue
             nbrs = self.adj.get(v)
             if nbrs is None:
@@ -198,7 +214,7 @@ class Topology:
             chosen.append(v)
             picked.add(v)
         if len(chosen) < count:
-            isolated = [v for v, nbrs in self.adj.items() if not nbrs and v not in exclude]
+            isolated = [v for v, nbrs in self.adj.items() if not nbrs]
             order = rng.permutation(len(isolated))
             chosen += [isolated[i] for i in order[: count - len(chosen)]]
         return chosen
@@ -279,7 +295,7 @@ def generate_regular(n: int, degree: int, seed) -> Topology:
 # ---- mutation ops ----------------------------------------------------
 
 
-def grow(t: Topology, new_nodes: int, attach_edges: int, seed, iteration: int = 0) -> list[NodeId]:
+def grow(t: Topology, new_nodes: int, attach_edges: int, seed) -> list[NodeId]:
     """Attach `new_nodes` arrivals, each wiring attach_edges distinct edges to
     existing nodes chosen proportionally to degree. Returns the new ids."""
     if new_nodes < 0 or attach_edges < 1:
@@ -290,7 +306,7 @@ def grow(t: Topology, new_nodes: int, attach_edges: int, seed, iteration: int = 
     created = []
     for _ in range(new_nodes):
         targets = t.sample_attachment_targets(attach_edges, rng)
-        v = t.add_node(iteration)
+        v = t.add_node()
         for u in targets:
             t.add_edge(v, u)
         created.append(v)
@@ -306,7 +322,7 @@ def remove_node(t: Topology, v: NodeId) -> None:
     t._pool_stale += stale
     t.isolated_count -= 1
     del t.adj[v]
-    del t._ndsum[v]
+    t._touched.add(v)
 
 
 # ---- metrics ---------------------------------------------------------

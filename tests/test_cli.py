@@ -231,6 +231,13 @@ BAD_CONFIGS = [
         ("payoff-sweep", '{"cap": 100000000}'),
         ("frontier", '{"x_step": 1e-6}'),
         ("frontier", '{"x_step": 1e-9}'),
+        ("simulate", '{"n": 100000000, "iterations": 1000000000}'),
+        ("simulate", '{"n": 2, "iterations": 500000001}'),
+        ("simulate", '{"growth_percent_per_10": 50, "iterations": 1000}'),
+        ("simulate", '{"n": 100000, "iterations": 1000, "seeds": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]}'),
+        ("simulate", '{"grid": {"n": [200000, 300000, 600000]}, "iterations": 1000}'),
+        ("estimator-check", '{"n": 100000000}'),
+        ("estimator-check", '{"growth_percent_per_10": 1e300}'),
     ]
 ] + [
     pytest.param("simulate", GRID_8X8, id="grid of 8^8 cells"),
@@ -250,6 +257,16 @@ def test_wrong_typed_simulate_values_are_config_errors(tmp_path, capsys, command
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "config"
+
+
+def test_work_bound_projects_growth_per_period(tmp_path):
+    for n, growth, iterations in [(1000, 8.0, 500), (7, 2.0, 23), (5, 0.0, 9), (2, 50.0, 10)]:
+        cfg = SimConfig(n=n, growth_percent_per_10=growth, iterations=iterations)
+        expected = sum(n * (1 + growth / 100) ** (k // 10) for k in range(1, iterations + 1))
+        assert cli._node_iterations(cfg, iterations) == pytest.approx(expected, rel=1e-12)
+    # Exactly at the bound is still accepted.
+    plan = cli.parse_config(write_config(tmp_path, {"n": 2, "iterations": 500_000_000}))
+    assert plan.base.iterations == 500_000_000
 
 
 def test_counts_spelled_as_floats_become_ints(tmp_path):
