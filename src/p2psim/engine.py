@@ -29,15 +29,17 @@ node's recent whitewash levels; it works because a node is swept on every
 step while its window holds a nonzero level. New nodes are primed with the
 ceiling estimate in the slot just before the next write. A dense offer
 array answers probes, and nodes a sweep left out offer the ceiling. Each
-sweep takes churn sums with `np.bincount` over the neighbor sets of the
-hosts that saw churn, and one snapshot of the neighbor-degree sums, which
-is also the next sweep's baseline. The topology brings that snapshot up to
-date at the sweep from the nodes whose neighbor sets changed since the
-previous one; edge events themselves keep no sums. Outputs match the
-per-node formulas bit for bit: the quadratic offer goes through
-`estimator.offer_curve` (Python's float power, which numpy's square does
-not always equal) for positive levels only, and the per-iteration sums add
-in ascending-id order one element at a time, never pairwise.
+sweep reads one snapshot of the neighbor-degree sums, which is also the
+next sweep's baseline, and the churn sums (arrivals and benign departures
+summed over each node's neighbors). The topology computes all three in one
+pass at the sweep, chaining the neighbor sets of the nodes whose neighbor
+sets changed since the previous sweep; every live churn host is one of
+them, as it gained or lost an edge. Edge events themselves keep no sums.
+Outputs match the per-node formulas bit for bit: the quadratic offer goes
+through `estimator.offer_curve` (Python's float power, which numpy's
+square does not always equal) once per distinct ratio among the positive
+levels, and the per-iteration sums add in ascending-id order one element
+at a time, never pairwise.
 
 Voluntary departures read one more array, indexed by node id and grown by
 doubling like the estimator's: each live cooperative agent's reputation,
@@ -225,7 +227,7 @@ class Simulation:
             cfg.window_n_prime,
             np.fromiter(t.adj, np.int64, t.node_count),
             self.r_est,
-            t.neighbor_degree_array(t.next_id),
+            t.neighbor_degree_array(t.next_id)[0],
         )
         # Churn observed since the previous estimate: new neighbors per
         # host, and departures of reputable neighbors per host.
@@ -297,10 +299,7 @@ class Simulation:
         coef = (growth_ratio - 1.0) * cfg.attach_edges / d_avg if d_avg > 0 else 0.0
 
         swept, w_sum, wmax_sum, offer_sum = self._est.sweep(
-            t.adj,
-            self._arrivals,
-            self._legit_gone,
-            t.neighbor_degree_array(self._est.capacity),
+            *t.neighbor_degree_array(self._est.capacity, self._arrivals, self._legit_gone),
             coef,
             self.r_est,
             cfg.r_ini_min,
@@ -363,7 +362,7 @@ class Simulation:
                 self._ready.add(vid)
         if not self._ready:
             return 0, 0
-        pool = sorted(self.topology.adj)
+        pool = list(self.topology.adj)  # ascending: ids only grow
         attempts = 0
         successes = 0
         for vid in sorted(self._ready):

@@ -202,23 +202,6 @@ def _ordered_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
 
 
-def _churn_sums(
-    adj: dict[NodeId, set[NodeId]], counts: dict[NodeId, int], size: int
-) -> np.ndarray:
-    """Per node id, the churn events summed over its neighbors: counts[j]
-    added to every current neighbor of each host j still in the graph.
-    The weights are integers, so the float sums are exact in any order."""
-    hosts = [j for j in counts if j in adj]
-    if not hosts:
-        return np.zeros(size)
-    degrees = [len(adj[j]) for j in hosts]
-    nbrs = np.fromiter(
-        itertools.chain.from_iterable(adj[j] for j in hosts), np.int64, sum(degrees)
-    )
-    weights = np.repeat(np.array([counts[j] for j in hosts], dtype=float), degrees)
-    return np.bincount(nbrs, weights, minlength=size)
-
-
 class _SweepLevels(Mapping):
     """Read-only view of one sweep's levels by node id, over the sweep's
     ascending id array; nothing is copied until a value is read."""
@@ -256,8 +239,9 @@ class EstimatorArrays:
     `offers` is dense: after a sweep, nodes it left out offer the ceiling
     estimate, and a node added since offers the ceiling it was primed with.
     Outputs match a per-node loop bit for bit: the quadratic is applied
-    with `offer_curve` to the nodes with a positive level only, and the
-    sums run in ascending-id order one element at a time.
+    with `offer_curve` once per distinct ratio among the nodes with a
+    positive level, and the sums run in ascending-id order one element at
+    a time.
     """
 
     def __init__(self, window: int, ids: np.ndarray, r_est: float, ndsum: np.ndarray):
@@ -305,10 +289,9 @@ class EstimatorArrays:
 
     def sweep(
         self,
-        adj: dict[NodeId, set[NodeId]],
-        arrivals: dict[NodeId, int],
-        legit_gone: dict[NodeId, int],
         ndsum: np.ndarray,
+        gained: np.ndarray,
+        lost: np.ndarray,
         coef: float,
         r_est: float,
         r_min: float,
@@ -316,17 +299,15 @@ class EstimatorArrays:
         """One estimator step over every node that saw churn or still holds
         a nonzero window.
 
-        `arrivals` and `legit_gone` count new neighbors and benign
-        departures per host since the previous sweep. `ndsum` holds every
-        node's neighbor-degree sum now, indexed by id and `capacity` long;
-        it also becomes the next sweep's baseline. `coef` is the expected
-        growth arrivals per unit of the previous sweep's neighbor-degree
-        sum. Returns the number of nodes swept and the sums of their
-        levels, window peaks and offers.
+        All three arrays are indexed by node id and `capacity` long, as
+        `Topology.neighbor_degree_array` returns them. `ndsum` holds every
+        node's neighbor-degree sum now; it also becomes the next sweep's
+        baseline. `gained` and `lost` hold, per node, the new neighbors and
+        the benign departures its neighbors saw since the previous sweep.
+        `coef` is the expected growth arrivals per unit of the previous
+        sweep's neighbor-degree sum. Returns the number of nodes swept and
+        the sums of their levels, window peaks and offers.
         """
-        size = self.capacity
-        gained = _churn_sums(adj, arrivals, size)
-        lost = _churn_sums(adj, legit_gone, size)
         ids = np.flatnonzero(self._active | (gained > 0) | (lost > 0))
         den = ndsum[ids]
         num = gained[ids] - coef * self._prev_ndsum[ids] - lost[ids]
@@ -344,10 +325,13 @@ class EstimatorArrays:
 
         offers = np.full(len(ids), r_est)
         hot = np.flatnonzero(w > 0)
-        ratios = np.minimum(w[hot] / wmax[hot], 1.0).tolist()
-        offers[hot] = list(
-            map(offer_curve, ratios, itertools.repeat(r_est), itertools.repeat(r_min))
+        # Many nodes share a ratio (an untouched regular neighborhood sees
+        # the same level and peak as the next), and offer_curve is pure.
+        ratios, where = np.unique(np.minimum(w[hot] / wmax[hot], 1.0), return_inverse=True)
+        curve = list(
+            map(offer_curve, ratios.tolist(), itertools.repeat(r_est), itertools.repeat(r_min))
         )
+        offers[hot] = np.array(curve, dtype=float)[where]
         self.offers.fill(r_est)
         self.offers[ids] = offers
 

@@ -1,17 +1,19 @@
 """Mutable unstructured-overlay topologies with preferential-attachment growth.
 
 Node ids are monotonically increasing and never reused, so identity churn
-(a node leaving and rejoining) is visible in the id space. Edge events only
-mutate the neighbor sets and mark the nodes whose sets changed; the dense
-neighbor-degree snapshot the estimator reads once per sweep is brought up
-to date from those marked nodes alone (see `Topology.neighbor_degree_array`).
-A single node's neighbor-degree sum is counted on demand, in time linear
-in its degree.
+(a node leaving and rejoining) is visible in the id space, and `adj`
+iterates in ascending id order. Edge events only mutate the neighbor sets
+and mark the nodes whose sets changed. Once per sweep, one pass over the
+marked nodes' neighbor sets brings the dense neighbor-degree snapshot up to
+date and sums the estimator's churn counts over the same chain (see
+`Topology.neighbor_degree_array`). A single node's neighbor-degree sum is
+counted on demand, in time linear in its degree.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -95,17 +97,24 @@ class Topology:
         except KeyError:
             raise UnknownNodeError(v) from None
 
-    def neighbor_degree_array(self, size: int) -> np.ndarray:
+    def neighbor_degree_array(
+        self, size: int, *churn: Mapping[NodeId, int]
+    ) -> tuple[np.ndarray, ...]:
         """Snapshot of every node's neighbor-degree sum indexed by node id,
-        zero where no node is; `size` must exceed every live id.
+        zero where no node is, then one churn sum per map in `churn`: for
+        each live host j, counts[j] added to every current neighbor of j.
+        The churn sums are floats holding integers, so they are exact in
+        any order. `size` must exceed every live id.
 
-        Only the nodes whose neighbor sets changed since the previous call
-        are counted again, each as the sum of its neighbors' degrees. Any
-        other node kept its neighbors, so its sum moves by exactly the
-        degree changes of its changed neighbors, handed out over their
-        neighbor sets in one pass. A changed neighbor set, not a changed
+        One chain of neighbor sets serves all of them: those of the live
+        nodes whose neighbor sets changed since the previous call, and of
+        the live hosts. A changed node is counted again as the sum of its
+        neighbors' degrees. Any other node kept its neighbors, so its sum
+        moves by exactly the degree changes of its changed neighbors, handed
+        out over their neighbor sets. A changed neighbor set, not a changed
         degree, is what marks a node: one that lost an edge and gained
-        another keeps its degree but not its sum."""
+        another keeps its degree but not its sum. An unmarked host kept its
+        degree, so it hands out zero and is counted again at the same sum."""
         if max(size, self.next_id) > len(self._nds):
             cap = max(size, self.next_id, 2 * len(self._nds))
             for name in ("_deg", "_nds"):
@@ -115,7 +124,7 @@ class Topology:
                 setattr(self, name, new)
         adj, deg, nds = self.adj, self._deg, self._nds
         touched, self._touched = self._touched, set()
-        live = [v for v in touched if v in adj]
+        live = [v for v in touched.union(*churn) if v in adj]
         gone = list(touched.difference(adj))
         live_degs = np.fromiter((len(adj[v]) for v in live), np.int64, len(live))
         nbrs = np.fromiter(
@@ -130,7 +139,15 @@ class Topology:
         np.add.at(recount, np.repeat(np.arange(len(ids)), live_degs), deg[nbrs])
         nds[ids] = recount
         deg[gone] = nds[gone] = 0
-        return nds[:size].copy()
+        sums = [
+            np.bincount(
+                nbrs,
+                np.repeat(np.array([counts.get(v, 0) for v in live], dtype=float), live_degs),
+                minlength=size,
+            )
+            for counts in churn
+        ]
+        return (nds[:size].copy(), *sums)
 
     # ---- write side ------------------------------------------------
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from p2psim import engine, estimator
+from p2psim import graph as graph_mod
 from p2psim.agents import Role
 from p2psim.engine import SimConfig, Simulation
 from p2psim.estimator import NeighborhoodObservation
@@ -306,6 +307,38 @@ def test_sweep_matches_whitewash_level_observations():
         checked += 1
     assert checked > 50
     assert sum(sim.last_w_sweep.values()) > 0
+
+
+CHURN_HOST_CASES = {
+    # growth arrivals, whitewash rejoins and their benign-looking departures
+    "growth": SimConfig(n=300, growth_percent_per_10=5.0, iterations=60, seed=2),
+    # voluntary departures of reputable nodes on a shrinking regular overlay
+    "departures": SimConfig(topology="regular", n=300, degree=6, legit_departure_prob=0.02,
+                            iterations=60, seed=5),
+}
+
+
+@pytest.mark.parametrize("name", CHURN_HOST_CASES)
+def test_every_live_churn_host_is_a_touched_node(monkeypatch, name):
+    # A host gained or lost an edge, so the snapshot's chain over the changed
+    # nodes already holds every live host and adding the hosts costs nothing.
+    snapshot = graph_mod.Topology.neighbor_degree_array
+    hosts = []
+
+    def checked(self, size, *churn):
+        live = [{j for j in counts if j in self.adj} for counts in churn]
+        assert set().union(*live) <= self._touched
+        hosts.append([len(h) for h in live])
+        return snapshot(self, size, *churn)
+
+    monkeypatch.setattr(graph_mod.Topology, "neighbor_degree_array", checked)
+    cfg = CHURN_HOST_CASES[name]
+    sim = Simulation(cfg)
+    for _ in range(cfg.iterations):
+        sim.step()
+    assert len(hosts) == cfg.iterations + 1  # set-up, then one per step
+    arrivals, legit_gone = (sum(h[k] for h in hosts[1:]) for k in range(2))
+    assert arrivals > 100 and legit_gone > 20  # 565 and 27; 418 and 448
 
 
 # ---- closed-world ground truth -------------------------------------------

@@ -182,7 +182,7 @@ def test_estimator_arrays_match_scalar_oracle():
     window, r_min, r_est = 4, 0.03, 0.5
     t = graph.generate_scale_free(30, 2, rng)
     est = EstimatorArrays(
-        window, np.fromiter(t.adj, np.int64), r_est, t.neighbor_degree_array(t.next_id)
+        window, np.fromiter(t.adj, np.int64), r_est, t.neighbor_degree_array(t.next_id)[0]
     )
     oracle = {v: EstimatorState(v, r_est, r_min, window) for v in t.adj}
     removed = added = quiet_then_busy = 0
@@ -210,7 +210,7 @@ def test_estimator_arrays_match_scalar_oracle():
             added += 1
         coef = float(rng.uniform(-0.02, 0.05))
         swept, w_sum, wmax_sum, offer_sum = est.sweep(
-            t.adj, arrivals, legit, t.neighbor_degree_array(est.capacity), coef, r_est, r_min
+            *t.neighbor_degree_array(est.capacity, arrivals, legit), coef, r_est, r_min
         )
         levels = est.last_sweep
         assert swept == len(levels)
@@ -234,6 +234,37 @@ def test_estimator_arrays_match_scalar_oracle():
         assert [w_sum, wmax_sum, offer_sum] == sums
     assert removed > 10 and added > 20 and quiet_then_busy > 10
     assert est.capacity > 30  # ids outran the first allocation
+
+
+def test_shared_ratios_get_the_offer_curve_of_each_node():
+    # The sweep evaluates offer_curve once per distinct ratio and hands the
+    # result to every node that shares it. With a unit neighborhood, no
+    # growth term and a window peak of 1.0, each node's ratio is the churn
+    # sum it is given, so hundreds of nodes can share one ratio exactly.
+    rng = np.random.default_rng(3)
+    # A base where x * x and x ** 2 round apart: numpy's square of the
+    # whole array would give this node a different offer.
+    tricky = next(
+        r for r in rng.uniform(0.0, 0.7, 100_000).tolist() if (1 - r) * (1 - r) != (1 - r) ** 2
+    )
+    r_est, r_min = 0.5, 0.03
+    squared = (1 - tricky) * (1 - tricky)
+    assert max(squared * r_est, r_min) != estimator.offer_curve(tricky, r_est, r_min)
+    levels = np.array(
+        [tricky] * 300 + [1.0] * 60 + [0.25] * 200 + [0.0] * 40
+        + rng.uniform(0.001, 0.999, 300).tolist()
+    )
+    rng.shuffle(levels)
+    size = len(levels)
+    est = EstimatorArrays(2, np.arange(size), 1.0, np.ones(size, dtype=np.int64))
+    swept, _, _, offer_sum = est.sweep(
+        np.ones(size, dtype=np.int64), levels, np.zeros(size), 0.0, r_est, r_min
+    )
+    assert swept == size
+    expected = [estimator.offer_curve(w, r_est, r_min) if w > 0 else r_est for w in levels.tolist()]
+    for v, offer in enumerate(expected):
+        assert est.offers[v] == offer, (v, levels[v])
+    assert offer_sum == sum(expected)
 
 
 # ---- ceiling estimate ----------------------------------------------------

@@ -212,12 +212,20 @@ def test_neighbor_degree_snapshot_matches_recount():
     neighbors' degrees elsewhere. The churn grows batches onto hubs, removes
     hubs, rewires a node (same degree, new neighbors), removes and re-adds
     one edge, adds and removes a node between two snapshots, and pushes
-    ids past the snapshot arrays' capacity."""
+    ids past the snapshot arrays' capacity. Every snapshot also sums two
+    churn maps whose hosts mix changed nodes, unchanged live nodes and
+    removed nodes, against a brute-force sum over the live hosts'
+    neighbors."""
     t = graph.generate_scale_free(30, 2, seed=5)
     rng = np.random.default_rng(17)
+    removed: list[int] = []
 
     def pick(candidates) -> int:
         return sorted(candidates)[int(rng.integers(len(candidates)))]
+
+    def drop(v: int) -> None:
+        graph.remove_node(t, v)
+        removed.append(v)
 
     def rewire() -> None:
         u = pick([v for v in t.adj if t.adj[v] and len(t.adj[v]) < t.node_count - 1])
@@ -236,19 +244,26 @@ def test_neighbor_degree_snapshot_matches_recount():
         v = t.add_node()
         for u in t.sample_attachment_targets(int(rng.integers(4)), rng):
             t.add_edge(v, u)
-        graph.remove_node(t, v)
+        drop(v)
 
     def remove_hub() -> None:
-        graph.remove_node(t, max(t.adj, key=lambda v: (len(t.adj[v]), v)))
+        drop(max(t.adj, key=lambda v: (len(t.adj[v]), v)))
 
     def remove_any() -> None:
-        graph.remove_node(t, pick(t.adj))
+        drop(pick(t.adj))
 
     def grow_batch() -> None:
         graph.grow(t, int(rng.integers(1, 12)), 2, seed=rng)
 
+    def churn_map() -> dict[int, int]:
+        hosts = [pick(t.adj) for _ in range(int(rng.integers(6)))]
+        hosts += [pick(t._touched) for _ in range(int(rng.integers(3))) if t._touched]
+        hosts += [pick(removed) for _ in range(int(rng.integers(3))) if removed]
+        return {j: int(rng.integers(1, 4)) for j in hosts}
+
     mutations = [rewire, readd_edge, passing_node, remove_hub, remove_any, grow_batch]
     capacities = set()
+    host_kinds = collections.Counter()
     for step in range(80):
         for _ in range(int(rng.integers(1, 5))):
             op = mutations[int(rng.integers(len(mutations)))]
@@ -256,14 +271,43 @@ def test_neighbor_degree_snapshot_matches_recount():
                 op = grow_batch
             op()
         size = t.next_id + int(rng.integers(3))
-        snap = t.neighbor_degree_array(size)
+        churn = [churn_map(), churn_map()]
+        for j in set().union(*churn):
+            host_kinds["touched" if j in t._touched else "untouched" if j in t.adj else "gone"] += 1
+        snap, *sums = t.neighbor_degree_array(size, *churn)
         capacities.add(len(t._nds))
         expected = np.zeros(size, dtype=np.int64)
         for v, nbrs in t.adj.items():
             expected[v] = sum(len(t.adj[u]) for u in nbrs)
         assert snap.dtype == np.int64
         np.testing.assert_array_equal(snap, expected, err_msg=f"step {step}")
+        assert len(sums) == 2
+        for counts, got in zip(churn, sums):
+            want = np.zeros(size)
+            for j, c in counts.items():
+                for i in t.adj.get(j, ()):
+                    want[i] += c
+            np.testing.assert_array_equal(got, want, err_msg=f"step {step}")
     assert len(capacities) >= 3  # the arrays grew at least twice
+    assert min(host_kinds[k] for k in ("touched", "untouched", "gone")) > 20
+
+
+def test_adj_iterates_in_ascending_id_order():
+    # Ids only grow and dicts keep insertion order, so the live ids come out
+    # of adj already sorted through growth, generation and removals.
+    rng = np.random.default_rng(8)
+    for t in (graph.generate_scale_free(40, 2, seed=rng), graph.generate_regular(40, 4, rng)):
+        assert list(t.adj) == sorted(t.adj)
+        for step in range(60):
+            if step % 3 == 0:
+                graph.remove_node(t, max(t.adj, key=lambda v: (len(t.adj[v]), v)))
+            elif step % 3 == 1:
+                (fresh,) = graph.grow(t, 1, 2, seed=rng)
+                graph.grow(t, int(rng.integers(1, 4)), 2, seed=rng)
+                graph.remove_node(t, fresh)
+            else:
+                graph.grow(t, int(rng.integers(1, 6)), 2, seed=rng)
+            assert list(t.adj) == sorted(t.adj), step
 
 
 # ---- metrics ---------------------------------------------------------
