@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 from p2psim.payoff import (
+    DEFAULT_ROUND_BUDGET,
     IdentityRegime,
     PayoffParams,
     closed_form_threshold,
@@ -18,6 +19,7 @@ from p2psim.payoff import (
     crossover_round,
     defector_payoff,
     max_feasible_r_ini,
+    r_ini_min_from_frontier,
 )
 
 
@@ -50,6 +52,12 @@ def main() -> None:
     too_generous = PayoffParams(mu=0.5, x=x_star, r_ini=r_star + 0.01, delta=0.0)
     print(f"grant {too_generous.r_ini:.4f} instead: "
           f"crossover = {crossover_round(too_generous, IdentityRegime.ZERO_COST)}")
+
+    # The estimator's offer floor is calibrated offline the same way, with a
+    # deadline: the largest grant that some exponent still defends within
+    # the round budget. The simulation's default floor is 0.03.
+    floor = r_ini_min_from_frontier(0.5)
+    print(f"offer floor for a {DEFAULT_ROUND_BUDGET}-round budget: {floor:.4f}")
 
 
 if __name__ == "__main__":

@@ -48,38 +48,23 @@ class AgentState:
     resource_requested: float = 0.0
 
 
-@dataclass(frozen=True)
-class PopulationConfig:
-    size: int
-    r_ini_max: float
-    r_ini_min: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.r_ini_min < self.r_ini_max <= 1:
-            raise ValueError("need 0 <= r_ini_min < r_ini_max <= 1")
-        if self.size < 1:
-            raise ValueError("population size must be >= 1")
-
-
 Population = dict[NodeId, AgentState]
 
 
-def init_population(cfg: PopulationConfig, rng: np.random.Generator | None = None) -> Population:
+def init_population(size: int, r_ini_max: float, rng: np.random.Generator) -> Population:
     """Create `size` agents on node ids 0..size-1.
 
     Honesty is i.i.d. Uniform[0,1]; an agent is a potential whitewasher iff
-    its honesty is below r_ini_max. Starting reputations are also uniform,
-    standing in for histories accumulated before the observation window.
-    Draw order: all honesties first, then all reputations.
+    its honesty is below r_ini_max, so a zero ceiling makes everyone
+    cooperative. Starting reputations are also uniform, standing in for
+    histories accumulated before the observation window. Draw order: all
+    honesties first, then all reputations.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    honesty = rng.uniform(0.0, 1.0, cfg.size)
-    reputation = rng.uniform(0.0, 1.0, cfg.size)
+    honesty = rng.uniform(0.0, 1.0, size)
+    reputation = rng.uniform(0.0, 1.0, size)
     pop: Population = {}
-    for i in range(cfg.size):
-        role = Role.POTENTIAL_WHITEWASHER if honesty[i] < cfg.r_ini_max else Role.COOPERATIVE
+    for i in range(size):
+        role = Role.POTENTIAL_WHITEWASHER if honesty[i] < r_ini_max else Role.COOPERATIVE
         pop[i] = AgentState(i, float(honesty[i]), role, float(reputation[i]))
     return pop
 

@@ -390,21 +390,6 @@ def emit_csv(records: list[IterationRecord], path: Path) -> None:
     _write_csv(Path(path), CSV_HEADER, (dataclasses.astuple(r) for r in records))
 
 
-def read_records_csv(path: Path) -> list[IterationRecord]:
-    """Parse a file produced by emit_csv back into records."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path} does not carry the simulate header")
-    out = []
-    for line in lines[1:]:
-        it, nn, wa, ws, frac, off, west, wmax = line.split(",")
-        out.append(
-            IterationRecord(int(it), int(nn), int(wa), int(ws),
-                            float(frac), float(off), float(west), float(wmax))
-        )
-    return out
-
-
 # ---- command bodies ------------------------------------------------------
 
 

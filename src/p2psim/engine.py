@@ -7,7 +7,10 @@ Each `Simulation.step` is one iteration:
    (the founding population serves from iteration 1), which pins their
    reputation at the expected per-round ratio;
 2. gossip snapshot, per-node whitewash-level estimate, newcomer offers,
-   and the shared estimate of the grant ceiling;
+   and the shared estimate of the grant ceiling, read from the mean
+   reputation of the newcomer pool: the live agents whose tenure lies in
+   [NEWCOMER_MIN_TENURE, newcomer_window], found through join-iteration
+   buckets (the only place that tenure rule is applied);
 3. resource allocation (folded into step 1: cooperative nodes provide the
    expected share of what they are asked, free riders provide nothing);
 4. whitewash wave: each potential whitewasher may probe one uniformly
@@ -21,6 +24,12 @@ if the probed offer strictly beats the grant its current identity was born
 with; cheaper offers are declined without burning an attempt. That single
 rule is what lets the estimator win: once offers collapse, the population
 of past whitewashers has nothing left to gain and goes quiet.
+
+Whether a leaver looks legitimate is one comparison against
+`estimator.legitimacy_threshold`, for a whitewasher and for a voluntary
+departure alike. Whitewash rejoins and growth arrivals enter through one
+helper that draws the hosts by degree, wires the node and books one arrival
+at each host.
 
 The estimator state of step 2 lives in `estimator.EstimatorArrays`: numpy
 arrays indexed by node id, which only grow because ids are never reused. A
@@ -75,19 +84,17 @@ import numpy as np
 from . import agents as agents_mod
 from . import graph as graph_mod
 from .agents import AgentState, Role, WhitewashOutcome
-from .estimator import (
-    DepartureKind,
-    EstimatorArrays,
-    classify_departure,
-    estimate_r_ini_max,
-    legitimacy_threshold,
-)
-from .gossip import NEWCOMER_MIN_TENURE, snapshot_average_degree, take_snapshot
+from .estimator import EstimatorArrays, estimate_r_ini_max, legitimacy_threshold
+from .gossip import snapshot_average_degree, take_snapshot
 
 TOPOLOGY_KINDS = ("scale_free", "regular")
 
 # New nodes arrive in a batch every this many iterations.
 GROWTH_PERIOD = 10
+
+# A newcomer's reputation only counts toward the gossiped newcomer mean once
+# it has been around for this many iterations (and at most newcomer_window).
+NEWCOMER_MIN_TENURE = 3
 
 # Resources asked of a node per service round; only the provided/requested
 # ratio matters, so the scale is arbitrary.
@@ -184,20 +191,6 @@ class IterationRecord:
     mean_w_max: float
 
 
-def _build_population(cfg: SimConfig, rng: np.random.Generator) -> agents_mod.Population:
-    if cfg.r_ini_max0 > 0:
-        pc = agents_mod.PopulationConfig(cfg.n, cfg.r_ini_max0, cfg.r_ini_min, cfg.seed)
-        return agents_mod.init_population(pc, rng)
-    # Grants disabled: nobody can clear a zero ceiling, so everyone is
-    # cooperative. Keep the same draw pattern as init_population.
-    honesty = rng.uniform(0.0, 1.0, cfg.n)
-    reputation = rng.uniform(0.0, 1.0, cfg.n)
-    return {
-        i: AgentState(i, float(honesty[i]), Role.COOPERATIVE, float(reputation[i]))
-        for i in range(cfg.n)
-    }
-
-
 class Simulation:
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
@@ -206,7 +199,7 @@ class Simulation:
             self.topology = graph_mod.generate_scale_free(cfg.n, cfg.attach_edges, self.rng)
         else:
             self.topology = graph_mod.generate_regular(cfg.n, cfg.degree, self.rng)
-        self.agents = _build_population(cfg, self.rng)
+        self.agents = agents_mod.init_population(cfg.n, cfg.r_ini_max0, self.rng)
         # Reputation of each live cooperative agent by node id, -inf for
         # every other id: the voluntary-departure candidates at a glance.
         # The founding agents hold ids 0..n-1 in order.
@@ -271,21 +264,21 @@ class Simulation:
             if a.role is Role.COOPERATIVE:
                 self._coop_rep[vid] = a.reputation
 
-    def _newcomer_pool(self, n: int) -> dict[int, AgentState]:
-        pool: dict[int, AgentState] = {}
+    def _newcomer_pool(self, n: int) -> list[AgentState]:
+        """Live agents whose tenure at iteration n lies in
+        [NEWCOMER_MIN_TENURE, newcomer_window], by join iteration."""
+        pool = []
         for j in range(max(n - self.cfg.newcomer_window, 0), n - NEWCOMER_MIN_TENURE + 1):
             for vid in self._join_buckets.get(j, ()):
                 a = self.agents.get(vid)
                 if a is not None:
-                    pool[vid] = a
+                    pool.append(a)
         return pool
 
     def _estimate(self, n: int) -> tuple[float, float, float]:
         cfg = self.cfg
         t = self.topology
-        snap = take_snapshot(
-            t, self._newcomer_pool(n), n, cfg.gossip_noise, self.rng, cfg.newcomer_window
-        )
+        snap = take_snapshot(t, self._newcomer_pool(n), cfg.gossip_noise, self.rng)
         self.r_est = min(
             max(estimate_r_ini_max(snap.newcomer_mean_reputation, self.r_est), self._est_floor),
             1.0,
@@ -339,18 +332,26 @@ class Simulation:
         self._ready.discard(vid)
         self._grant_of.pop(vid, None)
 
-    def _execute_whitewash(self, vid: int, a: AgentState, offered: float, n: int) -> int:
+    def _attach_newcomer(self) -> tuple[int, list[int]]:
+        """Add a node wired to attach_edges hosts drawn by degree, and book
+        the arrival at each host. Returns the new id and its hosts in draw
+        order."""
         t = self.topology
-        kind = classify_departure(a.reputation, self.r_est, self.cfg.r_ini_min)
-        if kind is DepartureKind.LEGITIMATE:
+        targets = t.sample_attachment_targets(self.cfg.attach_edges, self.rng)
+        vid = t.add_node()
+        for u in targets:
+            t.add_edge(vid, u)
+            self._arrivals[u] = self._arrivals.get(u, 0) + 1
+        return vid, targets
+
+    def _execute_whitewash(self, vid: int, a: AgentState, offered: float, n: int) -> int:
+        if a.reputation >= legitimacy_threshold(self.r_est, self.cfg.r_ini_min):
             # The leaver still looked reputable, so neighbors will book the
             # departure as benign and the rejoin slips past the estimator.
-            for u in t.adj[vid]:
+            for u in self.topology.adj[vid]:
                 self._legit_gone[u] = self._legit_gone.get(u, 0) + 1
         self._drop_node(vid)
-        (new_id,) = graph_mod.grow(t, 1, self.cfg.attach_edges, self.rng)
-        for u in t.adj[new_id]:
-            self._arrivals[u] = self._arrivals.get(u, 0) + 1
+        new_id, _ = self._attach_newcomer()
         self._register_newcomer(new_id, agents_mod.rejoin_as_newcomer(a, new_id, offered, n), offered)
         return new_id
 
@@ -417,14 +418,9 @@ class Simulation:
             self._drop_node(vid)
 
     def _grow_population(self, n: int) -> None:
-        t = self.topology
-        count = round(t.node_count * self.cfg.growth_percent_per_10 / 100)
+        count = round(self.topology.node_count * self.cfg.growth_percent_per_10 / 100)
         for _ in range(count):
-            targets = t.sample_attachment_targets(self.cfg.attach_edges, self.rng)
-            vid = t.add_node()
-            for u in targets:
-                t.add_edge(vid, u)
-                self._arrivals[u] = self._arrivals.get(u, 0) + 1
+            vid, targets = self._attach_newcomer()
             honesty = float(self.rng.random())
             # The first host a newcomer contacts is the one that vouches
             # for it, so its offer becomes the newcomer's starting grant.

@@ -6,146 +6,29 @@ lowers the reputation it offers newcomers quadratically as that level
 approaches the worst seen in a sliding window. A quiet neighborhood drifts
 back to the most generous offer.
 
-`offer_curve` is the one home of the quadratic offer formula. The
-simulation's per-iteration sweep runs on `EstimatorArrays`; the scalar
-`EstimatorState`, `update_w_max` and `whitewash_level` describe the same
-rules one node at a time and serve as its reference.
+`offer_curve` is the one home of the quadratic offer formula, and
+`legitimacy_threshold` the one home of the line between a legitimate
+departure and a potential whitewasher. The simulation's per-iteration sweep
+runs on `EstimatorArrays`, the only implementation of the window peak and
+the whitewash level; `tests/oracles.py` states the same rules one node at a
+time and checks the kernel against them.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
-import math
-from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import payoff
-from .graph import DegenerateAverageError, NodeId
-
-DEFAULT_WINDOW = 10
-DEFAULT_ROUND_BUDGET = 50
-
-_FRONTIER_X_GRID = np.arange(0.01, 1.0, 0.005)
-
-
-class DepartureKind(enum.Enum):
-    LEGITIMATE = "legitimate"
-    POTENTIAL_WHITEWASHER = "potential_whitewasher"
-
-
-class EmptyNeighborhoodError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class NeighborhoodObservation:
-    """One neighbor's churn report for the current iteration."""
-
-    neighbor: NodeId
-    prev_size: float  # neighborhood size at the previous iteration
-    cur_size: float
-    arrivals: float
-    legit_departures: float
-    local_growth: float  # growth rate attributed to this neighbor
-
-
-@dataclass
-class EstimatorState:
-    """Whitewash bookkeeping owned by a single node.
-
-    The window is primed with r_ini_max: before any real observation the
-    worst imaginable wave is everyone being a fresh identity, which keeps
-    early offers generous instead of collapsing on the first sample.
-    """
-
-    owner: NodeId
-    r_ini_max: float
-    r_ini_min: float
-    window_size: int = DEFAULT_WINDOW
-    w_window: deque = field(init=False)
-    w_max: float = field(init=False)
-    current_offer: float = field(init=False)
-
-    def __post_init__(self):
-        if not 0 <= self.r_ini_min <= self.r_ini_max <= 1:
-            raise ValueError("need 0 <= r_ini_min <= r_ini_max <= 1")
-        if self.window_size < 1:
-            raise ValueError("window_size must be >= 1")
-        self.w_window = deque([self.r_ini_max], maxlen=self.window_size)
-        self.w_max = self.r_ini_max
-        self.current_offer = self.r_ini_max
-
-
-def local_growth_rate(d_local: float, d_avg: float, n_cur: float, n_prev: float) -> float:
-    """Network growth rescaled by how connected the observer is: a node of
-    twice-average degree should see twice its share of new arrivals."""
-    if d_avg <= 0:
-        raise DegenerateAverageError("average degree must be positive")
-    if n_prev < 1:
-        raise ValueError("previous node count must be >= 1")
-    return (d_local / d_avg) * (n_cur / n_prev)
+from .graph import NodeId
 
 
 def legitimacy_threshold(r_ini_max: float, r_ini_min: float) -> float:
     """Reputation an average newcomer would be granted: a node that leaves
-    with at least this much (`>=`) leaves legitimately."""
+    with at least this much (`>=`) leaves legitimately; leaving with less
+    suggests the identity was headed for a reset anyway."""
     return (r_ini_max + r_ini_min) / 2
-
-
-def classify_departure(rep: float, r_ini_max: float, r_ini_min: float) -> DepartureKind:
-    """A departure is legitimate when the leaver had at least the reputation
-    an average newcomer would be granted; leaving with less suggests the
-    identity was headed for a reset anyway."""
-    for v in (rep, r_ini_max, r_ini_min):
-        if not 0 <= v <= 1:
-            raise ValueError("inputs must be in [0, 1]")
-    return (
-        DepartureKind.LEGITIMATE
-        if rep >= legitimacy_threshold(r_ini_max, r_ini_min)
-        else DepartureKind.POTENTIAL_WHITEWASHER
-    )
-
-
-def whitewash_level(obs: list[NeighborhoodObservation]) -> float:
-    """Fraction of current neighborhood mass that arrived unexplained:
-    arrivals minus what growth predicts minus legitimate departures, summed
-    over neighbors and normalized by their current sizes. Clamped to [0, 1];
-    churn noise can push the raw value negative."""
-    if not obs:
-        raise EmptyNeighborhoodError("no neighbors to observe")
-    denom = sum(o.cur_size for o in obs)
-    if denom <= 0:
-        raise EmptyNeighborhoodError("neighborhood sizes sum to zero")
-    num = sum(
-        o.arrivals - o.prev_size * (o.local_growth - 1.0) - o.legit_departures
-        for o in obs
-    )
-    return min(max(num / denom, 0.0), 1.0)
-
-
-def update_w_max(st: EstimatorState, w_new: float) -> float:
-    """Push the latest level into the sliding window and return the window
-    maximum; old peaks age out after window_size pushes."""
-    if not 0 <= w_new <= 1:
-        raise ValueError("whitewash level must be in [0, 1]")
-    st.w_window.append(w_new)
-    st.w_max = max(st.w_window)
-    return st.w_max
-
-
-def initial_reputation(st: EstimatorState, w: float) -> float:
-    """Reputation to offer the next newcomer: full r_ini_max at zero
-    whitewashing, decaying quadratically to the r_ini_min floor as w
-    approaches the window maximum. Records the offer on the state."""
-    if w < 0:
-        raise ValueError("whitewash level must be >= 0")
-    ratio = 0.0 if st.w_max <= 0 else min(w / st.w_max, 1.0)
-    st.current_offer = offer_curve(ratio, st.r_ini_max, st.r_ini_min)
-    return st.current_offer
 
 
 def offer_curve(ratio: float, r_max: float, r_min: float) -> float:
@@ -160,40 +43,6 @@ def estimate_r_ini_max(newcomer_mean_rep: float | None, prev: float) -> float:
     """Track the ceiling other nodes grant newcomers by watching what recent
     arrivals actually carry; hold the last estimate through quiet spells."""
     return prev if newcomer_mean_rep is None else newcomer_mean_rep
-
-
-def r_ini_min_from_frontier(
-    mu: float, m_ratio: float = 1.0, round_budget: int = DEFAULT_ROUND_BUDGET
-) -> float:
-    """Offline calibration for the offer floor: the largest newcomer
-    reputation at which some exponent still lets cooperation catch up with
-    identity churn within `round_budget` rounds. Returns 0.0 when even a
-    zero grant cannot meet the budget."""
-    if not 0 < mu < 1:
-        raise ValueError("mu must be in (0, 1)")
-    if round_budget < 1:
-        raise ValueError("round_budget must be >= 1")
-    r_star, _ = payoff.max_feasible_r_ini(mu, m_ratio)
-
-    def best_rounds(r: float) -> float:
-        best = math.inf
-        for x in _FRONTIER_X_GRID:
-            p = payoff.PayoffParams(mu=mu, x=float(x), r_ini=r, delta=0.0, m=m_ratio)
-            th = payoff.closed_form_threshold(p, payoff.IdentityRegime.ZERO_COST)
-            if th is not None:
-                best = min(best, th)
-        return best
-
-    if best_rounds(0.0) > round_budget:
-        return 0.0
-    lo, hi = 0.0, r_star
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        if best_rounds(mid) <= round_budget:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def _ordered_sum(values: np.ndarray) -> float:

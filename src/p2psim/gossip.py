@@ -2,45 +2,41 @@
 
 Every node is assumed to learn the same snapshot (node count, degree sum,
 and the mean reputation of recent newcomers). A multiplicative noise knob
-stands in for aggregation error; noise 0 means exact values.
+stands in for aggregation error; noise 0 means exact values. Which nodes
+count as recent newcomers is the engine's rule (`Simulation._newcomer_pool`);
+the snapshot averages the ones it is handed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
+from .agents import AgentState
 from .graph import Topology
-
-# A node's reputation only counts toward the newcomer aggregate after it has
-# been around for a few gossip rounds.
-NEWCOMER_MIN_TENURE = 3
 
 
 @dataclass(frozen=True)
 class GossipSnapshot:
-    iteration: int
     node_count: float
     degree_sum: float
     newcomer_mean_reputation: float | None
-    noise_amplitude: float
 
 
 def take_snapshot(
     t: Topology,
-    agents,
-    n: int,
+    newcomers: Iterable[AgentState],
     noise: float = 0.0,
     rng: np.random.Generator | None = None,
-    newcomer_window: int | None = None,
 ) -> GossipSnapshot:
-    """Aggregate the current network state as seen at iteration `n`.
+    """Aggregate the current network state and the newcomers' mean
+    reputation (None when there are none).
 
     With noise > 0, node count and degree sum are each scaled by an
     independent factor drawn uniformly from [1-noise, 1+noise]. Noise 0
-    consumes no randomness. `newcomer_window` caps newcomer tenure; None
-    means any node older than the minimum tenure still counts.
+    consumes no randomness.
     """
     if noise < 0:
         raise ValueError("noise must be >= 0")
@@ -51,28 +47,12 @@ def take_snapshot(
             raise ValueError("noise > 0 requires an rng")
         node_count *= rng.uniform(1.0 - noise, 1.0 + noise)
         degree_sum *= rng.uniform(1.0 - noise, 1.0 + noise)
-    reps = [
-        a.reputation
-        for a in agents.values()
-        if n - a.joined_at >= NEWCOMER_MIN_TENURE
-        and (newcomer_window is None or n - a.joined_at <= newcomer_window)
-    ]
+    reps = [a.reputation for a in newcomers]
     newcomer_mean = float(np.mean(reps)) if reps else None
-    return GossipSnapshot(n, node_count, degree_sum, newcomer_mean, noise)
+    return GossipSnapshot(node_count, degree_sum, newcomer_mean)
 
 
 def snapshot_average_degree(s: GossipSnapshot) -> float:
     if s.node_count < 1:
         raise ValueError("snapshot node count must be >= 1")
     return s.degree_sum / s.node_count
-
-
-def interpolate_node_count(prev: GossipSnapshot, cur: GossipSnapshot, at: float) -> float:
-    """Linear interpolation of node count between two snapshots, for use
-    when the gossip period is longer than one iteration."""
-    if not prev.iteration <= at <= cur.iteration:
-        raise ValueError("interpolation point outside the snapshot interval")
-    if cur.iteration == prev.iteration:
-        return cur.node_count
-    frac = (at - prev.iteration) / (cur.iteration - prev.iteration)
-    return prev.node_count + frac * (cur.node_count - prev.node_count)

@@ -52,9 +52,8 @@ def _rng(seed) -> np.random.Generator:
 class Topology:
     """Undirected simple graph with churn-friendly bookkeeping."""
 
-    def __init__(self, kind: str, seed_label: int = -1):
+    def __init__(self, kind: str):
         self.kind = kind
-        self.seed_label = seed_label
         self.adj: dict[NodeId, set[NodeId]] = {}
         self.next_id: NodeId = 0
         self.edge_count: int = 0
@@ -71,24 +70,9 @@ class Topology:
 
     # ---- read side -------------------------------------------------
 
-    def node_ids(self) -> list[NodeId]:
-        return list(self.adj.keys())
-
     @property
     def node_count(self) -> int:
         return len(self.adj)
-
-    def degree(self, v: NodeId) -> int:
-        try:
-            return len(self.adj[v])
-        except KeyError:
-            raise UnknownNodeError(v) from None
-
-    def neighbors(self, v: NodeId) -> set[NodeId]:
-        try:
-            return self.adj[v]
-        except KeyError:
-            raise UnknownNodeError(v) from None
 
     def neighbor_degree_sum(self, v: NodeId) -> int:
         adj = self.adj
@@ -247,17 +231,12 @@ def generate_scale_free(n: int, attach_edges: int, seed) -> Topology:
         raise InvalidParameterError("attach_edges must be >= 1")
     if n <= attach_edges:
         raise InvalidParameterError("need n > attach_edges")
-    rng = _rng(seed)
-    t = Topology("scale_free", seed if isinstance(seed, int) else -1)
+    t = Topology("scale_free")
     clique = [t.add_node() for _ in range(attach_edges + 1)]
     for i, u in enumerate(clique):
         for v in clique[i + 1 :]:
             t.add_edge(u, v)
-    for _ in range(n - attach_edges - 1):
-        targets = t.sample_attachment_targets(attach_edges, rng)
-        v = t.add_node()
-        for u in targets:
-            t.add_edge(v, u)
+    grow(t, n - attach_edges - 1, attach_edges, seed)
     return t
 
 
@@ -298,7 +277,7 @@ def generate_regular(n: int, degree: int, seed) -> Topology:
     for _ in range(_PAIRING_RETRY_CAP):
         edges = _try_pairing(n, degree, rng)
         if edges is not None:
-            t = Topology("regular", seed if isinstance(seed, int) else -1)
+            t = Topology("regular")
             for _ in range(n):
                 t.add_node()
             for u, v in sorted(edges):
@@ -349,24 +328,3 @@ def average_degree(t: Topology) -> float:
     if t.node_count == 0:
         raise DegenerateAverageError("average degree of an empty topology")
     return 2.0 * t.edge_count / t.node_count
-
-
-def local_average_degree(t: Topology, v: NodeId) -> float:
-    """Mean degree over v's neighbors; an isolated node reports the global
-    average (it has no better local information)."""
-    d = t.degree(v)
-    if d == 0:
-        return average_degree(t)
-    return t.neighbor_degree_sum(v) / d
-
-
-def dump_edge_list(t: Topology, path) -> None:
-    lines = [f"# nodes={t.node_count} kind={t.kind} seed={t.seed_label}\n"]
-    seen = set()
-    for u in sorted(t.adj):
-        for v in sorted(t.adj[u]):
-            if (u, v) not in seen:
-                seen.add((v, u))
-                lines.append(f"{u} {v}\n")
-    with open(path, "w", newline="\n") as fh:
-        fh.writelines(lines)

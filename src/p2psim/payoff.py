@@ -17,10 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_CROSSOVER_CAP = 1_000_000
+DEFAULT_ROUND_BUDGET = 50
 
 # grid resolution for the numeric optimizers, refined afterwards
 _GRID_STEP = 1e-3
 _REFINE_TOL = 1e-12
+_FLOOR_X_GRID = np.arange(0.01, 1.0, 0.005)
 
 
 class IdentityRegime(enum.Enum):
@@ -232,3 +234,37 @@ def max_feasible_r_ini(mu: float, m_ratio: float = 1.0) -> tuple[float, float]:
     hi = min(xs[best_i] + _GRID_STEP, 1 - 1e-9)
     x_star = _ternary_min(lambda x: -feasibility_boundary(mu, x, m_ratio), lo, hi)
     return feasibility_boundary(mu, x_star, m_ratio), x_star
+
+
+def r_ini_min_from_frontier(
+    mu: float, m_ratio: float = 1.0, round_budget: int = DEFAULT_ROUND_BUDGET
+) -> float:
+    """Offline calibration for the estimator's offer floor: the largest
+    newcomer reputation at which some exponent still lets cooperation catch
+    up with identity churn within `round_budget` rounds. Returns 0.0 when
+    even a zero grant cannot meet the budget."""
+    if not 0 < mu < 1:
+        raise ValueError("mu must be in (0, 1)")
+    if round_budget < 1:
+        raise ValueError("round_budget must be >= 1")
+    r_star, _ = max_feasible_r_ini(mu, m_ratio)
+
+    def best_rounds(r: float) -> float:
+        best = math.inf
+        for x in _FLOOR_X_GRID:
+            p = PayoffParams(mu=mu, x=float(x), r_ini=r, delta=0.0, m=m_ratio)
+            th = closed_form_threshold(p, IdentityRegime.ZERO_COST)
+            if th is not None:
+                best = min(best, th)
+        return best
+
+    if best_rounds(0.0) > round_budget:
+        return 0.0
+    lo, hi = 0.0, r_star
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if best_rounds(mid) <= round_budget:
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -6,7 +6,6 @@ import pytest
 from p2psim import agents
 from p2psim.agents import (
     AgentState,
-    PopulationConfig,
     Role,
     UndefinedReputationError,
     WhitewashOutcome,
@@ -22,8 +21,7 @@ def washer(honesty: float, attempts: int = 0, successes: int = 0) -> AgentState:
 
 
 def test_init_population_roles_follow_honesty():
-    cfg = PopulationConfig(size=10000, r_ini_max=0.5, r_ini_min=0.03, seed=1)
-    pop = agents.init_population(cfg)
+    pop = agents.init_population(10000, 0.5, np.random.default_rng(1))
     assert len(pop) == 10000
     frac = np.mean([a.role is Role.POTENTIAL_WHITEWASHER for a in pop.values()])
     assert 0.48 <= frac <= 0.52
@@ -35,22 +33,21 @@ def test_init_population_roles_follow_honesty():
 
 
 def test_init_population_deterministic():
-    cfg = PopulationConfig(size=100, r_ini_max=0.5, r_ini_min=0.03, seed=9)
-    assert agents.init_population(cfg) == agents.init_population(cfg)
+    def build():
+        return agents.init_population(100, 0.5, np.random.default_rng(9))
+
+    assert build() == build()
 
 
-def test_population_config_validation():
-    with pytest.raises(ValueError):
-        PopulationConfig(size=10, r_ini_max=0.03, r_ini_min=0.5)
-    with pytest.raises(ValueError):
-        PopulationConfig(size=10, r_ini_max=1.5, r_ini_min=0.0)
-    with pytest.raises(ValueError):
-        PopulationConfig(size=0, r_ini_max=0.5, r_ini_min=0.03)
-    # r_ini_max testing the degenerate all-cooperative edge needs max > min,
-    # so the smallest admissible ceiling is just above zero
-    cfg = PopulationConfig(size=1000, r_ini_max=1e-12, r_ini_min=0.0, seed=2)
-    pop = agents.init_population(cfg)
+def test_zero_ceiling_makes_everyone_cooperative():
+    # A run with grants disabled (r_ini_max0 = 0) draws its population the
+    # same way: honesty is never below zero, so nobody is a whitewasher.
+    rng = np.random.default_rng(2)
+    pop = agents.init_population(1000, 0.0, rng)
     assert all(a.role is Role.COOPERATIVE for a in pop.values())
+    again = np.random.default_rng(2)
+    assert [a.honesty for a in pop.values()] == again.uniform(0.0, 1.0, 1000).tolist()
+    assert [a.reputation for a in pop.values()] == again.uniform(0.0, 1.0, 1000).tolist()
 
 
 # ---- attempt probability ---------------------------------------------

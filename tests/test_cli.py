@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from p2psim import cli, engine
 from p2psim.cli import ConfigError, SimConfig
 from p2psim.engine import IterationRecord
@@ -134,7 +135,7 @@ def test_emit_csv_round_trip_12_digits(tmp_path):
     recs = engine.run(SimConfig(n=200, iterations=30, growth_percent_per_10=2.0, seed=7))
     path = tmp_path / "run.csv"
     cli.emit_csv(recs, path)
-    back = cli.read_records_csv(path)
+    back = oracles.read_records_csv(path)
     assert len(back) == len(recs)
     for a, b in zip(back, recs):
         for fa, fb in zip(dataclasses.astuple(a), dataclasses.astuple(b)):
@@ -158,7 +159,7 @@ def test_simulate_writes_run_csv(tmp_path):
     cfg = write_config(tmp_path, {"n": 150, "iterations": 15})
     out = tmp_path / "out"
     assert run_cli("simulate", "--config", cfg, "--out", out, "--quiet") == 0
-    recs = cli.read_records_csv(out / "run.csv")
+    recs = oracles.read_records_csv(out / "run.csv")
     assert [r.iteration for r in recs] == list(range(1, 16))
 
 

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
 
-from p2psim import engine, estimator
+import oracles
+from oracles import NeighborhoodObservation
+from p2psim import engine
 from p2psim import graph as graph_mod
 from p2psim.agents import Role
 from p2psim.engine import SimConfig, Simulation
-from p2psim.estimator import NeighborhoodObservation
 
 MU_X = 0.5**0.5  # stationary cooperative reputation at the defaults
 
@@ -107,6 +110,42 @@ def test_transactions_settle_reputations():
     for a in sim.agents.values():
         expect = 0.0 if a.role is Role.POTENTIAL_WHITEWASHER else MU_X
         assert a.reputation == pytest.approx(expect, abs=1e-12)
+
+
+def test_newcomer_window_caps_tenure():
+    # The newcomer pool is the one place the tenure rule is applied: before
+    # every step it holds exactly the live agents whose tenure lies in
+    # [NEWCOMER_MIN_TENURE, newcomer_window], and over a growing run with
+    # whitewash rejoins both ends of that range are occupied.
+    window = 12
+    sim = Simulation(SimConfig(n=200, iterations=0, growth_percent_per_10=5.0,
+                               newcomer_window=window, seed=6))
+    tenures = set()
+    for n in range(1, 41):
+        pool = sim._newcomer_pool(n)
+        expect = [v for v, a in sorted(sim.agents.items())
+                  if engine.NEWCOMER_MIN_TENURE <= n - a.joined_at <= window]
+        assert sorted(a.node for a in pool) == expect, n
+        tenures.update(n - a.joined_at for a in pool)
+        sim.step()
+    assert min(tenures) == engine.NEWCOMER_MIN_TENURE
+    assert max(tenures) == window
+
+
+def test_ceiling_estimate_reads_earned_reputation():
+    """Characterization, not a specification: this behaviour waits for a
+    check against the paper. The grant-ceiling estimate is the mean
+    reputation of newcomers with tenure >= NEWCOMER_MIN_TENURE, but nodes
+    start transacting in their second iteration, so every counted newcomer
+    already carries its earned reputation (mu**x for a cooperator) rather
+    than its grant. In this run the mean offer at iteration 3 is 14 times
+    the configured ceiling of 0.05. Every golden digest depends on it."""
+    recs = engine.run(SimConfig(n=8, attach_edges=2, r_ini_max0=0.05, r_ini_min=0.01,
+                                iterations=5, seed=0))
+    assert recs[2].iteration == 3
+    assert recs[2].mean_offered_r_ini == 0.7071067811865477
+    assert recs[2].mean_offered_r_ini > 14 * 0.05
+    assert recs[2].mean_offered_r_ini == pytest.approx(MU_X)
 
 
 def test_voluntary_departures_shrink_population():
@@ -237,6 +276,29 @@ def test_rejoiners_get_fresh_ids_and_the_offered_grant():
         assert v in sim.topology.adj
 
 
+def test_arrivals_book_one_count_per_host():
+    # A rejoin and a growth arrival attach the same way: attach_edges hosts
+    # drawn by degree, one arrival booked at each.
+    sim = Simulation(SimConfig(n=100, iterations=0, growth_percent_per_10=3.0, seed=4))
+    sim.auto_whitewash = False
+    for _ in range(9):
+        sim.step()
+    adj = sim.topology.adj
+    washer = min(v for v, a in sim.agents.items() if a.role is Role.POTENTIAL_WHITEWASHER)
+    new_id = sim.force_whitewash(washer)
+    assert len(adj[new_id]) == 3
+    assert sim._arrivals == dict.fromkeys(adj[new_id], 1)
+    sim._arrivals = {}
+    first = sim.topology.next_id
+    sim._grow_population(10)
+    # A host is older than the node it hosts; younger neighbors of a new
+    # node are later arrivals of the same batch that it hosted in turn.
+    hosts = [u for v in range(first, sim.topology.next_id) for u in adj[v] if u < v]
+    assert sim.topology.next_id - first == 3
+    assert sim._arrivals == dict(collections.Counter(hosts))
+    assert sum(sim._arrivals.values()) == 3 * 3
+
+
 def test_long_run_offers_rest_on_the_floor():
     recs = engine.run(SimConfig(seed=0, iterations=120))
     # the newcomer pool ends up carrying only drained rejoiners, so the
@@ -302,7 +364,7 @@ def test_sweep_matches_whitewash_level_observations():
         ]
         if not obs or sum(o.cur_size for o in obs) == 0:
             continue
-        expect = estimator.whitewash_level(obs)
+        expect = oracles.whitewash_level(obs)
         assert sim.last_w_sweep.get(i, 0.0) == pytest.approx(expect, abs=1e-12)
         checked += 1
     assert checked > 50

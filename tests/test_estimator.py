@@ -5,14 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from oracles import EmptyNeighborhoodError, EstimatorState, NeighborhoodObservation
 from p2psim import estimator, graph, payoff
-from p2psim.estimator import (
-    DepartureKind,
-    EmptyNeighborhoodError,
-    EstimatorArrays,
-    EstimatorState,
-    NeighborhoodObservation,
-)
+from p2psim.engine import SimConfig, Simulation
+from p2psim.estimator import EstimatorArrays
 from p2psim.graph import DegenerateAverageError
 
 
@@ -24,13 +21,13 @@ def obs(prev, cur, arrivals, legit, growth, neighbor=0):
 
 
 def test_local_growth_rate():
-    assert estimator.local_growth_rate(6, 6, 1000, 1000) == 1.0
-    assert estimator.local_growth_rate(6, 6, 1020, 1000) == pytest.approx(1.02)
-    assert estimator.local_growth_rate(3, 6, 1020, 1000) == pytest.approx(0.51)
+    assert oracles.local_growth_rate(6, 6, 1000, 1000) == 1.0
+    assert oracles.local_growth_rate(6, 6, 1020, 1000) == pytest.approx(1.02)
+    assert oracles.local_growth_rate(3, 6, 1020, 1000) == pytest.approx(0.51)
     with pytest.raises(DegenerateAverageError):
-        estimator.local_growth_rate(3, 0, 1000, 1000)
+        oracles.local_growth_rate(3, 0, 1000, 1000)
     with pytest.raises(ValueError):
-        estimator.local_growth_rate(3, 6, 1000, 0)
+        oracles.local_growth_rate(3, 6, 1000, 0)
 
 
 def test_local_growth_shares_sum_to_global_arrivals():
@@ -41,7 +38,7 @@ def test_local_growth_shares_sum_to_global_arrivals():
     d_avg = degrees.mean()
     n_prev, n_cur = 1000, 1020
     shares = [
-        n_prev * (estimator.local_growth_rate(d, d_avg, n_cur, n_prev) - 1) / 500
+        n_prev * (oracles.local_growth_rate(d, d_avg, n_cur, n_prev) - 1) / 500
         for d in degrees
     ]
     assert sum(shares) == pytest.approx(n_cur - n_prev, rel=1e-9)
@@ -52,18 +49,15 @@ def test_local_growth_shares_sum_to_global_arrivals():
 
 def test_classify_departure():
     assert estimator.legitimacy_threshold(0.5, 0.03) == 0.265
-    assert estimator.classify_departure(0.5, 0.5, 0.03) is DepartureKind.LEGITIMATE
-    assert (
-        estimator.classify_departure(0.0, 0.5, 0.03)
-        is DepartureKind.POTENTIAL_WHITEWASHER
-    )
-    assert estimator.classify_departure(0.265, 0.5, 0.03) is DepartureKind.LEGITIMATE
-    assert (
-        estimator.classify_departure(0.26499, 0.5, 0.03)
-        is DepartureKind.POTENTIAL_WHITEWASHER
-    )
-    with pytest.raises(ValueError):
-        estimator.classify_departure(1.2, 0.5, 0.03)
+    # The engine books a whitewasher's departure as benign at each of its
+    # neighbors exactly when its reputation reaches the threshold.
+    for rep, legit in ((0.5, True), (0.265, True), (0.26499, False), (0.0, False)):
+        sim = Simulation(SimConfig(n=30, degree=4, topology="regular", iterations=0))
+        assert (sim.r_est, sim.cfg.r_ini_min) == (0.5, 0.03)
+        sim.agents[0].reputation = rep
+        neighbors = set(sim.topology.adj[0])
+        sim.force_whitewash(0)
+        assert sim._legit_gone == (dict.fromkeys(neighbors, 1) if legit else {}), rep
 
 
 # ---- whitewash level ----------------------------------------------------
@@ -74,31 +68,31 @@ def test_whitewash_level_zero_when_explained():
         obs(100, 100, 3, 3, 1.0),
         obs(50, 50, 1, 1, 1.0),
     ]
-    assert estimator.whitewash_level(observations) == 0.0
+    assert oracles.whitewash_level(observations) == 0.0
 
 
 def test_whitewash_level_single_neighbor():
-    w = estimator.whitewash_level([obs(100, 103, 5, 2, 1.01)])
+    w = oracles.whitewash_level([obs(100, 103, 5, 2, 1.01)])
     assert w == pytest.approx(2 / 103)
 
 
 def test_whitewash_level_clamps():
-    assert estimator.whitewash_level([obs(100, 100, 0, 5, 1.0)]) == 0.0
-    assert estimator.whitewash_level([obs(2, 2, 50, 0, 1.0)]) == 1.0
+    assert oracles.whitewash_level([obs(100, 100, 0, 5, 1.0)]) == 0.0
+    assert oracles.whitewash_level([obs(2, 2, 50, 0, 1.0)]) == 1.0
 
 
 def test_whitewash_level_empty_neighborhood():
     with pytest.raises(EmptyNeighborhoodError):
-        estimator.whitewash_level([])
+        oracles.whitewash_level([])
     with pytest.raises(EmptyNeighborhoodError):
-        estimator.whitewash_level([obs(0, 0, 0, 0, 1.0)])
+        oracles.whitewash_level([obs(0, 0, 0, 0, 1.0)])
 
 
 def test_quiet_neighbor_dilutes_the_level():
     base = [obs(100, 103, 5, 2, 1.01)]
     diluted = base + [obs(50, 50, 0, 0, 1.0)]
-    assert estimator.whitewash_level(diluted) < estimator.whitewash_level(base)
-    assert estimator.whitewash_level(diluted) == pytest.approx(2 / 153)
+    assert oracles.whitewash_level(diluted) < oracles.whitewash_level(base)
+    assert oracles.whitewash_level(diluted) == pytest.approx(2 / 153)
 
 
 # ---- sliding window -----------------------------------------------------
@@ -113,15 +107,15 @@ def test_fresh_state_assumes_the_worst():
 def test_window_max_and_eviction():
     st = EstimatorState(0, 0.5, 0.03, window_size=3)
     for w in (0.1, 0.3, 0.2):
-        estimator.update_w_max(st, w)
+        oracles.update_w_max(st, w)
     assert list(st.w_window) == [0.1, 0.3, 0.2]  # priming entry evicted
     assert st.w_max == 0.3
-    estimator.update_w_max(st, 0.05)
+    oracles.update_w_max(st, 0.05)
     assert st.w_max == 0.3
-    estimator.update_w_max(st, 0.05)
+    oracles.update_w_max(st, 0.05)
     assert st.w_max == pytest.approx(0.2)  # the 0.3 peak aged out
     with pytest.raises(ValueError):
-        estimator.update_w_max(st, 1.5)
+        oracles.update_w_max(st, 1.5)
 
 
 # ---- offer computation ---------------------------------------------------
@@ -129,34 +123,34 @@ def test_window_max_and_eviction():
 
 def test_initial_reputation_endpoints():
     st = EstimatorState(0, 0.5, 0.03)
-    assert estimator.initial_reputation(st, 0.0) == 0.5
-    assert estimator.initial_reputation(st, st.w_max) == 0.03
+    assert oracles.initial_reputation(st, 0.0) == 0.5
+    assert oracles.initial_reputation(st, st.w_max) == 0.03
     assert st.current_offer == 0.03
 
 
 def test_initial_reputation_halfway_is_quarter_max():
     st = EstimatorState(0, 0.5, 0.03)
-    assert estimator.initial_reputation(st, st.w_max / 2) == pytest.approx(0.125)
+    assert oracles.initial_reputation(st, st.w_max / 2) == pytest.approx(0.125)
 
 
 def test_initial_reputation_overflow_treated_as_max():
     st = EstimatorState(0, 0.5, 0.03, window_size=2)
-    estimator.update_w_max(st, 0.2)
-    estimator.update_w_max(st, 0.2)
+    oracles.update_w_max(st, 0.2)
+    oracles.update_w_max(st, 0.2)
     assert st.w_max == pytest.approx(0.2)
-    assert estimator.initial_reputation(st, 0.7) == 0.03
+    assert oracles.initial_reputation(st, 0.7) == 0.03
 
 
 def test_initial_reputation_quiet_network():
     st = EstimatorState(0, 0.5, 0.03)
     st.w_max = 0.0  # a long quiet stretch can empty the window of peaks
-    assert estimator.initial_reputation(st, 0.0) == 0.5
+    assert oracles.initial_reputation(st, 0.0) == 0.5
 
 
 def test_initial_reputation_monotone_and_bounded():
     st = EstimatorState(0, 0.5, 0.03)
     ws = np.linspace(0, 1, 101)
-    offers = [estimator.initial_reputation(st, float(w)) for w in ws]
+    offers = [oracles.initial_reputation(st, float(w)) for w in ws]
     assert all(a >= b for a, b in zip(offers, offers[1:]))
     assert all(0.03 <= o <= 0.5 for o in offers)
 
@@ -223,10 +217,10 @@ def test_estimator_arrays_match_scalar_oracle():
                 assert was_quiet, f"node {v} skipped with a live window"
             elif was_quiet and w > 0:
                 quiet_then_busy += 1
-            peak = estimator.update_w_max(st, w)
+            peak = oracles.update_w_max(st, w)
             assert est._w[v].max() == peak
             st.r_ini_max = r_est
-            assert est.offers[v] == estimator.initial_reputation(st, w)
+            assert est.offers[v] == oracles.initial_reputation(st, w)
             if v in levels:
                 sums[0] += w
                 sums[1] += peak
@@ -283,17 +277,17 @@ def test_estimate_r_ini_max():
 
 
 def test_frontier_floor_approaches_frontier_for_huge_budget():
-    r = estimator.r_ini_min_from_frontier(0.5, round_budget=10**9)
+    r = payoff.r_ini_min_from_frontier(0.5, round_budget=10**9)
     r_star, _ = payoff.max_feasible_r_ini(0.5)
     assert r == pytest.approx(r_star, abs=1e-3)
 
 
 def test_frontier_floor_zero_for_tiny_budget():
-    assert estimator.r_ini_min_from_frontier(0.5, round_budget=1) == 0.0
+    assert payoff.r_ini_min_from_frontier(0.5, round_budget=1) == 0.0
 
 
 def test_frontier_floor_default_budget():
-    r = estimator.r_ini_min_from_frontier(0.5)
+    r = payoff.r_ini_min_from_frontier(0.5)
     assert 0 < r < 0.036
     # cross-check against the round-walking solver: some exponent meets the
     # budget just below the floor, none does just above it

@@ -3,56 +3,47 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from p2psim import agents, gossip, graph
+from p2psim import gossip, graph
 from p2psim.agents import AgentState, Role
 from p2psim.gossip import GossipSnapshot
 
 
-def make_agents(joined: list[int], reps: list[float]) -> agents.Population:
-    return {
-        i: AgentState(i, 0.9, Role.COOPERATIVE, rep, joined_at=j)
-        for i, (j, rep) in enumerate(zip(joined, reps))
-    }
+def make_agents(reps: list[float]) -> list[AgentState]:
+    return [AgentState(i, 0.9, Role.COOPERATIVE, rep) for i, rep in enumerate(reps)]
 
 
 def test_exact_snapshot_matches_topology():
     t = graph.generate_regular(1000, 6, seed=2)
-    pop = make_agents([0] * 5, [0.5] * 5)
-    s = gossip.take_snapshot(t, pop, n=0)
+    s = gossip.take_snapshot(t, make_agents([0.5] * 5))
     assert s.node_count == 1000
     assert s.degree_sum == 6000
     assert gossip.snapshot_average_degree(s) == 6.0
+    assert s.newcomer_mean_reputation == 0.5
 
 
 def test_newcomer_mean_absent_without_eligible_nodes():
+    # The engine's newcomer pool is empty until someone has been around for
+    # NEWCOMER_MIN_TENURE iterations; the mean is then undefined.
     t = graph.generate_regular(10, 2, seed=0)
-    pop = make_agents([5, 6, 7], [0.1, 0.2, 0.3])
-    s = gossip.take_snapshot(t, pop, n=7)  # tenures 2, 1, 0: all too fresh
-    assert s.newcomer_mean_reputation is None
+    assert gossip.take_snapshot(t, []).newcomer_mean_reputation is None
 
 
 def test_newcomer_mean_over_eligible_only():
+    # Eligibility is the engine's rule (its newcomer pool); the snapshot
+    # averages every agent it is handed and nothing else.
     t = graph.generate_regular(10, 2, seed=0)
-    pop = make_agents([0, 4, 9], [0.8, 0.4, 0.2])
-    s = gossip.take_snapshot(t, pop, n=10)  # tenures 10, 6, 1
+    s = gossip.take_snapshot(t, make_agents([0.8, 0.4]))
     assert s.newcomer_mean_reputation == pytest.approx((0.8 + 0.4) / 2)
-
-
-def test_newcomer_window_caps_tenure():
-    t = graph.generate_regular(10, 2, seed=0)
-    pop = make_agents([0, 44, 46], [0.8, 0.4, 0.2])
-    s = gossip.take_snapshot(t, pop, n=50, newcomer_window=10)  # tenures 50, 6, 4
-    assert s.newcomer_mean_reputation == pytest.approx((0.4 + 0.2) / 2)
 
 
 def test_noise_bounds_and_independence():
     t = graph.generate_regular(1000, 6, seed=2)
-    pop = make_agents([0], [0.5])
+    pop = make_agents([0.5])
     rng = np.random.default_rng(17)
     count_factors = []
     degree_factors = []
     for _ in range(1000):
-        s = gossip.take_snapshot(t, pop, n=0, noise=0.05, rng=rng)
+        s = gossip.take_snapshot(t, pop, noise=0.05, rng=rng)
         assert 950 <= s.node_count <= 1050
         assert 5700 <= s.degree_sum <= 6300
         count_factors.append(s.node_count / 1000)
@@ -66,22 +57,12 @@ def test_noise_bounds_and_independence():
 def test_noise_requires_rng():
     t = graph.generate_regular(10, 2, seed=0)
     with pytest.raises(ValueError):
-        gossip.take_snapshot(t, {}, n=0, noise=0.1)
+        gossip.take_snapshot(t, [], noise=0.1)
     with pytest.raises(ValueError):
-        gossip.take_snapshot(t, {}, n=0, noise=-0.1)
+        gossip.take_snapshot(t, [], noise=-0.1)
 
 
 def test_snapshot_average_degree_arithmetic():
-    assert gossip.snapshot_average_degree(GossipSnapshot(0, 1020, 6120, None, 0)) == 6.0
-    s = GossipSnapshot(0, 1000, 5986, None, 0.05)
+    assert gossip.snapshot_average_degree(GossipSnapshot(1020, 6120, None)) == 6.0
+    s = GossipSnapshot(1000, 5986, None)
     assert gossip.snapshot_average_degree(s) == pytest.approx(5.986)
-
-
-def test_interpolation():
-    a = GossipSnapshot(10, 100, 600, None, 0)
-    b = GossipSnapshot(20, 200, 1200, None, 0)
-    assert gossip.interpolate_node_count(a, b, 15) == pytest.approx(150)
-    assert gossip.interpolate_node_count(a, b, 10) == 100
-    assert gossip.interpolate_node_count(a, b, 20) == 200
-    with pytest.raises(ValueError):
-        gossip.interpolate_node_count(a, b, 25)

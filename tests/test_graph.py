@@ -28,7 +28,7 @@ def brute_ndsum(t: Topology, v: int) -> int:
 
 
 def is_connected(t: Topology) -> bool:
-    nodes = t.node_ids()
+    nodes = list(t.adj)
     seen = {nodes[0]}
     frontier = [nodes[0]]
     while frontier:
@@ -46,7 +46,7 @@ def is_connected(t: Topology) -> bool:
 def test_scale_free_shape():
     t = graph.generate_scale_free(1000, 3, seed=1)
     assert t.node_count == 1000
-    degrees = [t.degree(v) for v in t.node_ids()]
+    degrees = [len(nbrs) for nbrs in t.adj.values()]
     assert min(degrees) >= 3
     assert is_connected(t)
     # heavy tail: the largest hub dwarfs the mean degree
@@ -71,8 +71,8 @@ def test_scale_free_rejects_bad_parameters():
 def test_regular_degrees():
     t = graph.generate_regular(1000, 6, seed=2)
     assert t.node_count == 1000
-    assert all(t.degree(v) == 6 for v in t.node_ids())
-    assert all(v not in t.adj[v] for v in t.node_ids())
+    assert all(len(nbrs) == 6 for nbrs in t.adj.values())
+    assert all(v not in nbrs for v, nbrs in t.adj.items())
 
 
 def test_regular_deterministic():
@@ -151,18 +151,36 @@ def test_attachment_falls_back_to_isolated_nodes():
     assert sorted(t.sample_attachment_targets(3, rng)) == [5, 6, 7]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="remove_node counts a removed node's pool copies twice; fixing it moves "
+    "every golden digest, so it waits for an explicit re-recording",
+)
+def test_pool_stale_count_after_hub_removal():
+    # Right after a rebuild the pool holds one entry per degree unit. Removing
+    # the top hub (degree 17) leaves its 17 copies and one excess copy at
+    # each of its 17 neighbors stale: 34 entries. remove_edge already counts
+    # both ends of every edge, and remove_node then adds the hub's 17 copies
+    # again, so the counter reads 51, over by the hub's degree.
+    t = graph.generate_scale_free(50, 3, seed=1)
+    t._rebuild_pool()
+    hub = max(t.adj, key=lambda v: len(t.adj[v]))
+    graph.remove_node(t, hub)
+    assert t._pool_stale == len(t._pool) - 2 * t.edge_count
+
+
 # ---- growth and removal ----------------------------------------------
 
 
 def test_grow_attaches_new_nodes():
     t = graph.generate_scale_free(50, 3, seed=3)
-    before = set(t.node_ids())
+    before = set(t.adj)
     edges_before = t.edge_count
     created = graph.grow(t, 10, 3, seed=4)
     assert len(created) == 10
     for v in created:
         # exactly 3 edges at birth; later arrivals in the batch may add more
-        assert t.degree(v) >= 3
+        assert len(t.adj[v]) >= 3
         assert t.adj[v] <= before | set(created)
     assert t.edge_count == edges_before + 30
     assert t.node_count == 60
@@ -316,25 +334,3 @@ def test_adj_iterates_in_ascending_id_order():
 def test_average_degree():
     t = path_topology(5)
     assert graph.average_degree(t) == pytest.approx(8 / 5)
-
-
-def test_local_average_degree():
-    t = path_topology(5)
-    assert graph.local_average_degree(t, 1) == pytest.approx(1.5)  # nbrs deg 1, 2
-    assert graph.local_average_degree(t, 2) == pytest.approx(2.0)
-    v = t.add_node()
-    assert graph.local_average_degree(t, v) == pytest.approx(graph.average_degree(t))
-
-
-def test_dump_edge_list(tmp_path):
-    t = graph.generate_scale_free(20, 2, seed=1)
-    out = tmp_path / "edges.txt"
-    graph.dump_edge_list(t, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "# nodes=20 kind=scale_free seed=1"
-    edges = {tuple(map(int, ln.split())) for ln in lines[1:]}
-    assert len(edges) == t.edge_count
-    for u, v in edges:
-        assert v in t.adj[u]
-    graph.dump_edge_list(t, tmp_path / "again.txt")
-    assert (tmp_path / "again.txt").read_text() == out.read_text()
