@@ -13,7 +13,6 @@ from p2psim.game import (
     GameSpec,
     best_randomization_span,
     expected_payoffs,
-    indifference_residual,
     mixed_equilibrium,
     pure_strategy_analysis,
     uniform_profile,
@@ -34,7 +33,7 @@ def main() -> None:
 
     profile = mixed_equilibrium(spec)
     print(f"equilibrium round lottery per player: {profile.probs[0].round(4)}")
-    print(f"indifference residual: {indifference_residual(spec, profile):.2e}")
+    print(f"indifference residual: {profile.residual:.2e}")
     payoffs = expected_payoffs(spec, uniform_profile(spec))
     for j, u in enumerate(payoffs):
         print(f"  player {j} (tolerance {spec.honesty[j]:.4f}): expected {u:.6f}")

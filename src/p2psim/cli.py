@@ -115,7 +115,8 @@ class PayoffSweepPlan:
     m: float = _field(1.0, "[0, inf)")
     m_prime: float = _field(1.0, "[0, inf)")
     delta: float = _field(0.0, "[0, inf)")
-    # Work bound: a cell whose gap never closes runs all `cap` rounds.
+    # Work bound: a cell evaluates the few rounds around its crossover, but
+    # one whose gap stays within rounding of 0 walks up to `cap` rounds.
     cap: int = _field(payoff.DEFAULT_CROSSOVER_CAP, "[1, 1e7]")
 
 
@@ -140,11 +141,15 @@ class EstimatorCheckPlan:
     injected: int
 
 
-# Work bound on a simulate grid, checked before a cross product expands.
+# Work bound on a simulate grid or a payoff sweep, checked before a cross
+# product expands.
 MAX_GRID_CELLS = 1000
 # Work bound on one simulate or estimator-check command: the node-iterations
 # all its runs project, about 170 times one 8%-growth scale-free run.
 MAX_NODE_ITERATIONS = 10**9
+# Work bound on one game-report: the joint round assignments its exact
+# enumerations visit. kappa 7 (7.0M, about half a second) fits; kappa 8 does not.
+MAX_GAME_ASSIGNMENTS = 10**7
 
 _SIM_SPECS = _specs(SimConfig)
 # A grid cell overrides any SimConfig field but the seed, which `seeds` sets.
@@ -311,13 +316,36 @@ def _estimator_check_plan(injected, **sim) -> EstimatorCheckPlan:
 
 def _payoff_sweep_plan(**values) -> PayoffSweepPlan:
     plan = PayoffSweepPlan(**values)
+    problems = []
+    cells = len(plan.x) * len(plan.r_ini) * len(plan.regimes)
+    if cells > MAX_GRID_CELLS:
+        problems.append(f"{cells} cells (x by r_ini by regimes), more than {MAX_GRID_CELLS}")
     if IdentityRegime.FINITE_COST in plan.regimes and plan.z_over_c <= 0:
-        raise ValueError("z_over_c: finite_cost regime needs a positive identity price")
+        problems.append("z_over_c: finite_cost regime needs a positive identity price")
+    if problems:
+        raise ValueError("; ".join(problems))
     return plan
 
 
+def _game_assignments(kappa: int, rounds: int) -> int:
+    """Joint round assignments one game-report enumerates: s^kappa for each
+    randomization span s = 2..kappa, plus kappa * rounds^kappa for the
+    indifference residual when the mixed check runs (2 <= rounds <= kappa)."""
+    work = sum(s**kappa for s in range(2, kappa + 1))
+    if 2 <= rounds <= kappa:
+        work += kappa * rounds**kappa
+    return work
+
+
 def _game_spec(kappa, rounds, **rest) -> GameSpec:
-    return GameSpec(kappa, kappa if rounds is None else rounds, **rest)
+    rounds = kappa if rounds is None else rounds
+    work = _game_assignments(kappa, rounds)
+    if work > MAX_GAME_ASSIGNMENTS:
+        raise ValueError(
+            f"work: {work} joint assignments to enumerate at kappa {kappa}, rounds {rounds}, "
+            f"more than {MAX_GAME_ASSIGNMENTS:.0e}"
+        )
+    return GameSpec(kappa, rounds, **rest)
 
 
 def parse_config(path: Path, command: str = "simulate", seed_override: int | None = None):
@@ -498,13 +526,12 @@ def _run_game_report(spec: GameSpec, out_dir: Path, quiet: bool) -> None:
         f"  {pure.collapse_note}",
     ]
     if profile is not None:
-        residual = game.indifference_residual(spec, profile)
         lines += [
             "",
             "mixed equilibrium (uniform over rounds):",
             f"  round probabilities per player: "
             f"{', '.join(_fmt(float(p)) for p in profile.probs[0])}",
-            f"  indifference residual: {_fmt(residual)}",
+            f"  indifference residual: {_fmt(profile.residual)}",
         ]
     lines += [
         "",

@@ -84,7 +84,7 @@ import numpy as np
 from . import agents as agents_mod
 from . import graph as graph_mod
 from .agents import AgentState, Role, WhitewashOutcome
-from .estimator import EstimatorArrays, estimate_r_ini_max, legitimacy_threshold
+from .estimator import EstimatorArrays, legitimacy_threshold
 from .gossip import snapshot_average_degree, take_snapshot
 
 TOPOLOGY_KINDS = ("scale_free", "regular")
@@ -279,10 +279,10 @@ class Simulation:
         cfg = self.cfg
         t = self.topology
         snap = take_snapshot(t, self._newcomer_pool(n), cfg.gossip_noise, self.rng)
-        self.r_est = min(
-            max(estimate_r_ini_max(snap.newcomer_mean_reputation, self.r_est), self._est_floor),
-            1.0,
-        )
+        # The ceiling other nodes grant newcomers, read from what recent
+        # arrivals carry; the last estimate holds through quiet spells.
+        mean = snap.newcomer_mean_reputation
+        self.r_est = min(max(self.r_est if mean is None else mean, self._est_floor), 1.0)
         d_avg = snapshot_average_degree(snap)
         growth_ratio = snap.node_count / self._prev_count
         # Expected share of the arrivals that plain growth explains: each

@@ -39,12 +39,6 @@ def offer_curve(ratio: float, r_max: float, r_min: float) -> float:
     return max((1.0 - ratio) ** 2 * r_max, r_min)
 
 
-def estimate_r_ini_max(newcomer_mean_rep: float | None, prev: float) -> float:
-    """Track the ceiling other nodes grant newcomers by watching what recent
-    arrivals actually carry; hold the last estimate through quiet spells."""
-    return prev if newcomer_mean_rep is None else newcomer_mean_rep
-
-
 def _ordered_sum(values: np.ndarray) -> float:
     """Sum one element at a time in array order, as a Python loop would
     (np.sum adds pairwise and rounds differently)."""

@@ -6,12 +6,19 @@ quadratically with the co-arrival count. This module builds the one-shot
 pure-strategy table, checks the uniform mixed profile over a window of
 rounds, computes exact expected payoffs by enumeration, and finds the
 population-level operating point of the adaptive offer policy.
+
+The enumeration is numpy over blocks of ENUMERATION_BLOCK_ROWS joint
+assignments in itertools.product order, so memory stays flat as kappa
+grows. Each assignment's probability is a product in player order and each
+player's terms are summed one at a time in enumeration order (np.cumsum,
+carried across blocks; np.sum may add pairwise), so every result is the
+float the scalar loops in tests/oracles.py give, down to the rounding noise
+game-report prints as the residual.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +26,9 @@ import numpy as np
 from .estimator import offer_curve
 
 ENUMERATION_KAPPA_CAP = 12
+# Joint assignments enumerated per block: the enumeration's memory does not
+# grow with kappa.
+ENUMERATION_BLOCK_ROWS = 1 << 12
 RESIDUAL_TOL = 1e-9
 
 
@@ -89,6 +99,14 @@ class MixedProfile:
 
 
 @dataclass(frozen=True)
+class MixedEquilibrium(MixedProfile):
+    """A profile checked against the indifference system, with the residual
+    the check measured."""
+
+    residual: float
+
+
+@dataclass(frozen=True)
 class PureStrategyReport:
     kappa: int
     table: dict  # action profile (0/1 per player) -> payoff tuple
@@ -146,33 +164,68 @@ def pure_strategy_analysis(spec: GameSpec) -> PureStrategyReport:
 # ---- mixed strategies ---------------------------------------------------
 
 
-def _check_enumerable(spec: GameSpec) -> None:
+def _check_enumerable(spec: GameSpec, profile: MixedProfile) -> None:
     if spec.kappa > ENUMERATION_KAPPA_CAP:
         raise ValueError(f"enumeration supports kappa <= {ENUMERATION_KAPPA_CAP}")
+    if profile.probs.shape != (spec.kappa, spec.rounds):
+        raise ValueError("profile shape must be (kappa, rounds)")
+
+
+def _assignments(rounds: int, players: int):
+    """The joint round assignments of `players` players, in
+    itertools.product order, as blocks of at most ENUMERATION_BLOCK_ROWS
+    digit rows (column j is player j's round)."""
+    total = rounds**players
+    if total > np.iinfo(np.int64).max:
+        raise ValueError(f"{rounds}^{players} joint assignments are too many to enumerate")
+    place = rounds ** np.arange(players - 1, -1, -1, dtype=np.int64)
+    digit = np.min_scalar_type(rounds - 1)
+    for start in range(0, total, ENUMERATION_BLOCK_ROWS):
+        rows = np.arange(start, min(start + ENUMERATION_BLOCK_ROWS, total), dtype=np.int64)
+        yield (rows[:, None] // place % rounds).astype(digit)
+
+
+def _round_counts(digits: np.ndarray, rounds: int) -> np.ndarray:
+    """(rows, rounds) array: how many players each row puts in each round."""
+    n = len(digits)
+    flat = (np.arange(n)[:, None] * rounds + digits).ravel()
+    return np.bincount(flat, minlength=n * rounds).reshape(n, rounds)
+
+
+def _realized_offers(spec: GameSpec) -> np.ndarray:
+    """(kappa, kappa + 1) table of what player j realizes when c players
+    arrive together: the schedule offer if it reaches j's honesty, else 0.0
+    (column 0 is never read)."""
+    offers = np.array([0.0] + spec.schedule())
+    return np.where(offers >= np.array(spec.honesty, dtype=float)[:, None], offers, 0.0)
+
+
+def _running_sum(carry: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """carry plus the rows of `terms` added one at a time in row order, per
+    column, as `total += term` in a loop would (np.sum may add pairwise and
+    round differently)."""
+    terms[0] += carry
+    return np.cumsum(terms, axis=0)[-1]
 
 
 def expected_payoffs(spec: GameSpec, profile: MixedProfile) -> np.ndarray:
     """Exact per-player expected payoff by enumerating all rounds^kappa joint
     assignments. A player realizes the schedule offer for its round's
-    co-arrival count, or 0 if that offer falls below its honesty."""
-    _check_enumerable(spec)
-    if profile.probs.shape != (spec.kappa, spec.rounds):
-        raise ValueError("profile shape must be (kappa, rounds)")
-    schedule = spec.schedule()
+    co-arrival count, or 0 if that offer falls below its honesty.
+
+    Each block of assignments takes its probabilities as products in player
+    order, and every player's terms are added in enumeration order, so the
+    result is the same float as a scalar loop over the assignments."""
+    _check_enumerable(spec, profile)
+    realized = _realized_offers(spec)
+    players = np.arange(spec.kappa)
     result = np.zeros(spec.kappa)
-    for assignment in itertools.product(range(spec.rounds), repeat=spec.kappa):
-        prob = 1.0
-        for j, r in enumerate(assignment):
-            prob *= profile.probs[j, r]
-        if prob == 0.0:
-            continue
-        counts = [0] * spec.rounds
-        for r in assignment:
-            counts[r] += 1
-        for j, r in enumerate(assignment):
-            offer = schedule[counts[r] - 1]
-            if offer >= spec.honesty[j]:
-                result[j] += prob * offer
+    for digits in _assignments(spec.rounds, spec.kappa):
+        prob = np.ones(len(digits))
+        for j in players:
+            prob *= profile.probs[j, digits[:, j]]
+        co = np.take_along_axis(_round_counts(digits, spec.rounds), digits, axis=1)
+        result = _running_sum(result, prob[:, None] * realized[players, co])
     return result
 
 
@@ -182,41 +235,34 @@ def uniform_profile(spec: GameSpec) -> MixedProfile:
 
 def indifference_residual(spec: GameSpec, profile: MixedProfile) -> float:
     """Worst per-player spread of conditional expected payoffs across rounds;
-    0 at an exact mixed equilibrium over fully mixed rows."""
-    _check_enumerable(spec)
-    schedule = spec.schedule()
+    0 at an exact mixed equilibrium over fully mixed rows.
+
+    Player j's payoff in round i is enumerated over the other players'
+    rounds^(kappa-1) joint assignments, added in the same order as
+    expected_payoffs adds its terms."""
+    _check_enumerable(spec, profile)
+    realized = _realized_offers(spec)
+    totals = np.zeros((spec.kappa, spec.rounds))
+    for rest in _assignments(spec.rounds, spec.kappa - 1):
+        co = _round_counts(rest, spec.rounds) + 1  # j itself arrives in every round
+        for j in range(spec.kappa):
+            prob = np.ones(len(rest))
+            for col, other in enumerate(o for o in range(spec.kappa) if o != j):
+                prob *= profile.probs[other, rest[:, col]]
+            totals[j] = _running_sum(totals[j], prob[:, None] * realized[j, co])
     worst = 0.0
-    others = list(itertools.product(range(spec.rounds), repeat=spec.kappa - 1))
-    for j in range(spec.kappa):
-        conditional = []
-        for i in range(spec.rounds):
-            total = 0.0
-            for rest in others:
-                prob = 1.0
-                idx = 0
-                counts = [0] * spec.rounds
-                counts[i] += 1
-                for other in range(spec.kappa):
-                    if other == j:
-                        continue
-                    r = rest[idx]
-                    prob *= profile.probs[other, r]
-                    counts[r] += 1
-                    idx += 1
-                offer = schedule[counts[i] - 1]
-                if offer >= spec.honesty[j]:
-                    total += prob * offer
-            conditional.append(total)
+    for conditional in totals.tolist():
         worst = max(worst, max(conditional) - min(conditional))
     return worst
 
 
-def mixed_equilibrium(spec: GameSpec) -> MixedProfile:
+def mixed_equilibrium(spec: GameSpec) -> MixedEquilibrium:
     """The uniform round lottery, verified against the indifference system.
 
     With every opponent uniform, a player's co-arrival count has the same
     distribution whatever round it picks, so the uniform profile should make
-    everyone exactly indifferent; this is checked, not assumed.
+    everyone exactly indifferent; this is checked, not assumed, and the
+    measured residual travels with the profile.
     """
     if spec.rounds < 2:
         raise ValueError("mixed analysis needs at least 2 rounds")
@@ -228,7 +274,7 @@ def mixed_equilibrium(spec: GameSpec) -> MixedProfile:
         raise NoEquilibriumError(
             f"uniform profile misses indifference by {residual:g}"
         )
-    return profile
+    return MixedEquilibrium(profile.probs, residual)
 
 
 def best_randomization_span(spec: GameSpec) -> SpanReport:

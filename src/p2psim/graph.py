@@ -38,10 +38,6 @@ class UnknownNodeError(KeyError):
     pass
 
 
-class DegenerateAverageError(ZeroDivisionError):
-    pass
-
-
 def _rng(seed) -> np.random.Generator:
     """Accept either an integer seed or an existing Generator."""
     if isinstance(seed, np.random.Generator):
@@ -52,8 +48,7 @@ def _rng(seed) -> np.random.Generator:
 class Topology:
     """Undirected simple graph with churn-friendly bookkeeping."""
 
-    def __init__(self, kind: str):
-        self.kind = kind
+    def __init__(self):
         self.adj: dict[NodeId, set[NodeId]] = {}
         self.next_id: NodeId = 0
         self.edge_count: int = 0
@@ -231,7 +226,7 @@ def generate_scale_free(n: int, attach_edges: int, seed) -> Topology:
         raise InvalidParameterError("attach_edges must be >= 1")
     if n <= attach_edges:
         raise InvalidParameterError("need n > attach_edges")
-    t = Topology("scale_free")
+    t = Topology()
     clique = [t.add_node() for _ in range(attach_edges + 1)]
     for i, u in enumerate(clique):
         for v in clique[i + 1 :]:
@@ -277,7 +272,7 @@ def generate_regular(n: int, degree: int, seed) -> Topology:
     for _ in range(_PAIRING_RETRY_CAP):
         edges = _try_pairing(n, degree, rng)
         if edges is not None:
-            t = Topology("regular")
+            t = Topology()
             for _ in range(n):
                 t.add_node()
             for u, v in sorted(edges):
@@ -319,12 +314,3 @@ def remove_node(t: Topology, v: NodeId) -> None:
     t.isolated_count -= 1
     del t.adj[v]
     t._touched.add(v)
-
-
-# ---- metrics ---------------------------------------------------------
-
-
-def average_degree(t: Topology) -> float:
-    if t.node_count == 0:
-        raise DegenerateAverageError("average degree of an empty topology")
-    return 2.0 * t.edge_count / t.node_count

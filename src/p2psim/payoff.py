@@ -6,18 +6,32 @@ dead identity), zero-cost (dump the identity and rejoin every round for
 free), and finite-cost (same, but each new identity costs z). The crossing
 point of the two payoff curves is the number of rounds a newcomer must be
 made to wait before cooperation wins.
+
+In every regime the gap coop - defector is affine in the round k, so
+crossover_round solves for the root from the gaps at k = 1, 2 and evaluates
+the same vectorized gap only on the rounds around it that a float error
+bound leaves undecided. It returns the round a walk over 1..cap would; the
+walk itself is the oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_CROSSOVER_CAP = 1_000_000
 DEFAULT_ROUND_BUDGET = 50
+
+# Roundings of the gap's term magnitudes allowed per round by the crossover
+# window: several times the worst case, about 20 for the gap and the line
+# through gap(1) and gap(2) together.
+_GAP_ERROR_ULPS = 128
+# Rounds evaluated per vectorized block when the window is wide.
+_SCAN_BLOCK = 65536
 
 # grid resolution for the numeric optimizers, refined afterwards
 _GRID_STEP = 1e-3
@@ -127,28 +141,77 @@ def defector_payoff(p: PayoffParams, k, regime: IdentityRegime = IdentityRegime.
     return total if total.ndim else float(total)
 
 
+def _gap(p: PayoffParams, ks: np.ndarray, regime: IdentityRegime) -> np.ndarray:
+    return coop_payoff(p, ks, regime) - defector_payoff(p, ks, regime)
+
+
+def _gap_error_per_round(p: PayoffParams) -> float:
+    """A bound, per unit of k, on how far the float gap at k can sit from
+    the line through the float gaps at k = 1, 2: _GAP_ERROR_ULPS roundings
+    of the sum of the magnitudes of every constant and per-round
+    coefficient in coop_payoff and defector_payoff (at k >= 1 that sum
+    times k bounds every partial sum), plus as many of the smallest
+    subnormal for underflow."""
+    mu_x = p.mu**p.x
+    served = p.m_prime * mu_x**p.x * p.c  # per round, and once as a constant
+    grant = p.m_prime * p.r_ini**p.x * p.c
+    take = grant + p.delta
+    scale = p.m * mu_x * p.c + 2 * served + grant + p.delta + p.z + take + abs(take - p.z)
+    return _GAP_ERROR_ULPS * (sys.float_info.epsilon * scale + math.ulp(0.0))
+
+
+def _reach(intercept: float, slope: float) -> tuple[float, float]:
+    """(first, last): the real k >= 1 where intercept + slope * k >= 0 runs
+    from first to last; (inf, -inf) when there is none."""
+    if slope > 0:
+        return max(1.0, -intercept / slope), math.inf
+    if intercept + slope < 0:  # the line is highest at k = 1
+        return math.inf, -math.inf
+    return 1.0, math.inf if slope == 0 else intercept / -slope
+
+
+def _crossover_window(p: PayoffParams, regime: IdentityRegime, cap: int) -> tuple[int, int]:
+    """Rounds [lo, hi] within 1..cap that hold the first k with gap >= 0, if
+    one exists: before lo the float gap is surely < 0, and at hi, when hi is
+    below cap, surely >= 0. Empty (lo > hi) when no k in 1..cap can reach 0.
+
+    The exact gap is affine in k. From g1 = gap(1) and slope = gap(2) - g1
+    it crosses 0 at 1 - g1/slope; the window is that point widened by the
+    float error bound, which keeps it a few rounds wide unless the slope is
+    within rounding of 0."""
+    g1, g2 = (float(g) for g in _gap(p, np.array([1, 2]), regime))
+    slope = g2 - g1
+    intercept = g1 - slope
+    tol = _gap_error_per_round(p)
+    if not all(map(math.isfinite, (g1, g2, slope, intercept, tol))):
+        return 1, cap
+    first, last = _reach(intercept, slope + tol)  # where the gap may be >= 0
+    sure, _ = _reach(intercept, slope - tol)  # from where it surely is
+    # One round of margin each way covers the rounding of these bounds.
+    lo = max(1, math.floor(min(first, cap + 2.0)) - 1)
+    hi = min(cap, math.ceil(max(min(last, sure, float(cap)), 0.0)) + 1)
+    return lo, hi
+
+
 def crossover_round(
     p: PayoffParams, regime: IdentityRegime, cap: int = DEFAULT_CROSSOVER_CAP
 ):
-    """Smallest k >= 1 where cooperation has caught up with defection.
+    """Smallest k in 1..cap where cooperation has caught up with defection.
 
-    Walks the rounds directly (in vectorized blocks). Returns math.inf when
-    the gap can never close; raises CrossoverCapExceeded when the gap is
-    still closing at the cap.
+    Solves the affine gap for its root and evaluates the vectorized gap on
+    the window of rounds the float error bound leaves undecided
+    (_crossover_window), so the result is the first k a walk over every
+    round would find. Returns math.inf when the gap can never close; raises
+    CrossoverCapExceeded when the gap is still closing at the cap.
     """
     _check_regime(p, regime)
-    block = 65536
-    start = 1
-    while start <= cap:
-        stop = min(start + block, cap + 1)
-        ks = np.arange(start, stop)
-        gap = coop_payoff(p, ks, regime) - defector_payoff(p, ks, regime)
-        hits = np.nonzero(gap >= 0)[0]
+    lo, hi = _crossover_window(p, regime, cap)
+    for start in range(lo, hi + 1, _SCAN_BLOCK):
+        ks = np.arange(start, min(start + _SCAN_BLOCK, hi + 1))
+        hits = np.flatnonzero(_gap(p, ks, regime) >= 0)
         if hits.size:
             return int(ks[hits[0]])
-        start = stop
-    probe = np.array([cap, cap + 1])
-    diff = coop_payoff(p, probe, regime) - defector_payoff(p, probe, regime)
+    diff = _gap(p, np.array([cap, cap + 1]), regime)
     if diff[1] - diff[0] <= 0:
         return math.inf
     raise CrossoverCapExceeded(f"no crossover within {cap} rounds, gap still closing")

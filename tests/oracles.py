@@ -6,25 +6,47 @@ same arithmetic one node at a time, in the plainest form: the sliding-window
 peak, the offer against that peak, and the whitewash level of a node's
 neighborhood. Tests feed both the same churn and require equal results.
 
+The timing game's enumerators (`expected_payoffs`, `indifference_residual`)
+and the crossover search (`crossover_round`) are kept here as the scalar
+loops and the block scan that the shipped array kernels and affine solve
+must match bit for bit.
+
 `read_records_csv` parses a `simulate` CSV back into records, for the
 round-trip tests of the CLI's writer.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from p2psim.cli import CSV_HEADER
 from p2psim.engine import IterationRecord
 from p2psim.estimator import offer_curve
-from p2psim.graph import DegenerateAverageError, NodeId
+from p2psim.game import GameSpec, MixedProfile
+from p2psim.graph import NodeId
+from p2psim.payoff import (
+    DEFAULT_CROSSOVER_CAP,
+    CrossoverCapExceeded,
+    IdentityRegime,
+    PayoffParams,
+    coop_payoff,
+    defector_payoff,
+)
 
 DEFAULT_WINDOW = 10
 
 
 class EmptyNeighborhoodError(ValueError):
+    pass
+
+
+class DegenerateAverageError(ZeroDivisionError):
     pass
 
 
@@ -128,3 +150,77 @@ def read_records_csv(path: Path) -> list[IterationRecord]:
                             float(frac), float(off), float(west), float(wmax))
         )
     return out
+
+
+# ---- timing game and crossover -------------------------------------------
+
+
+def expected_payoffs(spec: GameSpec, profile: MixedProfile) -> np.ndarray:
+    """Per-player expected payoff, one joint assignment at a time."""
+    schedule = spec.schedule()
+    result = np.zeros(spec.kappa)
+    for assignment in itertools.product(range(spec.rounds), repeat=spec.kappa):
+        prob = 1.0
+        for j, r in enumerate(assignment):
+            prob *= profile.probs[j, r]
+        if prob == 0.0:
+            continue
+        counts = [0] * spec.rounds
+        for r in assignment:
+            counts[r] += 1
+        for j, r in enumerate(assignment):
+            offer = schedule[counts[r] - 1]
+            if offer >= spec.honesty[j]:
+                result[j] += prob * offer
+    return result
+
+
+def indifference_residual(spec: GameSpec, profile: MixedProfile) -> float:
+    """Worst per-player spread of conditional expected payoffs across
+    rounds, one assignment of the other players at a time."""
+    schedule = spec.schedule()
+    worst = 0.0
+    others = list(itertools.product(range(spec.rounds), repeat=spec.kappa - 1))
+    for j in range(spec.kappa):
+        conditional = []
+        for i in range(spec.rounds):
+            total = 0.0
+            for rest in others:
+                prob = 1.0
+                idx = 0
+                counts = [0] * spec.rounds
+                counts[i] += 1
+                for other in range(spec.kappa):
+                    if other == j:
+                        continue
+                    r = rest[idx]
+                    prob *= profile.probs[other, r]
+                    counts[r] += 1
+                    idx += 1
+                offer = schedule[counts[i] - 1]
+                if offer >= spec.honesty[j]:
+                    total += prob * offer
+            conditional.append(total)
+        worst = max(worst, max(conditional) - min(conditional))
+    return worst
+
+
+def crossover_round(p: PayoffParams, regime: IdentityRegime, cap: int = DEFAULT_CROSSOVER_CAP):
+    """Smallest k in 1..cap with coop - defector >= 0, walking the rounds in
+    vectorized blocks; math.inf when the gap never closes, and
+    CrossoverCapExceeded when it is still closing at the cap."""
+    block = 65536
+    start = 1
+    while start <= cap:
+        stop = min(start + block, cap + 1)
+        ks = np.arange(start, stop)
+        gap = coop_payoff(p, ks, regime) - defector_payoff(p, ks, regime)
+        hits = np.nonzero(gap >= 0)[0]
+        if hits.size:
+            return int(ks[hits[0]])
+        start = stop
+    probe = np.array([cap, cap + 1])
+    diff = coop_payoff(p, probe, regime) - defector_payoff(p, probe, regime)
+    if diff[1] - diff[0] <= 0:
+        return math.inf
+    raise CrossoverCapExceeded(f"no crossover within {cap} rounds, gap still closing")

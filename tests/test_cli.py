@@ -230,6 +230,9 @@ BAD_CONFIGS = [
         ("payoff-sweep", '{"delta": NaN}'),
         ("payoff-sweep", '{"x": []}'),
         ("payoff-sweep", '{"cap": 100000000}'),
+        ("game-report", '{"kappa": 12}'),
+        ("game-report", '{"kappa": 8}'),
+        ("game-report", '{"kappa": 8, "rounds": 1}'),
         ("frontier", '{"x_step": 1e-6}'),
         ("frontier", '{"x_step": 1e-9}'),
         ("simulate", '{"n": 100000000, "iterations": 1000000000}'),
@@ -241,6 +244,10 @@ BAD_CONFIGS = [
         ("estimator-check", '{"growth_percent_per_10": 1e300}'),
     ]
 ] + [
+    pytest.param("payoff-sweep", json.dumps({"x": [0.5] * 11, "r_ini": [0.1] * 31}),
+                 id="payoff-sweep of 1023 cells"),
+    pytest.param("payoff-sweep", json.dumps({"x": [0.5] * 2000, "r_ini": [0.1] * 2000}),
+                 id="payoff-sweep of 12M cells"),
     pytest.param("simulate", GRID_8X8, id="grid of 8^8 cells"),
     pytest.param("simulate", '{"grid": [' + ", ".join(["{}"] * 1001) + "]}", id="grid of 1001 cells"),
     pytest.param("simulate", "[" * 100_000 + "]" * 100_000, id="nested 100000 deep"),
@@ -268,6 +275,36 @@ def test_work_bound_projects_growth_per_period(tmp_path):
     # Exactly at the bound is still accepted.
     plan = cli.parse_config(write_config(tmp_path, {"n": 2, "iterations": 500_000_000}))
     assert plan.base.iterations == 500_000_000
+
+
+def test_analytics_work_bounds_accept_every_sample_config(tmp_path):
+    # kappa 7 is the largest game-report the budget admits (7.0M assignments).
+    assert cli._game_assignments(6, 6) == 347_106
+    assert cli._game_assignments(7, 7) == 6_965_104 <= cli.MAX_GAME_ASSIGNMENTS
+    assert cli._game_assignments(8, 1) > cli.MAX_GAME_ASSIGNMENTS
+    assert cli.parse_config(write_config(tmp_path, {"kappa": 7}), "game-report").kappa == 7
+    # rounds above kappa skip the mixed check, so they cost nothing extra.
+    assert cli.parse_config(write_config(tmp_path, {"kappa": 3, "rounds": 10**9}), "game-report")
+    plan = cli.parse_config(
+        write_config(tmp_path, {"x": [0.5] * 10, "r_ini": [0.1] * 100, "regimes": ["permanent"]}),
+        "payoff-sweep",
+    )
+    assert len(plan.x) * len(plan.r_ini) * len(plan.regimes) == cli.MAX_GRID_CELLS
+    for path in sorted(Path(__file__).parent.parent.joinpath("demos", "configs").glob("*.json")):
+        command = {"timing_game": "game-report", "payoff_sweep": "payoff-sweep"}.get(path.stem)
+        if command:
+            cli.parse_config(path, command)
+
+
+def test_game_report_computes_the_residual_once(tmp_path, monkeypatch):
+    calls = []
+    measure = cli.game.indifference_residual
+    monkeypatch.setattr(
+        cli.game, "indifference_residual", lambda *a: calls.append(1) or measure(*a)
+    )
+    cfg = write_config(tmp_path, {"kappa": 4})
+    assert run_cli("game-report", "--config", cfg, "--out", tmp_path / "out", "--quiet") == 0
+    assert len(calls) == 1
 
 
 def test_counts_spelled_as_floats_become_ints(tmp_path):

@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import EmptyNeighborhoodError, EstimatorState, NeighborhoodObservation
+from oracles import (
+    DegenerateAverageError,
+    EmptyNeighborhoodError,
+    EstimatorState,
+    NeighborhoodObservation,
+)
 from p2psim import estimator, graph, payoff
 from p2psim.engine import SimConfig, Simulation
 from p2psim.estimator import EstimatorArrays
-from p2psim.graph import DegenerateAverageError
 
 
 def obs(prev, cur, arrivals, legit, growth, neighbor=0):
@@ -259,18 +263,6 @@ def test_shared_ratios_get_the_offer_curve_of_each_node():
     for v, offer in enumerate(expected):
         assert est.offers[v] == offer, (v, levels[v])
     assert offer_sum == sum(expected)
-
-
-# ---- ceiling estimate ----------------------------------------------------
-
-
-def test_estimate_r_ini_max():
-    assert estimator.estimate_r_ini_max(None, 0.5) == 0.5
-    assert estimator.estimate_r_ini_max(0.42, 0.5) == 0.42
-    mu, x = 0.5, 0.5
-    assert estimator.estimate_r_ini_max(mu**x, 0.5) == pytest.approx(
-        0.7071067811865476
-    )
 
 
 # ---- offer floor calibration ----------------------------------------------

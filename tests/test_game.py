@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from p2psim import game
 from p2psim.game import GameSpec, MixedProfile, NoRootError
 
@@ -116,6 +117,12 @@ def test_uniform_equilibrium(kappa):
     assert game.indifference_residual(spec(kappa, kappa), profile) < 1e-9
 
 
+def test_equilibrium_carries_its_residual():
+    s = spec(5, 4)
+    profile = game.mixed_equilibrium(s)
+    assert profile.residual == game.indifference_residual(s, game.uniform_profile(s))
+
+
 def test_mixed_requires_enough_rounds():
     with pytest.raises(ValueError):
         game.mixed_equilibrium(spec(3, 1))
@@ -168,6 +175,64 @@ def test_enumeration_matches_monte_carlo(kappa, rounds):
 def test_enumeration_cap():
     with pytest.raises(ValueError):
         game.expected_payoffs(spec(13, 2), game.uniform_profile(spec(13, 2)))
+
+
+def test_profile_shape_must_match_the_spec():
+    three_rounds = MixedProfile(np.full((3, 3), 1 / 3))
+    for measure in (game.expected_payoffs, game.indifference_residual):
+        with pytest.raises(ValueError, match="profile shape"):
+            measure(spec(3, 2), three_rounds)
+
+
+# ---- array kernels against the scalar loops ----------------------------------
+#
+# The kernels must give the same floats as the loops in tests/oracles.py,
+# not just close ones: game-report prints the residual's rounding noise.
+
+
+def random_game(rng, kappa, rounds):
+    """A spec with random non-increasing honesty (or the default) and a
+    profile with zero entries in some rows (or the uniform one)."""
+    honesty = None
+    if rng.random() < 0.5:
+        honesty = tuple(sorted((float(h) for h in rng.random(kappa) * 0.4), reverse=True))
+    s = spec(kappa, rounds, honesty=honesty)
+    if rng.random() < 0.25:
+        return s, game.uniform_profile(s)
+    probs = rng.random((kappa, rounds))
+    probs[rng.random((kappa, rounds)) < 0.3] = 0.0
+    probs[:, int(rng.integers(rounds))] += 0.01  # keep every row non-zero
+    return s, MixedProfile(probs / probs.sum(axis=1, keepdims=True))
+
+
+KERNEL_SIZES = [(k, r) for k in range(2, 7) for r in range(1, 7) if k * r**k <= 20_000]
+
+
+@pytest.mark.parametrize("kappa,rounds", KERNEL_SIZES)
+def test_kernels_match_loops_bit_for_bit(kappa, rounds):
+    rng = np.random.default_rng(kappa * 10 + rounds)
+    for _ in range(3):
+        s, profile = random_game(rng, kappa, rounds)
+        expected = oracles.expected_payoffs(s, profile)
+        assert game.expected_payoffs(s, profile).tobytes() == expected.tobytes()
+        assert game.indifference_residual(s, profile) == oracles.indifference_residual(s, profile)
+
+
+def test_kernels_carry_sums_across_blocks(monkeypatch):
+    monkeypatch.setattr(game, "ENUMERATION_BLOCK_ROWS", 7)  # divides none of the sizes below
+    rng = np.random.default_rng(5)
+    for kappa, rounds in [(3, 3), (4, 3), (4, 4), (5, 2)]:
+        s, profile = random_game(rng, kappa, rounds)
+        expected = oracles.expected_payoffs(s, profile)
+        assert game.expected_payoffs(s, profile).tobytes() == expected.tobytes()
+        assert game.indifference_residual(s, profile) == oracles.indifference_residual(s, profile)
+
+
+def test_uniform_six_player_residual_is_the_loop_noise():
+    # The value game-report prints for perfbench's analytics config.
+    s = spec(6, 6)
+    residual = game.indifference_residual(s, game.uniform_profile(s))
+    assert residual == 6.022959908591474e-15
 
 
 # ---- span comparison ---------------------------------------------------------

@@ -15,7 +15,7 @@ from p2psim.graph import (
 
 
 def path_topology(n: int = 5) -> Topology:
-    t = Topology("test")
+    t = Topology()
     for _ in range(n):
         t.add_node()
     for i in range(n - 1):
@@ -327,10 +327,3 @@ def test_adj_iterates_in_ascending_id_order():
                 graph.grow(t, int(rng.integers(1, 6)), 2, seed=rng)
             assert list(t.adj) == sorted(t.adj), step
 
-
-# ---- metrics ---------------------------------------------------------
-
-
-def test_average_degree():
-    t = path_topology(5)
-    assert graph.average_degree(t) == pytest.approx(8 / 5)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 from p2psim import payoff
 from p2psim.payoff import (
     CrossoverCapExceeded,
@@ -208,6 +210,81 @@ def test_crossover_cap_exceeded():
     p = PayoffParams(mu=0.5, x=0.5, r_ini=0.036, delta=0.0)
     with pytest.raises(CrossoverCapExceeded):
         payoff.crossover_round(p, PERM, cap=5)
+
+
+def crossover_outcome(solve, p, regime, cap):
+    try:
+        return solve(p, regime, cap=cap)
+    except CrossoverCapExceeded:
+        return f">{cap}"
+
+
+def assert_matches_scan(p, regime, caps):
+    for cap in caps:
+        got = crossover_outcome(payoff.crossover_round, p, regime, cap)
+        want = crossover_outcome(oracles.crossover_round, p, regime, cap)
+        assert got == want and type(got) is type(want), (p, regime, cap, got, want)
+
+
+def test_crossover_matches_scan_on_random_params():
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for i in range(900):
+        regime = [PERM, ZERO, FINITE][i % 3]
+        p = random_params(rng, z_positive=regime is FINITE)
+        p = dataclasses.replace(
+            p,
+            mu=float(rng.choice([p.mu, 1.0])),
+            delta=float(rng.choice([0.0, 1e-15, 1e-6, p.delta])),
+            m=float(rng.choice([p.m, 0.0, float(rng.uniform(0, 3))])),
+        )
+        cap = int(rng.choice([1, 2, 5, 100, 10**4, 10**5]))
+        assert_matches_scan(p, regime, [cap])
+        outcomes.add(type(crossover_outcome(oracles.crossover_round, p, regime, cap)))
+    assert outcomes == {int, float, str}  # a round, inf and >cap all occur
+
+
+def affine_gap_params(rng, kind):
+    """Params whose exact gap crosses 0 on or next to an integer, or whose
+    slope is within a few ulps of 0 (delta = 0, c = m' = 1)."""
+    mu, x = float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.1, 1.0))
+    r = float(rng.uniform(0, 1)) * mu**x
+    mu_x = mu**x
+    d = mu_x**x - r**x  # zero-cost gap: -d + k (d - m mu^x)
+    if kind == "integer root":  # root at an integer or just off one
+        k0 = float(rng.integers(1, 5000)) + float(rng.choice([0.0, 1e-9, -1e-9, 0.5]))
+        return PayoffParams(mu=mu, x=x, r_ini=r, delta=0.0, m=max(d - d / k0, 0.0) / mu_x), ZERO
+    if kind == "flat":  # slope 0 up to a few ulps, intercept near 0 too
+        r = mu**x
+        ulps = float(rng.integers(-50, 50)) * 2.0**-52
+        m = float(rng.choice([0.0, 2.0 ** -float(rng.integers(40, 60))])) * (1 + ulps)
+        return PayoffParams(mu=mu, x=x, r_ini=r, delta=0.0, m=m), ZERO
+    if kind == "nearly flat":  # relative slope 1e-13 .. 1e-8
+        m = d / mu_x * (1 - float(rng.uniform(1e-13, 1e-8)))
+        return PayoffParams(mu=mu, x=x, r_ini=r, delta=0.0, m=m), ZERO
+    k0 = float(rng.integers(1, 5000))  # permanent: -mu^xx + k (mu^xx - m mu^x)
+    return PayoffParams(mu=mu, x=x, r_ini=r, delta=0.0, m=(mu_x**x - mu_x**x / k0) / mu_x), PERM
+
+
+@pytest.mark.parametrize("kind", ["integer root", "flat", "nearly flat", "permanent root"])
+def test_crossover_matches_scan_at_the_edges(kind):
+    rng = np.random.default_rng(len(kind))
+    for _ in range(150):
+        p, regime = affine_gap_params(rng, kind)
+        k = crossover_outcome(oracles.crossover_round, p, regime, 10**5)
+        caps = [10**5, 7, 1]
+        if isinstance(k, int):  # the crossover exactly at cap, and one round past it
+            caps += [k, max(k - 1, 1), k + 1]
+        assert_matches_scan(p, regime, caps)
+
+
+def test_crossover_window_is_a_few_rounds_on_the_default_sweep():
+    for x in (0.25, 0.5, 0.75, 1.0):
+        for r in (0.0, 0.03, 0.1, 0.3, 0.5):
+            for regime in IdentityRegime:
+                p = PayoffParams(x=x, r_ini=r, delta=0.0, z=1.0 if regime is FINITE else 0.0)
+                lo, hi = payoff._crossover_window(p, regime, payoff.DEFAULT_CROSSOVER_CAP)
+                assert hi - lo < 5, (x, r, regime, lo, hi)
 
 
 def test_crossover_monotone_in_r_ini_and_z():
