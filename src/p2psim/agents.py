@@ -4,6 +4,10 @@ An agent's honesty is a fixed trait in [0, 1]. Agents whose honesty falls
 below the advertised newcomer reputation are potential whitewashers: resetting
 their identity would hand them more reputation than their behavior earns, so
 they may dump a bad record and rejoin. Everyone else cooperates.
+
+An `AgentState` is one identity. It carries the grant that identity was born
+with (none for the founding population), so a rejoin brings a fresh grant
+and a fresh reputation but keeps honesty and the attempt counters.
 """
 
 from __future__ import annotations
@@ -31,10 +35,6 @@ class WrongRoleError(ValueError):
     pass
 
 
-class UndefinedReputationError(ZeroDivisionError):
-    pass
-
-
 @dataclass
 class AgentState:
     node: NodeId
@@ -44,8 +44,7 @@ class AgentState:
     attempts: int = 0
     successes: int = 0
     joined_at: int = 0
-    resource_provided: float = 0.0
-    resource_requested: float = 0.0
+    grant: float | None = None  # reputation this identity was born with
 
 
 Population = dict[NodeId, AgentState]
@@ -97,19 +96,11 @@ def decide_whitewash(
     return WhitewashOutcome.ATTEMPT_FAILED
 
 
-def measure_reputation(provided: float, requested: float) -> float:
-    if requested <= 0:
-        raise UndefinedReputationError("no requests recorded; keep the prior value")
-    if not 0 <= provided <= requested:
-        raise ValueError("need 0 <= provided <= requested")
-    return provided / requested
-
-
 def rejoin_as_newcomer(
     a: AgentState, new_id: NodeId, offered_r_ini: float, n: int
 ) -> AgentState:
-    """Re-enter the network under a fresh identity: reputation resets to the
-    offer, resource history clears, honesty and attempt counters carry over."""
+    """Re-enter the network under a fresh identity born with the offered
+    grant as its reputation; honesty and attempt counters carry over."""
     return AgentState(
         node=new_id,
         honesty=a.honesty,
@@ -118,4 +109,5 @@ def rejoin_as_newcomer(
         attempts=a.attempts,
         successes=a.successes,
         joined_at=n,
+        grant=offered_r_ini,
     )

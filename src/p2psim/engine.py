@@ -3,9 +3,10 @@ adaptive newcomer-grant estimator into one loop.
 
 Each `Simulation.step` is one iteration:
 
-1. transaction bookkeeping: nodes start serving in their second iteration
-   (the founding population serves from iteration 1), which pins their
-   reputation at the expected per-round ratio;
+1. transaction start: the agents that joined two iterations earlier (at
+   iteration 1, the ones that joined at 0) start serving, which sets their
+   reputation for good to the expected per-round ratio, mu^x for a
+   cooperator and 0 for a free rider;
 2. gossip snapshot, per-node whitewash-level estimate, newcomer offers,
    and the shared estimate of the grant ceiling, read from the mean
    reputation of the newcomer pool: the live agents whose tenure lies in
@@ -27,9 +28,11 @@ of past whitewashers has nothing left to gain and goes quiet.
 
 Whether a leaver looks legitimate is one comparison against
 `estimator.legitimacy_threshold`, for a whitewasher and for a voluntary
-departure alike. Whitewash rejoins and growth arrivals enter through one
-helper that draws the hosts by degree, wires the node and books one arrival
-at each host.
+departure alike, and one helper removes a leaver, booking one benign
+departure at each neighbor when it looked legitimate. Whitewash rejoins and
+growth arrivals enter through one helper that wires the node with
+`Topology.attach` and books one arrival at each host. The grant an identity
+was born with is kept on its `AgentState`.
 
 The estimator state of step 2 lives in `estimator.EstimatorArrays`: numpy
 arrays indexed by node id, which only grow because ids are never reused. A
@@ -50,13 +53,13 @@ square does not always equal) once per distinct ratio among the positive
 levels, and the per-iteration sums add in ascending-id order one element
 at a time, never pairwise.
 
-Voluntary departures read one more array, indexed by node id and grown by
-doubling like the estimator's: each live cooperative agent's reputation,
-and -inf for every other id. The engine writes it wherever it writes a
-reputation (the founding population, the transaction start, a newcomer) and
-resets it when a node leaves, so the departure candidates are the ids at or
-above the legitimacy threshold, found with one comparison in ascending
-order.
+Voluntary departures read one more array, indexed by node id and grown
+with `graph.grown` like the estimator's: each live cooperative agent's
+reputation, and -inf for every other id. The engine writes it wherever it
+writes a reputation (the founding population, the transaction start, a
+newcomer) and resets it when a node leaves, so the departure candidates are
+the ids at or above the legitimacy threshold, found with one comparison in
+ascending order.
 
 All randomness comes from one generator per run. Draw order inside an
 iteration: gossip noise factors (only when noise > 0); the whitewash wave
@@ -95,10 +98,6 @@ GROWTH_PERIOD = 10
 # A newcomer's reputation only counts toward the gossiped newcomer mean once
 # it has been around for this many iterations (and at most newcomer_window).
 NEWCOMER_MIN_TENURE = 3
-
-# Resources asked of a node per service round; only the provided/requested
-# ratio matters, so the scale is arbitrary.
-_SERVICE_QUANTUM = 1.0
 
 # Grant improvements that matter are of order r_ini_min; this margin only
 # has to swallow float jitter in gossip means (identical reputations can
@@ -230,10 +229,9 @@ class Simulation:
         # Join-iteration buckets back both the transaction-start rule and
         # the newcomer window, so neither needs a full population scan.
         self._join_buckets: dict[int, list[int]] = {0: list(self.agents)}
-        # Identity economics: the grant each current identity was born
-        # with, the whitewashers worth polling this iteration, and the ones
-        # parked until the grant ceiling climbs back above their last take.
-        self._grant_of: dict[int, float] = {}
+        # Identity economics: the whitewashers worth polling this iteration,
+        # and the ones parked until the grant ceiling climbs back above the
+        # grant their current identity was born with.
         self._ready = {
             v for v, a in self.agents.items() if a.role is Role.POTENTIAL_WHITEWASHER
         }
@@ -243,26 +241,19 @@ class Simulation:
     # ---- per-phase helpers -------------------------------------------
 
     def _record_transactions(self, n: int) -> None:
-        if n == 1:
-            starters = list(self.agents)
-        else:
-            starters = self._join_buckets.get(n - 2, ())
-        for vid in starters:
+        # Start the agents that joined at n - 2 (at n = 1, those that joined
+        # at 0; bucket 0 comes round again at n = 2 and gets the same values).
+        # One expected service round sets the reputation for good: a
+        # cooperator provides the mean share mu^x of what it is asked, a free
+        # rider nothing, and later rounds scale both sides of that ratio.
+        for vid in self._join_buckets.get(max(n - 2, 0), ()):
             a = self.agents.get(vid)
-            if a is None or a.resource_requested > 0:
+            if a is None:
                 continue
-            # One expected service round: cooperative nodes provide the
-            # mean allocation share of what they are asked, free riders
-            # provide nothing. Later rounds scale both sides of the ratio
-            # equally, so the reputation is already stationary.
-            a.resource_requested = _SERVICE_QUANTUM
             if a.role is Role.COOPERATIVE:
-                a.resource_provided = self._mu_x * _SERVICE_QUANTUM
-            a.reputation = agents_mod.measure_reputation(
-                a.resource_provided, a.resource_requested
-            )
-            if a.role is Role.COOPERATIVE:
-                self._coop_rep[vid] = a.reputation
+                a.reputation = self._coop_rep[vid] = self._mu_x
+            else:
+                a.reputation = 0.0
 
     def _newcomer_pool(self, n: int) -> list[AgentState]:
         """Live agents whose tenure at iteration n lies in
@@ -310,13 +301,9 @@ class Simulation:
         absent from the sweep saw no churn and sit at zero."""
         return self._est.last_sweep
 
-    def _register_newcomer(self, vid: int, agent: AgentState, grant: float) -> None:
+    def _register_newcomer(self, vid: int, agent: AgentState) -> None:
         self.agents[vid] = agent
-        self._grant_of[vid] = grant
-        if vid >= len(self._coop_rep):  # ids only grow: double the array
-            grown = np.full(max(vid + 1, 2 * len(self._coop_rep)), -np.inf)
-            grown[: len(self._coop_rep)] = self._coop_rep
-            self._coop_rep = grown
+        self._coop_rep = graph_mod.grown(self._coop_rep, vid + 1, -np.inf)
         if agent.role is Role.COOPERATIVE:
             self._coop_rep[vid] = agent.reputation
         self._est.prime(vid, self.r_est)
@@ -324,35 +311,33 @@ class Simulation:
         if agent.role is Role.POTENTIAL_WHITEWASHER:
             self._ready.add(vid)
 
-    def _drop_node(self, vid: int) -> None:
+    def _drop_node(self, vid: int, benign: bool) -> None:
+        """Remove a node; if `benign`, each neighbor books one benign
+        departure."""
+        if benign:
+            for u in self.topology.adj[vid]:
+                self._legit_gone[u] = self._legit_gone.get(u, 0) + 1
         graph_mod.remove_node(self.topology, vid)
         del self.agents[vid]
         self._coop_rep[vid] = -np.inf
         self._est.retire(vid)
         self._ready.discard(vid)
-        self._grant_of.pop(vid, None)
 
     def _attach_newcomer(self) -> tuple[int, list[int]]:
         """Add a node wired to attach_edges hosts drawn by degree, and book
         the arrival at each host. Returns the new id and its hosts in draw
         order."""
-        t = self.topology
-        targets = t.sample_attachment_targets(self.cfg.attach_edges, self.rng)
-        vid = t.add_node()
+        vid, targets = self.topology.attach(self.cfg.attach_edges, self.rng)
         for u in targets:
-            t.add_edge(vid, u)
             self._arrivals[u] = self._arrivals.get(u, 0) + 1
         return vid, targets
 
     def _execute_whitewash(self, vid: int, a: AgentState, offered: float, n: int) -> int:
-        if a.reputation >= legitimacy_threshold(self.r_est, self.cfg.r_ini_min):
-            # The leaver still looked reputable, so neighbors will book the
-            # departure as benign and the rejoin slips past the estimator.
-            for u in self.topology.adj[vid]:
-                self._legit_gone[u] = self._legit_gone.get(u, 0) + 1
-        self._drop_node(vid)
+        # A leaver that still looks reputable is booked as a benign
+        # departure, so the rejoin slips past the estimator.
+        self._drop_node(vid, a.reputation >= legitimacy_threshold(self.r_est, self.cfg.r_ini_min))
         new_id, _ = self._attach_newcomer()
-        self._register_newcomer(new_id, agents_mod.rejoin_as_newcomer(a, new_id, offered, n), offered)
+        self._register_newcomer(new_id, agents_mod.rejoin_as_newcomer(a, new_id, offered, n))
         return new_id
 
     def _whitewash_wave(self, n: int) -> tuple[int, int]:
@@ -368,7 +353,7 @@ class Simulation:
         successes = 0
         for vid in sorted(self._ready):
             a = self.agents[vid]
-            grant = self._grant_of.get(vid)
+            grant = a.grant
             if a.attempts > 0:
                 if a.successes == 0:
                     # Attempt probability is zero for good: never polls again.
@@ -411,11 +396,8 @@ class Simulation:
             batch = candidates[done : done + room - len(leavers)]
             done += len(batch)
             leavers += batch[self.rng.random(len(batch)) < cfg.legit_departure_prob].tolist()
-        adj = self.topology.adj
         for vid in leavers:
-            for u in adj[vid]:
-                self._legit_gone[u] = self._legit_gone.get(u, 0) + 1
-            self._drop_node(vid)
+            self._drop_node(vid, True)
 
     def _grow_population(self, n: int) -> None:
         count = round(self.topology.node_count * self.cfg.growth_percent_per_10 / 100)
@@ -427,7 +409,7 @@ class Simulation:
             grant = float(self._est.offers[targets[0]])
             role = Role.POTENTIAL_WHITEWASHER if honesty < self.r_est else Role.COOPERATIVE
             self._register_newcomer(
-                vid, AgentState(vid, honesty, role, reputation=grant, joined_at=n), grant
+                vid, AgentState(vid, honesty, role, reputation=grant, joined_at=n, grant=grant)
             )
 
     # ---- public API ---------------------------------------------------

@@ -21,7 +21,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .graph import NodeId
+from .graph import NodeId, grown
 
 
 def legitimacy_threshold(r_ini_max: float, r_ini_min: float) -> float:
@@ -69,8 +69,9 @@ class _SweepLevels(Mapping):
 class EstimatorArrays:
     """Every node's estimator state as arrays indexed by node id.
 
-    Node ids are never reused, so the arrays only grow (doubling when an id
-    outruns them) and a removed node's row is simply never read again.
+    Node ids are never reused, so the arrays only grow (`graph.grown`
+    doubles them when an id outruns them) and a removed node's row is
+    simply never read again.
 
     The sliding windows share one ring buffer of shape (capacity, window)
     and one global write slot. A node is swept on every step while its
@@ -109,12 +110,8 @@ class EstimatorArrays:
     def prime(self, vid: NodeId, r_est: float) -> None:
         """Start a new node's window at the ceiling estimate."""
         if vid >= self.capacity:
-            size = max(vid + 1, 2 * self.capacity)
             for name in ("_w", "_active", "offers", "_prev_ndsum"):
-                old = getattr(self, name)
-                new = np.zeros((size,) + old.shape[1:], dtype=old.dtype)
-                new[: len(old)] = old
-                setattr(self, name, new)
+                setattr(self, name, grown(getattr(self, name), vid + 1))
         self._w[vid, (self._slot - 1) % self.window] = r_est
         self._active[vid] = r_est > 0
         self.offers[vid] = r_est

@@ -1,11 +1,12 @@
 """Mutable unstructured-overlay topologies with preferential-attachment growth.
 
 Node ids are monotonically increasing and never reused, so identity churn
-(a node leaving and rejoining) is visible in the id space, and `adj`
-iterates in ascending id order. Edge events only mutate the neighbor sets
-and mark the nodes whose sets changed. Once per sweep, one pass over the
-marked nodes' neighbor sets brings the dense neighbor-degree snapshot up to
-date and sums the estimator's churn counts over the same chain (see
+(a node leaving and rejoining) is visible in the id space, `adj` iterates
+in ascending id order, and an array indexed by node id only ever grows
+(`grown`). Edge events only mutate the neighbor sets and mark the nodes
+whose sets changed. Once per sweep, one pass over the marked nodes'
+neighbor sets brings the dense neighbor-degree snapshot up to date and
+sums the estimator's churn counts over the same chain (see
 `Topology.neighbor_degree_array`). A single node's neighbor-degree sum is
 counted on demand, in time linear in its degree.
 """
@@ -36,6 +37,20 @@ class InfeasibleParametersError(ValueError):
 
 class UnknownNodeError(KeyError):
     pass
+
+
+def grown(a: np.ndarray, size: int, fill=0) -> np.ndarray:
+    """`a` itself if it has at least `size` rows; otherwise a copy with at
+    least twice as many, the new rows set to `fill`. Arrays indexed by node
+    id grow this way, as ids only grow."""
+    if size <= len(a):
+        return a
+    # np.zeros, not np.full: pages of new rows stay unallocated until written.
+    new = np.zeros((max(size, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
+    new[: len(a)] = a
+    if fill:
+        new[len(a) :] = fill
+    return new
 
 
 def _rng(seed) -> np.random.Generator:
@@ -94,13 +109,8 @@ class Topology:
         degree, is what marks a node: one that lost an edge and gained
         another keeps its degree but not its sum. An unmarked host kept its
         degree, so it hands out zero and is counted again at the same sum."""
-        if max(size, self.next_id) > len(self._nds):
-            cap = max(size, self.next_id, 2 * len(self._nds))
-            for name in ("_deg", "_nds"):
-                new = np.zeros(cap, dtype=np.int64)
-                old = getattr(self, name)
-                new[: len(old)] = old
-                setattr(self, name, new)
+        self._deg = grown(self._deg, max(size, self.next_id))
+        self._nds = grown(self._nds, max(size, self.next_id))
         adj, deg, nds = self.adj, self._deg, self._nds
         touched, self._touched = self._touched, set()
         live = [v for v in touched.union(*churn) if v in adj]
@@ -180,6 +190,15 @@ class Topology:
                 self._pool.extend([v] * d)
                 self._pool_copies[v] = d
         self._pool_stale = 0
+
+    def attach(self, count: int, rng: np.random.Generator) -> tuple[NodeId, list[NodeId]]:
+        """Add a node wired to `count` distinct hosts drawn by degree. Returns
+        the new id and its hosts in draw order."""
+        targets = self.sample_attachment_targets(count, rng)
+        v = self.add_node()
+        for u in targets:
+            self.add_edge(v, u)
+        return v, targets
 
     def sample_attachment_targets(self, count: int, rng: np.random.Generator) -> list[NodeId]:
         """Sample `count` distinct existing nodes with probability proportional
@@ -294,14 +313,7 @@ def grow(t: Topology, new_nodes: int, attach_edges: int, seed) -> list[NodeId]:
     if t.node_count == 0:
         raise InvalidParameterError("cannot grow an empty topology")
     rng = _rng(seed)
-    created = []
-    for _ in range(new_nodes):
-        targets = t.sample_attachment_targets(attach_edges, rng)
-        v = t.add_node()
-        for u in targets:
-            t.add_edge(v, u)
-        created.append(v)
-    return created
+    return [t.attach(attach_edges, rng)[0] for _ in range(new_nodes)]
 
 
 def remove_node(t: Topology, v: NodeId) -> None:

@@ -88,15 +88,6 @@ def _check_regime(p: PayoffParams, regime: IdentityRegime) -> None:
         raise ValueError("zero_cost regime requires z = 0")
 
 
-def allocation_probability(rep: float, x: float) -> float:
-    """Chance a request is served, as a concave power of reputation."""
-    if not 0 <= rep <= 1:
-        raise ValueError("reputation must be in [0, 1]")
-    if x <= 0:
-        raise ValueError("x must be positive")
-    return rep**x
-
-
 def coop_payoff(p: PayoffParams, k, regime: IdentityRegime = IdentityRegime.PERMANENT):
     """Expected cumulative payoff of a cooperative node after k rounds.
 

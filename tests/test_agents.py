@@ -7,7 +7,6 @@ from p2psim import agents
 from p2psim.agents import (
     AgentState,
     Role,
-    UndefinedReputationError,
     WhitewashOutcome,
     WrongRoleError,
 )
@@ -112,46 +111,16 @@ def test_success_fraction_matches_uniform_cdf():
     assert abs(wins / draws - offer) < 3 * se
 
 
-# ---- reputation measure ----------------------------------------------
-
-
-def test_measure_reputation():
-    assert agents.measure_reputation(3.0, 3.0) == 1.0
-    assert agents.measure_reputation(0.0, 3.0) == 0.0
-    mu, x = 0.5, 0.5
-    assert agents.measure_reputation(mu**x * 2.0, 2.0) == pytest.approx(
-        0.7071067811865476
-    )
-
-
-def test_measure_reputation_scale_invariant():
-    for alpha in (0.1, 2.0, 17.5):
-        assert agents.measure_reputation(0.3 * alpha, 0.8 * alpha) == pytest.approx(
-            agents.measure_reputation(0.3, 0.8)
-        )
-
-
-def test_measure_reputation_errors():
-    with pytest.raises(UndefinedReputationError):
-        agents.measure_reputation(0.0, 0.0)
-    with pytest.raises(ValueError):
-        agents.measure_reputation(2.0, 1.0)
-    with pytest.raises(ValueError):
-        agents.measure_reputation(-0.5, 1.0)
-
-
 # ---- rejoin ----------------------------------------------------------
 
 
 def test_rejoin_resets_identity_not_history():
     a = washer(0.2, attempts=4, successes=3)
-    a.resource_provided = 5.0
-    a.resource_requested = 9.0
     b = agents.rejoin_as_newcomer(a, new_id=77, offered_r_ini=0.4, n=12)
     assert b.node == 77
     assert b.reputation == 0.4
     assert b.joined_at == 12
     assert b.honesty == a.honesty
     assert (b.attempts, b.successes) == (4, 3)
-    assert b.resource_provided == 0.0 and b.resource_requested == 0.0
+    assert b.grant == 0.4
     assert b is not a

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -434,6 +435,85 @@ def test_simulate_down_to_a_graph_with_isolated_nodes(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert time.perf_counter() - start < 10
     assert len((tmp_path / "out" / "run.csv").read_text().splitlines()) == 21
+
+
+# ---- child-process fuzz --------------------------------------------------
+
+# Raw JSON text for each way the fuzz breaks one key: wrong types, NaN and
+# the infinities, nesting (the deepest past the parser's recursion limit),
+# and numbers outside every key's range.
+BROKEN_VALUES = {
+    "type": ['"abc"', "true", "[]", "{}", '[1, "x"]', '{"n": 3}'],
+    "nan": ["NaN", "Infinity", "-Infinity"],
+    "nesting": ["[" * 50 + "]" * 50, '{"a": ' * 50 + "1" + "}" * 50, "[" * 5000 + "]" * 5000],
+    "range": ["-1", "-0.5", "1e400", "1" + "0" * 400],
+}
+FUZZ_KINDS = ("valid", "unknown", *BROKEN_VALUES)
+CHILD_TIMEOUT_S = 30
+
+
+def small_config(command: str, rng) -> dict:
+    """A valid config for `command` that runs in well under a second."""
+    if command == "payoff-sweep":
+        return {"mu": rng.uniform(0.1, 1.0), "x": [rng.uniform(0.05, 1.0)],
+                "r_ini": [rng.random()], "cap": 10_000}
+    if command == "game-report":
+        return {"kappa": rng.randint(2, 4)}
+    if command == "fixed-point":
+        return {"w_max": [rng.uniform(0.01, 1.0) for _ in range(rng.randint(1, 3))]}
+    if command == "frontier":
+        return {"mu": rng.uniform(0.05, 0.95), "m_ratio": rng.uniform(0.2, 3.0),
+                "x_step": rng.choice([0.05, 0.1])}
+    cfg = {"n": rng.randint(10, 40), "topology": rng.choice(["scale_free", "regular"]),
+           "degree": 4, "seed": rng.randrange(10**6)}
+    if command == "estimator-check":
+        return {**cfg, "injected": rng.randint(0, 3)}
+    return {**cfg, "iterations": rng.randint(0, 12),
+            "growth_percent_per_10": rng.choice([0.0, 5.0]),
+            "legit_departure_prob": rng.choice([0.0, 0.05]),
+            "gossip_noise": rng.choice([0.0, 0.05])}
+
+
+def fuzz_config_text(command: str, kind: str) -> str:
+    """One generated config: a small valid one, with one key broken in the
+    way `kind` names (a key already present is overridden, as a repeated
+    JSON key's last value wins)."""
+    rng = random.Random(f"{command}/{kind}")
+    text = json.dumps(small_config(command, rng))
+    if kind == "valid":
+        return text
+    if kind == "unknown":
+        key, raw = rng.choice(["nn", "bogus", "N", ""]), "1"
+    else:
+        key, raw = rng.choice(sorted(cli._COMMANDS[command][0])), rng.choice(BROKEN_VALUES[kind])
+    return f"{text[:-1]}, {json.dumps(key)}: {raw}}}"
+
+
+@pytest.mark.parametrize("kind", FUZZ_KINDS)
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_cli_child_process_fuzz(tmp_path, command, kind):
+    # The contract a caller of the installed command sees: a known exit
+    # status, a silent stderr on success, otherwise exactly one JSON error
+    # line, and an end within a bounded time.
+    text = fuzz_config_text(command, kind)
+    cfg = write_config(tmp_path, text)
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "p2psim.cli", command, "--config", cfg,
+         "--out", tmp_path / "out", "--quiet"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=CHILD_TIMEOUT_S,
+    )
+    assert proc.returncode in (0, 1, 2, 3), (text, proc.stderr)
+    if proc.returncode == 0:
+        assert proc.stderr == b"", text
+        return
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1, (text, proc.stderr)
+    error = json.loads(lines[0])
+    assert sorted(error) == ["command", "detail", "error"]
+    assert error["command"] == command
+    if kind in ("unknown", "nan"):
+        assert (proc.returncode, error["error"]) == (2, "config"), text
 
 
 def test_estimator_check_static_is_exact(tmp_path):

@@ -112,6 +112,41 @@ def test_transactions_settle_reputations():
         assert a.reputation == pytest.approx(expect, abs=1e-12)
 
 
+def test_reputation_starts_on_schedule():
+    # An identity holds the reputation it was born with (its grant, or a
+    # founding agent's drawn start) through iteration joined_at + 1 and its
+    # earned mu^x or 0.0 from joined_at + 2, except that everyone who joined
+    # at iteration 0 switches at iteration 1: the founding agents and a
+    # rejoin planted before the first step alike.
+    sim = Simulation(SimConfig(n=200, iterations=0, growth_percent_per_10=5.0, seed=6))
+    coop = min(v for v, a in sim.agents.items() if a.role is Role.COOPERATIVE)
+    early = sim.force_whitewash(coop)
+    born = {v: a.reputation for v, a in sim.agents.items()}
+    covered = collections.Counter()
+    for n in range(1, 31):
+        if n == 5:  # plant a rejoin between steps 4 and 5
+            washer = min(v for v, a in sim.agents.items() if a.role is Role.POTENTIAL_WHITEWASHER)
+            late = sim.force_whitewash(washer)
+            born[late] = sim.agents[late].reputation
+        sim.step()
+        for v, a in sim.agents.items():
+            born.setdefault(v, a.reputation)  # joined during this step
+            start = a.joined_at + 2 if a.joined_at else 1
+            earned = MU_X if a.role is Role.COOPERATIVE else 0.0
+            assert a.reputation == (earned if n >= start else born[v]), (n, v)
+            if born[v] != earned and n - start in (-1, 0):
+                covered[a.joined_at > 0, n - start] += 1
+        if n == 1:
+            assert (born[early], sim.agents[early].reputation) == (0.5, MU_X)
+        if n == 5:
+            assert sim.agents[late].joined_at == 4
+            assert sim.agents[late].reputation == born[late] > 0.0
+        if n == 6:
+            assert sim.agents[late].reputation == 0.0
+    # Both sides of each switch were seen on identities whose two values differ.
+    assert set(covered) == {(False, 0), (True, -1), (True, 0)}
+
+
 def test_newcomer_window_caps_tenure():
     # The newcomer pool is the one place the tenure rule is applied: before
     # every step it holds exactly the live agents whose tenure lies in
@@ -180,7 +215,7 @@ class ScanDepartures(Simulation):
                 continue
             for u in self.topology.adj[vid]:
                 self._legit_gone[u] = self._legit_gone.get(u, 0) + 1
-            self._drop_node(vid)
+            self._drop_node(vid, False)
 
 
 def run_with_departure_log(sim: Simulation):
@@ -270,7 +305,7 @@ def test_rejoiners_get_fresh_ids_and_the_offered_grant():
         a = sim.agents[v]
         assert a.joined_at == 1
         assert a.attempts == a.successes == 1
-        assert a.reputation == pytest.approx(0.5)  # the iteration-1 offer
+        assert a.reputation == a.grant == pytest.approx(0.5)  # the iteration-1 offer
         # hosts picked at rejoin may themselves wash later in the same
         # wave, so membership is guaranteed but the edge count is not
         assert v in sim.topology.adj
@@ -295,6 +330,8 @@ def test_arrivals_book_one_count_per_host():
     # node are later arrivals of the same batch that it hosted in turn.
     hosts = [u for v in range(first, sim.topology.next_id) for u in adj[v] if u < v]
     assert sim.topology.next_id - first == 3
+    # Each growth arrival is born holding its grant.
+    assert all(sim.agents[v].reputation == sim.agents[v].grant for v in range(first, first + 3))
     assert sim._arrivals == dict(collections.Counter(hosts))
     assert sum(sim._arrivals.values()) == 3 * 3
 

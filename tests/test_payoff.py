@@ -89,19 +89,6 @@ def test_regime_consistency_enforced():
         payoff.defector_payoff(PayoffParams(z=0.5), 1, ZERO)
 
 
-# ---- allocation --------------------------------------------------------
-
-
-def test_allocation_probability():
-    assert payoff.allocation_probability(1.0, 0.3) == 1.0
-    assert payoff.allocation_probability(0.25, 0.5) == 0.5
-    assert payoff.allocation_probability(0.5, 0.5) == pytest.approx(0.7071067811865476)
-    with pytest.raises(ValueError):
-        payoff.allocation_probability(1.5, 0.5)
-    with pytest.raises(ValueError):
-        payoff.allocation_probability(0.5, 0.0)
-
-
 # ---- payoff ledgers ----------------------------------------------------
 
 
