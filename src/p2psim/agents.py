@@ -59,13 +59,13 @@ def init_population(size: int, r_ini_max: float, rng: np.random.Generator) -> Po
     histories accumulated before the observation window. Draw order: all
     honesties first, then all reputations.
     """
-    honesty = rng.uniform(0.0, 1.0, size)
-    reputation = rng.uniform(0.0, 1.0, size)
-    pop: Population = {}
-    for i in range(size):
-        role = Role.POTENTIAL_WHITEWASHER if honesty[i] < r_ini_max else Role.COOPERATIVE
-        pop[i] = AgentState(i, float(honesty[i]), role, float(reputation[i]))
-    return pop
+    honesty = rng.uniform(0.0, 1.0, size).tolist()
+    reputation = rng.uniform(0.0, 1.0, size).tolist()
+    washer, coop = Role.POTENTIAL_WHITEWASHER, Role.COOPERATIVE
+    return {
+        i: AgentState(i, h, washer if h < r_ini_max else coop, r)
+        for i, (h, r) in enumerate(zip(honesty, reputation))
+    }
 
 
 def attempt_probability(a: AgentState) -> float:

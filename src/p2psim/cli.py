@@ -147,6 +147,9 @@ MAX_GRID_CELLS = 1000
 # Work bound on one simulate or estimator-check command: the node-iterations
 # all its runs project, about 170 times one 8%-growth scale-free run.
 MAX_NODE_ITERATIONS = 10**9
+# Memory bound on one run: the estimator keeps window_n_prime float64 levels
+# per node, 80 MB at this bound, counted at the node count growth projects.
+MAX_WINDOW_CELLS = 10**7
 # Work bound on one game-report: the joint round assignments its exact
 # enumerations visit. kappa 7 (7.0M, about half a second) fits; kappa 8 does not.
 MAX_GAME_ASSIGNMENTS = 10**7
@@ -282,6 +285,19 @@ def _node_iterations(cfg: SimConfig, iterations: int) -> float:
     return cfg.n * (period * full + last - 1)
 
 
+def _check_window(cfg: SimConfig, iterations: int) -> None:
+    """Reject a run whose windows would pass MAX_WINDOW_CELLS: n x
+    window_n_prime, grown by every growth batch of `iterations` steps
+    (compared as logarithms, so no float can overflow). Whitewash rejoins
+    take fresh ids too, which this count leaves out."""
+    growth = iterations // engine.GROWTH_PERIOD * math.log1p(cfg.growth_percent_per_10 / 100)
+    if math.log(cfg.n * cfg.window_n_prime) + growth > math.log(MAX_WINDOW_CELLS):
+        raise ValueError(
+            f"window_n_prime: {cfg.n} nodes x {cfg.window_n_prime} levels, with growth, "
+            f"is more than {MAX_WINDOW_CELLS:.0e} window cells"
+        )
+
+
 def _check_work(node_iterations: float) -> None:
     if node_iterations > MAX_NODE_ITERATIONS:
         raise ValueError(
@@ -304,12 +320,15 @@ def _simulate_plan(grid, seeds, **sim) -> SimulatePlan:
     if problems:
         raise ValueError("; ".join(problems))
     runs = [dataclasses.replace(base, **c) for c in cells] or [base]
+    for cfg in runs:
+        _check_window(cfg, cfg.iterations)
     _check_work(len(seeds) * sum(_node_iterations(cfg, cfg.iterations) for cfg in runs))
     return SimulatePlan(base, cells, seeds)
 
 
 def _estimator_check_plan(injected, **sim) -> EstimatorCheckPlan:
     base = SimConfig(**sim)
+    _check_window(base, engine.GROWTH_PERIOD + 1)
     _check_work(_node_iterations(base, engine.GROWTH_PERIOD + 1))
     return EstimatorCheckPlan(base, injected)
 

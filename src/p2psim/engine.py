@@ -31,19 +31,21 @@ Whether a leaver looks legitimate is one comparison against
 departure alike, and one helper removes a leaver, booking one benign
 departure at each neighbor when it looked legitimate. Whitewash rejoins and
 growth arrivals enter through one helper that wires the node with
-`Topology.attach` and books one arrival at each host. The grant an identity
-was born with is kept on its `AgentState`.
+`Topology.attach` and books one arrival at each host. Both node events,
+`graph.remove_node` and `Topology.attach`, run in one pass over the node's
+edges. The grant an identity was born with is kept on its `AgentState`.
 
 The estimator state of step 2 lives in `estimator.EstimatorArrays`: numpy
 arrays indexed by node id, which only grow because ids are never reused. A
-(capacity, window) ring buffer with one global write slot holds every
-node's recent whitewash levels; it works because a node is swept on every
-step while its window holds a nonzero level. New nodes are primed with the
-ceiling estimate in the slot just before the next write. A dense offer
-array answers probes, and nodes a sweep left out offer the ceiling. Each
-sweep reads one snapshot of the neighbor-degree sums, which is also the
-next sweep's baseline, and the churn sums (arrivals and benign departures
-summed over each node's neighbors). The topology computes all three in one
+ring of `window` slot arrays with one global write slot holds every node's
+recent whitewash levels; it works because a node is swept on every step
+while its window holds a nonzero level. Each window's peak is kept beside
+the ring and counted again only in the rows whose overwritten slot held
+it. New nodes are primed with the ceiling estimate in the slot just before
+the next write. A dense offer array answers probes, and nodes a sweep left
+out offer the ceiling. Each sweep reads one snapshot of the neighbor-degree
+sums, which is also the next sweep's baseline, and the churn sums (arrivals
+and benign departures summed over each node's neighbors). The topology computes all three in one
 pass at the sweep, chaining the neighbor sets of the nodes whose neighbor
 sets changed since the previous sweep; every live churn host is one of
 them, as it gained or lost an edge. Edge events themselves keep no sums.
@@ -174,6 +176,14 @@ class SimConfig:
             problems.append("legit_departure_prob: must be in [0, 1]")
         if self.newcomer_window < NEWCOMER_MIN_TENURE:
             problems.append(f"newcomer_window: must be >= {NEWCOMER_MIN_TENURE}")
+        # What the chosen generator needs to build the overlay at all.
+        if self.topology == "scale_free" and self.n <= self.attach_edges:
+            problems.append("n: a scale-free overlay needs n > attach_edges")
+        if self.topology == "regular":
+            if self.degree >= self.n:
+                problems.append("degree: a regular overlay needs degree < n")
+            if self.n * self.degree % 2:
+                problems.append("n * degree: must be even for a regular overlay")
         if problems:
             raise ValueError("invalid config: " + "; ".join(problems))
 

@@ -11,7 +11,8 @@ back to the most generous offer.
 departure and a potential whitewasher. The simulation's per-iteration sweep
 runs on `EstimatorArrays`, the only implementation of the window peak and
 the whitewash level; `tests/oracles.py` states the same rules one node at a
-time and checks the kernel against them.
+time and checks the kernel against them. The kernel keeps each window's
+peak and recounts it only where the slot it overwrites held it.
 """
 
 from __future__ import annotations
@@ -73,12 +74,20 @@ class EstimatorArrays:
     doubles them when an id outruns them) and a removed node's row is
     simply never read again.
 
-    The sliding windows share one ring buffer of shape (capacity, window)
-    and one global write slot. A node is swept on every step while its
-    window holds a nonzero level; a node left out of a sweep has an all-zero
-    window, so skipping it is the same as pushing the zero it would see. A
-    new node is primed in the slot just before the next write, so the prime
-    ages out after exactly `window` pushes.
+    The sliding windows share one ring of `window` slot arrays, each
+    indexed by node id, and one global write slot. A node is swept on every
+    step while its window holds a nonzero level, that is while its peak is
+    positive, and whenever it sees churn; a node left out of a sweep
+    has an all-zero window, so skipping it is the same as pushing the zero
+    it would see (except that a shrinking overlay gives a swept node with no
+    churn a positive level; see ROADMAP item 6). A new node is primed in the
+    slot just before the next write, so the prime ages out after exactly
+    `window` pushes.
+
+    Each window's peak is kept beside the ring. A sweep raises it to
+    max(peak, level), and counts it again over every slot only in the rows
+    whose overwritten slot held the peak and got a lower level. max is
+    exact, so the kept peak of every live node is its row max bit for bit.
 
     `offers` is dense: after a sweep, nodes it left out offer the ceiling
     estimate, and a node added since offers the ceiling it was primed with.
@@ -93,10 +102,10 @@ class EstimatorArrays:
             raise ValueError("window must be >= 1")
         size = len(ndsum)
         self.window = window
-        self._w = np.zeros((size, window))
-        self._w[ids, window - 1] = r_est
-        self._active = np.zeros(size, dtype=bool)
-        self._active[ids] = r_est > 0
+        self._ring = [np.zeros(size) for _ in range(window)]
+        self._ring[window - 1][ids] = r_est
+        self._peak = np.zeros(size)
+        self._peak[ids] = max(r_est, 0.0)
         self.offers = np.full(size, r_est)
         self._prev_ndsum = ndsum
         self._slot = 0
@@ -105,22 +114,28 @@ class EstimatorArrays:
 
     @property
     def capacity(self) -> int:
-        return len(self._active)
+        return len(self._peak)
 
     def prime(self, vid: NodeId, r_est: float) -> None:
-        """Start a new node's window at the ceiling estimate."""
+        """Start a new node's window at the ceiling estimate. `vid` is a new
+        id: its window has never been written, so the prime is its peak."""
         if vid >= self.capacity:
-            for name in ("_w", "_active", "offers", "_prev_ndsum"):
+            # One slot at a time, so each old slot is freed before the next
+            # one grows.
+            for k, column in enumerate(self._ring):
+                self._ring[k] = grown(column, vid + 1)
+            for name in ("_peak", "offers", "_prev_ndsum"):
                 setattr(self, name, grown(getattr(self, name), vid + 1))
-        self._w[vid, (self._slot - 1) % self.window] = r_est
-        self._active[vid] = r_est > 0
+        self._ring[(self._slot - 1) % self.window][vid] = r_est
+        self._peak[vid] = max(r_est, 0.0)
         self.offers[vid] = r_est
 
     def retire(self, vid: NodeId) -> None:
-        """Stop sweeping a removed node. Its last offer stays readable until
-        the next sweep, as a probe drawn before the removal may still land
-        on it."""
-        self._active[vid] = False
+        """Stop sweeping a removed node: its peak drops to zero, and a
+        removed node sees no churn, so no sweep reaches its row again. Its
+        last offer stays readable until the next sweep, as a probe drawn
+        before the removal may still land on it."""
+        self._peak[vid] = 0.0
 
     @property
     def last_sweep(self) -> Mapping[NodeId, float]:
@@ -148,33 +163,54 @@ class EstimatorArrays:
         sweep's neighbor-degree sum. Returns the number of nodes swept and
         the sums of their levels, window peaks and offers.
         """
-        ids = np.flatnonzero(self._active | (gained > 0) | (lost > 0))
+        ids = np.flatnonzero((self._peak > 0) | (gained > 0) | (lost > 0))
         den = ndsum[ids]
-        num = gained[ids] - coef * self._prev_ndsum[ids] - lost[ids]
-        w = np.zeros(len(ids))
-        seen = den > 0
-        w[seen] = np.minimum(np.maximum(num[seen] / den[seen], 0.0), 1.0)
+        num = gained[ids] - coef * self._prev_ndsum[ids]
+        num -= lost[ids]
+        w = np.divide(num, den, out=np.zeros(len(ids)), where=den > 0)
+        np.maximum(w, 0.0, out=w)
+        np.minimum(w, 1.0, out=w)
 
-        self._w[ids, self._slot % self.window] = w
+        column = self._ring[self._slot % self.window]
         self._slot += 1
-        # Column by column: numpy reduces a short row axis slowly.
-        wmax = self._w[ids, 0]
-        for k in range(1, self.window):
-            np.maximum(wmax, self._w[ids, k], out=wmax)
-        self._active[ids] = wmax > 0
+        evicted = column[ids]
+        column[ids] = w
+        # The peak can only fall where the overwritten slot held it.
+        peak = self._peak[ids]
+        fallen = np.flatnonzero((evicted == peak) & (w < peak))
+        np.maximum(peak, w, out=peak)
+        if len(fallen):
+            rows = ids[fallen]
+            top = self._ring[0][rows]
+            for other in self._ring[1:]:
+                np.maximum(top, other[rows], out=top)
+            peak[fallen] = top
+        self._peak[ids] = peak
 
-        offers = np.full(len(ids), r_est)
         hot = np.flatnonzero(w > 0)
+        w_hot = w[hot]
         # Many nodes share a ratio (an untouched regular neighborhood sees
         # the same level and peak as the next), and offer_curve is pure.
-        ratios, where = np.unique(np.minimum(w[hot] / wmax[hot], 1.0), return_inverse=True)
+        ratios = np.minimum(w_hot / peak[hot], 1.0)
+        # The sorted distinct ratios, found by hand: np.unique would import
+        # numpy.ma for its masked-array check, half a MiB of resident code.
+        distinct = np.sort(ratios)
+        first = np.ones(len(distinct), dtype=bool)
+        np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
+        distinct = distinct[first]
         curve = list(
-            map(offer_curve, ratios.tolist(), itertools.repeat(r_est), itertools.repeat(r_min))
+            map(offer_curve, distinct.tolist(), itertools.repeat(r_est), itertools.repeat(r_min))
         )
-        offers[hot] = np.array(curve, dtype=float)[where]
         self.offers.fill(r_est)
-        self.offers[ids] = offers
+        self.offers[ids[hot]] = np.array(curve, dtype=float)[np.searchsorted(distinct, ratios)]
 
         self._prev_ndsum = ndsum
         self._swept, self._swept_w = ids, w
-        return len(ids), _ordered_sum(w), _ordered_sum(wmax), _ordered_sum(offers)
+        # w holds no -0.0, and adding +0.0 leaves any other float as it is,
+        # so the level sum can skip the zero levels.
+        return (
+            len(ids),
+            _ordered_sum(w_hot),
+            _ordered_sum(peak),
+            _ordered_sum(self.offers[ids]),
+        )

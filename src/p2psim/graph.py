@@ -3,8 +3,13 @@
 Node ids are monotonically increasing and never reused, so identity churn
 (a node leaving and rejoining) is visible in the id space, `adj` iterates
 in ascending id order, and an array indexed by node id only ever grows
-(`grown`). Edge events only mutate the neighbor sets and mark the nodes
-whose sets changed. Once per sweep, one pass over the marked nodes'
+(`grown`). A node event is one pass over the node's edges: `Topology.attach`
+wires a new node to all its hosts and `remove_node` unhooks one from all its
+neighbors, each in one loop, leaving the state that `add_node`, `add_edge`
+and `remove_edge` one edge at a time would leave (the tests replay them as
+the oracle). `Topology.from_edges` builds a whole overlay the same way.
+Edge events only mutate the neighbor sets, the attachment pool and its
+counters, and mark the nodes whose sets changed. Once per sweep, one pass over the marked nodes'
 neighbor sets brings the dense neighbor-degree snapshot up to date and
 sums the estimator's churn counts over the same chain (see
 `Topology.neighbor_degree_array`). A single node's neighbor-degree sum is
@@ -117,7 +122,9 @@ class Topology:
         gone = list(touched.difference(adj))
         live_degs = np.fromiter((len(adj[v]) for v in live), np.int64, len(live))
         nbrs = np.fromiter(
-            itertools.chain.from_iterable(adj[v] for v in live), np.int64, int(live_degs.sum())
+            itertools.chain.from_iterable(map(adj.__getitem__, live)),
+            np.int64,
+            int(live_degs.sum()),
         )
         ids = np.array(live, dtype=np.int64)
         # A removed node's neighbors all lost an edge to it, so every node
@@ -131,7 +138,10 @@ class Topology:
         sums = [
             np.bincount(
                 nbrs,
-                np.repeat(np.array([counts.get(v, 0) for v in live], dtype=float), live_degs),
+                np.repeat(
+                    np.fromiter(map(counts.get, live, itertools.repeat(0)), float, len(live)),
+                    live_degs,
+                ),
                 minlength=size,
             )
             for counts in churn
@@ -193,11 +203,26 @@ class Topology:
 
     def attach(self, count: int, rng: np.random.Generator) -> tuple[NodeId, list[NodeId]]:
         """Add a node wired to `count` distinct hosts drawn by degree. Returns
-        the new id and its hosts in draw order."""
+        the new id and its hosts in draw order. Same end state as
+        `add_node` and then `add_edge(v, u)` for each host in draw order."""
         targets = self.sample_attachment_targets(count, rng)
-        v = self.add_node()
+        v = self.next_id
+        self.next_id += 1
+        adj, pool, copies = self.adj, self._pool, self._pool_copies
+        adj[v] = set(targets)
+        copies[v] = len(targets)
+        isolated = 0 if targets else 1  # v, until its first edge
         for u in targets:
-            self.add_edge(v, u)
+            au = adj[u]
+            isolated -= not au
+            au.add(v)
+            pool += (v, u)
+            copies[u] += 1
+        self.isolated_count += isolated
+        self.edge_count += len(targets)
+        if targets:
+            self._touched.update(targets)
+            self._touched.add(v)
         return v, targets
 
     def sample_attachment_targets(self, count: int, rng: np.random.Generator) -> list[NodeId]:
@@ -205,34 +230,54 @@ class Topology:
         to current degree. If fewer than `count` nodes have edges (none at
         all in an edgeless graph), all of those are drawn that way and the
         rest come uniformly from the isolated nodes."""
-        if not self.adj:
+        adj = self.adj
+        if not adj:
             raise InvalidParameterError("no attachment targets available")
-        count = min(count, len(self.adj))
+        count = min(count, len(adj))
         if self._pool and self._pool_stale > _POOL_STALE_LIMIT * len(self._pool):
             self._rebuild_pool()
+        pool, copies, neighbors = self._pool, self._pool_copies, adj.get
+        integers, random, size = rng.integers, rng.random, len(pool)
         chosen: list[NodeId] = []
-        picked: set[NodeId] = set()
-        linked = len(self.adj) - self.isolated_count
-        while len(chosen) < min(count, linked):
-            v = self._pool[int(rng.integers(len(self._pool)))]
-            if v in picked:
+        wanted = min(count, len(adj) - self.isolated_count)
+        while len(chosen) < wanted:
+            v = pool[int(integers(size))]
+            if v in chosen:  # at most `count` long
                 continue
-            nbrs = self.adj.get(v)
+            nbrs = neighbors(v)
             if nbrs is None:
                 continue  # stale entry for a removed node
             d = len(nbrs)
-            copies = self._pool_copies[v]
             if d == 0:
                 continue
-            if d < copies and rng.random() >= d / copies:
+            c = copies[v]
+            if d < c and random() >= d / c:
                 continue  # stale excess copies: thin back to the true degree
             chosen.append(v)
-            picked.add(v)
         if len(chosen) < count:
-            isolated = [v for v, nbrs in self.adj.items() if not nbrs]
+            isolated = [v for v, nbrs in adj.items() if not nbrs]
             order = rng.permutation(len(isolated))
             chosen += [isolated[i] for i in order[: count - len(chosen)]]
         return chosen
+
+    @classmethod
+    def from_edges(cls, n: int, edges) -> Topology:
+        """Nodes 0..n-1 wired by `edges`, distinct (u, v) pairs without
+        self-loops. Same end state as `n` calls to `add_node` and then
+        `add_edge(u, v)` for each pair in order."""
+        t = cls()
+        adj = t.adj = {v: set() for v in range(n)}
+        pool = t._pool
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+            pool += (u, v)
+        t.next_id = n
+        t.edge_count = len(pool) // 2
+        t._pool_copies = {v: len(nbrs) for v, nbrs in adj.items()}
+        t._touched = {v for v, nbrs in adj.items() if nbrs}
+        t.isolated_count = n - len(t._touched)
+        return t
 
 
 # ---- generators ------------------------------------------------------
@@ -291,12 +336,7 @@ def generate_regular(n: int, degree: int, seed) -> Topology:
     for _ in range(_PAIRING_RETRY_CAP):
         edges = _try_pairing(n, degree, rng)
         if edges is not None:
-            t = Topology()
-            for _ in range(n):
-                t.add_node()
-            for u, v in sorted(edges):
-                t.add_edge(u, v)
-            return t
+            return Topology.from_edges(n, sorted(edges))
     raise InfeasibleParametersError(
         f"pairing model failed {_PAIRING_RETRY_CAP} times for n={n}, degree={degree}"
     )
@@ -317,12 +357,22 @@ def grow(t: Topology, new_nodes: int, attach_edges: int, seed) -> list[NodeId]:
 
 
 def remove_node(t: Topology, v: NodeId) -> None:
-    if v not in t.adj:
+    """Remove `v` and every edge it had. Same end state as `remove_edge` on
+    each of its edges and then dropping the node, whose pool copies count
+    as stale once more (see ROADMAP item 6)."""
+    adj = t.adj
+    nbrs = adj.pop(v, None)
+    if nbrs is None:
         raise UnknownNodeError(v)
-    for u in sorted(t.adj[v]):
-        t.remove_edge(v, u)
-    stale = t._pool_copies.pop(v, 0)
-    t._pool_stale += stale
-    t.isolated_count -= 1
-    del t.adj[v]
+    emptied = 0
+    for u in nbrs:
+        au = adj[u]
+        au.discard(v)
+        emptied += not au
+    # A node with edges ends isolated by its last removal, which dropping it
+    # takes back; one without edges was isolated all along.
+    t.isolated_count += emptied - (not nbrs)
+    t.edge_count -= len(nbrs)
+    t._pool_stale += 2 * len(nbrs) + t._pool_copies.pop(v, 0)
+    t._touched.update(nbrs)
     t._touched.add(v)

@@ -11,6 +11,12 @@ and the crossover search (`crossover_round`) are kept here as the scalar
 loops and the block scan that the shipped array kernels and affine solve
 must match bit for bit.
 
+The topology's node events (`Topology.attach`, `graph.remove_node`,
+`Topology.from_edges`) each wire or unhook a whole node in one pass. The
+per-edge replays below (`attach_by_edges`, `remove_node_by_edges`,
+`topology_by_edges`) reach the same end state through the per-edge
+primitives `add_node`, `add_edge` and `remove_edge`.
+
 `read_records_csv` parses a `simulate` CSV back into records, for the
 round-trip tests of the CLI's writer.
 """
@@ -29,7 +35,7 @@ from p2psim.cli import CSV_HEADER
 from p2psim.engine import IterationRecord
 from p2psim.estimator import offer_curve
 from p2psim.game import GameSpec, MixedProfile
-from p2psim.graph import NodeId
+from p2psim.graph import NodeId, Topology
 from p2psim.payoff import (
     DEFAULT_CROSSOVER_CAP,
     CrossoverCapExceeded,
@@ -135,6 +141,39 @@ def initial_reputation(st: EstimatorState, w: float) -> float:
     ratio = 0.0 if st.w_max <= 0 else min(w / st.w_max, 1.0)
     st.current_offer = offer_curve(ratio, st.r_ini_max, st.r_ini_min)
     return st.current_offer
+
+
+def attach_by_edges(t: Topology, count: int, rng: np.random.Generator):
+    """`Topology.attach` one edge at a time: the same draws, then a new
+    node and one `add_edge` per host in draw order."""
+    targets = t.sample_attachment_targets(count, rng)
+    v = t.add_node()
+    for u in targets:
+        t.add_edge(v, u)
+    return v, targets
+
+
+def remove_node_by_edges(t: Topology, v: NodeId) -> None:
+    """`graph.remove_node` one edge at a time, ascending neighbor ids first.
+    `remove_edge` marks both ends of each edge stale, and the node's pool
+    copies are then counted as stale once more."""
+    for u in sorted(t.adj[v]):
+        t.remove_edge(v, u)
+    t._pool_stale += t._pool_copies.pop(v, 0)
+    t.isolated_count -= 1
+    del t.adj[v]
+    t._touched.add(v)
+
+
+def topology_by_edges(n: int, edges) -> Topology:
+    """`Topology.from_edges` one call at a time: `n` nodes, then one
+    `add_edge` per pair in order."""
+    t = Topology()
+    for _ in range(n):
+        t.add_node()
+    for u, v in edges:
+        t.add_edge(u, v)
+    return t
 
 
 def read_records_csv(path: Path) -> list[IterationRecord]:

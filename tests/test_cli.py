@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -243,6 +245,12 @@ BAD_CONFIGS = [
         ("simulate", '{"grid": {"n": [200000, 300000, 600000]}, "iterations": 1000}'),
         ("estimator-check", '{"n": 100000000}'),
         ("estimator-check", '{"growth_percent_per_10": 1e300}'),
+        ("simulate", '{"n": 2, "attach_edges": 1, "iterations": 500000001}'),
+        ("simulate", '{"window_n_prime": 1000000}'),
+        ("simulate", '{"n": 3, "iterations": 1}'),
+        ("simulate", '{"topology": "regular", "n": 5, "degree": 3}'),
+        ("simulate", '{"topology": "regular", "n": 4, "degree": 4}'),
+        ("estimator-check", '{"topology": "regular", "n": 7, "degree": 3}'),
     ]
 ] + [
     pytest.param("payoff-sweep", json.dumps({"x": [0.5] * 11, "r_ini": [0.1] * 31}),
@@ -270,11 +278,13 @@ def test_wrong_typed_simulate_values_are_config_errors(tmp_path, capsys, command
 
 def test_work_bound_projects_growth_per_period(tmp_path):
     for n, growth, iterations in [(1000, 8.0, 500), (7, 2.0, 23), (5, 0.0, 9), (2, 50.0, 10)]:
-        cfg = SimConfig(n=n, growth_percent_per_10=growth, iterations=iterations)
+        cfg = SimConfig(n=n, attach_edges=1, growth_percent_per_10=growth, iterations=iterations)
         expected = sum(n * (1 + growth / 100) ** (k // 10) for k in range(1, iterations + 1))
         assert cli._node_iterations(cfg, iterations) == pytest.approx(expected, rel=1e-12)
     # Exactly at the bound is still accepted.
-    plan = cli.parse_config(write_config(tmp_path, {"n": 2, "iterations": 500_000_000}))
+    plan = cli.parse_config(
+        write_config(tmp_path, {"n": 2, "attach_edges": 1, "iterations": 500_000_000})
+    )
     assert plan.base.iterations == 500_000_000
 
 
@@ -295,6 +305,67 @@ def test_analytics_work_bounds_accept_every_sample_config(tmp_path):
         command = {"timing_game": "game-report", "payoff_sweep": "payoff-sweep"}.get(path.stem)
         if command:
             cli.parse_config(path, command)
+
+
+def test_window_budget_accepts_every_sample_config(tmp_path):
+    # The largest windows today are sf-grow8's: 1,000 nodes grown by 8%
+    # every ten steps for 500 steps, with the default window of 10, about
+    # 4.7 x 10^5 cells at the end.
+    root = Path(__file__).parent.parent
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = [
+        ("simulate", c) for table in (workloads.SIMULATIONS, workloads.SMOKE_SIMULATIONS)
+        for c in table.values()
+    ] + [
+        (command, c) for command, c in workloads.ANALYTICS + workloads.SMOKE_ANALYTICS
+        if command == "estimator-check"
+    ] + [("simulate", {"grid": {"n": [10**6], "window_n_prime": [10]}, "iterations": 1})]
+    for command, config in configs:
+        cli.parse_config(write_config(tmp_path, config), command)
+    for path in sorted(root.joinpath("demos", "configs").glob("*.json")):
+        command = {"reference_grid": "simulate", "baseline": "simulate",
+                   "estimator_check": "estimator-check"}.get(path.stem)
+        if command:
+            cli.parse_config(path, command)
+    cells = SimConfig(n=10**6).n * SimConfig().window_n_prime
+    assert cells == cli.MAX_WINDOW_CELLS  # exactly at the bound is accepted
+
+
+def test_window_budget_counts_growth_and_every_run(tmp_path):
+    # Parsed only: were the bound to slip, the CLI would go on to run these.
+    for command, config in [
+        ("simulate", {"n": 10**6, "growth_percent_per_10": 1, "iterations": 10}),
+        ("simulate", {"n": 100000, "window_n_prime": 100, "growth_percent_per_10": 8,
+                      "iterations": 560}),  # ~7.4M nodes at the end: 5.5 GiB of windows
+        ("simulate", {"grid": {"window_n_prime": [10, 20000]}}),
+        ("estimator-check", {"window_n_prime": 1000000}),
+        ("estimator-check", {"n": 10**6, "growth_percent_per_10": 1}),
+    ]:
+        with pytest.raises(ConfigError, match="window_n_prime"):
+            cli.parse_config(write_config(tmp_path, config), command)
+    # At the bound, a run that stops before its first growth batch fits.
+    cli.parse_config(
+        write_config(tmp_path, {"n": 10**6, "growth_percent_per_10": 1, "iterations": 9})
+    )
+
+
+def test_infeasible_overlays_name_the_generator_rule():
+    for kwargs, clause in [
+        ({"n": 3}, "n: a scale-free overlay needs n > attach_edges"),
+        ({"n": 4, "attach_edges": 4}, "n: a scale-free overlay"),
+        ({"topology": "regular", "n": 5, "degree": 3}, "n * degree: must be even"),
+        ({"topology": "regular", "n": 4, "degree": 4}, "degree: a regular overlay needs degree < n"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(clause)):
+            SimConfig(**kwargs)
+    # The smallest overlays each generator can build are still accepted, and
+    # each rule applies to its own generator only.
+    for kwargs in [{"n": 4}, {"topology": "regular", "n": 3, "degree": 2},
+                   {"topology": "regular", "n": 2, "degree": 1, "attach_edges": 5},
+                   {"n": 5, "degree": 7}]:
+        assert engine.run(SimConfig(iterations=2, **kwargs))
 
 
 def test_game_report_computes_the_residual_once(tmp_path, monkeypatch):

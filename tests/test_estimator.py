@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from oracles import (
     NeighborhoodObservation,
 )
 from p2psim import estimator, graph, payoff
+from p2psim.agents import Role
 from p2psim.engine import SimConfig, Simulation
 from p2psim.estimator import EstimatorArrays
 
@@ -171,6 +173,11 @@ def test_offer_curve_squares_with_float_power():
 # ---- array sweep against the scalar oracle --------------------------------
 
 
+def window_rows(est: EstimatorArrays) -> np.ndarray:
+    """Every node's window as one row, in ring-slot order."""
+    return np.column_stack(est._ring)
+
+
 def test_estimator_arrays_match_scalar_oracle():
     # Seeded random churn on a graph that grows and shrinks between sweeps.
     # After every sweep each live node's window peak and offer must equal a
@@ -212,6 +219,7 @@ def test_estimator_arrays_match_scalar_oracle():
         )
         levels = est.last_sweep
         assert swept == len(levels)
+        windows = window_rows(est)
         sums = [0.0, 0.0, 0.0]
         for v in sorted(oracle):
             st = oracle[v]
@@ -222,7 +230,7 @@ def test_estimator_arrays_match_scalar_oracle():
             elif was_quiet and w > 0:
                 quiet_then_busy += 1
             peak = oracles.update_w_max(st, w)
-            assert est._w[v].max() == peak
+            assert windows[v].max() == est._peak[v] == peak
             st.r_ini_max = r_est
             assert est.offers[v] == oracles.initial_reputation(st, w)
             if v in levels:
@@ -263,6 +271,107 @@ def test_shared_ratios_get_the_offer_curve_of_each_node():
     for v, offer in enumerate(expected):
         assert est.offers[v] == offer, (v, levels[v])
     assert offer_sum == sum(expected)
+
+
+def test_incremental_peak_is_the_row_max():
+    # The sweep keeps each node's window peak and counts a row again only
+    # when its overwritten slot held the peak. Levels on a coarse grid make
+    # every tie common: the overwritten slot equal to the new level, and the
+    # peak held in two slots when one of them is overwritten. After every
+    # sweep each live node's kept peak must equal the full row max, a removed
+    # node's peak must be zero, the sweep must take exactly the nodes whose
+    # window held a level or that saw churn, and the returned sums must add
+    # the levels and the row maxima in ascending-id order. New nodes are
+    # primed at whatever slot the ring has reached, and one window is a
+    # single slot.
+    grid = [0.0, 0.25, 0.5, 1.0]
+    seen = collections.Counter()
+    for window in (1, 2, 3, 5):
+        rng = np.random.default_rng(window)
+        est = EstimatorArrays(window, np.arange(30), 0.5, np.ones(30, dtype=np.int64))
+        live, retired, next_id = list(range(30)), [], 30
+        for step in range(60):
+            if step % 4 == 3:
+                r_est = grid[int(rng.integers(1, 4))]
+                est.prime(next_id, r_est)
+                seen["primed mid-window"] += est._slot % window != 0
+                live.append(next_id)
+                next_id += 1
+            if step % 5 == 4:
+                retired.append(live.pop(int(rng.integers(len(live)))))
+                est.retire(retired[-1])
+                seen["retired"] += 1
+            size = est.capacity
+            gained = np.zeros(size)
+            for v in rng.choice(live, size=len(live) // 2, replace=False).tolist():
+                gained[v] = grid[int(rng.integers(4))]
+            before, slot = window_rows(est), est._slot % window
+            due = {v for v in live if before[v].max() > 0} | set(np.flatnonzero(gained).tolist())
+            swept, w_sum, wmax_sum, _ = est.sweep(
+                np.ones(size, dtype=np.int64), gained, np.zeros(size), 0.0, 0.5, 0.03
+            )
+            ids = np.array(list(est.last_sweep), dtype=np.int64)
+            levels = np.array([est.last_sweep[v] for v in ids.tolist()])
+            evicted, old_peak = before[ids, slot], before[ids].max(axis=1)
+            held_twice = (before[ids] == old_peak[:, None]).sum(axis=1) > 1
+            seen["evicted equals level"] += int(((evicted == levels) & (levels > 0)).sum())
+            seen["peak evicted, held twice"] += int(
+                ((evicted == old_peak) & (levels < old_peak) & held_twice).sum()
+            )
+            seen["peak evicted, fell"] += int(
+                ((evicted == old_peak) & (levels < old_peak) & ~held_twice).sum()
+            )
+            seen["window of one"] += window == 1
+            row_max = window_rows(est).max(axis=1)
+            np.testing.assert_array_equal(est._peak[live], row_max[live], err_msg=f"window {window}")
+            assert not est._peak[retired].any()
+            assert ids.tolist() == sorted(due) and swept == len(ids)
+            assert w_sum == sum(levels.tolist())
+            assert wmax_sum == sum(row_max[ids].tolist())
+    assert len(seen) == 6 and min(seen.values()) > 0, seen
+
+
+def test_shrink_correction_depends_on_sweep_membership():
+    # Evidence, not a rule: this pins today's values. When the overlay
+    # shrinks, the growth coefficient is negative, so a node with no churn
+    # that is still swept (its window holds a level) gets the level
+    # -coef * prev / den > 0, while a node in the same position whose window
+    # is all zero is left out of the sweep and gets 0. Skipping a quiet
+    # node is then not the same as pushing the level it would see. Fixing
+    # this moves recorded digests (ROADMAP item 6).
+    sim = Simulation(SimConfig(topology="regular", n=200, degree=6, iterations=0, seed=0))
+    sim.auto_whitewash = False
+    t, est = sim.topology, sim._est
+    for _ in range(12):
+        sim.step()
+    assert not est._peak[list(t.adj)].any()  # the primes have aged out
+    washer = min(v for v, a in sim.agents.items() if a.role is Role.POTENTIAL_WHITEWASHER)
+    sim.force_whitewash(washer)
+    for _ in range(4):  # the rejoin's neighborhood keeps a level in its window
+        sim.step()
+    active = {v for v in t.adj if est._peak[v] > 0}
+    assert len(active) == 19
+    # One benign departure out of reach of every active node.
+    leaver = next(
+        v for v in sorted(t.adj)
+        if v not in active and not any(t.adj[u] & active or u in active for u in t.adj[v])
+    )
+    prev = est._prev_ndsum.copy()
+    sim._drop_node(leaver, True)
+    coef = (199.0 / 200.0 - 1.0) * sim.cfg.attach_edges / (2.0 * t.edge_count / 199.0)
+    sim.step()
+    levels = sim.last_w_sweep
+    quiet = [v for v in t.adj if prev[v] == t.neighbor_degree_sum(v)]
+    busy = [v for v in quiet if v in levels and levels[v] > 0]
+    left_out = [v for v in quiet if v not in levels]
+    assert sorted(busy) == sorted(active)
+    for v in busy:
+        assert levels[v] == (0.0 - coef * prev[v]) / prev[v] == 0.0025253807106599005
+        assert est.offers[v] < sim.r_est
+    assert len(left_out) == 145
+    assert sum(1 for v in t.adj if v not in levels) == 151
+    for v in left_out:
+        assert est.offers[v] == sim.r_est
 
 
 # ---- offer floor calibration ----------------------------------------------

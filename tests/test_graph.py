@@ -5,6 +5,7 @@ import collections
 import numpy as np
 import pytest
 
+import oracles
 from p2psim import graph
 from p2psim.graph import (
     InfeasibleParametersError,
@@ -327,3 +328,86 @@ def test_adj_iterates_in_ascending_id_order():
                 graph.grow(t, int(rng.integers(1, 6)), 2, seed=rng)
             assert list(t.adj) == sorted(t.adj), step
 
+
+# ---- one-pass node events against the per-edge primitives -------------------
+
+
+def topology_state(t: Topology) -> dict:
+    """Everything a node event writes, neighbor-set iteration order included."""
+    return {
+        "adj": [(v, list(nbrs)) for v, nbrs in t.adj.items()],
+        "pool": t._pool,
+        "pool_copies": t._pool_copies,
+        "pool_stale": t._pool_stale,
+        "isolated_count": t.isolated_count,
+        "edge_count": t.edge_count,
+        "touched": t._touched,
+        "next_id": t.next_id,
+    }
+
+
+def assert_same_topology(got: Topology, want: Topology, where="") -> None:
+    a, b = topology_state(got), topology_state(want)
+    for key in a:
+        assert a[key] == b[key], f"{key} differs {where}"
+
+
+def test_attach_and_remove_node_match_the_per_edge_primitives():
+    # Seeded churn on a scale-free overlay with hubs, replayed on a second
+    # build through add_node/add_edge/remove_edge. The churn removes hubs and
+    # random nodes, attaches with 0 to 5 hosts (an edgeless node, and more
+    # hosts than there are linked nodes once the overlay is small), and
+    # removes a node right after it attached. Both sides draw from
+    # generators in the same state, so the sampler's pool rebuilds land at
+    # the same draws.
+    control = np.random.default_rng(31)
+    for seed in range(4):
+        # Two builds rather than a deep copy, which would rebuild the sets.
+        bulk, oracle = (graph.generate_scale_free(40, 3, seed=seed) for _ in range(2))
+        rng_bulk, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        kinds = collections.Counter()
+
+        def remove(v, kind):
+            graph.remove_node(bulk, v)
+            oracles.remove_node_by_edges(oracle, v)
+            kinds[kind] += 1
+
+        for step in range(300):
+            # The last third removes more than it adds, down to a few nodes.
+            op = int(control.integers(6)) - 2 * (step >= 200)
+            if op <= 1 and bulk.node_count > 3:
+                remove(max(bulk.adj, key=lambda v: (len(bulk.adj[v]), v)), "hub")
+            elif op == 2 and bulk.node_count > 3:
+                remove(sorted(bulk.adj)[int(control.integers(bulk.node_count))], "any")
+            else:
+                count = int(control.integers(6))
+                kinds["edgeless"] += count == 0
+                kinds["short"] += count > bulk.node_count - bulk.isolated_count
+                pool_before = len(bulk._pool)
+                got = bulk.attach(count, rng_bulk)
+                assert got == oracles.attach_by_edges(oracle, count, rng_oracle)
+                kinds["attach"] += 1
+                kinds["rebuild"] += len(bulk._pool) < pool_before
+                if op == 5:
+                    remove(got[0], "just attached")
+            kinds["isolated"] += bulk.isolated_count > 0
+            assert_same_topology(bulk, oracle, f"at seed {seed}, step {step}")
+        assert rng_bulk.bit_generator.state == rng_oracle.bit_generator.state
+        assert min(kinds.values()) > 0, kinds
+
+
+def test_from_edges_matches_the_per_edge_build():
+    # generate_regular builds through from_edges; the per-edge build of the
+    # same sorted pairs must leave the same state.
+    for n, degree, seed in [(10, 3, 0), (100, 4, 5), (1000, 6, 2)]:
+        t = graph.generate_regular(n, degree, seed)
+        edges = sorted((u, v) for u in t.adj for v in t.adj[u] if u < v)
+        assert_same_topology(t, oracles.topology_by_edges(n, edges), f"at n={n}")
+    # Unsorted pairs, isolated nodes and an empty graph.
+    rng = np.random.default_rng(4)
+    pairs = {tuple(sorted(rng.choice(30, 2, replace=False).tolist())) for _ in range(40)}
+    edges = [p[::-1] if i % 3 else p for i, p in enumerate(sorted(pairs, key=lambda p: -p[1]))]
+    for n, es in [(40, edges), (5, [])]:
+        t = Topology.from_edges(n, es)
+        assert_same_topology(t, oracles.topology_by_edges(n, es), f"at n={n}")
+        assert t.isolated_count == sum(1 for nbrs in t.adj.values() if not nbrs)
