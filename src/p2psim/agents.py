@@ -15,8 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
+from .draws import Draws
 from .graph import NodeId
 
 
@@ -50,7 +49,7 @@ class AgentState:
 Population = dict[NodeId, AgentState]
 
 
-def init_population(size: int, r_ini_max: float, rng: np.random.Generator) -> Population:
+def init_population(size: int, r_ini_max: float, rng: Draws) -> Population:
     """Create `size` agents on node ids 0..size-1.
 
     Honesty is i.i.d. Uniform[0,1]; an agent is a potential whitewasher iff
@@ -77,7 +76,7 @@ def attempt_probability(a: AgentState) -> float:
 
 
 def decide_whitewash(
-    a: AgentState, offered_r_ini: float, rng: np.random.Generator
+    a: AgentState, offered_r_ini: float, rng: Draws
 ) -> WhitewashOutcome:
     """Let a potential whitewasher decide whether to reset its identity.
 

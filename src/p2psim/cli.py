@@ -59,7 +59,9 @@ class ConfigError(ValueError):
 # Every command reads its keys through one table of Specs. The same rules
 # hold for every key of every command and every grid cell: a bool, NaN, an
 # infinity, a value of the wrong kind or an empty list is rejected; a float
-# with an integral value is read as an int where an int is wanted. A number
+# with an integral value below 2**53 in magnitude is read as an int where an
+# int is wanted (past 2**53 a float need not be the integer it was written
+# as: 1e30 reads as 1000000000000000019884624838656). A number
 # outside its Spec's interval is rejected. Rules that a library object
 # enforces (SimConfig's ranges, GameSpec's) stay there: its ValueError
 # becomes one clause of the ConfigError.
@@ -169,7 +171,7 @@ def _inside(value, interval: str) -> bool:
 def _read_one(name: str, spec: Spec, value):
     kind = spec.kind
     if kind is int:
-        if isinstance(value, float) and value.is_integer():
+        if isinstance(value, float) and value.is_integer() and abs(value) < 2**53:
             value = int(value)
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name}: must be an integer, got {value!r}")

@@ -1,0 +1,159 @@
+"""One home for every random draw of a run, replayed from raw PCG64 words.
+
+A run makes a few hundred thousand scalar draws (a host index, a probe
+target, an attempt coin), and numpy's `Generator` spends more time on the
+call than on the draw. `Draws` wraps the run's `Generator` and computes the
+same values in Python from raw 64-bit words, which it reads ahead in chunks
+with `random_raw` from a clone of the bit generator (PCG64; O'Neill 2014):
+
+- `random()` is `(word >> 11) * 2**-53`;
+- `uniform(lo, hi)` is `lo + (hi - lo) * random()`;
+- `integers(n)` for 1 <= n <= 2**32 is Lemire's bounded draw (Lemire 2019,
+  "Fast Random Integer Generation in an Interval") on 32-bit halves: the
+  low half of a word first, the high half kept for the next 32-bit draw.
+
+`sync()` moves the real bit generator on by the words taken
+(`PCG64.advance`) and writes back the spare half, which PCG64 keeps in its
+`has_uint32`/`uinteger` state. Every other draw (`random` and `uniform`
+with a size, `shuffle`, `permutation`, `integers` past 2**32 or with more
+arguments) syncs first, goes to numpy, and drops the words read ahead;
+reading `bit_generator` syncs too. So a run sees exactly the stream, and
+ends in exactly the state, that the plain `Generator` would give it.
+
+The replay rests on numpy internals: how PCG64 buffers the spare 32-bit
+half and that `Generator.integers` uses Lemire's method for bounds up to
+2**32. The golden output digests already pin numpy's stream, and the tests
+check the replay against the plain `Generator`, so a numpy release that
+changed either fails them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+_U32 = 0xFFFFFFFF
+_TWO32 = 1 << 32
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
+
+# Words read ahead per refill.
+CHUNK = 1024
+
+
+class Draws:
+    """The draws of one `np.random.Generator` over PCG64; see the module
+    docstring. Scalar draws return Python ints and floats."""
+
+    def __init__(self, rng: np.random.Generator, chunk: int = CHUNK):
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise TypeError("Draws replays PCG64 only")
+        self._rng = rng
+        self._bg = rng.bit_generator
+        self._clone = np.random.PCG64()
+        self._chunk = chunk
+        # Words read ahead, next word last, so a draw is one `pop`.
+        self._words: list[int] = []
+        self._reset()
+
+    # ---- the read-ahead buffer -------------------------------------
+
+    def _reset(self) -> None:
+        """Start reading ahead from the real bit generator's state."""
+        state = self._bg.state
+        self._clone.state = state
+        # PCG64's spare-half buffer: the high half of a word not yet used
+        # (None if used), and the last high half stored, used or not.
+        self._u32 = state["uinteger"]
+        self._spare = self._u32 if state["has_uint32"] else None
+        self._words.clear()
+        # Words taken that the real generator has not advanced past: all
+        # of earlier chunks (`_debt`), and `_mark - len(_words)` of this one.
+        self._debt = 0
+        self._mark = 0
+
+    def _refill(self) -> None:
+        words = self._words
+        self._debt += self._mark - len(words)
+        words[:] = self._clone.random_raw(self._chunk)[::-1].tolist()  # in place: callers hold it
+        self._mark = len(words)
+
+    def sync(self) -> None:
+        """Bring the real bit generator to the stream position of these
+        draws, spare 32-bit half included."""
+        used = self._debt + self._mark - len(self._words)
+        if used:
+            self._bg.advance(used)  # which clears the spare half
+        state = self._bg.state
+        state["has_uint32"] = int(self._spare is not None)
+        state["uinteger"] = self._u32
+        self._bg.state = state
+        self._debt = 0
+        self._mark = len(self._words)
+
+    def _delegate(self, name: str, *args, **kwargs):
+        self.sync()
+        try:
+            return getattr(self._rng, name)(*args, **kwargs)
+        finally:
+            self._reset()
+
+    @property
+    def bit_generator(self) -> np.random.BitGenerator:
+        """The real bit generator, synced; it may be drawn from directly."""
+        self.sync()
+        self._reset()
+        return self._bg
+
+    # ---- draws -----------------------------------------------------
+
+    def random(self, size=None):
+        if size is not None:
+            # Arrays come from numpy: for the thousands of draws a departure
+            # batch takes, its fill beats converting a list of words.
+            return self._delegate("random", size)
+        words = self._words
+        if not words:
+            self._refill()
+        return (words.pop() >> 11) * _DOUBLE_UNIT
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        if size is not None:
+            return self._delegate("uniform", low, high, size)
+        low, high = float(low), float(high)
+        span = high - low
+        if not 0 <= span < float("inf"):
+            return self._delegate("uniform", low, high)  # numpy's errors
+        return low + span * self.random()
+
+    def integers(self, high, *args, **kwargs):
+        """`integers(n)` replayed for an int 1 <= n <= 2**32; any other
+        call goes to numpy."""
+        if args or kwargs or type(high) is not int or not 1 <= high <= _TWO32:
+            return self._delegate("integers", high, *args, **kwargs)
+        if high == 1:
+            return 0  # numpy draws nothing for a single value
+        m = self._uint32() * high
+        if m & _U32 < high and high != _TWO32:
+            # Lemire's rejection: redraw while the low half falls below
+            # 2**32 mod n (n itself bounds it, so most draws skip this).
+            threshold = (_TWO32 - high) % high
+            while m & _U32 < threshold:
+                m = self._uint32() * high
+        return m >> 32
+
+    def _uint32(self) -> int:
+        u = self._spare
+        if u is None:
+            words = self._words
+            if not words:
+                self._refill()
+            w = words.pop()
+            self._spare = self._u32 = w >> 32
+            return w & _U32
+        self._spare = None
+        return u
+
+    def permutation(self, x):
+        return self._delegate("permutation", x)
+
+    def shuffle(self, x) -> None:
+        self._delegate("shuffle", x)

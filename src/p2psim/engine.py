@@ -63,13 +63,29 @@ newcomer) and resets it when a node leaves, so the departure candidates are
 the ids at or above the legitimacy threshold, found with one comparison in
 ascending order.
 
-All randomness comes from one generator per run. Draw order inside an
+All randomness comes from one draw source per run, `Simulation.rng`, a
+`draws.Draws` over the run's seeded PCG64 `Generator`. Its scalar draws
+(`integers(n)`, `random()`, `uniform(lo, hi)`) are computed in Python from
+raw 64-bit words that it reads ahead in chunks from a clone of the bit
+generator, replaying numpy's stream without numpy's per-call cost:
+Lemire's bounded draw on 32-bit halves for `integers`, with the spare half
+kept as PCG64's own `has_uint32`/`uinteger` buffer keeps it, and
+`(word >> 11) * 2**-53` for `random`. Array draws go to numpy (the pairing
+model's `shuffle`, the isolated-node fill's `permutation`, the founding
+population's `uniform(size=...)`, the departure batches' `random(k)`); each
+first syncs the real bit generator, advancing it by the words taken and
+writing back the spare half, and so does reading `rng.bit_generator`. The values and the final
+generator state are those of the plain `Generator`. The replay rests on
+numpy internals (PCG64's uint32 buffer and Lemire's method in
+`Generator.integers`). The golden digests pin numpy's stream already, and
+`tests/test_draws.py` checks the replay against the plain `Generator`, so a
+numpy release that changed either fails those tests. Draw order inside an
 iteration: gossip noise factors (only when noise > 0); the whitewash wave
 in ascending node-id order (per agent: target index, then the attempt draw,
 then attachment draws on a success); voluntary departures in ascending
 node-id order (one draw per reputable candidate, only when enabled, and
 none once the overlay is down to attach_edges + 1 nodes; the draws come in
-batches of `Generator.random(k)`, the same stream as k scalar draws, each
+batches of `random(k)`, the same stream as k scalar draws, each
 batch no longer than the departures the floor still allows); growth
 arrivals (per arrival: attachment draws, then honesty). Agents skipped
 before a target was drawn consume no randomness, so runs with identical
@@ -89,6 +105,7 @@ import numpy as np
 from . import agents as agents_mod
 from . import graph as graph_mod
 from .agents import AgentState, Role, WhitewashOutcome
+from .draws import Draws
 from .estimator import EstimatorArrays, legitimacy_threshold
 from .gossip import snapshot_average_degree, take_snapshot
 
@@ -176,6 +193,18 @@ class SimConfig:
             problems.append("legit_departure_prob: must be in [0, 1]")
         if self.newcomer_window < NEWCOMER_MIN_TENURE:
             problems.append(f"newcomer_window: must be >= {NEWCOMER_MIN_TENURE}")
+        # The gossiped node count is the live count times a factor of at
+        # least 1 - gossip_noise, and the run needs it >= 1 at the smallest
+        # live count it can reach: attach_edges + 1 once departures are on
+        # (where they stop), else n (whitewashing keeps the count, growth
+        # only adds). Past 2**64 nodes the product is >= 1 for any factor
+        # above 0, so the floor is capped there to stay a float.
+        floor = min(self.n, self.attach_edges + 1) if self.legit_departure_prob > 0 else self.n
+        if (1.0 - self.gossip_noise) * min(floor, 2**64) < 1:
+            problems.append(
+                f"gossip_noise: {self.gossip_noise!r} can gossip fewer than 1 node "
+                f"at {floor} live nodes; need (1 - gossip_noise) * {floor} >= 1"
+            )
         # What the chosen generator needs to build the overlay at all.
         if self.topology == "scale_free" and self.n <= self.attach_edges:
             problems.append("n: a scale-free overlay needs n > attach_edges")
@@ -203,7 +232,7 @@ class IterationRecord:
 class Simulation:
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        self.rng = np.random.default_rng(cfg.seed)
+        self.rng = Draws(np.random.default_rng(cfg.seed))
         if cfg.topology == "scale_free":
             self.topology = graph_mod.generate_scale_free(cfg.n, cfg.attach_edges, self.rng)
         else:
@@ -375,7 +404,7 @@ class Simulation:
                     heapq.heappush(self._parked, (grant, vid))
                     self._ready.discard(vid)
                     continue
-            target = pool[int(self.rng.integers(len(pool)))]
+            target = pool[self.rng.integers(len(pool))]
             offered = float(self._est.offers[target])
             if a.attempts > 0 and grant is not None and offered <= grant + _GRANT_MARGIN:
                 continue  # probed a suppressed corner; not worth a reset
@@ -413,7 +442,7 @@ class Simulation:
         count = round(self.topology.node_count * self.cfg.growth_percent_per_10 / 100)
         for _ in range(count):
             vid, targets = self._attach_newcomer()
-            honesty = float(self.rng.random())
+            honesty = self.rng.random()
             # The first host a newcomer contacts is the one that vouches
             # for it, so its offer becomes the newcomer's starting grant.
             grant = float(self._est.offers[targets[0]])

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import AgentState
+from .draws import Draws
 from .graph import Topology
 
 
@@ -29,7 +30,7 @@ def take_snapshot(
     t: Topology,
     newcomers: Iterable[AgentState],
     noise: float = 0.0,
-    rng: np.random.Generator | None = None,
+    rng: Draws | None = None,
 ) -> GossipSnapshot:
     """Aggregate the current network state and the newcomers' mean
     reputation (None when there are none).

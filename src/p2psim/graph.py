@@ -23,6 +23,8 @@ from collections.abc import Mapping
 
 import numpy as np
 
+from .draws import Draws
+
 NodeId = int
 
 # Rebuild the attachment pool once this fraction of entries has gone stale
@@ -58,11 +60,12 @@ def grown(a: np.ndarray, size: int, fill=0) -> np.ndarray:
     return new
 
 
-def _rng(seed) -> np.random.Generator:
-    """Accept either an integer seed or an existing Generator."""
-    if isinstance(seed, np.random.Generator):
+def _rng(seed) -> Draws | np.random.Generator:
+    """Accept a `Draws` or a Generator as it is; make an integer seed a
+    `Draws`."""
+    if isinstance(seed, (Draws, np.random.Generator)):
         return seed
-    return np.random.default_rng(seed)
+    return Draws(np.random.default_rng(seed))
 
 
 class Topology:
@@ -201,7 +204,7 @@ class Topology:
                 self._pool_copies[v] = d
         self._pool_stale = 0
 
-    def attach(self, count: int, rng: np.random.Generator) -> tuple[NodeId, list[NodeId]]:
+    def attach(self, count: int, rng: Draws) -> tuple[NodeId, list[NodeId]]:
         """Add a node wired to `count` distinct hosts drawn by degree. Returns
         the new id and its hosts in draw order. Same end state as
         `add_node` and then `add_edge(v, u)` for each host in draw order."""
@@ -225,7 +228,7 @@ class Topology:
             self._touched.add(v)
         return v, targets
 
-    def sample_attachment_targets(self, count: int, rng: np.random.Generator) -> list[NodeId]:
+    def sample_attachment_targets(self, count: int, rng: Draws) -> list[NodeId]:
         """Sample `count` distinct existing nodes with probability proportional
         to current degree. If fewer than `count` nodes have edges (none at
         all in an edgeless graph), all of those are drawn that way and the
@@ -241,7 +244,7 @@ class Topology:
         chosen: list[NodeId] = []
         wanted = min(count, len(adj) - self.isolated_count)
         while len(chosen) < wanted:
-            v = pool[int(integers(size))]
+            v = pool[integers(size)]
             if v in chosen:  # at most `count` long
                 continue
             nbrs = neighbors(v)
@@ -299,7 +302,7 @@ def generate_scale_free(n: int, attach_edges: int, seed) -> Topology:
     return t
 
 
-def _try_pairing(n: int, degree: int, rng: np.random.Generator):
+def _try_pairing(n: int, degree: int, rng: Draws):
     stubs = np.repeat(np.arange(n), degree)
     edges: set[tuple[int, int]] = set()
     while len(stubs):

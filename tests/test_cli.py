@@ -251,6 +251,13 @@ BAD_CONFIGS = [
         ("simulate", '{"topology": "regular", "n": 5, "degree": 3}'),
         ("simulate", '{"topology": "regular", "n": 4, "degree": 4}'),
         ("estimator-check", '{"topology": "regular", "n": 7, "degree": 3}'),
+        ("simulate", '{"n": 50, "gossip_noise": 0.99, "iterations": 500}'),
+        ("simulate", '{"topology": "regular", "n": 300, "legit_departure_prob": 0.01, '
+                     '"gossip_noise": 0.8}'),
+        ("estimator-check", '{"n": 40, "gossip_noise": 1.5}'),
+        ("simulate", '{"seed": 1e30}'),
+        ("simulate", '{"seed": 9007199254740993.0}'),
+        ("payoff-sweep", '{"cap": 1e30}'),
     ]
 ] + [
     pytest.param("payoff-sweep", json.dumps({"x": [0.5] * 11, "r_ini": [0.1] * 31}),
@@ -391,6 +398,35 @@ def test_counts_spelled_as_floats_become_ints(tmp_path):
     ]:
         plan = cli.parse_config(write_config(tmp_path, {key: 2.0}), command)
         assert type(getattr(plan, attr)) is int and getattr(plan, attr) == 2
+    # Every integer below 2**53 is an exact float; 2**53 itself is the first
+    # float that also stands for a neighbour (2**53 + 1 parses to it).
+    for text, seed in [("1e3", 1000), ("9007199254740991.0", 2**53 - 1),
+                       ("1000000000000000000000000000000", 10**30)]:
+        plan = cli.parse_config(write_config(tmp_path, '{"seed": %s}' % text), "simulate")
+        assert type(plan.base.seed) is int and plan.base.seed == seed
+    for text in ("9007199254740992.0", "-9007199254740992.0", "1e30"):
+        with pytest.raises(ConfigError, match="seed: must be an integer"):
+            cli.parse_config(write_config(tmp_path, '{"seed": %s}' % text), "simulate")
+
+
+def test_gossip_noise_bound_follows_the_smallest_live_count(tmp_path):
+    # The gossiped node count must stay >= 1: (1 - noise) * floor >= 1, where
+    # the floor is n without departures and attach_edges + 1 with them.
+    for config, ok in [
+        ({"n": 50, "gossip_noise": 0.98}, True),
+        ({"n": 50, "gossip_noise": 0.99}, False),
+        ({"n": 50, "gossip_noise": 0.75, "legit_departure_prob": 0.1}, True),
+        ({"n": 50, "gossip_noise": 0.76, "legit_departure_prob": 0.1}, False),
+        ({"n": 50, "attach_edges": 9, "gossip_noise": 0.85, "legit_departure_prob": 0.1}, True),
+        # 1 - 0.9 rounds to just below 0.1, so 10 nodes can gossip as 0.99...
+        ({"n": 50, "attach_edges": 9, "gossip_noise": 0.9, "legit_departure_prob": 0.1}, False),
+    ]:
+        path = write_config(tmp_path, config)
+        if ok:
+            assert cli.parse_config(path, "simulate").base.gossip_noise == config["gossip_noise"]
+        else:
+            with pytest.raises(ConfigError, match="gossip_noise: .* fewer than 1 node"):
+                cli.parse_config(path, "simulate")
 
 
 def test_any_json_object_parses_or_is_a_config_error(tmp_path):
@@ -560,6 +596,44 @@ def fuzz_config_text(command: str, kind: str) -> str:
     return f"{text[:-1]}, {json.dumps(key)}: {raw}}}"
 
 
+def run_child(tmp_path, command: str, text: str) -> subprocess.CompletedProcess:
+    cfg = write_config(tmp_path, text)
+    src = str(Path(cli.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "p2psim.cli", command, "--config", cfg,
+         "--out", tmp_path / "out", "--quiet"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=CHILD_TIMEOUT_S,
+    )
+
+
+# Values of the right type and inside their key's interval that a config
+# must still not get past the parser with: an integer key written as a float
+# from 2**53 up (not every integer there is a float, so the float need not
+# be the integer written), and gossip noise that can gossip fewer than one
+# node (small_config has at most 40 nodes).
+EDGE_VALUES = [
+    ("simulate", "gossip_noise", "0.99"),
+    ("simulate", "seed", "1e30"),
+    ("simulate", "iterations", "9007199254740993.0"),
+    ("estimator-check", "gossip_noise", "0.99"),
+    ("estimator-check", "seed", "9007199254740993.0"),
+    ("game-report", "kappa", "1e30"),
+    ("payoff-sweep", "cap", "9007199254740993.0"),
+]
+
+
+@pytest.mark.parametrize("command, key, raw", EDGE_VALUES)
+def test_cli_child_process_rejects_edge_values(tmp_path, command, key, raw):
+    text = json.dumps(small_config(command, random.Random(f"{command}/edge")))
+    text = f"{text[:-1]}, {json.dumps(key)}: {raw}}}"
+    proc = run_child(tmp_path, command, text)
+    assert proc.returncode == 2, (text, proc.stderr)
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1, (text, proc.stderr)
+    error = json.loads(lines[0])
+    assert error["error"] == "config" and key in error["detail"], error
+
+
 @pytest.mark.parametrize("kind", FUZZ_KINDS)
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_cli_child_process_fuzz(tmp_path, command, kind):
@@ -567,13 +641,7 @@ def test_cli_child_process_fuzz(tmp_path, command, kind):
     # status, a silent stderr on success, otherwise exactly one JSON error
     # line, and an end within a bounded time.
     text = fuzz_config_text(command, kind)
-    cfg = write_config(tmp_path, text)
-    src = str(Path(cli.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "p2psim.cli", command, "--config", cfg,
-         "--out", tmp_path / "out", "--quiet"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=CHILD_TIMEOUT_S,
-    )
+    proc = run_child(tmp_path, command, text)
     assert proc.returncode in (0, 1, 2, 3), (text, proc.stderr)
     if proc.returncode == 0:
         assert proc.stderr == b"", text
