@@ -5,15 +5,18 @@ below the advertised newcomer reputation are potential whitewashers: resetting
 their identity would hand them more reputation than their behavior earns, so
 they may dump a bad record and rejoin. Everyone else cooperates.
 
-An `AgentState` is one identity. It carries the grant that identity was born
-with (none for the founding population), so a rejoin brings a fresh grant
-and a fresh reputation but keeps honesty and the attempt counters.
+An `AgentState` holds the person's traits (honesty, role and the attempt
+counters, which a rejoin carries over) and the grant its current identity
+was born with (none for the founding population). An identity's reputation
+and join iteration are the engine's, held by node id.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+
+import numpy as np
 
 from .draws import Draws
 from .graph import NodeId
@@ -39,18 +42,17 @@ class AgentState:
     node: NodeId
     honesty: float
     role: Role
-    reputation: float
     attempts: int = 0
     successes: int = 0
-    joined_at: int = 0
     grant: float | None = None  # reputation this identity was born with
 
 
 Population = dict[NodeId, AgentState]
 
 
-def init_population(size: int, r_ini_max: float, rng: Draws) -> Population:
-    """Create `size` agents on node ids 0..size-1.
+def init_population(size: int, r_ini_max: float, rng: Draws) -> tuple[Population, np.ndarray]:
+    """Create `size` agents on node ids 0..size-1, and their starting
+    reputations indexed by node id.
 
     Honesty is i.i.d. Uniform[0,1]; an agent is a potential whitewasher iff
     its honesty is below r_ini_max, so a zero ceiling makes everyone
@@ -59,12 +61,12 @@ def init_population(size: int, r_ini_max: float, rng: Draws) -> Population:
     honesties first, then all reputations.
     """
     honesty = rng.uniform(0.0, 1.0, size).tolist()
-    reputation = rng.uniform(0.0, 1.0, size).tolist()
+    reputation = rng.uniform(0.0, 1.0, size)
     washer, coop = Role.POTENTIAL_WHITEWASHER, Role.COOPERATIVE
-    return {
-        i: AgentState(i, h, washer if h < r_ini_max else coop, r)
-        for i, (h, r) in enumerate(zip(honesty, reputation))
+    population = {
+        i: AgentState(i, h, washer if h < r_ini_max else coop) for i, h in enumerate(honesty)
     }
+    return population, reputation
 
 
 def attempt_probability(a: AgentState) -> float:
@@ -95,18 +97,14 @@ def decide_whitewash(
     return WhitewashOutcome.ATTEMPT_FAILED
 
 
-def rejoin_as_newcomer(
-    a: AgentState, new_id: NodeId, offered_r_ini: float, n: int
-) -> AgentState:
+def rejoin_as_newcomer(a: AgentState, new_id: NodeId, offered_r_ini: float) -> AgentState:
     """Re-enter the network under a fresh identity born with the offered
-    grant as its reputation; honesty and attempt counters carry over."""
+    grant; honesty and attempt counters carry over."""
     return AgentState(
         node=new_id,
         honesty=a.honesty,
         role=a.role,
-        reputation=offered_r_ini,
         attempts=a.attempts,
         successes=a.successes,
-        joined_at=n,
         grant=offered_r_ini,
     )

@@ -332,6 +332,19 @@ def _estimator_check_plan(injected, **sim) -> EstimatorCheckPlan:
     base = SimConfig(**sim)
     _check_window(base, engine.GROWTH_PERIOD + 1)
     _check_work(_node_iterations(base, engine.GROWTH_PERIOD + 1))
+    # Each planted rejoin needs a potential whitewasher. The first
+    # GROWTH_PERIOD steps hold at most n nodes and one growth batch, and
+    # with grants off and no growth nobody is one.
+    most = base.n + round(base.n * base.growth_percent_per_10 / 100)
+    if injected > most:
+        raise ValueError(
+            f"injected: {injected} planted rejoins, more than the {most} nodes "
+            f"the run holds after {engine.GROWTH_PERIOD} steps"
+        )
+    if injected > 0 and base.r_ini_max0 == 0 and base.growth_percent_per_10 == 0:
+        raise ValueError(
+            "injected: with r_ini_max0 0 and no growth, no agent is a potential whitewasher"
+        )
     return EstimatorCheckPlan(base, injected)
 
 

@@ -10,8 +10,8 @@ Each `Simulation.step` is one iteration:
 2. gossip snapshot, per-node whitewash-level estimate, newcomer offers,
    and the shared estimate of the grant ceiling, read from the mean
    reputation of the newcomer pool: the live agents whose tenure lies in
-   [NEWCOMER_MIN_TENURE, newcomer_window], found through join-iteration
-   buckets (the only place that tenure rule is applied);
+   [NEWCOMER_MIN_TENURE, newcomer_window], one id range (the only place
+   that tenure rule is applied);
 3. resource allocation (folded into step 1: cooperative nodes provide the
    expected share of what they are asked, free riders provide nothing);
 4. whitewash wave: each potential whitewasher may probe one uniformly
@@ -33,7 +33,8 @@ departure at each neighbor when it looked legitimate. Whitewash rejoins and
 growth arrivals enter through one helper that wires the node with
 `Topology.attach` and books one arrival at each host. Both node events,
 `graph.remove_node` and `Topology.attach`, run in one pass over the node's
-edges. The grant an identity was born with is kept on its `AgentState`.
+edges. The grant an identity was born with is kept on its `AgentState`,
+beside the person's honesty, role and attempt counters.
 
 The estimator state of step 2 lives in `estimator.EstimatorArrays`: numpy
 arrays indexed by node id, which only grow because ids are never reused. A
@@ -55,13 +56,21 @@ square does not always equal) once per distinct ratio among the positive
 levels, and the per-iteration sums add in ascending-id order one element
 at a time, never pairwise.
 
-Voluntary departures read one more array, indexed by node id and grown
-with `graph.grown` like the estimator's: each live cooperative agent's
-reputation, and -inf for every other id. The engine writes it wherever it
-writes a reputation (the founding population, the transaction start, a
-newcomer) and resets it when a node leaves, so the departure candidates are
-the ids at or above the legitimacy threshold, found with one comparison in
-ascending order.
+Every identity gets a fresh id, ids only grow, and every id issued during
+iteration n joins at n: the founding ids and a rejoin planted before the
+first step at 0, wave rejoins and growth arrivals during their step, and a
+rejoin planted between steps n and n + 1 at n. So the ids that joined at j
+are one range, from `_first_id[j]` (the topology's next id at the start of
+step j, 0 for j = 0) up to `_first_id[j + 1]`. Two more arrays are indexed
+by node id and grown with `graph.grown` like the estimator's: `reputation`,
+the only place an identity's reputation is kept (drawn for the founders,
+the grant for a newcomer, then the earned value from the transaction
+start), and `role_code`, written once when an id registers and cleared
+when the node leaves (`ROLE_CODE`; 0 for an id that is gone). The
+transaction start is two masked writes on one id range, the newcomer pool
+is the live ids of one range, and the departure candidates are one mask,
+the live cooperators at or above the legitimacy threshold, in ascending
+order.
 
 All randomness comes from one draw source per run, `Simulation.rng`, a
 `draws.Draws` over the run's seeded PCG64 `Generator`. Its scalar draws
@@ -117,6 +126,10 @@ GROWTH_PERIOD = 10
 # A newcomer's reputation only counts toward the gossiped newcomer mean once
 # it has been around for this many iterations (and at most newcomer_window).
 NEWCOMER_MIN_TENURE = 3
+
+# Role and liveness of each id, one int8 per id in `Simulation.role_code`;
+# 0 marks an id that is gone or not issued yet.
+ROLE_CODE = {Role.COOPERATIVE: 1, Role.POTENTIAL_WHITEWASHER: 2}
 
 # Grant improvements that matter are of order r_ini_min; this margin only
 # has to swallow float jitter in gossip means (identical reputations can
@@ -237,16 +250,14 @@ class Simulation:
             self.topology = graph_mod.generate_scale_free(cfg.n, cfg.attach_edges, self.rng)
         else:
             self.topology = graph_mod.generate_regular(cfg.n, cfg.degree, self.rng)
-        self.agents = agents_mod.init_population(cfg.n, cfg.r_ini_max0, self.rng)
-        # Reputation of each live cooperative agent by node id, -inf for
-        # every other id: the voluntary-departure candidates at a glance.
-        # The founding agents hold ids 0..n-1 in order.
-        self._coop_rep = np.fromiter(
-            (a.reputation if a.role is Role.COOPERATIVE else -np.inf for a in self.agents.values()),
-            np.float64,
-            cfg.n,
+        self.agents, self.reputation = agents_mod.init_population(
+            cfg.n, cfg.r_ini_max0, self.rng
+        )
+        self.role_code = np.fromiter(
+            (ROLE_CODE[a.role] for a in self.agents.values()), np.int8, cfg.n
         )
         self.iteration = 0
+        self._first_id = [0]
         # Shared estimate of the ceiling other nodes grant newcomers, held
         # at no less than twice the floor so offers never pin themselves
         # into a corner the estimate cannot recover from.
@@ -265,9 +276,6 @@ class Simulation:
         self._arrivals: dict[int, int] = {}
         self._legit_gone: dict[int, int] = {}
         self._prev_count = float(cfg.n)
-        # Join-iteration buckets back both the transaction-start rule and
-        # the newcomer window, so neither needs a full population scan.
-        self._join_buckets: dict[int, list[int]] = {0: list(self.agents)}
         # Identity economics: the whitewashers worth polling this iteration,
         # and the ones parked until the grant ceiling climbs back above the
         # grant their current identity was born with.
@@ -281,34 +289,28 @@ class Simulation:
 
     def _record_transactions(self, n: int) -> None:
         # Start the agents that joined at n - 2 (at n = 1, those that joined
-        # at 0; bucket 0 comes round again at n = 2 and gets the same values).
+        # at 0; they come round again at n = 2 and get the same values).
         # One expected service round sets the reputation for good: a
         # cooperator provides the mean share mu^x of what it is asked, a free
         # rider nothing, and later rounds scale both sides of that ratio.
-        for vid in self._join_buckets.get(max(n - 2, 0), ()):
-            a = self.agents.get(vid)
-            if a is None:
-                continue
-            if a.role is Role.COOPERATIVE:
-                a.reputation = self._coop_rep[vid] = self._mu_x
-            else:
-                a.reputation = 0.0
+        j = max(n - 2, 0)
+        ids = slice(self._first_id[j], self._first_id[j + 1])
+        code, reputation = self.role_code[ids], self.reputation[ids]
+        reputation[code == ROLE_CODE[Role.COOPERATIVE]] = self._mu_x
+        reputation[code == ROLE_CODE[Role.POTENTIAL_WHITEWASHER]] = 0.0
 
-    def _newcomer_pool(self, n: int) -> list[AgentState]:
-        """Live agents whose tenure at iteration n lies in
-        [NEWCOMER_MIN_TENURE, newcomer_window], by join iteration."""
-        pool = []
-        for j in range(max(n - self.cfg.newcomer_window, 0), n - NEWCOMER_MIN_TENURE + 1):
-            for vid in self._join_buckets.get(j, ()):
-                a = self.agents.get(vid)
-                if a is not None:
-                    pool.append(a)
-        return pool
+    def _newcomer_pool(self, n: int) -> np.ndarray:
+        """Ascending ids of the live agents whose tenure at iteration n lies
+        in [NEWCOMER_MIN_TENURE, newcomer_window]."""
+        first = self._first_id[max(n - self.cfg.newcomer_window, 0)]
+        end = self._first_id[max(n - NEWCOMER_MIN_TENURE + 1, 0)]
+        return first + np.flatnonzero(self.role_code[first:end])
 
     def _estimate(self, n: int) -> tuple[float, float, float]:
         cfg = self.cfg
         t = self.topology
-        snap = take_snapshot(t, self._newcomer_pool(n), cfg.gossip_noise, self.rng)
+        newcomer_reps = self.reputation[self._newcomer_pool(n)]
+        snap = take_snapshot(t, newcomer_reps, cfg.gossip_noise, self.rng)
         # The ceiling other nodes grant newcomers, read from what recent
         # arrivals carry; the last estimate holds through quiet spells.
         mean = snap.newcomer_mean_reputation
@@ -341,12 +343,14 @@ class Simulation:
         return self._est.last_sweep
 
     def _register_newcomer(self, vid: int, agent: AgentState) -> None:
+        """Register a rejoin or a growth arrival, born holding its grant as
+        its reputation."""
         self.agents[vid] = agent
-        self._coop_rep = graph_mod.grown(self._coop_rep, vid + 1, -np.inf)
-        if agent.role is Role.COOPERATIVE:
-            self._coop_rep[vid] = agent.reputation
+        self.reputation = graph_mod.grown(self.reputation, vid + 1)
+        self.role_code = graph_mod.grown(self.role_code, vid + 1)
+        self.reputation[vid] = agent.grant
+        self.role_code[vid] = ROLE_CODE[agent.role]
         self._est.prime(vid, self.r_est)
-        self._join_buckets.setdefault(agent.joined_at, []).append(vid)
         if agent.role is Role.POTENTIAL_WHITEWASHER:
             self._ready.add(vid)
 
@@ -358,7 +362,7 @@ class Simulation:
                 self._legit_gone[u] = self._legit_gone.get(u, 0) + 1
         graph_mod.remove_node(self.topology, vid)
         del self.agents[vid]
-        self._coop_rep[vid] = -np.inf
+        self.role_code[vid] = 0
         self._est.retire(vid)
         self._ready.discard(vid)
 
@@ -371,15 +375,16 @@ class Simulation:
             self._arrivals[u] = self._arrivals.get(u, 0) + 1
         return vid, targets
 
-    def _execute_whitewash(self, vid: int, a: AgentState, offered: float, n: int) -> int:
+    def _execute_whitewash(self, vid: int, a: AgentState, offered: float) -> int:
         # A leaver that still looks reputable is booked as a benign
         # departure, so the rejoin slips past the estimator.
-        self._drop_node(vid, a.reputation >= legitimacy_threshold(self.r_est, self.cfg.r_ini_min))
+        threshold = legitimacy_threshold(self.r_est, self.cfg.r_ini_min)
+        self._drop_node(vid, self.reputation[vid] >= threshold)
         new_id, _ = self._attach_newcomer()
-        self._register_newcomer(new_id, agents_mod.rejoin_as_newcomer(a, new_id, offered, n))
+        self._register_newcomer(new_id, agents_mod.rejoin_as_newcomer(a, new_id, offered))
         return new_id
 
-    def _whitewash_wave(self, n: int) -> tuple[int, int]:
+    def _whitewash_wave(self) -> tuple[int, int]:
         r_est = self.r_est
         while self._parked and self._parked[0][0] + _GRANT_MARGIN < r_est:
             _, vid = heapq.heappop(self._parked)
@@ -415,7 +420,7 @@ class Simulation:
             if outcome is WhitewashOutcome.WHITEWASHED:
                 successes += 1
                 self._ready.discard(vid)
-                self._execute_whitewash(vid, a, offered, n)
+                self._execute_whitewash(vid, a, offered)
             elif a.successes == 0:
                 self._ready.discard(vid)
         return attempts, successes
@@ -423,7 +428,9 @@ class Simulation:
     def _voluntary_departures(self) -> None:
         cfg = self.cfg
         threshold = legitimacy_threshold(self.r_est, cfg.r_ini_min)
-        candidates = np.flatnonzero(self._coop_rep >= threshold)
+        candidates = np.flatnonzero(
+            (self.role_code == ROLE_CODE[Role.COOPERATIVE]) & (self.reputation >= threshold)
+        )
         # Departures stop at attach_edges + 1 nodes, and no draw is made
         # past that floor: a batch never holds more draws than departures
         # the floor still allows, so every draw in it is one a candidate
@@ -438,7 +445,7 @@ class Simulation:
         for vid in leavers:
             self._drop_node(vid, True)
 
-    def _grow_population(self, n: int) -> None:
+    def _grow_population(self) -> None:
         count = round(self.topology.node_count * self.cfg.growth_percent_per_10 / 100)
         for _ in range(count):
             vid, targets = self._attach_newcomer()
@@ -447,26 +454,23 @@ class Simulation:
             # for it, so its offer becomes the newcomer's starting grant.
             grant = float(self._est.offers[targets[0]])
             role = Role.POTENTIAL_WHITEWASHER if honesty < self.r_est else Role.COOPERATIVE
-            self._register_newcomer(
-                vid, AgentState(vid, honesty, role, reputation=grant, joined_at=n, grant=grant)
-            )
+            self._register_newcomer(vid, AgentState(vid, honesty, role, grant=grant))
 
     # ---- public API ---------------------------------------------------
 
     def step(self) -> IterationRecord:
         self.iteration += 1
         n = self.iteration
+        self._first_id.append(self.topology.next_id)
         self._record_transactions(n)
         mean_offer, mean_w, mean_wmax = self._estimate(n)
         attempts = successes = 0
         if self.auto_whitewash:
-            attempts, successes = self._whitewash_wave(n)
+            attempts, successes = self._whitewash_wave()
         if self.cfg.legit_departure_prob > 0:
             self._voluntary_departures()
         if self.cfg.growth_percent_per_10 > 0 and n % GROWTH_PERIOD == 0:
-            self._grow_population(n)
-        for j in [k for k in self._join_buckets if k <= n - self.cfg.newcomer_window]:
-            del self._join_buckets[j]
+            self._grow_population()
         n_nodes = self.topology.node_count
         return IterationRecord(
             iteration=n,
@@ -482,8 +486,7 @@ class Simulation:
     def force_whitewash(self, vid: int) -> int:
         """Reset one agent's identity outside the decision machinery (the
         attempt counters stay untouched); used to plant ground-truth churn."""
-        a = self.agents[vid]
-        return self._execute_whitewash(vid, a, self.r_est, self.iteration)
+        return self._execute_whitewash(vid, self.agents[vid], self.r_est)
 
 
 def run(cfg: SimConfig) -> list[IterationRecord]:

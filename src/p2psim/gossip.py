@@ -4,17 +4,16 @@ Every node is assumed to learn the same snapshot (node count, degree sum,
 and the mean reputation of recent newcomers). A multiplicative noise knob
 stands in for aggregation error; noise 0 means exact values. Which nodes
 count as recent newcomers is the engine's rule (`Simulation._newcomer_pool`);
-the snapshot averages the ones it is handed.
+the snapshot averages the reputations it is handed.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import AgentState
 from .draws import Draws
 from .graph import Topology
 
@@ -28,7 +27,7 @@ class GossipSnapshot:
 
 def take_snapshot(
     t: Topology,
-    newcomers: Iterable[AgentState],
+    newcomer_reps: Sequence[float] | np.ndarray,
     noise: float = 0.0,
     rng: Draws | None = None,
 ) -> GossipSnapshot:
@@ -48,8 +47,7 @@ def take_snapshot(
             raise ValueError("noise > 0 requires an rng")
         node_count *= rng.uniform(1.0 - noise, 1.0 + noise)
         degree_sum *= rng.uniform(1.0 - noise, 1.0 + noise)
-    reps = [a.reputation for a in newcomers]
-    newcomer_mean = float(np.mean(reps)) if reps else None
+    newcomer_mean = float(np.mean(newcomer_reps)) if len(newcomer_reps) else None
     return GossipSnapshot(node_count, degree_sum, newcomer_mean)
 
 

@@ -3,12 +3,13 @@
 Node ids are monotonically increasing and never reused, so identity churn
 (a node leaving and rejoining) is visible in the id space, `adj` iterates
 in ascending id order, and an array indexed by node id only ever grows
-(`grown`). A node event is one pass over the node's edges: `Topology.attach`
-wires a new node to all its hosts and `remove_node` unhooks one from all its
-neighbors, each in one loop, leaving the state that `add_node`, `add_edge`
-and `remove_edge` one edge at a time would leave (the tests replay them as
-the oracle). `Topology.from_edges` builds a whole overlay the same way.
-Edge events only mutate the neighbor sets, the attachment pool and its
+(`grown`). Every mutation is a node event or a whole build, each one pass
+over the edges it wires or unhooks: `Topology.attach` wires a new node to
+all its hosts, `remove_node` unhooks one from all its neighbors and
+`Topology.from_edges` builds a whole overlay (the scale-free seed clique and
+every regular overlay). Each leaves the state that adding or removing the
+same edges one at a time would leave; the per-edge reference lives with the
+tests. Edge events only mutate the neighbor sets, the attachment pool and its
 counters, and mark the nodes whose sets changed. Once per sweep, one pass over the marked nodes'
 neighbor sets brings the dense neighbor-degree snapshot up to date and
 sums the estimator's churn counts over the same chain (see
@@ -151,47 +152,6 @@ class Topology:
         ]
         return (nds[:size].copy(), *sums)
 
-    # ---- write side ------------------------------------------------
-
-    def add_node(self) -> NodeId:
-        v = self.next_id
-        self.next_id += 1
-        self.adj[v] = set()
-        self._pool_copies[v] = 0
-        self.isolated_count += 1
-        return v
-
-    def add_edge(self, u: NodeId, v: NodeId) -> None:
-        if u == v:
-            raise InvalidParameterError("self-loops are not allowed")
-        au, av = self.adj.get(u), self.adj.get(v)
-        if au is None or av is None:
-            raise UnknownNodeError((u, v))
-        if v in au:
-            return
-        self.isolated_count -= (not au) + (not av)
-        au.add(v)
-        av.add(u)
-        self._touched.add(u)
-        self._touched.add(v)
-        self.edge_count += 1
-        self._pool.append(u)
-        self._pool.append(v)
-        self._pool_copies[u] += 1
-        self._pool_copies[v] += 1
-
-    def remove_edge(self, u: NodeId, v: NodeId) -> None:
-        au, av = self.adj.get(u), self.adj.get(v)
-        if au is None or av is None or v not in au:
-            raise UnknownNodeError((u, v))
-        au.discard(v)
-        av.discard(u)
-        self.isolated_count += (not au) + (not av)
-        self._touched.add(u)
-        self._touched.add(v)
-        self.edge_count -= 1
-        self._pool_stale += 2
-
     # ---- preferential attachment ------------------------------------
 
     def _rebuild_pool(self) -> None:
@@ -206,8 +166,8 @@ class Topology:
 
     def attach(self, count: int, rng: Draws) -> tuple[NodeId, list[NodeId]]:
         """Add a node wired to `count` distinct hosts drawn by degree. Returns
-        the new id and its hosts in draw order. Same end state as
-        `add_node` and then `add_edge(v, u)` for each host in draw order."""
+        the new id and its hosts in draw order. Same end state as adding
+        the node and then the edge (v, u) for each host in draw order."""
         targets = self.sample_attachment_targets(count, rng)
         v = self.next_id
         self.next_id += 1
@@ -266,8 +226,8 @@ class Topology:
     @classmethod
     def from_edges(cls, n: int, edges) -> Topology:
         """Nodes 0..n-1 wired by `edges`, distinct (u, v) pairs without
-        self-loops. Same end state as `n` calls to `add_node` and then
-        `add_edge(u, v)` for each pair in order."""
+        self-loops. Same end state as adding `n` nodes and then the edge
+        (u, v) for each pair in order."""
         t = cls()
         adj = t.adj = {v: set() for v in range(n)}
         pool = t._pool
@@ -293,11 +253,8 @@ def generate_scale_free(n: int, attach_edges: int, seed) -> Topology:
         raise InvalidParameterError("attach_edges must be >= 1")
     if n <= attach_edges:
         raise InvalidParameterError("need n > attach_edges")
-    t = Topology()
-    clique = [t.add_node() for _ in range(attach_edges + 1)]
-    for i, u in enumerate(clique):
-        for v in clique[i + 1 :]:
-            t.add_edge(u, v)
+    k = attach_edges + 1
+    t = Topology.from_edges(k, itertools.combinations(range(k), 2))
     grow(t, n - attach_edges - 1, attach_edges, seed)
     return t
 
@@ -360,9 +317,9 @@ def grow(t: Topology, new_nodes: int, attach_edges: int, seed) -> list[NodeId]:
 
 
 def remove_node(t: Topology, v: NodeId) -> None:
-    """Remove `v` and every edge it had. Same end state as `remove_edge` on
-    each of its edges and then dropping the node, whose pool copies count
-    as stale once more (see ROADMAP item 6)."""
+    """Remove `v` and every edge it had. Same end state as removing each of
+    its edges and then dropping the node, whose pool copies count as stale
+    once more (see ROADMAP item 5)."""
     adj = t.adj
     nbrs = adj.pop(v, None)
     if nbrs is None:

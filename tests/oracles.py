@@ -11,11 +11,16 @@ and the crossover search (`crossover_round`) are kept here as the scalar
 loops and the block scan that the shipped array kernels and affine solve
 must match bit for bit.
 
-The topology's node events (`Topology.attach`, `graph.remove_node`,
-`Topology.from_edges`) each wire or unhook a whole node in one pass. The
-per-edge replays below (`attach_by_edges`, `remove_node_by_edges`,
-`topology_by_edges`) reach the same end state through the per-edge
-primitives `add_node`, `add_edge` and `remove_edge`.
+The topology's node events (`Topology.attach`, `graph.remove_node`) and its
+whole build (`Topology.from_edges`) each wire or unhook every edge of a node
+or an overlay in one pass, and they are the topology's only mutations. The
+per-edge primitives `add_node`, `add_edge` and `remove_edge` below change one
+node or edge at a time, and the replays built on them (`attach_by_edges`,
+`remove_node_by_edges`, `topology_by_edges`) must reach the same end state.
+
+`JoinLog` records the iteration at which each id joined a run, watching the
+topology's next id from outside the engine, and gathers the newcomer pool
+from join-iteration buckets: the reference for the engine's id ranges.
 
 `read_records_csv` parses a `simulate` CSV back into records, for the
 round-trip tests of the CLI's writer.
@@ -32,10 +37,10 @@ from pathlib import Path
 import numpy as np
 
 from p2psim.cli import CSV_HEADER
-from p2psim.engine import IterationRecord
+from p2psim.engine import NEWCOMER_MIN_TENURE, IterationRecord, Simulation
 from p2psim.estimator import offer_curve
 from p2psim.game import GameSpec, MixedProfile
-from p2psim.graph import NodeId, Topology
+from p2psim.graph import InvalidParameterError, NodeId, Topology, UnknownNodeError
 from p2psim.payoff import (
     DEFAULT_CROSSOVER_CAP,
     CrossoverCapExceeded,
@@ -143,13 +148,55 @@ def initial_reputation(st: EstimatorState, w: float) -> float:
     return st.current_offer
 
 
+def add_node(t: Topology) -> NodeId:
+    v = t.next_id
+    t.next_id += 1
+    t.adj[v] = set()
+    t._pool_copies[v] = 0
+    t.isolated_count += 1
+    return v
+
+
+def add_edge(t: Topology, u: NodeId, v: NodeId) -> None:
+    if u == v:
+        raise InvalidParameterError("self-loops are not allowed")
+    au, av = t.adj.get(u), t.adj.get(v)
+    if au is None or av is None:
+        raise UnknownNodeError((u, v))
+    if v in au:
+        return
+    t.isolated_count -= (not au) + (not av)
+    au.add(v)
+    av.add(u)
+    t._touched.add(u)
+    t._touched.add(v)
+    t.edge_count += 1
+    t._pool.append(u)
+    t._pool.append(v)
+    t._pool_copies[u] += 1
+    t._pool_copies[v] += 1
+
+
+def remove_edge(t: Topology, u: NodeId, v: NodeId) -> None:
+    au, av = t.adj.get(u), t.adj.get(v)
+    if au is None or av is None or v not in au:
+        raise UnknownNodeError((u, v))
+    au.discard(v)
+    av.discard(u)
+    t.isolated_count += (not au) + (not av)
+    t._touched.add(u)
+    t._touched.add(v)
+    t.edge_count -= 1
+    t._pool_stale += 2
+
+
 def attach_by_edges(t: Topology, count: int, rng: np.random.Generator):
     """`Topology.attach` one edge at a time: the same draws, then a new
     node and one `add_edge` per host in draw order."""
     targets = t.sample_attachment_targets(count, rng)
-    v = t.add_node()
+    v = add_node(t)
     for u in targets:
-        t.add_edge(v, u)
+        add_edge(t, v, u)
     return v, targets
 
 
@@ -158,7 +205,7 @@ def remove_node_by_edges(t: Topology, v: NodeId) -> None:
     `remove_edge` marks both ends of each edge stale, and the node's pool
     copies are then counted as stale once more."""
     for u in sorted(t.adj[v]):
-        t.remove_edge(v, u)
+        remove_edge(t, v, u)
     t._pool_stale += t._pool_copies.pop(v, 0)
     t.isolated_count -= 1
     del t.adj[v]
@@ -170,10 +217,49 @@ def topology_by_edges(n: int, edges) -> Topology:
     `add_edge` per pair in order."""
     t = Topology()
     for _ in range(n):
-        t.add_node()
+        add_node(t)
     for u, v in edges:
-        t.add_edge(u, v)
+        add_edge(t, u, v)
     return t
+
+
+class JoinLog:
+    """The iteration at which each id joined a run, seen from outside the
+    engine: the founding ids join at 0; after step n, every id at or above
+    the topology's next id before the step joined at n; and an id that
+    `force_whitewash` returns joined at `sim.iteration`. Step the run and
+    plant rejoins through the log, so that it sees every id issued."""
+
+    def __init__(self, sim: Simulation):
+        self.sim = sim
+        self.joined_at = dict.fromkeys(range(sim.topology.next_id), 0)
+
+    def step(self) -> IterationRecord:
+        sim = self.sim
+        first = sim.topology.next_id
+        assert first == len(self.joined_at), "an id was issued outside the log"
+        record = sim.step()
+        for v in range(first, sim.topology.next_id):
+            self.joined_at[v] = sim.iteration
+        return record
+
+    def force_whitewash(self, vid: NodeId) -> NodeId:
+        new_id = self.sim.force_whitewash(vid)
+        assert new_id == len(self.joined_at), "an id was issued outside the log"
+        self.joined_at[new_id] = self.sim.iteration
+        return new_id
+
+    def newcomer_pool(self, n: int) -> list[NodeId]:
+        """The live ids whose tenure at iteration n lies in
+        [NEWCOMER_MIN_TENURE, newcomer_window], gathered as join-iteration
+        buckets, each in the order its ids were issued."""
+        buckets: dict[int, list[NodeId]] = {}
+        for v, j in self.joined_at.items():
+            buckets.setdefault(j, []).append(v)
+        pool = []
+        for j in range(max(n - self.sim.cfg.newcomer_window, 0), n - NEWCOMER_MIN_TENURE + 1):
+            pool += [v for v in buckets.get(j, ()) if v in self.sim.agents]
+        return pool
 
 
 def read_records_csv(path: Path) -> list[IterationRecord]:

@@ -13,27 +13,30 @@ from p2psim.agents import (
 
 
 def washer(honesty: float, attempts: int = 0, successes: int = 0) -> AgentState:
-    return AgentState(0, honesty, Role.POTENTIAL_WHITEWASHER, 0.5, attempts, successes)
+    return AgentState(0, honesty, Role.POTENTIAL_WHITEWASHER, attempts, successes)
 
 
 # ---- population ------------------------------------------------------
 
 
 def test_init_population_roles_follow_honesty():
-    pop = agents.init_population(10000, 0.5, np.random.default_rng(1))
+    pop, reputation = agents.init_population(10000, 0.5, np.random.default_rng(1))
     assert len(pop) == 10000
+    assert list(pop) == list(range(10000))
+    assert reputation.dtype == np.float64 and reputation.shape == (10000,)
+    assert np.all((0 <= reputation) & (reputation <= 1))
     frac = np.mean([a.role is Role.POTENTIAL_WHITEWASHER for a in pop.values()])
     assert 0.48 <= frac <= 0.52
     for a in pop.values():
         assert 0 <= a.honesty <= 1
-        assert 0 <= a.reputation <= 1
         assert (a.role is Role.POTENTIAL_WHITEWASHER) == (a.honesty < 0.5)
         assert a.attempts == 0 and a.successes == 0
 
 
 def test_init_population_deterministic():
     def build():
-        return agents.init_population(100, 0.5, np.random.default_rng(9))
+        pop, reputation = agents.init_population(100, 0.5, np.random.default_rng(9))
+        return pop, reputation.tolist()
 
     assert build() == build()
 
@@ -42,11 +45,11 @@ def test_zero_ceiling_makes_everyone_cooperative():
     # A run with grants disabled (r_ini_max0 = 0) draws its population the
     # same way: honesty is never below zero, so nobody is a whitewasher.
     rng = np.random.default_rng(2)
-    pop = agents.init_population(1000, 0.0, rng)
+    pop, reputation = agents.init_population(1000, 0.0, rng)
     assert all(a.role is Role.COOPERATIVE for a in pop.values())
     again = np.random.default_rng(2)
     assert [a.honesty for a in pop.values()] == again.uniform(0.0, 1.0, 1000).tolist()
-    assert [a.reputation for a in pop.values()] == again.uniform(0.0, 1.0, 1000).tolist()
+    assert reputation.tolist() == again.uniform(0.0, 1.0, 1000).tolist()
 
 
 # ---- attempt probability ---------------------------------------------
@@ -90,7 +93,7 @@ def test_hopeless_agent_never_attempts():
 
 
 def test_wrong_role_rejected():
-    a = AgentState(0, 0.9, Role.COOPERATIVE, 0.5)
+    a = AgentState(0, 0.9, Role.COOPERATIVE)
     with pytest.raises(WrongRoleError):
         agents.decide_whitewash(a, 0.5, np.random.default_rng(0))
 
@@ -116,10 +119,8 @@ def test_success_fraction_matches_uniform_cdf():
 
 def test_rejoin_resets_identity_not_history():
     a = washer(0.2, attempts=4, successes=3)
-    b = agents.rejoin_as_newcomer(a, new_id=77, offered_r_ini=0.4, n=12)
+    b = agents.rejoin_as_newcomer(a, new_id=77, offered_r_ini=0.4)
     assert b.node == 77
-    assert b.reputation == 0.4
-    assert b.joined_at == 12
     assert b.honesty == a.honesty
     assert (b.attempts, b.successes) == (4, 3)
     assert b.grant == 0.4

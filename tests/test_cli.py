@@ -255,6 +255,9 @@ BAD_CONFIGS = [
         ("simulate", '{"topology": "regular", "n": 300, "legit_departure_prob": 0.01, '
                      '"gossip_noise": 0.8}'),
         ("estimator-check", '{"n": 40, "gossip_noise": 1.5}'),
+        ("estimator-check", '{"injected": 100000}'),
+        ("estimator-check", '{"n": 10, "attach_edges": 1, "injected": 3, '
+                            '"r_ini_max0": 0, "r_ini_min": 0}'),
         ("simulate", '{"seed": 1e30}'),
         ("simulate", '{"seed": 9007199254740993.0}'),
         ("payoff-sweep", '{"cap": 1e30}'),

@@ -11,6 +11,7 @@ from p2psim import engine
 from p2psim import graph as graph_mod
 from p2psim.agents import Role
 from p2psim.engine import SimConfig, Simulation
+from p2psim.estimator import legitimacy_threshold
 
 MU_X = 0.5**0.5  # stationary cooperative reputation at the defaults
 
@@ -107,42 +108,46 @@ def test_transactions_settle_reputations():
     sim = Simulation(SimConfig(n=400, iterations=0, seed=0))
     for _ in range(40):
         sim.step()
-    for a in sim.agents.values():
+    for v, a in sim.agents.items():
         expect = 0.0 if a.role is Role.POTENTIAL_WHITEWASHER else MU_X
-        assert a.reputation == pytest.approx(expect, abs=1e-12)
+        assert sim.reputation[v] == pytest.approx(expect, abs=1e-12)
 
 
 def test_reputation_starts_on_schedule():
     # An identity holds the reputation it was born with (its grant, or a
-    # founding agent's drawn start) through iteration joined_at + 1 and its
-    # earned mu^x or 0.0 from joined_at + 2, except that everyone who joined
+    # founding agent's drawn start) through iteration joined + 1 and its
+    # earned mu^x or 0.0 from joined + 2, except that everyone who joined
     # at iteration 0 switches at iteration 1: the founding agents and a
-    # rejoin planted before the first step alike.
+    # rejoin planted before the first step alike. Join iterations come from
+    # the log, not from the engine.
     sim = Simulation(SimConfig(n=200, iterations=0, growth_percent_per_10=5.0, seed=6))
+    log = oracles.JoinLog(sim)
     coop = min(v for v, a in sim.agents.items() if a.role is Role.COOPERATIVE)
-    early = sim.force_whitewash(coop)
-    born = {v: a.reputation for v, a in sim.agents.items()}
+    early = log.force_whitewash(coop)
+    born = {v: float(sim.reputation[v]) for v in sim.agents}
     covered = collections.Counter()
     for n in range(1, 31):
         if n == 5:  # plant a rejoin between steps 4 and 5
             washer = min(v for v, a in sim.agents.items() if a.role is Role.POTENTIAL_WHITEWASHER)
-            late = sim.force_whitewash(washer)
-            born[late] = sim.agents[late].reputation
-        sim.step()
+            late = log.force_whitewash(washer)
+            born[late] = float(sim.reputation[late])
+        log.step()
+        reputation = sim.reputation.tolist()
         for v, a in sim.agents.items():
-            born.setdefault(v, a.reputation)  # joined during this step
-            start = a.joined_at + 2 if a.joined_at else 1
+            born.setdefault(v, reputation[v])  # joined during this step
+            joined = log.joined_at[v]
+            start = joined + 2 if joined else 1
             earned = MU_X if a.role is Role.COOPERATIVE else 0.0
-            assert a.reputation == (earned if n >= start else born[v]), (n, v)
+            assert reputation[v] == (earned if n >= start else born[v]), (n, v)
             if born[v] != earned and n - start in (-1, 0):
-                covered[a.joined_at > 0, n - start] += 1
+                covered[joined > 0, n - start] += 1
         if n == 1:
-            assert (born[early], sim.agents[early].reputation) == (0.5, MU_X)
+            assert (born[early], reputation[early]) == (0.5, MU_X)
         if n == 5:
-            assert sim.agents[late].joined_at == 4
-            assert sim.agents[late].reputation == born[late] > 0.0
+            assert log.joined_at[late] == 4
+            assert reputation[late] == born[late] > 0.0
         if n == 6:
-            assert sim.agents[late].reputation == 0.0
+            assert reputation[late] == 0.0
     # Both sides of each switch were seen on identities whose two values differ.
     assert set(covered) == {(False, 0), (True, -1), (True, 0)}
 
@@ -150,19 +155,24 @@ def test_reputation_starts_on_schedule():
 def test_newcomer_window_caps_tenure():
     # The newcomer pool is the one place the tenure rule is applied: before
     # every step it holds exactly the live agents whose tenure lies in
-    # [NEWCOMER_MIN_TENURE, newcomer_window], and over a growing run with
-    # whitewash rejoins both ends of that range are occupied.
+    # [NEWCOMER_MIN_TENURE, newcomer_window], in the order the log's join
+    # buckets give, and over a growing run with whitewash rejoins and
+    # planted rejoins both ends of that range are occupied. Join iterations
+    # come from the log, not from the engine.
     window = 12
     sim = Simulation(SimConfig(n=200, iterations=0, growth_percent_per_10=5.0,
                                newcomer_window=window, seed=6))
+    log = oracles.JoinLog(sim)
     tenures = set()
     for n in range(1, 41):
-        pool = sim._newcomer_pool(n)
-        expect = [v for v, a in sorted(sim.agents.items())
-                  if engine.NEWCOMER_MIN_TENURE <= n - a.joined_at <= window]
-        assert sorted(a.node for a in pool) == expect, n
-        tenures.update(n - a.joined_at for a in pool)
-        sim.step()
+        pool = sim._newcomer_pool(n).tolist()
+        expect = [v for v in sorted(sim.agents)
+                  if engine.NEWCOMER_MIN_TENURE <= n - log.joined_at[v] <= window]
+        assert pool == expect == log.newcomer_pool(n), n
+        tenures.update(n - log.joined_at[v] for v in pool)
+        if n % 7 == 0:
+            log.force_whitewash(min(sim.agents))
+        log.step()
     assert min(tenures) == engine.NEWCOMER_MIN_TENURE
     assert max(tenures) == window
 
@@ -207,7 +217,7 @@ class ScanDepartures(Simulation):
         threshold = (self.r_est + cfg.r_ini_min) / 2
         for vid in sorted(self.agents):
             a = self.agents[vid]
-            if a.role is not Role.COOPERATIVE or a.reputation < threshold:
+            if a.role is not Role.COOPERATIVE or self.reputation[vid] < threshold:
                 continue
             if self.topology.node_count <= cfg.attach_edges + 1:
                 break
@@ -220,7 +230,8 @@ class ScanDepartures(Simulation):
 
 def run_with_departure_log(sim: Simulation):
     """Records, the ascending leaver ids of each iteration, and the final
-    generator state; checks the candidate array after every step."""
+    generator state; after every step, checks the role codes against the
+    agents and the departure candidates against a scan of the agents."""
     leavers = []
     depart = sim._voluntary_departures
 
@@ -233,12 +244,17 @@ def run_with_departure_log(sim: Simulation):
     records = []
     for _ in range(sim.cfg.iterations):
         records.append(sim.step())
-        rep = sim._coop_rep
-        assert len(rep) >= sim.topology.next_id
-        listed = {int(v): float(rep[v]) for v in np.flatnonzero(rep > -np.inf)}
-        assert listed == {
-            v: a.reputation for v, a in sim.agents.items() if a.role is Role.COOPERATIVE
+        code = sim.role_code
+        assert len(code) == len(sim.reputation) >= sim.topology.next_id
+        assert {int(v): int(code[v]) for v in np.flatnonzero(code)} == {
+            v: engine.ROLE_CODE[a.role] for v, a in sim.agents.items()
         }
+        threshold = legitimacy_threshold(sim.r_est, sim.cfg.r_ini_min)
+        candidates = (code == engine.ROLE_CODE[Role.COOPERATIVE]) & (sim.reputation >= threshold)
+        assert np.flatnonzero(candidates).tolist() == [
+            v for v in sorted(sim.agents)
+            if sim.agents[v].role is Role.COOPERATIVE and sim.reputation[v] >= threshold
+        ]
     return records, leavers, sim.rng.bit_generator.state
 
 
@@ -297,15 +313,16 @@ def test_wave_echo_then_permanent_silence():
 
 def test_rejoiners_get_fresh_ids_and_the_offered_grant():
     sim = Simulation(SimConfig(n=300, seed=2))
-    rec = sim.step()
+    log = oracles.JoinLog(sim)
+    rec = log.step()
     assert rec.whitewash_successes > 0
     rejoined = [v for v in sim.agents if v >= 300]
     assert len(rejoined) == rec.whitewash_successes
     for v in rejoined:
         a = sim.agents[v]
-        assert a.joined_at == 1
+        assert log.joined_at[v] == 1
         assert a.attempts == a.successes == 1
-        assert a.reputation == a.grant == pytest.approx(0.5)  # the iteration-1 offer
+        assert sim.reputation[v] == a.grant == pytest.approx(0.5)  # the iteration-1 offer
         # hosts picked at rejoin may themselves wash later in the same
         # wave, so membership is guaranteed but the edge count is not
         assert v in sim.topology.adj
@@ -316,22 +333,25 @@ def test_arrivals_book_one_count_per_host():
     # drawn by degree, one arrival booked at each.
     sim = Simulation(SimConfig(n=100, iterations=0, growth_percent_per_10=3.0, seed=4))
     sim.auto_whitewash = False
+    log = oracles.JoinLog(sim)
     for _ in range(9):
-        sim.step()
+        log.step()
     adj = sim.topology.adj
     washer = min(v for v, a in sim.agents.items() if a.role is Role.POTENTIAL_WHITEWASHER)
-    new_id = sim.force_whitewash(washer)
+    new_id = log.force_whitewash(washer)
     assert len(adj[new_id]) == 3
     assert sim._arrivals == dict.fromkeys(adj[new_id], 1)
-    sim._arrivals = {}
-    first = sim.topology.next_id
-    sim._grow_population(10)
+    # Step 10's sweep takes the rejoin's arrivals; its growth batch, the
+    # only ids the log has joining at 10, books the arrivals left after it.
+    log.step()
+    grown = [v for v, j in log.joined_at.items() if j == 10]
+    assert log.joined_at[new_id] == 9
     # A host is older than the node it hosts; younger neighbors of a new
     # node are later arrivals of the same batch that it hosted in turn.
-    hosts = [u for v in range(first, sim.topology.next_id) for u in adj[v] if u < v]
-    assert sim.topology.next_id - first == 3
+    hosts = [u for v in grown for u in adj[v] if u < v]
+    assert len(grown) == 3
     # Each growth arrival is born holding its grant.
-    assert all(sim.agents[v].reputation == sim.agents[v].grant for v in range(first, first + 3))
+    assert all(sim.reputation[v] == sim.agents[v].grant for v in grown)
     assert sim._arrivals == dict(collections.Counter(hosts))
     assert sum(sim._arrivals.values()) == 3 * 3
 

@@ -60,7 +60,7 @@ def test_classify_departure():
     for rep, legit in ((0.5, True), (0.265, True), (0.26499, False), (0.0, False)):
         sim = Simulation(SimConfig(n=30, degree=4, topology="regular", iterations=0))
         assert (sim.r_est, sim.cfg.r_ini_min) == (0.5, 0.03)
-        sim.agents[0].reputation = rep
+        sim.reputation[0] = rep
         neighbors = set(sim.topology.adj[0])
         sim.force_whitewash(0)
         assert sim._legit_gone == (dict.fromkeys(neighbors, 1) if legit else {}), rep

@@ -4,17 +4,12 @@ import numpy as np
 import pytest
 
 from p2psim import gossip, graph
-from p2psim.agents import AgentState, Role
 from p2psim.gossip import GossipSnapshot
-
-
-def make_agents(reps: list[float]) -> list[AgentState]:
-    return [AgentState(i, 0.9, Role.COOPERATIVE, rep) for i, rep in enumerate(reps)]
 
 
 def test_exact_snapshot_matches_topology():
     t = graph.generate_regular(1000, 6, seed=2)
-    s = gossip.take_snapshot(t, make_agents([0.5] * 5))
+    s = gossip.take_snapshot(t, np.full(5, 0.5))
     assert s.node_count == 1000
     assert s.degree_sum == 6000
     assert gossip.snapshot_average_degree(s) == 6.0
@@ -26,19 +21,20 @@ def test_newcomer_mean_absent_without_eligible_nodes():
     # NEWCOMER_MIN_TENURE iterations; the mean is then undefined.
     t = graph.generate_regular(10, 2, seed=0)
     assert gossip.take_snapshot(t, []).newcomer_mean_reputation is None
+    assert gossip.take_snapshot(t, np.zeros(0)).newcomer_mean_reputation is None
 
 
 def test_newcomer_mean_over_eligible_only():
     # Eligibility is the engine's rule (its newcomer pool); the snapshot
-    # averages every agent it is handed and nothing else.
+    # averages every reputation it is handed and nothing else.
     t = graph.generate_regular(10, 2, seed=0)
-    s = gossip.take_snapshot(t, make_agents([0.8, 0.4]))
+    s = gossip.take_snapshot(t, [0.8, 0.4])
     assert s.newcomer_mean_reputation == pytest.approx((0.8 + 0.4) / 2)
 
 
 def test_noise_bounds_and_independence():
     t = graph.generate_regular(1000, 6, seed=2)
-    pop = make_agents([0.5])
+    pop = [0.5]
     rng = np.random.default_rng(17)
     count_factors = []
     degree_factors = []

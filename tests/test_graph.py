@@ -18,9 +18,9 @@ from p2psim.graph import (
 def path_topology(n: int = 5) -> Topology:
     t = Topology()
     for _ in range(n):
-        t.add_node()
+        oracles.add_node(t)
     for i in range(n - 1):
-        t.add_edge(i, i + 1)
+        oracles.add_edge(t, i, i + 1)
     return t
 
 
@@ -142,12 +142,12 @@ def test_attachment_falls_back_to_isolated_nodes():
     t = path_topology(7)
     for v in range(5):
         graph.remove_node(t, v)
-    t.add_node()  # leaves {5: {6}, 6: {5}, 7: {}}
+    oracles.add_node(t)  # leaves {5: {6}, 6: {5}, 7: {}}
     assert t.isolated_count == 1
     rng = np.random.default_rng(0)
     targets = t.sample_attachment_targets(3, rng)
     assert sorted(targets[:2]) == [5, 6] and targets[2] == 7
-    t.remove_edge(5, 6)
+    oracles.remove_edge(t, 5, 6)
     assert t.isolated_count == 3
     assert sorted(t.sample_attachment_targets(3, rng)) == [5, 6, 7]
 
@@ -250,19 +250,19 @@ def test_neighbor_degree_snapshot_matches_recount():
         u = pick([v for v in t.adj if t.adj[v] and len(t.adj[v]) < t.node_count - 1])
         old = pick(t.adj[u])
         new = pick(set(t.adj) - t.adj[u] - {u, old})
-        t.remove_edge(u, old)
-        t.add_edge(u, new)
+        oracles.remove_edge(t, u, old)
+        oracles.add_edge(t, u, new)
 
     def readd_edge() -> None:
         u = pick([v for v in t.adj if t.adj[v]])
         w = pick(t.adj[u])
-        t.remove_edge(u, w)
-        t.add_edge(w, u)
+        oracles.remove_edge(t, u, w)
+        oracles.add_edge(t, w, u)
 
     def passing_node() -> None:
-        v = t.add_node()
+        v = oracles.add_node(t)
         for u in t.sample_attachment_targets(int(rng.integers(4)), rng):
-            t.add_edge(v, u)
+            oracles.add_edge(t, v, u)
         drop(v)
 
     def remove_hub() -> None:
