@@ -5,10 +5,12 @@ below the advertised newcomer reputation are potential whitewashers: resetting
 their identity would hand them more reputation than their behavior earns, so
 they may dump a bad record and rejoin. Everyone else cooperates.
 
-An `AgentState` holds the person's traits (honesty, role and the attempt
-counters, which a rejoin carries over) and the grant its current identity
-was born with (none for the founding population). An identity's reputation
-and join iteration are the engine's, held by node id.
+Only a potential whitewasher makes a decision, so only it has an
+`AgentState`: its honesty, the attempt counters (which a rejoin carries
+over) and the grant its current identity was born with (none for the
+founding population). A cooperator is its role and its reputation, and
+every identity's role, reputation and join iteration are the engine's,
+held by node id.
 """
 
 from __future__ import annotations
@@ -22,9 +24,14 @@ from .draws import Draws
 from .graph import NodeId
 
 
-class Role(enum.Enum):
-    COOPERATIVE = "cooperative"
-    POTENTIAL_WHITEWASHER = "potential_whitewasher"
+class Role(enum.IntEnum):
+    """An id's role; the values are the codes the engine keeps per id, where
+    0 marks an id that is gone or not issued yet. Compare an int8 code array
+    with `.value`: numpy takes a member as an int64 scalar and would widen
+    the whole array to compare."""
+
+    COOPERATIVE = 1
+    POTENTIAL_WHITEWASHER = 2
 
 
 class WhitewashOutcome(enum.Enum):
@@ -33,26 +40,20 @@ class WhitewashOutcome(enum.Enum):
     WHITEWASHED = "whitewashed"
 
 
-class WrongRoleError(ValueError):
-    pass
-
-
 @dataclass
 class AgentState:
-    node: NodeId
     honesty: float
-    role: Role
     attempts: int = 0
     successes: int = 0
     grant: float | None = None  # reputation this identity was born with
 
 
-Population = dict[NodeId, AgentState]
-
-
-def init_population(size: int, r_ini_max: float, rng: Draws) -> tuple[Population, np.ndarray]:
-    """Create `size` agents on node ids 0..size-1, and their starting
-    reputations indexed by node id.
+def init_population(
+    size: int, r_ini_max: float, rng: Draws
+) -> tuple[np.ndarray, np.ndarray, dict[NodeId, AgentState]]:
+    """Create `size` agents on node ids 0..size-1: their role codes and
+    starting reputations indexed by node id, and the potential
+    whitewashers' records by node id.
 
     Honesty is i.i.d. Uniform[0,1]; an agent is a potential whitewasher iff
     its honesty is below r_ini_max, so a zero ceiling makes everyone
@@ -60,13 +61,13 @@ def init_population(size: int, r_ini_max: float, rng: Draws) -> tuple[Population
     histories accumulated before the observation window. Draw order: all
     honesties first, then all reputations.
     """
-    honesty = rng.uniform(0.0, 1.0, size).tolist()
+    honesty = rng.uniform(0.0, 1.0, size)
     reputation = rng.uniform(0.0, 1.0, size)
-    washer, coop = Role.POTENTIAL_WHITEWASHER, Role.COOPERATIVE
-    population = {
-        i: AgentState(i, h, washer if h < r_ini_max else coop) for i, h in enumerate(honesty)
-    }
-    return population, reputation
+    washer = honesty < r_ini_max
+    role_code = np.where(washer, Role.POTENTIAL_WHITEWASHER, Role.COOPERATIVE).astype(np.int8)
+    ids = np.flatnonzero(washer).tolist()
+    records = {v: AgentState(h) for v, h in zip(ids, honesty[washer].tolist())}
+    return role_code, reputation, records
 
 
 def attempt_probability(a: AgentState) -> float:
@@ -86,8 +87,6 @@ def decide_whitewash(
     attempt succeeds iff the offered newcomer reputation is at least its
     honesty (a tie still pays). Counters update only when an attempt fires.
     """
-    if a.role is not Role.POTENTIAL_WHITEWASHER:
-        raise WrongRoleError(f"node {a.node} is {a.role.value}")
     if rng.random() >= attempt_probability(a):
         return WhitewashOutcome.NO_ATTEMPT
     a.attempts += 1
@@ -95,16 +94,3 @@ def decide_whitewash(
         a.successes += 1
         return WhitewashOutcome.WHITEWASHED
     return WhitewashOutcome.ATTEMPT_FAILED
-
-
-def rejoin_as_newcomer(a: AgentState, new_id: NodeId, offered_r_ini: float) -> AgentState:
-    """Re-enter the network under a fresh identity born with the offered
-    grant; honesty and attempt counters carry over."""
-    return AgentState(
-        node=new_id,
-        honesty=a.honesty,
-        role=a.role,
-        attempts=a.attempts,
-        successes=a.successes,
-        grant=offered_r_ini,
-    )

@@ -361,6 +361,20 @@ def _payoff_sweep_plan(**values) -> PayoffSweepPlan:
     return plan
 
 
+def _fixed_point_plan(**values) -> FixedPointPlan:
+    plan = FixedPointPlan(**values)
+    # The offer curve minus the diagonal is r_ini_min - w_max at w = w_max
+    # and at least 0 at w = 0, so it has a root in [0, w_max] exactly when
+    # w_max >= r_ini_min.
+    low = [w for w in plan.w_max if w < plan.r_ini_min]
+    if low:
+        raise ValueError(
+            f"w_max: {low} below r_ini_min {plan.r_ini_min!r}, where the offer curve "
+            "never meets the diagonal"
+        )
+    return plan
+
+
 def _game_assignments(kappa: int, rounds: int) -> int:
     """Joint round assignments one game-report enumerates: s^kappa for each
     randomization span s = 2..kappa, plus kappa * rounds^kappa for the
@@ -646,7 +660,7 @@ _COMMANDS = {
         _game_spec,
         _run_game_report,
     ),
-    "fixed-point": (_specs(FixedPointPlan), FixedPointPlan, _run_fixed_point),
+    "fixed-point": (_specs(FixedPointPlan), _fixed_point_plan, _run_fixed_point),
     "frontier": (_specs(FrontierPlan), FrontierPlan, _run_frontier),
     "estimator-check": (
         {**_SIM_SPECS, "injected": Spec(int, 10, "[0, inf)")},

@@ -33,8 +33,7 @@ departure at each neighbor when it looked legitimate. Whitewash rejoins and
 growth arrivals enter through one helper that wires the node with
 `Topology.attach` and books one arrival at each host. Both node events,
 `graph.remove_node` and `Topology.attach`, run in one pass over the node's
-edges. The grant an identity was born with is kept on its `AgentState`,
-beside the person's honesty, role and attempt counters.
+edges.
 
 The estimator state of step 2 lives in `estimator.EstimatorArrays`: numpy
 arrays indexed by node id, which only grow because ids are never reused. A
@@ -65,37 +64,27 @@ step j, 0 for j = 0) up to `_first_id[j + 1]`. Two more arrays are indexed
 by node id and grown with `graph.grown` like the estimator's: `reputation`,
 the only place an identity's reputation is kept (drawn for the founders,
 the grant for a newcomer, then the earned value from the transaction
-start), and `role_code`, written once when an id registers and cleared
-when the node leaves (`ROLE_CODE`; 0 for an id that is gone). The
-transaction start is two masked writes on one id range, the newcomer pool
-is the live ids of one range, and the departure candidates are one mask,
-the live cooperators at or above the legitimacy threshold, in ascending
-order.
+start), and `role_code`, the only place an id's role and liveness are kept:
+its `agents.Role` value, written once when the id registers, and 0 from
+when the node leaves (or before the id is issued). The transaction start
+is two masked writes on one id range, the newcomer pool is the live ids of
+one range, and the departure candidates are one mask, the live cooperators
+at or above the legitimacy threshold, in ascending order. Only the live
+potential whitewashers, who make the wave's decisions, have a record in
+`Simulation.agents` (an `agents.AgentState`: honesty, attempt counters and
+the grant the current identity was born with); a rejoin moves the
+person's record, or nothing for a cooperator, to the new id.
 
 All randomness comes from one draw source per run, `Simulation.rng`, a
-`draws.Draws` over the run's seeded PCG64 `Generator`. Its scalar draws
-(`integers(n)`, `random()`, `uniform(lo, hi)`) are computed in Python from
-raw 64-bit words that it reads ahead in chunks from a clone of the bit
-generator, replaying numpy's stream without numpy's per-call cost:
-Lemire's bounded draw on 32-bit halves for `integers`, with the spare half
-kept as PCG64's own `has_uint32`/`uinteger` buffer keeps it, and
-`(word >> 11) * 2**-53` for `random`. Array draws go to numpy (the pairing
-model's `shuffle`, the isolated-node fill's `permutation`, the founding
-population's `uniform(size=...)`, the departure batches' `random(k)`); each
-first syncs the real bit generator, advancing it by the words taken and
-writing back the spare half, and so does reading `rng.bit_generator`. The values and the final
-generator state are those of the plain `Generator`. The replay rests on
-numpy internals (PCG64's uint32 buffer and Lemire's method in
-`Generator.integers`). The golden digests pin numpy's stream already, and
-`tests/test_draws.py` checks the replay against the plain `Generator`, so a
-numpy release that changed either fails those tests. Draw order inside an
-iteration: gossip noise factors (only when noise > 0); the whitewash wave
-in ascending node-id order (per agent: target index, then the attempt draw,
-then attachment draws on a success); voluntary departures in ascending
-node-id order (one draw per reputable candidate, only when enabled, and
-none once the overlay is down to attach_edges + 1 nodes; the draws come in
-batches of `random(k)`, the same stream as k scalar draws, each
-batch no longer than the departures the floor still allows); growth
+`draws.Draws` over the run's seeded PCG64 `Generator` that yields exactly
+the plain `Generator`'s values and final state (see `draws`). Draw order
+inside an iteration: gossip noise factors (only when noise > 0); the
+whitewash wave in ascending node-id order (per agent: target index, then
+the attempt draw, then attachment draws on a success); voluntary departures
+in ascending node-id order (one draw per reputable candidate, only when
+enabled, and none once the overlay is down to attach_edges + 1 nodes; the
+draws come in batches of `random(k)`, the same stream as k scalar draws,
+each batch no longer than the departures the floor still allows); growth
 arrivals (per arrival: attachment draws, then honesty). Agents skipped
 before a target was drawn consume no randomness, so runs with identical
 configurations replay bit for bit.
@@ -126,10 +115,6 @@ GROWTH_PERIOD = 10
 # A newcomer's reputation only counts toward the gossiped newcomer mean once
 # it has been around for this many iterations (and at most newcomer_window).
 NEWCOMER_MIN_TENURE = 3
-
-# Role and liveness of each id, one int8 per id in `Simulation.role_code`;
-# 0 marks an id that is gone or not issued yet.
-ROLE_CODE = {Role.COOPERATIVE: 1, Role.POTENTIAL_WHITEWASHER: 2}
 
 # Grant improvements that matter are of order r_ini_min; this margin only
 # has to swallow float jitter in gossip means (identical reputations can
@@ -250,11 +235,8 @@ class Simulation:
             self.topology = graph_mod.generate_scale_free(cfg.n, cfg.attach_edges, self.rng)
         else:
             self.topology = graph_mod.generate_regular(cfg.n, cfg.degree, self.rng)
-        self.agents, self.reputation = agents_mod.init_population(
+        self.role_code, self.reputation, self.agents = agents_mod.init_population(
             cfg.n, cfg.r_ini_max0, self.rng
-        )
-        self.role_code = np.fromiter(
-            (ROLE_CODE[a.role] for a in self.agents.values()), np.int8, cfg.n
         )
         self.iteration = 0
         self._first_id = [0]
@@ -279,9 +261,7 @@ class Simulation:
         # Identity economics: the whitewashers worth polling this iteration,
         # and the ones parked until the grant ceiling climbs back above the
         # grant their current identity was born with.
-        self._ready = {
-            v for v, a in self.agents.items() if a.role is Role.POTENTIAL_WHITEWASHER
-        }
+        self._ready = set(self.agents)
         self._parked: list[tuple[float, int]] = []
         self.auto_whitewash = True
 
@@ -296,8 +276,8 @@ class Simulation:
         j = max(n - 2, 0)
         ids = slice(self._first_id[j], self._first_id[j + 1])
         code, reputation = self.role_code[ids], self.reputation[ids]
-        reputation[code == ROLE_CODE[Role.COOPERATIVE]] = self._mu_x
-        reputation[code == ROLE_CODE[Role.POTENTIAL_WHITEWASHER]] = 0.0
+        reputation[code == Role.COOPERATIVE.value] = self._mu_x
+        reputation[code == Role.POTENTIAL_WHITEWASHER.value] = 0.0
 
     def _newcomer_pool(self, n: int) -> np.ndarray:
         """Ascending ids of the live agents whose tenure at iteration n lies
@@ -342,29 +322,33 @@ class Simulation:
         absent from the sweep saw no churn and sit at zero."""
         return self._est.last_sweep
 
-    def _register_newcomer(self, vid: int, agent: AgentState) -> None:
+    def _register_newcomer(self, vid: int, grant: float, agent: AgentState | None) -> None:
         """Register a rejoin or a growth arrival, born holding its grant as
-        its reputation."""
-        self.agents[vid] = agent
+        its reputation: a potential whitewasher with its record `agent`, a
+        cooperator with None."""
         self.reputation = graph_mod.grown(self.reputation, vid + 1)
         self.role_code = graph_mod.grown(self.role_code, vid + 1)
-        self.reputation[vid] = agent.grant
-        self.role_code[vid] = ROLE_CODE[agent.role]
+        self.reputation[vid] = grant
         self._est.prime(vid, self.r_est)
-        if agent.role is Role.POTENTIAL_WHITEWASHER:
+        if agent is None:
+            self.role_code[vid] = Role.COOPERATIVE
+        else:
+            self.role_code[vid] = Role.POTENTIAL_WHITEWASHER
+            agent.grant = grant
+            self.agents[vid] = agent
             self._ready.add(vid)
 
-    def _drop_node(self, vid: int, benign: bool) -> None:
+    def _drop_node(self, vid: int, benign: bool) -> AgentState | None:
         """Remove a node; if `benign`, each neighbor books one benign
-        departure."""
+        departure. Returns the node's record, None for a cooperator."""
         if benign:
             for u in self.topology.adj[vid]:
                 self._legit_gone[u] = self._legit_gone.get(u, 0) + 1
         graph_mod.remove_node(self.topology, vid)
-        del self.agents[vid]
         self.role_code[vid] = 0
         self._est.retire(vid)
         self._ready.discard(vid)
+        return self.agents.pop(vid, None)
 
     def _attach_newcomer(self) -> tuple[int, list[int]]:
         """Add a node wired to attach_edges hosts drawn by degree, and book
@@ -375,13 +359,14 @@ class Simulation:
             self._arrivals[u] = self._arrivals.get(u, 0) + 1
         return vid, targets
 
-    def _execute_whitewash(self, vid: int, a: AgentState, offered: float) -> int:
+    def _execute_whitewash(self, vid: int, offered: float) -> int:
         # A leaver that still looks reputable is booked as a benign
-        # departure, so the rejoin slips past the estimator.
+        # departure, so the rejoin slips past the estimator. The person
+        # keeps its role, and a whitewasher its record, under the new id.
         threshold = legitimacy_threshold(self.r_est, self.cfg.r_ini_min)
-        self._drop_node(vid, self.reputation[vid] >= threshold)
+        agent = self._drop_node(vid, self.reputation[vid] >= threshold)
         new_id, _ = self._attach_newcomer()
-        self._register_newcomer(new_id, agents_mod.rejoin_as_newcomer(a, new_id, offered))
+        self._register_newcomer(new_id, offered, agent)
         return new_id
 
     def _whitewash_wave(self) -> tuple[int, int]:
@@ -420,7 +405,7 @@ class Simulation:
             if outcome is WhitewashOutcome.WHITEWASHED:
                 successes += 1
                 self._ready.discard(vid)
-                self._execute_whitewash(vid, a, offered)
+                self._execute_whitewash(vid, offered)
             elif a.successes == 0:
                 self._ready.discard(vid)
         return attempts, successes
@@ -429,7 +414,7 @@ class Simulation:
         cfg = self.cfg
         threshold = legitimacy_threshold(self.r_est, cfg.r_ini_min)
         candidates = np.flatnonzero(
-            (self.role_code == ROLE_CODE[Role.COOPERATIVE]) & (self.reputation >= threshold)
+            (self.role_code == Role.COOPERATIVE.value) & (self.reputation >= threshold)
         )
         # Departures stop at attach_edges + 1 nodes, and no draw is made
         # past that floor: a batch never holds more draws than departures
@@ -453,8 +438,8 @@ class Simulation:
             # The first host a newcomer contacts is the one that vouches
             # for it, so its offer becomes the newcomer's starting grant.
             grant = float(self._est.offers[targets[0]])
-            role = Role.POTENTIAL_WHITEWASHER if honesty < self.r_est else Role.COOPERATIVE
-            self._register_newcomer(vid, AgentState(vid, honesty, role, grant=grant))
+            agent = AgentState(honesty) if honesty < self.r_est else None
+            self._register_newcomer(vid, grant, agent)
 
     # ---- public API ---------------------------------------------------
 
@@ -486,7 +471,7 @@ class Simulation:
     def force_whitewash(self, vid: int) -> int:
         """Reset one agent's identity outside the decision machinery (the
         attempt counters stay untouched); used to plant ground-truth churn."""
-        return self._execute_whitewash(vid, self.agents[vid], self.r_est)
+        return self._execute_whitewash(vid, self.r_est)
 
 
 def run(cfg: SimConfig) -> list[IterationRecord]:
@@ -511,11 +496,7 @@ def closed_world_estimator_check(cfg: SimConfig, injected: int) -> tuple[float, 
     sim.auto_whitewash = False
     for _ in range(GROWTH_PERIOD):
         sim.step()
-    washers = [
-        vid
-        for vid in sorted(sim.agents)
-        if sim.agents[vid].role is Role.POTENTIAL_WHITEWASHER
-    ]
+    washers = sorted(sim.agents)
     if len(washers) < injected:
         raise ValueError(f"population has only {len(washers)} potential whitewashers")
     t = sim.topology

@@ -80,7 +80,7 @@ class EstimatorArrays:
     positive, and whenever it sees churn; a node left out of a sweep
     has an all-zero window, so skipping it is the same as pushing the zero
     it would see (except that a shrinking overlay gives a swept node with no
-    churn a positive level; see ROADMAP item 6). A new node is primed in the
+    churn a positive level; see ROADMAP item 5). A new node is primed in the
     slot just before the next write, so the prime ages out after exactly
     `window` pushes.
 

@@ -258,7 +258,7 @@ class JoinLog:
             buckets.setdefault(j, []).append(v)
         pool = []
         for j in range(max(n - self.sim.cfg.newcomer_window, 0), n - NEWCOMER_MIN_TENURE + 1):
-            pool += [v for v in buckets.get(j, ()) if v in self.sim.agents]
+            pool += [v for v in buckets.get(j, ()) if v in self.sim.topology.adj]
         return pool
 
 

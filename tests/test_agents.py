@@ -1,42 +1,42 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from p2psim import agents
-from p2psim.agents import (
-    AgentState,
-    Role,
-    WhitewashOutcome,
-    WrongRoleError,
-)
+from p2psim.agents import AgentState, Role, WhitewashOutcome
 
 
 def washer(honesty: float, attempts: int = 0, successes: int = 0) -> AgentState:
-    return AgentState(0, honesty, Role.POTENTIAL_WHITEWASHER, attempts, successes)
+    return AgentState(honesty, attempts, successes)
 
 
 # ---- population ------------------------------------------------------
 
 
 def test_init_population_roles_follow_honesty():
-    pop, reputation = agents.init_population(10000, 0.5, np.random.default_rng(1))
-    assert len(pop) == 10000
-    assert list(pop) == list(range(10000))
+    role_code, reputation, records = agents.init_population(10000, 0.5, np.random.default_rng(1))
+    honesty = np.random.default_rng(1).uniform(0.0, 1.0, 10000)  # drawn first
+    assert role_code.dtype == np.int8 and role_code.shape == (10000,)
     assert reputation.dtype == np.float64 and reputation.shape == (10000,)
     assert np.all((0 <= reputation) & (reputation <= 1))
-    frac = np.mean([a.role is Role.POTENTIAL_WHITEWASHER for a in pop.values()])
+    assert role_code.tolist() == [
+        Role.POTENTIAL_WHITEWASHER if h < 0.5 else Role.COOPERATIVE for h in honesty.tolist()
+    ]
+    frac = np.mean(role_code == Role.POTENTIAL_WHITEWASHER)
     assert 0.48 <= frac <= 0.52
-    for a in pop.values():
-        assert 0 <= a.honesty <= 1
-        assert (a.role is Role.POTENTIAL_WHITEWASHER) == (a.honesty < 0.5)
-        assert a.attempts == 0 and a.successes == 0
+    # One record per potential whitewasher, in ascending id order.
+    assert list(records) == np.flatnonzero(role_code == Role.POTENTIAL_WHITEWASHER).tolist()
+    for v, a in records.items():
+        assert a.honesty == honesty[v] < 0.5
+        assert a.attempts == 0 and a.successes == 0 and a.grant is None
 
 
 def test_init_population_deterministic():
     def build():
-        pop, reputation = agents.init_population(100, 0.5, np.random.default_rng(9))
-        return pop, reputation.tolist()
+        role_code, reputation, records = agents.init_population(
+            100, 0.5, np.random.default_rng(9)
+        )
+        return role_code.tolist(), reputation.tolist(), records
 
     assert build() == build()
 
@@ -45,11 +45,13 @@ def test_zero_ceiling_makes_everyone_cooperative():
     # A run with grants disabled (r_ini_max0 = 0) draws its population the
     # same way: honesty is never below zero, so nobody is a whitewasher.
     rng = np.random.default_rng(2)
-    pop, reputation = agents.init_population(1000, 0.0, rng)
-    assert all(a.role is Role.COOPERATIVE for a in pop.values())
+    role_code, reputation, records = agents.init_population(1000, 0.0, rng)
+    assert np.all(role_code == Role.COOPERATIVE)
+    assert records == {}
     again = np.random.default_rng(2)
-    assert [a.honesty for a in pop.values()] == again.uniform(0.0, 1.0, 1000).tolist()
+    again.uniform(0.0, 1.0, 1000)  # the honesties
     assert reputation.tolist() == again.uniform(0.0, 1.0, 1000).tolist()
+    assert rng.bit_generator.state == again.bit_generator.state
 
 
 # ---- attempt probability ---------------------------------------------
@@ -92,12 +94,6 @@ def test_hopeless_agent_never_attempts():
     assert (a.attempts, a.successes) == (10, 0)
 
 
-def test_wrong_role_rejected():
-    a = AgentState(0, 0.9, Role.COOPERATIVE)
-    with pytest.raises(WrongRoleError):
-        agents.decide_whitewash(a, 0.5, np.random.default_rng(0))
-
-
 def test_success_fraction_matches_uniform_cdf():
     """With uniform honesty, the fraction of first attempts that succeed at
     offer r converges to r."""
@@ -112,16 +108,3 @@ def test_success_fraction_matches_uniform_cdf():
             wins += 1
     se = np.sqrt(offer * (1 - offer) / draws)
     assert abs(wins / draws - offer) < 3 * se
-
-
-# ---- rejoin ----------------------------------------------------------
-
-
-def test_rejoin_resets_identity_not_history():
-    a = washer(0.2, attempts=4, successes=3)
-    b = agents.rejoin_as_newcomer(a, new_id=77, offered_r_ini=0.4)
-    assert b.node == 77
-    assert b.honesty == a.honesty
-    assert (b.attempts, b.successes) == (4, 3)
-    assert b.grant == 0.4
-    assert b is not a

@@ -220,6 +220,7 @@ BAD_CONFIGS = [
         ("payoff-sweep", '{"mu": null}'),
         ("payoff-sweep", '{"m": "q"}'),
         ("fixed-point", '{"w_max": "a"}'),
+        ("fixed-point", '{"r_ini_min": 0.5, "w_max": [0.6, 0.3]}'),
         ("frontier", '{"mu": "a"}'),
         ("payoff-sweep", '{"m": -1}'),
         ("frontier", '{"m_ratio": Infinity}'),
@@ -281,9 +282,11 @@ def test_wrong_typed_simulate_values_are_config_errors(tmp_path, capsys, command
     code = run_cli(*command.split(), "--config", cfg, "--out", tmp_path / "out")
     assert time.perf_counter() - start < 1.0  # every work bound is checked before any work
     assert code == 2
-    lines = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "config"
+    assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 def test_work_bound_projects_growth_per_period(tmp_path):
@@ -504,6 +507,16 @@ def test_fixed_point_csv_matches_module(tmp_path):
     assert run_cli("fixed-point", "--config", cfg, "--out", out, "--quiet") == 0
     line = (out / "fixed_point.csv").read_text().splitlines()[1]
     assert line.split(",")[-1] == f"{(3 - math.sqrt(5)) / 4:.12g}"
+
+
+def test_fixed_point_accepts_w_max_at_the_floor(tmp_path):
+    # w_max below r_ini_min has no root and is a config error (BAD_CONFIGS);
+    # at r_ini_min the root is w_max itself.
+    cfg = write_config(tmp_path, {"r_ini_min": 0.5, "w_max": [0.6, 0.5]})
+    out = tmp_path / "out"
+    assert run_cli("fixed-point", "--config", cfg, "--out", out, "--quiet") == 0
+    rows = (out / "fixed_point.csv").read_text().splitlines()[1:]
+    assert rows == ["0.5,0.5,0.6,0.5", "0.5,0.5,0.5,0.5"]
 
 
 def test_frontier_emits_curve_and_best_point(tmp_path):

@@ -16,6 +16,19 @@ from p2psim.estimator import legitimacy_threshold
 MU_X = 0.5**0.5  # stationary cooperative reputation at the defaults
 
 
+def live_with_role(sim: Simulation, role: Role) -> list[int]:
+    """Ascending live ids whose role code is `role`."""
+    return [v for v in sorted(sim.topology.adj) if sim.role_code[v] == role]
+
+
+def check_roles_and_records(sim: Simulation) -> None:
+    """`role_code` is nonzero exactly on the live ids, and `sim.agents`
+    holds a record for exactly the live potential whitewashers."""
+    code = sim.role_code
+    assert np.flatnonzero(code).tolist() == sorted(sim.topology.adj)
+    assert sorted(sim.agents) == np.flatnonzero(code == Role.POTENTIAL_WHITEWASHER).tolist()
+
+
 # ---- configuration ------------------------------------------------------
 
 
@@ -108,8 +121,8 @@ def test_transactions_settle_reputations():
     sim = Simulation(SimConfig(n=400, iterations=0, seed=0))
     for _ in range(40):
         sim.step()
-    for v, a in sim.agents.items():
-        expect = 0.0 if a.role is Role.POTENTIAL_WHITEWASHER else MU_X
+    for v in sim.topology.adj:
+        expect = 0.0 if sim.role_code[v] == Role.POTENTIAL_WHITEWASHER else MU_X
         assert sim.reputation[v] == pytest.approx(expect, abs=1e-12)
 
 
@@ -122,22 +135,20 @@ def test_reputation_starts_on_schedule():
     # the log, not from the engine.
     sim = Simulation(SimConfig(n=200, iterations=0, growth_percent_per_10=5.0, seed=6))
     log = oracles.JoinLog(sim)
-    coop = min(v for v, a in sim.agents.items() if a.role is Role.COOPERATIVE)
-    early = log.force_whitewash(coop)
-    born = {v: float(sim.reputation[v]) for v in sim.agents}
+    early = log.force_whitewash(live_with_role(sim, Role.COOPERATIVE)[0])
+    born = {v: float(sim.reputation[v]) for v in sim.topology.adj}
     covered = collections.Counter()
     for n in range(1, 31):
         if n == 5:  # plant a rejoin between steps 4 and 5
-            washer = min(v for v, a in sim.agents.items() if a.role is Role.POTENTIAL_WHITEWASHER)
-            late = log.force_whitewash(washer)
+            late = log.force_whitewash(live_with_role(sim, Role.POTENTIAL_WHITEWASHER)[0])
             born[late] = float(sim.reputation[late])
         log.step()
-        reputation = sim.reputation.tolist()
-        for v, a in sim.agents.items():
+        reputation, code = sim.reputation.tolist(), sim.role_code.tolist()
+        for v in sim.topology.adj:
             born.setdefault(v, reputation[v])  # joined during this step
             joined = log.joined_at[v]
             start = joined + 2 if joined else 1
-            earned = MU_X if a.role is Role.COOPERATIVE else 0.0
+            earned = MU_X if code[v] == Role.COOPERATIVE else 0.0
             assert reputation[v] == (earned if n >= start else born[v]), (n, v)
             if born[v] != earned and n - start in (-1, 0):
                 covered[joined > 0, n - start] += 1
@@ -166,12 +177,12 @@ def test_newcomer_window_caps_tenure():
     tenures = set()
     for n in range(1, 41):
         pool = sim._newcomer_pool(n).tolist()
-        expect = [v for v in sorted(sim.agents)
+        expect = [v for v in sorted(sim.topology.adj)
                   if engine.NEWCOMER_MIN_TENURE <= n - log.joined_at[v] <= window]
         assert pool == expect == log.newcomer_pool(n), n
         tenures.update(n - log.joined_at[v] for v in pool)
         if n % 7 == 0:
-            log.force_whitewash(min(sim.agents))
+            log.force_whitewash(min(sim.topology.adj))
         log.step()
     assert min(tenures) == engine.NEWCOMER_MIN_TENURE
     assert max(tenures) == window
@@ -208,16 +219,15 @@ def test_voluntary_departures_shrink_population():
 
 class ScanDepartures(Simulation):
     """Reference for the candidate array and the batched draws: the scan of
-    every agent they replaced, one scalar draw per reputable cooperative
-    agent in ascending id order, none once the overlay is down to
-    attach_edges + 1 nodes."""
+    every live node they replaced, one scalar draw per reputable cooperator
+    in ascending id order, none once the overlay is down to attach_edges + 1
+    nodes."""
 
     def _voluntary_departures(self):
         cfg = self.cfg
         threshold = (self.r_est + cfg.r_ini_min) / 2
-        for vid in sorted(self.agents):
-            a = self.agents[vid]
-            if a.role is not Role.COOPERATIVE or self.reputation[vid] < threshold:
+        for vid in sorted(self.topology.adj):
+            if self.role_code[vid] != Role.COOPERATIVE or self.reputation[vid] < threshold:
                 continue
             if self.topology.node_count <= cfg.attach_edges + 1:
                 break
@@ -231,14 +241,15 @@ class ScanDepartures(Simulation):
 def run_with_departure_log(sim: Simulation):
     """Records, the ascending leaver ids of each iteration, and the final
     generator state; after every step, checks the role codes against the
-    agents and the departure candidates against a scan of the agents."""
+    live nodes and the records, and the departure candidates against a scan
+    of the live nodes."""
     leavers = []
     depart = sim._voluntary_departures
 
     def logged():
-        before = sorted(sim.agents)
+        before = sorted(sim.topology.adj)
         depart()
-        leavers.append([v for v in before if v not in sim.agents])
+        leavers.append([v for v in before if v not in sim.topology.adj])
 
     sim._voluntary_departures = logged
     records = []
@@ -246,14 +257,12 @@ def run_with_departure_log(sim: Simulation):
         records.append(sim.step())
         code = sim.role_code
         assert len(code) == len(sim.reputation) >= sim.topology.next_id
-        assert {int(v): int(code[v]) for v in np.flatnonzero(code)} == {
-            v: engine.ROLE_CODE[a.role] for v, a in sim.agents.items()
-        }
+        check_roles_and_records(sim)
         threshold = legitimacy_threshold(sim.r_est, sim.cfg.r_ini_min)
-        candidates = (code == engine.ROLE_CODE[Role.COOPERATIVE]) & (sim.reputation >= threshold)
+        candidates = (code == Role.COOPERATIVE) & (sim.reputation >= threshold)
         assert np.flatnonzero(candidates).tolist() == [
-            v for v in sorted(sim.agents)
-            if sim.agents[v].role is Role.COOPERATIVE and sim.reputation[v] >= threshold
+            v for v in sorted(sim.topology.adj)
+            if code[v] == Role.COOPERATIVE and sim.reputation[v] >= threshold
         ]
     return records, leavers, sim.rng.bit_generator.state
 
@@ -288,7 +297,7 @@ def test_departures_match_the_per_agent_scan(name):
 
 def test_first_wave_takes_every_potential_whitewasher():
     sim = Simulation(SimConfig(seed=0))
-    washers = sum(1 for a in sim.agents.values() if a.role is Role.POTENTIAL_WHITEWASHER)
+    washers = len(live_with_role(sim, Role.POTENTIAL_WHITEWASHER))
     rec = sim.step()
     assert washers == 543
     assert rec.whitewash_attempts == rec.whitewash_successes == washers
@@ -316,7 +325,7 @@ def test_rejoiners_get_fresh_ids_and_the_offered_grant():
     log = oracles.JoinLog(sim)
     rec = log.step()
     assert rec.whitewash_successes > 0
-    rejoined = [v for v in sim.agents if v >= 300]
+    rejoined = [v for v in sim.topology.adj if v >= 300]
     assert len(rejoined) == rec.whitewash_successes
     for v in rejoined:
         a = sim.agents[v]
@@ -328,6 +337,48 @@ def test_rejoiners_get_fresh_ids_and_the_offered_grant():
         assert v in sim.topology.adj
 
 
+def test_records_follow_the_person_and_role_code_holds_role_and_liveness():
+    # After every step of a run with growth, voluntary departures and wave
+    # rejoins, and around planted rejoins of a cooperator and of a potential
+    # whitewasher: the role codes mark exactly the live ids, the records
+    # belong to exactly the live potential whitewashers, and a rejoin moves
+    # the person's role, and its record if it has one, to the new id.
+    sim = Simulation(SimConfig(n=300, growth_percent_per_10=5.0, legit_departure_prob=0.02,
+                               iterations=0, seed=2))
+    moved = collections.Counter()
+    execute = sim._execute_whitewash
+
+    def checked(vid, offered):
+        role, record = sim.role_code[vid], sim.agents.get(vid)
+        carried = None if record is None else (record.honesty, record.attempts, record.successes)
+        new_id = execute(vid, offered)
+        assert vid not in sim.agents and sim.role_code[vid] == 0
+        assert sim.role_code[new_id] == role
+        if record is None:
+            assert role == Role.COOPERATIVE and new_id not in sim.agents
+        else:
+            assert sim.agents[new_id] is record and record.grant == offered
+            assert (record.honesty, record.attempts, record.successes) == carried
+        moved[Role(role)] += 1
+        return new_id
+
+    sim._execute_whitewash = checked
+    seen = set(sim.topology.adj)
+    check_roles_and_records(sim)
+    for n in range(1, 41):
+        if n % 8 == 0:
+            for role in Role:
+                sim.force_whitewash(live_with_role(sim, role)[0])
+                check_roles_and_records(sim)
+                seen.update(sim.topology.adj)
+        sim.step()
+        check_roles_and_records(sim)
+        seen.update(sim.topology.adj)
+    departed = len(seen) - sim.topology.node_count - sum(moved.values())
+    assert moved[Role.COOPERATIVE] == 5 and moved[Role.POTENTIAL_WHITEWASHER] > 5
+    assert departed > 0 and sim.topology.next_id > 300 + sum(moved.values())
+
+
 def test_arrivals_book_one_count_per_host():
     # A rejoin and a growth arrival attach the same way: attach_edges hosts
     # drawn by degree, one arrival booked at each.
@@ -336,9 +387,17 @@ def test_arrivals_book_one_count_per_host():
     log = oracles.JoinLog(sim)
     for _ in range(9):
         log.step()
+    first_host = {}
+    attach = sim._attach_newcomer
+
+    def logged():
+        vid, targets = attach()
+        first_host[vid] = targets[0]
+        return vid, targets
+
+    sim._attach_newcomer = logged
     adj = sim.topology.adj
-    washer = min(v for v, a in sim.agents.items() if a.role is Role.POTENTIAL_WHITEWASHER)
-    new_id = log.force_whitewash(washer)
+    new_id = log.force_whitewash(live_with_role(sim, Role.POTENTIAL_WHITEWASHER)[0])
     assert len(adj[new_id]) == 3
     assert sim._arrivals == dict.fromkeys(adj[new_id], 1)
     # Step 10's sweep takes the rejoin's arrivals; its growth batch, the
@@ -350,8 +409,11 @@ def test_arrivals_book_one_count_per_host():
     # node are later arrivals of the same batch that it hosted in turn.
     hosts = [u for v in grown for u in adj[v] if u < v]
     assert len(grown) == 3
-    # Each growth arrival is born holding its grant.
-    assert all(sim.reputation[v] == sim.agents[v].grant for v in grown)
+    # Each growth arrival is born holding its grant, the offer of the first
+    # host it contacts, which a potential whitewasher's record also keeps.
+    for v in grown:
+        assert sim.reputation[v] == sim._est.offers[first_host[v]]
+        assert v not in sim.agents or sim.agents[v].grant == sim.reputation[v]
     assert sim._arrivals == dict(collections.Counter(hosts))
     assert sum(sim._arrivals.values()) == 3 * 3
 
@@ -391,9 +453,8 @@ def test_sweep_matches_whitewash_level_observations():
     for _ in range(4):
         sim.step()
     t = sim.topology
-    washer = min(v for v, a in sim.agents.items()
-                 if a.role is Role.POTENTIAL_WHITEWASHER)
-    leaver = min(v for v, a in sim.agents.items() if a.role is Role.COOPERATIVE)
+    washer = live_with_role(sim, Role.POTENTIAL_WHITEWASHER)[0]
+    leaver = live_with_role(sim, Role.COOPERATIVE)[0]
     arrivals: dict[int, int] = {}
     legit: dict[int, int] = {}
     new_id = sim.force_whitewash(washer)

@@ -338,14 +338,14 @@ def test_shrink_correction_depends_on_sweep_membership():
     # -coef * prev / den > 0, while a node in the same position whose window
     # is all zero is left out of the sweep and gets 0. Skipping a quiet
     # node is then not the same as pushing the level it would see. Fixing
-    # this moves recorded digests (ROADMAP item 6).
+    # this moves recorded digests (ROADMAP item 5).
     sim = Simulation(SimConfig(topology="regular", n=200, degree=6, iterations=0, seed=0))
     sim.auto_whitewash = False
     t, est = sim.topology, sim._est
     for _ in range(12):
         sim.step()
     assert not est._peak[list(t.adj)].any()  # the primes have aged out
-    washer = min(v for v, a in sim.agents.items() if a.role is Role.POTENTIAL_WHITEWASHER)
+    washer = min(v for v in t.adj if sim.role_code[v] == Role.POTENTIAL_WHITEWASHER)
     sim.force_whitewash(washer)
     for _ in range(4):  # the rejoin's neighborhood keeps a level in its window
         sim.step()

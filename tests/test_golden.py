@@ -1,17 +1,23 @@
-"""Golden SHA-256 digests of simulate output.
+"""Golden SHA-256 digests of simulate output and of the demos' stdout.
 
-Each digest is of the CSV `cli.emit_csv` writes for one run, recorded
-before the estimator sweep moved from a per-node loop to arrays. The small
-runs cover branches the benchmark workloads never reach; the reference-grid
-digests (every default grid cell, seeds 0-4) are checked by AC-09 in
-test_acceptance.py, which already holds those records. A digest that moves
-means the outputs changed: find out why. Never re-record one to make a
-test pass.
+Each simulate digest is of the CSV `cli.emit_csv` writes for one run,
+recorded before the estimator sweep moved from a per-node loop to arrays.
+The small runs cover branches the benchmark workloads never reach; the
+reference-grid digests (every default grid cell, seeds 0-4) are checked by
+AC-09 in test_acceptance.py, which already holds those records. The demo
+digests were recorded before agent records were kept only for potential
+whitewashers; `estimator_ground_truth.py` reaches the closed-world check
+at three configs, growth included. A digest that moves means the outputs
+changed: find out why. Never re-record one to make a test pass.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +47,16 @@ SMALL_RUNS = {
              gossip_noise=0.05, seed=5),
         "729d788ffbce5ee14ef159a9eb8220ab8c2c78972d1b9859136a64f68d28736f",
     ),
+}
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# demos/<name>.py -> digest of its stdout.
+DEMO_DIGESTS = {
+    "adaptive_defense": "2e7803e468243352fe4cb943d54f396097ce2e094661c98e2c83f381269b62ec",
+    "estimator_ground_truth": "380bb5fbb86b0aabd42462cd14888d202b829a64ec9f12cb85244fd47b9f58db",
+    "payoff_economics": "cbfdfb5634904527281fa7318b792848e7a6c23261e63ae007c65e1a7f1588d8",
+    "timing_game": "93442a55c092fa1f88b098368ce23d0f0abf470172b23724bee3bc69f3a44840",
 }
 
 # (grid cell id, seed) -> digest of that run's records.
@@ -93,3 +109,16 @@ def csv_digest(records, tmp_path) -> str:
 def test_small_run_digest(name, tmp_path):
     config, digest = SMALL_RUNS[name]
     assert csv_digest(engine.run(SimConfig(**config)), tmp_path) == digest
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in (ROOT / "demos").glob("*.py")))
+def test_demo_stdout_digest(name):
+    # A child process under -W error, as a user runs a demo from the repo;
+    # a demo added without a digest fails here.
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", str(ROOT / "demos" / f"{name}.py")],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, timeout=60, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_DIGESTS[name]
