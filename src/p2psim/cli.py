@@ -32,10 +32,7 @@ from .engine import IterationRecord, SimConfig
 from .game import GameSpec
 from .payoff import IdentityRegime, PayoffParams
 
-CSV_HEADER = (
-    "iteration,n_nodes,whitewash_attempts,whitewash_successes,"
-    "whitewash_fraction,mean_offered_r_ini,mean_w_estimate,mean_w_max"
-)
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(IterationRecord))
 
 # The scenario set the defaults were tuned against: a growing scale-free
 # network at four growth rates plus degree-regular networks at three sizes.
@@ -143,8 +140,8 @@ class EstimatorCheckPlan:
     injected: int
 
 
-# Work bound on a simulate grid or a payoff sweep, checked before a cross
-# product expands.
+# Work bound on a simulate grid (cells, and runs: cells x seeds), a payoff
+# sweep and a fixed-point w_max list, checked before a cross product expands.
 MAX_GRID_CELLS = 1000
 # Work bound on one simulate or estimator-check command: the node-iterations
 # all its runs project, about 170 times one 8%-growth scale-free run.
@@ -310,7 +307,13 @@ def _check_work(node_iterations: float) -> None:
 
 def _simulate_plan(grid, seeds, **sim) -> SimulatePlan:
     base = SimConfig(**sim)
+    if seeds is not None and not grid:
+        raise ValueError("seeds: needs a grid (a run without one uses seed)")
     cells, seeds = grid or (), seeds or (base.seed,)
+    if len(cells) * len(seeds) > MAX_GRID_CELLS:
+        raise ValueError(
+            f"{len(cells) * len(seeds)} runs (grid cells x seeds), more than {MAX_GRID_CELLS}"
+        )
     problems = []
     for label, change in [(f"grid cell {_cell_id(c)}", c) for c in cells] + [
         (f"seeds: {s}", {"seed": s}) for s in seeds
@@ -363,6 +366,8 @@ def _payoff_sweep_plan(**values) -> PayoffSweepPlan:
 
 def _fixed_point_plan(**values) -> FixedPointPlan:
     plan = FixedPointPlan(**values)
+    if len(plan.w_max) > MAX_GRID_CELLS:
+        raise ValueError(f"w_max: {len(plan.w_max)} values, more than {MAX_GRID_CELLS}")
     # The offer curve minus the diagonal is r_ini_min - w_max at w = w_max
     # and at least 0 at w = 0, so it has a root in [0, w_max] exactly when
     # w_max >= r_ini_min.

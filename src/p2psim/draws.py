@@ -4,7 +4,7 @@ A run makes a few hundred thousand scalar draws (a host index, a probe
 target, an attempt coin), and numpy's `Generator` spends more time on the
 call than on the draw. `Draws` wraps the run's `Generator` and computes the
 same values in Python from raw 64-bit words, which it reads ahead in chunks
-with `random_raw` from a clone of the bit generator (PCG64; O'Neill 2014):
+with `random_raw` from the run's own bit generator (PCG64; O'Neill 2014):
 
 - `random()` is `(word >> 11) * 2**-53`;
 - `uniform(lo, hi)` is `lo + (hi - lo) * random()`;
@@ -12,13 +12,15 @@ with `random_raw` from a clone of the bit generator (PCG64; O'Neill 2014):
   "Fast Random Integer Generation in an Interval") on 32-bit halves: the
   low half of a word first, the high half kept for the next 32-bit draw.
 
-`sync()` moves the real bit generator on by the words taken
-(`PCG64.advance`) and writes back the spare half, which PCG64 keeps in its
-`has_uint32`/`uinteger` state. Every other draw (`random` and `uniform`
-with a size, `shuffle`, `permutation`, `integers` past 2**32 or with more
-arguments) syncs first, goes to numpy, and drops the words read ahead;
-reading `bit_generator` syncs too. So a run sees exactly the stream, and
-ends in exactly the state, that the plain `Generator` would give it.
+`sync()` steps the bit generator back over the words read ahead but not
+taken and drops them. PCG64 is a 128-bit LCG with period 2**128, so
+`advance(2**128 - k)` rewinds it by exactly k words. `sync()` then writes
+back the spare half, which PCG64 keeps in its `has_uint32`/`uinteger`
+state. Every other draw (`random` and `uniform` with a size, `shuffle`,
+`permutation`, `integers` past 2**32 or with more arguments) syncs first
+and goes to numpy; reading `bit_generator` syncs too. So a run sees exactly
+the stream, and ends in exactly the state, that the plain `Generator` would
+give it.
 
 The replay rests on numpy internals: how PCG64 buffers the spare 32-bit
 half and that `Generator.integers` uses Lemire's method for bounds up to
@@ -34,6 +36,7 @@ import numpy as np
 _U32 = 0xFFFFFFFF
 _TWO32 = 1 << 32
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
+_PERIOD = 1 << 128  # PCG64's period: advance(_PERIOD - k) steps back k words
 
 # Words read ahead per refill.
 CHUNK = 1024
@@ -48,7 +51,6 @@ class Draws:
             raise TypeError("Draws replays PCG64 only")
         self._rng = rng
         self._bg = rng.bit_generator
-        self._clone = np.random.PCG64()
         self._chunk = chunk
         # Words read ahead, next word last, so a draw is one `pop`.
         self._words: list[int] = []
@@ -57,37 +59,27 @@ class Draws:
     # ---- the read-ahead buffer -------------------------------------
 
     def _reset(self) -> None:
-        """Start reading ahead from the real bit generator's state."""
+        """Reload PCG64's spare-half buffer from the bit generator: the high
+        half of a word not yet used (None if used), and the last high half
+        stored, used or not."""
         state = self._bg.state
-        self._clone.state = state
-        # PCG64's spare-half buffer: the high half of a word not yet used
-        # (None if used), and the last high half stored, used or not.
         self._u32 = state["uinteger"]
         self._spare = self._u32 if state["has_uint32"] else None
-        self._words.clear()
-        # Words taken that the real generator has not advanced past: all
-        # of earlier chunks (`_debt`), and `_mark - len(_words)` of this one.
-        self._debt = 0
-        self._mark = 0
 
     def _refill(self) -> None:
-        words = self._words
-        self._debt += self._mark - len(words)
-        words[:] = self._clone.random_raw(self._chunk)[::-1].tolist()  # in place: callers hold it
-        self._mark = len(words)
+        self._words[:] = self._bg.random_raw(self._chunk)[::-1].tolist()  # in place: callers hold it
 
     def sync(self) -> None:
-        """Bring the real bit generator to the stream position of these
-        draws, spare 32-bit half included."""
-        used = self._debt + self._mark - len(self._words)
-        if used:
-            self._bg.advance(used)  # which clears the spare half
+        """Bring the bit generator back to the stream position of these
+        draws, spare 32-bit half included, and drop the words read ahead."""
+        words = self._words
+        if words:
+            self._bg.advance(_PERIOD - len(words))  # which clears the spare half
+            words.clear()
         state = self._bg.state
         state["has_uint32"] = int(self._spare is not None)
         state["uinteger"] = self._u32
         self._bg.state = state
-        self._debt = 0
-        self._mark = len(self._words)
 
     def _delegate(self, name: str, *args, **kwargs):
         self.sync()
@@ -98,9 +90,8 @@ class Draws:
 
     @property
     def bit_generator(self) -> np.random.BitGenerator:
-        """The real bit generator, synced; it may be drawn from directly."""
+        """The bit generator, synced."""
         self.sync()
-        self._reset()
         return self._bg
 
     # ---- draws -----------------------------------------------------

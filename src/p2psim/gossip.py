@@ -28,8 +28,8 @@ class GossipSnapshot:
 def take_snapshot(
     t: Topology,
     newcomer_reps: Sequence[float] | np.ndarray,
-    noise: float = 0.0,
-    rng: Draws | None = None,
+    noise: float,
+    rng: Draws,
 ) -> GossipSnapshot:
     """Aggregate the current network state and the newcomers' mean
     reputation (None when there are none).
@@ -43,8 +43,6 @@ def take_snapshot(
     node_count = float(t.node_count)
     degree_sum = 2.0 * t.edge_count
     if noise > 0:
-        if rng is None:
-            raise ValueError("noise > 0 requires an rng")
         node_count *= rng.uniform(1.0 - noise, 1.0 + noise)
         degree_sum *= rng.uniform(1.0 - noise, 1.0 + noise)
     newcomer_mean = float(np.mean(newcomer_reps)) if len(newcomer_reps) else None

@@ -47,26 +47,16 @@ class UnknownNodeError(KeyError):
     pass
 
 
-def grown(a: np.ndarray, size: int, fill=0) -> np.ndarray:
+def grown(a: np.ndarray, size: int) -> np.ndarray:
     """`a` itself if it has at least `size` rows; otherwise a copy with at
-    least twice as many, the new rows set to `fill`. Arrays indexed by node
-    id grow this way, as ids only grow."""
+    least twice as many, the new rows zero. Arrays indexed by node id grow
+    this way, as ids only grow."""
     if size <= len(a):
         return a
     # np.zeros, not np.full: pages of new rows stay unallocated until written.
     new = np.zeros((max(size, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
     new[: len(a)] = a
-    if fill:
-        new[len(a) :] = fill
     return new
-
-
-def _rng(seed) -> Draws | np.random.Generator:
-    """Accept a `Draws` or a Generator as it is; make an integer seed a
-    `Draws`."""
-    if isinstance(seed, (Draws, np.random.Generator)):
-        return seed
-    return Draws(np.random.default_rng(seed))
 
 
 class Topology:
@@ -246,7 +236,7 @@ class Topology:
 # ---- generators ------------------------------------------------------
 
 
-def generate_scale_free(n: int, attach_edges: int, seed) -> Topology:
+def generate_scale_free(n: int, attach_edges: int, rng: Draws) -> Topology:
     """Preferential-attachment graph grown from a (attach_edges+1)-clique,
     so minimum degree is attach_edges and the graph is connected."""
     if attach_edges < 1:
@@ -255,7 +245,8 @@ def generate_scale_free(n: int, attach_edges: int, seed) -> Topology:
         raise InvalidParameterError("need n > attach_edges")
     k = attach_edges + 1
     t = Topology.from_edges(k, itertools.combinations(range(k), 2))
-    grow(t, n - attach_edges - 1, attach_edges, seed)
+    for _ in range(n - k):
+        t.attach(attach_edges, rng)
     return t
 
 
@@ -283,7 +274,7 @@ def _try_pairing(n: int, degree: int, rng: Draws):
     return edges
 
 
-def generate_regular(n: int, degree: int, seed) -> Topology:
+def generate_regular(n: int, degree: int, rng: Draws) -> Topology:
     """Random regular graph via the pairing model, rejecting self-loops and
     multi-edges, with a bounded number of restarts."""
     if n < 1 or degree < 1:
@@ -292,7 +283,6 @@ def generate_regular(n: int, degree: int, seed) -> Topology:
         raise InfeasibleParametersError("degree must be < n for a simple graph")
     if (n * degree) % 2 != 0:
         raise InfeasibleParametersError("n * degree must be even")
-    rng = _rng(seed)
     for _ in range(_PAIRING_RETRY_CAP):
         edges = _try_pairing(n, degree, rng)
         if edges is not None:
@@ -303,17 +293,6 @@ def generate_regular(n: int, degree: int, seed) -> Topology:
 
 
 # ---- mutation ops ----------------------------------------------------
-
-
-def grow(t: Topology, new_nodes: int, attach_edges: int, seed) -> list[NodeId]:
-    """Attach `new_nodes` arrivals, each wiring attach_edges distinct edges to
-    existing nodes chosen proportionally to degree. Returns the new ids."""
-    if new_nodes < 0 or attach_edges < 1:
-        raise InvalidParameterError("need new_nodes >= 0 and attach_edges >= 1")
-    if t.node_count == 0:
-        raise InvalidParameterError("cannot grow an empty topology")
-    rng = _rng(seed)
-    return [t.attach(attach_edges, rng)[0] for _ in range(new_nodes)]
 
 
 def remove_node(t: Topology, v: NodeId) -> None:

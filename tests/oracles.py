@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from p2psim.cli import CSV_HEADER
+from p2psim.draws import Draws
 from p2psim.engine import NEWCOMER_MIN_TENURE, IterationRecord, Simulation
 from p2psim.estimator import offer_curve
 from p2psim.game import GameSpec, MixedProfile
@@ -146,6 +147,12 @@ def initial_reputation(st: EstimatorState, w: float) -> float:
     ratio = 0.0 if st.w_max <= 0 else min(w / st.w_max, 1.0)
     st.current_offer = offer_curve(ratio, st.r_ini_max, st.r_ini_min)
     return st.current_offer
+
+
+def draws(seed: int) -> Draws:
+    """A fresh run's draw source at `seed`, for the graph and gossip calls
+    that take the run's `Draws`."""
+    return Draws(np.random.default_rng(seed))
 
 
 def add_node(t: Topology) -> NodeId:

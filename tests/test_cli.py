@@ -243,6 +243,9 @@ BAD_CONFIGS = [
         ("simulate", '{"n": 2, "iterations": 500000001}'),
         ("simulate", '{"growth_percent_per_10": 50, "iterations": 1000}'),
         ("simulate", '{"n": 100000, "iterations": 1000, "seeds": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]}'),
+        ("simulate", '{"n": 100000, "iterations": 1000, "grid": [{}], '
+                     '"seeds": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]}'),
+        ("simulate", '{"n": 20, "iterations": 3, "seeds": [1, 2, 3]}'),
         ("simulate", '{"grid": {"n": [200000, 300000, 600000]}, "iterations": 1000}'),
         ("estimator-check", '{"n": 100000000}'),
         ("estimator-check", '{"growth_percent_per_10": 1e300}'),
@@ -269,6 +272,14 @@ BAD_CONFIGS = [
     pytest.param("payoff-sweep", json.dumps({"x": [0.5] * 2000, "r_ini": [0.1] * 2000}),
                  id="payoff-sweep of 12M cells"),
     pytest.param("simulate", GRID_8X8, id="grid of 8^8 cells"),
+    pytest.param("simulate", json.dumps({"iterations": 0, "grid": "default",
+                                         "seeds": list(range(20000))}),
+                 id="default grid over 20000 seeds"),
+    pytest.param("simulate", json.dumps({"n": 1000, "iterations": 1, "grid": [{}],
+                                         "seeds": list(range(100000))}),
+                 id="one cell over 100000 seeds"),
+    pytest.param("fixed-point", json.dumps({"w_max": [0.5] * 1001}),
+                 id="fixed-point of 1001 w_max values"),
     pytest.param("simulate", '{"grid": [' + ", ".join(["{}"] * 1001) + "]}", id="grid of 1001 cells"),
     pytest.param("simulate", "[" * 100_000 + "]" * 100_000, id="nested 100000 deep"),
     pytest.param("simulate", b'{"n": "\xff"}', id="not UTF-8"),
@@ -287,6 +298,24 @@ def test_wrong_typed_simulate_values_are_config_errors(tmp_path, capsys, command
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "config"
     assert captured.out == "" and not (tmp_path / "out").exists()
+
+
+def test_run_and_w_max_bounds_admit_exactly_the_cap(tmp_path):
+    # A simulate command makes at most MAX_GRID_CELLS runs (grid cells x
+    # seeds), and fixed-point takes at most MAX_GRID_CELLS w_max values.
+    plan = cli.parse_config(
+        write_config(tmp_path, {"iterations": 0, "grid": [{}, {}], "seeds": list(range(500))})
+    )
+    assert len(plan.cells) * len(plan.seeds) == cli.MAX_GRID_CELLS
+    with pytest.raises(ConfigError, match="1002 runs"):
+        cli.parse_config(
+            write_config(tmp_path, {"iterations": 0, "grid": [{}, {}], "seeds": list(range(501))})
+        )
+    plan = cli.parse_config(write_config(tmp_path, {"w_max": [0.5] * 1000}), "fixed-point")
+    assert len(plan.w_max) == cli.MAX_GRID_CELLS
+    root = Path(__file__).parent.parent
+    plan = cli.parse_config(root / "demos" / "configs" / "reference_grid.json")
+    assert len(plan.cells) * len(plan.seeds) == 35
 
 
 def test_work_bound_projects_growth_per_period(tmp_path):

@@ -110,16 +110,20 @@ def test_a_spare_half_used_between_syncs_is_written_back():
     assert_same_state(g, d)
 
 
-def test_sync_keeps_the_words_read_ahead():
-    # A sync moves only the real generator; the draws after it still come
-    # from the words already read ahead and stay on numpy's stream.
-    g, d = pair(11, chunk=50)
+def test_sync_rewinds_over_the_words_read_ahead():
+    # One draw reads a whole chunk ahead from the run's own bit generator; a
+    # sync steps it back over the 1,023 words not taken and drops them, and
+    # the draws after it read ahead again from there.
+    g, d = pair(11, chunk=1024)
+    assert d.random() == g.random()
+    assert len(d._words) == 1023
+    d.sync()
+    assert d._bg.state == g.bit_generator.state
+    assert not d._words
     for _ in range(20):
-        assert d.random() == g.random()
-        d.sync()
-        assert d._bg.state == g.bit_generator.state
-        assert d._words  # still read ahead
         assert d.integers(2**31 + 1) == g.integers(2**31 + 1)
+        assert d.random() == g.random()
+    assert_same_state(g, d)
 
 
 def test_calls_numpy_cannot_replay_go_to_numpy():
@@ -141,14 +145,6 @@ def test_calls_numpy_cannot_replay_go_to_numpy():
 def test_only_pcg64_is_replayed():
     with pytest.raises(TypeError):
         Draws(np.random.Generator(np.random.MT19937(0)))
-
-
-def test_graph_makes_an_int_seed_a_draw_stream():
-    d = Draws(np.random.default_rng(0))
-    g = np.random.default_rng(0)
-    assert isinstance(graph._rng(4), Draws)
-    assert graph._rng(d) is d
-    assert graph._rng(g) is g
 
 
 # ---- whole runs -------------------------------------------------------------

@@ -209,7 +209,7 @@ def test_estimator_arrays_match_scalar_oracle():
             removed += 1
         r_est = float(rng.uniform(0.1, 0.6))
         for _ in range(int(rng.integers(0, 3))):
-            (vid,) = graph.grow(t, 1, 2, rng)
+            vid, _ = t.attach(2, rng)
             est.prime(vid, r_est)
             oracle[vid] = EstimatorState(vid, r_est, r_min, window)
             added += 1

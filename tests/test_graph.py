@@ -45,7 +45,7 @@ def is_connected(t: Topology) -> bool:
 
 
 def test_scale_free_shape():
-    t = graph.generate_scale_free(1000, 3, seed=1)
+    t = graph.generate_scale_free(1000, 3, oracles.draws(1))
     assert t.node_count == 1000
     degrees = [len(nbrs) for nbrs in t.adj.values()]
     assert min(degrees) >= 3
@@ -55,40 +55,40 @@ def test_scale_free_shape():
 
 
 def test_scale_free_deterministic():
-    a = graph.generate_scale_free(200, 3, seed=7)
-    b = graph.generate_scale_free(200, 3, seed=7)
-    c = graph.generate_scale_free(200, 3, seed=8)
+    a = graph.generate_scale_free(200, 3, oracles.draws(7))
+    b = graph.generate_scale_free(200, 3, oracles.draws(7))
+    c = graph.generate_scale_free(200, 3, oracles.draws(8))
     assert a.adj == b.adj
     assert a.adj != c.adj
 
 
 def test_scale_free_rejects_bad_parameters():
     with pytest.raises(InvalidParameterError):
-        graph.generate_scale_free(3, 3, seed=0)
+        graph.generate_scale_free(3, 3, oracles.draws(0))
     with pytest.raises(InvalidParameterError):
-        graph.generate_scale_free(10, 0, seed=0)
+        graph.generate_scale_free(10, 0, oracles.draws(0))
 
 
 def test_regular_degrees():
-    t = graph.generate_regular(1000, 6, seed=2)
+    t = graph.generate_regular(1000, 6, oracles.draws(2))
     assert t.node_count == 1000
     assert all(len(nbrs) == 6 for nbrs in t.adj.values())
     assert all(v not in nbrs for v, nbrs in t.adj.items())
 
 
 def test_regular_deterministic():
-    a = graph.generate_regular(100, 4, seed=5)
-    b = graph.generate_regular(100, 4, seed=5)
+    a = graph.generate_regular(100, 4, oracles.draws(5))
+    b = graph.generate_regular(100, 4, oracles.draws(5))
     assert a.adj == b.adj
 
 
 def test_regular_rejects_infeasible():
     with pytest.raises(InfeasibleParametersError):
-        graph.generate_regular(5, 3, seed=0)  # odd stub count
+        graph.generate_regular(5, 3, oracles.draws(0))  # odd stub count
     with pytest.raises(InfeasibleParametersError):
-        graph.generate_regular(4, 5, seed=0)  # degree too large
+        graph.generate_regular(4, 5, oracles.draws(0))  # degree too large
     with pytest.raises(InvalidParameterError):
-        graph.generate_regular(4, 0, seed=0)
+        graph.generate_regular(4, 0, oracles.draws(0))
 
 
 # ---- preferential attachment ----------------------------------------
@@ -128,7 +128,7 @@ def test_attachment_survives_churn():
 
 
 def test_attachment_targets_distinct():
-    t = graph.generate_scale_free(50, 3, seed=3)
+    t = graph.generate_scale_free(50, 3, oracles.draws(3))
     rng = np.random.default_rng(0)
     for _ in range(50):
         targets = t.sample_attachment_targets(3, rng)
@@ -163,7 +163,7 @@ def test_pool_stale_count_after_hub_removal():
     # each of its 17 neighbors stale: 34 entries. remove_edge already counts
     # both ends of every edge, and remove_node then adds the hub's 17 copies
     # again, so the counter reads 51, over by the hub's degree.
-    t = graph.generate_scale_free(50, 3, seed=1)
+    t = graph.generate_scale_free(50, 3, oracles.draws(1))
     t._rebuild_pool()
     hub = max(t.adj, key=lambda v: len(t.adj[v]))
     graph.remove_node(t, hub)
@@ -174,10 +174,11 @@ def test_pool_stale_count_after_hub_removal():
 
 
 def test_grow_attaches_new_nodes():
-    t = graph.generate_scale_free(50, 3, seed=3)
+    t = graph.generate_scale_free(50, 3, oracles.draws(3))
     before = set(t.adj)
     edges_before = t.edge_count
-    created = graph.grow(t, 10, 3, seed=4)
+    rng = oracles.draws(4)
+    created = [t.attach(3, rng)[0] for _ in range(10)]
     assert len(created) == 10
     for v in created:
         # exactly 3 edges at birth; later arrivals in the batch may add more
@@ -187,18 +188,10 @@ def test_grow_attaches_new_nodes():
     assert t.node_count == 60
 
 
-def test_grow_accepts_generator_seed():
-    t = graph.generate_scale_free(20, 2, seed=0)
-    rng = np.random.default_rng(11)
-    a = graph.grow(t, 3, 2, seed=rng)
-    b = graph.grow(t, 3, 2, seed=rng)
-    assert a != b  # shared stream keeps advancing
-
-
 def test_ids_never_reused():
-    t = graph.generate_scale_free(10, 2, seed=0)
+    t = graph.generate_scale_free(10, 2, oracles.draws(0))
     graph.remove_node(t, 9)
-    (v,) = graph.grow(t, 1, 2, seed=1)
+    v, _ = t.attach(2, oracles.draws(1))
     assert v == 10
 
 
@@ -209,20 +202,22 @@ def test_remove_node_unknown():
 
 
 def test_churn_keeps_bookkeeping_consistent():
-    """Random add/remove churn must leave incremental sums equal to a brute
-    force recount at every step."""
-    t = graph.generate_scale_free(30, 2, seed=6)
+    """Random add/remove churn must leave the counters and the incremental
+    neighbor-degree snapshot equal to a brute-force recount after every
+    mutation."""
+    t = graph.generate_scale_free(30, 2, oracles.draws(6))
     rng = np.random.default_rng(13)
     for step in range(60):
         if rng.random() < 0.4 and t.node_count > 5:
             victim = sorted(t.adj)[int(rng.integers(t.node_count))]
             graph.remove_node(t, victim)
         else:
-            graph.grow(t, 1, 2, seed=rng)
+            t.attach(2, rng)
         assert t.edge_count == sum(len(s) for s in t.adj.values()) // 2
         assert t.isolated_count == sum(1 for s in t.adj.values() if not s)
+        snap = t.neighbor_degree_array(t.next_id)[0]
         for v in t.adj:
-            assert t.neighbor_degree_sum(v) == brute_ndsum(t, v), (step, v)
+            assert snap[v] == brute_ndsum(t, v), (step, v)
 
 
 def test_neighbor_degree_snapshot_matches_recount():
@@ -235,7 +230,7 @@ def test_neighbor_degree_snapshot_matches_recount():
     churn maps whose hosts mix changed nodes, unchanged live nodes and
     removed nodes, against a brute-force sum over the live hosts'
     neighbors."""
-    t = graph.generate_scale_free(30, 2, seed=5)
+    t = graph.generate_scale_free(30, 2, oracles.draws(5))
     rng = np.random.default_rng(17)
     removed: list[int] = []
 
@@ -272,7 +267,8 @@ def test_neighbor_degree_snapshot_matches_recount():
         drop(pick(t.adj))
 
     def grow_batch() -> None:
-        graph.grow(t, int(rng.integers(1, 12)), 2, seed=rng)
+        for _ in range(int(rng.integers(1, 12))):
+            t.attach(2, rng)
 
     def churn_map() -> dict[int, int]:
         hosts = [pick(t.adj) for _ in range(int(rng.integers(6)))]
@@ -315,17 +311,19 @@ def test_adj_iterates_in_ascending_id_order():
     # Ids only grow and dicts keep insertion order, so the live ids come out
     # of adj already sorted through growth, generation and removals.
     rng = np.random.default_rng(8)
-    for t in (graph.generate_scale_free(40, 2, seed=rng), graph.generate_regular(40, 4, rng)):
+    for t in (graph.generate_scale_free(40, 2, rng), graph.generate_regular(40, 4, rng)):
         assert list(t.adj) == sorted(t.adj)
         for step in range(60):
             if step % 3 == 0:
                 graph.remove_node(t, max(t.adj, key=lambda v: (len(t.adj[v]), v)))
             elif step % 3 == 1:
-                (fresh,) = graph.grow(t, 1, 2, seed=rng)
-                graph.grow(t, int(rng.integers(1, 4)), 2, seed=rng)
+                fresh, _ = t.attach(2, rng)
+                for _ in range(int(rng.integers(1, 4))):
+                    t.attach(2, rng)
                 graph.remove_node(t, fresh)
             else:
-                graph.grow(t, int(rng.integers(1, 6)), 2, seed=rng)
+                for _ in range(int(rng.integers(1, 6))):
+                    t.attach(2, rng)
             assert list(t.adj) == sorted(t.adj), step
 
 
@@ -363,7 +361,7 @@ def test_attach_and_remove_node_match_the_per_edge_primitives():
     control = np.random.default_rng(31)
     for seed in range(4):
         # Two builds rather than a deep copy, which would rebuild the sets.
-        bulk, oracle = (graph.generate_scale_free(40, 3, seed=seed) for _ in range(2))
+        bulk, oracle = (graph.generate_scale_free(40, 3, oracles.draws(seed)) for _ in range(2))
         rng_bulk, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
         kinds = collections.Counter()
 
@@ -400,7 +398,7 @@ def test_from_edges_matches_the_per_edge_build():
     # generate_regular builds through from_edges; the per-edge build of the
     # same sorted pairs must leave the same state.
     for n, degree, seed in [(10, 3, 0), (100, 4, 5), (1000, 6, 2)]:
-        t = graph.generate_regular(n, degree, seed)
+        t = graph.generate_regular(n, degree, oracles.draws(seed))
         edges = sorted((u, v) for u in t.adj for v in t.adj[u] if u < v)
         assert_same_topology(t, oracles.topology_by_edges(n, edges), f"at n={n}")
     # Unsorted pairs, isolated nodes and an empty graph.
