@@ -380,6 +380,13 @@ def _fixed_point_plan(**values) -> FixedPointPlan:
     return plan
 
 
+def _frontier_plan(**values) -> tuple[FrontierPlan, tuple[float, float]]:
+    """The plan and its best point (r_star, x_star). An infeasible (mu, m_ratio)
+    raises `payoff.InfeasibleRegionError`, a ValueError: a config error."""
+    plan = FrontierPlan(**values)
+    return plan, payoff.max_feasible_r_ini(plan.mu, plan.m_ratio)
+
+
 def _game_assignments(kappa: int, rounds: int) -> int:
     """Joint round assignments one game-report enumerates: s^kappa for each
     randomization span s = 2..kappa, plus kappa * rounds^kappa for the
@@ -404,9 +411,9 @@ def _game_spec(kappa, rounds, **rest) -> GameSpec:
 def parse_config(path: Path, command: str = "simulate", seed_override: int | None = None):
     """Load and validate the JSON config for one command.
 
-    Returns the command's plan object with defaults filled in. Raises
-    ConfigError with every problem listed (parse position for syntax
-    errors, one clause per violated rule otherwise).
+    Returns the command's plan object with defaults filled in (frontier's
+    with its best point). Raises ConfigError with every problem listed
+    (parse position for syntax errors, one clause per violated rule otherwise).
     """
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
@@ -611,9 +618,10 @@ def _run_fixed_point(plan: FixedPointPlan, out_dir: Path, quiet: bool) -> None:
     _say(quiet, f"wrote {path}")
 
 
-def _run_frontier(plan: FrontierPlan, out_dir: Path, quiet: bool) -> None:
-    # First, so that an infeasible (mu, m_ratio) fails before any file is written.
-    r_star, x_star = payoff.max_feasible_r_ini(plan.mu, plan.m_ratio)
+def _run_frontier(
+    planned: tuple[FrontierPlan, tuple[float, float]], out_dir: Path, quiet: bool
+) -> None:
+    plan, (r_star, x_star) = planned
     xs = np.arange(plan.x_step, 1.0, plan.x_step)
     rows = [(float(x), payoff.feasibility_boundary(plan.mu, float(x), plan.m_ratio)) for x in xs]
     path = out_dir / "frontier.csv"
@@ -666,7 +674,7 @@ _COMMANDS = {
         _run_game_report,
     ),
     "fixed-point": (_specs(FixedPointPlan), _fixed_point_plan, _run_fixed_point),
-    "frontier": (_specs(FrontierPlan), FrontierPlan, _run_frontier),
+    "frontier": (_specs(FrontierPlan), _frontier_plan, _run_frontier),
     "estimator-check": (
         {**_SIM_SPECS, "injected": Spec(int, 10, "[0, inf)")},
         _estimator_check_plan,

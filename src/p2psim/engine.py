@@ -7,11 +7,12 @@ Each `Simulation.step` is one iteration:
    iteration 1, the ones that joined at 0) start serving, which sets their
    reputation for good to the expected per-round ratio, mu^x for a
    cooperator and 0 for a free rider;
-2. gossip snapshot, per-node whitewash-level estimate, newcomer offers,
-   and the shared estimate of the grant ceiling, read from the mean
-   reputation of the newcomer pool: the live agents whose tenure lies in
-   [NEWCOMER_MIN_TENURE, newcomer_window], one id range (the only place
-   that tenure rule is applied);
+2. gossip snapshot (`take_snapshot`: the node count and degree sum every
+   node is assumed to learn, optionally noisy), per-node whitewash-level
+   estimate, newcomer offers, and the shared estimate of the grant
+   ceiling, read from the mean reputation of the newcomer pool: the live
+   agents whose tenure lies in [NEWCOMER_MIN_TENURE, newcomer_window], one
+   id range (the only place that tenure rule is applied);
 3. resource allocation (folded into step 1: cooperative nodes provide the
    expected share of what they are asked, free riders provide nothing);
 4. whitewash wave: each potential whitewasher may probe one uniformly
@@ -78,16 +79,17 @@ person's record, or nothing for a cooperator, to the new id.
 All randomness comes from one draw source per run, `Simulation.rng`, a
 `draws.Draws` over the run's seeded PCG64 `Generator` that yields exactly
 the plain `Generator`'s values and final state (see `draws`). Draw order
-inside an iteration: gossip noise factors (only when noise > 0); the
-whitewash wave in ascending node-id order (per agent: target index, then
-the attempt draw, then attachment draws on a success); voluntary departures
-in ascending node-id order (one draw per reputable candidate, only when
-enabled, and none once the overlay is down to attach_edges + 1 nodes; the
-draws come in batches of `random(k)`, the same stream as k scalar draws,
-each batch no longer than the departures the floor still allows); growth
-arrivals (per arrival: attachment draws, then honesty). Agents skipped
-before a target was drawn consume no randomness, so runs with identical
-configurations replay bit for bit.
+inside an iteration: the gossip noise factors of `take_snapshot` (node
+count, then degree sum; only when noise > 0); the whitewash wave in
+ascending node-id order (per agent: target index, then the attempt draw,
+then attachment draws on a success); voluntary departures in ascending
+node-id order (one draw per reputable candidate, only when enabled, and
+none once the overlay is down to attach_edges + 1 nodes; the draws come in
+batches of `random(k)`, the same stream as k scalar draws, each batch no
+longer than the departures the floor still allows); growth arrivals (per
+arrival: attachment draws, then honesty). Agents skipped before a target
+was drawn consume no randomness, so runs with identical configurations
+replay bit for bit.
 """
 
 from __future__ import annotations
@@ -105,7 +107,6 @@ from . import graph as graph_mod
 from .agents import AgentState, Role, WhitewashOutcome
 from .draws import Draws
 from .estimator import EstimatorArrays, legitimacy_threshold
-from .gossip import snapshot_average_degree, take_snapshot
 
 TOPOLOGY_KINDS = ("scale_free", "regular")
 
@@ -227,6 +228,18 @@ class IterationRecord:
     mean_w_max: float
 
 
+def take_snapshot(t: graph_mod.Topology, noise: float, rng: Draws) -> tuple[float, float]:
+    """(node count, degree sum), the aggregates every node learns by gossip.
+    With noise > 0 (aggregation error) each is scaled by its own factor drawn
+    uniformly from [1 - noise, 1 + noise], the count's first; 0 draws nothing."""
+    node_count = float(t.node_count)
+    degree_sum = 2.0 * t.edge_count
+    if noise > 0:
+        node_count *= rng.uniform(1.0 - noise, 1.0 + noise)
+        degree_sum *= rng.uniform(1.0 - noise, 1.0 + noise)
+    return node_count, degree_sum
+
+
 class Simulation:
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
@@ -289,14 +302,15 @@ class Simulation:
     def _estimate(self, n: int) -> tuple[float, float, float]:
         cfg = self.cfg
         t = self.topology
-        newcomer_reps = self.reputation[self._newcomer_pool(n)]
-        snap = take_snapshot(t, newcomer_reps, cfg.gossip_noise, self.rng)
-        # The ceiling other nodes grant newcomers, read from what recent
-        # arrivals carry; the last estimate holds through quiet spells.
-        mean = snap.newcomer_mean_reputation
-        self.r_est = min(max(self.r_est if mean is None else mean, self._est_floor), 1.0)
-        d_avg = snapshot_average_degree(snap)
-        growth_ratio = snap.node_count / self._prev_count
+        node_count, degree_sum = take_snapshot(t, cfg.gossip_noise, self.rng)
+        # The ceiling other nodes grant newcomers: the mean reputation recent
+        # arrivals carry, held through quiet spells.
+        pool = self._newcomer_pool(n)
+        if len(pool):
+            mean = float(np.mean(self.reputation[pool]))
+            self.r_est = min(max(mean, self._est_floor), 1.0)
+        d_avg = degree_sum / node_count  # SimConfig keeps node_count >= 1
+        growth_ratio = node_count / self._prev_count
         # Expected share of the arrivals that plain growth explains: each
         # arrival brings attach_edges preferential edges, so a neighborhood
         # of summed degree S expects (g - 1) * attach_edges / d_avg * S new
@@ -310,7 +324,7 @@ class Simulation:
             cfg.r_ini_min,
         )
         n_now = t.node_count
-        self._prev_count = snap.node_count
+        self._prev_count = node_count
         self._arrivals = {}
         self._legit_gone = {}
         mean_offer = (offer_sum + (n_now - swept) * self.r_est) / n_now
@@ -388,7 +402,7 @@ class Simulation:
                     # Attempt probability is zero for good: never polls again.
                     self._ready.discard(vid)
                     continue
-                if grant is not None and r_est <= grant + _GRANT_MARGIN:
+                if r_est <= grant + _GRANT_MARGIN:
                     # No offer anywhere can beat the last grant; wait for
                     # the ceiling estimate to climb back above it.
                     heapq.heappush(self._parked, (grant, vid))
@@ -396,7 +410,7 @@ class Simulation:
                     continue
             target = pool[self.rng.integers(len(pool))]
             offered = float(self._est.offers[target])
-            if a.attempts > 0 and grant is not None and offered <= grant + _GRANT_MARGIN:
+            if a.attempts > 0 and offered <= grant + _GRANT_MARGIN:
                 continue  # probed a suppressed corner; not worth a reset
             outcome = agents_mod.decide_whitewash(a, offered, self.rng)
             if outcome is WhitewashOutcome.NO_ATTEMPT:

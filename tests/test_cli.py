@@ -214,6 +214,7 @@ BAD_CONFIGS = [
         ("simulate", '{"n": 1e400}'),
         ("simulate", '{"iterations": true}'),
         ("simulate", '{"gossip_noise": NaN}'),
+        ("simulate", '{"gossip_noise": -0.1}'),
         ("simulate", '{"n": 100.5}'),
         ("simulate", '{"grid": {"degree": [1e400]}}'),
         ("payoff-sweep", '{"x": "abc"}'),
@@ -224,6 +225,7 @@ BAD_CONFIGS = [
         ("frontier", '{"mu": "a"}'),
         ("payoff-sweep", '{"m": -1}'),
         ("frontier", '{"m_ratio": Infinity}'),
+        ("frontier", '{"mu": 0.3, "m_ratio": 2}'),
         ("game-report", '{"kappa": 13}'),
         ("game-report", '{"kappa": 1}'),
         ("simulate", '{"seed": -1}'),
@@ -561,11 +563,15 @@ def test_frontier_emits_curve_and_best_point(tmp_path):
 
 
 def test_infeasible_frontier_writes_no_file(tmp_path, capsys):
+    # Feasibility depends on the config alone, so it is checked when the
+    # config is read: no output directory is made.
     cfg = write_config(tmp_path, {"mu": 0.3, "m_ratio": 2})
     out = tmp_path / "out"
-    assert run_cli("frontier", "--config", cfg, "--out", out, "--quiet") == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "run"
-    assert list(out.iterdir()) == []
+    assert run_cli("frontier", "--config", cfg, "--out", out, "--quiet") == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)
+    assert error["error"] == "config" and "no exponent" in error["detail"]
+    assert captured.out == "" and not out.exists()
 
 
 def test_simulate_down_to_a_graph_with_isolated_nodes(tmp_path):

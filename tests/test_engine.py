@@ -98,6 +98,33 @@ def test_noise_does_not_break_determinism():
     assert all(0.0 <= r.mean_offered_r_ini <= 1.0 for r in recs)
 
 
+# ---- gossip snapshot ------------------------------------------------------
+
+
+def test_exact_snapshot_matches_topology():
+    t = graph_mod.generate_regular(1000, 6, oracles.draws(2))
+    rng = oracles.draws(3)
+    assert engine.take_snapshot(t, 0.0, rng) == (1000.0, 6000.0)
+    assert rng.bit_generator.state == oracles.draws(3).bit_generator.state  # no draws
+
+
+def test_noise_bounds_and_independence():
+    t = graph_mod.generate_regular(1000, 6, oracles.draws(2))
+    rng = np.random.default_rng(17)
+    count_factors = []
+    degree_factors = []
+    for _ in range(1000):
+        node_count, degree_sum = engine.take_snapshot(t, 0.05, rng)
+        assert 950 <= node_count <= 1050
+        assert 5700 <= degree_sum <= 6300
+        count_factors.append(node_count / 1000)
+        degree_factors.append(degree_sum / 6000)
+    # the two factors are drawn independently, so they rarely coincide
+    same = sum(abs(a - b) < 1e-12 for a, b in zip(count_factors, degree_factors))
+    assert same < 5
+    assert np.std(count_factors) > 0.01
+
+
 # ---- population and growth ----------------------------------------------
 
 
@@ -186,6 +213,34 @@ def test_newcomer_window_caps_tenure():
         log.step()
     assert min(tenures) == engine.NEWCOMER_MIN_TENURE
     assert max(tenures) == window
+
+
+def test_ceiling_estimate_is_the_clamped_newcomer_mean():
+    # After every step of a run with growth, departures, gossip noise, wave
+    # rejoins and planted rejoins, the grant-ceiling estimate is the mean
+    # reputation of the log's newcomer pool at that step, clamped to
+    # [_est_floor, 1], or the previous estimate when the pool is empty. The
+    # pool is taken before the step: the step's own transactions start no
+    # pool member, and a member that leaves during it keeps its reputation.
+    sim = Simulation(SimConfig(n=200, iterations=0, growth_percent_per_10=5.0,
+                               legit_departure_prob=0.02, gossip_noise=0.05,
+                               newcomer_window=6, seed=3))
+    log = oracles.JoinLog(sim)
+    seen = collections.Counter()
+    for n in range(1, 61):
+        if n % 9 == 0:
+            log.force_whitewash(live_with_role(sim, Role.POTENTIAL_WHITEWASHER)[0])
+        pool = log.newcomer_pool(n)
+        before = sim.r_est
+        log.step()
+        if not pool:
+            assert sim.r_est == before, n
+            seen["empty"] += 1
+            continue
+        mean = float(np.mean(sim.reputation[pool]))
+        assert sim.r_est == min(max(mean, sim._est_floor), 1.0), n
+        seen["floor" if mean < sim._est_floor else "mean"] += 1
+    assert set(seen) == {"empty", "floor", "mean"}, seen
 
 
 def test_ceiling_estimate_reads_earned_reputation():
