@@ -29,12 +29,11 @@ of past whitewashers has nothing left to gain and goes quiet.
 
 Whether a leaver looks legitimate is one comparison against
 `estimator.legitimacy_threshold`, for a whitewasher and for a voluntary
-departure alike, and one helper removes a leaver, booking one benign
-departure at each neighbor when it looked legitimate. Whitewash rejoins and
-growth arrivals enter through one helper that wires the node with
-`Topology.attach` and books one arrival at each host. Both node events,
-`graph.remove_node` and `Topology.attach`, run in one pass over the node's
-edges.
+departure alike, and one helper removes a leaver with `graph.remove_node`,
+benign when it looked legitimate. Whitewash rejoins and growth arrivals
+enter through `Topology.attach`. The topology books the churn of both node
+events: one arrival at each host, and one benign departure at each
+neighbor of a benign leaver.
 
 The estimator state of step 2 lives in `estimator.EstimatorArrays`: numpy
 arrays indexed by node id, which only grow because ids are never reused. A
@@ -46,10 +45,11 @@ it. New nodes are primed with the ceiling estimate in the slot just before
 the next write. A dense offer array answers probes, and nodes a sweep left
 out offer the ceiling. Each sweep reads one snapshot of the neighbor-degree
 sums, which is also the next sweep's baseline, and the churn sums (arrivals
-and benign departures summed over each node's neighbors). The topology computes all three in one
-pass at the sweep, chaining the neighbor sets of the nodes whose neighbor
-sets changed since the previous sweep; every live churn host is one of
-them, as it gained or lost an edge. Edge events themselves keep no sums.
+and benign departures summed over each node's neighbors).
+`Topology.neighbor_degree_array` computes all three in one pass at the
+sweep, chaining the neighbor sets of the nodes whose neighbor sets changed
+since the previous sweep, and clears the booked churn. Edge events
+themselves keep no sums.
 Outputs match the per-node formulas bit for bit: the quadratic offer goes
 through `estimator.offer_curve` (Python's float power, which numpy's
 square does not always equal) once per distinct ratio among the positive
@@ -260,16 +260,14 @@ class Simulation:
         self.r_est = cfg.r_ini_max0
         self._mu_x = cfg.mu**cfg.x
         t = self.topology
+        # The first snapshot also returns the churn the build booked, which
+        # no estimate reads.
         self._est = EstimatorArrays(
             cfg.window_n_prime,
             np.fromiter(t.adj, np.int64, t.node_count),
             self.r_est,
             t.neighbor_degree_array(t.next_id)[0],
         )
-        # Churn observed since the previous estimate: new neighbors per
-        # host, and departures of reputable neighbors per host.
-        self._arrivals: dict[int, int] = {}
-        self._legit_gone: dict[int, int] = {}
         self._prev_count = float(cfg.n)
         # Identity economics: the whitewashers worth polling this iteration,
         # and the ones parked until the grant ceiling climbs back above the
@@ -318,15 +316,13 @@ class Simulation:
         coef = (growth_ratio - 1.0) * cfg.attach_edges / d_avg if d_avg > 0 else 0.0
 
         swept, w_sum, wmax_sum, offer_sum = self._est.sweep(
-            *t.neighbor_degree_array(self._est.capacity, self._arrivals, self._legit_gone),
+            *t.neighbor_degree_array(self._est.capacity),
             coef,
             self.r_est,
             cfg.r_ini_min,
         )
         n_now = t.node_count
         self._prev_count = node_count
-        self._arrivals = {}
-        self._legit_gone = {}
         mean_offer = (offer_sum + (n_now - swept) * self.r_est) / n_now
         return mean_offer, w_sum / n_now, wmax_sum / n_now
 
@@ -353,25 +349,13 @@ class Simulation:
             self._ready.add(vid)
 
     def _drop_node(self, vid: int, benign: bool) -> AgentState | None:
-        """Remove a node; if `benign`, each neighbor books one benign
-        departure. Returns the node's record, None for a cooperator."""
-        if benign:
-            for u in self.topology.adj[vid]:
-                self._legit_gone[u] = self._legit_gone.get(u, 0) + 1
-        graph_mod.remove_node(self.topology, vid)
+        """Remove a node, booked as a benign departure at each neighbor if
+        `benign`. Returns the node's record, None for a cooperator."""
+        graph_mod.remove_node(self.topology, vid, benign)
         self.role_code[vid] = 0
         self._est.retire(vid)
         self._ready.discard(vid)
         return self.agents.pop(vid, None)
-
-    def _attach_newcomer(self) -> tuple[int, list[int]]:
-        """Add a node wired to attach_edges hosts drawn by degree, and book
-        the arrival at each host. Returns the new id and its hosts in draw
-        order."""
-        vid, targets = self.topology.attach(self.cfg.attach_edges, self.rng)
-        for u in targets:
-            self._arrivals[u] = self._arrivals.get(u, 0) + 1
-        return vid, targets
 
     def _execute_whitewash(self, vid: int, offered: float) -> int:
         # A leaver that still looks reputable is booked as a benign
@@ -379,7 +363,7 @@ class Simulation:
         # keeps its role, and a whitewasher its record, under the new id.
         threshold = legitimacy_threshold(self.r_est, self.cfg.r_ini_min)
         agent = self._drop_node(vid, self.reputation[vid] >= threshold)
-        new_id, _ = self._attach_newcomer()
+        new_id, _ = self.topology.attach(self.cfg.attach_edges, self.rng)
         self._register_newcomer(new_id, offered, agent)
         return new_id
 
@@ -447,7 +431,7 @@ class Simulation:
     def _grow_population(self) -> None:
         count = round(self.topology.node_count * self.cfg.growth_percent_per_10 / 100)
         for _ in range(count):
-            vid, targets = self._attach_newcomer()
+            vid, targets = self.topology.attach(self.cfg.attach_edges, self.rng)
             honesty = self.rng.random()
             # The first host a newcomer contacts is the one that vouches
             # for it, so its offer becomes the newcomer's starting grant.
@@ -532,7 +516,7 @@ def closed_world_estimator_check(cfg: SimConfig, injected: int) -> tuple[float, 
             contrib[i] = contrib.get(i, 0.0) + aj
     total = 0.0
     for i in t.adj:
-        den = t.neighbor_degree_sum(i)
+        den = sum(len(t.adj[u]) for u in t.adj[i])
         if den > 0:
             total += min(max(contrib.get(i, 0.0) / den, 0.0), 1.0)
     return record.mean_w_estimate, total / t.node_count

@@ -9,18 +9,18 @@ all its hosts, `remove_node` unhooks one from all its neighbors and
 `Topology.from_edges` builds a whole overlay (the scale-free seed clique and
 every regular overlay). Each leaves the state that adding or removing the
 same edges one at a time would leave; the per-edge reference lives with the
-tests. Edge events only mutate the neighbor sets, the attachment pool and its
-counters, and mark the nodes whose sets changed. Once per sweep, one pass over the marked nodes'
-neighbor sets brings the dense neighbor-degree snapshot up to date and
-sums the estimator's churn counts over the same chain (see
-`Topology.neighbor_degree_array`). A single node's neighbor-degree sum is
-counted on demand, in time linear in its degree.
+tests. Node events also book the churn the estimator reads: `attach` one
+arrival at each host, and a benign `remove_node` one departure at each
+neighbor. Edge events only mutate the neighbor sets, the attachment pool
+and its counters, and mark the nodes whose sets changed. Once per sweep,
+one pass over the marked nodes' neighbor sets brings the dense
+neighbor-degree snapshot up to date and sums the booked churn over each
+node's neighbors (see `Topology.neighbor_degree_array`).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -68,10 +68,13 @@ class Topology:
         self.edge_count: int = 0
         self.isolated_count: int = 0  # nodes of degree zero
         # Degree and neighbor-degree sum of every id as of the last
-        # snapshot, and the nodes whose neighbor sets changed since.
+        # snapshot; since then, the nodes whose neighbor sets changed, and
+        # the arrivals and benign departures booked per host.
         self._deg = np.zeros(0, dtype=np.int64)
         self._nds = np.zeros(0, dtype=np.int64)
         self._touched: set[NodeId] = set()
+        self._arrived: dict[NodeId, int] = {}
+        self._benign_gone: dict[NodeId, int] = {}
         # preferential-attachment pool: one entry per degree unit, lazily pruned
         self._pool: list[NodeId] = []
         self._pool_copies: dict[NodeId, int] = {}
@@ -83,36 +86,33 @@ class Topology:
     def node_count(self) -> int:
         return len(self.adj)
 
-    def neighbor_degree_sum(self, v: NodeId) -> int:
-        adj = self.adj
-        try:
-            return sum(len(adj[u]) for u in adj[v])
-        except KeyError:
-            raise UnknownNodeError(v) from None
+    def neighbor_degree_array(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ndsum, gained, lost), each indexed by node id and `size` long;
+        `size` must exceed every live id. `ndsum` is every node's
+        neighbor-degree sum, zero where no node is. `gained` and `lost` are
+        the churn since the previous snapshot: per node, the arrivals and
+        the benign departures booked at its current neighbors. They are
+        floats holding integers, so they are exact in any order. The first
+        snapshot of a `generate_scale_free` overlay also returns the
+        arrivals its build booked, which `engine.Simulation.__init__`
+        discards. A snapshot clears the marks and the bookings.
 
-    def neighbor_degree_array(
-        self, size: int, *churn: Mapping[NodeId, int]
-    ) -> tuple[np.ndarray, ...]:
-        """Snapshot of every node's neighbor-degree sum indexed by node id,
-        zero where no node is, then one churn sum per map in `churn`: for
-        each live host j, counts[j] added to every current neighbor of j.
-        The churn sums are floats holding integers, so they are exact in
-        any order. `size` must exceed every live id.
-
-        One chain of neighbor sets serves all of them: those of the live
-        nodes whose neighbor sets changed since the previous call, and of
-        the live hosts. A changed node is counted again as the sum of its
-        neighbors' degrees. Any other node kept its neighbors, so its sum
-        moves by exactly the degree changes of its changed neighbors, handed
-        out over their neighbor sets. A changed neighbor set, not a changed
-        degree, is what marks a node: one that lost an edge and gained
-        another keeps its degree but not its sum. An unmarked host kept its
-        degree, so it hands out zero and is counted again at the same sum."""
+        One chain serves all three: the neighbor sets of the live nodes
+        whose neighbor sets changed since the previous snapshot, which
+        include every live host, as booking a host changes its neighbor set.
+        A changed node is counted again as the sum of its neighbors'
+        degrees. Any other node kept its neighbors, so its sum moves by
+        exactly the degree changes of its changed neighbors, handed out over
+        their neighbor sets. A changed neighbor set, not a changed degree, is
+        what marks a node: one that lost an edge and gained another keeps
+        its degree but not its sum."""
         self._deg = grown(self._deg, max(size, self.next_id))
         self._nds = grown(self._nds, max(size, self.next_id))
         adj, deg, nds = self.adj, self._deg, self._nds
         touched, self._touched = self._touched, set()
-        live = [v for v in touched.union(*churn) if v in adj]
+        churn = self._arrived, self._benign_gone
+        self._arrived, self._benign_gone = {}, {}
+        live = [v for v in touched if v in adj]
         gone = list(touched.difference(adj))
         live_degs = np.fromiter((len(adj[v]) for v in live), np.int64, len(live))
         nbrs = np.fromiter(
@@ -129,7 +129,7 @@ class Topology:
         np.add.at(recount, np.repeat(np.arange(len(ids)), live_degs), deg[nbrs])
         nds[ids] = recount
         deg[gone] = nds[gone] = 0
-        sums = [
+        gained, lost = (
             np.bincount(
                 nbrs,
                 np.repeat(
@@ -139,8 +139,8 @@ class Topology:
                 minlength=size,
             )
             for counts in churn
-        ]
-        return (nds[:size].copy(), *sums)
+        )
+        return nds[:size].copy(), gained, lost
 
     # ---- preferential attachment ------------------------------------
 
@@ -155,13 +155,14 @@ class Topology:
         self._pool_stale = 0
 
     def attach(self, count: int, rng: Draws) -> tuple[NodeId, list[NodeId]]:
-        """Add a node wired to `count` distinct hosts drawn by degree. Returns
-        the new id and its hosts in draw order. Same end state as adding
-        the node and then the edge (v, u) for each host in draw order."""
+        """Add a node wired to `count` distinct hosts drawn by degree, and
+        book one arrival at each host. Returns the new id and its hosts in
+        draw order. Same end state as adding the node and then the edge
+        (v, u) for each host in draw order."""
         targets = self.sample_attachment_targets(count, rng)
         v = self.next_id
         self.next_id += 1
-        adj, pool, copies = self.adj, self._pool, self._pool_copies
+        adj, pool, copies, arrived = self.adj, self._pool, self._pool_copies, self._arrived
         adj[v] = set(targets)
         copies[v] = len(targets)
         isolated = 0 if targets else 1  # v, until its first edge
@@ -171,6 +172,7 @@ class Topology:
             au.add(v)
             pool += (v, u)
             copies[u] += 1
+            arrived[u] = arrived.get(u, 0) + 1
         self.isolated_count += isolated
         self.edge_count += len(targets)
         if targets:
@@ -295,14 +297,19 @@ def generate_regular(n: int, degree: int, rng: Draws) -> Topology:
 # ---- mutation ops ----------------------------------------------------
 
 
-def remove_node(t: Topology, v: NodeId) -> None:
-    """Remove `v` and every edge it had. Same end state as removing each of
-    its edges and then dropping the node, whose pool copies count as stale
-    once more (see ROADMAP item 5)."""
+def remove_node(t: Topology, v: NodeId, benign: bool = False) -> None:
+    """Remove `v` and every edge it had; if `benign`, book one benign
+    departure at each neighbor. Same end state as removing each of its
+    edges and then dropping the node, whose pool copies count as stale once
+    more (see ROADMAP item 5)."""
     adj = t.adj
     nbrs = adj.pop(v, None)
     if nbrs is None:
         raise UnknownNodeError(v)
+    if benign:
+        gone = t._benign_gone
+        for u in nbrs:
+            gone[u] = gone.get(u, 0) + 1
     emptied = 0
     for u in nbrs:
         au = adj[u]

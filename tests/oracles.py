@@ -16,7 +16,10 @@ whole build (`Topology.from_edges`) each wire or unhook every edge of a node
 or an overlay in one pass, and they are the topology's only mutations. The
 per-edge primitives `add_node`, `add_edge` and `remove_edge` below change one
 node or edge at a time, and the replays built on them (`attach_by_edges`,
-`remove_node_by_edges`, `topology_by_edges`) must reach the same end state.
+`remove_node_by_edges`, `topology_by_edges`) must reach the same end state,
+the churn the node events book included. `neighbor_degree_sum` and
+`churn_sums` recount, from the neighbor sets, what the topology's snapshot
+keeps up to date.
 
 `JoinLog` records the iteration at which each id joined a run, watching the
 topology's next id from outside the engine, and gathers the newcomer pool
@@ -199,24 +202,45 @@ def remove_edge(t: Topology, u: NodeId, v: NodeId) -> None:
 
 def attach_by_edges(t: Topology, count: int, rng: np.random.Generator):
     """`Topology.attach` one edge at a time: the same draws, then a new
-    node and one `add_edge` per host in draw order."""
+    node and one `add_edge` per host in draw order, each booking one
+    arrival at its host."""
     targets = t.sample_attachment_targets(count, rng)
     v = add_node(t)
     for u in targets:
         add_edge(t, v, u)
+        t._arrived[u] = t._arrived.get(u, 0) + 1
     return v, targets
 
 
-def remove_node_by_edges(t: Topology, v: NodeId) -> None:
-    """`graph.remove_node` one edge at a time, ascending neighbor ids first.
+def remove_node_by_edges(t: Topology, v: NodeId, benign: bool = False) -> None:
+    """`graph.remove_node` one edge at a time, ascending neighbor ids first,
+    each booking one benign departure at the neighbor if `benign`.
     `remove_edge` marks both ends of each edge stale, and the node's pool
     copies are then counted as stale once more."""
     for u in sorted(t.adj[v]):
         remove_edge(t, v, u)
+        if benign:
+            t._benign_gone[u] = t._benign_gone.get(u, 0) + 1
     t._pool_stale += t._pool_copies.pop(v, 0)
     t.isolated_count -= 1
     del t.adj[v]
     t._touched.add(v)
+
+
+def neighbor_degree_sum(t: Topology, v: NodeId) -> int:
+    """The sum of the degrees of `v`'s neighbors, counted from the sets."""
+    return sum(len(t.adj[u]) for u in t.adj[v])
+
+
+def churn_sums(t: Topology, counts: dict[NodeId, int], size: int) -> np.ndarray:
+    """For each live host j, counts[j] added to every current neighbor of
+    j, as a float array indexed by node id and `size` long; hosts that are
+    gone add nothing."""
+    sums = np.zeros(size)
+    for j, c in counts.items():
+        for i in t.adj.get(j, ()):
+            sums[i] += c
+    return sums
 
 
 def topology_by_edges(n: int, edges) -> Topology:

@@ -63,7 +63,7 @@ def test_classify_departure():
         sim.reputation[0] = rep
         neighbors = set(sim.topology.adj[0])
         sim.force_whitewash(0)
-        assert sim._legit_gone == (dict.fromkeys(neighbors, 1) if legit else {}), rep
+        assert sim.topology._benign_gone == (dict.fromkeys(neighbors, 1) if legit else {}), rep
 
 
 # ---- whitewash level ----------------------------------------------------
@@ -180,9 +180,12 @@ def window_rows(est: EstimatorArrays) -> np.ndarray:
 
 def test_estimator_arrays_match_scalar_oracle():
     # Seeded random churn on a graph that grows and shrinks between sweeps.
-    # After every sweep each live node's window peak and offer must equal a
-    # scalar EstimatorState fed the same levels, zero for the nodes the
-    # sweep left out, and the returned sums must add in ascending-id order.
+    # The churn maps are made by hand, counts 1 to 3 with hosts that depart
+    # before the sweep, and summed by the oracle, so the kernel sees churn
+    # no node event would book. After every sweep each live node's window
+    # peak and offer must equal a scalar EstimatorState fed the same
+    # levels, zero for the nodes the sweep left out, and the returned sums
+    # must add in ascending-id order.
     rng = np.random.default_rng(21)
     window, r_min, r_est = 4, 0.03, 0.5
     t = graph.generate_scale_free(30, 2, rng)
@@ -214,9 +217,10 @@ def test_estimator_arrays_match_scalar_oracle():
             oracle[vid] = EstimatorState(vid, r_est, r_min, window)
             added += 1
         coef = float(rng.uniform(-0.02, 0.05))
-        swept, w_sum, wmax_sum, offer_sum = est.sweep(
-            *t.neighbor_degree_array(est.capacity, arrivals, legit), coef, r_est, r_min
-        )
+        # The snapshot's own churn is set aside for the hand-made maps.
+        ndsum, _, _ = t.neighbor_degree_array(est.capacity)
+        gained, lost = (oracles.churn_sums(t, m, est.capacity) for m in (arrivals, legit))
+        swept, w_sum, wmax_sum, offer_sum = est.sweep(ndsum, gained, lost, coef, r_est, r_min)
         levels = est.last_sweep
         assert swept == len(levels)
         windows = window_rows(est)
@@ -361,7 +365,7 @@ def test_shrink_correction_depends_on_sweep_membership():
     coef = (199.0 / 200.0 - 1.0) * sim.cfg.attach_edges / (2.0 * t.edge_count / 199.0)
     sim.step()
     levels = sim.last_w_sweep
-    quiet = [v for v in t.adj if prev[v] == t.neighbor_degree_sum(v)]
+    quiet = [v for v in t.adj if prev[v] == oracles.neighbor_degree_sum(t, v)]
     busy = [v for v in quiet if v in levels and levels[v] > 0]
     left_out = [v for v in quiet if v not in levels]
     assert sorted(busy) == sorted(active)

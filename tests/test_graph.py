@@ -24,10 +24,6 @@ def path_topology(n: int = 5) -> Topology:
     return t
 
 
-def brute_ndsum(t: Topology, v: int) -> int:
-    return sum(len(t.adj[u]) for u in t.adj[v])
-
-
 def is_connected(t: Topology) -> bool:
     nodes = list(t.adj)
     seen = {nodes[0]}
@@ -217,29 +213,39 @@ def test_churn_keeps_bookkeeping_consistent():
         assert t.isolated_count == sum(1 for s in t.adj.values() if not s)
         snap = t.neighbor_degree_array(t.next_id)[0]
         for v in t.adj:
-            assert snap[v] == brute_ndsum(t, v), (step, v)
+            assert snap[v] == oracles.neighbor_degree_sum(t, v), (step, v)
 
 
 def test_neighbor_degree_snapshot_matches_recount():
-    """Snapshots taken every few mutations of seeded churn equal a recount
-    over the neighbor sets: zero where no node is, and the sum of the
-    neighbors' degrees elsewhere. The churn grows batches onto hubs, removes
-    hubs, rewires a node (same degree, new neighbors), removes and re-adds
-    one edge, adds and removes a node between two snapshots, and pushes
-    ids past the snapshot arrays' capacity. Every snapshot also sums two
-    churn maps whose hosts mix changed nodes, unchanged live nodes and
-    removed nodes, against a brute-force sum over the live hosts'
-    neighbors."""
+    """Snapshots taken every few events of seeded churn equal a recount over
+    the neighbor sets: zero where no node is, and the sum of the neighbors'
+    degrees elsewhere. The churn grows batches onto hubs, removes hubs,
+    random nodes and hosts of churn already booked, benign or not, passes a
+    node through (attached, then removed at once), rewires a node (same
+    degree, new neighbors), removes and re-adds one edge, and pushes ids
+    past the snapshot arrays' capacity. The churn sums of every snapshot
+    equal the arrivals and benign departures of a test-side event log,
+    summed over the current neighbors of the hosts still live, and after
+    every event each booked host, live or gone, is a marked node."""
     t = graph.generate_scale_free(30, 2, oracles.draws(5))
+    t.neighbor_degree_array(t.next_id)  # clears the arrivals the build booked
     rng = np.random.default_rng(17)
-    removed: list[int] = []
+    arrived: collections.Counter = collections.Counter()
+    benign_gone: collections.Counter = collections.Counter()
 
     def pick(candidates) -> int:
         return sorted(candidates)[int(rng.integers(len(candidates)))]
 
+    def attach(count: int) -> int:
+        v, hosts = t.attach(count, rng)
+        arrived.update(hosts)
+        return v
+
     def drop(v: int) -> None:
-        graph.remove_node(t, v)
-        removed.append(v)
+        benign = bool(rng.integers(2))
+        if benign:
+            benign_gone.update(t.adj[v])
+        graph.remove_node(t, v, benign)
 
     def rewire() -> None:
         u = pick([v for v in t.adj if t.adj[v] and len(t.adj[v]) < t.node_count - 1])
@@ -255,10 +261,7 @@ def test_neighbor_degree_snapshot_matches_recount():
         oracles.add_edge(t, w, u)
 
     def passing_node() -> None:
-        v = oracles.add_node(t)
-        for u in t.sample_attachment_targets(int(rng.integers(4)), rng):
-            oracles.add_edge(t, v, u)
-        drop(v)
+        drop(attach(int(rng.integers(4))))
 
     def remove_hub() -> None:
         drop(max(t.adj, key=lambda v: (len(t.adj[v]), v)))
@@ -266,45 +269,39 @@ def test_neighbor_degree_snapshot_matches_recount():
     def remove_any() -> None:
         drop(pick(t.adj))
 
+    def remove_host() -> None:
+        booked = [j for j in arrived.keys() | benign_gone.keys() if j in t.adj]
+        drop(pick(booked or t.adj))
+
     def grow_batch() -> None:
         for _ in range(int(rng.integers(1, 12))):
-            t.attach(2, rng)
+            attach(2)
 
-    def churn_map() -> dict[int, int]:
-        hosts = [pick(t.adj) for _ in range(int(rng.integers(6)))]
-        hosts += [pick(t._touched) for _ in range(int(rng.integers(3))) if t._touched]
-        hosts += [pick(removed) for _ in range(int(rng.integers(3))) if removed]
-        return {j: int(rng.integers(1, 4)) for j in hosts}
-
-    mutations = [rewire, readd_edge, passing_node, remove_hub, remove_any, grow_batch]
+    mutations = [rewire, readd_edge, passing_node, remove_hub, remove_any, remove_host, grow_batch]
     capacities = set()
     host_kinds = collections.Counter()
-    for step in range(80):
+    for step in range(120):
         for _ in range(int(rng.integers(1, 5))):
             op = mutations[int(rng.integers(len(mutations)))]
-            if t.node_count < 8 and op in (remove_hub, remove_any):
+            if t.node_count < 8 and op in (remove_hub, remove_any, remove_host):
                 op = grow_batch
             op()
+            assert t._arrived.keys() | t._benign_gone.keys() <= t._touched, step
         size = t.next_id + int(rng.integers(3))
-        churn = [churn_map(), churn_map()]
-        for j in set().union(*churn):
-            host_kinds["touched" if j in t._touched else "untouched" if j in t.adj else "gone"] += 1
-        snap, *sums = t.neighbor_degree_array(size, *churn)
+        for j in arrived.keys() | benign_gone.keys():
+            host_kinds["live" if j in t.adj else "gone"] += 1
+        snap, gained, lost = t.neighbor_degree_array(size)
         capacities.add(len(t._nds))
         expected = np.zeros(size, dtype=np.int64)
         for v, nbrs in t.adj.items():
             expected[v] = sum(len(t.adj[u]) for u in nbrs)
         assert snap.dtype == np.int64
         np.testing.assert_array_equal(snap, expected, err_msg=f"step {step}")
-        assert len(sums) == 2
-        for counts, got in zip(churn, sums):
-            want = np.zeros(size)
-            for j, c in counts.items():
-                for i in t.adj.get(j, ()):
-                    want[i] += c
-            np.testing.assert_array_equal(got, want, err_msg=f"step {step}")
+        for log, got in ((arrived, gained), (benign_gone, lost)):
+            np.testing.assert_array_equal(got, oracles.churn_sums(t, log, size), f"step {step}")
+            log.clear()
     assert len(capacities) >= 3  # the arrays grew at least twice
-    assert min(host_kinds[k] for k in ("touched", "untouched", "gone")) > 20
+    assert min(host_kinds[k] for k in ("live", "gone")) > 20, host_kinds
 
 
 def test_adj_iterates_in_ascending_id_order():
@@ -340,6 +337,8 @@ def topology_state(t: Topology) -> dict:
         "isolated_count": t.isolated_count,
         "edge_count": t.edge_count,
         "touched": t._touched,
+        "arrived": t._arrived,
+        "benign_gone": t._benign_gone,
         "next_id": t.next_id,
     }
 
@@ -352,9 +351,10 @@ def assert_same_topology(got: Topology, want: Topology, where="") -> None:
 
 def test_attach_and_remove_node_match_the_per_edge_primitives():
     # Seeded churn on a scale-free overlay with hubs, replayed on a second
-    # build through add_node/add_edge/remove_edge. The churn removes hubs and
-    # random nodes, attaches with 0 to 5 hosts (an edgeless node, and more
-    # hosts than there are linked nodes once the overlay is small), and
+    # build through add_node/add_edge/remove_edge, the booked churn
+    # included. The churn removes hubs and random nodes, on odd steps as
+    # benign departures, attaches with 0 to 5 hosts (an edgeless node, and
+    # more hosts than there are linked nodes once the overlay is small), and
     # removes a node right after it attached. Both sides draw from
     # generators in the same state, so the sampler's pool rebuilds land at
     # the same draws.
@@ -366,9 +366,11 @@ def test_attach_and_remove_node_match_the_per_edge_primitives():
         kinds = collections.Counter()
 
         def remove(v, kind):
-            graph.remove_node(bulk, v)
-            oracles.remove_node_by_edges(oracle, v)
+            benign = step % 2 == 1
+            graph.remove_node(bulk, v, benign)
+            oracles.remove_node_by_edges(oracle, v, benign)
             kinds[kind] += 1
+            kinds["benign"] += benign
 
         for step in range(300):
             # The last third removes more than it adds, down to a few nodes.
