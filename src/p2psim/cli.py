@@ -288,8 +288,11 @@ def _check_window(cfg: SimConfig, iterations: int) -> None:
     """Reject a run whose windows would pass MAX_WINDOW_CELLS: n x
     window_n_prime, grown by every growth batch of `iterations` steps
     (compared as logarithms, so no float can overflow). Whitewash rejoins
-    take fresh ids too, which this count leaves out."""
-    growth = iterations // engine.GROWTH_PERIOD * math.log1p(cfg.growth_percent_per_10 / 100)
+    take fresh ids too, which this count leaves out. Past
+    MAX_NODE_ITERATIONS growth periods `_check_work` rejects the run anyway,
+    so the period count is capped there to stay a float."""
+    periods = min(iterations // engine.GROWTH_PERIOD, MAX_NODE_ITERATIONS)
+    growth = periods * math.log1p(cfg.growth_percent_per_10 / 100)
     if math.log(cfg.n * cfg.window_n_prime) + growth > math.log(MAX_WINDOW_CELLS):
         raise ValueError(
             f"window_n_prime: {cfg.n} nodes x {cfg.window_n_prime} levels, with growth, "

@@ -46,9 +46,9 @@ the next write. A dense offer array answers probes, and nodes a sweep left
 out offer the ceiling. Each sweep reads one snapshot of the neighbor-degree
 sums, which is also the next sweep's baseline, and the churn sums (arrivals
 and benign departures summed over each node's neighbors).
-`Topology.neighbor_degree_array` computes all three in one pass at the
-sweep, chaining the neighbor sets of the nodes whose neighbor sets changed
-since the previous sweep, and clears the booked churn. Edge events
+`Topology.neighbor_degree_array` computes all three in one vectorized
+gather at the sweep over the neighbor rows of the nodes whose neighbors
+changed since the previous sweep, and clears the booked churn. Node events
 themselves keep no sums.
 Outputs match the per-node formulas bit for bit: the quadratic offer goes
 through `estimator.offer_curve` (Python's float power, which numpy's
@@ -264,7 +264,7 @@ class Simulation:
         # no estimate reads.
         self._est = EstimatorArrays(
             cfg.window_n_prime,
-            np.fromiter(t.adj, np.int64, t.node_count),
+            t.live_ids(),
             self.r_est,
             t.neighbor_degree_array(t.next_id)[0],
         )
@@ -375,7 +375,7 @@ class Simulation:
                 self._ready.add(vid)
         if not self._ready:
             return 0, 0
-        pool = list(self.topology.adj)  # ascending: ids only grow
+        pool = self.topology.live_ids()
         attempts = 0
         successes = 0
         for vid in sorted(self._ready):
@@ -503,20 +503,19 @@ def closed_world_estimator_check(cfg: SimConfig, injected: int) -> tuple[float, 
         new_id = sim.force_whitewash(vid)
         # Record the hosts right away: a later planted node may attach to
         # this one, and hosting an arrival is not the same as being one.
-        for u in t.adj[new_id]:
+        for u in t.neighbors(new_id):
             arrivals[u] = arrivals.get(u, 0) + 1
     record = sim.step()
 
     contrib: dict[int, float] = {}
     for j, aj in arrivals.items():
-        nbrs = t.adj.get(j)
-        if nbrs is None:
+        if j not in t:
             continue  # the host was washed by a later injection
-        for i in nbrs:
+        for i in t.neighbors(j):
             contrib[i] = contrib.get(i, 0.0) + aj
     total = 0.0
-    for i in t.adj:
-        den = sum(len(t.adj[u]) for u in t.adj[i])
+    for i in t.live_ids().tolist():
+        den = sum(map(t.degree_of, t.neighbors(i)))
         if den > 0:
             total += min(max(contrib.get(i, 0.0) / den, 0.0), 1.0)
     return record.mean_w_estimate, total / t.node_count

@@ -1,26 +1,38 @@
 """Mutable unstructured-overlay topologies with preferential-attachment growth.
 
 Node ids are monotonically increasing and never reused, so identity churn
-(a node leaving and rejoining) is visible in the id space, `adj` iterates
-in ascending id order, and an array indexed by node id only ever grows
-(`grown`). Every mutation is a node event or a whole build, each one pass
-over the edges it wires or unhooks: `Topology.attach` wires a new node to
-all its hosts, `remove_node` unhooks one from all its neighbors and
-`Topology.from_edges` builds a whole overlay (the scale-free seed clique and
-every regular overlay). Each leaves the state that adding or removing the
-same edges one at a time would leave; the per-edge reference lives with the
-tests. Node events also book the churn the estimator reads: `attach` one
-arrival at each host, and a benign `remove_node` one departure at each
-neighbor. Edge events only mutate the neighbor sets, the attachment pool
-and its counters, and mark the nodes whose sets changed. Once per sweep,
-one pass over the marked nodes' neighbor sets brings the dense
-neighbor-degree snapshot up to date and sums the booked churn over each
-node's neighbors (see `Topology.neighbor_degree_array`).
+(a node leaving and rejoining) is visible in the id space, and an array
+indexed by node id only ever grows (`grown`). Every mutation is a node event
+or a whole build, each one pass over the edges it wires or unhooks:
+`Topology.attach` wires a new node to all its hosts, `remove_node` unhooks
+one from all its neighbors and `Topology.from_edges` builds a whole overlay
+(the scale-free seed clique and every regular overlay). Each leaves the
+state that adding or removing the same edges one at a time would leave; the
+per-edge reference model lives with the tests. Node events also book the
+churn the estimator reads: `attach` one arrival at each host, and a benign
+`remove_node` one departure at each neighbor.
+
+Every node's neighbors are one row of a flat slab, an `array('q')`. Arrays
+indexed by node id beside it hold each row's start, fill and capacity, the
+node's exact degree (0 once it is removed) and a live mask. `attach`
+appends to each host's row; a full row moves to the end of the slab at
+double capacity. `remove_node` only lowers its live neighbors' degrees and
+clears its live bit, so its id stays in their rows as a tombstone. Every
+neighbor of a removed node is a node whose neighbors changed, and once per
+sweep one vectorized gather over those nodes' rows drops the tombstones,
+compacts the rows in place, brings the dense neighbor-degree snapshot up to
+date and sums the booked churn over each node's neighbors (see
+`Topology.neighbor_degree_array`). Each attachment-pool rebuild also
+rewrites the whole slab without dead rows, tombstones or spare room. The
+numpy views of these arrays live only inside one call: an array that
+exports its buffer cannot grow. Readers outside go through `neighbors`,
+`degree_of`, `live_ids` and `in`.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 
 import numpy as np
 
@@ -59,32 +71,78 @@ def grown(a: np.ndarray, size: int) -> np.ndarray:
     return new
 
 
+def _int64(a) -> np.ndarray:
+    """A numpy view of an `array('q')`; it must not outlive the call."""
+    return np.frombuffer(a, np.int64)
+
+
+def _row_positions(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Slab positions of rows that begin at `start` and hold `length`
+    entries each, concatenated in order."""
+    first = np.cumsum(length) - length
+    return np.repeat(start - first, length) + np.arange(int(length.sum()))
+
+
 class Topology:
     """Undirected simple graph with churn-friendly bookkeeping."""
 
     def __init__(self):
-        self.adj: dict[NodeId, set[NodeId]] = {}
         self.next_id: NodeId = 0
+        self.node_count: int = 0
         self.edge_count: int = 0
-        self.isolated_count: int = 0  # nodes of degree zero
+        self.isolated_count: int = 0  # live nodes of degree zero
+        # Node v's row is _slab[_start[v] : _start[v] + _fill[v]], with room
+        # for _cap[v] entries; until the next snapshot it may still hold ids
+        # removed since (tombstones), which _degree does not count.
+        self._slab = array("q")
+        self._start = array("q")
+        self._fill = array("q")
+        self._cap = array("q")
+        self._degree = array("q")
+        self._live = bytearray()
         # Degree and neighbor-degree sum of every id as of the last
-        # snapshot; since then, the nodes whose neighbor sets changed, and
-        # the arrivals and benign departures booked per host.
+        # snapshot; since then, the nodes whose neighbors changed, and the
+        # arrivals and benign departures booked per host.
         self._deg = np.zeros(0, dtype=np.int64)
         self._nds = np.zeros(0, dtype=np.int64)
         self._touched: set[NodeId] = set()
         self._arrived: dict[NodeId, int] = {}
         self._benign_gone: dict[NodeId, int] = {}
-        # preferential-attachment pool: one entry per degree unit, lazily pruned
+        # preferential-attachment pool: one entry per degree unit, lazily
+        # pruned; copies counts each id's entries (0 once it is removed)
         self._pool: list[NodeId] = []
-        self._pool_copies: dict[NodeId, int] = {}
+        self._pool_copies = array("q")
         self._pool_stale: int = 0
 
     # ---- read side -------------------------------------------------
 
-    @property
-    def node_count(self) -> int:
-        return len(self.adj)
+    def __contains__(self, v: NodeId) -> bool:
+        return 0 <= v < self.next_id and self._live[v] == 1
+
+    def live_ids(self) -> np.ndarray:
+        """The live ids, ascending."""
+        return np.flatnonzero(np.frombuffer(self._live, bool))
+
+    def degree_of(self, v: NodeId) -> int:
+        """The number of live neighbors of `v`; 0 once `v` is removed."""
+        if not 0 <= v < self.next_id:
+            raise UnknownNodeError(v)
+        return self._degree[v]
+
+    def neighbors(self, v: NodeId) -> list[NodeId]:
+        """The live neighbors of the live node `v`, in no particular order."""
+        if v not in self:
+            raise UnknownNodeError(v)
+        live, s = self._live, self._start[v]
+        return [u for u in self._slab[s : s + self._fill[v]] if live[u]]
+
+    def _live_rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the live nodes `ids` concatenated, tombstones dropped,
+        and each node's degree, the length of its part."""
+        entries = _int64(self._slab)[
+            _row_positions(_int64(self._start)[ids], _int64(self._fill)[ids])
+        ]
+        return entries[np.frombuffer(self._live, bool)[entries]], _int64(self._degree)[ids]
 
     def neighbor_degree_array(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ndsum, gained, lost), each indexed by node id and `size` long;
@@ -97,30 +155,30 @@ class Topology:
         arrivals its build booked, which `engine.Simulation.__init__`
         discards. A snapshot clears the marks and the bookings.
 
-        One chain serves all three: the neighbor sets of the live nodes
-        whose neighbor sets changed since the previous snapshot, which
-        include every live host, as booking a host changes its neighbor set.
-        A changed node is counted again as the sum of its neighbors'
-        degrees. Any other node kept its neighbors, so its sum moves by
-        exactly the degree changes of its changed neighbors, handed out over
-        their neighbor sets. A changed neighbor set, not a changed degree, is
-        what marks a node: one that lost an edge and gained another keeps
-        its degree but not its sum."""
+        One gather serves all three: the rows of the live nodes whose
+        neighbors changed since the previous snapshot, which include every
+        live host, as booking a host changes its neighbors, and every live
+        neighbor of a removed node. The gather drops the tombstones and
+        writes those rows back compacted. A changed node is counted again as
+        the sum of its neighbors' degrees. Any other node kept its
+        neighbors, so its sum moves by exactly the degree changes of its
+        changed neighbors, handed out over their rows. Changed neighbors,
+        not a changed degree, are what mark a node: one that lost an edge
+        and gained another keeps its degree but not its sum."""
         self._deg = grown(self._deg, max(size, self.next_id))
         self._nds = grown(self._nds, max(size, self.next_id))
-        adj, deg, nds = self.adj, self._deg, self._nds
-        touched, self._touched = self._touched, set()
+        deg, nds = self._deg, self._nds
+        touched = np.fromiter(self._touched, np.int64, len(self._touched))
+        self._touched = set()
         churn = self._arrived, self._benign_gone
         self._arrived, self._benign_gone = {}, {}
-        live = [v for v in touched if v in adj]
-        gone = list(touched.difference(adj))
-        live_degs = np.fromiter((len(adj[v]) for v in live), np.int64, len(live))
-        nbrs = np.fromiter(
-            itertools.chain.from_iterable(map(adj.__getitem__, live)),
-            np.int64,
-            int(live_degs.sum()),
-        )
-        ids = np.array(live, dtype=np.int64)
+        alive = np.frombuffer(self._live, bool)[touched]
+        ids, gone = touched[alive], touched[~alive]
+        nbrs, live_degs = self._live_rows(ids)
+        fill = _int64(self._fill)
+        if len(nbrs) < fill[ids].sum():  # tombstones to drop: compact the rows in place
+            _int64(self._slab)[_row_positions(_int64(self._start)[ids], live_degs)] = nbrs
+            fill[ids] = live_degs
         # A removed node's neighbors all lost an edge to it, so every node
         # it reached is counted again below: only live nodes hand out.
         np.add.at(nds, nbrs, np.repeat(live_degs - deg[ids], live_degs))
@@ -129,11 +187,12 @@ class Topology:
         np.add.at(recount, np.repeat(np.arange(len(ids)), live_degs), deg[nbrs])
         nds[ids] = recount
         deg[gone] = nds[gone] = 0
+        ids = ids.tolist()
         gained, lost = (
             np.bincount(
                 nbrs,
                 np.repeat(
-                    np.fromiter(map(counts.get, live, itertools.repeat(0)), float, len(live)),
+                    np.fromiter(map(counts.get, ids, itertools.repeat(0)), float, len(ids)),
                     live_degs,
                 ),
                 minlength=size,
@@ -145,13 +204,20 @@ class Topology:
     # ---- preferential attachment ------------------------------------
 
     def _rebuild_pool(self) -> None:
-        self._pool = []
-        self._pool_copies = {v: 0 for v in self.adj}
-        for v, nbrs in self.adj.items():
-            d = len(nbrs)
-            if d:
-                self._pool.extend([v] * d)
-                self._pool_copies[v] = d
+        """One pool entry per degree unit, ascending ids, and the slab
+        rewritten as the live rows back to back, each at capacity equal to
+        its degree."""
+        ids = self.live_ids()
+        nbrs, degs = self._live_rows(ids)
+        start, fill = np.zeros(self.next_id, np.int64), np.zeros(self.next_id, np.int64)
+        start[ids] = np.cumsum(degs) - degs
+        fill[ids] = degs
+        self._slab = array("q", nbrs.tobytes())
+        self._start = array("q", start.tobytes())
+        self._fill = array("q", fill.tobytes())
+        self._cap = self._fill[:]
+        self._pool = np.repeat(ids, degs).tolist()
+        self._pool_copies = self._degree[:]
         self._pool_stale = 0
 
     def attach(self, count: int, rng: Draws) -> tuple[NodeId, list[NodeId]]:
@@ -162,19 +228,35 @@ class Topology:
         targets = self.sample_attachment_targets(count, rng)
         v = self.next_id
         self.next_id += 1
-        adj, pool, copies, arrived = self.adj, self._pool, self._pool_copies, self._arrived
-        adj[v] = set(targets)
-        copies[v] = len(targets)
+        self.node_count += 1
+        k = len(targets)
+        slab, start, fill, cap, degree = self._slab, self._start, self._fill, self._cap, self._degree
+        pool, copies, arrived = self._pool, self._pool_copies, self._arrived
+        start.append(len(slab))
+        for a in (fill, cap, degree, copies):
+            a.append(k)
+        self._live.append(1)
+        slab.extend(targets)
         isolated = 0 if targets else 1  # v, until its first edge
         for u in targets:
-            au = adj[u]
-            isolated -= not au
-            au.add(v)
+            d = degree[u]
+            isolated -= not d
+            degree[u] = d + 1
+            f = fill[u]
+            if f == cap[u]:
+                # A full row moves to the end of the slab at double capacity.
+                s = start[u]
+                start[u] = len(slab)
+                cap[u] = 2 * f or 1
+                slab += slab[s : s + f]
+                slab.frombytes(bytes(8 * (cap[u] - f)))
+            slab[start[u] + f] = v
+            fill[u] = f + 1
             pool += (v, u)
             copies[u] += 1
             arrived[u] = arrived.get(u, 0) + 1
         self.isolated_count += isolated
-        self.edge_count += len(targets)
+        self.edge_count += k
         if targets:
             self._touched.update(targets)
             self._touched.add(v)
@@ -185,34 +267,32 @@ class Topology:
         to current degree. If fewer than `count` nodes have edges (none at
         all in an edgeless graph), all of those are drawn that way and the
         rest come uniformly from the isolated nodes."""
-        adj = self.adj
-        if not adj:
+        if not self.node_count:
             raise InvalidParameterError("no attachment targets available")
-        count = min(count, len(adj))
+        count = min(count, self.node_count)
         if self._pool and self._pool_stale > _POOL_STALE_LIMIT * len(self._pool):
             self._rebuild_pool()
-        pool, copies, neighbors = self._pool, self._pool_copies, adj.get
+        pool, copies, degree = self._pool, self._pool_copies, self._degree
         integers, random, size = rng.integers, rng.random, len(pool)
         chosen: list[NodeId] = []
-        wanted = min(count, len(adj) - self.isolated_count)
+        wanted = min(count, self.node_count - self.isolated_count)
         while len(chosen) < wanted:
             v = pool[integers(size)]
             if v in chosen:  # at most `count` long
                 continue
-            nbrs = neighbors(v)
-            if nbrs is None:
-                continue  # stale entry for a removed node
-            d = len(nbrs)
+            d = degree[v]
             if d == 0:
-                continue
+                continue  # stale entry for a removed or isolated node
             c = copies[v]
             if d < c and random() >= d / c:
                 continue  # stale excess copies: thin back to the true degree
             chosen.append(v)
         if len(chosen) < count:
-            isolated = [v for v, nbrs in adj.items() if not nbrs]
+            isolated = np.flatnonzero(
+                np.frombuffer(self._live, bool) & (_int64(self._degree) == 0)
+            )
             order = rng.permutation(len(isolated))
-            chosen += [isolated[i] for i in order[: count - len(chosen)]]
+            chosen += isolated[order[: count - len(chosen)]].tolist()
         return chosen
 
     @classmethod
@@ -221,16 +301,19 @@ class Topology:
         self-loops. Same end state as adding `n` nodes and then the edge
         (u, v) for each pair in order."""
         t = cls()
-        adj = t.adj = {v: set() for v in range(n)}
-        pool = t._pool
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-            pool += (u, v)
-        t.next_id = n
-        t.edge_count = len(pool) // 2
-        t._pool_copies = {v: len(nbrs) for v, nbrs in adj.items()}
-        t._touched = {v for v, nbrs in adj.items() if nbrs}
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        ends = pairs.ravel()  # u0, v0, u1, v1, ...: the pool's order
+        degree = np.bincount(ends, minlength=n)
+        by_row = np.argsort(ends, kind="stable")
+        t._slab = array("q", pairs[:, ::-1].ravel()[by_row].tobytes())
+        t._start = array("q", (np.cumsum(degree) - degree).tobytes())
+        t._degree = array("q", degree.tobytes())
+        t._fill, t._cap, t._pool_copies = t._degree[:], t._degree[:], t._degree[:]
+        t._live = bytearray(b"\x01") * n
+        t._pool = ends.tolist()
+        t.next_id = t.node_count = n
+        t.edge_count = len(pairs)
+        t._touched = set(np.flatnonzero(degree).tolist())
         t.isolated_count = n - len(t._touched)
         return t
 
@@ -299,26 +382,29 @@ def generate_regular(n: int, degree: int, rng: Draws) -> Topology:
 
 def remove_node(t: Topology, v: NodeId, benign: bool = False) -> None:
     """Remove `v` and every edge it had; if `benign`, book one benign
-    departure at each neighbor. Same end state as removing each of its
-    edges and then dropping the node, whose pool copies count as stale once
-    more (see ROADMAP item 5)."""
-    adj = t.adj
-    nbrs = adj.pop(v, None)
-    if nbrs is None:
-        raise UnknownNodeError(v)
+    departure at each neighbor. Its id stays in its neighbors' rows as a
+    tombstone until the next snapshot. Same end state as removing each of
+    its edges and then dropping the node, whose pool copies count as stale
+    once more (see ROADMAP item 5)."""
+    nbrs = t.neighbors(v)  # raises UnknownNodeError unless v is live
     if benign:
         gone = t._benign_gone
         for u in nbrs:
             gone[u] = gone.get(u, 0) + 1
+    degree = t._degree
     emptied = 0
     for u in nbrs:
-        au = adj[u]
-        au.discard(v)
-        emptied += not au
+        d = degree[u] - 1
+        degree[u] = d
+        emptied += not d
+    t._live[v] = 0
+    degree[v] = 0
+    t.node_count -= 1
     # A node with edges ends isolated by its last removal, which dropping it
     # takes back; one without edges was isolated all along.
     t.isolated_count += emptied - (not nbrs)
     t.edge_count -= len(nbrs)
-    t._pool_stale += 2 * len(nbrs) + t._pool_copies.pop(v, 0)
+    t._pool_stale += 2 * len(nbrs) + t._pool_copies[v]
+    t._pool_copies[v] = 0
     t._touched.update(nbrs)
     t._touched.add(v)

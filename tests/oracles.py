@@ -11,15 +11,15 @@ and the crossover search (`crossover_round`) are kept here as the scalar
 loops and the block scan that the shipped array kernels and affine solve
 must match bit for bit.
 
-The topology's node events (`Topology.attach`, `graph.remove_node`) and its
-whole build (`Topology.from_edges`) each wire or unhook every edge of a node
-or an overlay in one pass, and they are the topology's only mutations. The
-per-edge primitives `add_node`, `add_edge` and `remove_edge` below change one
-node or edge at a time, and the replays built on them (`attach_by_edges`,
-`remove_node_by_edges`, `topology_by_edges`) must reach the same end state,
-the churn the node events book included. `neighbor_degree_sum` and
-`churn_sums` recount, from the neighbor sets, what the topology's snapshot
-keeps up to date.
+`RefTopology` is the reference model of `graph.Topology`: plain neighbor
+sets per node, changed one node or edge at a time (`add_node`, `add_edge`,
+`remove_edge`), with its own attachment pool, stale count and sampler. Its
+node events (`attach`, `remove_node`) and builds (`by_edges`, `scale_free`)
+replay the topology's one-pass events edge by edge, and must reach the same
+end state, the booked churn included. Its `snapshot` recounts from the sets
+what `Topology.neighbor_degree_array` keeps up to date. `adjacency`,
+`neighbor_degree_sum` and `churn_sums` read either model through the
+read API they share (`neighbors`, `degree_of`, `live_ids`, `in`).
 
 `JoinLog` records the iteration at which each id joined a run, watching the
 topology's next id from outside the engine, and gathers the newcomer pool
@@ -44,7 +44,7 @@ from p2psim.draws import Draws
 from p2psim.engine import NEWCOMER_MIN_TENURE, IterationRecord, Simulation
 from p2psim.estimator import offer_curve
 from p2psim.game import GameSpec, MixedProfile
-from p2psim.graph import InvalidParameterError, NodeId, Topology, UnknownNodeError
+from p2psim.graph import InvalidParameterError, NodeId, UnknownNodeError
 from p2psim.payoff import (
     DEFAULT_CROSSOVER_CAP,
     CrossoverCapExceeded,
@@ -158,100 +158,221 @@ def draws(seed: int) -> Draws:
     return Draws(np.random.default_rng(seed))
 
 
-def add_node(t: Topology) -> NodeId:
-    v = t.next_id
-    t.next_id += 1
-    t.adj[v] = set()
-    t._pool_copies[v] = 0
-    t.isolated_count += 1
-    return v
+class RefTopology:
+    """Dict-of-sets reference model of `graph.Topology`. The pool, its
+    copies and stale count, the isolated count, the marked nodes and the
+    booked churn follow the same rules, written one edge at a time, under
+    the topology's own attribute names, so that one `topology_state` reads
+    both; the sampler is the topology's, written over the sets."""
+
+    POOL_STALE_LIMIT = 0.25  # the topology's rebuild threshold, restated
+
+    def __init__(self):
+        self.adj: dict[NodeId, set[NodeId]] = {}
+        self.next_id = 0
+        self.edge_count = 0
+        self.isolated_count = 0
+        self._touched: set[NodeId] = set()
+        self._arrived: dict[NodeId, int] = {}
+        self._benign_gone: dict[NodeId, int] = {}
+        self._pool: list[NodeId] = []
+        self._pool_copies: dict[NodeId, int] = {}
+        self._pool_stale = 0
+
+    @classmethod
+    def by_edges(cls, n: int, edges) -> RefTopology:
+        """`n` nodes, then one `add_edge` per pair in order."""
+        t = cls()
+        for _ in range(n):
+            t.add_node()
+        for u, v in edges:
+            t.add_edge(u, v)
+        return t
+
+    @classmethod
+    def scale_free(cls, n: int, attach_edges: int, rng) -> RefTopology:
+        """`graph.generate_scale_free`: a clique of attach_edges + 1 nodes,
+        then one `attach` per further node."""
+        k = attach_edges + 1
+        t = cls.by_edges(k, itertools.combinations(range(k), 2))
+        for _ in range(n - k):
+            t.attach(attach_edges, rng)
+        return t
+
+    # ---- the read API both models share ----------------------------------
+
+    @property
+    def node_count(self) -> int:
+        return len(self.adj)
+
+    def __contains__(self, v: NodeId) -> bool:
+        return v in self.adj
+
+    def live_ids(self) -> np.ndarray:
+        return np.array(sorted(self.adj), dtype=np.int64)
+
+    def degree_of(self, v: NodeId) -> int:
+        return len(self.adj.get(v, ()))
+
+    def neighbors(self, v: NodeId) -> list[NodeId]:
+        if v not in self.adj:
+            raise UnknownNodeError(v)
+        return list(self.adj[v])
+
+    # ---- edge events ------------------------------------------------------
+
+    def add_node(self) -> NodeId:
+        v = self.next_id
+        self.next_id += 1
+        self.adj[v] = set()
+        self._pool_copies[v] = 0
+        self.isolated_count += 1
+        return v
+
+    def add_edge(self, u: NodeId, v: NodeId) -> None:
+        if u == v:
+            raise InvalidParameterError("self-loops are not allowed")
+        au, av = self.adj.get(u), self.adj.get(v)
+        if au is None or av is None:
+            raise UnknownNodeError((u, v))
+        if v in au:
+            return
+        self.isolated_count -= (not au) + (not av)
+        au.add(v)
+        av.add(u)
+        self._touched.update((u, v))
+        self.edge_count += 1
+        self._pool += (u, v)
+        self._pool_copies[u] += 1
+        self._pool_copies[v] += 1
+
+    def remove_edge(self, u: NodeId, v: NodeId) -> None:
+        au, av = self.adj.get(u), self.adj.get(v)
+        if au is None or av is None or v not in au:
+            raise UnknownNodeError((u, v))
+        au.discard(v)
+        av.discard(u)
+        self.isolated_count += (not au) + (not av)
+        self._touched.update((u, v))
+        self.edge_count -= 1
+        self._pool_stale += 2
+
+    # ---- node events -------------------------------------------------------
+
+    def attach(self, count: int, rng) -> tuple[NodeId, list[NodeId]]:
+        """`Topology.attach` one edge at a time: the same draws, then a new
+        node and one `add_edge` per host in draw order, each booking one
+        arrival at its host."""
+        targets = self.sample_attachment_targets(count, rng)
+        v = self.add_node()
+        for u in targets:
+            self.add_edge(v, u)
+            self._arrived[u] = self._arrived.get(u, 0) + 1
+        return v, targets
+
+    def remove_node(self, v: NodeId, benign: bool = False) -> None:
+        """`graph.remove_node` one edge at a time, ascending neighbor ids
+        first, each booking one benign departure at the neighbor if
+        `benign`. `remove_edge` marks both ends of each edge stale, and the
+        node's pool copies are then counted as stale once more."""
+        for u in sorted(self.adj[v]):
+            self.remove_edge(v, u)
+            if benign:
+                self._benign_gone[u] = self._benign_gone.get(u, 0) + 1
+        self._pool_stale += self._pool_copies.pop(v)
+        self.isolated_count -= 1
+        del self.adj[v]
+        self._touched.add(v)
+
+    # ---- preferential attachment ---------------------------------------------
+
+    def _rebuild_pool(self) -> None:
+        self._pool = [v for v in sorted(self.adj) for _ in self.adj[v]]
+        self._pool_copies = {v: len(nbrs) for v, nbrs in self.adj.items()}
+        self._pool_stale = 0
+
+    def sample_attachment_targets(self, count: int, rng) -> list[NodeId]:
+        adj = self.adj
+        if not adj:
+            raise InvalidParameterError("no attachment targets available")
+        count = min(count, len(adj))
+        if self._pool and self._pool_stale > self.POOL_STALE_LIMIT * len(self._pool):
+            self._rebuild_pool()
+        chosen: list[NodeId] = []
+        while len(chosen) < min(count, len(adj) - self.isolated_count):
+            v = self._pool[rng.integers(len(self._pool))]
+            if v in chosen or v not in adj or not adj[v]:
+                continue
+            d, c = len(adj[v]), self._pool_copies[v]
+            if d < c and rng.random() >= d / c:
+                continue
+            chosen.append(v)
+        if len(chosen) < count:
+            isolated = [v for v in sorted(adj) if not adj[v]]
+            order = rng.permutation(len(isolated))
+            chosen += [isolated[i] for i in order[: count - len(chosen)]]
+        return chosen
+
+    # ---- snapshot ----------------------------------------------------------------
+
+    def snapshot(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What `Topology.neighbor_degree_array(size)` returns, counted from
+        the sets; clears the marks and the booked churn the same way."""
+        ndsum = np.zeros(size, dtype=np.int64)
+        for v in self.adj:
+            ndsum[v] = neighbor_degree_sum(self, v)
+        gained, lost = (churn_sums(self, m, size) for m in (self._arrived, self._benign_gone))
+        self._touched, self._arrived, self._benign_gone = set(), {}, {}
+        return ndsum, gained, lost
 
 
-def add_edge(t: Topology, u: NodeId, v: NodeId) -> None:
-    if u == v:
-        raise InvalidParameterError("self-loops are not allowed")
-    au, av = t.adj.get(u), t.adj.get(v)
-    if au is None or av is None:
-        raise UnknownNodeError((u, v))
-    if v in au:
-        return
-    t.isolated_count -= (not au) + (not av)
-    au.add(v)
-    av.add(u)
-    t._touched.add(u)
-    t._touched.add(v)
-    t.edge_count += 1
-    t._pool.append(u)
-    t._pool.append(v)
-    t._pool_copies[u] += 1
-    t._pool_copies[v] += 1
+def topology_state(t) -> dict:
+    """Everything a node event writes, read alike from `graph.Topology` and
+    `RefTopology`: the neighbor sets (the order within a row or a set is
+    free), the pool with each live id's copies and the stale count, the
+    counters, the marked nodes and the booked churn."""
+    return {
+        "adj": adjacency(t),
+        "pool": t._pool,
+        "pool_copies": {v: t._pool_copies[v] for v in t.live_ids().tolist()},
+        "pool_stale": t._pool_stale,
+        "node_count": t.node_count,
+        "isolated_count": t.isolated_count,
+        "edge_count": t.edge_count,
+        "touched": t._touched,
+        "arrived": t._arrived,
+        "benign_gone": t._benign_gone,
+        "next_id": t.next_id,
+    }
 
 
-def remove_edge(t: Topology, u: NodeId, v: NodeId) -> None:
-    au, av = t.adj.get(u), t.adj.get(v)
-    if au is None or av is None or v not in au:
-        raise UnknownNodeError((u, v))
-    au.discard(v)
-    av.discard(u)
-    t.isolated_count += (not au) + (not av)
-    t._touched.add(u)
-    t._touched.add(v)
-    t.edge_count -= 1
-    t._pool_stale += 2
+def assert_same_topology(got, want, where="") -> None:
+    a, b = topology_state(got), topology_state(want)
+    for key in a:
+        assert a[key] == b[key], f"{key} differs {where}"
 
 
-def attach_by_edges(t: Topology, count: int, rng: np.random.Generator):
-    """`Topology.attach` one edge at a time: the same draws, then a new
-    node and one `add_edge` per host in draw order, each booking one
-    arrival at its host."""
-    targets = t.sample_attachment_targets(count, rng)
-    v = add_node(t)
-    for u in targets:
-        add_edge(t, v, u)
-        t._arrived[u] = t._arrived.get(u, 0) + 1
-    return v, targets
+def adjacency(t) -> dict[NodeId, set[NodeId]]:
+    """Each live node's neighbor set, read through the shared read API."""
+    return {v: set(t.neighbors(v)) for v in t.live_ids().tolist()}
 
 
-def remove_node_by_edges(t: Topology, v: NodeId, benign: bool = False) -> None:
-    """`graph.remove_node` one edge at a time, ascending neighbor ids first,
-    each booking one benign departure at the neighbor if `benign`.
-    `remove_edge` marks both ends of each edge stale, and the node's pool
-    copies are then counted as stale once more."""
-    for u in sorted(t.adj[v]):
-        remove_edge(t, v, u)
-        if benign:
-            t._benign_gone[u] = t._benign_gone.get(u, 0) + 1
-    t._pool_stale += t._pool_copies.pop(v, 0)
-    t.isolated_count -= 1
-    del t.adj[v]
-    t._touched.add(v)
+def neighbor_degree_sum(t, v: NodeId) -> int:
+    """The sum of the degrees of `v`'s neighbors, each counted from its
+    neighbor list."""
+    return sum(len(t.neighbors(u)) for u in t.neighbors(v))
 
 
-def neighbor_degree_sum(t: Topology, v: NodeId) -> int:
-    """The sum of the degrees of `v`'s neighbors, counted from the sets."""
-    return sum(len(t.adj[u]) for u in t.adj[v])
-
-
-def churn_sums(t: Topology, counts: dict[NodeId, int], size: int) -> np.ndarray:
+def churn_sums(t, counts: dict[NodeId, int], size: int) -> np.ndarray:
     """For each live host j, counts[j] added to every current neighbor of
     j, as a float array indexed by node id and `size` long; hosts that are
     gone add nothing."""
     sums = np.zeros(size)
     for j, c in counts.items():
-        for i in t.adj.get(j, ()):
-            sums[i] += c
+        if j in t:
+            for i in t.neighbors(j):
+                sums[i] += c
     return sums
-
-
-def topology_by_edges(n: int, edges) -> Topology:
-    """`Topology.from_edges` one call at a time: `n` nodes, then one
-    `add_edge` per pair in order."""
-    t = Topology()
-    for _ in range(n):
-        add_node(t)
-    for u, v in edges:
-        add_edge(t, u, v)
-    return t
 
 
 class JoinLog:
@@ -289,7 +410,7 @@ class JoinLog:
             buckets.setdefault(j, []).append(v)
         pool = []
         for j in range(max(n - self.sim.cfg.newcomer_window, 0), n - NEWCOMER_MIN_TENURE + 1):
-            pool += [v for v in buckets.get(j, ()) if v in self.sim.topology.adj]
+            pool += [v for v in buckets.get(j, ()) if v in self.sim.topology]
         return pool
 
 

@@ -273,6 +273,8 @@ BAD_CONFIGS = [
                  id="payoff-sweep of 1023 cells"),
     pytest.param("payoff-sweep", json.dumps({"x": [0.5] * 2000, "r_ini": [0.1] * 2000}),
                  id="payoff-sweep of 12M cells"),
+    pytest.param("simulate", '{"iterations": 1' + "0" * 400 + "}",
+                 id="iterations past the largest float"),
     pytest.param("simulate", GRID_8X8, id="grid of 8^8 cells"),
     pytest.param("simulate", json.dumps({"iterations": 0, "grid": "default",
                                          "seeds": list(range(20000))}),

@@ -175,7 +175,7 @@ def run_counted(cfg: SimConfig, monkeypatch, plain: bool):
         rebuild(self)
 
     def counted_sample(self, count, rng):
-        counts["fill"] += len(self.adj) - self.isolated_count < min(count, len(self.adj))
+        counts["fill"] += self.node_count - self.isolated_count < min(count, self.node_count)
         return sample(self, count, rng)
 
     with monkeypatch.context() as m:

@@ -18,14 +18,14 @@ MU_X = 0.5**0.5  # stationary cooperative reputation at the defaults
 
 def live_with_role(sim: Simulation, role: Role) -> list[int]:
     """Ascending live ids whose role code is `role`."""
-    return [v for v in sorted(sim.topology.adj) if sim.role_code[v] == role]
+    return [v for v in sim.topology.live_ids().tolist() if sim.role_code[v] == role]
 
 
 def check_roles_and_records(sim: Simulation) -> None:
     """`role_code` is nonzero exactly on the live ids, and `sim.agents`
     holds a record for exactly the live potential whitewashers."""
     code = sim.role_code
-    assert np.flatnonzero(code).tolist() == sorted(sim.topology.adj)
+    assert np.flatnonzero(code).tolist() == sim.topology.live_ids().tolist()
     assert sorted(sim.agents) == np.flatnonzero(code == Role.POTENTIAL_WHITEWASHER).tolist()
 
 
@@ -148,7 +148,7 @@ def test_transactions_settle_reputations():
     sim = Simulation(SimConfig(n=400, iterations=0, seed=0))
     for _ in range(40):
         sim.step()
-    for v in sim.topology.adj:
+    for v in sim.topology.live_ids().tolist():
         expect = 0.0 if sim.role_code[v] == Role.POTENTIAL_WHITEWASHER else MU_X
         assert sim.reputation[v] == pytest.approx(expect, abs=1e-12)
 
@@ -163,7 +163,7 @@ def test_reputation_starts_on_schedule():
     sim = Simulation(SimConfig(n=200, iterations=0, growth_percent_per_10=5.0, seed=6))
     log = oracles.JoinLog(sim)
     early = log.force_whitewash(live_with_role(sim, Role.COOPERATIVE)[0])
-    born = {v: float(sim.reputation[v]) for v in sim.topology.adj}
+    born = {v: float(sim.reputation[v]) for v in sim.topology.live_ids().tolist()}
     covered = collections.Counter()
     for n in range(1, 31):
         if n == 5:  # plant a rejoin between steps 4 and 5
@@ -171,7 +171,7 @@ def test_reputation_starts_on_schedule():
             born[late] = float(sim.reputation[late])
         log.step()
         reputation, code = sim.reputation.tolist(), sim.role_code.tolist()
-        for v in sim.topology.adj:
+        for v in sim.topology.live_ids().tolist():
             born.setdefault(v, reputation[v])  # joined during this step
             joined = log.joined_at[v]
             start = joined + 2 if joined else 1
@@ -204,12 +204,12 @@ def test_newcomer_window_caps_tenure():
     tenures = set()
     for n in range(1, 41):
         pool = sim._newcomer_pool(n).tolist()
-        expect = [v for v in sorted(sim.topology.adj)
+        expect = [v for v in sim.topology.live_ids().tolist()
                   if engine.NEWCOMER_MIN_TENURE <= n - log.joined_at[v] <= window]
         assert pool == expect == log.newcomer_pool(n), n
         tenures.update(n - log.joined_at[v] for v in pool)
         if n % 7 == 0:
-            log.force_whitewash(min(sim.topology.adj))
+            log.force_whitewash(int(sim.topology.live_ids()[0]))
         log.step()
     assert min(tenures) == engine.NEWCOMER_MIN_TENURE
     assert max(tenures) == window
@@ -281,7 +281,7 @@ class ScanDepartures(Simulation):
     def _voluntary_departures(self):
         cfg = self.cfg
         threshold = (self.r_est + cfg.r_ini_min) / 2
-        for vid in sorted(self.topology.adj):
+        for vid in self.topology.live_ids().tolist():
             if self.role_code[vid] != Role.COOPERATIVE or self.reputation[vid] < threshold:
                 continue
             if self.topology.node_count <= cfg.attach_edges + 1:
@@ -289,7 +289,7 @@ class ScanDepartures(Simulation):
             if self.rng.random() >= cfg.legit_departure_prob:
                 continue
             gone = self.topology._benign_gone
-            for u in self.topology.adj[vid]:
+            for u in self.topology.neighbors(vid):
                 gone[u] = gone.get(u, 0) + 1
             self._drop_node(vid, False)
 
@@ -303,9 +303,9 @@ def run_with_departure_log(sim: Simulation):
     depart = sim._voluntary_departures
 
     def logged():
-        before = sorted(sim.topology.adj)
+        before = sim.topology.live_ids().tolist()
         depart()
-        leavers.append([v for v in before if v not in sim.topology.adj])
+        leavers.append([v for v in before if v not in sim.topology])
 
     sim._voluntary_departures = logged
     records = []
@@ -317,7 +317,7 @@ def run_with_departure_log(sim: Simulation):
         threshold = legitimacy_threshold(sim.r_est, sim.cfg.r_ini_min)
         candidates = (code == Role.COOPERATIVE) & (sim.reputation >= threshold)
         assert np.flatnonzero(candidates).tolist() == [
-            v for v in sorted(sim.topology.adj)
+            v for v in sim.topology.live_ids().tolist()
             if code[v] == Role.COOPERATIVE and sim.reputation[v] >= threshold
         ]
     return records, leavers, sim.rng.bit_generator.state
@@ -381,7 +381,7 @@ def test_rejoiners_get_fresh_ids_and_the_offered_grant():
     log = oracles.JoinLog(sim)
     rec = log.step()
     assert rec.whitewash_successes > 0
-    rejoined = [v for v in sim.topology.adj if v >= 300]
+    rejoined = [v for v in sim.topology.live_ids().tolist() if v >= 300]
     assert len(rejoined) == rec.whitewash_successes
     for v in rejoined:
         a = sim.agents[v]
@@ -390,7 +390,7 @@ def test_rejoiners_get_fresh_ids_and_the_offered_grant():
         assert sim.reputation[v] == a.grant == pytest.approx(0.5)  # the iteration-1 offer
         # hosts picked at rejoin may themselves wash later in the same
         # wave, so membership is guaranteed but the edge count is not
-        assert v in sim.topology.adj
+        assert v in sim.topology
 
 
 def test_records_follow_the_person_and_role_code_holds_role_and_liveness():
@@ -419,17 +419,17 @@ def test_records_follow_the_person_and_role_code_holds_role_and_liveness():
         return new_id
 
     sim._execute_whitewash = checked
-    seen = set(sim.topology.adj)
+    seen = set(sim.topology.live_ids().tolist())
     check_roles_and_records(sim)
     for n in range(1, 41):
         if n % 8 == 0:
             for role in Role:
                 sim.force_whitewash(live_with_role(sim, role)[0])
                 check_roles_and_records(sim)
-                seen.update(sim.topology.adj)
+                seen.update(sim.topology.live_ids().tolist())
         sim.step()
         check_roles_and_records(sim)
-        seen.update(sim.topology.adj)
+        seen.update(sim.topology.live_ids().tolist())
     departed = len(seen) - sim.topology.node_count - sum(moved.values())
     assert moved[Role.COOPERATIVE] == 5 and moved[Role.POTENTIAL_WHITEWASHER] > 5
     assert departed > 0 and sim.topology.next_id > 300 + sum(moved.values())
@@ -453,10 +453,9 @@ def test_arrivals_book_one_count_per_host():
         return vid, targets
 
     t.attach = logged
-    adj = t.adj
     new_id = log.force_whitewash(live_with_role(sim, Role.POTENTIAL_WHITEWASHER)[0])
-    assert len(adj[new_id]) == 3
-    assert t._arrived == dict.fromkeys(adj[new_id], 1)
+    assert t.degree_of(new_id) == 3
+    assert t._arrived == dict.fromkeys(t.neighbors(new_id), 1)
     # Step 10's sweep takes the rejoin's arrivals; its growth batch, the
     # only ids the log has joining at 10, books the arrivals left after it.
     log.step()
@@ -464,7 +463,7 @@ def test_arrivals_book_one_count_per_host():
     assert log.joined_at[new_id] == 9
     # A host is older than the node it hosts; younger neighbors of a new
     # node are later arrivals of the same batch that it hosted in turn.
-    hosts = [u for v in grown for u in adj[v] if u < v]
+    hosts = [u for v in grown for u in t.neighbors(v) if u < v]
     assert len(grown) == 3
     # Each growth arrival is born holding its grant, the offer of the first
     # host it contacts, which a potential whitewasher's record also keeps.
@@ -515,27 +514,27 @@ def test_sweep_matches_whitewash_level_observations():
     arrivals: dict[int, int] = {}
     legit: dict[int, int] = {}
     new_id = sim.force_whitewash(washer)
-    for u in t.adj[new_id]:
+    for u in t.neighbors(new_id):
         arrivals[u] = arrivals.get(u, 0) + 1
-    for u in t.adj[leaver]:
+    for u in t.neighbors(leaver):
         legit[u] = legit.get(u, 0) + 1
     new_id = sim.force_whitewash(leaver)
-    for u in t.adj[new_id]:
+    for u in t.neighbors(new_id):
         arrivals[u] = arrivals.get(u, 0) + 1
     sim.step()
 
     checked = 0
-    for i in sorted(t.adj):
+    for i in t.live_ids().tolist():
         obs = [
             NeighborhoodObservation(
                 neighbor=j,
-                prev_size=len(t.adj[j]),
-                cur_size=len(t.adj[j]),
-                arrivals=arrivals.get(j, 0) if j in t.adj else 0,
-                legit_departures=legit.get(j, 0) if j in t.adj else 0,
+                prev_size=len(t.neighbors(j)),
+                cur_size=len(t.neighbors(j)),
+                arrivals=arrivals.get(j, 0),
+                legit_departures=legit.get(j, 0),
                 local_growth=1.0,
             )
-            for j in t.adj[i]
+            for j in t.neighbors(i)
         ]
         if not obs or sum(o.cur_size for o in obs) == 0:
             continue

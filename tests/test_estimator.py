@@ -61,7 +61,7 @@ def test_classify_departure():
         sim = Simulation(SimConfig(n=30, degree=4, topology="regular", iterations=0))
         assert (sim.r_est, sim.cfg.r_ini_min) == (0.5, 0.03)
         sim.reputation[0] = rep
-        neighbors = set(sim.topology.adj[0])
+        neighbors = set(sim.topology.neighbors(0))
         sim.force_whitewash(0)
         assert sim.topology._benign_gone == (dict.fromkeys(neighbors, 1) if legit else {}), rep
 
@@ -190,22 +190,22 @@ def test_estimator_arrays_match_scalar_oracle():
     window, r_min, r_est = 4, 0.03, 0.5
     t = graph.generate_scale_free(30, 2, rng)
     est = EstimatorArrays(
-        window, np.fromiter(t.adj, np.int64), r_est, t.neighbor_degree_array(t.next_id)[0]
+        window, t.live_ids(), r_est, t.neighbor_degree_array(t.next_id)[0]
     )
-    oracle = {v: EstimatorState(v, r_est, r_min, window) for v in t.adj}
+    oracle = {v: EstimatorState(v, r_est, r_min, window) for v in t.live_ids().tolist()}
     removed = added = quiet_then_busy = 0
     for step in range(80):
         arrivals: dict[int, int] = {}
         legit: dict[int, int] = {}
         if step % 9 < 6:  # three quiet sweeps in every nine
-            for j in rng.choice(sorted(t.adj), size=4).tolist():
+            for j in rng.choice(t.live_ids(), size=4).tolist():
                 arrivals[j] = arrivals.get(j, 0) + int(rng.integers(1, 4))
-            for j in rng.choice(sorted(t.adj), size=2).tolist():
+            for j in rng.choice(t.live_ids(), size=2).tolist():
                 legit[j] = legit.get(j, 0) + 1
         # Mutate after the churn was booked: a departed host drops out, and
         # new nodes are primed with whatever the ceiling is now.
         for _ in range(int(rng.integers(0, 2))):
-            victim = int(rng.choice(sorted(t.adj)))
+            victim = int(rng.choice(t.live_ids()))
             graph.remove_node(t, victim)
             est.retire(victim)
             del oracle[victim]
@@ -348,24 +348,25 @@ def test_shrink_correction_depends_on_sweep_membership():
     t, est = sim.topology, sim._est
     for _ in range(12):
         sim.step()
-    assert not est._peak[list(t.adj)].any()  # the primes have aged out
-    washer = min(v for v in t.adj if sim.role_code[v] == Role.POTENTIAL_WHITEWASHER)
+    assert not est._peak[t.live_ids()].any()  # the primes have aged out
+    washer = min(v for v in t.live_ids().tolist() if sim.role_code[v] == Role.POTENTIAL_WHITEWASHER)
     sim.force_whitewash(washer)
     for _ in range(4):  # the rejoin's neighborhood keeps a level in its window
         sim.step()
-    active = {v for v in t.adj if est._peak[v] > 0}
+    active = {v for v in t.live_ids().tolist() if est._peak[v] > 0}
     assert len(active) == 19
     # One benign departure out of reach of every active node.
     leaver = next(
-        v for v in sorted(t.adj)
-        if v not in active and not any(t.adj[u] & active or u in active for u in t.adj[v])
+        v for v in t.live_ids().tolist()
+        if v not in active
+        and not any(active.intersection(t.neighbors(u)) or u in active for u in t.neighbors(v))
     )
     prev = est._prev_ndsum.copy()
     sim._drop_node(leaver, True)
     coef = (199.0 / 200.0 - 1.0) * sim.cfg.attach_edges / (2.0 * t.edge_count / 199.0)
     sim.step()
     levels = sim.last_w_sweep
-    quiet = [v for v in t.adj if prev[v] == oracles.neighbor_degree_sum(t, v)]
+    quiet = [v for v in t.live_ids().tolist() if prev[v] == oracles.neighbor_degree_sum(t, v)]
     busy = [v for v in quiet if v in levels and levels[v] > 0]
     left_out = [v for v in quiet if v not in levels]
     assert sorted(busy) == sorted(active)
@@ -373,7 +374,7 @@ def test_shrink_correction_depends_on_sweep_membership():
         assert levels[v] == (0.0 - coef * prev[v]) / prev[v] == 0.0025253807106599005
         assert est.offers[v] < sim.r_est
     assert len(left_out) == 145
-    assert sum(1 for v in t.adj if v not in levels) == 151
+    assert sum(1 for v in t.live_ids().tolist() if v not in levels) == 151
     for v in left_out:
         assert est.offers[v] == sim.r_est
 

@@ -16,21 +16,16 @@ from p2psim.graph import (
 
 
 def path_topology(n: int = 5) -> Topology:
-    t = Topology()
-    for _ in range(n):
-        oracles.add_node(t)
-    for i in range(n - 1):
-        oracles.add_edge(t, i, i + 1)
-    return t
+    return Topology.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def is_connected(t: Topology) -> bool:
-    nodes = list(t.adj)
-    seen = {nodes[0]}
-    frontier = [nodes[0]]
+    first = int(t.live_ids()[0])
+    seen = {first}
+    frontier = [first]
     while frontier:
         v = frontier.pop()
-        for u in t.adj[v]:
+        for u in t.neighbors(v):
             if u not in seen:
                 seen.add(u)
                 frontier.append(u)
@@ -43,7 +38,7 @@ def is_connected(t: Topology) -> bool:
 def test_scale_free_shape():
     t = graph.generate_scale_free(1000, 3, oracles.draws(1))
     assert t.node_count == 1000
-    degrees = [len(nbrs) for nbrs in t.adj.values()]
+    degrees = [t.degree_of(v) for v in t.live_ids()]
     assert min(degrees) >= 3
     assert is_connected(t)
     # heavy tail: the largest hub dwarfs the mean degree
@@ -54,8 +49,8 @@ def test_scale_free_deterministic():
     a = graph.generate_scale_free(200, 3, oracles.draws(7))
     b = graph.generate_scale_free(200, 3, oracles.draws(7))
     c = graph.generate_scale_free(200, 3, oracles.draws(8))
-    assert a.adj == b.adj
-    assert a.adj != c.adj
+    assert oracles.adjacency(a) == oracles.adjacency(b)
+    assert oracles.adjacency(a) != oracles.adjacency(c)
 
 
 def test_scale_free_rejects_bad_parameters():
@@ -68,14 +63,15 @@ def test_scale_free_rejects_bad_parameters():
 def test_regular_degrees():
     t = graph.generate_regular(1000, 6, oracles.draws(2))
     assert t.node_count == 1000
-    assert all(len(nbrs) == 6 for nbrs in t.adj.values())
-    assert all(v not in nbrs for v, nbrs in t.adj.items())
+    adj = oracles.adjacency(t)
+    assert all(len(nbrs) == 6 for nbrs in adj.values())
+    assert all(v not in nbrs for v, nbrs in adj.items())
 
 
 def test_regular_deterministic():
     a = graph.generate_regular(100, 4, oracles.draws(5))
     b = graph.generate_regular(100, 4, oracles.draws(5))
-    assert a.adj == b.adj
+    assert oracles.adjacency(a) == oracles.adjacency(b)
 
 
 def test_regular_rejects_infeasible():
@@ -135,17 +131,21 @@ def test_attachment_falls_back_to_isolated_nodes():
     """More targets than nodes with edges: every linked node is drawn by
     degree, the rest uniformly from the isolated ones (this used to spin
     forever)."""
-    t = path_topology(7)
+    t = Topology.from_edges(8, [(i, i + 1) for i in range(6)])  # 7 has no edge
     for v in range(5):
-        graph.remove_node(t, v)
-    oracles.add_node(t)  # leaves {5: {6}, 6: {5}, 7: {}}
+        graph.remove_node(t, v)  # leaves {5: {6}, 6: {5}, 7: {}}
     assert t.isolated_count == 1
     rng = np.random.default_rng(0)
     targets = t.sample_attachment_targets(3, rng)
     assert sorted(targets[:2]) == [5, 6] and targets[2] == 7
-    oracles.remove_edge(t, 5, 6)
-    assert t.isolated_count == 3
-    assert sorted(t.sample_attachment_targets(3, rng)) == [5, 6, 7]
+    graph.remove_node(t, 6)  # no node has an edge left
+    assert t.isolated_count == 2
+    assert sorted(t.sample_attachment_targets(3, rng)) == [5, 7]
+
+
+def hub_of(t: Topology) -> int:
+    """The live node of highest degree, the highest id among ties."""
+    return max(t.live_ids().tolist(), key=lambda v: (t.degree_of(v), v))
 
 
 @pytest.mark.xfail(
@@ -161,7 +161,7 @@ def test_pool_stale_count_after_hub_removal():
     # again, so the counter reads 51, over by the hub's degree.
     t = graph.generate_scale_free(50, 3, oracles.draws(1))
     t._rebuild_pool()
-    hub = max(t.adj, key=lambda v: len(t.adj[v]))
+    hub = max(t.live_ids().tolist(), key=t.degree_of)
     graph.remove_node(t, hub)
     assert t._pool_stale == len(t._pool) - 2 * t.edge_count
 
@@ -171,15 +171,15 @@ def test_pool_stale_count_after_hub_removal():
 
 def test_grow_attaches_new_nodes():
     t = graph.generate_scale_free(50, 3, oracles.draws(3))
-    before = set(t.adj)
+    before = set(t.live_ids().tolist())
     edges_before = t.edge_count
     rng = oracles.draws(4)
     created = [t.attach(3, rng)[0] for _ in range(10)]
     assert len(created) == 10
     for v in created:
         # exactly 3 edges at birth; later arrivals in the batch may add more
-        assert len(t.adj[v]) >= 3
-        assert t.adj[v] <= before | set(created)
+        assert t.degree_of(v) >= 3
+        assert set(t.neighbors(v)) <= before | set(created)
     assert t.edge_count == edges_before + 30
     assert t.node_count == 60
 
@@ -193,8 +193,17 @@ def test_ids_never_reused():
 
 def test_remove_node_unknown():
     t = path_topology(3)
-    with pytest.raises(UnknownNodeError):
-        graph.remove_node(t, 99)
+    graph.remove_node(t, 1)
+    for v in (99, 3, 1, -1):  # never issued, the next id, removed, negative
+        with pytest.raises(UnknownNodeError):
+            graph.remove_node(t, v)
+        with pytest.raises(UnknownNodeError):
+            t.neighbors(v)
+        if v != 1:
+            with pytest.raises(UnknownNodeError):
+                t.degree_of(v)
+    assert t.degree_of(1) == 0  # a removed id reads degree 0
+    assert t.node_count == 2 and t.isolated_count == 2
 
 
 def test_churn_keeps_bookkeeping_consistent():
@@ -205,28 +214,32 @@ def test_churn_keeps_bookkeeping_consistent():
     rng = np.random.default_rng(13)
     for step in range(60):
         if rng.random() < 0.4 and t.node_count > 5:
-            victim = sorted(t.adj)[int(rng.integers(t.node_count))]
+            victim = int(t.live_ids()[int(rng.integers(t.node_count))])
             graph.remove_node(t, victim)
         else:
             t.attach(2, rng)
-        assert t.edge_count == sum(len(s) for s in t.adj.values()) // 2
-        assert t.isolated_count == sum(1 for s in t.adj.values() if not s)
+        adj = oracles.adjacency(t)
+        assert t.node_count == len(adj)
+        assert t.edge_count == sum(len(s) for s in adj.values()) // 2
+        assert t.isolated_count == sum(1 for s in adj.values() if not s)
+        assert all(t.degree_of(v) == len(s) for v, s in adj.items())
         snap = t.neighbor_degree_array(t.next_id)[0]
-        for v in t.adj:
+        for v in adj:
             assert snap[v] == oracles.neighbor_degree_sum(t, v), (step, v)
 
 
 def test_neighbor_degree_snapshot_matches_recount():
     """Snapshots taken every few events of seeded churn equal a recount over
-    the neighbor sets: zero where no node is, and the sum of the neighbors'
+    the neighbor lists: zero where no node is, and the sum of the neighbors'
     degrees elsewhere. The churn grows batches onto hubs, removes hubs,
     random nodes and hosts of churn already booked, benign or not, passes a
-    node through (attached, then removed at once), rewires a node (same
-    degree, new neighbors), removes and re-adds one edge, and pushes ids
-    past the snapshot arrays' capacity. The churn sums of every snapshot
-    equal the arrivals and benign departures of a test-side event log,
-    summed over the current neighbors of the hosts still live, and after
-    every event each booked host, live or gone, is a marked node."""
+    node through (attached, then removed at once), and pushes ids past the
+    snapshot arrays' capacity; between snapshots, many nodes lose a
+    neighbor and gain another, which keeps their degree but not their sum.
+    The churn sums of every snapshot equal the arrivals and benign
+    departures of a test-side event log, summed over the current neighbors
+    of the hosts still live, and after every event each booked host, live
+    or gone, is a marked node."""
     t = graph.generate_scale_free(30, 2, oracles.draws(5))
     t.neighbor_degree_array(t.next_id)  # clears the arrivals the build booked
     rng = np.random.default_rng(17)
@@ -244,42 +257,30 @@ def test_neighbor_degree_snapshot_matches_recount():
     def drop(v: int) -> None:
         benign = bool(rng.integers(2))
         if benign:
-            benign_gone.update(t.adj[v])
+            benign_gone.update(t.neighbors(v))
         graph.remove_node(t, v, benign)
-
-    def rewire() -> None:
-        u = pick([v for v in t.adj if t.adj[v] and len(t.adj[v]) < t.node_count - 1])
-        old = pick(t.adj[u])
-        new = pick(set(t.adj) - t.adj[u] - {u, old})
-        oracles.remove_edge(t, u, old)
-        oracles.add_edge(t, u, new)
-
-    def readd_edge() -> None:
-        u = pick([v for v in t.adj if t.adj[v]])
-        w = pick(t.adj[u])
-        oracles.remove_edge(t, u, w)
-        oracles.add_edge(t, w, u)
 
     def passing_node() -> None:
         drop(attach(int(rng.integers(4))))
 
     def remove_hub() -> None:
-        drop(max(t.adj, key=lambda v: (len(t.adj[v]), v)))
+        drop(hub_of(t))
 
     def remove_any() -> None:
-        drop(pick(t.adj))
+        drop(pick(t.live_ids().tolist()))
 
     def remove_host() -> None:
-        booked = [j for j in arrived.keys() | benign_gone.keys() if j in t.adj]
-        drop(pick(booked or t.adj))
+        booked = [j for j in arrived.keys() | benign_gone.keys() if j in t]
+        drop(pick(booked or t.live_ids().tolist()))
 
     def grow_batch() -> None:
         for _ in range(int(rng.integers(1, 12))):
             attach(2)
 
-    mutations = [rewire, readd_edge, passing_node, remove_hub, remove_any, remove_host, grow_batch]
+    mutations = [passing_node, remove_hub, remove_any, remove_host, grow_batch]
     capacities = set()
     host_kinds = collections.Counter()
+    before = oracles.adjacency(t)
     for step in range(120):
         for _ in range(int(rng.integers(1, 5))):
             op = mutations[int(rng.integers(len(mutations)))]
@@ -289,86 +290,77 @@ def test_neighbor_degree_snapshot_matches_recount():
             assert t._arrived.keys() | t._benign_gone.keys() <= t._touched, step
         size = t.next_id + int(rng.integers(3))
         for j in arrived.keys() | benign_gone.keys():
-            host_kinds["live" if j in t.adj else "gone"] += 1
+            host_kinds["live" if j in t else "gone"] += 1
+        after = oracles.adjacency(t)
+        host_kinds["rewired"] += sum(
+            1 for v, nbrs in after.items() if v in before and len(before[v]) == len(nbrs)
+            and before[v] != nbrs
+        )
+        before = after
         snap, gained, lost = t.neighbor_degree_array(size)
         capacities.add(len(t._nds))
         expected = np.zeros(size, dtype=np.int64)
-        for v, nbrs in t.adj.items():
-            expected[v] = sum(len(t.adj[u]) for u in nbrs)
+        for v, nbrs in after.items():
+            expected[v] = sum(len(after[u]) for u in nbrs)
         assert snap.dtype == np.int64
         np.testing.assert_array_equal(snap, expected, err_msg=f"step {step}")
         for log, got in ((arrived, gained), (benign_gone, lost)):
             np.testing.assert_array_equal(got, oracles.churn_sums(t, log, size), f"step {step}")
             log.clear()
     assert len(capacities) >= 3  # the arrays grew at least twice
-    assert min(host_kinds[k] for k in ("live", "gone")) > 20, host_kinds
+    assert min(host_kinds[k] for k in ("live", "gone", "rewired")) > 20, host_kinds
 
 
-def test_adj_iterates_in_ascending_id_order():
-    # Ids only grow and dicts keep insertion order, so the live ids come out
-    # of adj already sorted through growth, generation and removals.
+def test_live_ids_are_the_issued_ids_not_removed():
+    # Through generation, growth and removals, live_ids() lists exactly the
+    # ids issued and not removed, ascending, and `in` agrees with it.
     rng = np.random.default_rng(8)
     for t in (graph.generate_scale_free(40, 2, rng), graph.generate_regular(40, 4, rng)):
-        assert list(t.adj) == sorted(t.adj)
+        live = set(range(40))
         for step in range(60):
             if step % 3 == 0:
-                graph.remove_node(t, max(t.adj, key=lambda v: (len(t.adj[v]), v)))
+                hub = hub_of(t)
+                graph.remove_node(t, hub)
+                live.remove(hub)
             elif step % 3 == 1:
                 fresh, _ = t.attach(2, rng)
                 for _ in range(int(rng.integers(1, 4))):
-                    t.attach(2, rng)
+                    live.add(t.attach(2, rng)[0])
                 graph.remove_node(t, fresh)
             else:
                 for _ in range(int(rng.integers(1, 6))):
-                    t.attach(2, rng)
-            assert list(t.adj) == sorted(t.adj), step
+                    live.add(t.attach(2, rng)[0])
+            ids = t.live_ids()
+            assert ids.dtype == np.int64
+            assert ids.tolist() == sorted(live), step
+            assert [v for v in range(-2, t.next_id + 2) if v in t] == sorted(live), step
+            assert t.node_count == len(live)
 
 
-# ---- one-pass node events against the per-edge primitives -------------------
-
-
-def topology_state(t: Topology) -> dict:
-    """Everything a node event writes, neighbor-set iteration order included."""
-    return {
-        "adj": [(v, list(nbrs)) for v, nbrs in t.adj.items()],
-        "pool": t._pool,
-        "pool_copies": t._pool_copies,
-        "pool_stale": t._pool_stale,
-        "isolated_count": t.isolated_count,
-        "edge_count": t.edge_count,
-        "touched": t._touched,
-        "arrived": t._arrived,
-        "benign_gone": t._benign_gone,
-        "next_id": t.next_id,
-    }
-
-
-def assert_same_topology(got: Topology, want: Topology, where="") -> None:
-    a, b = topology_state(got), topology_state(want)
-    for key in a:
-        assert a[key] == b[key], f"{key} differs {where}"
+# ---- one-pass node events against the per-edge reference model -------------
 
 
 def test_attach_and_remove_node_match_the_per_edge_primitives():
-    # Seeded churn on a scale-free overlay with hubs, replayed on a second
-    # build through add_node/add_edge/remove_edge, the booked churn
-    # included. The churn removes hubs and random nodes, on odd steps as
-    # benign departures, attaches with 0 to 5 hosts (an edgeless node, and
-    # more hosts than there are linked nodes once the overlay is small), and
-    # removes a node right after it attached. Both sides draw from
-    # generators in the same state, so the sampler's pool rebuilds land at
-    # the same draws.
+    # Seeded churn on a scale-free overlay with hubs, replayed on the
+    # dict-of-sets reference model, built on its own, through its per-edge
+    # events, the booked churn included. The churn removes hubs and random
+    # nodes, on odd steps as benign departures, attaches with 0 to 5 hosts
+    # (an edgeless node, and more hosts than there are linked nodes once the
+    # overlay is small), and removes a node right after it attached. Both
+    # sides draw from generators in the same state, so the samplers' pool
+    # rebuilds land at the same draws.
     control = np.random.default_rng(31)
     for seed in range(4):
-        # Two builds rather than a deep copy, which would rebuild the sets.
-        bulk, oracle = (graph.generate_scale_free(40, 3, oracles.draws(seed)) for _ in range(2))
+        bulk = graph.generate_scale_free(40, 3, oracles.draws(seed))
+        oracle = oracles.RefTopology.scale_free(40, 3, oracles.draws(seed))
+        oracles.assert_same_topology(bulk, oracle, f"after the build at seed {seed}")
         rng_bulk, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
         kinds = collections.Counter()
 
         def remove(v, kind):
             benign = step % 2 == 1
             graph.remove_node(bulk, v, benign)
-            oracles.remove_node_by_edges(oracle, v, benign)
+            oracle.remove_node(v, benign)
             kinds[kind] += 1
             kinds["benign"] += benign
 
@@ -376,22 +368,22 @@ def test_attach_and_remove_node_match_the_per_edge_primitives():
             # The last third removes more than it adds, down to a few nodes.
             op = int(control.integers(6)) - 2 * (step >= 200)
             if op <= 1 and bulk.node_count > 3:
-                remove(max(bulk.adj, key=lambda v: (len(bulk.adj[v]), v)), "hub")
+                remove(hub_of(bulk), "hub")
             elif op == 2 and bulk.node_count > 3:
-                remove(sorted(bulk.adj)[int(control.integers(bulk.node_count))], "any")
+                remove(int(bulk.live_ids()[int(control.integers(bulk.node_count))]), "any")
             else:
                 count = int(control.integers(6))
                 kinds["edgeless"] += count == 0
                 kinds["short"] += count > bulk.node_count - bulk.isolated_count
                 pool_before = len(bulk._pool)
                 got = bulk.attach(count, rng_bulk)
-                assert got == oracles.attach_by_edges(oracle, count, rng_oracle)
+                assert got == oracle.attach(count, rng_oracle)
                 kinds["attach"] += 1
                 kinds["rebuild"] += len(bulk._pool) < pool_before
                 if op == 5:
                     remove(got[0], "just attached")
             kinds["isolated"] += bulk.isolated_count > 0
-            assert_same_topology(bulk, oracle, f"at seed {seed}, step {step}")
+            oracles.assert_same_topology(bulk, oracle, f"at seed {seed}, step {step}")
         assert rng_bulk.bit_generator.state == rng_oracle.bit_generator.state
         assert min(kinds.values()) > 0, kinds
 
@@ -401,13 +393,13 @@ def test_from_edges_matches_the_per_edge_build():
     # same sorted pairs must leave the same state.
     for n, degree, seed in [(10, 3, 0), (100, 4, 5), (1000, 6, 2)]:
         t = graph.generate_regular(n, degree, oracles.draws(seed))
-        edges = sorted((u, v) for u in t.adj for v in t.adj[u] if u < v)
-        assert_same_topology(t, oracles.topology_by_edges(n, edges), f"at n={n}")
+        edges = sorted((u, v) for u, nbrs in oracles.adjacency(t).items() for v in nbrs if u < v)
+        oracles.assert_same_topology(t, oracles.RefTopology.by_edges(n, edges), f"at n={n}")
     # Unsorted pairs, isolated nodes and an empty graph.
     rng = np.random.default_rng(4)
     pairs = {tuple(sorted(rng.choice(30, 2, replace=False).tolist())) for _ in range(40)}
     edges = [p[::-1] if i % 3 else p for i, p in enumerate(sorted(pairs, key=lambda p: -p[1]))]
     for n, es in [(40, edges), (5, [])]:
         t = Topology.from_edges(n, es)
-        assert_same_topology(t, oracles.topology_by_edges(n, es), f"at n={n}")
-        assert t.isolated_count == sum(1 for nbrs in t.adj.values() if not nbrs)
+        oracles.assert_same_topology(t, oracles.RefTopology.by_edges(n, es), f"at n={n}")
+        assert t.isolated_count == sum(1 for nbrs in oracles.adjacency(t).values() if not nbrs)
