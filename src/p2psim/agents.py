@@ -1,27 +1,24 @@
-"""Per-node behavioral state and the whitewash decision rule.
+"""Agent roles, the founding population and the whitewash decision rule.
 
 An agent's honesty is a fixed trait in [0, 1]. Agents whose honesty falls
 below the advertised newcomer reputation are potential whitewashers: resetting
 their identity would hand them more reputation than their behavior earns, so
 they may dump a bad record and rejoin. Everyone else cooperates.
 
-Only a potential whitewasher makes a decision, so only it has an
-`AgentState`: its honesty, the attempt counters (which a rejoin carries
-over) and the grant its current identity was born with (none for the
-founding population). A cooperator is its role and its reputation, and
-every identity's role, reputation and join iteration are the engine's,
-held by node id.
+Every agent fact is the engine's, held in arrays indexed by node id: role,
+reputation, honesty, the attempt counters (which a rejoin carries over) and
+the grant the current identity was born with. This module draws the
+founders' facts and states the decision as a pure function of them; the
+engine writes the counters.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from .draws import Draws
-from .graph import NodeId
 
 
 class Role(enum.IntEnum):
@@ -40,20 +37,11 @@ class WhitewashOutcome(enum.Enum):
     WHITEWASHED = "whitewashed"
 
 
-@dataclass
-class AgentState:
-    honesty: float
-    attempts: int = 0
-    successes: int = 0
-    grant: float | None = None  # reputation this identity was born with
-
-
 def init_population(
     size: int, r_ini_max: float, rng: Draws
-) -> tuple[np.ndarray, np.ndarray, dict[NodeId, AgentState]]:
-    """Create `size` agents on node ids 0..size-1: their role codes and
-    starting reputations indexed by node id, and the potential
-    whitewashers' records by node id.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Create `size` agents on node ids 0..size-1: their role codes,
+    starting reputations and honesties, each indexed by node id.
 
     Honesty is i.i.d. Uniform[0,1]; an agent is a potential whitewasher iff
     its honesty is below r_ini_max, so a zero ceiling makes everyone
@@ -63,34 +51,26 @@ def init_population(
     """
     honesty = rng.uniform(0.0, 1.0, size)
     reputation = rng.uniform(0.0, 1.0, size)
-    washer = honesty < r_ini_max
-    role_code = np.where(washer, Role.POTENTIAL_WHITEWASHER, Role.COOPERATIVE).astype(np.int8)
-    ids = np.flatnonzero(washer).tolist()
-    records = {v: AgentState(h) for v, h in zip(ids, honesty[washer].tolist())}
-    return role_code, reputation, records
-
-
-def attempt_probability(a: AgentState) -> float:
-    """Empirical success rate of past attempts; 1 before the first attempt,
-    so fresh potential whitewashers always try once."""
-    if a.attempts == 0:
-        return 1.0
-    return a.successes / a.attempts
+    role_code = np.where(
+        honesty < r_ini_max, Role.POTENTIAL_WHITEWASHER, Role.COOPERATIVE
+    ).astype(np.int8)
+    return role_code, reputation, honesty
 
 
 def decide_whitewash(
-    a: AgentState, offered_r_ini: float, rng: Draws
+    honesty: float, attempts: int, successes: int, offered_r_ini: float, rng: Draws
 ) -> WhitewashOutcome:
     """Let a potential whitewasher decide whether to reset its identity.
 
-    The agent attempts with probability equal to its past success rate; an
-    attempt succeeds iff the offered newcomer reputation is at least its
-    honesty (a tie still pays). Counters update only when an attempt fires.
+    The agent attempts with probability equal to its past success rate,
+    `successes / attempts`, and 1 before the first attempt, so a fresh
+    potential whitewasher always tries once. An attempt succeeds iff the
+    offered newcomer reputation is at least its honesty (a tie still pays).
+    One draw per call; the caller counts an attempt unless the outcome is
+    NO_ATTEMPT, and a success on WHITEWASHED.
     """
-    if rng.random() >= attempt_probability(a):
+    if rng.random() >= (successes / attempts if attempts else 1.0):
         return WhitewashOutcome.NO_ATTEMPT
-    a.attempts += 1
-    if offered_r_ini >= a.honesty:
-        a.successes += 1
+    if offered_r_ini >= honesty:
         return WhitewashOutcome.WHITEWASHED
     return WhitewashOutcome.ATTEMPT_FAILED

@@ -469,6 +469,9 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
+    # Every command writes a CSV first, so a run that fails before it leaves
+    # no output directory.
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -637,7 +640,12 @@ def _run_frontier(
 
 
 def _run_estimator_check(plan: EstimatorCheckPlan, out_dir: Path, quiet: bool) -> None:
-    estimated, true_level = engine.closed_world_estimator_check(plan.base, plan.injected)
+    # How many potential whitewashers the run holds is known only once it
+    # has run, so a shortfall is a config error found at run time.
+    try:
+        estimated, true_level = engine.closed_world_estimator_check(plan.base, plan.injected)
+    except engine.TooFewWhitewashers as err:
+        raise ConfigError(str(err)) from err
     row = (
         plan.base.topology, plan.base.n, plan.base.growth_percent_per_10,
         plan.base.seed, plan.injected, estimated, true_level, abs(estimated - true_level),
@@ -713,12 +721,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_arg_parser().parse_args(argv)
     try:
         plan = parse_config(args.config, args.command, args.seed)
+        _COMMANDS[args.command][2](plan, args.out, args.quiet)
     except ConfigError as err:
         _error_line("config", args.command, str(err))
         return 2
-    try:
-        args.out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command][2](plan, args.out, args.quiet)
     except OSError as err:
         _error_line("io", args.command, str(err))
         return 3

@@ -61,20 +61,21 @@ iteration n joins at n: the founding ids and a rejoin planted before the
 first step at 0, wave rejoins and growth arrivals during their step, and a
 rejoin planted between steps n and n + 1 at n. So the ids that joined at j
 are one range, from `_first_id[j]` (the topology's next id at the start of
-step j, 0 for j = 0) up to `_first_id[j + 1]`. Two more arrays are indexed
-by node id and grown with `graph.grown` like the estimator's: `reputation`,
-the only place an identity's reputation is kept (drawn for the founders,
-the grant for a newcomer, then the earned value from the transaction
-start), and `role_code`, the only place an id's role and liveness are kept:
-its `agents.Role` value, written once when the id registers, and 0 from
-when the node leaves (or before the id is issued). The transaction start
-is two masked writes on one id range, the newcomer pool is the live ids of
-one range, and the departure candidates are one mask, the live cooperators
-at or above the legitimacy threshold, in ascending order. Only the live
-potential whitewashers, who make the wave's decisions, have a record in
-`Simulation.agents` (an `agents.AgentState`: honesty, attempt counters and
-the grant the current identity was born with); a rejoin moves the
-person's record, or nothing for a cooperator, to the new id.
+step j, 0 for j = 0) up to `_first_id[j + 1]`. Every agent fact is an array
+indexed by node id, grown with `graph.grown` like the estimator's, all six
+together when an id outruns them, and each is the only place its fact is
+kept: `reputation` (drawn for the founders, the grant for a newcomer, then
+the earned value from the transaction start); `role_code`, the id's
+`agents.Role` value, written once when the id registers, and 0 from when
+the node leaves (or before the id is issued), so it also marks liveness;
+`honesty`; the attempt counters `attempts` and `successes`; and `grant`,
+what the current identity was born with (0 for a founder, which never
+reads it). A rejoin copies the person's role, honesty and counters to the
+new id and writes the offer as its grant. The transaction start is two
+masked writes on one id range, the newcomer pool is the live ids of one
+range, and the departure candidates are one mask, the live cooperators at
+or above the legitimacy threshold, in ascending order. The wave's pollers
+are one mask too (`Simulation._pollers`), computed once per wave.
 
 All randomness comes from one draw source per run, `Simulation.rng`, a
 `draws.Draws` over the run's seeded PCG64 `Generator` that yields exactly
@@ -94,7 +95,6 @@ replay bit for bit.
 
 from __future__ import annotations
 
-import heapq
 import math
 import numbers
 from collections.abc import Mapping
@@ -104,7 +104,7 @@ import numpy as np
 
 from . import agents as agents_mod
 from . import graph as graph_mod
-from .agents import AgentState, Role, WhitewashOutcome
+from .agents import Role, WhitewashOutcome
 from .draws import Draws
 from .estimator import EstimatorArrays, legitimacy_threshold
 
@@ -121,6 +121,9 @@ NEWCOMER_MIN_TENURE = 3
 # has to swallow float jitter in gossip means (identical reputations can
 # average to a value a few ulps off), never a real difference.
 _GRANT_MARGIN = 1e-12
+
+# The Simulation's arrays indexed by node id, one row per id issued.
+_ID_ROWS = ("role_code", "reputation", "honesty", "attempts", "successes", "grant")
 
 
 @dataclass(frozen=True)
@@ -248,9 +251,12 @@ class Simulation:
             self.topology = graph_mod.generate_scale_free(cfg.n, cfg.attach_edges, self.rng)
         else:
             self.topology = graph_mod.generate_regular(cfg.n, cfg.degree, self.rng)
-        self.role_code, self.reputation, self.agents = agents_mod.init_population(
+        self.role_code, self.reputation, self.honesty = agents_mod.init_population(
             cfg.n, cfg.r_ini_max0, self.rng
         )
+        self.attempts = np.zeros(cfg.n, dtype=np.int64)
+        self.successes = np.zeros(cfg.n, dtype=np.int64)
+        self.grant = np.zeros(cfg.n)
         self.iteration = 0
         self._first_id = [0]
         # Shared estimate of the ceiling other nodes grant newcomers, held
@@ -269,11 +275,6 @@ class Simulation:
             t.neighbor_degree_array(t.next_id)[0],
         )
         self._prev_count = float(cfg.n)
-        # Identity economics: the whitewashers worth polling this iteration,
-        # and the ones parked until the grant ceiling climbs back above the
-        # grant their current identity was born with.
-        self._ready = set(self.agents)
-        self._parked: list[tuple[float, int]] = []
         self.auto_whitewash = True
 
     # ---- per-phase helpers -------------------------------------------
@@ -332,80 +333,79 @@ class Simulation:
         absent from the sweep saw no churn and sit at zero."""
         return self._est.last_sweep
 
-    def _register_newcomer(self, vid: int, grant: float, agent: AgentState | None) -> None:
+    def _register_newcomer(
+        self, vid: int, grant: float, role: int, honesty: float, attempts: int, successes: int
+    ) -> None:
         """Register a rejoin or a growth arrival, born holding its grant as
-        its reputation: a potential whitewasher with its record `agent`, a
-        cooperator with None."""
-        self.reputation = graph_mod.grown(self.reputation, vid + 1)
-        self.role_code = graph_mod.grown(self.role_code, vid + 1)
-        self.reputation[vid] = grant
+        its reputation, with the person's role, honesty and counters."""
+        if vid >= len(self.role_code):
+            for name in _ID_ROWS:
+                setattr(self, name, graph_mod.grown(getattr(self, name), vid + 1))
+        self.reputation[vid] = self.grant[vid] = grant
+        self.role_code[vid] = role
+        self.honesty[vid] = honesty
+        self.attempts[vid] = attempts
+        self.successes[vid] = successes
         self._est.prime(vid, self.r_est)
-        if agent is None:
-            self.role_code[vid] = Role.COOPERATIVE
-        else:
-            self.role_code[vid] = Role.POTENTIAL_WHITEWASHER
-            agent.grant = grant
-            self.agents[vid] = agent
-            self._ready.add(vid)
 
-    def _drop_node(self, vid: int, benign: bool) -> AgentState | None:
+    def _drop_node(self, vid: int, benign: bool) -> None:
         """Remove a node, booked as a benign departure at each neighbor if
-        `benign`. Returns the node's record, None for a cooperator."""
+        `benign`."""
         graph_mod.remove_node(self.topology, vid, benign)
         self.role_code[vid] = 0
         self._est.retire(vid)
-        self._ready.discard(vid)
-        return self.agents.pop(vid, None)
 
     def _execute_whitewash(self, vid: int, offered: float) -> int:
         # A leaver that still looks reputable is booked as a benign
         # departure, so the rejoin slips past the estimator. The person
-        # keeps its role, and a whitewasher its record, under the new id.
+        # keeps its role, honesty and counters under the new id.
+        person = (self.role_code[vid], self.honesty[vid], self.attempts[vid], self.successes[vid])
         threshold = legitimacy_threshold(self.r_est, self.cfg.r_ini_min)
-        agent = self._drop_node(vid, self.reputation[vid] >= threshold)
+        self._drop_node(vid, self.reputation[vid] >= threshold)
         new_id, _ = self.topology.attach(self.cfg.attach_edges, self.rng)
-        self._register_newcomer(new_id, offered, agent)
+        self._register_newcomer(new_id, offered, *person)
         return new_id
 
+    def _pollers(self) -> np.ndarray:
+        """Ascending ids of the potential whitewashers the wave polls: the
+        live ones that have not attempted yet, and the ones with a success
+        whose grant the ceiling estimate beats by more than the margin. One
+        with attempts but no success never attempts again (its success rate
+        is 0), and while r_est <= grant + margin no offer anywhere can beat
+        the grant it holds."""
+        end = self.topology.next_id
+        tried = self.attempts[:end] > 0
+        better = (self.successes[:end] > 0) & (self.grant[:end] + _GRANT_MARGIN < self.r_est)
+        washer = self.role_code[:end] == Role.POTENTIAL_WHITEWASHER.value
+        return np.flatnonzero(washer & (~tried | better))
+
     def _whitewash_wave(self) -> tuple[int, int]:
-        r_est = self.r_est
-        while self._parked and self._parked[0][0] + _GRANT_MARGIN < r_est:
-            _, vid = heapq.heappop(self._parked)
-            if vid in self.agents:
-                self._ready.add(vid)
-        if not self._ready:
+        polled = self._pollers()
+        if not len(polled):
             return 0, 0
         pool = self.topology.live_ids()
         attempts = 0
         successes = 0
-        for vid in sorted(self._ready):
-            a = self.agents[vid]
-            grant = a.grant
-            if a.attempts > 0:
-                if a.successes == 0:
-                    # Attempt probability is zero for good: never polls again.
-                    self._ready.discard(vid)
-                    continue
-                if r_est <= grant + _GRANT_MARGIN:
-                    # No offer anywhere can beat the last grant; wait for
-                    # the ceiling estimate to climb back above it.
-                    heapq.heappush(self._parked, (grant, vid))
-                    self._ready.discard(vid)
-                    continue
+        for vid, honesty, tried, won, grant in zip(
+            polled.tolist(),
+            self.honesty[polled].tolist(),
+            self.attempts[polled].tolist(),
+            self.successes[polled].tolist(),
+            self.grant[polled].tolist(),
+        ):
             target = pool[self.rng.integers(len(pool))]
             offered = float(self._est.offers[target])
-            if a.attempts > 0 and offered <= grant + _GRANT_MARGIN:
+            if tried and offered <= grant + _GRANT_MARGIN:
                 continue  # probed a suppressed corner; not worth a reset
-            outcome = agents_mod.decide_whitewash(a, offered, self.rng)
+            outcome = agents_mod.decide_whitewash(honesty, tried, won, offered, self.rng)
             if outcome is WhitewashOutcome.NO_ATTEMPT:
                 continue
             attempts += 1
+            self.attempts[vid] += 1
             if outcome is WhitewashOutcome.WHITEWASHED:
                 successes += 1
-                self._ready.discard(vid)
+                self.successes[vid] += 1
                 self._execute_whitewash(vid, offered)
-            elif a.successes == 0:
-                self._ready.discard(vid)
         return attempts, successes
 
     def _voluntary_departures(self) -> None:
@@ -436,8 +436,8 @@ class Simulation:
             # The first host a newcomer contacts is the one that vouches
             # for it, so its offer becomes the newcomer's starting grant.
             grant = float(self._est.offers[targets[0]])
-            agent = AgentState(honesty) if honesty < self.r_est else None
-            self._register_newcomer(vid, grant, agent)
+            role = Role.POTENTIAL_WHITEWASHER if honesty < self.r_est else Role.COOPERATIVE
+            self._register_newcomer(vid, grant, role, honesty, 0, 0)
 
     # ---- public API ---------------------------------------------------
 
@@ -472,6 +472,11 @@ class Simulation:
         return self._execute_whitewash(vid, self.r_est)
 
 
+class TooFewWhitewashers(ValueError):
+    """`closed_world_estimator_check` was asked to plant more rejoins than
+    the run has potential whitewashers."""
+
+
 def run(cfg: SimConfig) -> list[IterationRecord]:
     sim = Simulation(cfg)
     return [sim.step() for _ in range(cfg.iterations)]
@@ -494,9 +499,12 @@ def closed_world_estimator_check(cfg: SimConfig, injected: int) -> tuple[float, 
     sim.auto_whitewash = False
     for _ in range(GROWTH_PERIOD):
         sim.step()
-    washers = sorted(sim.agents)
+    washers = np.flatnonzero(sim.role_code == Role.POTENTIAL_WHITEWASHER.value).tolist()
     if len(washers) < injected:
-        raise ValueError(f"population has only {len(washers)} potential whitewashers")
+        raise TooFewWhitewashers(
+            f"injected: {injected} planted rejoins, but the population has only "
+            f"{len(washers)} potential whitewashers after {GROWTH_PERIOD} steps"
+        )
     t = sim.topology
     arrivals: dict[int, int] = {}
     for vid in washers[:injected]:

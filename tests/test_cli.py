@@ -262,6 +262,9 @@ BAD_CONFIGS = [
                      '"gossip_noise": 0.8}'),
         ("estimator-check", '{"n": 40, "gossip_noise": 1.5}'),
         ("estimator-check", '{"injected": 100000}'),
+        # Only 44 of the 100 nodes are potential whitewashers: found when the
+        # run is set up, and still a config error with no output directory.
+        ("estimator-check", '{"n": 100, "injected": 45, "iterations": 0}'),
         ("estimator-check", '{"n": 10, "attach_edges": 1, "injected": 3, '
                             '"r_ini_max0": 0, "r_ini_min": 0}'),
         ("simulate", '{"seed": 1e30}'),
@@ -574,6 +577,16 @@ def test_infeasible_frontier_writes_no_file(tmp_path, capsys):
     error = json.loads(captured.err)
     assert error["error"] == "config" and "no exponent" in error["detail"]
     assert captured.out == "" and not out.exists()
+
+
+def test_out_on_a_file_is_an_io_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"n": 100, "iterations": 0, "injected": 3})
+    out = tmp_path / "out"
+    out.write_text("")
+    assert run_cli("estimator-check", "--config", cfg, "--out", out, "--quiet") == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "io"
+    assert out.read_text() == ""
 
 
 def test_simulate_down_to_a_graph_with_isolated_nodes(tmp_path):

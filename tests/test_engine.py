@@ -22,11 +22,18 @@ def live_with_role(sim: Simulation, role: Role) -> list[int]:
 
 
 def check_roles_and_records(sim: Simulation) -> None:
-    """`role_code` is nonzero exactly on the live ids, and `sim.agents`
-    holds a record for exactly the live potential whitewashers."""
+    """`role_code` is nonzero exactly on the live ids, every array indexed
+    by node id has a row for every id issued, a live potential
+    whitewasher's successes never exceed its attempts, and the wave would
+    poll live potential whitewashers only."""
     code = sim.role_code
     assert np.flatnonzero(code).tolist() == sim.topology.live_ids().tolist()
-    assert sorted(sim.agents) == np.flatnonzero(code == Role.POTENTIAL_WHITEWASHER).tolist()
+    end = sim.topology.next_id
+    for name in engine._ID_ROWS:
+        assert len(getattr(sim, name)) >= end
+    washer = code[:end] == Role.POTENTIAL_WHITEWASHER.value
+    assert np.all(sim.successes[:end][washer] <= sim.attempts[:end][washer])
+    assert set(sim._pollers().tolist()) <= set(np.flatnonzero(washer).tolist())
 
 
 # ---- configuration ------------------------------------------------------
@@ -360,6 +367,48 @@ def test_first_wave_takes_every_potential_whitewasher():
     assert rec.mean_offered_r_ini == pytest.approx(0.5)
 
 
+def test_wave_polls_fresh_and_ready_whitewashers_only():
+    # Planted rejoins of each kind, counters set before the rejoin carries
+    # them: a fresh whitewasher polls, one that only failed never does, one
+    # whose grant the ceiling estimate does not beat by more than the margin
+    # is parked until it does, one with a success and a lower grant polls,
+    # and a cooperator never does.
+    sim = Simulation(SimConfig(n=200, iterations=0, seed=1))
+    sim.auto_whitewash = False
+    for _ in range(3):
+        sim.step()
+    washers = live_with_role(sim, Role.POTENTIAL_WHITEWASHER)
+    planted = {}
+    for kind, vid, tried, won in [("fresh", washers[0], 0, 0), ("failed", washers[1], 2, 0),
+                                  ("parked", washers[2], 1, 1), ("ready", washers[3], 3, 2)]:
+        sim.attempts[vid], sim.successes[vid] = tried, won
+        planted[kind] = sim.force_whitewash(vid)
+    planted["cooperator"] = sim.force_whitewash(live_with_role(sim, Role.COOPERATIVE)[0])
+    grant = sim.r_est
+    assert all(sim.grant[v] == grant for v in planted.values())
+    sim.grant[planted["ready"]] = grant / 2
+
+    def polled():
+        ids = sim._pollers().tolist()
+        assert ids == sorted(ids)
+        return {kind for kind, v in planted.items() if v in ids}
+
+    assert polled() == {"fresh", "ready"}
+    sim.r_est = grant + engine._GRANT_MARGIN  # not past the margin yet
+    assert polled() == {"fresh", "ready"}
+    sim.r_est = grant + 2 * engine._GRANT_MARGIN
+    assert polled() == {"fresh", "parked", "ready"}
+    sim.r_est = 1.0
+    assert polled() == {"fresh", "parked", "ready"}
+    # The next step's wave polls by the same mask: the fresh one attempts
+    # for certain, so its counters move or it rejoins under a new id.
+    sim.auto_whitewash = True
+    record = sim.step()
+    fresh = planted["fresh"]
+    assert record.whitewash_attempts >= 1
+    assert sim.role_code[fresh] == 0 or sim.attempts[fresh] == 1
+
+
 def test_wave_echo_then_permanent_silence():
     # Iteration 1: everyone washes at the launch grant. Iteration 2: the
     # ceiling estimate still equals that grant, so nobody can improve and
@@ -384,10 +433,10 @@ def test_rejoiners_get_fresh_ids_and_the_offered_grant():
     rejoined = [v for v in sim.topology.live_ids().tolist() if v >= 300]
     assert len(rejoined) == rec.whitewash_successes
     for v in rejoined:
-        a = sim.agents[v]
         assert log.joined_at[v] == 1
-        assert a.attempts == a.successes == 1
-        assert sim.reputation[v] == a.grant == pytest.approx(0.5)  # the iteration-1 offer
+        assert sim.role_code[v] == Role.POTENTIAL_WHITEWASHER
+        assert sim.attempts[v] == sim.successes[v] == 1
+        assert sim.reputation[v] == sim.grant[v] == pytest.approx(0.5)  # the iteration-1 offer
         # hosts picked at rejoin may themselves wash later in the same
         # wave, so membership is guaranteed but the edge count is not
         assert v in sim.topology
@@ -396,26 +445,24 @@ def test_rejoiners_get_fresh_ids_and_the_offered_grant():
 def test_records_follow_the_person_and_role_code_holds_role_and_liveness():
     # After every step of a run with growth, voluntary departures and wave
     # rejoins, and around planted rejoins of a cooperator and of a potential
-    # whitewasher: the role codes mark exactly the live ids, the records
-    # belong to exactly the live potential whitewashers, and a rejoin moves
-    # the person's role, and its record if it has one, to the new id.
+    # whitewasher: the role codes mark exactly the live ids, and a rejoin
+    # carries the person's role, honesty and counters to the new id, whose
+    # grant is the offer.
     sim = Simulation(SimConfig(n=300, growth_percent_per_10=5.0, legit_departure_prob=0.02,
                                iterations=0, seed=2))
     moved = collections.Counter()
     execute = sim._execute_whitewash
 
+    def person(v):
+        return (sim.role_code[v], sim.honesty[v], sim.attempts[v], sim.successes[v])
+
     def checked(vid, offered):
-        role, record = sim.role_code[vid], sim.agents.get(vid)
-        carried = None if record is None else (record.honesty, record.attempts, record.successes)
+        carried = person(vid)
         new_id = execute(vid, offered)
-        assert vid not in sim.agents and sim.role_code[vid] == 0
-        assert sim.role_code[new_id] == role
-        if record is None:
-            assert role == Role.COOPERATIVE and new_id not in sim.agents
-        else:
-            assert sim.agents[new_id] is record and record.grant == offered
-            assert (record.honesty, record.attempts, record.successes) == carried
-        moved[Role(role)] += 1
+        assert sim.role_code[vid] == 0 and vid not in sim.topology
+        assert person(new_id) == carried
+        assert sim.grant[new_id] == sim.reputation[new_id] == offered
+        moved[Role(carried[0])] += 1
         return new_id
 
     sim._execute_whitewash = checked
@@ -466,10 +513,10 @@ def test_arrivals_book_one_count_per_host():
     hosts = [u for v in grown for u in t.neighbors(v) if u < v]
     assert len(grown) == 3
     # Each growth arrival is born holding its grant, the offer of the first
-    # host it contacts, which a potential whitewasher's record also keeps.
+    # host it contacts, which `grant` also keeps.
     for v in grown:
-        assert sim.reputation[v] == sim._est.offers[first_host[v]]
-        assert v not in sim.agents or sim.agents[v].grant == sim.reputation[v]
+        assert sim.reputation[v] == sim.grant[v] == sim._est.offers[first_host[v]]
+        assert sim.attempts[v] == sim.successes[v] == 0
     assert t._arrived == dict(collections.Counter(hosts))
     assert sum(t._arrived.values()) == 3 * 3
 
@@ -556,6 +603,10 @@ def test_closed_world_zero_injection():
 def test_closed_world_rejects_negative_injection():
     with pytest.raises(ValueError):
         engine.closed_world_estimator_check(SimConfig(n=200, iterations=0), -1)
+    # More planted rejoins than potential whitewashers is its own ValueError,
+    # which the CLI reports as a config error.
+    with pytest.raises(engine.TooFewWhitewashers, match="only 44 potential whitewashers"):
+        engine.closed_world_estimator_check(SimConfig(n=100, iterations=0), 45)
 
 
 def test_closed_world_exact_on_regular_topology():

@@ -5,9 +5,10 @@ recorded before the estimator sweep moved from a per-node loop to arrays.
 The small runs cover branches the benchmark workloads never reach; the
 reference-grid digests (every default grid cell, seeds 0-4) are checked by
 AC-09 in test_acceptance.py, which already holds those records. The demo
-digests were recorded before agent records were kept only for potential
-whitewashers; `estimator_ground_truth.py` reaches the closed-world check
-at three configs, growth included. A digest that moves means the outputs
+digests were recorded while each potential whitewasher still had a record
+object and the wave kept ready and parked sets, before every agent fact
+became an array indexed by node id; `estimator_ground_truth.py` reaches
+the closed-world check at three configs, growth included. A digest that moves means the outputs
 changed: find out why. Never re-record one to make a test pass.
 """
 
