@@ -70,8 +70,11 @@ the earned value from the transaction start); `role_code`, the id's
 the node leaves (or before the id is issued), so it also marks liveness;
 `honesty`; the attempt counters `attempts` and `successes`; and `grant`,
 what the current identity was born with (0 for a founder, which never
-reads it). A rejoin copies the person's role, honesty and counters to the
-new id and writes the offer as its grant. The transaction start is two
+reads it). New ids register through one path over an id range, one write
+per array (`Simulation._register_newcomers`): a rejoin's one id, which
+takes the person's role, honesty and counters and the offer as its grant,
+or a whole growth batch, whose grants, the offers of each arrival's first
+host, are read only once the batch is primed. The transaction start is two
 masked writes on one id range, the newcomer pool is the live ids of one
 range, and the departure candidates are one mask, the live cooperators at
 or above the legitimacy threshold, in ascending order. The wave's pollers
@@ -333,20 +336,21 @@ class Simulation:
         absent from the sweep saw no churn and sit at zero."""
         return self._est.last_sweep
 
-    def _register_newcomer(
-        self, vid: int, grant: float, role: int, honesty: float, attempts: int, successes: int
-    ) -> None:
-        """Register a rejoin or a growth arrival, born holding its grant as
-        its reputation, with the person's role, honesty and counters."""
-        if vid >= len(self.role_code):
+    def _register_newcomers(self, ids: int | slice, role, honesty, attempts, successes) -> None:
+        """Register the newest ids, up to the topology's next id: a rejoin's
+        id (numpy writes through one index several times faster than through
+        a slice) or a growth batch's slice. Grows the arrays indexed by node
+        id once, primes the windows and writes each person's facts, one value
+        or one per id; the caller then writes the grants, the reputations."""
+        end = self.topology.next_id
+        if end > len(self.role_code):
             for name in _ID_ROWS:
-                setattr(self, name, graph_mod.grown(getattr(self, name), vid + 1))
-        self.reputation[vid] = self.grant[vid] = grant
-        self.role_code[vid] = role
-        self.honesty[vid] = honesty
-        self.attempts[vid] = attempts
-        self.successes[vid] = successes
-        self._est.prime(vid, self.r_est)
+                setattr(self, name, graph_mod.grown(getattr(self, name), end))
+        self._est.prime(ids if isinstance(ids, int) else ids.start, end, self.r_est)
+        self.role_code[ids] = role
+        self.honesty[ids] = honesty
+        self.attempts[ids] = attempts
+        self.successes[ids] = successes
 
     def _drop_node(self, vid: int, benign: bool) -> None:
         """Remove a node, booked as a benign departure at each neighbor if
@@ -363,7 +367,8 @@ class Simulation:
         threshold = legitimacy_threshold(self.r_est, self.cfg.r_ini_min)
         self._drop_node(vid, self.reputation[vid] >= threshold)
         new_id, _ = self.topology.attach(self.cfg.attach_edges, self.rng)
-        self._register_newcomer(new_id, offered, *person)
+        self._register_newcomers(new_id, *person)
+        self.reputation[new_id] = self.grant[new_id] = offered
         return new_id
 
     def _pollers(self) -> np.ndarray:
@@ -429,15 +434,21 @@ class Simulation:
             self._drop_node(vid, True)
 
     def _grow_population(self) -> None:
-        count = round(self.topology.node_count * self.cfg.growth_percent_per_10 / 100)
+        t, rng = self.topology, self.rng
+        count = round(t.node_count * self.cfg.growth_percent_per_10 / 100)
+        first = t.next_id
+        hosts, honesty = [], []
         for _ in range(count):
-            vid, targets = self.topology.attach(self.cfg.attach_edges, self.rng)
-            honesty = self.rng.random()
-            # The first host a newcomer contacts is the one that vouches
-            # for it, so its offer becomes the newcomer's starting grant.
-            grant = float(self._est.offers[targets[0]])
-            role = Role.POTENTIAL_WHITEWASHER if honesty < self.r_est else Role.COOPERATIVE
-            self._register_newcomer(vid, grant, role, honesty, 0, 0)
+            hosts.append(t.attach(self.cfg.attach_edges, rng)[1][0])
+            honesty.append(rng.random())
+        honesty = np.array(honesty)
+        washer = honesty < self.r_est
+        role = np.where(washer, Role.POTENTIAL_WHITEWASHER.value, Role.COOPERATIVE.value)
+        ids = slice(first, t.next_id)
+        self._register_newcomers(ids, role, honesty, 0, 0)
+        # The first host a newcomer contacts vouches for it: its offer, the
+        # prime for a host of the same batch, is the newcomer's grant.
+        self.reputation[ids] = self.grant[ids] = self._est.offers[hosts]
 
     # ---- public API ---------------------------------------------------
 

@@ -116,19 +116,22 @@ class EstimatorArrays:
     def capacity(self) -> int:
         return len(self._peak)
 
-    def prime(self, vid: NodeId, r_est: float) -> None:
-        """Start a new node's window at the ceiling estimate. `vid` is a new
-        id: its window has never been written, so the prime is its peak."""
-        if vid >= self.capacity:
+    def prime(self, first: NodeId, end: NodeId, r_est: float) -> None:
+        """Start the windows of the new ids `first` to `end` - 1 at the
+        ceiling estimate: never written, so the prime is their peak."""
+        if end > self.capacity:
             # One slot at a time, so each old slot is freed before the next
             # one grows.
             for k, column in enumerate(self._ring):
-                self._ring[k] = grown(column, vid + 1)
+                self._ring[k] = grown(column, end)
             for name in ("_peak", "offers", "_prev_ndsum"):
-                setattr(self, name, grown(getattr(self, name), vid + 1))
-        self._ring[(self._slot - 1) % self.window][vid] = r_est
-        self._peak[vid] = max(r_est, 0.0)
-        self.offers[vid] = r_est
+                setattr(self, name, grown(getattr(self, name), end))
+        # Mostly one id, a rejoin's: numpy writes through one index several
+        # times faster than through a slice.
+        ids = first if end - first == 1 else slice(first, end)
+        self._ring[(self._slot - 1) % self.window][ids] = r_est
+        self._peak[ids] = max(r_est, 0.0)
+        self.offers[ids] = r_est
 
     def retire(self, vid: NodeId) -> None:
         """Stop sweeping a removed node: its peak drops to zero, and a

@@ -17,16 +17,19 @@ indexed by node id beside it hold each row's start, fill and capacity, the
 node's exact degree (0 once it is removed) and a live mask. `attach`
 appends to each host's row; a full row moves to the end of the slab at
 double capacity. `remove_node` only lowers its live neighbors' degrees and
-clears its live bit, so its id stays in their rows as a tombstone. Every
-neighbor of a removed node is a node whose neighbors changed, and once per
-sweep one vectorized gather over those nodes' rows drops the tombstones,
-compacts the rows in place, brings the dense neighbor-degree snapshot up to
-date and sums the booked churn over each node's neighbors (see
-`Topology.neighbor_degree_array`). Each attachment-pool rebuild also
-rewrites the whole slab without dead rows, tombstones or spare room. The
-numpy views of these arrays live only inside one call: an array that
-exports its buffer cannot grow. Readers outside go through `neighbors`,
-`degree_of`, `live_ids` and `in`.
+clears its live bit, so its id stays in their rows as a tombstone. The
+books are per-id arrays too: the arrivals and the benign departures booked
+at each host (two `array('q')` counters), and a `bytearray` marking each
+node whose neighbors changed, every booked host and every neighbor of a
+removed node among them. Once per sweep one vectorized gather over the
+marked nodes' rows drops the tombstones, compacts the rows in place, brings
+the dense neighbor-degree snapshot up to date, sums the booked churn over
+each node's neighbors and zeroes the counters and marks at the marked ids
+(see `Topology.neighbor_degree_array`). Each rebuild of the attachment
+pool, an `array('q')`, also rewrites the whole slab without dead rows,
+tombstones or spare room. The numpy views of these arrays live only inside
+one call: an `array` or a `bytearray` that exports its buffer cannot grow.
+Readers outside go through `neighbors`, `degree_of`, `live_ids` and `in`.
 """
 
 from __future__ import annotations
@@ -101,16 +104,16 @@ class Topology:
         self._degree = array("q")
         self._live = bytearray()
         # Degree and neighbor-degree sum of every id as of the last
-        # snapshot; since then, the nodes whose neighbors changed, and the
-        # arrivals and benign departures booked per host.
+        # snapshot; since then, per id, a mark if its neighbors changed, and
+        # the arrivals and benign departures booked at it as a host.
         self._deg = np.zeros(0, dtype=np.int64)
         self._nds = np.zeros(0, dtype=np.int64)
-        self._touched: set[NodeId] = set()
-        self._arrived: dict[NodeId, int] = {}
-        self._benign_gone: dict[NodeId, int] = {}
+        self._touched = bytearray()
+        self._arrived = array("q")
+        self._benign_gone = array("q")
         # preferential-attachment pool: one entry per degree unit, lazily
         # pruned; copies counts each id's entries (0 once it is removed)
-        self._pool: list[NodeId] = []
+        self._pool = array("q")
         self._pool_copies = array("q")
         self._pool_stale: int = 0
 
@@ -168,10 +171,8 @@ class Topology:
         self._deg = grown(self._deg, max(size, self.next_id))
         self._nds = grown(self._nds, max(size, self.next_id))
         deg, nds = self._deg, self._nds
-        touched = np.fromiter(self._touched, np.int64, len(self._touched))
-        self._touched = set()
-        churn = self._arrived, self._benign_gone
-        self._arrived, self._benign_gone = {}, {}
+        marks = np.frombuffer(self._touched, bool)
+        touched = np.flatnonzero(marks)
         alive = np.frombuffer(self._live, bool)[touched]
         ids, gone = touched[alive], touched[~alive]
         nbrs, live_degs = self._live_rows(ids)
@@ -187,18 +188,14 @@ class Topology:
         np.add.at(recount, np.repeat(np.arange(len(ids)), live_degs), deg[nbrs])
         nds[ids] = recount
         deg[gone] = nds[gone] = 0
-        ids = ids.tolist()
+        # Every booked host is marked, so clearing the marked ids clears
+        # every booking, those at hosts removed since included.
         gained, lost = (
-            np.bincount(
-                nbrs,
-                np.repeat(
-                    np.fromiter(map(counts.get, ids, itertools.repeat(0)), float, len(ids)),
-                    live_degs,
-                ),
-                minlength=size,
-            )
-            for counts in churn
+            np.bincount(nbrs, np.repeat(book[ids], live_degs), minlength=size)
+            for book in (_int64(self._arrived), _int64(self._benign_gone))
         )
+        _int64(self._arrived)[touched] = _int64(self._benign_gone)[touched] = 0
+        marks[touched] = False
         return nds[:size].copy(), gained, lost
 
     # ---- preferential attachment ------------------------------------
@@ -216,7 +213,7 @@ class Topology:
         self._start = array("q", start.tobytes())
         self._fill = array("q", fill.tobytes())
         self._cap = self._fill[:]
-        self._pool = np.repeat(ids, degs).tolist()
+        self._pool = array("q", np.repeat(ids, degs).tobytes())
         self._pool_copies = self._degree[:]
         self._pool_stale = 0
 
@@ -231,11 +228,15 @@ class Topology:
         self.node_count += 1
         k = len(targets)
         slab, start, fill, cap, degree = self._slab, self._start, self._fill, self._cap, self._degree
-        pool, copies, arrived = self._pool, self._pool_copies, self._arrived
+        copies, arrived, touched = self._pool_copies, self._arrived, self._touched
+        to_pool = self._pool.append
         start.append(len(slab))
         for a in (fill, cap, degree, copies):
             a.append(k)
+        arrived.append(0)
+        self._benign_gone.append(0)
         self._live.append(1)
+        touched.append(k > 0)
         slab.extend(targets)
         isolated = 0 if targets else 1  # v, until its first edge
         for u in targets:
@@ -252,14 +253,13 @@ class Topology:
                 slab.frombytes(bytes(8 * (cap[u] - f)))
             slab[start[u] + f] = v
             fill[u] = f + 1
-            pool += (v, u)
+            to_pool(v)
+            to_pool(u)
             copies[u] += 1
-            arrived[u] = arrived.get(u, 0) + 1
+            arrived[u] += 1
+            touched[u] = 1
         self.isolated_count += isolated
         self.edge_count += k
-        if targets:
-            self._touched.update(targets)
-            self._touched.add(v)
         return v, targets
 
     def sample_attachment_targets(self, count: int, rng: Draws) -> list[NodeId]:
@@ -310,11 +310,12 @@ class Topology:
         t._degree = array("q", degree.tobytes())
         t._fill, t._cap, t._pool_copies = t._degree[:], t._degree[:], t._degree[:]
         t._live = bytearray(b"\x01") * n
-        t._pool = ends.tolist()
+        t._touched = bytearray((degree > 0).tobytes())
+        t._arrived, t._benign_gone = array("q", bytes(8 * n)), array("q", bytes(8 * n))
+        t._pool = array("q", ends.tobytes())
         t.next_id = t.node_count = n
         t.edge_count = len(pairs)
-        t._touched = set(np.flatnonzero(degree).tolist())
-        t.isolated_count = n - len(t._touched)
+        t.isolated_count = n - int(np.count_nonzero(degree))
         return t
 
 
@@ -390,13 +391,15 @@ def remove_node(t: Topology, v: NodeId, benign: bool = False) -> None:
     if benign:
         gone = t._benign_gone
         for u in nbrs:
-            gone[u] = gone.get(u, 0) + 1
-    degree = t._degree
+            gone[u] += 1
+    degree, touched = t._degree, t._touched
     emptied = 0
     for u in nbrs:
         d = degree[u] - 1
         degree[u] = d
         emptied += not d
+        touched[u] = 1
+    touched[v] = 1
     t._live[v] = 0
     degree[v] = 0
     t.node_count -= 1
@@ -406,5 +409,3 @@ def remove_node(t: Topology, v: NodeId, benign: bool = False) -> None:
     t.edge_count -= len(nbrs)
     t._pool_stale += 2 * len(nbrs) + t._pool_copies[v]
     t._pool_copies[v] = 0
-    t._touched.update(nbrs)
-    t._touched.add(v)

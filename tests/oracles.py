@@ -19,7 +19,12 @@ replay the topology's one-pass events edge by edge, and must reach the same
 end state, the booked churn included. Its `snapshot` recounts from the sets
 what `Topology.neighbor_degree_array` keeps up to date. `adjacency`,
 `neighbor_degree_sum` and `churn_sums` read either model through the
-read API they share (`neighbors`, `degree_of`, `live_ids`, `in`).
+read API they share (`neighbors`, `degree_of`, `live_ids`, `in`). `books`
+reads the pool and the churn books of either model in the reference's
+form: the topology keeps them as per-id arrays.
+
+`grow_one_at_a_time` is a growth batch registered one arrival at a time,
+the reference for the engine's registration of the whole batch in one write.
 
 `JoinLog` records the iteration at which each id joined a run, watching the
 topology's next id from outside the engine, and gathers the newcomer pool
@@ -41,10 +46,11 @@ import numpy as np
 
 from p2psim.cli import CSV_HEADER
 from p2psim.draws import Draws
-from p2psim.engine import NEWCOMER_MIN_TENURE, IterationRecord, Simulation
+from p2psim.agents import Role
+from p2psim.engine import _ID_ROWS, NEWCOMER_MIN_TENURE, IterationRecord, Simulation
 from p2psim.estimator import offer_curve
 from p2psim.game import GameSpec, MixedProfile
-from p2psim.graph import InvalidParameterError, NodeId, UnknownNodeError
+from p2psim.graph import InvalidParameterError, NodeId, UnknownNodeError, grown
 from p2psim.payoff import (
     DEFAULT_CROSSOVER_CAP,
     CrossoverCapExceeded,
@@ -326,22 +332,50 @@ class RefTopology:
         return ndsum, gained, lost
 
 
+@dataclass(frozen=True)
+class Books:
+    """The attachment pool and the churn booked since the last snapshot, as
+    `RefTopology` keeps them: the pool as a list, the marked ids (whose
+    neighbors changed) as a set, and the arrivals and benign departures as
+    counts by host, holding only the hosts with a booking."""
+
+    pool: list[NodeId]
+    touched: set[NodeId]
+    arrived: dict[NodeId, int]
+    benign_gone: dict[NodeId, int]
+
+
+def books(t) -> Books:
+    """The pool and the books of `graph.Topology` or `RefTopology`. The
+    topology keeps a per-id mark and two per-id counters, zero where
+    nothing is booked; each is read here as the reference's set or dict."""
+    if isinstance(t, RefTopology):
+        return Books(t._pool, t._touched, t._arrived, t._benign_gone)
+    return Books(
+        list(t._pool),
+        {v for v, mark in enumerate(t._touched) if mark},
+        {v: c for v, c in enumerate(t._arrived) if c},
+        {v: c for v, c in enumerate(t._benign_gone) if c},
+    )
+
+
 def topology_state(t) -> dict:
     """Everything a node event writes, read alike from `graph.Topology` and
     `RefTopology`: the neighbor sets (the order within a row or a set is
     free), the pool with each live id's copies and the stale count, the
     counters, the marked nodes and the booked churn."""
+    b = books(t)
     return {
         "adj": adjacency(t),
-        "pool": t._pool,
+        "pool": b.pool,
         "pool_copies": {v: t._pool_copies[v] for v in t.live_ids().tolist()},
         "pool_stale": t._pool_stale,
         "node_count": t.node_count,
         "isolated_count": t.isolated_count,
         "edge_count": t.edge_count,
-        "touched": t._touched,
-        "arrived": t._arrived,
-        "benign_gone": t._benign_gone,
+        "touched": b.touched,
+        "arrived": b.arrived,
+        "benign_gone": b.benign_gone,
         "next_id": t.next_id,
     }
 
@@ -373,6 +407,33 @@ def churn_sums(t, counts: dict[NodeId, int], size: int) -> np.ndarray:
             for i in t.neighbors(j):
                 sums[i] += c
     return sums
+
+
+def grow_one_at_a_time(sim: Simulation) -> list[tuple[NodeId, NodeId]]:
+    """`Simulation._grow_population` with each arrival registered as it
+    attaches. Per arrival: the attachment draws, then the honesty draw; the
+    grant is the offer its first host makes right then, which for a host of
+    the same batch is the prime; the arrays indexed by node id grow when the
+    id outruns them; then its facts are written and its window is primed.
+    Returns each arrival's id and first host."""
+    t, rng = sim.topology, sim.rng
+    count = round(t.node_count * sim.cfg.growth_percent_per_10 / 100)
+    arrivals = []
+    for _ in range(count):
+        vid, hosts = t.attach(sim.cfg.attach_edges, rng)
+        honesty = rng.random()
+        grant = float(sim._est.offers[hosts[0]])
+        role = Role.POTENTIAL_WHITEWASHER if honesty < sim.r_est else Role.COOPERATIVE
+        if vid >= len(sim.role_code):
+            for name in _ID_ROWS:
+                setattr(sim, name, grown(getattr(sim, name), vid + 1))
+        sim.reputation[vid] = sim.grant[vid] = grant
+        sim.role_code[vid] = role
+        sim.honesty[vid] = honesty
+        sim.attempts[vid] = sim.successes[vid] = 0
+        sim._est.prime(vid, vid + 1, sim.r_est)
+        arrivals.append((vid, hosts[0]))
+    return arrivals
 
 
 class JoinLog:

@@ -295,10 +295,7 @@ class ScanDepartures(Simulation):
                 break
             if self.rng.random() >= cfg.legit_departure_prob:
                 continue
-            gone = self.topology._benign_gone
-            for u in self.topology.neighbors(vid):
-                gone[u] = gone.get(u, 0) + 1
-            self._drop_node(vid, False)
+            self._drop_node(vid, True)
 
 
 def run_with_departure_log(sim: Simulation):
@@ -502,7 +499,7 @@ def test_arrivals_book_one_count_per_host():
     t.attach = logged
     new_id = log.force_whitewash(live_with_role(sim, Role.POTENTIAL_WHITEWASHER)[0])
     assert t.degree_of(new_id) == 3
-    assert t._arrived == dict.fromkeys(t.neighbors(new_id), 1)
+    assert oracles.books(t).arrived == dict.fromkeys(t.neighbors(new_id), 1)
     # Step 10's sweep takes the rejoin's arrivals; its growth batch, the
     # only ids the log has joining at 10, books the arrivals left after it.
     log.step()
@@ -517,8 +514,62 @@ def test_arrivals_book_one_count_per_host():
     for v in grown:
         assert sim.reputation[v] == sim.grant[v] == sim._est.offers[first_host[v]]
         assert sim.attempts[v] == sim.successes[v] == 0
-    assert t._arrived == dict(collections.Counter(hosts))
-    assert sum(t._arrived.values()) == 3 * 3
+    arrived = oracles.books(t).arrived
+    assert arrived == dict(collections.Counter(hosts))
+    assert sum(arrived.values()) == 3 * 3
+
+
+def test_growth_batch_matches_the_per_arrival_registration():
+    # A growth batch is registered in one write: all its ids grow the arrays
+    # indexed by node id once and are primed together, and only then are
+    # the grants read from the first hosts' offers. Against the per-arrival
+    # rule (oracles.grow_one_at_a_time) on the same draws, every record,
+    # every fact of every id, every window and offer, and the topology must
+    # agree. The runs cover arrivals whose first host arrived earlier in the
+    # same batch, which are granted the prime, and batches that straddle the
+    # arrays' capacity, after which all of them still have one length.
+    seen = collections.Counter()
+    for seed in range(3):
+        for washing in (False, True):
+            cfg = SimConfig(n=100, growth_percent_per_10=40.0, iterations=0, seed=seed)
+            batch, single = Simulation(cfg), Simulation(cfg)
+            batch.auto_whitewash = single.auto_whitewash = washing
+            grow, arrivals = batch._grow_population, []
+
+            def batch_grow(batch=batch, grow=grow):
+                first, capacity = batch.topology.next_id, len(batch.role_code)
+                grow()
+                seen["straddled"] += first < capacity < batch.topology.next_id
+                for vid, host in arrivals:
+                    if host >= first:
+                        assert batch.grant[vid] == batch.r_est, (seed, vid)
+                        seen["host in batch"] += 1
+
+            def single_grow(single=single):
+                arrivals[:] = oracles.grow_one_at_a_time(single)
+
+            batch._grow_population, single._grow_population = batch_grow, single_grow
+            for _ in range(30):
+                # The oracle steps first, so that the batch can read its arrivals.
+                want = single.step()
+                assert batch.step() == want
+                end = batch.topology.next_id
+                for name in engine._ID_ROWS:
+                    np.testing.assert_array_equal(
+                        getattr(batch, name)[:end], getattr(single, name)[:end], name
+                    )
+                for slot, ref in zip(batch._est._ring, single._est._ring):
+                    np.testing.assert_array_equal(slot[:end], ref[:end])
+                for name in ("_peak", "offers"):
+                    np.testing.assert_array_equal(
+                        getattr(batch._est, name)[:end], getattr(single._est, name)[:end], name
+                    )
+                oracles.assert_same_topology(batch.topology, single.topology)
+                est = batch._est
+                lengths = {len(getattr(batch, name)) for name in engine._ID_ROWS}
+                lengths |= {len(a) for a in (*est._ring, est._peak, est.offers, est._prev_ndsum)}
+                assert lengths == {est.capacity}, lengths
+    assert seen["straddled"] > 0 and seen["host in batch"] > 0, seen
 
 
 def test_long_run_offers_rest_on_the_floor():

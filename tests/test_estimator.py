@@ -63,7 +63,8 @@ def test_classify_departure():
         sim.reputation[0] = rep
         neighbors = set(sim.topology.neighbors(0))
         sim.force_whitewash(0)
-        assert sim.topology._benign_gone == (dict.fromkeys(neighbors, 1) if legit else {}), rep
+        booked = oracles.books(sim.topology).benign_gone
+        assert booked == (dict.fromkeys(neighbors, 1) if legit else {}), rep
 
 
 # ---- whitewash level ----------------------------------------------------
@@ -213,7 +214,7 @@ def test_estimator_arrays_match_scalar_oracle():
         r_est = float(rng.uniform(0.1, 0.6))
         for _ in range(int(rng.integers(0, 3))):
             vid, _ = t.attach(2, rng)
-            est.prime(vid, r_est)
+            est.prime(vid, vid + 1, r_est)
             oracle[vid] = EstimatorState(vid, r_est, r_min, window)
             added += 1
         coef = float(rng.uniform(-0.02, 0.05))
@@ -297,7 +298,7 @@ def test_incremental_peak_is_the_row_max():
         for step in range(60):
             if step % 4 == 3:
                 r_est = grid[int(rng.integers(1, 4))]
-                est.prime(next_id, r_est)
+                est.prime(next_id, next_id + 1, r_est)
                 seen["primed mid-window"] += est._slot % window != 0
                 live.append(next_id)
                 next_id += 1

@@ -239,7 +239,9 @@ def test_neighbor_degree_snapshot_matches_recount():
     The churn sums of every snapshot equal the arrivals and benign
     departures of a test-side event log, summed over the current neighbors
     of the hosts still live, and after every event each booked host, live
-    or gone, is a marked node."""
+    or gone, is a marked node. Before a snapshot the books hold the whole
+    log, the counts at hosts removed since included; after it every counter
+    and mark is zero."""
     t = graph.generate_scale_free(30, 2, oracles.draws(5))
     t.neighbor_degree_array(t.next_id)  # clears the arrivals the build booked
     rng = np.random.default_rng(17)
@@ -287,7 +289,9 @@ def test_neighbor_degree_snapshot_matches_recount():
             if t.node_count < 8 and op in (remove_hub, remove_any, remove_host):
                 op = grow_batch
             op()
-            assert t._arrived.keys() | t._benign_gone.keys() <= t._touched, step
+            books = oracles.books(t)
+            assert books.arrived.keys() | books.benign_gone.keys() <= books.touched, step
+        assert (books.arrived, books.benign_gone) == (dict(arrived), dict(benign_gone)), step
         size = t.next_id + int(rng.integers(3))
         for j in arrived.keys() | benign_gone.keys():
             host_kinds["live" if j in t else "gone"] += 1
@@ -298,6 +302,8 @@ def test_neighbor_degree_snapshot_matches_recount():
         )
         before = after
         snap, gained, lost = t.neighbor_degree_array(size)
+        books = oracles.books(t)
+        assert (books.touched, books.arrived, books.benign_gone) == (set(), {}, {}), step
         capacities.add(len(t._nds))
         expected = np.zeros(size, dtype=np.int64)
         for v, nbrs in after.items():
