@@ -149,6 +149,10 @@ MAX_NODE_ITERATIONS = 10**9
 # Memory bound on one run: the estimator keeps window_n_prime float64 levels
 # per node, 80 MB at this bound, counted at the node count growth projects.
 MAX_WINDOW_CELLS = 10**7
+# Memory bound on one run's overlay: its edge ends (two per edge), each one
+# int64 in the neighbor slab and one in the attachment pool, 160 MB at this
+# bound, counted at the most the overlay can hold (`_edge_ends`).
+MAX_EDGE_ENDS = 10**7
 # Work bound on one game-report: the joint round assignments its exact
 # enumerations visit. kappa 7 (7.0M, about half a second) fits; kappa 8 does not.
 MAX_GAME_ASSIGNMENTS = 10**7
@@ -284,19 +288,52 @@ def _node_iterations(cfg: SimConfig, iterations: int) -> float:
     return cfg.n * (period * full + last - 1)
 
 
+def _log_growth(cfg: SimConfig, iterations: int) -> float:
+    """The logarithm of the factor by which every growth batch of
+    `iterations` steps multiplies the node count. Past MAX_NODE_ITERATIONS
+    growth periods `_check_work` rejects the run anyway, so the period
+    count is capped there to stay a float."""
+    periods = min(iterations // engine.GROWTH_PERIOD, MAX_NODE_ITERATIONS)
+    return periods * math.log1p(cfg.growth_percent_per_10 / 100)
+
+
 def _check_window(cfg: SimConfig, iterations: int) -> None:
     """Reject a run whose windows would pass MAX_WINDOW_CELLS: n x
     window_n_prime, grown by every growth batch of `iterations` steps
     (compared as logarithms, so no float can overflow). Whitewash rejoins
-    take fresh ids too, which this count leaves out. Past
-    MAX_NODE_ITERATIONS growth periods `_check_work` rejects the run anyway,
-    so the period count is capped there to stay a float."""
-    periods = min(iterations // engine.GROWTH_PERIOD, MAX_NODE_ITERATIONS)
-    growth = periods * math.log1p(cfg.growth_percent_per_10 / 100)
+    take fresh ids too, which this count leaves out."""
+    growth = _log_growth(cfg, iterations)
     if math.log(cfg.n * cfg.window_n_prime) + growth > math.log(MAX_WINDOW_CELLS):
         raise ValueError(
             f"window_n_prime: {cfg.n} nodes x {cfg.window_n_prime} levels, with growth, "
             f"is more than {MAX_WINDOW_CELLS:.0e} window cells"
+        )
+
+
+def _edge_ends(cfg: SimConfig, iterations: int) -> float:
+    """Edge ends (two per edge) the overlay of a run of `iterations` steps
+    can hold at most, with the node count growth projects. Every edge is
+    one node's own: a node that attaches, at growth or at a whitewash
+    rejoin, owns the edges it wires, attach_edges (or every other node,
+    when there are fewer), and so does each node of a scale-free build,
+    the seed clique's included. Only live nodes own edges, and rejoins and
+    departures never raise the live count. A regular build's n x degree
+    ends come on top. Past MAX_EDGE_ENDS growth factors it returns inf, so
+    no float can overflow; n must already be bounded (`_check_window`)."""
+    growth = _log_growth(cfg, iterations)
+    if growth > math.log(MAX_EDGE_ENDS):  # the grown live count alone passes it
+        return math.inf
+    most = cfg.n * math.exp(growth)
+    built = cfg.n * cfg.degree if cfg.topology == "regular" else 0
+    return built + 2 * min(cfg.attach_edges, most) * most
+
+
+def _check_edges(cfg: SimConfig, iterations: int) -> None:
+    ends = _edge_ends(cfg, iterations)
+    if ends > MAX_EDGE_ENDS:
+        raise ValueError(
+            f"edges: the overlay could hold {ends:.3g} edge ends (two per edge, with growth "
+            f"and rejoins), more than {MAX_EDGE_ENDS:.0e}"
         )
 
 
@@ -330,6 +367,7 @@ def _simulate_plan(grid, seeds, **sim) -> SimulatePlan:
     runs = [dataclasses.replace(base, **c) for c in cells] or [base]
     for cfg in runs:
         _check_window(cfg, cfg.iterations)
+        _check_edges(cfg, cfg.iterations)
     _check_work(len(seeds) * sum(_node_iterations(cfg, cfg.iterations) for cfg in runs))
     return SimulatePlan(base, cells, seeds)
 
@@ -337,6 +375,7 @@ def _simulate_plan(grid, seeds, **sim) -> SimulatePlan:
 def _estimator_check_plan(injected, **sim) -> EstimatorCheckPlan:
     base = SimConfig(**sim)
     _check_window(base, engine.GROWTH_PERIOD + 1)
+    _check_edges(base, engine.GROWTH_PERIOD + 1)
     _check_work(_node_iterations(base, engine.GROWTH_PERIOD + 1))
     # Each planted rejoin needs a potential whitewasher. The first
     # GROWTH_PERIOD steps hold at most n nodes and one growth batch, and

@@ -17,7 +17,6 @@ peak and recounts it only where the slot it overwrites held it.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
 
 import numpy as np
@@ -32,12 +31,19 @@ def legitimacy_threshold(r_ini_max: float, r_ini_min: float) -> float:
     return (r_ini_max + r_ini_min) / 2
 
 
-def offer_curve(ratio: float, r_max: float, r_min: float) -> float:
+def offer_curve(ratio, r_max: float, r_min: float):
     """The quadratic offer: r_max at ratio 0, falling to the r_min floor as
-    ratio reaches 1. The square is Python's float power (libm pow), not
-    x * x: the two differ in the last bit on about 0.1% of inputs, and
-    recorded outputs depend on which one is used."""
-    return max((1.0 - ratio) ** 2 * r_max, r_min)
+    ratio reaches 1. A float ratio gives a float offer, a 1-D array of
+    ratios the array of their offers. The square is Python's float power
+    (libm pow), taken one base at a time, not x * x or numpy's square: the
+    two differ in the last bit on about 0.1% of inputs, and recorded
+    outputs depend on which one is used. The floor is `max`'s rule, r_min
+    only where it is greater, so signed zeros come out as `max` gives them
+    (`np.maximum` returns its second operand on a tie)."""
+    bases = 1.0 - np.atleast_1d(ratio)
+    offers = np.array([b**2 for b in bases.tolist()]) * r_max
+    offers = np.where(r_min > offers, r_min, offers)
+    return offers if isinstance(ratio, np.ndarray) else float(offers[0])
 
 
 def _ordered_sum(values: np.ndarray) -> float:
@@ -92,8 +98,8 @@ class EstimatorArrays:
     `offers` is dense: after a sweep, nodes it left out offer the ceiling
     estimate, and a node added since offers the ceiling it was primed with.
     Outputs match a per-node loop bit for bit: the quadratic is applied
-    with `offer_curve` once per distinct ratio among the nodes with a
-    positive level, and the sums run in ascending-id order one element at
+    by one `offer_curve` call over the distinct ratios among the nodes with
+    a positive level, and the sums run in ascending-id order one element at
     a time.
     """
 
@@ -197,15 +203,16 @@ class EstimatorArrays:
         ratios = np.minimum(w_hot / peak[hot], 1.0)
         # The sorted distinct ratios, found by hand: np.unique would import
         # numpy.ma for its masked-array check, half a MiB of resident code.
+        # A binary search maps them back; where most ratios tie, as on a
+        # regular overlay, an argsort of the ratios costs more.
         distinct = np.sort(ratios)
         first = np.ones(len(distinct), dtype=bool)
         np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
         distinct = distinct[first]
-        curve = list(
-            map(offer_curve, distinct.tolist(), itertools.repeat(r_est), itertools.repeat(r_min))
-        )
         self.offers.fill(r_est)
-        self.offers[ids[hot]] = np.array(curve, dtype=float)[np.searchsorted(distinct, ratios)]
+        self.offers[ids[hot]] = offer_curve(distinct, r_est, r_min)[
+            np.searchsorted(distinct, ratios)
+        ]
 
         self._prev_ndsum = ndsum
         self._swept, self._swept_w = ids, w

@@ -6,7 +6,9 @@ indexed by node id only ever grows (`grown`). Every mutation is a node event
 or a whole build, each one pass over the edges it wires or unhooks:
 `Topology.attach` wires a new node to all its hosts, `remove_node` unhooks
 one from all its neighbors and `Topology.from_edges` builds a whole overlay
-(the scale-free seed clique and every regular overlay). Each leaves the
+from an edge array (the scale-free seed clique and every regular overlay).
+A regular overlay's edges come from the pairing model, one numpy pass per
+shuffle round over the stubs left (`generate_regular`). Each leaves the
 state that adding or removing the same edges one at a time would leave; the
 per-edge reference model lives with the tests. Node events also book the
 churn the estimator reads: `attach` one arrival at each host, and a benign
@@ -34,7 +36,6 @@ Readers outside go through `neighbors`, `degree_of`, `live_ids` and `in`.
 
 from __future__ import annotations
 
-import itertools
 from array import array
 
 import numpy as np
@@ -298,10 +299,11 @@ class Topology:
     @classmethod
     def from_edges(cls, n: int, edges) -> Topology:
         """Nodes 0..n-1 wired by `edges`, distinct (u, v) pairs without
-        self-loops. Same end state as adding `n` nodes and then the edge
-        (u, v) for each pair in order."""
+        self-loops, as an (m, 2) array or a sequence of pairs. Same end
+        state as adding `n` nodes and then the edge (u, v) for each pair in
+        order."""
         t = cls()
-        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         ends = pairs.ravel()  # u0, v0, u1, v1, ...: the pool's order
         degree = np.bincount(ends, minlength=n)
         by_row = np.argsort(ends, kind="stable")
@@ -330,49 +332,65 @@ def generate_scale_free(n: int, attach_edges: int, rng: Draws) -> Topology:
     if n <= attach_edges:
         raise InvalidParameterError("need n > attach_edges")
     k = attach_edges + 1
-    t = Topology.from_edges(k, itertools.combinations(range(k), 2))
+    # The clique's pairs in itertools.combinations order.
+    t = Topology.from_edges(k, np.column_stack(np.triu_indices(k, 1)))
     for _ in range(n - k):
         t.attach(attach_edges, rng)
     return t
 
 
-def _try_pairing(n: int, degree: int, rng: Draws):
+def _try_pairing(n: int, degree: int, rng: Draws) -> np.ndarray | None:
+    """One attempt of the pairing model: its edges as an (m, 2) array of
+    (lo, hi) rows in ascending order, or None if a round accepts nothing.
+
+    Each round shuffles the stubs and pairs them off in order, pair i being
+    stubs 2i and 2i + 1. A pair is rejected if it is a self-loop or its edge
+    is already taken, in an earlier round or by an earlier pair of this
+    one; the rejected pairs' stubs, in pair order, are the next round's.
+    An edge's key is lo * n + hi, below n * n, which `generate_regular`
+    keeps inside int64."""
     stubs = np.repeat(np.arange(n), degree)
-    edges: set[tuple[int, int]] = set()
+    taken = np.zeros(0, dtype=np.int64)  # the accepted keys, ascending
     while len(stubs):
         rng.shuffle(stubs)
-        leftover = []
-        progress = False
-        for i in range(0, len(stubs) - 1, 2):
-            u, v = int(stubs[i]), int(stubs[i + 1])
-            if u == v:
-                leftover += [u, v]
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in edges:
-                leftover += [u, v]
-                continue
-            edges.add(key)
-            progress = True
-        if not progress:
+        pairs = stubs.reshape(-1, 2)
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        keys = lo * n + hi
+        # Stable, so the first pair of each key leads its run of equals.
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        ok = (lo != hi)[order]
+        ok[1:] &= sorted_keys[1:] != sorted_keys[:-1]
+        at = np.searchsorted(taken, sorted_keys)
+        if len(taken):
+            ok &= taken[np.minimum(at, len(taken) - 1)] != sorted_keys
+        if not ok.any():
             return None
-        stubs = np.array(leftover, dtype=np.int64)
-    return edges
+        taken = np.insert(taken, at[ok], sorted_keys[ok])
+        rejected = np.ones(len(pairs), dtype=bool)
+        rejected[order[ok]] = False
+        stubs = pairs[rejected].ravel()
+    return np.column_stack(np.divmod(taken, n))
 
 
 def generate_regular(n: int, degree: int, rng: Draws) -> Topology:
-    """Random regular graph via the pairing model, rejecting self-loops and
-    multi-edges, with a bounded number of restarts."""
+    """Random regular graph via the pairing model (Bollobás 1980), rejecting
+    self-loops and multi-edges, with a bounded number of restarts: each
+    shuffle round is one numpy pass over its stubs (see `_try_pairing`)."""
     if n < 1 or degree < 1:
         raise InvalidParameterError("need n >= 1 and degree >= 1")
     if degree >= n:
         raise InfeasibleParametersError("degree must be < n for a simple graph")
     if (n * degree) % 2 != 0:
         raise InfeasibleParametersError("n * degree must be even")
+    if n * n > np.iinfo(np.int64).max:
+        # Edge keys lo * n + hi would overflow; the stubs alone would need
+        # more than 24 GB.
+        raise InfeasibleParametersError("n must be below 3,037,000,500 for int64 edge keys")
     for _ in range(_PAIRING_RETRY_CAP):
         edges = _try_pairing(n, degree, rng)
         if edges is not None:
-            return Topology.from_edges(n, sorted(edges))
+            return Topology.from_edges(n, edges)
     raise InfeasibleParametersError(
         f"pairing model failed {_PAIRING_RETRY_CAP} times for n={n}, degree={degree}"
     )

@@ -11,17 +11,20 @@ and the crossover search (`crossover_round`) are kept here as the scalar
 loops and the block scan that the shipped array kernels and affine solve
 must match bit for bit.
 
+`pairing_attempt` is the pairing model one stub pair at a time, the
+reference for the shuffle rounds of `graph.generate_regular`.
+
 `RefTopology` is the reference model of `graph.Topology`: plain neighbor
 sets per node, changed one node or edge at a time (`add_node`, `add_edge`,
 `remove_edge`), with its own attachment pool, stale count and sampler. Its
-node events (`attach`, `remove_node`) and builds (`by_edges`, `scale_free`)
-replay the topology's one-pass events edge by edge, and must reach the same
-end state, the booked churn included. Its `snapshot` recounts from the sets
-what `Topology.neighbor_degree_array` keeps up to date. `adjacency`,
-`neighbor_degree_sum` and `churn_sums` read either model through the
-read API they share (`neighbors`, `degree_of`, `live_ids`, `in`). `books`
-reads the pool and the churn books of either model in the reference's
-form: the topology keeps them as per-id arrays.
+node events (`attach`, `remove_node`) and builds (`by_edges`, `scale_free`,
+`regular`) replay the topology's one-pass events edge by edge, and must
+reach the same end state, the booked churn included. Its `snapshot`
+recounts from the sets what `Topology.neighbor_degree_array` keeps up to
+date. `adjacency`, `neighbor_degree_sum` and `churn_sums` read either
+model through the read API they share (`neighbors`, `degree_of`,
+`live_ids`, `in`). `books` reads the pool and the churn books of either
+model in the reference's form: the topology keeps them as per-id arrays.
 
 `grow_one_at_a_time` is a growth batch registered one arrival at a time,
 the reference for the engine's registration of the whole batch in one write.
@@ -50,7 +53,14 @@ from p2psim.agents import Role
 from p2psim.engine import _ID_ROWS, NEWCOMER_MIN_TENURE, IterationRecord, Simulation
 from p2psim.estimator import offer_curve
 from p2psim.game import GameSpec, MixedProfile
-from p2psim.graph import InvalidParameterError, NodeId, UnknownNodeError, grown
+from p2psim.graph import (
+    _PAIRING_RETRY_CAP,
+    InfeasibleParametersError,
+    InvalidParameterError,
+    NodeId,
+    UnknownNodeError,
+    grown,
+)
 from p2psim.payoff import (
     DEFAULT_CROSSOVER_CAP,
     CrossoverCapExceeded,
@@ -164,6 +174,37 @@ def draws(seed: int) -> Draws:
     return Draws(np.random.default_rng(seed))
 
 
+def pairing_attempt(n: int, degree: int, rng) -> tuple[list[tuple[int, int]] | None, int]:
+    """One attempt of the pairing model, one stub pair at a time: the
+    reference for `graph._try_pairing`. Each round shuffles the stubs and
+    walks the pairs in order; a self-loop or an edge already taken goes back
+    as u, v into the next round's stubs. Returns the edges sorted, or None
+    if a round accepted nothing, and the number of rounds."""
+    stubs = np.repeat(np.arange(n), degree)
+    edges: set[tuple[int, int]] = set()
+    rounds = 0
+    while len(stubs):
+        rounds += 1
+        rng.shuffle(stubs)
+        leftover = []
+        progress = False
+        for i in range(0, len(stubs) - 1, 2):
+            u, v = int(stubs[i]), int(stubs[i + 1])
+            if u == v:
+                leftover += [u, v]
+                continue
+            key = (u, v) if u < v else (v, u)
+            if key in edges:
+                leftover += [u, v]
+                continue
+            edges.add(key)
+            progress = True
+        if not progress:
+            return None, rounds
+        stubs = np.array(leftover, dtype=np.int64)
+    return sorted(edges), rounds
+
+
 class RefTopology:
     """Dict-of-sets reference model of `graph.Topology`. The pool, its
     copies and stale count, the isolated count, the marked nodes and the
@@ -194,6 +235,16 @@ class RefTopology:
         for u, v in edges:
             t.add_edge(u, v)
         return t
+
+    @classmethod
+    def regular(cls, n: int, degree: int, rng) -> RefTopology:
+        """`graph.generate_regular`: `pairing_attempt` until one succeeds,
+        at most `graph._PAIRING_RETRY_CAP` times, then `by_edges`."""
+        for _ in range(_PAIRING_RETRY_CAP):
+            edges, _ = pairing_attempt(n, degree, rng)
+            if edges is not None:
+                return cls.by_edges(n, edges)
+        raise InfeasibleParametersError(f"pairing failed for n={n}, degree={degree}")
 
     @classmethod
     def scale_free(cls, n: int, attach_edges: int, rng) -> RefTopology:

@@ -267,6 +267,13 @@ BAD_CONFIGS = [
         ("estimator-check", '{"n": 100, "injected": 45, "iterations": 0}'),
         ("estimator-check", '{"n": 10, "attach_edges": 1, "injected": 3, '
                             '"r_ini_max0": 0, "r_ini_min": 0}'),
+        # Overlays of 5 x 10^9 edges that every other bound admits: a
+        # near-complete regular one, and a scale-free seed clique.
+        ("simulate", '{"topology": "regular", "n": 100000, "degree": 99998, "iterations": 1}'),
+        ("simulate", '{"n": 1000000, "attach_edges": 100000}'),
+        ("simulate", '{"grid": [{}, {"n": 1000000, "attach_edges": 100000}], "iterations": 1}'),
+        ("estimator-check", '{"topology": "regular", "n": 100000, "degree": 99998}'),
+        ("estimator-check", '{"n": 1000000, "attach_edges": 100000}'),
         ("simulate", '{"seed": 1e30}'),
         ("simulate", '{"seed": 9007199254740993.0}'),
         ("payoff-sweep", '{"cap": 1e30}'),
@@ -398,6 +405,59 @@ def test_window_budget_counts_growth_and_every_run(tmp_path):
     cli.parse_config(
         write_config(tmp_path, {"n": 10**6, "growth_percent_per_10": 1, "iterations": 9})
     )
+
+
+def test_edge_bound_counts_growth_and_rejoins(tmp_path):
+    # Parsed only: were the bound to slip, the CLI would go on to run these.
+    # A regular overlay's n x degree ends, plus attach_edges ends per node
+    # for the rejoins, fit exactly at the bound.
+    regular = {"topology": "regular", "n": 10**6, "degree": 4, "iterations": 1}
+    assert 10**6 * (4 + 2 * SimConfig().attach_edges) == cli.MAX_EDGE_ENDS
+    cli.parse_config(write_config(tmp_path, regular))
+    # Growth counts: 10^5 nodes of 20 edges each reach 9.3 x 10^6 ends after
+    # eleven 8% batches and 1.007 x 10^7 after twelve.
+    growing = {"n": 10**5, "attach_edges": 20, "growth_percent_per_10": 8}
+    cli.parse_config(write_config(tmp_path, dict(growing, iterations=119)))
+    for command, config in [
+        ("simulate", dict(regular, degree=6)),
+        ("simulate", dict(regular, attach_edges=4)),
+        ("simulate", dict(growing, iterations=120)),
+        ("simulate", {"grid": {"degree": [2, 6]}, **regular}),
+        ("estimator-check", dict(regular, degree=6)),
+    ]:
+        with pytest.raises(ConfigError, match="edges: the overlay could hold"):
+            cli.parse_config(write_config(tmp_path, config), command)
+
+
+def test_edge_bound_holds_over_runs():
+    # The most edge ends a run can hold, against the most it holds after any
+    # step. Rejoins that wire far more edges than a regular overlay's degree
+    # take the second overlay from 800 ends to about 92,000. A scale-free
+    # run without rejoins or departures, where every node owns exactly
+    # attach_edges edges, nearly reaches the bound: the projected node count
+    # leaves out each growth batch's rounding, which the clique's overcount
+    # covers.
+    for rejoins, kwargs in [
+        (True, {"n": 50, "iterations": 30}),
+        (True, {"topology": "regular", "n": 400, "degree": 2, "attach_edges": 300,
+                "iterations": 30}),
+        (True, {"topology": "regular", "n": 300, "degree": 4, "attach_edges": 5,
+                "growth_percent_per_10": 5.0, "legit_departure_prob": 0.01, "iterations": 50}),
+        (True, {"n": 200, "attach_edges": 2, "growth_percent_per_10": 8.0, "iterations": 60}),
+        (False, {"n": 200, "attach_edges": 2, "growth_percent_per_10": 8.0, "iterations": 60}),
+    ]:
+        cfg = SimConfig(**kwargs)
+        sim = engine.Simulation(cfg)
+        sim.auto_whitewash = rejoins
+        most = 0
+        for _ in range(cfg.iterations):
+            sim.step()
+            most = max(most, 2 * sim.topology.edge_count)
+        bound = cli._edge_ends(cfg, cfg.iterations)
+        assert most <= bound, kwargs
+        if kwargs.get("degree") == 2:
+            assert most > 100 * cfg.n * cfg.degree
+    assert most > 0.99 * bound
 
 
 def test_infeasible_overlays_name_the_generator_rule():

@@ -169,6 +169,22 @@ def test_offer_curve_squares_with_float_power():
     assert base * base != base**2
     assert estimator.offer_curve(ratio, 1.0, 0.0) == base**2
     assert estimator.offer_curve(1.0, 0.5, 0.03) == 0.03
+    # A float gives a float (numpy 2 prints np.float64 differently), an
+    # array the array of the same offers.
+    assert type(estimator.offer_curve(ratio, 1.0, 0.0)) is float
+    offers = estimator.offer_curve(np.array([ratio, 1.0]), 1.0, 0.03)
+    assert offers.tolist() == [base**2, 0.03]
+
+
+def plain_curve(ratio: float, r_max: float, r_min: float) -> float:
+    """The quadratic offer as one scalar Python expression: the reference
+    for both forms of `offer_curve`."""
+    return max((1.0 - ratio) ** 2 * r_max, r_min)
+
+
+def float_bits(values) -> bytes:
+    """The float64 bytes of `values`, which tell signed zeros apart."""
+    return np.asarray(values, dtype=np.float64).tobytes()
 
 
 # ---- array sweep against the scalar oracle --------------------------------
@@ -276,6 +292,45 @@ def test_shared_ratios_get_the_offer_curve_of_each_node():
     for v, offer in enumerate(expected):
         assert est.offers[v] == offer, (v, levels[v])
     assert offer_sum == sum(expected)
+
+
+def test_sweep_offers_are_the_scalar_curve_bit_for_bit():
+    # Levels drawn from a few values, so that hundreds of nodes share each
+    # ratio; the values mix bases where x * x and x ** 2 round apart, ratio
+    # 1.0 (a zero square, which meets an r_min of 0.0 or -0.0 in a tie that
+    # max settles for its first operand) and arbitrary ratios. Each node's
+    # offer, and offer_curve of each value as a float, must be the scalar
+    # curve of its ratio to the bit. As in the test above, each node's
+    # ratio is its level.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rng = np.random.default_rng(5)
+    tricky = [
+        r for r in rng.uniform(0.0, 1.0, 20_000).tolist() if (1 - r) * (1 - r) != (1 - r) ** 2
+    ]
+    assert len(tricky) > 5
+    ratios = st.sampled_from([1.0, 0.0] + tricky) | st.floats(0.0, 1.0)
+    bounds = st.sampled_from([0.0, -0.0, 0.03, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+    @hypothesis.settings(deadline=None, database=None)
+    @hypothesis.given(
+        values=st.lists(ratios, min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 5), min_size=1, max_size=400),
+        r_est=bounds,
+        r_min=bounds,
+    )
+    def check(values, picks, r_est, r_min):
+        levels = np.array([values[i % len(values)] for i in picks])
+        size = len(levels)
+        est = EstimatorArrays(2, np.arange(size), 1.0, np.ones(size, dtype=np.int64))
+        est.sweep(np.ones(size, dtype=np.int64), levels, np.zeros(size), 0.0, r_est, r_min)
+        want = [plain_curve(w, r_est, r_min) if w > 0 else r_est for w in levels.tolist()]
+        assert float_bits(est.offers) == float_bits(want)
+        for w in values:
+            got = estimator.offer_curve(w, r_est, r_min)
+            assert type(got) is float and float_bits(got) == float_bits(plain_curve(w, r_est, r_min))
+
+    check()
 
 
 def test_incremental_peak_is_the_row_max():

@@ -48,9 +48,10 @@ def build_pair(kind: str, n: int, param: int, seed: int):
             graph.generate_scale_free(n, param, oracles.draws(seed)),
             oracles.RefTopology.scale_free(n, param, oracles.draws(seed)),
         )
-    t = graph.generate_regular(n, param, oracles.draws(seed))
-    edges = sorted((u, v) for u, nbrs in oracles.adjacency(t).items() for v in nbrs if u < v)
-    return t, oracles.RefTopology.by_edges(n, edges)
+    return (
+        graph.generate_regular(n, param, oracles.draws(seed)),
+        oracles.RefTopology.regular(n, param, oracles.draws(seed)),
+    )
 
 
 def run_against_reference(kind: str, n: int, param: int, seed: int, ops) -> collections.Counter:
