@@ -30,8 +30,12 @@ of past whitewashers has nothing left to gain and goes quiet.
 Whether a leaver looks legitimate is one comparison against
 `estimator.legitimacy_threshold`, for a whitewasher and for a voluntary
 departure alike, and one helper removes a leaver with `graph.remove_node`,
-benign when it looked legitimate. Whitewash rejoins and growth arrivals
-enter through `Topology.attach`. The topology books the churn of both node
+benign when it looked legitimate. A whitewash rejoin enters through
+`Topology.attach`, one at a time, as a later whitewasher of the same wave
+may be one of its hosts. A growth batch enters through
+`Topology.attach_batch`, which makes each arrival's draws in order, with
+the newcomer's honesty draw after its attachment draws, and wires the
+batch's rows once at its end. The topology books the churn of both node
 events: one arrival at each host, and one benign departure at each
 neighbor of a benign leaver.
 
@@ -437,18 +441,19 @@ class Simulation:
         t, rng = self.topology, self.rng
         count = round(t.node_count * self.cfg.growth_percent_per_10 / 100)
         first = t.next_id
-        hosts, honesty = [], []
-        for _ in range(count):
-            hosts.append(t.attach(self.cfg.attach_edges, rng)[1][0])
-            honesty.append(rng.random())
+        honesty = []
+        hosts, counts = t.attach_batch(
+            count, self.cfg.attach_edges, rng, lambda: honesty.append(rng.random())
+        )
         honesty = np.array(honesty)
+        first_hosts = hosts[np.cumsum(counts) - counts]
         washer = honesty < self.r_est
         role = np.where(washer, Role.POTENTIAL_WHITEWASHER.value, Role.COOPERATIVE.value)
         ids = slice(first, t.next_id)
         self._register_newcomers(ids, role, honesty, 0, 0)
         # The first host a newcomer contacts vouches for it: its offer, the
         # prime for a host of the same batch, is the newcomer's grant.
-        self.reputation[ids] = self.grant[ids] = self._est.offers[hosts]
+        self.reputation[ids] = self.grant[ids] = self._est.offers[first_hosts]
 
     # ---- public API ---------------------------------------------------
 

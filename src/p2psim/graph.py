@@ -4,32 +4,44 @@ Node ids are monotonically increasing and never reused, so identity churn
 (a node leaving and rejoining) is visible in the id space, and an array
 indexed by node id only ever grows (`grown`). Every mutation is a node event
 or a whole build, each one pass over the edges it wires or unhooks:
-`Topology.attach` wires a new node to all its hosts, `remove_node` unhooks
-one from all its neighbors and `Topology.from_edges` builds a whole overlay
-from an edge array (the scale-free seed clique and every regular overlay).
-A regular overlay's edges come from the pairing model, one numpy pass per
-shuffle round over the stubs left (`generate_regular`). Each leaves the
-state that adding or removing the same edges one at a time would leave; the
-per-edge reference model lives with the tests. Node events also book the
-churn the estimator reads: `attach` one arrival at each host, and a benign
-`remove_node` one departure at each neighbor.
+`Topology.attach` wires a new node to all its hosts, `Topology.attach_batch`
+a batch of them, `remove_node` unhooks one from all its neighbors and
+`Topology.from_edges` builds a whole overlay from an edge array (the
+scale-free seed clique and every regular overlay). A regular overlay's
+edges come from the pairing model, one numpy pass per shuffle round over
+the stubs left (`generate_regular`); a scale-free one grows from its clique
+as one batch (`generate_scale_free`). Each leaves the state that adding or
+removing the same edges one at a time would leave; the per-edge reference
+model lives with the tests. Node events also book the churn the estimator
+reads: an arrival one at each host, and a benign `remove_node` one
+departure at each neighbor.
+
+An arrival is two parts. The sampler reads only the degrees, the pool and
+its copies and the node counts, so those are written per arrival, in draw
+order (`Topology._join`). The rows and the books it never reads: `attach`
+wires them per host right away, and `attach_batch` once for the whole
+batch in one numpy pass (`Topology._wire`).
 
 Every node's neighbors are one row of a flat slab, an `array('q')`. Arrays
 indexed by node id beside it hold each row's start, fill and capacity, the
 node's exact degree (0 once it is removed) and a live mask. `attach`
 appends to each host's row; a full row moves to the end of the slab at
-double capacity. `remove_node` only lowers its live neighbors' degrees and
-clears its live bit, so its id stays in their rows as a tombstone. The
-books are per-id arrays too: the arrivals and the benign departures booked
-at each host (two `array('q')` counters), and a `bytearray` marking each
-node whose neighbors changed, every booked host and every neighbor of a
-removed node among them. Once per sweep one vectorized gather over the
-marked nodes' rows drops the tombstones, compacts the rows in place, brings
-the dense neighbor-degree snapshot up to date, sums the booked churn over
-each node's neighbors and zeroes the counters and marks at the marked ids
-(see `Topology.neighbor_degree_array`). Each rebuild of the attachment
-pool, an `array('q')`, also rewrites the whole slab without dead rows,
-tombstones or spare room. The numpy views of these arrays live only inside
+double capacity. A batch appends to a row with room in place and moves a
+full one once, at twice the capacity it needs. `remove_node` only lowers
+its live neighbors' degrees and clears its live bit, so its id stays in
+their rows as a tombstone. The books are per-id arrays too: the arrivals
+and the benign departures booked at each host (two `array('q')` counters),
+and a `bytearray` marking each node whose neighbors changed, every booked
+host and every neighbor of a removed node among them. Once per sweep one
+vectorized gather over the marked nodes' rows drops the tombstones,
+compacts the rows in place, brings the dense neighbor-degree snapshot up to
+date, sums the booked churn over each node's neighbors and zeroes the
+counters and marks at the marked ids (see
+`Topology.neighbor_degree_array`). Each rebuild of the attachment pool, an
+`array('q')`, also rewrites the whole slab without dead rows, tombstones or
+spare room. The pool is built from the degrees and each row from its live
+entries, as a rebuild inside a batch finds rows that lag their degrees and
+new ids with no row yet. The numpy views of these arrays live only inside
 one call: an `array` or a `bytearray` that exports its buffer cannot grow.
 Readers outside go through `neighbors`, `degree_of`, `live_ids` and `in`.
 """
@@ -37,6 +49,7 @@ Readers outside go through `neighbors`, `degree_of`, `live_ids` and `in`.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Callable
 
 import numpy as np
 
@@ -141,12 +154,14 @@ class Topology:
         return [u for u in self._slab[s : s + self._fill[v]] if live[u]]
 
     def _live_rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of the live nodes `ids` concatenated, tombstones dropped,
-        and each node's degree, the length of its part."""
+        """The rows of the wired nodes `ids` concatenated, tombstones
+        dropped, and a mask over the rows' entries, False at each
+        tombstone."""
         entries = _int64(self._slab)[
             _row_positions(_int64(self._start)[ids], _int64(self._fill)[ids])
         ]
-        return entries[np.frombuffer(self._live, bool)[entries]], _int64(self._degree)[ids]
+        keep = np.frombuffer(self._live, bool)[entries]
+        return entries[keep], keep
 
     def neighbor_degree_array(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ndsum, gained, lost), each indexed by node id and `size` long;
@@ -176,11 +191,11 @@ class Topology:
         touched = np.flatnonzero(marks)
         alive = np.frombuffer(self._live, bool)[touched]
         ids, gone = touched[alive], touched[~alive]
-        nbrs, live_degs = self._live_rows(ids)
-        fill = _int64(self._fill)
-        if len(nbrs) < fill[ids].sum():  # tombstones to drop: compact the rows in place
+        nbrs, keep = self._live_rows(ids)
+        live_degs = _int64(self._degree)[ids]
+        if len(nbrs) < len(keep):  # tombstones to drop: compact the rows in place
             _int64(self._slab)[_row_positions(_int64(self._start)[ids], live_degs)] = nbrs
-            fill[ids] = live_degs
+            _int64(self._fill)[ids] = live_degs
         # A removed node's neighbors all lost an edge to it, so every node
         # it reached is counted again below: only live nodes hand out.
         np.add.at(nds, nbrs, np.repeat(live_degs - deg[ids], live_degs))
@@ -203,20 +218,55 @@ class Topology:
 
     def _rebuild_pool(self) -> None:
         """One pool entry per degree unit, ascending ids, and the slab
-        rewritten as the live rows back to back, each at capacity equal to
-        its degree."""
+        rewritten as the wired live rows back to back, each at capacity
+        equal to its live entry count. Inside a growth batch a row may lag
+        its degree until the batch is wired, and the batch's new ids have
+        no row yet (see `attach_batch`), so the layout follows the rows
+        and the pool follows the degrees."""
         ids = self.live_ids()
-        nbrs, degs = self._live_rows(ids)
-        start, fill = np.zeros(self.next_id, np.int64), np.zeros(self.next_id, np.int64)
-        start[ids] = np.cumsum(degs) - degs
-        fill[ids] = degs
+        wired = len(self._fill)
+        rows = ids[: np.searchsorted(ids, wired)]
+        nbrs, keep = self._live_rows(rows)
+        # Each row's live entries: its fill less the tombstones in it, each
+        # of which lies in the first row that ends past it.
+        lengths = _int64(self._fill)[rows]
+        tombstone_rows = np.searchsorted(np.cumsum(lengths), np.flatnonzero(~keep), side="right")
+        lengths -= np.bincount(tombstone_rows, minlength=len(rows))
+        start, fill = np.zeros(wired, np.int64), np.zeros(wired, np.int64)
+        start[rows] = np.cumsum(lengths) - lengths
+        fill[rows] = lengths
         self._slab = array("q", nbrs.tobytes())
         self._start = array("q", start.tobytes())
         self._fill = array("q", fill.tobytes())
         self._cap = self._fill[:]
-        self._pool = array("q", np.repeat(ids, degs).tobytes())
+        self._pool = array("q", np.repeat(ids, _int64(self._degree)[ids]).tobytes())
         self._pool_copies = self._degree[:]
         self._pool_stale = 0
+
+    def _join(self, targets: list[NodeId]) -> NodeId:
+        """Issue a new id joined to `targets` as far as the sampler sees:
+        the counters, its live bit, the degrees and pool copies of both
+        ends and the pool entries (v, u) per host in order. The rows and
+        the books are the caller's to wire."""
+        v = self.next_id
+        self.next_id = v + 1
+        self.node_count += 1
+        k = len(targets)
+        degree, copies, pool = self._degree, self._pool_copies, self._pool
+        self._live.append(1)
+        degree.append(k)
+        copies.append(k)
+        isolated = 0 if targets else 1  # v, until its first edge
+        for u in targets:
+            d = degree[u]
+            isolated -= not d
+            degree[u] = d + 1
+            copies[u] += 1
+            pool.append(v)
+            pool.append(u)
+        self.isolated_count += isolated
+        self.edge_count += k
+        return v
 
     def attach(self, count: int, rng: Draws) -> tuple[NodeId, list[NodeId]]:
         """Add a node wired to `count` distinct hosts drawn by degree, and
@@ -224,26 +274,18 @@ class Topology:
         draw order. Same end state as adding the node and then the edge
         (v, u) for each host in draw order."""
         targets = self.sample_attachment_targets(count, rng)
-        v = self.next_id
-        self.next_id += 1
-        self.node_count += 1
+        v = self._join(targets)
         k = len(targets)
-        slab, start, fill, cap, degree = self._slab, self._start, self._fill, self._cap, self._degree
-        copies, arrived, touched = self._pool_copies, self._arrived, self._touched
-        to_pool = self._pool.append
+        slab, start, fill, cap = self._slab, self._start, self._fill, self._cap
+        arrived, touched = self._arrived, self._touched
         start.append(len(slab))
-        for a in (fill, cap, degree, copies):
-            a.append(k)
+        fill.append(k)
+        cap.append(k)
         arrived.append(0)
         self._benign_gone.append(0)
-        self._live.append(1)
         touched.append(k > 0)
         slab.extend(targets)
-        isolated = 0 if targets else 1  # v, until its first edge
         for u in targets:
-            d = degree[u]
-            isolated -= not d
-            degree[u] = d + 1
             f = fill[u]
             if f == cap[u]:
                 # A full row moves to the end of the slab at double capacity.
@@ -254,14 +296,66 @@ class Topology:
                 slab.frombytes(bytes(8 * (cap[u] - f)))
             slab[start[u] + f] = v
             fill[u] = f + 1
-            to_pool(v)
-            to_pool(u)
-            copies[u] += 1
             arrived[u] += 1
             touched[u] = 1
-        self.isolated_count += isolated
-        self.edge_count += k
         return v, targets
+
+    def attach_batch(
+        self, count: int, k: int, rng: Draws, then: Callable[[], object] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """`count` calls of `attach(k, rng)`, calling `then()` after each
+        arrival's draws if it is given, with the same end state. The
+        arrivals take the ids from `next_id` on. Returns every arrival's
+        hosts in draw order, concatenated, and how many hosts each has.
+        The draws and the writes the sampler reads are made per arrival, in
+        order (`_join`); the rows and the books, which it never reads, are
+        wired once for the whole batch (`_wire`)."""
+        first = self.next_id
+        hosts, counts = array("q"), array("q")
+        for _ in range(count):
+            targets = self.sample_attachment_targets(k, rng)
+            self._join(targets)
+            hosts.extend(targets)
+            counts.append(len(targets))
+            if then is not None:
+                then()
+        hosts, counts = np.frombuffer(hosts, np.int64), np.frombuffer(counts, np.int64)
+        self._wire(first, hosts, counts)
+        return hosts, counts
+
+    def _wire(self, first: NodeId, u: np.ndarray, counts: np.ndarray) -> None:
+        """Wire the rows and the books of the ids from `first` on, which
+        `_join` joined to the hosts `u`, `counts[i]` of them for id
+        first + i: a row per new id, every host row's appends, one arrival
+        booked per edge at its host and a mark on every row that changed.
+        A row with room takes its entries in place; a full one moves once
+        to the end of the slab, an old row at twice the capacity it needs
+        and a new one at exactly that."""
+        n = len(counts)
+        v = np.repeat(np.arange(first, first + n), counts)
+        for a in (self._start, self._fill, self._cap, self._arrived, self._benign_gone):
+            a.frombytes(bytes(8 * n))
+        self._touched += bytes(n)
+        # Each edge is an entry in both rows; group the entries by row.
+        rows = np.concatenate((v, u))
+        order = np.argsort(rows, kind="stable")
+        rows, entries = rows[order], np.concatenate((u, v))[order]
+        ids, at, added = np.unique(rows, return_index=True, return_counts=True)
+        start, fill, cap = _int64(self._start), _int64(self._fill), _int64(self._cap)
+        old = fill[ids]
+        need = old + added
+        full = need > cap[ids]
+        movers, size = ids[full], need[full] * np.where(ids[full] < first, 2, 1)
+        dest = len(self._slab) + np.cumsum(size) - size
+        self._slab.frombytes(bytes(8 * int(size.sum())))
+        slab = _int64(self._slab)
+        slab[_row_positions(dest, old[full])] = slab[_row_positions(start[movers], old[full])]
+        start[movers], cap[movers] = dest, size
+        slab[np.repeat(start[ids] + old - at, added) + np.arange(len(rows))] = entries
+        fill[ids] = need
+        arrived = _int64(self._arrived)
+        arrived += np.bincount(u, minlength=len(arrived))
+        np.frombuffer(self._touched, bool)[ids] = True
 
     def sample_attachment_targets(self, count: int, rng: Draws) -> list[NodeId]:
         """Sample `count` distinct existing nodes with probability proportional
@@ -334,8 +428,7 @@ def generate_scale_free(n: int, attach_edges: int, rng: Draws) -> Topology:
     k = attach_edges + 1
     # The clique's pairs in itertools.combinations order.
     t = Topology.from_edges(k, np.column_stack(np.triu_indices(k, 1)))
-    for _ in range(n - k):
-        t.attach(attach_edges, rng)
+    t.attach_batch(n - k, attach_edges, rng)
     return t
 
 

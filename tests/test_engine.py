@@ -480,8 +480,9 @@ def test_records_follow_the_person_and_role_code_holds_role_and_liveness():
 
 
 def test_arrivals_book_one_count_per_host():
-    # A rejoin and a growth arrival attach the same way: attach_edges hosts
-    # drawn by degree, one arrival booked at each.
+    # A rejoin (`attach`) and a growth arrival (`attach_batch`) attach the
+    # same way: attach_edges hosts drawn by degree, one arrival booked at
+    # each. The growth batch's first hosts are logged where it is wired.
     sim = Simulation(SimConfig(n=100, iterations=0, growth_percent_per_10=3.0, seed=4))
     sim.auto_whitewash = False
     log = oracles.JoinLog(sim)
@@ -489,14 +490,15 @@ def test_arrivals_book_one_count_per_host():
         log.step()
     first_host = {}
     t = sim.topology
-    attach = t.attach
+    attach_batch = t.attach_batch
 
-    def logged(count, rng):
-        vid, targets = attach(count, rng)
-        first_host[vid] = targets[0]
-        return vid, targets
+    def logged(count, k, rng, then=None):
+        first = t.next_id
+        hosts, counts = attach_batch(count, k, rng, then)
+        first_host.update(enumerate(hosts[np.cumsum(counts) - counts].tolist(), first))
+        return hosts, counts
 
-    t.attach = logged
+    t.attach_batch = logged
     new_id = log.force_whitewash(live_with_role(sim, Role.POTENTIAL_WHITEWASHER)[0])
     assert t.degree_of(new_id) == 3
     assert oracles.books(t).arrived == dict.fromkeys(t.neighbors(new_id), 1)

@@ -1,7 +1,8 @@
 """The neighbor slab of `graph.Topology` against the dict-of-sets reference
-model (`oracles.RefTopology`): random sequences of node events and snapshots
-on both generators, with the slab's own invariants checked after every
-event. `--hypothesis-profile=ci` (see conftest.py) runs more examples."""
+model (`oracles.RefTopology`): random sequences of node events, growth
+batches and snapshots on both generators, with the slab's own invariants
+checked after every event. `--hypothesis-profile=ci` (see conftest.py)
+runs more examples."""
 
 from __future__ import annotations
 
@@ -54,18 +55,59 @@ def build_pair(kind: str, n: int, param: int, seed: int):
     )
 
 
+def grow_both(t: graph.Topology, ref: oracles.RefTopology, count: int, k: int, rng_t, rng_ref,
+              rebuild_at: int | None, covered: collections.Counter) -> None:
+    """One growth batch of `count` arrivals with `k` hosts each: through
+    `attach_batch` on the slab, one `attach` at a time on the reference,
+    with one `random()` after each arrival standing in for the honesty
+    draw. If `rebuild_at` is set, both models rebuild their pools right
+    after that arrival, while the batch is still unwired on the slab:
+    growth removes nothing, so the sampler's own rebuild can only fire at a
+    batch's first arrival, before anything is pending."""
+    first, starts = t.next_id, list(t._start)
+    rebuilds = len(t._pool) > 0 and t._pool_stale > 0.25 * len(t._pool)
+    linked = [t.node_count - t.isolated_count]  # before each arrival
+
+    def then():
+        rng_t.random()
+        linked.append(t.node_count - t.isolated_count)
+        if len(linked) - 2 == rebuild_at:
+            t._rebuild_pool()
+
+    flat, counts = t.attach_batch(count, k, rng_t, then)
+    hosts = [h.tolist() for h in np.split(flat, np.cumsum(counts)[:-1])] if count else []
+    for i in range(count):
+        assert ref.attach(k, rng_ref) == (first + i, hosts[i]), i
+        rng_ref.random()
+        if i == rebuild_at:
+            ref._rebuild_pool()
+    covered["batch isolated fill"] += any(len(h) > n for h, n in zip(hosts, linked))
+    covered["batch rebuild"] += rebuilds and count > 0
+    covered["pending rebuild"] += rebuild_at is not None and count > 0
+    if not rebuilds and rebuild_at is None:
+        covered["batch row moved"] += sum(
+            t._start[u] != starts[u] for u in {u for h in hosts for u in h if u < first}
+        )
+
+
 def run_against_reference(kind: str, n: int, param: int, seed: int, ops) -> collections.Counter:
     """Drive both models through `ops` and compare them after every op:
-    ("attach", count, _) attaches with `count` hosts, ("remove", i, benign)
-    removes the i-th live id (modulo the live count) and ("snapshot", k, _)
-    snapshots at next_id + k. Returns what the run covered."""
+    ("attach", count, _) attaches with `count` hosts, ("grow", count, k)
+    runs a growth batch of `count` arrivals with `k` hosts each and
+    ("grow+rebuild", count, k) one whose pools are rebuilt after its middle
+    arrival (see `grow_both`), ("remove", i, benign) removes the i-th live
+    id (modulo the live count) and ("snapshot", k, _) snapshots at
+    next_id + k. Returns what the run covered."""
     t, ref = build_pair(kind, n, param, seed)
     rng_t, rng_ref = oracles.draws(seed + 1), oracles.draws(seed + 1)
     covered: collections.Counter = collections.Counter()
     oracles.assert_same_topology(t, ref, "after the build")
     check_rows(t)
     for step, (op, arg, benign) in enumerate(ops):
-        if op == "attach":
+        if op in ("grow", "grow+rebuild"):
+            rebuild_at = (arg - 1) // 2 if op == "grow+rebuild" else None
+            grow_both(t, ref, arg, benign, rng_t, rng_ref, rebuild_at, covered)
+        elif op == "attach":
             linked = t.node_count - t.isolated_count
             starts = list(t._start)
             rebuilds = len(t._pool) > 0 and t._pool_stale > 0.25 * len(t._pool)
@@ -96,6 +138,7 @@ def run_against_reference(kind: str, n: int, param: int, seed: int, ops) -> coll
 OPS = st.lists(
     st.one_of(
         st.tuples(st.just("attach"), st.integers(0, 5), st.just(False)),
+        st.tuples(st.sampled_from(["grow", "grow+rebuild"]), st.integers(0, 8), st.integers(0, 5)),
         st.tuples(st.just("remove"), st.integers(0, 1000), st.booleans()),
         st.tuples(st.just("snapshot"), st.integers(0, 2), st.just(False)),
     ),
@@ -119,16 +162,24 @@ def test_slab_matches_the_reference_model(kind, n, param, seed, ops):
 def test_the_reference_run_reaches_moves_and_the_isolated_fill():
     # The runner above, on fixed sequences: hub rows outgrow their
     # capacity, the pool is rebuilt (which rewrites the slab), and attaches
-    # ask for more hosts than there are linked nodes, on both generators.
+    # ask for more hosts than there are linked nodes, on both generators;
+    # the same for growth batches, whose pools are also rebuilt with
+    # arrivals still unwired.
     grow_then_shrink = (
         [("attach", 3, False)] * 12
         + [("snapshot", 1, False)]
         + [("remove", 7 * i, i % 2 == 0) for i in range(25)]
         + [("attach", 5, False), ("snapshot", 0, False), ("attach", 4, False)] * 3
+        + [("grow", 8, 3), ("grow", 6, 2), ("snapshot", 0, False)]
+        + [("remove", 5 * i, i % 2 == 1) for i in range(10)]
+        + [("grow", 3, 3), ("grow+rebuild", 5, 2)]
+        + [("remove", 3 * i, False) for i in range(20)]
+        + [("grow", 3, 5), ("snapshot", 0, False), ("grow", 4, 4)]
     )
     for kind, param in (("scale_free", 2), ("regular", 4)):
         covered = run_against_reference(kind, 16, param, 3, grow_then_shrink)
-        for what in ("hub row moved", "rebuild", "isolated fill", "benign", "plain"):
+        for what in ("hub row moved", "rebuild", "isolated fill", "benign", "plain",
+                     "batch rebuild", "pending rebuild", "batch row moved", "batch isolated fill"):
             assert covered[what] > 0, (kind, what, covered)
 
 
