@@ -30,14 +30,12 @@ of past whitewashers has nothing left to gain and goes quiet.
 Whether a leaver looks legitimate is one comparison against
 `estimator.legitimacy_threshold`, for a whitewasher and for a voluntary
 departure alike, and one helper removes a leaver with `graph.remove_node`,
-benign when it looked legitimate. A whitewash rejoin enters through
-`Topology.attach`, one at a time, as a later whitewasher of the same wave
-may be one of its hosts. A growth batch enters through
-`Topology.attach_batch`, which makes each arrival's draws in order, with
-the newcomer's honesty draw after its attachment draws, and wires the
-batch's rows once at its end. The topology books the churn of both node
-events: one arrival at each host, and one benign departure at each
-neighbor of a benign leaver.
+benign when it looked legitimate. A whitewash rejoin and a growth arrival
+enter the same way, one `Topology.attach` each, a growth arrival's honesty
+drawn right after its attachment draws; the topology wires their rows at
+its next read of them. It books the churn of both node events: one arrival
+at each host, and one benign departure at each neighbor of a benign
+leaver.
 
 The estimator state of step 2 lives in `estimator.EstimatorArrays`: numpy
 arrays indexed by node id, which only grow because ids are never reused. A
@@ -438,15 +436,14 @@ class Simulation:
             self._drop_node(vid, True)
 
     def _grow_population(self) -> None:
-        t, rng = self.topology, self.rng
+        t, rng, k = self.topology, self.rng, self.cfg.attach_edges
         count = round(t.node_count * self.cfg.growth_percent_per_10 / 100)
         first = t.next_id
-        honesty = []
-        hosts, counts = t.attach_batch(
-            count, self.cfg.attach_edges, rng, lambda: honesty.append(rng.random())
-        )
-        honesty = np.array(honesty)
-        first_hosts = hosts[np.cumsum(counts) - counts]
+        first_hosts, honesty = [], []
+        for _ in range(count):
+            first_hosts.append(t.attach(k, rng)[1][0])
+            honesty.append(rng.random())
+        honesty, first_hosts = np.array(honesty), np.array(first_hosts, dtype=np.int64)
         washer = honesty < self.r_est
         role = np.where(washer, Role.POTENTIAL_WHITEWASHER.value, Role.COOPERATIVE.value)
         ids = slice(first, t.next_id)

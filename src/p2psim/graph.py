@@ -3,53 +3,52 @@
 Node ids are monotonically increasing and never reused, so identity churn
 (a node leaving and rejoining) is visible in the id space, and an array
 indexed by node id only ever grows (`grown`). Every mutation is a node event
-or a whole build, each one pass over the edges it wires or unhooks:
-`Topology.attach` wires a new node to all its hosts, `Topology.attach_batch`
-a batch of them, `remove_node` unhooks one from all its neighbors and
-`Topology.from_edges` builds a whole overlay from an edge array (the
-scale-free seed clique and every regular overlay). A regular overlay's
-edges come from the pairing model, one numpy pass per shuffle round over
-the stubs left (`generate_regular`); a scale-free one grows from its clique
-as one batch (`generate_scale_free`). Each leaves the state that adding or
+or a whole build: `Topology.attach` joins a new node to all its hosts,
+`remove_node` unhooks one from all its neighbors and `Topology.from_edges`
+builds a whole overlay from an edge array (the scale-free seed clique and
+every regular overlay). A regular overlay's edges come from the pairing
+model, one numpy pass per shuffle round over the stubs left
+(`generate_regular`); a scale-free one grows from its clique one `attach` at
+a time (`generate_scale_free`). Each leaves the state that adding or
 removing the same edges one at a time would leave; the per-edge reference
 model lives with the tests. Node events also book the churn the estimator
 reads: an arrival one at each host, and a benign `remove_node` one
 departure at each neighbor.
 
-An arrival is two parts. The sampler reads only the degrees, the pool and
-its copies and the node counts, so those are written per arrival, in draw
-order (`Topology._join`). The rows and the books it never reads: `attach`
-wires them per host right away, and `attach_batch` once for the whole
-batch in one numpy pass (`Topology._wire`).
+Every arrival, a growth arrival or a whitewasher's rejoin under a fresh id,
+takes the one path `attach`. It makes only the writes the sampler reads, in
+draw order: the node counts, the degrees, the pool and its copies. Its
+hosts go to an arrival log. The rows and the books, which the sampler never
+reads, are wired for the whole log in one numpy pass (`Topology._wire`) at
+the next read of them (`Topology._settle`): a snapshot, a pool rebuild, or
+the neighbors of a logged id or of one of its hosts, which is how
+`remove_node` sees the edges of an arrival still in the log.
 
 Every node's neighbors are one row of a flat slab, an `array('q')`. Arrays
-indexed by node id beside it hold each row's start, fill and capacity, the
-node's exact degree (0 once it is removed) and a live mask. `attach`
-appends to each host's row; a full row moves to the end of the slab at
-double capacity. A batch appends to a row with room in place and moves a
-full one once, at twice the capacity it needs. `remove_node` only lowers
-its live neighbors' degrees and clears its live bit, so its id stays in
-their rows as a tombstone. The books are per-id arrays too: the arrivals
-and the benign departures booked at each host (two `array('q')` counters),
-and a `bytearray` marking each node whose neighbors changed, every booked
-host and every neighbor of a removed node among them. Once per sweep one
+indexed by node id beside it hold each wired row's start, fill and
+capacity, the node's exact degree (0 once it is removed) and a live mask.
+A row with room takes its new entries in place; a full one moves to the
+end of the slab once per pass, an old row at twice the capacity it needs
+and a new one at exactly that. `remove_node` only lowers its live
+neighbors' degrees and clears its live bit, so its id stays in their rows
+as a tombstone. The books are per-id arrays too: the arrivals and the
+benign departures booked at each host (two `array('q')` counters), and a
+`bytearray` marking each node whose neighbors changed, every booked host
+and every neighbor of a removed node among them. Once per sweep one
 vectorized gather over the marked nodes' rows drops the tombstones,
 compacts the rows in place, brings the dense neighbor-degree snapshot up to
 date, sums the booked churn over each node's neighbors and zeroes the
 counters and marks at the marked ids (see
 `Topology.neighbor_degree_array`). Each rebuild of the attachment pool, an
 `array('q')`, also rewrites the whole slab without dead rows, tombstones or
-spare room. The pool is built from the degrees and each row from its live
-entries, as a rebuild inside a batch finds rows that lag their degrees and
-new ids with no row yet. The numpy views of these arrays live only inside
-one call: an `array` or a `bytearray` that exports its buffer cannot grow.
-Readers outside go through `neighbors`, `degree_of`, `live_ids` and `in`.
+spare room. The numpy views of these arrays live only inside one call: an
+`array` or a `bytearray` that exports its buffer cannot grow. Readers
+outside go through `neighbors`, `degree_of`, `live_ids` and `in`.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Callable
 
 import numpy as np
 
@@ -130,6 +129,12 @@ class Topology:
         self._pool = array("q")
         self._pool_copies = array("q")
         self._pool_stale: int = 0
+        # The arrivals since the last settle, the ids from len(_fill) on:
+        # their hosts in draw order, concatenated, how many each has, and
+        # the hosts as a set.
+        self._log_hosts = array("q")
+        self._log_counts = array("q")
+        self._pending_hosts: set[NodeId] = set()
 
     # ---- read side -------------------------------------------------
 
@@ -147,9 +152,12 @@ class Topology:
         return self._degree[v]
 
     def neighbors(self, v: NodeId) -> list[NodeId]:
-        """The live neighbors of the live node `v`, in no particular order."""
+        """The live neighbors of the live node `v`, in no particular order.
+        Wires the arrival log first if `v` or a host of `v` is in it."""
         if v not in self:
             raise UnknownNodeError(v)
+        if v >= len(self._fill) or v in self._pending_hosts:
+            self._settle()
         live, s = self._live, self._start[v]
         return [u for u in self._slab[s : s + self._fill[v]] if live[u]]
 
@@ -172,7 +180,8 @@ class Topology:
         floats holding integers, so they are exact in any order. The first
         snapshot of a `generate_scale_free` overlay also returns the
         arrivals its build booked, which `engine.Simulation.__init__`
-        discards. A snapshot clears the marks and the bookings.
+        discards. A snapshot wires the arrival log first (`_settle`), and
+        clears the marks and the bookings.
 
         One gather serves all three: the rows of the live nodes whose
         neighbors changed since the previous snapshot, which include every
@@ -184,6 +193,7 @@ class Topology:
         changed neighbors, handed out over their rows. Changed neighbors,
         not a changed degree, are what mark a node: one that lost an edge
         and gained another keeps its degree but not its sum."""
+        self._settle()
         self._deg = grown(self._deg, max(size, self.next_id))
         self._nds = grown(self._nds, max(size, self.next_id))
         deg, nds = self._deg, self._nds
@@ -218,36 +228,32 @@ class Topology:
 
     def _rebuild_pool(self) -> None:
         """One pool entry per degree unit, ascending ids, and the slab
-        rewritten as the wired live rows back to back, each at capacity
-        equal to its live entry count. Inside a growth batch a row may lag
-        its degree until the batch is wired, and the batch's new ids have
-        no row yet (see `attach_batch`), so the layout follows the rows
-        and the pool follows the degrees."""
+        rewritten as the live rows back to back, each at capacity equal to
+        its degree. The arrival log is wired first, so that each row holds
+        as many live entries as its degree counts."""
+        self._settle()
         ids = self.live_ids()
-        wired = len(self._fill)
-        rows = ids[: np.searchsorted(ids, wired)]
-        nbrs, keep = self._live_rows(rows)
-        # Each row's live entries: its fill less the tombstones in it, each
-        # of which lies in the first row that ends past it.
-        lengths = _int64(self._fill)[rows]
-        tombstone_rows = np.searchsorted(np.cumsum(lengths), np.flatnonzero(~keep), side="right")
-        lengths -= np.bincount(tombstone_rows, minlength=len(rows))
-        start, fill = np.zeros(wired, np.int64), np.zeros(wired, np.int64)
-        start[rows] = np.cumsum(lengths) - lengths
-        fill[rows] = lengths
+        degree = _int64(self._degree)[ids]
+        nbrs, _ = self._live_rows(ids)
+        start = np.zeros(self.next_id, np.int64)
+        start[ids] = np.cumsum(degree) - degree
         self._slab = array("q", nbrs.tobytes())
         self._start = array("q", start.tobytes())
-        self._fill = array("q", fill.tobytes())
-        self._cap = self._fill[:]
-        self._pool = array("q", np.repeat(ids, _int64(self._degree)[ids]).tobytes())
-        self._pool_copies = self._degree[:]
+        self._fill, self._cap, self._pool_copies = self._degree[:], self._degree[:], self._degree[:]
+        self._pool = array("q", np.repeat(ids, degree).tobytes())
         self._pool_stale = 0
 
-    def _join(self, targets: list[NodeId]) -> NodeId:
-        """Issue a new id joined to `targets` as far as the sampler sees:
-        the counters, its live bit, the degrees and pool copies of both
-        ends and the pool entries (v, u) per host in order. The rows and
-        the books are the caller's to wire."""
+    def attach(self, count: int, rng: Draws) -> tuple[NodeId, list[NodeId]]:
+        """Add a node joined to `count` distinct hosts drawn by degree, and
+        book one arrival at each host. Returns the new id and its hosts in
+        draw order. Same end state as adding the node and then the edge
+        (v, u) for each host in draw order.
+
+        The writes the sampler reads are made here: the counters, the live
+        bit, the degrees and pool copies of both ends and the pool entries
+        (v, u) per host in order. The rows and the books wait in the arrival
+        log until `_settle`."""
+        targets = self.sample_attachment_targets(count, rng)
         v = self.next_id
         self.next_id = v + 1
         self.node_count += 1
@@ -266,66 +272,22 @@ class Topology:
             pool.append(u)
         self.isolated_count += isolated
         self.edge_count += k
-        return v
-
-    def attach(self, count: int, rng: Draws) -> tuple[NodeId, list[NodeId]]:
-        """Add a node wired to `count` distinct hosts drawn by degree, and
-        book one arrival at each host. Returns the new id and its hosts in
-        draw order. Same end state as adding the node and then the edge
-        (v, u) for each host in draw order."""
-        targets = self.sample_attachment_targets(count, rng)
-        v = self._join(targets)
-        k = len(targets)
-        slab, start, fill, cap = self._slab, self._start, self._fill, self._cap
-        arrived, touched = self._arrived, self._touched
-        start.append(len(slab))
-        fill.append(k)
-        cap.append(k)
-        arrived.append(0)
-        self._benign_gone.append(0)
-        touched.append(k > 0)
-        slab.extend(targets)
-        for u in targets:
-            f = fill[u]
-            if f == cap[u]:
-                # A full row moves to the end of the slab at double capacity.
-                s = start[u]
-                start[u] = len(slab)
-                cap[u] = 2 * f or 1
-                slab += slab[s : s + f]
-                slab.frombytes(bytes(8 * (cap[u] - f)))
-            slab[start[u] + f] = v
-            fill[u] = f + 1
-            arrived[u] += 1
-            touched[u] = 1
+        self._log_hosts.extend(targets)
+        self._log_counts.append(k)
+        self._pending_hosts.update(targets)
         return v, targets
 
-    def attach_batch(
-        self, count: int, k: int, rng: Draws, then: Callable[[], object] | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """`count` calls of `attach(k, rng)`, calling `then()` after each
-        arrival's draws if it is given, with the same end state. The
-        arrivals take the ids from `next_id` on. Returns every arrival's
-        hosts in draw order, concatenated, and how many hosts each has.
-        The draws and the writes the sampler reads are made per arrival, in
-        order (`_join`); the rows and the books, which it never reads, are
-        wired once for the whole batch (`_wire`)."""
-        first = self.next_id
-        hosts, counts = array("q"), array("q")
-        for _ in range(count):
-            targets = self.sample_attachment_targets(k, rng)
-            self._join(targets)
-            hosts.extend(targets)
-            counts.append(len(targets))
-            if then is not None:
-                then()
-        hosts, counts = np.frombuffer(hosts, np.int64), np.frombuffer(counts, np.int64)
-        self._wire(first, hosts, counts)
-        return hosts, counts
+    def _settle(self) -> None:
+        """Wire the rows and the books of every logged arrival in one pass,
+        and empty the log."""
+        if self._log_counts:
+            self._wire(len(self._fill), _int64(self._log_hosts), _int64(self._log_counts))
+            self._log_hosts, self._log_counts = array("q"), array("q")
+            self._pending_hosts = set()
 
     def _wire(self, first: NodeId, u: np.ndarray, counts: np.ndarray) -> None:
         """Wire the rows and the books of the ids from `first` on, which
-        `_join` joined to the hosts `u`, `counts[i]` of them for id
+        `attach` joined to the hosts `u`, `counts[i]` of them for id
         first + i: a row per new id, every host row's appends, one arrival
         booked per edge at its host and a mark on every row that changed.
         A row with room takes its entries in place; a full one moves once
@@ -340,7 +302,8 @@ class Topology:
         rows = np.concatenate((v, u))
         order = np.argsort(rows, kind="stable")
         rows, entries = rows[order], np.concatenate((u, v))[order]
-        ids, at, added = np.unique(rows, return_index=True, return_counts=True)
+        at = np.flatnonzero(np.diff(rows, prepend=-1))  # where each row's run begins
+        ids, added = rows[at], np.diff(at, append=len(rows))
         start, fill, cap = _int64(self._start), _int64(self._fill), _int64(self._cap)
         old = fill[ids]
         need = old + added
@@ -353,8 +316,7 @@ class Topology:
         start[movers], cap[movers] = dest, size
         slab[np.repeat(start[ids] + old - at, added) + np.arange(len(rows))] = entries
         fill[ids] = need
-        arrived = _int64(self._arrived)
-        arrived += np.bincount(u, minlength=len(arrived))
+        np.add.at(_int64(self._arrived), u, 1)
         np.frombuffer(self._touched, bool)[ids] = True
 
     def sample_attachment_targets(self, count: int, rng: Draws) -> list[NodeId]:
@@ -428,7 +390,8 @@ def generate_scale_free(n: int, attach_edges: int, rng: Draws) -> Topology:
     k = attach_edges + 1
     # The clique's pairs in itertools.combinations order.
     t = Topology.from_edges(k, np.column_stack(np.triu_indices(k, 1)))
-    t.attach_batch(n - k, attach_edges, rng)
+    for _ in range(n - k):
+        t.attach(attach_edges, rng)
     return t
 
 
@@ -466,10 +429,22 @@ def _try_pairing(n: int, degree: int, rng: Draws) -> np.ndarray | None:
     return np.column_stack(np.divmod(taken, n))
 
 
+def _complement(n: int, edges: np.ndarray) -> np.ndarray:
+    """The (lo, hi) pairs of nodes 0..n-1 that `edges`, (lo, hi) rows,
+    leaves out, as an (m, 2) array in ascending order."""
+    out = np.ones((n, n), dtype=bool)
+    out[edges[:, 0], edges[:, 1]] = False
+    return np.argwhere(np.triu(out, 1))
+
+
 def generate_regular(n: int, degree: int, rng: Draws) -> Topology:
     """Random regular graph via the pairing model (Bollobás 1980), rejecting
     self-loops and multi-edges, with a bounded number of restarts: each
-    shuffle round is one numpy pass over its stubs (see `_try_pairing`)."""
+    shuffle round is one numpy pass over its stubs (see `_try_pairing`).
+    Above degree (n - 1)/2, where the pairing model stalls, the overlay is
+    the complement of an (n - 1 - degree)-regular one built that way, so
+    the dense degrees take the sparse ones' distribution; degree n - 1 is
+    the complete graph, built with no draws."""
     if n < 1 or degree < 1:
         raise InvalidParameterError("need n >= 1 and degree >= 1")
     if degree >= n:
@@ -480,10 +455,11 @@ def generate_regular(n: int, degree: int, rng: Draws) -> Topology:
         # Edge keys lo * n + hi would overflow; the stubs alone would need
         # more than 24 GB.
         raise InfeasibleParametersError("n must be below 3,037,000,500 for int64 edge keys")
+    dense = 2 * degree > n - 1
     for _ in range(_PAIRING_RETRY_CAP):
-        edges = _try_pairing(n, degree, rng)
+        edges = _try_pairing(n, n - 1 - degree if dense else degree, rng)
         if edges is not None:
-            return Topology.from_edges(n, edges)
+            return Topology.from_edges(n, _complement(n, edges) if dense else edges)
     raise InfeasibleParametersError(
         f"pairing model failed {_PAIRING_RETRY_CAP} times for n={n}, degree={degree}"
     )

@@ -239,10 +239,16 @@ class RefTopology:
     @classmethod
     def regular(cls, n: int, degree: int, rng) -> RefTopology:
         """`graph.generate_regular`: `pairing_attempt` until one succeeds,
-        at most `graph._PAIRING_RETRY_CAP` times, then `by_edges`."""
+        at most `graph._PAIRING_RETRY_CAP` times, then `by_edges`. Above
+        degree (n - 1)/2 the attempts pair n - 1 - degree stubs per node,
+        and `by_edges` takes the pairs left out, ascending."""
+        dense = 2 * degree > n - 1
         for _ in range(_PAIRING_RETRY_CAP):
-            edges, _ = pairing_attempt(n, degree, rng)
+            edges, _ = pairing_attempt(n, n - 1 - degree if dense else degree, rng)
             if edges is not None:
+                if dense:
+                    taken = set(edges)
+                    edges = [e for e in itertools.combinations(range(n), 2) if e not in taken]
                 return cls.by_edges(n, edges)
         raise InfeasibleParametersError(f"pairing failed for n={n}, degree={degree}")
 
@@ -399,9 +405,11 @@ class Books:
 def books(t) -> Books:
     """The pool and the books of `graph.Topology` or `RefTopology`. The
     topology keeps a per-id mark and two per-id counters, zero where
-    nothing is booked; each is read here as the reference's set or dict."""
+    nothing is booked; each is read here as the reference's set or dict,
+    once the topology has wired its arrival log (`Topology._settle`)."""
     if isinstance(t, RefTopology):
         return Books(t._pool, t._touched, t._arrived, t._benign_gone)
+    t._settle()
     return Books(
         list(t._pool),
         {v for v, mark in enumerate(t._touched) if mark},
@@ -414,7 +422,8 @@ def topology_state(t) -> dict:
     """Everything a node event writes, read alike from `graph.Topology` and
     `RefTopology`: the neighbor sets (the order within a row or a set is
     free), the pool with each live id's copies and the stale count, the
-    counters, the marked nodes and the booked churn."""
+    counters, the marked nodes and the booked churn. It wires the
+    topology's arrival log first (see `books`)."""
     b = books(t)
     return {
         "adj": adjacency(t),

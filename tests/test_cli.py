@@ -670,6 +670,26 @@ def test_simulate_down_to_a_graph_with_isolated_nodes(tmp_path):
     assert len((tmp_path / "out" / "run.csv").read_text().splitlines()) == 21
 
 
+@pytest.mark.parametrize("n, degree", [(30, 29), (3000, 2000)])
+def test_simulate_a_dense_regular_overlay(tmp_path, n, degree):
+    # Above degree (n - 1)/2 the overlay is the complement of a sparser
+    # pairing-model one. The pairing model alone gave up on the complete
+    # graph of 30 nodes and spent minutes on 3000 nodes of degree 2000
+    # before exiting 1; both now run to exit 0. Run in a child process so
+    # that a hang fails the test instead of stalling it.
+    cfg = write_config(tmp_path, {"topology": "regular", "n": n, "degree": degree, "iterations": 1})
+    src = str(Path(cli.__file__).parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "p2psim.cli", "simulate", "--config", cfg,
+         "--out", tmp_path / "out", "--quiet"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - start < 60
+    assert len((tmp_path / "out" / "run.csv").read_text().splitlines()) == 2
+
+
 # ---- child-process fuzz --------------------------------------------------
 
 # Raw JSON text for each way the fuzz breaks one key: wrong types, NaN and

@@ -480,9 +480,9 @@ def test_records_follow_the_person_and_role_code_holds_role_and_liveness():
 
 
 def test_arrivals_book_one_count_per_host():
-    # A rejoin (`attach`) and a growth arrival (`attach_batch`) attach the
-    # same way: attach_edges hosts drawn by degree, one arrival booked at
-    # each. The growth batch's first hosts are logged where it is wired.
+    # A rejoin and a growth arrival attach the same way, one `attach` each:
+    # attach_edges hosts drawn by degree, one arrival booked at each. Each
+    # arrival's first host is logged as it attaches.
     sim = Simulation(SimConfig(n=100, iterations=0, growth_percent_per_10=3.0, seed=4))
     sim.auto_whitewash = False
     log = oracles.JoinLog(sim)
@@ -490,15 +490,14 @@ def test_arrivals_book_one_count_per_host():
         log.step()
     first_host = {}
     t = sim.topology
-    attach_batch = t.attach_batch
+    attach = t.attach
 
-    def logged(count, k, rng, then=None):
-        first = t.next_id
-        hosts, counts = attach_batch(count, k, rng, then)
-        first_host.update(enumerate(hosts[np.cumsum(counts) - counts].tolist(), first))
-        return hosts, counts
+    def logged(count, rng):
+        v, hosts = attach(count, rng)
+        first_host[v] = hosts[0]
+        return v, hosts
 
-    t.attach_batch = logged
+    t.attach = logged
     new_id = log.force_whitewash(live_with_role(sim, Role.POTENTIAL_WHITEWASHER)[0])
     assert t.degree_of(new_id) == 3
     assert oracles.books(t).arrived == dict.fromkeys(t.neighbors(new_id), 1)

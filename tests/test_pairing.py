@@ -59,3 +59,23 @@ def test_dense_pairings_take_several_rounds_and_restart():
     assert covered["several rounds"] > 10 and covered["restart"] > 5, covered
     assert pair_against_the_loop(10000, 6, 0) == {"several rounds": 1}
 
+
+
+def test_every_small_regular_overlay_builds():
+    # Above degree (n - 1)/2 the overlay is the complement of a sparser
+    # pairing-model one, where the pairing model itself would stall. Every
+    # valid (n, degree) with n <= 40 builds at seed 0 as a simple regular
+    # graph, and up to n = 12 the reference model builds the same overlay.
+    for n in range(2, 41):
+        for degree in range(1, n):
+            if n * degree % 2:
+                continue
+            t = graph.generate_regular(n, degree, oracles.draws(0))
+            adj = oracles.adjacency(t)
+            assert t.edge_count == n * degree // 2, (n, degree)
+            for v, nbrs in adj.items():
+                assert len(nbrs) == len(t.neighbors(v)) == degree and v not in nbrs, (n, degree)
+                assert all(v in adj[u] for u in nbrs), (n, degree)
+            if n <= 12:
+                want = oracles.RefTopology.regular(n, degree, oracles.draws(0))
+                oracles.assert_same_topology(t, want, f"n={n}, degree={degree}")

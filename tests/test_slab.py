@@ -1,12 +1,14 @@
 """The neighbor slab of `graph.Topology` against the dict-of-sets reference
 model (`oracles.RefTopology`): random sequences of node events, growth
 batches and snapshots on both generators, with the slab's own invariants
-checked after every event. `--hypothesis-profile=ci` (see conftest.py)
-runs more examples."""
+checked after every event, arrivals still in the arrival log included.
+`--hypothesis-profile=ci` (see conftest.py) runs more examples."""
 
 from __future__ import annotations
 
 import collections
+import copy
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,24 +22,36 @@ st = hypothesis.strategies
 
 
 def check_rows(t: graph.Topology, after_snapshot: bool = False) -> None:
-    """Every live row lies inside the slab with its fill within its
-    capacity, no two live rows overlap, a row's live entries are distinct
-    and number the node's degree, and a removed id has degree 0 and no pool
-    copies. Right after a snapshot no live row holds a removed id."""
+    """Every wired live row lies inside the slab with its fill within its
+    capacity, no two of them overlap, and a row's live entries are
+    distinct and number the node's degree less the edges logged at it as a
+    host. A logged id has no row yet: its degree is its own hosts and the
+    edges logged at it. A removed id has degree 0 and no pool copies.
+    Right after a snapshot nothing is logged and no live row holds a
+    removed id."""
+    wired = len(t._fill)
+    logged = collections.Counter(t._log_hosts)
+    assert set(logged) == t._pending_hosts
+    assert wired + len(t._log_counts) == t.next_id
     spans = []
     for v in range(t.next_id):
         if v not in t:
             assert t.degree_of(v) == 0 == t._pool_copies[v], v
             continue
+        if v >= wired:
+            assert t.degree_of(v) == t._log_counts[v - wired] + logged[v], v
+            continue
         s, f, c = t._start[v], t._fill[v], t._cap[v]
         assert 0 <= s and f <= c and s + c <= len(t._slab), v
         row = t._slab[s : s + f].tolist()
         live = [u for u in row if u in t]
-        assert len(set(live)) == len(live) == t.degree_of(v), v
+        assert len(set(live)) == len(live) == t.degree_of(v) - logged[v], v
         if after_snapshot:
             assert live == row, f"tombstone left in the row of {v}"
         if c:
             spans.append((s, s + c))
+    if after_snapshot:
+        assert not logged and wired == t.next_id
     spans.sort()
     assert all(a_end <= b_start for (_, a_end), (b_start, _) in zip(spans, spans[1:]))
 
@@ -55,83 +69,91 @@ def build_pair(kind: str, n: int, param: int, seed: int):
     )
 
 
-def grow_both(t: graph.Topology, ref: oracles.RefTopology, count: int, k: int, rng_t, rng_ref,
-              rebuild_at: int | None, covered: collections.Counter) -> None:
-    """One growth batch of `count` arrivals with `k` hosts each: through
-    `attach_batch` on the slab, one `attach` at a time on the reference,
-    with one `random()` after each arrival standing in for the honesty
-    draw. If `rebuild_at` is set, both models rebuild their pools right
-    after that arrival, while the batch is still unwired on the slab:
-    growth removes nothing, so the sampler's own rebuild can only fire at a
-    batch's first arrival, before anything is pending."""
-    first, starts = t.next_id, list(t._start)
-    rebuilds = len(t._pool) > 0 and t._pool_stale > 0.25 * len(t._pool)
-    linked = [t.node_count - t.isolated_count]  # before each arrival
-
-    def then():
-        rng_t.random()
-        linked.append(t.node_count - t.isolated_count)
-        if len(linked) - 2 == rebuild_at:
-            t._rebuild_pool()
-
-    flat, counts = t.attach_batch(count, k, rng_t, then)
-    hosts = [h.tolist() for h in np.split(flat, np.cumsum(counts)[:-1])] if count else []
-    for i in range(count):
-        assert ref.attach(k, rng_ref) == (first + i, hosts[i]), i
-        rng_ref.random()
-        if i == rebuild_at:
-            ref._rebuild_pool()
-    covered["batch isolated fill"] += any(len(h) > n for h, n in zip(hosts, linked))
-    covered["batch rebuild"] += rebuilds and count > 0
-    covered["pending rebuild"] += rebuild_at is not None and count > 0
-    if not rebuilds and rebuild_at is None:
-        covered["batch row moved"] += sum(
-            t._start[u] != starts[u] for u in {u for h in hosts for u in h if u < first}
-        )
+def arrive(t: graph.Topology, ref: oracles.RefTopology, k: int, rng_t, rng_ref, kind: str,
+           kind_of: dict, covered: collections.Counter) -> None:
+    """One `attach` with `k` hosts on both models, the same draws on each."""
+    linked = t.node_count - t.isolated_count
+    v, hosts = t.attach(k, rng_t)
+    assert ref.attach(k, rng_ref) == (v, hosts)
+    kind_of[v] = kind
+    covered["isolated fill"] += len(hosts) > linked
 
 
 def run_against_reference(kind: str, n: int, param: int, seed: int, ops) -> collections.Counter:
     """Drive both models through `ops` and compare them after every op:
-    ("attach", count, _) attaches with `count` hosts, ("grow", count, k)
-    runs a growth batch of `count` arrivals with `k` hosts each and
-    ("grow+rebuild", count, k) one whose pools are rebuilt after its middle
-    arrival (see `grow_both`), ("remove", i, benign) removes the i-th live
-    id (modulo the live count) and ("snapshot", k, _) snapshots at
-    next_id + k. Returns what the run covered."""
+    ("attach", count, _) attaches one node with `count` hosts, as a rejoin
+    does; ("grow", count, k) attaches `count` nodes with `k` hosts each,
+    with one `random()` after each standing in for the honesty draw, as
+    growth does, and ("grow+rebuild", count, k) also rebuilds both pools
+    after its middle arrival, with arrivals still logged; ("remove", i,
+    benign) removes the i-th live id (modulo the live count);
+    ("remove-logged", i, benign) the i-th of the logged ids and their
+    hosts, or the i-th live id if nothing is logged; and ("snapshot", k, _)
+    snapshots at next_id + k. The comparison reads a copy of the slab
+    topology, which wires the copy's log, so the run keeps its arrivals
+    logged until one of its own reads wires them. Returns what the run
+    covered: each `_wire` pass's row moves, labelled by the kind of
+    arrival they host, the rebuilds, and the removals of logged ids and
+    hosts."""
     t, ref = build_pair(kind, n, param, seed)
     rng_t, rng_ref = oracles.draws(seed + 1), oracles.draws(seed + 1)
     covered: collections.Counter = collections.Counter()
-    oracles.assert_same_topology(t, ref, "after the build")
+    kind_of: dict[int, str] = {}
+    wire, rebuild = graph.Topology._wire, graph.Topology._rebuild_pool
+
+    def traced_wire(self, first, u, counts):
+        starts = self._start[:]
+        wire(self, first, u, counts)
+        if self is not t:
+            return
+        v = np.repeat(np.arange(first, first + len(counts)), counts)
+        for host in set(u[u < first].tolist()):
+            if self._start[host] != starts[host]:
+                for arrival in {kind_of.get(a, "build") for a in v[u == host].tolist()}:
+                    covered[f"{arrival} row moved"] += 1
+                    covered[f"{arrival} hub row moved"] += self.degree_of(host) > 4
+
+    def traced_rebuild(self):
+        if self is t:
+            covered["rebuild"] += 1
+            covered["rebuild with arrivals logged"] += len(self._log_counts) > 0
+        rebuild(self)
+
+    oracles.assert_same_topology(copy.deepcopy(t), ref, "after the build")
     check_rows(t)
-    for step, (op, arg, benign) in enumerate(ops):
-        if op in ("grow", "grow+rebuild"):
-            rebuild_at = (arg - 1) // 2 if op == "grow+rebuild" else None
-            grow_both(t, ref, arg, benign, rng_t, rng_ref, rebuild_at, covered)
-        elif op == "attach":
-            linked = t.node_count - t.isolated_count
-            starts = list(t._start)
-            rebuilds = len(t._pool) > 0 and t._pool_stale > 0.25 * len(t._pool)
-            v, hosts = t.attach(arg, rng_t)
-            assert (v, hosts) == ref.attach(arg, rng_ref), step
-            covered["isolated fill"] += len(hosts) > linked
-            covered["rebuild"] += rebuilds
-            if not rebuilds:
-                moved = [u for u in hosts if t._start[u] != starts[u]]
-                covered["row moved"] += len(moved)
-                covered["hub row moved"] += any(t.degree_of(u) > 4 for u in moved)
-        elif op == "remove" and t.node_count > 1:
-            v = int(t.live_ids()[arg % t.node_count])
-            covered["benign" if benign else "plain"] += 1
-            graph.remove_node(t, v, benign)
-            ref.remove_node(v, benign)
-        elif op == "snapshot":
-            size = t.next_id + arg
-            for got, want in zip(t.neighbor_degree_array(size), ref.snapshot(size)):
-                np.testing.assert_array_equal(got, want, err_msg=f"step {step}")
-            check_rows(t, after_snapshot=True)
-            covered["snapshot"] += 1
-        oracles.assert_same_topology(t, ref, f"at step {step}")
-        check_rows(t)
+    with mock.patch.object(graph.Topology, "_wire", traced_wire), \
+            mock.patch.object(graph.Topology, "_rebuild_pool", traced_rebuild):
+        for step, (op, arg, benign) in enumerate(ops):
+            if op in ("grow", "grow+rebuild"):
+                for i in range(arg):
+                    arrive(t, ref, benign, rng_t, rng_ref, "batch", kind_of, covered)
+                    rng_t.random()
+                    rng_ref.random()
+                    if op == "grow+rebuild" and i == (arg - 1) // 2:
+                        t._rebuild_pool()
+                        ref._rebuild_pool()
+            elif op == "attach":
+                arrive(t, ref, arg, rng_t, rng_ref, "rejoin", kind_of, covered)
+            elif op.startswith("remove") and t.node_count > 1:
+                wired = len(t._fill)
+                logged = sorted(v for v in t._pending_hosts | set(range(wired, t.next_id)) if v in t)
+                if op == "remove-logged" and logged:
+                    v = logged[arg % len(logged)]
+                else:
+                    v = int(t.live_ids()[arg % t.node_count])
+                covered["benign" if benign else "plain"] += 1
+                covered["logged id removed"] += v >= wired
+                covered["logged host removed"] += v in t._pending_hosts
+                graph.remove_node(t, v, benign)
+                ref.remove_node(v, benign)
+            elif op == "snapshot":
+                size = t.next_id + arg
+                for got, want in zip(t.neighbor_degree_array(size), ref.snapshot(size)):
+                    np.testing.assert_array_equal(got, want, err_msg=f"step {step}")
+                check_rows(t, after_snapshot=True)
+                covered["snapshot"] += 1
+            check_rows(t)
+            oracles.assert_same_topology(copy.deepcopy(t), ref, f"at step {step}")
     return covered
 
 
@@ -139,7 +161,7 @@ OPS = st.lists(
     st.one_of(
         st.tuples(st.just("attach"), st.integers(0, 5), st.just(False)),
         st.tuples(st.sampled_from(["grow", "grow+rebuild"]), st.integers(0, 8), st.integers(0, 5)),
-        st.tuples(st.just("remove"), st.integers(0, 1000), st.booleans()),
+        st.tuples(st.sampled_from(["remove", "remove-logged"]), st.integers(0, 1000), st.booleans()),
         st.tuples(st.just("snapshot"), st.integers(0, 2), st.just(False)),
     ),
     max_size=50,
@@ -161,12 +183,15 @@ def test_slab_matches_the_reference_model(kind, n, param, seed, ops):
 
 def test_the_reference_run_reaches_moves_and_the_isolated_fill():
     # The runner above, on fixed sequences: hub rows outgrow their
-    # capacity, the pool is rebuilt (which rewrites the slab), and attaches
-    # ask for more hosts than there are linked nodes, on both generators;
-    # the same for growth batches, whose pools are also rebuilt with
-    # arrivals still unwired.
+    # capacity when rejoins and growth are wired, the pool is rebuilt
+    # (which rewrites the slab), also with arrivals logged, attaches ask
+    # for more hosts than there are linked nodes, and logged ids and hosts
+    # of logged arrivals are removed before any snapshot, on both
+    # generators.
     grow_then_shrink = (
-        [("attach", 3, False)] * 12
+        [("attach", 3, False), ("remove-logged", 0, True), ("attach", 2, False),
+         ("remove-logged", -1, False)]
+        + [("attach", 3, False)] * 12
         + [("snapshot", 1, False)]
         + [("remove", 7 * i, i % 2 == 0) for i in range(25)]
         + [("attach", 5, False), ("snapshot", 0, False), ("attach", 4, False)] * 3
@@ -178,8 +203,9 @@ def test_the_reference_run_reaches_moves_and_the_isolated_fill():
     )
     for kind, param in (("scale_free", 2), ("regular", 4)):
         covered = run_against_reference(kind, 16, param, 3, grow_then_shrink)
-        for what in ("hub row moved", "rebuild", "isolated fill", "benign", "plain",
-                     "batch rebuild", "pending rebuild", "batch row moved", "batch isolated fill"):
+        for what in ("rejoin row moved", "rejoin hub row moved", "batch row moved", "rebuild",
+                     "rebuild with arrivals logged", "isolated fill", "benign", "plain",
+                     "logged id removed", "logged host removed"):
             assert covered[what] > 0, (kind, what, covered)
 
 
