@@ -19,10 +19,10 @@ Every arrival, a growth arrival or a whitewasher's rejoin under a fresh id,
 takes the one path `attach`. It makes only the writes the sampler reads, in
 draw order: the node counts, the degrees, the pool and its copies. Its
 hosts go to an arrival log. The rows and the books, which the sampler never
-reads, are wired for the whole log in one numpy pass (`Topology._wire`) at
-the next read of them (`Topology._settle`): a snapshot, a pool rebuild, or
-the neighbors of a logged id or of one of its hosts, which is how
-`remove_node` sees the edges of an arrival still in the log.
+reads, are wired for the whole log in one numpy pass (`Topology._settle`)
+at the next read of them: a snapshot, a pool rebuild, or the neighbors of
+a logged id or of one of its hosts, which is how `remove_node` sees the
+edges of an arrival still in the log.
 
 Every node's neighbors are one row of a flat slab, an `array('q')`. Arrays
 indexed by node id beside it hold each wired row's start, fill and
@@ -279,22 +279,16 @@ class Topology:
 
     def _settle(self) -> None:
         """Wire the rows and the books of every logged arrival in one pass,
-        and empty the log."""
-        if self._log_counts:
-            self._wire(len(self._fill), _int64(self._log_hosts), _int64(self._log_counts))
-            self._log_hosts, self._log_counts = array("q"), array("q")
-            self._pending_hosts = set()
-
-    def _wire(self, first: NodeId, u: np.ndarray, counts: np.ndarray) -> None:
-        """Wire the rows and the books of the ids from `first` on, which
-        `attach` joined to the hosts `u`, `counts[i]` of them for id
-        first + i: a row per new id, every host row's appends, one arrival
-        booked per edge at its host and a mark on every row that changed.
-        A row with room takes its entries in place; a full one moves once
-        to the end of the slab, an old row at twice the capacity it needs
-        and a new one at exactly that."""
-        n = len(counts)
-        v = np.repeat(np.arange(first, first + n), counts)
+        and empty the log: a row per logged id, every host row's appends,
+        one arrival booked per edge at its host and a mark on every row that
+        changed. A row with room takes its entries in place; a full one
+        moves once to the end of the slab, an old row at twice the capacity
+        it needs and a new one at exactly that."""
+        if not self._log_counts:
+            return
+        first, n = len(self._fill), len(self._log_counts)
+        u = _int64(self._log_hosts)
+        v = np.repeat(np.arange(first, first + n), _int64(self._log_counts))
         for a in (self._start, self._fill, self._cap, self._arrived, self._benign_gone):
             a.frombytes(bytes(8 * n))
         self._touched += bytes(n)
@@ -318,6 +312,8 @@ class Topology:
         fill[ids] = need
         np.add.at(_int64(self._arrived), u, 1)
         np.frombuffer(self._touched, bool)[ids] = True
+        self._log_hosts, self._log_counts = array("q"), array("q")
+        self._pending_hosts = set()
 
     def sample_attachment_targets(self, count: int, rng: Draws) -> list[NodeId]:
         """Sample `count` distinct existing nodes with probability proportional

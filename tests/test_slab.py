@@ -84,29 +84,31 @@ def run_against_reference(kind: str, n: int, param: int, seed: int, ops) -> coll
     ("attach", count, _) attaches one node with `count` hosts, as a rejoin
     does; ("grow", count, k) attaches `count` nodes with `k` hosts each,
     with one `random()` after each standing in for the honesty draw, as
-    growth does, and ("grow+rebuild", count, k) also rebuilds both pools
-    after its middle arrival, with arrivals still logged; ("remove", i,
-    benign) removes the i-th live id (modulo the live count);
-    ("remove-logged", i, benign) the i-th of the logged ids and their
-    hosts, or the i-th live id if nothing is logged; and ("snapshot", k, _)
+    growth does, and ("grow+rebuild", count, k) also forces a rebuild of
+    both pools after its middle arrival, with arrivals still logged;
+    ("remove", i, benign) removes the i-th live id (modulo the live
+    count), ("remove-logged", i, benign) the i-th of the logged ids and
+    their hosts, and ("remove-wired", i, benign) the i-th of the other
+    live ids, each the i-th live id if there is none; and ("snapshot", k, _)
     snapshots at next_id + k. The comparison reads a copy of the slab
     topology, which wires the copy's log, so the run keeps its arrivals
     logged until one of its own reads wires them. Returns what the run
-    covered: each `_wire` pass's row moves, labelled by the kind of
-    arrival they host, the rebuilds, and the removals of logged ids and
-    hosts."""
+    covered: each `_settle` pass's row moves, labelled by the kind of
+    arrival they host, the rebuilds the sampler starts and those the ops
+    force, and the removals of logged ids and hosts."""
     t, ref = build_pair(kind, n, param, seed)
     rng_t, rng_ref = oracles.draws(seed + 1), oracles.draws(seed + 1)
     covered: collections.Counter = collections.Counter()
     kind_of: dict[int, str] = {}
-    wire, rebuild = graph.Topology._wire, graph.Topology._rebuild_pool
+    settle, rebuild = graph.Topology._settle, graph.Topology._rebuild_pool
 
-    def traced_wire(self, first, u, counts):
-        starts = self._start[:]
-        wire(self, first, u, counts)
+    def traced_settle(self):
+        first, starts = len(self._fill), self._start[:]
+        u = np.array(self._log_hosts, np.int64)
+        v = np.repeat(np.arange(first, first + len(self._log_counts)), self._log_counts)
+        settle(self)
         if self is not t:
             return
-        v = np.repeat(np.arange(first, first + len(counts)), counts)
         for host in set(u[u < first].tolist()):
             if self._start[host] != starts[host]:
                 for arrival in {kind_of.get(a, "build") for a in v[u == host].tolist()}:
@@ -114,6 +116,8 @@ def run_against_reference(kind: str, n: int, param: int, seed: int, ops) -> coll
                     covered[f"{arrival} hub row moved"] += self.degree_of(host) > 4
 
     def traced_rebuild(self):
+        # Only the sampler calls this: the ops' forced rebuilds call
+        # `rebuild` itself.
         if self is t:
             covered["rebuild"] += 1
             covered["rebuild with arrivals logged"] += len(self._log_counts) > 0
@@ -121,7 +125,7 @@ def run_against_reference(kind: str, n: int, param: int, seed: int, ops) -> coll
 
     oracles.assert_same_topology(copy.deepcopy(t), ref, "after the build")
     check_rows(t)
-    with mock.patch.object(graph.Topology, "_wire", traced_wire), \
+    with mock.patch.object(graph.Topology, "_settle", traced_settle), \
             mock.patch.object(graph.Topology, "_rebuild_pool", traced_rebuild):
         for step, (op, arg, benign) in enumerate(ops):
             if op in ("grow", "grow+rebuild"):
@@ -130,17 +134,18 @@ def run_against_reference(kind: str, n: int, param: int, seed: int, ops) -> coll
                     rng_t.random()
                     rng_ref.random()
                     if op == "grow+rebuild" and i == (arg - 1) // 2:
-                        t._rebuild_pool()
+                        covered["forced rebuild"] += 1
+                        rebuild(t)
                         ref._rebuild_pool()
             elif op == "attach":
                 arrive(t, ref, arg, rng_t, rng_ref, "rejoin", kind_of, covered)
             elif op.startswith("remove") and t.node_count > 1:
                 wired = len(t._fill)
-                logged = sorted(v for v in t._pending_hosts | set(range(wired, t.next_id)) if v in t)
-                if op == "remove-logged" and logged:
-                    v = logged[arg % len(logged)]
-                else:
-                    v = int(t.live_ids()[arg % t.node_count])
+                logged = t._pending_hosts | set(range(wired, t.next_id))
+                live = t.live_ids().tolist()
+                pick = {"remove": live, "remove-logged": sorted(logged.intersection(live)),
+                        "remove-wired": [v for v in live if v not in logged]}[op] or live
+                v = pick[arg % len(pick)]
                 covered["benign" if benign else "plain"] += 1
                 covered["logged id removed"] += v >= wired
                 covered["logged host removed"] += v in t._pending_hosts
@@ -161,7 +166,8 @@ OPS = st.lists(
     st.one_of(
         st.tuples(st.just("attach"), st.integers(0, 5), st.just(False)),
         st.tuples(st.sampled_from(["grow", "grow+rebuild"]), st.integers(0, 8), st.integers(0, 5)),
-        st.tuples(st.sampled_from(["remove", "remove-logged"]), st.integers(0, 1000), st.booleans()),
+        st.tuples(st.sampled_from(["remove", "remove-logged", "remove-wired"]),
+                  st.integers(0, 1000), st.booleans()),
         st.tuples(st.just("snapshot"), st.integers(0, 2), st.just(False)),
     ),
     max_size=50,
@@ -183,11 +189,12 @@ def test_slab_matches_the_reference_model(kind, n, param, seed, ops):
 
 def test_the_reference_run_reaches_moves_and_the_isolated_fill():
     # The runner above, on fixed sequences: hub rows outgrow their
-    # capacity when rejoins and growth are wired, the pool is rebuilt
-    # (which rewrites the slab), also with arrivals logged, attaches ask
-    # for more hosts than there are linked nodes, and logged ids and hosts
-    # of logged arrivals are removed before any snapshot, on both
-    # generators.
+    # capacity when rejoins and growth are wired, the sampler rebuilds the
+    # pool (which rewrites the slab), once with a rejoin still logged after
+    # departures of wired nodes staled the pool, a rebuild is also forced
+    # in the middle of growth, attaches ask for more hosts than there are
+    # linked nodes, and logged ids and hosts of logged arrivals are removed
+    # before any snapshot, on both generators.
     grow_then_shrink = (
         [("attach", 3, False), ("remove-logged", 0, True), ("attach", 2, False),
          ("remove-logged", -1, False)]
@@ -200,12 +207,15 @@ def test_the_reference_run_reaches_moves_and_the_isolated_fill():
         + [("grow", 3, 3), ("grow+rebuild", 5, 2)]
         + [("remove", 3 * i, False) for i in range(20)]
         + [("grow", 3, 5), ("snapshot", 0, False), ("grow", 4, 4)]
+        + [("snapshot", 0, False), ("grow", 10, 2), ("snapshot", 0, False), ("attach", 1, False)]
+        + [("remove-wired", 3 * i, i % 2 == 0) for i in range(4)]
+        + [("attach", 3, False)]
     )
     for kind, param in (("scale_free", 2), ("regular", 4)):
         covered = run_against_reference(kind, 16, param, 3, grow_then_shrink)
         for what in ("rejoin row moved", "rejoin hub row moved", "batch row moved", "rebuild",
-                     "rebuild with arrivals logged", "isolated fill", "benign", "plain",
-                     "logged id removed", "logged host removed"):
+                     "rebuild with arrivals logged", "forced rebuild", "isolated fill", "benign",
+                     "plain", "logged id removed", "logged host removed"):
             assert covered[what] > 0, (kind, what, covered)
 
 
