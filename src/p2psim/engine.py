@@ -53,10 +53,10 @@ gather at the sweep over the neighbor rows of the nodes whose neighbors
 changed since the previous sweep, and clears the booked churn. Node events
 themselves keep no sums.
 Outputs match the per-node formulas bit for bit: the quadratic offer goes
-through `estimator.offer_curve` (Python's float power, which numpy's
-square does not always equal) once per distinct ratio among the positive
-levels, and the per-iteration sums add in ascending-id order one element
-at a time, never pairwise.
+through `estimator.offer_curve` (libm's pow, as Python's float power,
+which numpy's square does not always equal) in one call per sweep, and the
+per-iteration sums add in ascending-id order one element at a time, never
+pairwise. The snapshot and the sweep span the ids issued, not the capacity.
 
 Every identity gets a fresh id, ids only grow, and every id issued during
 iteration n joins at n: the founding ids and a rejoin planted before the
@@ -322,7 +322,7 @@ class Simulation:
         coef = (growth_ratio - 1.0) * cfg.attach_edges / d_avg if d_avg > 0 else 0.0
 
         swept, w_sum, wmax_sum, offer_sum = self._est.sweep(
-            *t.neighbor_degree_array(self._est.capacity),
+            *t.neighbor_degree_array(t.next_id),
             coef,
             self.r_est,
             cfg.r_ini_min,
@@ -418,8 +418,9 @@ class Simulation:
     def _voluntary_departures(self) -> None:
         cfg = self.cfg
         threshold = legitimacy_threshold(self.r_est, cfg.r_ini_min)
+        end = self.topology.next_id
         candidates = np.flatnonzero(
-            (self.role_code == Role.COOPERATIVE.value) & (self.reputation >= threshold)
+            (self.role_code[:end] == Role.COOPERATIVE.value) & (self.reputation[:end] >= threshold)
         )
         # Departures stop at attach_edges + 1 nodes, and no draw is made
         # past that floor: a batch never holds more draws than departures

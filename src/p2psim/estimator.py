@@ -12,7 +12,8 @@ departure and a potential whitewasher. The simulation's per-iteration sweep
 runs on `EstimatorArrays`, the only implementation of the window peak and
 the whitewash level; `tests/oracles.py` states the same rules one node at a
 time and checks the kernel against them. The kernel keeps each window's
-peak and recounts it only where the slot it overwrites held it.
+peak, recounts it only where the slot it overwrites held it, and reads
+only the rows of the ids issued.
 """
 
 from __future__ import annotations
@@ -34,14 +35,15 @@ def legitimacy_threshold(r_ini_max: float, r_ini_min: float) -> float:
 def offer_curve(ratio, r_max: float, r_min: float):
     """The quadratic offer: r_max at ratio 0, falling to the r_min floor as
     ratio reaches 1. A float ratio gives a float offer, a 1-D array of
-    ratios the array of their offers. The square is Python's float power
-    (libm pow), taken one base at a time, not x * x or numpy's square: the
-    two differ in the last bit on about 0.1% of inputs, and recorded
-    outputs depend on which one is used. The floor is `max`'s rule, r_min
-    only where it is greater, so signed zeros come out as `max` gives them
-    (`np.maximum` returns its second operand on a tie)."""
+    ratios the array of their offers. `np.float_power` squares with libm's
+    pow per element, as Python's float power does; `np.power` and
+    `np.square` square as x * x, which differs in the last bit on about
+    0.1% of bases, and recorded outputs depend on which one is used. The
+    floor is `max`'s rule, r_min only where it is greater, so signed zeros
+    come out as `max` gives them (`np.maximum` returns its second operand
+    on a tie)."""
     bases = 1.0 - np.atleast_1d(ratio)
-    offers = np.array([b**2 for b in bases.tolist()]) * r_max
+    offers = np.float_power(bases, 2.0) * r_max
     offers = np.where(r_min > offers, r_min, offers)
     return offers if isinstance(ratio, np.ndarray) else float(offers[0])
 
@@ -98,9 +100,9 @@ class EstimatorArrays:
     `offers` is dense: after a sweep, nodes it left out offer the ceiling
     estimate, and a node added since offers the ceiling it was primed with.
     Outputs match a per-node loop bit for bit: the quadratic is applied
-    by one `offer_curve` call over the distinct ratios among the nodes with
-    a positive level, and the sums run in ascending-id order one element at
-    a time.
+    by one `offer_curve` call over the ratios of the nodes with a positive
+    level, and the sums run in ascending-id order one element at a time.
+    The next sweep's baseline `_prev_ndsum` is a copy, never a view.
     """
 
     def __init__(self, window: int, ids: np.ndarray, r_est: float, ndsum: np.ndarray):
@@ -113,7 +115,7 @@ class EstimatorArrays:
         self._peak = np.zeros(size)
         self._peak[ids] = max(r_est, 0.0)
         self.offers = np.full(size, r_est)
-        self._prev_ndsum = ndsum
+        self._prev_ndsum = np.array(ndsum)
         self._slot = 0
         self._swept = np.zeros(0, dtype=np.int64)
         self._swept_w = np.zeros(0)
@@ -163,16 +165,18 @@ class EstimatorArrays:
         """One estimator step over every node that saw churn or still holds
         a nonzero window.
 
-        All three arrays are indexed by node id and `capacity` long, as
-        `Topology.neighbor_degree_array` returns them. `ndsum` holds every
-        node's neighbor-degree sum now; it also becomes the next sweep's
-        baseline. `gained` and `lost` hold, per node, the new neighbors and
-        the benign departures its neighbors saw since the previous sweep.
-        `coef` is the expected growth arrivals per unit of the previous
-        sweep's neighbor-degree sum. Returns the number of nodes swept and
-        the sums of their levels, window peaks and offers.
+        All three arrays are indexed by node id, as many rows long as there
+        are ids issued (`Topology.next_id`) or more, up to `capacity`, and
+        the sweep uses only those rows. `ndsum` holds every node's
+        neighbor-degree sum now; it is copied as the next sweep's baseline.
+        `gained` and `lost` hold, per node, the new neighbors and the benign
+        departures its neighbors saw since the previous sweep. `coef` is the
+        expected growth arrivals per unit of the previous sweep's
+        neighbor-degree sum. Returns the number of nodes swept and the sums
+        of their levels, window peaks and offers.
         """
-        ids = np.flatnonzero((self._peak > 0) | (gained > 0) | (lost > 0))
+        issued = len(ndsum)
+        ids = np.flatnonzero((self._peak[:issued] > 0) | (gained > 0) | (lost > 0))
         den = ndsum[ids]
         num = gained[ids] - coef * self._prev_ndsum[ids]
         num -= lost[ids]
@@ -198,23 +202,10 @@ class EstimatorArrays:
 
         hot = np.flatnonzero(w > 0)
         w_hot = w[hot]
-        # Many nodes share a ratio (an untouched regular neighborhood sees
-        # the same level and peak as the next), and offer_curve is pure.
-        ratios = np.minimum(w_hot / peak[hot], 1.0)
-        # The sorted distinct ratios, found by hand: np.unique would import
-        # numpy.ma for its masked-array check, half a MiB of resident code.
-        # A binary search maps them back; where most ratios tie, as on a
-        # regular overlay, an argsort of the ratios costs more.
-        distinct = np.sort(ratios)
-        first = np.ones(len(distinct), dtype=bool)
-        np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
-        distinct = distinct[first]
-        self.offers.fill(r_est)
-        self.offers[ids[hot]] = offer_curve(distinct, r_est, r_min)[
-            np.searchsorted(distinct, ratios)
-        ]
+        self.offers[:issued] = r_est
+        self.offers[ids[hot]] = offer_curve(np.minimum(w_hot / peak[hot], 1.0), r_est, r_min)
 
-        self._prev_ndsum = ndsum
+        self._prev_ndsum[:issued] = ndsum
         self._swept, self._swept_w = ids, w
         # w holds no -0.0, and adding +0.0 leaves any other float as it is,
         # so the level sum can skip the zero levels.

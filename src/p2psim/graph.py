@@ -174,7 +174,8 @@ class Topology:
     def neighbor_degree_array(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ndsum, gained, lost), each indexed by node id and `size` long;
         `size` must exceed every live id. `ndsum` is every node's
-        neighbor-degree sum, zero where no node is. `gained` and `lost` are
+        neighbor-degree sum, zero where no node is, a view that the next
+        snapshot overwrites. `gained` and `lost` are
         the churn since the previous snapshot: per node, the arrivals and
         the benign departures booked at its current neighbors. They are
         floats holding integers, so they are exact in any order. The first
@@ -222,7 +223,7 @@ class Topology:
         )
         _int64(self._arrived)[touched] = _int64(self._benign_gone)[touched] = 0
         marks[touched] = False
-        return nds[:size].copy(), gained, lost
+        return nds[:size], gained, lost
 
     # ---- preferential attachment ------------------------------------
 

@@ -176,6 +176,28 @@ def test_offer_curve_squares_with_float_power():
     assert offers.tolist() == [base**2, 0.03]
 
 
+def test_float_power_is_python_float_power_bit_for_bit():
+    # offer_curve squares through np.float_power because it calls libm's pow
+    # once per element, as Python's float power does; np.power with the
+    # scalar exponent 2.0 squares as x * x, which rounds apart from pow on
+    # the tricky bases below. If a numpy release vectorizes float_power,
+    # this test should fail before the recorded digests do. The bases: the
+    # tricky ones the tests of this module use, the endpoints and the
+    # smallest and largest bases below 1, and 10^5 seeded uniforms.
+    tricky = [0.6220311656563919]
+    for seed, high, count in ((3, 0.7, 100_000), (5, 1.0, 20_000)):
+        ratios = np.random.default_rng(seed).uniform(0.0, high, count).tolist()
+        tricky += [r for r in ratios if (1 - r) * (1 - r) != (1 - r) ** 2]
+    bases = np.array(
+        [1 - r for r in tricky]
+        + [0.0, 0.5, 1.0, 5e-324, 1 - 2**-53]
+        + np.random.default_rng(23).uniform(0.0, 1.0, 100_000).tolist()
+    )
+    want = [b**2 for b in bases.tolist()]
+    assert float_bits(np.float_power(bases, 2.0)) == float_bits(want)
+    assert (np.power(bases, 2.0) != want).any()
+
+
 def plain_curve(ratio: float, r_max: float, r_min: float) -> float:
     """The quadratic offer as one scalar Python expression: the reference
     for both forms of `offer_curve`."""
@@ -264,10 +286,11 @@ def test_estimator_arrays_match_scalar_oracle():
 
 
 def test_shared_ratios_get_the_offer_curve_of_each_node():
-    # The sweep evaluates offer_curve once per distinct ratio and hands the
-    # result to every node that shares it. With a unit neighborhood, no
-    # growth term and a window peak of 1.0, each node's ratio is the churn
-    # sum it is given, so hundreds of nodes can share one ratio exactly.
+    # The sweep evaluates offer_curve once over every hot node's ratio, and
+    # each node must get the scalar curve of its own ratio. With a unit
+    # neighborhood, no growth term and a window peak of 1.0, each node's
+    # ratio is the churn sum it is given, so hundreds of nodes can share one
+    # ratio exactly.
     rng = np.random.default_rng(3)
     # A base where x * x and x ** 2 round apart: numpy's square of the
     # whole array would give this node a different offer.
@@ -331,6 +354,55 @@ def test_sweep_offers_are_the_scalar_curve_bit_for_bit():
             assert type(got) is float and float_bits(got) == float_bits(plain_curve(w, r_est, r_min))
 
     check()
+
+
+def test_sweep_reads_only_the_issued_rows_and_keeps_its_own_baseline():
+    # Two estimators see the same churn on a scale-free overlay that grows
+    # and shrinks between sweeps: one is given each snapshot over the ids
+    # issued (the engine's width), the other over its whole capacity.
+    # Offers over the issued ids, peaks and the returned values must be
+    # equal to the bit. The snapshot's neighbor-degree sums are a view of
+    # the topology's own array, which the next snapshot overwrites, so
+    # each estimator's baseline must be an array of its own: it never
+    # shares memory with the topology, and at the next snapshot it still
+    # holds the sums of the previous one.
+    rng = np.random.default_rng(29)
+    r_est, r_min = 0.5, 0.03
+    t = graph.generate_scale_free(30, 2, rng)
+    first = t.neighbor_degree_array(t.next_id)[0]
+    prev = first.copy()
+    narrow = EstimatorArrays(3, t.live_ids(), r_est, first)
+    wide = EstimatorArrays(3, t.live_ids(), r_est, first)
+    seen = collections.Counter()
+    for _ in range(60):
+        for est in (narrow, wide):
+            assert not np.shares_memory(est._prev_ndsum, t._nds)
+        for _ in range(int(rng.integers(0, 3))):
+            victim = int(rng.choice(t.live_ids()))
+            graph.remove_node(t, victim, bool(rng.integers(2)))
+            for est in (narrow, wide):
+                est.retire(victim)
+        r_est = float(rng.uniform(0.1, 0.6))
+        for _ in range(int(rng.integers(0, 5))):
+            vid, _ = t.attach(2, rng)
+            for est in (narrow, wide):
+                est.prime(vid, vid + 1, r_est)
+        end = t.next_id
+        seen["spare rows"] += wide.capacity > end
+        snapshot = t.neighbor_degree_array(wide.capacity)
+        for est in (narrow, wide):
+            np.testing.assert_array_equal(est._prev_ndsum[: len(prev)], prev)
+        coef = float(rng.uniform(-0.02, 0.05))
+        got = narrow.sweep(*(a[:end] for a in snapshot), coef, r_est, r_min)
+        want = wide.sweep(*snapshot, coef, r_est, r_min)
+        assert got[0] == want[0] and float_bits(got[1:]) == float_bits(want[1:])
+        assert float_bits(narrow.offers[:end]) == float_bits(wide.offers[:end])
+        assert float_bits(narrow._peak) == float_bits(wide._peak)
+        seen["hot"] += got[1] > 0
+        prev = snapshot[0][:end].copy()
+    for est in (narrow, wide):
+        assert not np.shares_memory(est._prev_ndsum, t._nds)
+    assert seen["spare rows"] > 10 and seen["hot"] > 10, seen
 
 
 def test_incremental_peak_is_the_row_max():
