@@ -153,6 +153,9 @@ MAX_WINDOW_CELLS = 10**7
 # int64 in the neighbor slab and one in the attachment pool, 160 MB at this
 # bound, counted at the most the overlay can hold (`_edge_ends`).
 MAX_EDGE_ENDS = 10**7
+# The longest file name most file systems take, in bytes: a grid run's CSV
+# is named after its cell's overrides and seed, so long overrides can pass it.
+MAX_FILE_NAME_BYTES = 255
 # Work bound on one game-report: the joint round assignments its exact
 # enumerations visit. kappa 7 (7.0M, about half a second) fits; kappa 8 does not.
 MAX_GAME_ASSIGNMENTS = 10**7
@@ -362,6 +365,11 @@ def _simulate_plan(grid, seeds, **sim) -> SimulatePlan:
             dataclasses.replace(base, **change)
         except ValueError as err:
             problems.append(f"{label}: {err}")
+    problems += [  # the largest seed names the longest CSV of a cell
+        f"grid cell {_cell_id(c)}: its CSV name is longer than {MAX_FILE_NAME_BYTES} bytes"
+        for c in cells
+        if len(_run_file(c, max(seeds)).encode()) > MAX_FILE_NAME_BYTES
+    ]
     if problems:
         raise ValueError("; ".join(problems))
     runs = [dataclasses.replace(base, **c) for c in cells] or [base]
@@ -537,6 +545,11 @@ def _cell_id(cell: dict) -> str:
     return "-".join(f"{k}={_fmt(v)}" for k, v in sorted(cell.items()))
 
 
+def _run_file(cell: dict, seed: int) -> str:
+    """The name of one grid run's CSV."""
+    return f"sim-{_cell_id(cell)}-seed{seed}.csv"
+
+
 def _tail_means(records: list[IterationRecord]) -> tuple[float, float]:
     tail = records[-SUMMARY_WINDOW:]
     if not tail:
@@ -557,15 +570,14 @@ def scenario_grid(
     trailing-window means, and return the summary rows."""
     summary = []
     for cell in cells:
-        cid = _cell_id(cell)
         for seed in seeds:
             cfg = dataclasses.replace(base, **cell, seed=seed)
             records = engine.run(cfg)
-            path = out_dir / f"sim-{cid}-seed{seed}.csv"
+            path = out_dir / _run_file(cell, seed)
             emit_csv(records, path)
             _say(quiet, f"wrote {path}")
             frac, offer = _tail_means(records)
-            summary.append((cid, seed, frac, offer))
+            summary.append((_cell_id(cell), seed, frac, offer))
     path = out_dir / "summary.csv"
     _write_csv(
         path,

@@ -37,50 +37,40 @@ its next read of them. It books the churn of both node events: one arrival
 at each host, and one benign departure at each neighbor of a benign
 leaver.
 
-The estimator state of step 2 lives in `estimator.EstimatorArrays`: numpy
-arrays indexed by node id, which only grow because ids are never reused. A
-ring of `window` slot arrays with one global write slot holds every node's
-recent whitewash levels; it works because a node is swept on every step
-while its window holds a nonzero level. Each window's peak is kept beside
-the ring and counted again only in the rows whose overwritten slot held
-it. New nodes are primed with the ceiling estimate in the slot just before
-the next write. A dense offer array answers probes, and nodes a sweep left
-out offer the ceiling. Each sweep reads one snapshot of the neighbor-degree
-sums, which is also the next sweep's baseline, and the churn sums (arrivals
-and benign departures summed over each node's neighbors).
-`Topology.neighbor_degree_array` computes all three in one vectorized
-gather at the sweep over the neighbor rows of the nodes whose neighbors
-changed since the previous sweep, and clears the booked churn. Node events
-themselves keep no sums.
-Outputs match the per-node formulas bit for bit: the quadratic offer goes
-through `estimator.offer_curve` (libm's pow, as Python's float power,
-which numpy's square does not always equal) in one call per sweep, and the
-per-iteration sums add in ascending-id order one element at a time, never
-pairwise. The snapshot and the sweep span the ids issued, not the capacity.
+The estimator state of step 2 lives in `estimator.EstimatorArrays` (the
+window ring, the kept peaks and a dense offer array that answers probes).
+Each sweep reads one snapshot from `Topology.neighbor_degree_array`: the
+neighbor-degree sums, which are also the next sweep's baseline, and the
+churn sums (arrivals and benign departures summed over each node's
+neighbors), gathered once over the nodes whose neighbors changed. Node
+events themselves keep no sums. Outputs match the per-node formulas bit
+for bit: one `estimator.offer_curve` call per sweep, and per-iteration sums
+added in ascending-id order one element at a time, never pairwise. The
+snapshot and the sweep span the ids issued.
 
 Every identity gets a fresh id, ids only grow, and every id issued during
 iteration n joins at n: the founding ids and a rejoin planted before the
 first step at 0, wave rejoins and growth arrivals during their step, and a
 rejoin planted between steps n and n + 1 at n. So the ids that joined at j
 are one range, from `_first_id[j]` (the topology's next id at the start of
-step j, 0 for j = 0) up to `_first_id[j + 1]`. Every agent fact is an array
-indexed by node id, grown with `graph.grown` like the estimator's, all six
-together when an id outruns them, and each is the only place its fact is
-kept: `reputation` (drawn for the founders, the grant for a newcomer, then
-the earned value from the transaction start); `role_code`, the id's
-`agents.Role` value, written once when the id registers, and 0 from when
-the node leaves (or before the id is issued), so it also marks liveness;
-`honesty`; the attempt counters `attempts` and `successes`; and `grant`,
-what the current identity was born with (0 for a founder, which never
-reads it). New ids register through one path over an id range, one write
-per array (`Simulation._register_newcomers`): a rejoin's one id, which
-takes the person's role, honesty and counters and the offer as its grant,
-or a whole growth batch, whose grants, the offers of each arrival's first
-host, are read only once the batch is primed. The transaction start is two
-masked writes on one id range, the newcomer pool is the live ids of one
-range, and the departure candidates are one mask, the live cooperators at
-or above the legitimacy threshold, in ascending order. The wave's pollers
-are one mask too (`Simulation._pollers`), computed once per wave.
+step j, 0 for j = 0) up to `_first_id[j + 1]`. Every agent fact is one
+array indexed by node id (`_ID_ROWS`), the only place that fact is kept:
+`reputation` (drawn for a founder, the grant for a newcomer, then the
+earned value from the transaction start); `role_code`, the id's
+`agents.Role` value, 0 from when the node leaves (or before the id is
+issued), so it also marks liveness; `honesty`; the attempt counters
+`attempts` and `successes`; and `grant`, what the current identity was
+born with (0 for a founder, which never reads it). Every id registers
+through one path, `Simulation._register_newcomers`, which grows these
+arrays and the estimator's to the ids issued (`graph.grown`), primes the
+windows and makes one write per array, over one id or one range: the
+founders' range 0 to n - 1 at set-up, whose drawn reputations are written
+after it; a rejoin's one id, which takes the person's role, honesty and
+counters and the offer as its grant; or a whole growth batch, whose
+grants, the offers of each arrival's first host, are read only once the
+batch is primed. The transaction start is two masked writes on one id
+range, the newcomer pool is the live ids of one range, and the departure
+candidates and the wave's pollers (`_pollers`) are one mask each.
 
 All randomness comes from one draw source per run, `Simulation.rng`, a
 `draws.Draws` over the run's seeded PCG64 `Generator` that yields exactly
@@ -127,8 +117,9 @@ NEWCOMER_MIN_TENURE = 3
 # average to a value a few ulps off), never a real difference.
 _GRANT_MARGIN = 1e-12
 
-# The Simulation's arrays indexed by node id, one row per id issued.
-_ID_ROWS = ("role_code", "reputation", "honesty", "attempts", "successes", "grant")
+# The Simulation's arrays indexed by node id, one row per id issued, by dtype.
+_ID_ROWS = {"role_code": np.int8, "reputation": np.float64, "honesty": np.float64,
+            "attempts": np.int64, "successes": np.int64, "grant": np.float64}
 
 
 @dataclass(frozen=True)
@@ -256,12 +247,9 @@ class Simulation:
             self.topology = graph_mod.generate_scale_free(cfg.n, cfg.attach_edges, self.rng)
         else:
             self.topology = graph_mod.generate_regular(cfg.n, cfg.degree, self.rng)
-        self.role_code, self.reputation, self.honesty = agents_mod.init_population(
-            cfg.n, cfg.r_ini_max0, self.rng
-        )
-        self.attempts = np.zeros(cfg.n, dtype=np.int64)
-        self.successes = np.zeros(cfg.n, dtype=np.int64)
-        self.grant = np.zeros(cfg.n)
+        role, reputation, honesty = agents_mod.init_population(cfg.n, cfg.r_ini_max0, self.rng)
+        for name, dtype in _ID_ROWS.items():
+            setattr(self, name, np.zeros(0, dtype))
         self.iteration = 0
         self._first_id = [0]
         # Shared estimate of the ceiling other nodes grant newcomers, held
@@ -270,15 +258,12 @@ class Simulation:
         self._est_floor = min(2 * cfg.r_ini_min, cfg.r_ini_max0)
         self.r_est = cfg.r_ini_max0
         self._mu_x = cfg.mu**cfg.x
-        t = self.topology
         # The first snapshot also returns the churn the build booked, which
         # no estimate reads.
-        self._est = EstimatorArrays(
-            cfg.window_n_prime,
-            t.live_ids(),
-            self.r_est,
-            t.neighbor_degree_array(t.next_id)[0],
-        )
+        self._est = EstimatorArrays(cfg.window_n_prime, self.topology.neighbor_degree_array()[0])
+        # The founders register like every later id; their grant stays 0.
+        self._register_newcomers(slice(0, cfg.n), role, honesty, 0, 0)
+        self.reputation[:] = reputation
         self._prev_count = float(cfg.n)
         self.auto_whitewash = True
 
@@ -322,7 +307,7 @@ class Simulation:
         coef = (growth_ratio - 1.0) * cfg.attach_edges / d_avg if d_avg > 0 else 0.0
 
         swept, w_sum, wmax_sum, offer_sum = self._est.sweep(
-            *t.neighbor_degree_array(t.next_id),
+            *t.neighbor_degree_array(),
             coef,
             self.r_est,
             cfg.r_ini_min,
@@ -340,15 +325,14 @@ class Simulation:
 
     def _register_newcomers(self, ids: int | slice, role, honesty, attempts, successes) -> None:
         """Register the newest ids, up to the topology's next id: a rejoin's
-        id (numpy writes through one index several times faster than through
-        a slice) or a growth batch's slice. Grows the arrays indexed by node
-        id once, primes the windows and writes each person's facts, one value
-        or one per id; the caller then writes the grants, the reputations."""
+        one id, or a growth batch's or the founders' slice. Grows the arrays
+        indexed by node id, primes the windows and writes each person's
+        facts; the caller then writes the grants and the reputations."""
         end = self.topology.next_id
         if end > len(self.role_code):
             for name in _ID_ROWS:
                 setattr(self, name, graph_mod.grown(getattr(self, name), end))
-        self._est.prime(ids if isinstance(ids, int) else ids.start, end, self.r_est)
+        self._est.prime(ids, self.r_est)
         self.role_code[ids] = role
         self.honesty[ids] = honesty
         self.attempts[ids] = attempts

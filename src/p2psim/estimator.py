@@ -78,9 +78,11 @@ class _SweepLevels(Mapping):
 class EstimatorArrays:
     """Every node's estimator state as arrays indexed by node id.
 
-    Node ids are never reused, so the arrays only grow (`graph.grown`
-    doubles them when an id outruns them) and a removed node's row is
-    simply never read again.
+    Node ids are never reused, so the arrays only grow, and a removed
+    node's row is simply never read again. The constructor allocates zero
+    windows over the first snapshot, its first baseline; `prime` starts
+    every id, a founder included, and is the one place the rows grow
+    (`graph.grown`, to the ids issued).
 
     The sliding windows share one ring of `window` slot arrays, each
     indexed by node id, and one global write slot. A node is swept on every
@@ -105,38 +107,30 @@ class EstimatorArrays:
     The next sweep's baseline `_prev_ndsum` is a copy, never a view.
     """
 
-    def __init__(self, window: int, ids: np.ndarray, r_est: float, ndsum: np.ndarray):
+    def __init__(self, window: int, ndsum: np.ndarray):
         if window < 1:
             raise ValueError("window must be >= 1")
-        size = len(ndsum)
         self.window = window
-        self._ring = [np.zeros(size) for _ in range(window)]
-        self._ring[window - 1][ids] = r_est
-        self._peak = np.zeros(size)
-        self._peak[ids] = max(r_est, 0.0)
-        self.offers = np.full(size, r_est)
+        self._ring = [np.zeros(len(ndsum)) for _ in range(window)]
+        self._peak, self.offers = np.zeros(len(ndsum)), np.zeros(len(ndsum))
         self._prev_ndsum = np.array(ndsum)
         self._slot = 0
         self._swept = np.zeros(0, dtype=np.int64)
         self._swept_w = np.zeros(0)
 
-    @property
-    def capacity(self) -> int:
-        return len(self._peak)
-
-    def prime(self, first: NodeId, end: NodeId, r_est: float) -> None:
-        """Start the windows of the new ids `first` to `end` - 1 at the
-        ceiling estimate: never written, so the prime is their peak."""
-        if end > self.capacity:
+    def prime(self, ids: NodeId | slice, r_est: float) -> None:
+        """Start the windows of the new ids, one id or a slice of them that
+        ends at the last id issued, at the ceiling estimate: never written,
+        so the prime is their peak. Numpy writes through one index several
+        times faster than through a slice, and most primes are one rejoin's."""
+        end = ids + 1 if isinstance(ids, int) else ids.stop
+        if end > len(self._peak):
             # One slot at a time, so each old slot is freed before the next
             # one grows.
             for k, column in enumerate(self._ring):
                 self._ring[k] = grown(column, end)
             for name in ("_peak", "offers", "_prev_ndsum"):
                 setattr(self, name, grown(getattr(self, name), end))
-        # Mostly one id, a rejoin's: numpy writes through one index several
-        # times faster than through a slice.
-        ids = first if end - first == 1 else slice(first, end)
         self._ring[(self._slot - 1) % self.window][ids] = r_est
         self._peak[ids] = max(r_est, 0.0)
         self.offers[ids] = r_est
@@ -165,9 +159,9 @@ class EstimatorArrays:
         """One estimator step over every node that saw churn or still holds
         a nonzero window.
 
-        All three arrays are indexed by node id, as many rows long as there
-        are ids issued (`Topology.next_id`) or more, up to `capacity`, and
-        the sweep uses only those rows. `ndsum` holds every node's
+        All three arrays are indexed by node id, one row per id issued
+        (`Topology.next_id`); the estimator's own arrays may hold spare rows
+        past them, which the sweep leaves alone. `ndsum` holds every node's
         neighbor-degree sum now; it is copied as the next sweep's baseline.
         `gained` and `lost` hold, per node, the new neighbors and the benign
         departures its neighbors saw since the previous sweep. `coef` is the

@@ -2,14 +2,15 @@
 
 Node ids are monotonically increasing and never reused, so identity churn
 (a node leaving and rejoining) is visible in the id space, and an array
-indexed by node id only ever grows (`grown`). Every mutation is a node event
-or a whole build: `Topology.attach` joins a new node to all its hosts,
-`remove_node` unhooks one from all its neighbors and `Topology.from_edges`
-builds a whole overlay from an edge array (the scale-free seed clique and
-every regular overlay). A regular overlay's edges come from the pairing
-model, one numpy pass per shuffle round over the stubs left
-(`generate_regular`); a scale-free one grows from its clique one `attach` at
-a time (`generate_scale_free`). Each leaves the state that adding or
+indexed by node id only ever grows: an `array('q')` by appends, a numpy
+one by `grown` to `next_id`. Every mutation is a node event or a whole
+build: `Topology.attach` joins a new node to all its hosts, `remove_node`
+unhooks one from all its neighbors and `Topology.from_edges` builds a
+whole overlay from an edge array (the scale-free seed clique and every
+regular overlay). A regular overlay's edges come from the pairing model,
+one numpy pass per shuffle round over the stubs left (`generate_regular`);
+a scale-free one grows from its clique one `attach` at a time
+(`generate_scale_free`). Each leaves the state that adding or
 removing the same edges one at a time would leave; the per-edge reference
 model lives with the tests. Node events also book the churn the estimator
 reads: an arrival one at each host, and a benign `remove_node` one
@@ -92,6 +93,13 @@ def _int64(a) -> np.ndarray:
     return np.frombuffer(a, np.int64)
 
 
+def _q(x) -> array:
+    """An `array('q')` of `x`, copied once out of numpy's buffer, no `bytes` between."""
+    a = array("q")
+    a.frombytes(memoryview(np.ascontiguousarray(x, np.int64)).cast("B"))
+    return a
+
+
 def _row_positions(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     """Slab positions of rows that begin at `start` and hold `length`
     entries each, concatenated in order."""
@@ -171,12 +179,12 @@ class Topology:
         keep = np.frombuffer(self._live, bool)[entries]
         return entries[keep], keep
 
-    def neighbor_degree_array(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ndsum, gained, lost), each indexed by node id and `size` long;
-        `size` must exceed every live id. `ndsum` is every node's
-        neighbor-degree sum, zero where no node is, a view that the next
-        snapshot overwrites. `gained` and `lost` are
-        the churn since the previous snapshot: per node, the arrivals and
+    def neighbor_degree_array(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ndsum, gained, lost), each indexed by node id, one row per id
+        issued. `ndsum` is every node's neighbor-degree sum, zero where no
+        node is, a view of `_nds` that the next snapshot overwrites (`_deg`
+        and `_nds` grow here, to `next_id` with `grown`). `gained` and `lost`
+        are the churn since the previous snapshot: per node, the arrivals and
         the benign departures booked at its current neighbors. They are
         floats holding integers, so they are exact in any order. The first
         snapshot of a `generate_scale_free` overlay also returns the
@@ -195,8 +203,9 @@ class Topology:
         not a changed degree, are what mark a node: one that lost an edge
         and gained another keeps its degree but not its sum."""
         self._settle()
-        self._deg = grown(self._deg, max(size, self.next_id))
-        self._nds = grown(self._nds, max(size, self.next_id))
+        size = self.next_id
+        self._deg = grown(self._deg, size)
+        self._nds = grown(self._nds, size)
         deg, nds = self._deg, self._nds
         marks = np.frombuffer(self._touched, bool)
         touched = np.flatnonzero(marks)
@@ -238,10 +247,10 @@ class Topology:
         nbrs, _ = self._live_rows(ids)
         start = np.zeros(self.next_id, np.int64)
         start[ids] = np.cumsum(degree) - degree
-        self._slab = array("q", nbrs.tobytes())
-        self._start = array("q", start.tobytes())
+        self._slab = _q(nbrs)
+        self._start = _q(start)
         self._fill, self._cap, self._pool_copies = self._degree[:], self._degree[:], self._degree[:]
-        self._pool = array("q", np.repeat(ids, degree).tobytes())
+        self._pool = _q(np.repeat(ids, degree))
         self._pool_stale = 0
 
     def attach(self, count: int, rng: Draws) -> tuple[NodeId, list[NodeId]]:
@@ -360,14 +369,14 @@ class Topology:
         ends = pairs.ravel()  # u0, v0, u1, v1, ...: the pool's order
         degree = np.bincount(ends, minlength=n)
         by_row = np.argsort(ends, kind="stable")
-        t._slab = array("q", pairs[:, ::-1].ravel()[by_row].tobytes())
-        t._start = array("q", (np.cumsum(degree) - degree).tobytes())
-        t._degree = array("q", degree.tobytes())
+        t._slab = _q(ends[by_row ^ 1])  # an end's partner is the other end of its pair
+        t._start = _q(np.cumsum(degree) - degree)
+        t._degree = _q(degree)
         t._fill, t._cap, t._pool_copies = t._degree[:], t._degree[:], t._degree[:]
         t._live = bytearray(b"\x01") * n
         t._touched = bytearray((degree > 0).tobytes())
         t._arrived, t._benign_gone = array("q", bytes(8 * n)), array("q", bytes(8 * n))
-        t._pool = array("q", ends.tobytes())
+        t._pool = _q(ends)
         t.next_id = t.node_count = n
         t.edge_count = len(pairs)
         t.isolated_count = n - int(np.count_nonzero(degree))

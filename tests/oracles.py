@@ -50,7 +50,7 @@ import numpy as np
 from p2psim.cli import CSV_HEADER
 from p2psim.draws import Draws
 from p2psim.agents import Role
-from p2psim.engine import _ID_ROWS, NEWCOMER_MIN_TENURE, IterationRecord, Simulation
+from p2psim.engine import NEWCOMER_MIN_TENURE, IterationRecord, Simulation
 from p2psim.estimator import offer_curve
 from p2psim.game import GameSpec, MixedProfile
 from p2psim.graph import (
@@ -59,7 +59,6 @@ from p2psim.graph import (
     InvalidParameterError,
     NodeId,
     UnknownNodeError,
-    grown,
 )
 from p2psim.payoff import (
     DEFAULT_CROSSOVER_CAP,
@@ -378,13 +377,13 @@ class RefTopology:
 
     # ---- snapshot ----------------------------------------------------------------
 
-    def snapshot(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """What `Topology.neighbor_degree_array(size)` returns, counted from
-        the sets; clears the marks and the booked churn the same way."""
-        ndsum = np.zeros(size, dtype=np.int64)
+    def snapshot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What `Topology.neighbor_degree_array()` returns, counted from the
+        sets; clears the marks and the booked churn the same way."""
+        ndsum = np.zeros(self.next_id, dtype=np.int64)
         for v in self.adj:
             ndsum[v] = neighbor_degree_sum(self, v)
-        gained, lost = (churn_sums(self, m, size) for m in (self._arrived, self._benign_gone))
+        gained, lost = (churn_sums(self, m) for m in (self._arrived, self._benign_gone))
         self._touched, self._arrived, self._benign_gone = set(), {}, {}
         return ndsum, gained, lost
 
@@ -457,11 +456,11 @@ def neighbor_degree_sum(t, v: NodeId) -> int:
     return sum(len(t.neighbors(u)) for u in t.neighbors(v))
 
 
-def churn_sums(t, counts: dict[NodeId, int], size: int) -> np.ndarray:
+def churn_sums(t, counts: dict[NodeId, int]) -> np.ndarray:
     """For each live host j, counts[j] added to every current neighbor of
-    j, as a float array indexed by node id and `size` long; hosts that are
-    gone add nothing."""
-    sums = np.zeros(size)
+    j, as a float array indexed by node id, one row per id issued; hosts
+    that are gone add nothing."""
+    sums = np.zeros(t.next_id)
     for j, c in counts.items():
         if j in t:
             for i in t.neighbors(j):
@@ -472,10 +471,10 @@ def churn_sums(t, counts: dict[NodeId, int], size: int) -> np.ndarray:
 def grow_one_at_a_time(sim: Simulation) -> list[tuple[NodeId, NodeId]]:
     """`Simulation._grow_population` with each arrival registered as it
     attaches. Per arrival: the attachment draws, then the honesty draw; the
-    grant is the offer its first host makes right then, which for a host of
-    the same batch is the prime; the arrays indexed by node id grow when the
-    id outruns them; then its facts are written and its window is primed.
-    Returns each arrival's id and first host."""
+    grant is the offer its first host makes right then, before the arrival
+    registers, which for a host of the same batch is the prime; then the
+    arrival registers alone (`Simulation._register_newcomers`) and its
+    grant is written. Returns each arrival's id and first host."""
     t, rng = sim.topology, sim.rng
     count = round(t.node_count * sim.cfg.growth_percent_per_10 / 100)
     arrivals = []
@@ -484,14 +483,8 @@ def grow_one_at_a_time(sim: Simulation) -> list[tuple[NodeId, NodeId]]:
         honesty = rng.random()
         grant = float(sim._est.offers[hosts[0]])
         role = Role.POTENTIAL_WHITEWASHER if honesty < sim.r_est else Role.COOPERATIVE
-        if vid >= len(sim.role_code):
-            for name in _ID_ROWS:
-                setattr(sim, name, grown(getattr(sim, name), vid + 1))
+        sim._register_newcomers(vid, role, honesty, 0, 0)
         sim.reputation[vid] = sim.grant[vid] = grant
-        sim.role_code[vid] = role
-        sim.honesty[vid] = honesty
-        sim.attempts[vid] = sim.successes[vid] = 0
-        sim._est.prime(vid, vid + 1, sim.r_est)
         arrivals.append((vid, hosts[0]))
     return arrivals
 

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -179,6 +180,29 @@ def test_simulate_grid_writes_cells_and_summary(tmp_path):
     summary = (out / "summary.csv").read_text().splitlines()
     assert summary[0] == "scenario,seed,final_window_whitewash_fraction,final_window_mean_offer"
     assert len(summary) == 5
+
+
+def test_a_grid_cell_named_past_the_file_name_limit_is_a_config_error(tmp_path, capsys):
+    # A grid run's CSV is named after its cell's overrides and seed. A cell
+    # whose name passes 255 bytes at one of the seeds is rejected before
+    # anything is written (it exited 3 with a partial output directory once
+    # the first file write failed); one just inside the limit runs.
+    long_cell = {"attach_edges": 2, "gossip_noise": 0.0123456789012, "iterations": 0,
+                 "legit_departure_prob": 0.0123456789012, "mu": 0.0123456789012,
+                 "growth_percent_per_10": 0.0123456789012, "r_ini_max0": 0.0123456789012,
+                 "r_ini_min": 0.00123456789012, "x": 0.5, "topology": "scale_free", "n": 10}
+    seeds = [0, 10**19]
+    sizes = [len(cli._run_file(long_cell, s).encode()) for s in seeds]
+    assert sizes[0] <= cli.MAX_FILE_NAME_BYTES < sizes[1], sizes
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"grid": [long_cell, {"n": 12, "iterations": 0}], "seeds": seeds})
+    assert run_cli("simulate", "--config", cfg, "--out", out, "--quiet") == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config" and "longer than 255 bytes" in error["detail"], error
+    assert not out.exists()
+    cfg = write_config(tmp_path, {"grid": [long_cell], "seeds": seeds[:1]})
+    assert run_cli("simulate", "--config", cfg, "--out", out, "--quiet") == 0
+    assert [p.name for p in out.glob("sim-*.csv")] == [cli._run_file(long_cell, 0)]
 
 
 def test_reruns_emit_identical_bytes(tmp_path):
@@ -799,6 +823,127 @@ def test_cli_child_process_fuzz(tmp_path, command, kind):
     assert error["command"] == command
     if kind in ("unknown", "nan"):
         assert (proc.returncode, error["error"]) == (2, "config"), text
+
+
+def contract_cases(st):
+    """Small configs of every command, each key of the right JSON type and
+    inside its parser interval, where the parser has one, but free to break
+    the rules that only the plan or its library object checks (SimConfig's
+    ranges, a regular overlay's degree, GameSpec's), so that a draw may be
+    a config error; small degrees and attach_edges are drawn more often,
+    as most larger ones fail that check. Simulations keep n <= 60 and at most 20 iterations, and
+    a payoff sweep at most 8 cells at a cap of at most 10^4."""
+    unit = st.floats(0.0, 1.0)
+    sim = {
+        "topology": st.sampled_from(["scale_free", "regular"]),
+        "n": st.integers(0, 60),
+        "attach_edges": st.integers(1, 6) | st.integers(0, 70),
+        "degree": st.integers(1, 6) | st.integers(0, 70),
+        "growth_percent_per_10": st.sampled_from([0.0, 5.0, 40.0]) | st.floats(0.0, 100.0),
+        "iterations": st.integers(0, 20),
+        "r_ini_max0": unit,
+        "r_ini_min": st.sampled_from([0.0, 0.03]) | unit,
+        "window_n_prime": st.integers(0, 12),
+        "x": unit,
+        "mu": unit,
+        "gossip_noise": st.sampled_from([0.0, 0.05]) | st.floats(0.0, 1.5),
+        "seed": st.integers(0, 2**32),
+        "legit_departure_prob": st.sampled_from([0.0, 0.05]) | unit,
+        "newcomer_window": st.integers(0, 12),
+    }
+    assert set(sim) == set(cli._SIM_SPECS)
+    sim_config = st.fixed_dictionaries({}, optional=sim)
+    cells = st.lists(
+        st.fixed_dictionaries({}, optional={k: v for k, v in sim.items() if k != "seed"}),
+        min_size=2, max_size=2,
+    )
+    seeds = st.lists(st.integers(0, 2**32), min_size=1, max_size=2)
+    simulate = sim_config | st.builds(
+        lambda cfg, grid, seeds: {**cfg, "grid": grid, **seeds},
+        sim_config, cells, st.just({}) | st.builds(lambda s: {"seeds": s}, seeds),
+    )
+    check = st.builds(lambda cfg, k: {**cfg, "injected": k}, sim_config, st.integers(0, 8))
+    few = lambda values: st.lists(values, min_size=1, max_size=2)  # noqa: E731
+    sweep = st.fixed_dictionaries({}, optional={
+        "mu": st.floats(0.01, 1.0),
+        "x": few(st.floats(0.01, 1.0)),
+        "r_ini": few(unit),
+        "regimes": few(st.sampled_from([r.value for r in IdentityRegime])),
+        "z_over_c": st.floats(0.0, 3.0),
+        "m": st.floats(0.0, 3.0),
+        "m_prime": st.floats(0.0, 3.0),
+        "delta": unit,
+        "cap": st.integers(1, 10**4),
+    })
+    report = st.fixed_dictionaries({}, optional={
+        "kappa": st.integers(2, 4),
+        "rounds": st.none() | st.integers(0, 5),
+        "r_ini_max": unit,
+        "r_ini_min": unit,
+        "honesty": st.lists(unit, min_size=1, max_size=5),
+    })
+    fixed = st.fixed_dictionaries({}, optional={
+        "r_ini_max": unit, "r_ini_min": unit, "w_max": st.lists(st.floats(0.01, 1.0), max_size=3),
+    })
+    frontier = st.fixed_dictionaries({}, optional={
+        "mu": st.floats(0.01, 0.99), "m_ratio": st.floats(0.01, 4.0),
+        "x_step": st.floats(0.02, 0.5),
+    })
+    return st.one_of(
+        [st.tuples(st.just(c), cfg) for c, cfg in (
+            ("simulate", simulate), ("estimator-check", check), ("payoff-sweep", sweep),
+            ("game-report", report), ("fixed-point", fixed), ("frontier", frontier),
+        )]
+    )
+
+
+def expected_files(command: str, plan) -> set[str]:
+    """The names of the files a run of `plan` writes."""
+    if command == "simulate":
+        if not plan.cells:
+            return {"run.csv"}
+        return {"summary.csv"} | {cli._run_file(c, s) for c in plan.cells for s in plan.seeds}
+    return {
+        "estimator-check": {"estimator_check.csv"},
+        "payoff-sweep": {"payoff_sweep.csv"},
+        "game-report": {"game_report.csv", "game_report.txt"},
+        "fixed-point": {"fixed_point.csv"},
+        "frontier": {"frontier.csv", "frontier_best.csv"},
+    }[command]
+
+
+def test_a_config_the_parser_accepts_runs_to_exit_0(capsys):
+    # The CLI's contract over small configs of every command, in process:
+    # either exit 2, one JSON config-error line on stderr, nothing on
+    # stdout and no output directory; or exit 0, a silent stderr, and every
+    # file the plan names written, each announced by its own "wrote" line.
+    # A run error (exit 1) or an I/O error (exit 3) fails.
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(deadline=None, database=None)
+    @hypothesis.given(contract_cases(hypothesis.strategies))
+    def check(case):
+        command, config = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+            path.write_text(json.dumps(config))
+            capsys.readouterr()
+            code = run_cli(command, "--config", path, "--out", out)
+            stdout, stderr = capsys.readouterr()
+            assert code in (0, 2), (code, stderr)
+            if code == 2:
+                assert stdout == "" and not out.exists(), stdout
+                lines = stderr.splitlines()
+                assert len(lines) == 1 and json.loads(lines[0])["error"] == "config", stderr
+                return
+            assert stderr == ""
+            want = expected_files(command, cli.parse_config(path, command))
+            assert {f.name for f in out.iterdir()} == want
+            wrote = {Path(line[len("wrote "):]).name
+                     for line in stdout.splitlines() if line.startswith("wrote ")}
+            assert wrote == want
+
+    check()
 
 
 def test_estimator_check_static_is_exact(tmp_path):

@@ -7,11 +7,11 @@ import pytest
 
 import oracles
 from oracles import NeighborhoodObservation
-from p2psim import engine
+from p2psim import agents, engine
 from p2psim import graph as graph_mod
 from p2psim.agents import Role
 from p2psim.engine import SimConfig, Simulation
-from p2psim.estimator import legitimacy_threshold
+from p2psim.estimator import EstimatorArrays, legitimacy_threshold
 
 MU_X = 0.5**0.5  # stationary cooperative reputation at the defaults
 
@@ -21,16 +21,26 @@ def live_with_role(sim: Simulation, role: Role) -> list[int]:
     return [v for v in sim.topology.live_ids().tolist() if sim.role_code[v] == role]
 
 
+def row_lengths(sim: Simulation) -> set[int]:
+    """The lengths of every array indexed by node id that the engine and its
+    estimator keep; one registration path grows them all together."""
+    est = sim._est
+    return {len(getattr(sim, name)) for name in engine._ID_ROWS} | {
+        len(a) for a in (*est._ring, est._peak, est.offers, est._prev_ndsum)
+    }
+
+
 def check_roles_and_records(sim: Simulation) -> None:
     """`role_code` is nonzero exactly on the live ids, every array indexed
-    by node id has a row for every id issued, a live potential
-    whitewasher's successes never exceed its attempts, and the wave would
-    poll live potential whitewashers only."""
+    by node id, the engine's and the estimator's, has one length with a
+    row for every id issued, a live potential whitewasher's successes never
+    exceed its attempts, and the wave would poll live potential
+    whitewashers only."""
     code = sim.role_code
     assert np.flatnonzero(code).tolist() == sim.topology.live_ids().tolist()
     end = sim.topology.next_id
-    for name in engine._ID_ROWS:
-        assert len(getattr(sim, name)) >= end
+    (length,) = row_lengths(sim)
+    assert length >= end
     washer = code[:end] == Role.POTENTIAL_WHITEWASHER.value
     assert np.all(sim.successes[:end][washer] <= sim.attempts[:end][washer])
     assert set(sim._pollers().tolist()) <= set(np.flatnonzero(washer).tolist())
@@ -520,6 +530,47 @@ def test_arrivals_book_one_count_per_host():
     assert sum(arrived.values()) == 3 * 3
 
 
+def test_founders_register_like_every_later_id():
+    # The founders take the registration path of every later id. Their rows
+    # hold exactly `agents.init_population`'s draws at the same point of
+    # the same stream, right after the overlay's build, with zero counters
+    # and grants, in the dtypes `_ID_ROWS` lists; their windows, peaks and
+    # offers are bit for bit an estimator over the first snapshot primed at
+    # r_ini_max0; and every array indexed by node id has one length after
+    # set-up, and again after a rejoin that outruns it.
+    for cfg in (
+        SimConfig(n=50, iterations=0, seed=3, window_n_prime=4),
+        SimConfig(topology="regular", n=40, degree=4, iterations=0, seed=5, r_ini_max0=0.2,
+                  r_ini_min=0.01),
+    ):
+        sim = Simulation(cfg)
+        rng = oracles.draws(cfg.seed)
+        if cfg.topology == "scale_free":
+            t = graph_mod.generate_scale_free(cfg.n, cfg.attach_edges, rng)
+        else:
+            t = graph_mod.generate_regular(cfg.n, cfg.degree, rng)
+        role, reputation, honesty = agents.init_population(cfg.n, cfg.r_ini_max0, rng)
+        assert sim.rng.random() == rng.random()  # set-up drew nothing else
+        for name, want in (("role_code", role), ("reputation", reputation), ("honesty", honesty),
+                           ("attempts", 0), ("successes", 0), ("grant", 0.0)):
+            got = getattr(sim, name)
+            assert got.dtype == engine._ID_ROWS[name], name
+            np.testing.assert_array_equal(got, np.broadcast_to(want, cfg.n), name)
+        ref = EstimatorArrays(cfg.window_n_prime, t.neighbor_degree_array()[0])
+        ref.prime(slice(0, cfg.n), cfg.r_ini_max0)
+        est = sim._est
+        for got, want in zip((*est._ring, est._peak, est.offers, est._prev_ndsum),
+                             (*ref._ring, ref._peak, ref.offers, ref._prev_ndsum)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert set(est.offers.tolist()) == set(est._peak.tolist()) == {cfg.r_ini_max0}
+        assert row_lengths(sim) == {cfg.n}
+        washer = live_with_role(sim, Role.POTENTIAL_WHITEWASHER)[0]
+        new_id = sim.force_whitewash(washer)
+        assert new_id == cfg.n and row_lengths(sim) == {2 * cfg.n}
+        assert sim.role_code[new_id] == Role.POTENTIAL_WHITEWASHER.value
+        assert sim._est._peak[new_id] == sim._est.offers[new_id] == cfg.r_ini_max0
+
+
 def test_growth_batch_matches_the_per_arrival_registration():
     # A growth batch is registered in one write: all its ids grow the arrays
     # indexed by node id once and are primed together, and only then are
@@ -528,7 +579,8 @@ def test_growth_batch_matches_the_per_arrival_registration():
     # every fact of every id, every window and offer, and the topology must
     # agree. The runs cover arrivals whose first host arrived earlier in the
     # same batch, which are granted the prime, and batches that straddle the
-    # arrays' capacity, after which all of them still have one length.
+    # arrays' capacity, after which all of them, the engine's and the
+    # estimator's, still have one length on both sides.
     seen = collections.Counter()
     for seed in range(3):
         for washing in (False, True):
@@ -566,10 +618,8 @@ def test_growth_batch_matches_the_per_arrival_registration():
                         getattr(batch._est, name)[:end], getattr(single._est, name)[:end], name
                     )
                 oracles.assert_same_topology(batch.topology, single.topology)
-                est = batch._est
-                lengths = {len(getattr(batch, name)) for name in engine._ID_ROWS}
-                lengths |= {len(a) for a in (*est._ring, est._peak, est.offers, est._prev_ndsum)}
-                assert lengths == {est.capacity}, lengths
+                for sim in (batch, single):
+                    assert len(row_lengths(sim)) == 1, row_lengths(sim)
     assert seen["straddled"] > 0 and seen["host in batch"] > 0, seen
 
 

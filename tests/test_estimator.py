@@ -217,6 +217,14 @@ def window_rows(est: EstimatorArrays) -> np.ndarray:
     return np.column_stack(est._ring)
 
 
+def primed(window: int, ndsum: np.ndarray, r_est: float) -> EstimatorArrays:
+    """An estimator over the ids of the snapshot `ndsum`, every one of them
+    primed at `r_est` as the engine registers its founders."""
+    est = EstimatorArrays(window, ndsum)
+    est.prime(slice(0, len(ndsum)), r_est)
+    return est
+
+
 def test_estimator_arrays_match_scalar_oracle():
     # Seeded random churn on a graph that grows and shrinks between sweeps.
     # The churn maps are made by hand, counts 1 to 3 with hosts that depart
@@ -228,9 +236,7 @@ def test_estimator_arrays_match_scalar_oracle():
     rng = np.random.default_rng(21)
     window, r_min, r_est = 4, 0.03, 0.5
     t = graph.generate_scale_free(30, 2, rng)
-    est = EstimatorArrays(
-        window, t.live_ids(), r_est, t.neighbor_degree_array(t.next_id)[0]
-    )
+    est = primed(window, t.neighbor_degree_array()[0], r_est)
     oracle = {v: EstimatorState(v, r_est, r_min, window) for v in t.live_ids().tolist()}
     removed = added = quiet_then_busy = 0
     for step in range(80):
@@ -252,13 +258,13 @@ def test_estimator_arrays_match_scalar_oracle():
         r_est = float(rng.uniform(0.1, 0.6))
         for _ in range(int(rng.integers(0, 3))):
             vid, _ = t.attach(2, rng)
-            est.prime(vid, vid + 1, r_est)
+            est.prime(vid, r_est)
             oracle[vid] = EstimatorState(vid, r_est, r_min, window)
             added += 1
         coef = float(rng.uniform(-0.02, 0.05))
         # The snapshot's own churn is set aside for the hand-made maps.
-        ndsum, _, _ = t.neighbor_degree_array(est.capacity)
-        gained, lost = (oracles.churn_sums(t, m, est.capacity) for m in (arrivals, legit))
+        ndsum, _, _ = t.neighbor_degree_array()
+        gained, lost = (oracles.churn_sums(t, m) for m in (arrivals, legit))
         swept, w_sum, wmax_sum, offer_sum = est.sweep(ndsum, gained, lost, coef, r_est, r_min)
         levels = est.last_sweep
         assert swept == len(levels)
@@ -282,7 +288,7 @@ def test_estimator_arrays_match_scalar_oracle():
                 sums[2] += est.offers[v]
         assert [w_sum, wmax_sum, offer_sum] == sums
     assert removed > 10 and added > 20 and quiet_then_busy > 10
-    assert est.capacity > 30  # ids outran the first allocation
+    assert len(est._peak) > 30  # ids outran the first allocation
 
 
 def test_shared_ratios_get_the_offer_curve_of_each_node():
@@ -306,7 +312,7 @@ def test_shared_ratios_get_the_offer_curve_of_each_node():
     )
     rng.shuffle(levels)
     size = len(levels)
-    est = EstimatorArrays(2, np.arange(size), 1.0, np.ones(size, dtype=np.int64))
+    est = primed(2, np.ones(size, dtype=np.int64), 1.0)
     swept, _, _, offer_sum = est.sweep(
         np.ones(size, dtype=np.int64), levels, np.zeros(size), 0.0, r_est, r_min
     )
@@ -345,7 +351,7 @@ def test_sweep_offers_are_the_scalar_curve_bit_for_bit():
     def check(values, picks, r_est, r_min):
         levels = np.array([values[i % len(values)] for i in picks])
         size = len(levels)
-        est = EstimatorArrays(2, np.arange(size), 1.0, np.ones(size, dtype=np.int64))
+        est = primed(2, np.ones(size, dtype=np.int64), 1.0)
         est.sweep(np.ones(size, dtype=np.int64), levels, np.zeros(size), 0.0, r_est, r_min)
         want = [plain_curve(w, r_est, r_min) if w > 0 else r_est for w in levels.tolist()]
         assert float_bits(est.offers) == float_bits(want)
@@ -357,51 +363,43 @@ def test_sweep_offers_are_the_scalar_curve_bit_for_bit():
 
 
 def test_sweep_reads_only_the_issued_rows_and_keeps_its_own_baseline():
-    # Two estimators see the same churn on a scale-free overlay that grows
-    # and shrinks between sweeps: one is given each snapshot over the ids
-    # issued (the engine's width), the other over its whole capacity.
-    # Offers over the issued ids, peaks and the returned values must be
-    # equal to the bit. The snapshot's neighbor-degree sums are a view of
-    # the topology's own array, which the next snapshot overwrites, so
-    # each estimator's baseline must be an array of its own: it never
-    # shares memory with the topology, and at the next snapshot it still
-    # holds the sums of the previous one.
+    # An estimator sees churn on a scale-free overlay that grows and
+    # shrinks between sweeps, through snapshots one row per id issued. Its
+    # arrays grow by doubling, so they often hold spare rows past the last
+    # id: no sweep may write them, in the ring, the peaks, the offers or
+    # the baseline. The snapshot's neighbor-degree sums are a view of the
+    # topology's own array, which the next snapshot overwrites, so the
+    # estimator's baseline must be an array of its own: it never shares
+    # memory with the topology, and at the next snapshot it still holds
+    # the sums of the previous one.
     rng = np.random.default_rng(29)
     r_est, r_min = 0.5, 0.03
     t = graph.generate_scale_free(30, 2, rng)
-    first = t.neighbor_degree_array(t.next_id)[0]
-    prev = first.copy()
-    narrow = EstimatorArrays(3, t.live_ids(), r_est, first)
-    wide = EstimatorArrays(3, t.live_ids(), r_est, first)
+    est = primed(3, t.neighbor_degree_array()[0], r_est)
+    prev = est._prev_ndsum.copy()
     seen = collections.Counter()
     for _ in range(60):
-        for est in (narrow, wide):
-            assert not np.shares_memory(est._prev_ndsum, t._nds)
+        assert not np.shares_memory(est._prev_ndsum, t._nds)
         for _ in range(int(rng.integers(0, 3))):
             victim = int(rng.choice(t.live_ids()))
             graph.remove_node(t, victim, bool(rng.integers(2)))
-            for est in (narrow, wide):
-                est.retire(victim)
+            est.retire(victim)
         r_est = float(rng.uniform(0.1, 0.6))
         for _ in range(int(rng.integers(0, 5))):
             vid, _ = t.attach(2, rng)
-            for est in (narrow, wide):
-                est.prime(vid, vid + 1, r_est)
+            est.prime(vid, r_est)
         end = t.next_id
-        seen["spare rows"] += wide.capacity > end
-        snapshot = t.neighbor_degree_array(wide.capacity)
-        for est in (narrow, wide):
-            np.testing.assert_array_equal(est._prev_ndsum[: len(prev)], prev)
-        coef = float(rng.uniform(-0.02, 0.05))
-        got = narrow.sweep(*(a[:end] for a in snapshot), coef, r_est, r_min)
-        want = wide.sweep(*snapshot, coef, r_est, r_min)
-        assert got[0] == want[0] and float_bits(got[1:]) == float_bits(want[1:])
-        assert float_bits(narrow.offers[:end]) == float_bits(wide.offers[:end])
-        assert float_bits(narrow._peak) == float_bits(wide._peak)
+        snapshot = t.neighbor_degree_array()
+        assert {len(a) for a in snapshot} == {end}
+        np.testing.assert_array_equal(est._prev_ndsum[: len(prev)], prev)
+        spare = [a[end:].copy() for a in (*est._ring, est._peak, est.offers, est._prev_ndsum)]
+        seen["spare rows"] += len(est._peak) > end
+        got = est.sweep(*snapshot, float(rng.uniform(-0.02, 0.05)), r_est, r_min)
+        for before, after in zip(spare, (*est._ring, est._peak, est.offers, est._prev_ndsum)):
+            assert float_bits(after[end:]) == float_bits(before)
         seen["hot"] += got[1] > 0
-        prev = snapshot[0][:end].copy()
-    for est in (narrow, wide):
-        assert not np.shares_memory(est._prev_ndsum, t._nds)
+        prev = snapshot[0].copy()
+    assert not np.shares_memory(est._prev_ndsum, t._nds)
     assert seen["spare rows"] > 10 and seen["hot"] > 10, seen
 
 
@@ -420,12 +418,12 @@ def test_incremental_peak_is_the_row_max():
     seen = collections.Counter()
     for window in (1, 2, 3, 5):
         rng = np.random.default_rng(window)
-        est = EstimatorArrays(window, np.arange(30), 0.5, np.ones(30, dtype=np.int64))
+        est = primed(window, np.ones(30, dtype=np.int64), 0.5)
         live, retired, next_id = list(range(30)), [], 30
         for step in range(60):
             if step % 4 == 3:
                 r_est = grid[int(rng.integers(1, 4))]
-                est.prime(next_id, next_id + 1, r_est)
+                est.prime(next_id, r_est)
                 seen["primed mid-window"] += est._slot % window != 0
                 live.append(next_id)
                 next_id += 1
@@ -433,7 +431,7 @@ def test_incremental_peak_is_the_row_max():
                 retired.append(live.pop(int(rng.integers(len(live)))))
                 est.retire(retired[-1])
                 seen["retired"] += 1
-            size = est.capacity
+            size = next_id
             gained = np.zeros(size)
             for v in rng.choice(live, size=len(live) // 2, replace=False).tolist():
                 gained[v] = grid[int(rng.integers(4))]
