@@ -16,6 +16,7 @@ JSON line on stderr and a non-zero exit status.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import itertools
 import json
@@ -157,7 +158,7 @@ MAX_EDGE_ENDS = 10**7
 # is named after its cell's overrides and seed, so long overrides can pass it.
 MAX_FILE_NAME_BYTES = 255
 # Work bound on one game-report: the joint round assignments its exact
-# enumerations visit. kappa 7 (7.0M, about half a second) fits; kappa 8 does not.
+# enumerations visit. kappa 7 (7.0M, about 0.2 s) fits; kappa 8 does not.
 MAX_GAME_ASSIGNMENTS = 10**7
 
 _SIM_SPECS = _specs(SimConfig)
@@ -369,6 +370,12 @@ def _simulate_plan(grid, seeds, **sim) -> SimulatePlan:
         f"grid cell {_cell_id(c)}: its CSV name is longer than {MAX_FILE_NAME_BYTES} bytes"
         for c in cells
         if len(_run_file(c, max(seeds)).encode()) > MAX_FILE_NAME_BYTES
+    ]
+    named = collections.Counter(_run_file(c, s) for c in cells for s in seeds)
+    problems += [  # equal cells, cells that format alike, a repeated seed
+        f"grid: {runs} runs (grid cells x seeds) would all write {name}"
+        for name, runs in named.items()
+        if runs > 1
     ]
     if problems:
         raise ValueError("; ".join(problems))
@@ -749,13 +756,16 @@ COMMANDS = tuple(_COMMANDS)
 # ---- entry point ---------------------------------------------------------
 
 
-def _build_arg_parser() -> argparse.ArgumentParser:
+def _build_arg_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser. Given a known command, it holds that
+    command's subparser alone: the usage and errors are the same, and the
+    others cost a few milliseconds each to build."""
     parser = argparse.ArgumentParser(
         prog="p2psim",
         description="whitewash-resistant P2P reputation simulator and analytics",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(COMMANDS))
-    for name in COMMANDS:
+    for name in [command] if command in _COMMANDS else COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, type=Path, help="JSON parameter file")
         p.add_argument("--out", required=True, type=Path, help="output directory")
@@ -769,7 +779,8 @@ def _error_line(kind: str, command: str, detail: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_arg_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_arg_parser(argv[0] if argv else None).parse_args(argv)
     try:
         plan = parse_config(args.config, args.command, args.seed)
         _COMMANDS[args.command][2](plan, args.out, args.quiet)

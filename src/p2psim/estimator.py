@@ -34,18 +34,19 @@ def legitimacy_threshold(r_ini_max: float, r_ini_min: float) -> float:
 
 def offer_curve(ratio, r_max: float, r_min: float):
     """The quadratic offer: r_max at ratio 0, falling to the r_min floor as
-    ratio reaches 1. A float ratio gives a float offer, a 1-D array of
-    ratios the array of their offers. `np.float_power` squares with libm's
-    pow per element, as Python's float power does; `np.power` and
+    ratio reaches 1. A float ratio gives a float offer, computed with
+    Python's float power; a 1-D array of ratios gives the array of their
+    offers. `np.float_power` squares with libm's pow per element, as
+    Python's float power does, so both give the same bits; `np.power` and
     `np.square` square as x * x, which differs in the last bit on about
     0.1% of bases, and recorded outputs depend on which one is used. The
     floor is `max`'s rule, r_min only where it is greater, so signed zeros
     come out as `max` gives them (`np.maximum` returns its second operand
     on a tie)."""
-    bases = 1.0 - np.atleast_1d(ratio)
-    offers = np.float_power(bases, 2.0) * r_max
-    offers = np.where(r_min > offers, r_min, offers)
-    return offers if isinstance(ratio, np.ndarray) else float(offers[0])
+    if not isinstance(ratio, np.ndarray):
+        return float(max((1.0 - float(ratio)) ** 2.0 * r_max, r_min))
+    offers = np.float_power(1.0 - ratio, 2.0) * r_max
+    return np.where(r_min > offers, r_min, offers)
 
 
 def _ordered_sum(values: np.ndarray) -> float:

@@ -7,13 +7,17 @@ pure-strategy table, checks the uniform mixed profile over a window of
 rounds, computes exact expected payoffs by enumeration, and finds the
 population-level operating point of the adaptive offer policy.
 
-The enumeration is numpy over blocks of ENUMERATION_BLOCK_ROWS joint
-assignments in itertools.product order, so memory stays flat as kappa
-grows. Each assignment's probability is a product in player order and each
-player's terms are summed one at a time in enumeration order (np.cumsum,
-carried across blocks; np.sum may add pairwise), so every result is the
-float the scalar loops in tests/oracles.py give, down to the rounding noise
-game-report prints as the residual.
+The enumeration runs in blocks of at most ENUMERATION_BLOCK_ROWS joint
+assignments, in itertools.product order, so memory stays flat as kappa
+grows. A block fixes the rounds of the leading "head" players and runs
+through every assignment of the trailing "tail" players, whose round digits
+and per-round counts are built once per call. A row's probability is the
+head's product followed by one np.multiply.outer per tail player: the
+multiplications of a scalar loop over the players, in its order. Each
+player's terms are summed one at a time in enumeration order (np.cumsum
+along the block, carried across blocks; np.sum may add pairwise), so every
+result is the float the scalar loops in tests/oracles.py give, down to the
+rounding noise game-report prints as the residual.
 """
 
 from __future__ import annotations
@@ -171,25 +175,38 @@ def _check_enumerable(spec: GameSpec, profile: MixedProfile) -> None:
         raise ValueError("profile shape must be (kappa, rounds)")
 
 
-def _assignments(rounds: int, players: int):
-    """The joint round assignments of `players` players, in
-    itertools.product order, as blocks of at most ENUMERATION_BLOCK_ROWS
-    digit rows (column j is player j's round)."""
-    total = rounds**players
-    if total > np.iinfo(np.int64).max:
-        raise ValueError(f"{rounds}^{players} joint assignments are too many to enumerate")
-    place = rounds ** np.arange(players - 1, -1, -1, dtype=np.int64)
-    digit = np.min_scalar_type(rounds - 1)
-    for start in range(0, total, ENUMERATION_BLOCK_ROWS):
-        rows = np.arange(start, min(start + ENUMERATION_BLOCK_ROWS, total), dtype=np.int64)
-        yield (rows[:, None] // place % rounds).astype(digit)
+def _blocks(probs: np.ndarray, rounds: int):
+    """Every joint round assignment of the players whose round lotteries
+    are the rows of `probs`, in itertools.product order, as blocks of at
+    most ENUMERATION_BLOCK_ROWS rows.
 
-
-def _round_counts(digits: np.ndarray, rounds: int) -> np.ndarray:
-    """(rows, rounds) array: how many players each row puts in each round."""
-    n = len(digits)
-    flat = (np.arange(n)[:, None] * rounds + digits).ravel()
-    return np.bincount(flat, minlength=n * rounds).reshape(n, rounds)
+    A block fixes the rounds of the leading "head" players and runs through
+    every assignment of the last m, rounds^m rows. Yields (prob, counts,
+    seat): each row's probability, the (rounds, rows) count of players per
+    round, and the (players, rows) flat index into counts of each player's
+    own round, so counts.take(seat) is each player's co-arrival count. prob
+    is the head's product followed by one np.multiply.outer per tail player:
+    the same multiplications in the same order as a loop doing
+    `prob *= probs[j, round of j]` over the players."""
+    players = len(probs)
+    m = 0
+    while m < players and rounds ** (m + 1) <= ENUMERATION_BLOCK_ROWS:
+        m += 1
+    lead, rows = players - m, rounds**m
+    round_seats = np.arange(rounds * rows).reshape(rounds, rows)
+    tail_seat = np.indices((rounds,) * m).reshape(m, rows) * rows + round_seats[0]
+    tail_counts = np.bincount(tail_seat.ravel(), minlength=rounds * rows).reshape(rounds, rows)
+    head_probs, tail_probs = probs[:lead].tolist(), probs[lead:]
+    for head in itertools.product(range(rounds), repeat=lead):
+        prob = 1.0
+        for row, r in zip(head_probs, head):
+            prob *= row[r]
+        prob = np.float64(prob)
+        for row in tail_probs:
+            prob = np.multiply.outer(prob, row)
+        counts = tail_counts + np.bincount(head, minlength=rounds)[:, None]
+        seat = np.concatenate((round_seats[list(head)], tail_seat))
+        yield prob.reshape(rows), counts, seat
 
 
 def _realized_offers(spec: GameSpec) -> np.ndarray:
@@ -201,11 +218,11 @@ def _realized_offers(spec: GameSpec) -> np.ndarray:
 
 
 def _running_sum(carry: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """carry plus the rows of `terms` added one at a time in row order, per
-    column, as `total += term` in a loop would (np.sum may add pairwise and
-    round differently)."""
-    terms[0] += carry
-    return np.cumsum(terms, axis=0)[-1]
+    """carry plus the columns of `terms` added one at a time in column
+    order, per row, as `total += term` in a loop would (np.sum may add
+    pairwise and round differently)."""
+    terms[:, 0] += carry
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def expected_payoffs(spec: GameSpec, profile: MixedProfile) -> np.ndarray:
@@ -218,14 +235,11 @@ def expected_payoffs(spec: GameSpec, profile: MixedProfile) -> np.ndarray:
     result is the same float as a scalar loop over the assignments."""
     _check_enumerable(spec, profile)
     realized = _realized_offers(spec)
-    players = np.arange(spec.kappa)
+    row_start = (np.arange(spec.kappa) * realized.shape[1])[:, None]  # player j's row, flat
     result = np.zeros(spec.kappa)
-    for digits in _assignments(spec.rounds, spec.kappa):
-        prob = np.ones(len(digits))
-        for j in players:
-            prob *= profile.probs[j, digits[:, j]]
-        co = np.take_along_axis(_round_counts(digits, spec.rounds), digits, axis=1)
-        result = _running_sum(result, prob[:, None] * realized[players, co])
+    for prob, counts, seat in _blocks(profile.probs, spec.rounds):
+        terms = realized.take(row_start + counts.take(seat)) * prob
+        result = _running_sum(result, terms)
     return result
 
 
@@ -242,16 +256,14 @@ def indifference_residual(spec: GameSpec, profile: MixedProfile) -> float:
     expected_payoffs adds its terms."""
     _check_enumerable(spec, profile)
     realized = _realized_offers(spec)
-    totals = np.zeros((spec.kappa, spec.rounds))
-    for rest in _assignments(spec.rounds, spec.kappa - 1):
-        co = _round_counts(rest, spec.rounds) + 1  # j itself arrives in every round
-        for j in range(spec.kappa):
-            prob = np.ones(len(rest))
-            for col, other in enumerate(o for o in range(spec.kappa) if o != j):
-                prob *= profile.probs[other, rest[:, col]]
-            totals[j] = _running_sum(totals[j], prob[:, None] * realized[j, co])
     worst = 0.0
-    for conditional in totals.tolist():
+    for j in range(spec.kappa):
+        others = np.delete(profile.probs, j, axis=0)
+        conditional = np.zeros(spec.rounds)
+        arriving = realized[j, 1:]  # j itself arrives in every round
+        for prob, counts, _ in _blocks(others, spec.rounds):
+            conditional = _running_sum(conditional, arriving.take(counts) * prob)
+        conditional = conditional.tolist()
         worst = max(worst, max(conditional) - min(conditional))
     return worst
 

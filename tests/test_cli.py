@@ -213,6 +213,49 @@ def test_reruns_emit_identical_bytes(tmp_path):
     assert (a / "run.csv").read_bytes() == (b / "run.csv").read_bytes()
 
 
+# Each command's usage at 80 columns, as the parser built with every
+# command printed it.
+COMMAND_USAGE = {
+    "simulate": "usage: p2psim simulate [-h] --config CONFIG --out OUT [--seed SEED] [--quiet]\n",
+    "payoff-sweep": "usage: p2psim payoff-sweep [-h] --config CONFIG --out OUT [--seed SEED]\n"
+                    "                           [--quiet]\n",
+    "game-report": "usage: p2psim game-report [-h] --config CONFIG --out OUT [--seed SEED]\n"
+                   "                          [--quiet]\n",
+    "fixed-point": "usage: p2psim fixed-point [-h] --config CONFIG --out OUT [--seed SEED]\n"
+                   "                          [--quiet]\n",
+    "frontier": "usage: p2psim frontier [-h] --config CONFIG --out OUT [--seed SEED] [--quiet]\n",
+    "estimator-check": "usage: p2psim estimator-check [-h] --config CONFIG --out OUT [--seed SEED]\n"
+                       "                              [--quiet]\n",
+}
+
+
+def test_each_command_parses_with_its_own_subparser(capsys, monkeypatch):
+    # main builds only the subparser its first word names: each command's
+    # help is the one the parser of every command prints, and a missing or
+    # unknown command still exits 2 with argparse's list of commands.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert sorted(COMMAND_USAGE) == sorted(cli.COMMANDS)
+    for command, usage in COMMAND_USAGE.items():
+        with pytest.raises(SystemExit) as stop:
+            cli.main([command, "--help"])
+        assert stop.value.code == 0
+        shown = capsys.readouterr().out
+        assert shown.startswith(usage + "\n"), shown
+        with pytest.raises(SystemExit):
+            cli._build_arg_parser().parse_args([command, "--help"])
+        assert capsys.readouterr().out == shown
+    listed = "|".join(cli.COMMANDS)
+    for argv, message in (
+        ([], f"the following arguments are required: {listed}"),
+        (["bogus", "--config", "c.json"], f"argument {listed}: invalid choice: 'bogus' (choose from "
+         + ", ".join(repr(c) for c in cli.COMMANDS) + ")"),
+    ):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(argv)
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.endswith(f"p2psim: error: {message}\n")
+
+
 def test_config_error_is_machine_readable(tmp_path, capsys):
     cfg = write_config(tmp_path, {"n": 1})
     code = run_cli("simulate", "--config", cfg, "--out", tmp_path / "out")
@@ -221,6 +264,15 @@ def test_config_error_is_machine_readable(tmp_path, capsys):
     parsed = json.loads(line)
     assert parsed["error"] == "config"
     assert "n:" in parsed["detail"]
+    # Two grid runs that would write one CSV: the error names the file.
+    cfg = write_config(
+        tmp_path,
+        {"n": 10, "iterations": 1, "grid": [{"n": 12}, {"n": 12.0}], "seeds": [3, 3]},
+    )
+    assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "out") == 2
+    parsed = json.loads(capsys.readouterr().err)
+    assert parsed["error"] == "config" and "sim-n=12-seed3.csv" in parsed["detail"], parsed
+    assert not (tmp_path / "out").exists()
 
 
 GRID_8X8 = json.dumps(
@@ -301,6 +353,16 @@ BAD_CONFIGS = [
         ("simulate", '{"seed": 1e30}'),
         ("simulate", '{"seed": 9007199254740993.0}'),
         ("payoff-sweep", '{"cap": 1e30}'),
+        # Grid runs that would write the same CSV: equal cells, cells that
+        # format alike (a count written as a float, floats equal to 12
+        # digits), a repeated seed.
+        ("simulate", '{"n": 10, "iterations": 1, "grid": [{"n": 12}, {"n": 12.0}], '
+                     '"seeds": [3, 3]}'),
+        ("simulate", '{"iterations": 1, "grid": [{"n": 12}, {}, {"n": 12}]}'),
+        ("simulate", '{"iterations": 1, "grid": {"n": [12, 12.0]}}'),
+        ("simulate", '{"iterations": 1, "grid": [{"mu": 0.1234567890123}, '
+                     '{"mu": 0.1234567890124}]}'),
+        ("simulate", '{"iterations": 1, "grid": [{}], "seeds": [0, 1, 0]}'),
     ]
 ] + [
     pytest.param("payoff-sweep", json.dumps({"x": [0.5] * 11, "r_ini": [0.1] * 31}),
@@ -341,13 +403,15 @@ def test_wrong_typed_simulate_values_are_config_errors(tmp_path, capsys, command
 def test_run_and_w_max_bounds_admit_exactly_the_cap(tmp_path):
     # A simulate command makes at most MAX_GRID_CELLS runs (grid cells x
     # seeds), and fixed-point takes at most MAX_GRID_CELLS w_max values.
+    # The two cells differ: runs that would write one CSV are rejected.
+    grid = [{}, {"n": 12}]
     plan = cli.parse_config(
-        write_config(tmp_path, {"iterations": 0, "grid": [{}, {}], "seeds": list(range(500))})
+        write_config(tmp_path, {"iterations": 0, "grid": grid, "seeds": list(range(500))})
     )
     assert len(plan.cells) * len(plan.seeds) == cli.MAX_GRID_CELLS
     with pytest.raises(ConfigError, match="1002 runs"):
         cli.parse_config(
-            write_config(tmp_path, {"iterations": 0, "grid": [{}, {}], "seeds": list(range(501))})
+            write_config(tmp_path, {"iterations": 0, "grid": grid, "seeds": list(range(501))})
         )
     plan = cli.parse_config(write_config(tmp_path, {"w_max": [0.5] * 1000}), "fixed-point")
     assert len(plan.w_max) == cli.MAX_GRID_CELLS

@@ -196,6 +196,17 @@ def test_float_power_is_python_float_power_bit_for_bit():
     want = [b**2 for b in bases.tolist()]
     assert float_bits(np.float_power(bases, 2.0)) == float_bits(want)
     assert (np.power(bases, 2.0) != want).any()
+    # offer_curve squares a lone ratio with Python's float power and an
+    # array with np.float_power: each base, and each tricky ratio, as a
+    # ratio gives the same bits as a Python float, as an np.float64 and in
+    # an array, and a lone ratio gives a Python float.
+    ratios = np.concatenate((tricky, bases))
+    offers = estimator.offer_curve(ratios, 1.0, 0.0)
+    for lone, kind in ((ratios.tolist(), float), (list(ratios), np.float64)):
+        assert {type(r) for r in lone} == {kind}
+        got = [estimator.offer_curve(r, 1.0, 0.0) for r in lone]
+        assert {type(v) for v in got} == {float}
+        assert float_bits(got) == float_bits(offers)
 
 
 def plain_curve(ratio: float, r_max: float, r_min: float) -> float:

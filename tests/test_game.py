@@ -219,13 +219,59 @@ def test_kernels_match_loops_bit_for_bit(kappa, rounds):
 
 
 def test_kernels_carry_sums_across_blocks(monkeypatch):
-    monkeypatch.setattr(game, "ENUMERATION_BLOCK_ROWS", 7)  # divides none of the sizes below
+    # Blocks of one row each (every player in the head, an empty tail) and
+    # of at most 7 rows, which divides none of the sizes below.
     rng = np.random.default_rng(5)
-    for kappa, rounds in [(3, 3), (4, 3), (4, 4), (5, 2)]:
-        s, profile = random_game(rng, kappa, rounds)
+    for block in (1, 7):
+        monkeypatch.setattr(game, "ENUMERATION_BLOCK_ROWS", block)
+        for kappa, rounds in [(3, 3), (4, 3), (4, 4), (5, 2)]:
+            s, profile = random_game(rng, kappa, rounds)
+            expected = oracles.expected_payoffs(s, profile)
+            assert game.expected_payoffs(s, profile).tobytes() == expected.tobytes()
+            assert game.indifference_residual(s, profile) == oracles.indifference_residual(
+                s, profile
+            )
+
+
+def test_kernels_match_loops_on_any_small_game(monkeypatch):
+    # Any game of up to 5 players whose loops stay quick: random round
+    # lotteries with or without zero entries, random non-increasing honesty
+    # (or the schedule), each enumerated in blocks of one row, of at most 7
+    # rows and of the shipped size. Only a block with a head and a tail of
+    # two or more players can tell the order of a row's multiplications
+    # apart. `--hypothesis-profile=ci` runs more examples.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def games(draw):
+        kappa = draw(st.integers(1, 5))
+        rounds = draw(st.integers(1, {1: 12, 2: 12, 3: 8, 4: 6, 5: 6}[kappa]))
+        honesty = draw(
+            st.none()
+            | st.lists(st.floats(0.0, 1.0), min_size=kappa, max_size=kappa).map(
+                lambda h: tuple(sorted(h, reverse=True))
+            )
+        )
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        probs = rng.random((kappa, rounds))
+        probs[rng.random((kappa, rounds)) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0
+        probs[np.arange(kappa), rng.integers(rounds, size=kappa)] += 0.01  # no all-zero row
+        profile = MixedProfile(probs / probs.sum(axis=1, keepdims=True))
+        return spec(kappa, rounds, honesty=honesty), profile
+
+    @hypothesis.settings(deadline=None, database=None)
+    @hypothesis.given(games())
+    def check(game_):
+        s, profile = game_
         expected = oracles.expected_payoffs(s, profile)
-        assert game.expected_payoffs(s, profile).tobytes() == expected.tobytes()
-        assert game.indifference_residual(s, profile) == oracles.indifference_residual(s, profile)
+        residual = oracles.indifference_residual(s, profile)
+        for block in (1, 7, 4096):
+            monkeypatch.setattr(game, "ENUMERATION_BLOCK_ROWS", block)
+            assert game.expected_payoffs(s, profile).tobytes() == expected.tobytes(), block
+            assert game.indifference_residual(s, profile) == residual, block
+
+    check()
 
 
 def test_uniform_six_player_residual_is_the_loop_noise():

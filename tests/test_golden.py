@@ -8,7 +8,10 @@ AC-09 in test_acceptance.py, which already holds those records. The demo
 digests were recorded while each potential whitewasher still had a record
 object and the wave kept ready and parked sets, before every agent fact
 became an array indexed by node id; `estimator_ground_truth.py` reaches
-the closed-world check at three configs, growth included. A digest that moves means the outputs
+the closed-world check at three configs, growth included. The game-report
+digests, of the largest game `cli.MAX_GAME_ASSIGNMENTS` admits (kappa 7,
+rounds 7), were recorded while the enumeration still built every
+assignment's digits from its index. A digest that moves means the outputs
 changed: find out why. Never re-record one to make a test pass.
 """
 
@@ -58,6 +61,12 @@ DEMO_DIGESTS = {
     "estimator_ground_truth": "380bb5fbb86b0aabd42462cd14888d202b829a64ec9f12cb85244fd47b9f58db",
     "payoff_economics": "cbfdfb5634904527281fa7318b792848e7a6c23261e63ae007c65e1a7f1588d8",
     "timing_game": "93442a55c092fa1f88b098368ce23d0f0abf470172b23724bee3bc69f3a44840",
+}
+
+# game-report output file -> digest, at kappa 7 and rounds 7.
+GAME_REPORT_DIGESTS = {
+    "game_report.csv": "45eae562047b9e8505b809f1a6fc84d8e2c38bad7b91dc8a9d8f84a1d03a5c6f",
+    "game_report.txt": "742981abfce6562e04df6191cb83e5e62147c21e89c665962287febe08b8e453",
 }
 
 # (grid cell id, seed) -> digest of that run's records.
@@ -123,3 +132,15 @@ def test_demo_stdout_digest(name):
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_DIGESTS[name]
+
+
+def test_largest_game_report_digest(tmp_path):
+    # The first size whose enumeration fixes three players per block; the
+    # report prints the residual's rounding noise, which moves when the
+    # order of the sums does.
+    config = tmp_path / "game.json"
+    config.write_text('{"kappa": 7, "rounds": 7}')
+    out = tmp_path / "out"
+    assert cli.main(["game-report", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    for name, digest in GAME_REPORT_DIGESTS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
