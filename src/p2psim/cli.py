@@ -147,12 +147,13 @@ MAX_GRID_CELLS = 1000
 # Work bound on one simulate or estimator-check command: the node-iterations
 # all its runs project, about 170 times one 8%-growth scale-free run.
 MAX_NODE_ITERATIONS = 10**9
-# Memory bound on one run: the estimator keeps window_n_prime float64 levels
-# per node, 80 MB at this bound, counted at the node count growth projects.
+# Bound on one run's estimator windows: window_n_prime float64 levels per id,
+# 80 MB here, counted at the node count growth projects. The ids rejoins take
+# come on top: not a bound on what a run allocates (ROADMAP item 8).
 MAX_WINDOW_CELLS = 10**7
-# Memory bound on one run's overlay: its edge ends (two per edge), each one
-# int64 in the neighbor slab and one in the attachment pool, 160 MB at this
-# bound, counted at the most the overlay can hold (`_edge_ends`).
+# Bound on one run's overlay edge ends (two per edge), at the most it can hold
+# (`_edge_ends`). Slab slack and stale pool entries come on top, up to about 7
+# int64 words per edge end at a dense build's peak (ROADMAP item 8).
 MAX_EDGE_ENDS = 10**7
 # The longest file name most file systems take, in bytes: a grid run's CSV
 # is named after its cell's overrides and seed, so long overrides can pass it.

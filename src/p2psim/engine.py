@@ -29,13 +29,12 @@ of past whitewashers has nothing left to gain and goes quiet.
 
 Whether a leaver looks legitimate is one comparison against
 `estimator.legitimacy_threshold`, for a whitewasher and for a voluntary
-departure alike, and one helper removes a leaver with `graph.remove_node`,
-benign when it looked legitimate. A whitewash rejoin and a growth arrival
-enter the same way, one `Topology.attach` each, a growth arrival's honesty
-drawn right after its attachment draws; the topology wires their rows at
-its next read of them. It books the churn of both node events: one arrival
-at each host, and one benign departure at each neighbor of a benign
-leaver.
+departure alike; `graph.remove_node` books a legitimate leaver as benign.
+A whitewash rejoin and a growth arrival enter the same way, one
+`Topology.attach` each, a growth arrival's honesty drawn right after its
+attachment draws; the topology wires their rows at its next read of them.
+It books the churn of both node events: one arrival at each host, and one
+benign departure at each neighbor of a benign leaver.
 
 The estimator state of step 2 lives in `estimator.EstimatorArrays` (the
 window ring, the kept peaks and a dense offer array that answers probes).
@@ -57,20 +56,24 @@ step j, 0 for j = 0) up to `_first_id[j + 1]`. Every agent fact is one
 array indexed by node id (`_ID_ROWS`), the only place that fact is kept:
 `reputation` (drawn for a founder, the grant for a newcomer, then the
 earned value from the transaction start); `role_code`, the id's
-`agents.Role` value, 0 from when the node leaves (or before the id is
-issued), so it also marks liveness; `honesty`; the attempt counters
-`attempts` and `successes`; and `grant`, what the current identity was
-born with (0 for a founder, which never reads it). Every id registers
-through one path, `Simulation._register_newcomers`, which grows these
-arrays and the estimator's to the ids issued (`graph.grown`), primes the
-windows and makes one write per array, over one id or one range: the
-founders' range 0 to n - 1 at set-up, whose drawn reputations are written
-after it; a rejoin's one id, which takes the person's role, honesty and
-counters and the offer as its grant; or a whole growth batch, whose
-grants, the offers of each arrival's first host, are read only once the
-batch is primed. The transaction start is two masked writes on one id
-range, the newcomer pool is the live ids of one range, and the departure
-candidates and the wave's pollers (`_pollers`) are one mask each.
+`agents.Role` value, 0 once the phase in which the node leaves ends (or
+before the id is issued), so it also marks liveness; `honesty`; the
+attempt counters `attempts` and `successes`; and `grant`, what the current
+identity was born with (0 for a founder, which never reads it). Every id
+registers through one path, `Simulation._register_newcomers`, which grows
+these arrays and the estimator's to the ids issued (`graph.grown`), primes
+the windows and makes one write per array over one id range: the
+founders' at set-up, whose drawn reputations are written after it; a
+growth batch, whose grants, the offers of each arrival's first host, are
+read only once the batch is primed; or the rejoins of a wave or of one
+planted reset (`_register_rejoins`), each new id taking its person's role,
+honesty and counters and its offer as grant. A wave's loop makes only
+the draws and the topology calls, and its writes follow it: no read in
+the wave needs them, as it reads the pollers' facts and the live ids at
+its start, and r_est and the ring's write slot hold through it.
+Departures write once too. The transaction start is two masked writes on
+one id range, the newcomer pool is the live ids of one range, and the
+departure candidates and the wave's pollers are one mask each.
 
 All randomness comes from one draw source per run, `Simulation.rng`, a
 `draws.Draws` over the run's seeded PCG64 `Generator` that yields exactly
@@ -289,8 +292,7 @@ class Simulation:
         return first + np.flatnonzero(self.role_code[first:end])
 
     def _estimate(self, n: int) -> tuple[float, float, float]:
-        cfg = self.cfg
-        t = self.topology
+        cfg, t = self.cfg, self.topology
         node_count, degree_sum = take_snapshot(t, cfg.gossip_noise, self.rng)
         # The ceiling other nodes grant newcomers: the mean reputation recent
         # arrivals carry, held through quiet spells.
@@ -307,10 +309,7 @@ class Simulation:
         coef = (growth_ratio - 1.0) * cfg.attach_edges / d_avg if d_avg > 0 else 0.0
 
         swept, w_sum, wmax_sum, offer_sum = self._est.sweep(
-            *t.neighbor_degree_array(),
-            coef,
-            self.r_est,
-            cfg.r_ini_min,
+            *t.neighbor_degree_array(), coef, self.r_est, cfg.r_ini_min
         )
         n_now = t.node_count
         self._prev_count = node_count
@@ -323,9 +322,9 @@ class Simulation:
         absent from the sweep saw no churn and sit at zero."""
         return self._est.last_sweep
 
-    def _register_newcomers(self, ids: int | slice, role, honesty, attempts, successes) -> None:
-        """Register the newest ids, up to the topology's next id: a rejoin's
-        one id, or a growth batch's or the founders' slice. Grows the arrays
+    def _register_newcomers(self, ids: slice, role, honesty, attempts, successes) -> None:
+        """Register the newest ids, a slice up to the topology's next id:
+        the founders, a growth batch or a wave's rejoins. Grows the arrays
         indexed by node id, primes the windows and writes each person's
         facts; the caller then writes the grants and the reputations."""
         end = self.topology.next_id
@@ -338,24 +337,17 @@ class Simulation:
         self.attempts[ids] = attempts
         self.successes[ids] = successes
 
-    def _drop_node(self, vid: int, benign: bool) -> None:
-        """Remove a node, booked as a benign departure at each neighbor if
-        `benign`."""
-        graph_mod.remove_node(self.topology, vid, benign)
-        self.role_code[vid] = 0
-        self._est.retire(vid)
-
-    def _execute_whitewash(self, vid: int, offered: float) -> int:
-        # A leaver that still looks reputable is booked as a benign
-        # departure, so the rejoin slips past the estimator. The person
-        # keeps its role, honesty and counters under the new id.
-        person = (self.role_code[vid], self.honesty[vid], self.attempts[vid], self.successes[vid])
-        threshold = legitimacy_threshold(self.r_est, self.cfg.r_ini_min)
-        self._drop_node(vid, self.reputation[vid] >= threshold)
-        new_id, _ = self.topology.attach(self.cfg.attach_edges, self.rng)
-        self._register_newcomers(new_id, *person)
-        self.reputation[new_id] = self.grant[new_id] = offered
-        return new_id
+    def _register_rejoins(self, leavers: list[int], offers: list[float]) -> None:
+        """Register the rejoins of `leavers`, removed and attached in this
+        order, as the newest ids: each takes its person's role, honesty and
+        counters, and its offer as grant and reputation; the old ids retire."""
+        end = self.topology.next_id
+        ids = slice(end - len(leavers), end)
+        self._register_newcomers(ids, self.role_code[leavers], self.honesty[leavers],
+                                 self.attempts[leavers], self.successes[leavers])
+        self.reputation[ids] = self.grant[ids] = offers
+        self.role_code[leavers] = 0
+        self._est.retire(leavers)
 
     def _pollers(self) -> np.ndarray:
         """Ascending ids of the potential whitewashers the wave polls: the
@@ -374,15 +366,12 @@ class Simulation:
         polled = self._pollers()
         if not len(polled):
             return 0, 0
-        pool = self.topology.live_ids()
-        attempts = 0
-        successes = 0
-        for vid, honesty, tried, won, grant in zip(
-            polled.tolist(),
-            self.honesty[polled].tolist(),
-            self.attempts[polled].tolist(),
-            self.successes[polled].tolist(),
-            self.grant[polled].tolist(),
+        t, pool = self.topology, self.topology.live_ids()
+        threshold = legitimacy_threshold(self.r_est, self.cfg.r_ini_min)
+        tried_ids, leavers, offers = [], [], []
+        facts = (self.honesty, self.attempts, self.successes, self.grant, self.reputation)
+        for vid, honesty, tried, won, grant, reputation in zip(
+            polled.tolist(), *(a[polled].tolist() for a in facts)
         ):
             target = pool[self.rng.integers(len(pool))]
             offered = float(self._est.offers[target])
@@ -391,13 +380,19 @@ class Simulation:
             outcome = agents_mod.decide_whitewash(honesty, tried, won, offered, self.rng)
             if outcome is WhitewashOutcome.NO_ATTEMPT:
                 continue
-            attempts += 1
-            self.attempts[vid] += 1
+            tried_ids.append(vid)
             if outcome is WhitewashOutcome.WHITEWASHED:
-                successes += 1
-                self.successes[vid] += 1
-                self._execute_whitewash(vid, offered)
-        return attempts, successes
+                # A leaver that still looks reputable is booked as a benign
+                # departure, so the rejoin slips past the estimator.
+                graph_mod.remove_node(t, vid, reputation >= threshold)
+                t.attach(self.cfg.attach_edges, self.rng)
+                leavers.append(vid)
+                offers.append(offered)
+        # Each poller appears once; the rejoins carry the raised counters.
+        self.attempts[tried_ids] += 1
+        self.successes[leavers] += 1
+        self._register_rejoins(leavers, offers)
+        return len(tried_ids), len(leavers)
 
     def _voluntary_departures(self) -> None:
         cfg = self.cfg
@@ -418,7 +413,9 @@ class Simulation:
             done += len(batch)
             leavers += batch[self.rng.random(len(batch)) < cfg.legit_departure_prob].tolist()
         for vid in leavers:
-            self._drop_node(vid, True)
+            graph_mod.remove_node(self.topology, vid, True)
+        self.role_code[leavers] = 0
+        self._est.retire(leavers)
 
     def _grow_population(self) -> None:
         t, rng, k = self.topology, self.rng, self.cfg.attach_edges
@@ -467,7 +464,11 @@ class Simulation:
     def force_whitewash(self, vid: int) -> int:
         """Reset one agent's identity outside the decision machinery (the
         attempt counters stay untouched); used to plant ground-truth churn."""
-        return self._execute_whitewash(vid, self.r_est)
+        benign = self.reputation[vid] >= legitimacy_threshold(self.r_est, self.cfg.r_ini_min)
+        graph_mod.remove_node(self.topology, vid, benign)
+        new_id, _ = self.topology.attach(self.cfg.attach_edges, self.rng)
+        self._register_rejoins([vid], [self.r_est])
+        return new_id
 
 
 class TooFewWhitewashers(ValueError):

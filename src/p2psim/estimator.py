@@ -119,12 +119,11 @@ class EstimatorArrays:
         self._swept = np.zeros(0, dtype=np.int64)
         self._swept_w = np.zeros(0)
 
-    def prime(self, ids: NodeId | slice, r_est: float) -> None:
-        """Start the windows of the new ids, one id or a slice of them that
-        ends at the last id issued, at the ceiling estimate: never written,
-        so the prime is their peak. Numpy writes through one index several
-        times faster than through a slice, and most primes are one rejoin's."""
-        end = ids + 1 if isinstance(ids, int) else ids.stop
+    def prime(self, ids: slice, r_est: float) -> None:
+        """Start the windows of the new ids, a slice that ends at the last id
+        issued, at the ceiling estimate: never written, so the prime is
+        their peak."""
+        end = ids.stop
         if end > len(self._peak):
             # One slot at a time, so each old slot is freed before the next
             # one grows.
@@ -136,12 +135,12 @@ class EstimatorArrays:
         self._peak[ids] = max(r_est, 0.0)
         self.offers[ids] = r_est
 
-    def retire(self, vid: NodeId) -> None:
-        """Stop sweeping a removed node: its peak drops to zero, and a
-        removed node sees no churn, so no sweep reaches its row again. Its
-        last offer stays readable until the next sweep, as a probe drawn
-        before the removal may still land on it."""
-        self._peak[vid] = 0.0
+    def retire(self, ids) -> None:
+        """Stop sweeping removed nodes, one id or a sequence of them: their
+        peaks drop to zero, and a removed node sees no churn, so no sweep
+        reaches its row again. Their last offers stay readable until the
+        next sweep, as a probe drawn before a removal may still land on it."""
+        self._peak[ids] = 0.0
 
     @property
     def last_sweep(self) -> Mapping[NodeId, float]:

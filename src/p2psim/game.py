@@ -182,19 +182,18 @@ def _blocks(probs: np.ndarray, rounds: int):
 
     A block fixes the rounds of the leading "head" players and runs through
     every assignment of the last m, rounds^m rows. Yields (prob, counts,
-    seat): each row's probability, the (rounds, rows) count of players per
-    round, and the (players, rows) flat index into counts of each player's
-    own round, so counts.take(seat) is each player's co-arrival count. prob
-    is the head's product followed by one np.multiply.outer per tail player:
-    the same multiplications in the same order as a loop doing
-    `prob *= probs[j, round of j]` over the players."""
+    head, tail_seat): each row's probability, the (rounds, rows) count of
+    players per round, the head's rounds (a head player in round r arrives
+    with counts[r]) and the (m, rows) flat index into counts of each tail
+    player's own round. prob is the head's product followed by one
+    np.multiply.outer per tail player: the same multiplications in the same
+    order as a loop doing `prob *= probs[j, round of j]` over the players."""
     players = len(probs)
     m = 0
     while m < players and rounds ** (m + 1) <= ENUMERATION_BLOCK_ROWS:
         m += 1
     lead, rows = players - m, rounds**m
-    round_seats = np.arange(rounds * rows).reshape(rounds, rows)
-    tail_seat = np.indices((rounds,) * m).reshape(m, rows) * rows + round_seats[0]
+    tail_seat = np.indices((rounds,) * m).reshape(m, rows) * rows + np.arange(rows)
     tail_counts = np.bincount(tail_seat.ravel(), minlength=rounds * rows).reshape(rounds, rows)
     head_probs, tail_probs = probs[:lead].tolist(), probs[lead:]
     for head in itertools.product(range(rounds), repeat=lead):
@@ -205,8 +204,7 @@ def _blocks(probs: np.ndarray, rounds: int):
         for row in tail_probs:
             prob = np.multiply.outer(prob, row)
         counts = tail_counts + np.bincount(head, minlength=rounds)[:, None]
-        seat = np.concatenate((round_seats[list(head)], tail_seat))
-        yield prob.reshape(rows), counts, seat
+        yield prob.reshape(rows), counts, head, tail_seat
 
 
 def _realized_offers(spec: GameSpec) -> np.ndarray:
@@ -237,8 +235,9 @@ def expected_payoffs(spec: GameSpec, profile: MixedProfile) -> np.ndarray:
     realized = _realized_offers(spec)
     row_start = (np.arange(spec.kappa) * realized.shape[1])[:, None]  # player j's row, flat
     result = np.zeros(spec.kappa)
-    for prob, counts, seat in _blocks(profile.probs, spec.rounds):
-        terms = realized.take(row_start + counts.take(seat)) * prob
+    for prob, counts, head, tail_seat in _blocks(profile.probs, spec.rounds):
+        co = np.concatenate((counts[list(head)], counts.take(tail_seat)))
+        terms = realized.take(row_start + co) * prob
         result = _running_sum(result, terms)
     return result
 
@@ -261,7 +260,7 @@ def indifference_residual(spec: GameSpec, profile: MixedProfile) -> float:
         others = np.delete(profile.probs, j, axis=0)
         conditional = np.zeros(spec.rounds)
         arriving = realized[j, 1:]  # j itself arrives in every round
-        for prob, counts, _ in _blocks(others, spec.rounds):
+        for prob, counts, _, _ in _blocks(others, spec.rounds):
             conditional = _running_sum(conditional, arriving.take(counts) * prob)
         conditional = conditional.tolist()
         worst = max(worst, max(conditional) - min(conditional))

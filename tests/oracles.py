@@ -473,8 +473,9 @@ def grow_one_at_a_time(sim: Simulation) -> list[tuple[NodeId, NodeId]]:
     attaches. Per arrival: the attachment draws, then the honesty draw; the
     grant is the offer its first host makes right then, before the arrival
     registers, which for a host of the same batch is the prime; then the
-    arrival registers alone (`Simulation._register_newcomers`) and its
-    grant is written. Returns each arrival's id and first host."""
+    arrival registers alone, as a one-id slice
+    (`Simulation._register_newcomers`), and its grant is written. Returns
+    each arrival's id and first host."""
     t, rng = sim.topology, sim.rng
     count = round(t.node_count * sim.cfg.growth_percent_per_10 / 100)
     arrivals = []
@@ -483,7 +484,7 @@ def grow_one_at_a_time(sim: Simulation) -> list[tuple[NodeId, NodeId]]:
         honesty = rng.random()
         grant = float(sim._est.offers[hosts[0]])
         role = Role.POTENTIAL_WHITEWASHER if honesty < sim.r_est else Role.COOPERATIVE
-        sim._register_newcomers(vid, role, honesty, 0, 0)
+        sim._register_newcomers(slice(vid, vid + 1), role, honesty, 0, 0)
         sim.reputation[vid] = sim.grant[vid] = grant
         arrivals.append((vid, hosts[0]))
     return arrivals

@@ -290,10 +290,11 @@ def test_voluntary_departures_shrink_population():
 
 
 class ScanDepartures(Simulation):
-    """Reference for the candidate array and the batched draws: the scan of
-    every live node they replaced, one scalar draw per reputable cooperator
-    in ascending id order, none once the overlay is down to attach_edges + 1
-    nodes."""
+    """Reference for the candidate array, the batched draws and the one
+    write after them: the scan of every live node they replaced, one
+    scalar draw per reputable cooperator in ascending id order, none once
+    the overlay is down to attach_edges + 1 nodes, and each leaver removed,
+    its role code dropped and its window retired as it is drawn."""
 
     def _voluntary_departures(self):
         cfg = self.cfg
@@ -305,7 +306,9 @@ class ScanDepartures(Simulation):
                 break
             if self.rng.random() >= cfg.legit_departure_prob:
                 continue
-            self._drop_node(vid, True)
+            graph_mod.remove_node(self.topology, vid, True)
+            self.role_code[vid] = 0
+            self._est.retire(vid)
 
 
 def run_with_departure_log(sim: Simulation):
@@ -452,27 +455,30 @@ def test_rejoiners_get_fresh_ids_and_the_offered_grant():
 def test_records_follow_the_person_and_role_code_holds_role_and_liveness():
     # After every step of a run with growth, voluntary departures and wave
     # rejoins, and around planted rejoins of a cooperator and of a potential
-    # whitewasher: the role codes mark exactly the live ids, and a rejoin
-    # carries the person's role, honesty and counters to the new id, whose
-    # grant is the offer.
+    # whitewasher: the role codes mark exactly the live ids, and every
+    # rejoin, of a wave or planted, leaves its old id dead and gone and
+    # carries the person's role, honesty and counters to its new id, whose
+    # grant and reputation are its offer.
     sim = Simulation(SimConfig(n=300, growth_percent_per_10=5.0, legit_departure_prob=0.02,
                                iterations=0, seed=2))
     moved = collections.Counter()
-    execute = sim._execute_whitewash
+    register = sim._register_rejoins
 
     def person(v):
         return (sim.role_code[v], sim.honesty[v], sim.attempts[v], sim.successes[v])
 
-    def checked(vid, offered):
-        carried = person(vid)
-        new_id = execute(vid, offered)
-        assert sim.role_code[vid] == 0 and vid not in sim.topology
-        assert person(new_id) == carried
-        assert sim.grant[new_id] == sim.reputation[new_id] == offered
-        moved[Role(carried[0])] += 1
-        return new_id
+    def checked(leavers, offers):
+        carried = [person(v) for v in leavers]
+        register(leavers, offers)
+        end = sim.topology.next_id
+        new_ids = range(end - len(leavers), end)
+        for vid, new_id, was, offered in zip(leavers, new_ids, carried, offers, strict=True):
+            assert sim.role_code[vid] == 0 and vid not in sim.topology
+            assert person(new_id) == was
+            assert sim.grant[new_id] == sim.reputation[new_id] == offered
+            moved[Role(was[0])] += 1
 
-    sim._execute_whitewash = checked
+    sim._register_rejoins = checked
     seen = set(sim.topology.live_ids().tolist())
     check_roles_and_records(sim)
     for n in range(1, 41):
@@ -487,6 +493,97 @@ def test_records_follow_the_person_and_role_code_holds_role_and_liveness():
     departed = len(seen) - sim.topology.node_count - sum(moved.values())
     assert moved[Role.COOPERATIVE] == 5 and moved[Role.POTENTIAL_WHITEWASHER] > 5
     assert departed > 0 and sim.topology.next_id > 300 + sum(moved.values())
+
+
+class PerRejoinWave(Simulation):
+    """Reference for the wave's deferred writes: the per-rejoin path they
+    replaced. Each attempt raises the poller's counters at once, reading
+    its facts at its turn; each rejoin removes the leaver, drops its role
+    code, retires its window, attaches and registers the new id alone, as a
+    one-id slice, before the next poller draws. Planted rejoins take the
+    same path, granted the ceiling estimate."""
+
+    def _rejoin_alone(self, vid: int, offered: float) -> int:
+        person = (self.role_code[vid], self.honesty[vid], self.attempts[vid], self.successes[vid])
+        threshold = legitimacy_threshold(self.r_est, self.cfg.r_ini_min)
+        graph_mod.remove_node(self.topology, vid, self.reputation[vid] >= threshold)
+        self.role_code[vid] = 0
+        self._est.retire(vid)
+        new_id, _ = self.topology.attach(self.cfg.attach_edges, self.rng)
+        self._register_newcomers(slice(new_id, new_id + 1), *person)
+        self.reputation[new_id] = self.grant[new_id] = offered
+        return new_id
+
+    def _whitewash_wave(self):
+        polled = self._pollers()
+        if not len(polled):
+            return 0, 0
+        pool = self.topology.live_ids()
+        attempts = successes = 0
+        for vid in polled.tolist():
+            target = pool[self.rng.integers(len(pool))]
+            offered = float(self._est.offers[target])
+            tried, won = int(self.attempts[vid]), int(self.successes[vid])
+            if tried and offered <= self.grant[vid] + engine._GRANT_MARGIN:
+                continue
+            outcome = agents.decide_whitewash(float(self.honesty[vid]), tried, won, offered,
+                                              self.rng)
+            if outcome is agents.WhitewashOutcome.NO_ATTEMPT:
+                continue
+            attempts += 1
+            self.attempts[vid] += 1
+            if outcome is agents.WhitewashOutcome.WHITEWASHED:
+                successes += 1
+                self.successes[vid] += 1
+                self._rejoin_alone(vid, offered)
+        return attempts, successes
+
+    def force_whitewash(self, vid: int) -> int:
+        return self._rejoin_alone(vid, self.r_est)
+
+
+def test_wave_batch_matches_the_per_rejoin_path():
+    # Small runs of either topology, with growth, voluntary departures,
+    # gossip noise, any window and planted rejoins between steps: the wave
+    # that registers its rejoins as one id range after its loop, and the
+    # departures that drop their leavers in one write, give the per-rejoin
+    # path's records, final draw state, overlay, and facts and offers of
+    # every id issued, bit for bit. `--hypothesis-profile=ci` runs more
+    # examples.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(deadline=None, database=None)
+    @hypothesis.given(
+        topology=st.sampled_from(["scale_free", "regular"]),
+        n=st.integers(8, 150),
+        growth=st.sampled_from([0.0, 5.0, 30.0]),
+        departures=st.sampled_from([0.0, 0.02, 0.3]),
+        noise=st.sampled_from([0.0, 0.05]),
+        window=st.integers(1, 12),
+        steps=st.integers(1, 40),
+        planted=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 10**6)), max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    def check(topology, n, growth, departures, noise, window, steps, planted, seed):
+        cfg = SimConfig(topology=topology, n=n, degree=4, growth_percent_per_10=growth,
+                        legit_departure_prob=departures, gossip_noise=noise,
+                        window_n_prime=window, iterations=0, seed=seed)
+        batch, single = Simulation(cfg), PerRejoinWave(cfg)
+        for step in range(steps):
+            for _, pick in (p for p in planted if p[0] == step):
+                live = batch.topology.live_ids()
+                vid = int(live[pick % len(live)])
+                assert batch.force_whitewash(vid) == single.force_whitewash(vid)
+            assert batch.step() == single.step(), step
+        assert batch.rng.bit_generator.state == single.rng.bit_generator.state
+        oracles.assert_same_topology(batch.topology, single.topology)
+        end = batch.topology.next_id
+        for name in engine._ID_ROWS:
+            assert getattr(batch, name)[:end].tobytes() == getattr(single, name)[:end].tobytes()
+        assert batch._est.offers[:end].tobytes() == single._est.offers[:end].tobytes()
+
+    check()
 
 
 def test_arrivals_book_one_count_per_host():

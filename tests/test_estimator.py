@@ -269,7 +269,7 @@ def test_estimator_arrays_match_scalar_oracle():
         r_est = float(rng.uniform(0.1, 0.6))
         for _ in range(int(rng.integers(0, 3))):
             vid, _ = t.attach(2, rng)
-            est.prime(vid, r_est)
+            est.prime(slice(vid, vid + 1), r_est)
             oracle[vid] = EstimatorState(vid, r_est, r_min, window)
             added += 1
         coef = float(rng.uniform(-0.02, 0.05))
@@ -398,7 +398,7 @@ def test_sweep_reads_only_the_issued_rows_and_keeps_its_own_baseline():
         r_est = float(rng.uniform(0.1, 0.6))
         for _ in range(int(rng.integers(0, 5))):
             vid, _ = t.attach(2, rng)
-            est.prime(vid, r_est)
+            est.prime(slice(vid, vid + 1), r_est)
         end = t.next_id
         snapshot = t.neighbor_degree_array()
         assert {len(a) for a in snapshot} == {end}
@@ -434,7 +434,7 @@ def test_incremental_peak_is_the_row_max():
         for step in range(60):
             if step % 4 == 3:
                 r_est = grid[int(rng.integers(1, 4))]
-                est.prime(next_id, r_est)
+                est.prime(slice(next_id, next_id + 1), r_est)
                 seen["primed mid-window"] += est._slot % window != 0
                 live.append(next_id)
                 next_id += 1
@@ -499,7 +499,9 @@ def test_shrink_correction_depends_on_sweep_membership():
         and not any(active.intersection(t.neighbors(u)) or u in active for u in t.neighbors(v))
     )
     prev = est._prev_ndsum.copy()
-    sim._drop_node(leaver, True)
+    graph.remove_node(t, leaver, True)
+    sim.role_code[leaver] = 0
+    est.retire(leaver)
     coef = (199.0 / 200.0 - 1.0) * sim.cfg.attach_edges / (2.0 * t.edge_count / 199.0)
     sim.step()
     levels = sim.last_w_sweep
