@@ -8,8 +8,9 @@ they may dump a bad record and rejoin. Everyone else cooperates.
 Every agent fact is the engine's, held in arrays indexed by node id: role,
 reputation, honesty, the attempt counters (which a rejoin carries over) and
 the grant the current identity was born with. This module draws the
-founders' facts and states the decision as a pure function of them; the
-engine writes the counters.
+founders' facts, gives every founder and arrival its role (`role_codes`)
+and states the decision as a pure function of them; the engine writes the
+counters.
 """
 
 from __future__ import annotations
@@ -43,18 +44,23 @@ def init_population(
     """Create `size` agents on node ids 0..size-1: their role codes,
     starting reputations and honesties, each indexed by node id.
 
-    Honesty is i.i.d. Uniform[0,1]; an agent is a potential whitewasher iff
-    its honesty is below r_ini_max, so a zero ceiling makes everyone
-    cooperative. Starting reputations are also uniform, standing in for
-    histories accumulated before the observation window. Draw order: all
-    honesties first, then all reputations.
+    Honesty is i.i.d. Uniform[0,1] and sets the role against r_ini_max
+    (`role_codes`), so a zero ceiling makes everyone cooperative. Starting
+    reputations are also uniform, standing in for histories accumulated
+    before the observation window. Draw order: all honesties first, then all
+    reputations.
     """
     honesty = rng.uniform(0.0, 1.0, size)
     reputation = rng.uniform(0.0, 1.0, size)
-    role_code = np.where(
-        honesty < r_ini_max, Role.POTENTIAL_WHITEWASHER, Role.COOPERATIVE
+    return role_codes(honesty, r_ini_max), reputation, honesty
+
+
+def role_codes(honesty: np.ndarray, offered_r_ini: float) -> np.ndarray:
+    """The int8 role codes of agents of these honesties joining under the
+    newcomer reputation `offered_r_ini`: a potential whitewasher iff below it."""
+    return np.where(
+        honesty < offered_r_ini, Role.POTENTIAL_WHITEWASHER, Role.COOPERATIVE
     ).astype(np.int8)
-    return role_code, reputation, honesty
 
 
 def decide_whitewash(

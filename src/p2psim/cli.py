@@ -145,15 +145,15 @@ class EstimatorCheckPlan:
 # sweep and a fixed-point w_max list, checked before a cross product expands.
 MAX_GRID_CELLS = 1000
 # Work bound on one simulate or estimator-check command: the node-iterations
-# all its runs project, about 170 times one 8%-growth scale-free run.
+# all its runs project (`_project_run`), about 170 8%-growth scale-free runs.
 MAX_NODE_ITERATIONS = 10**9
-# Bound on one run's estimator windows: window_n_prime float64 levels per id,
-# 80 MB here, counted at the node count growth projects. The ids rejoins take
-# come on top: not a bound on what a run allocates (ROADMAP item 8).
+# Bound on one run's estimator windows (`_project_run`): window_n_prime float64
+# levels per id, 80 MB here, counted at the node count growth projects. The ids
+# rejoins take come on top: not a bound on what a run allocates (ROADMAP item 8).
 MAX_WINDOW_CELLS = 10**7
 # Bound on one run's overlay edge ends (two per edge), at the most it can hold
-# (`_edge_ends`). Slab slack and stale pool entries come on top, up to about 7
-# int64 words per edge end at a dense build's peak (ROADMAP item 8).
+# (`_project_run`). Slab slack and stale pool entries come on top, up to about
+# 7 int64 words per edge end at a dense build's peak (ROADMAP item 8).
 MAX_EDGE_ENDS = 10**7
 # The longest file name most file systems take, in bytes: a grid run's CSV
 # is named after its cell's overrides and seed, so long overrides can pass it.
@@ -275,71 +275,46 @@ def _grid(grid) -> tuple[dict, ...]:
     raise ValueError("; ".join(problems))
 
 
-def _node_iterations(cfg: SimConfig, iterations: int) -> float:
-    """Node-iterations one run of `iterations` steps projects when every
-    growth batch adds its full percentage (departures only shrink it):
-    the sum over k = 1..iterations of n * (1 + g/100) ** (k // GROWTH_PERIOD),
-    in closed form per growth period. Where a lower bound of it already
-    passes MAX_NODE_ITERATIONS it returns inf, so no float can overflow."""
-    if cfg.n * iterations > MAX_NODE_ITERATIONS:  # every term is at least n
-        return math.inf
+def _project_run(cfg: SimConfig, iterations: int) -> tuple[float, float]:
+    """Project one run of `iterations` steps with every growth batch adding
+    its full percentage (departures only shrink it). Raises ValueError where
+    its estimator windows pass MAX_WINDOW_CELLS, leaving out the fresh ids
+    whitewash rejoins take, else where its overlay can hold more than
+    MAX_EDGE_ENDS edge ends; returns its edge ends and node-iterations. Every
+    edge is one node's own: a node that attaches, at growth or at a whitewash
+    rejoin, owns the edges it wires, attach_edges (or every other node, when
+    there are fewer), and so does each node of a scale-free build, the seed
+    clique's included. Only live nodes own edges, and rejoins and departures
+    never raise the live count. The windows are compared as logarithms, the
+    periods capped where the work bound rejects the run anyway; once they
+    fit, the grown node count is below MAX_WINDOW_CELLS, so no float below
+    can overflow."""
     period = engine.GROWTH_PERIOD
     periods = iterations // period
     rate = math.log1p(cfg.growth_percent_per_10 / 100)
-    if periods * rate > math.log(MAX_NODE_ITERATIONS):  # the last term alone
-        return math.inf
-    full = periods if rate == 0 else math.expm1(periods * rate) / math.expm1(rate)
-    last = (iterations - period * periods + 1) * math.exp(periods * rate)
-    return cfg.n * (period * full + last - 1)
-
-
-def _log_growth(cfg: SimConfig, iterations: int) -> float:
-    """The logarithm of the factor by which every growth batch of
-    `iterations` steps multiplies the node count. Past MAX_NODE_ITERATIONS
-    growth periods `_check_work` rejects the run anyway, so the period
-    count is capped there to stay a float."""
-    periods = min(iterations // engine.GROWTH_PERIOD, MAX_NODE_ITERATIONS)
-    return periods * math.log1p(cfg.growth_percent_per_10 / 100)
-
-
-def _check_window(cfg: SimConfig, iterations: int) -> None:
-    """Reject a run whose windows would pass MAX_WINDOW_CELLS: n x
-    window_n_prime, grown by every growth batch of `iterations` steps
-    (compared as logarithms, so no float can overflow). Whitewash rejoins
-    take fresh ids too, which this count leaves out."""
-    growth = _log_growth(cfg, iterations)
+    growth = min(periods, MAX_NODE_ITERATIONS) * rate
     if math.log(cfg.n * cfg.window_n_prime) + growth > math.log(MAX_WINDOW_CELLS):
         raise ValueError(
             f"window_n_prime: {cfg.n} nodes x {cfg.window_n_prime} levels, with growth, "
             f"is more than {MAX_WINDOW_CELLS:.0e} window cells"
         )
-
-
-def _edge_ends(cfg: SimConfig, iterations: int) -> float:
-    """Edge ends (two per edge) the overlay of a run of `iterations` steps
-    can hold at most, with the node count growth projects. Every edge is
-    one node's own: a node that attaches, at growth or at a whitewash
-    rejoin, owns the edges it wires, attach_edges (or every other node,
-    when there are fewer), and so does each node of a scale-free build,
-    the seed clique's included. Only live nodes own edges, and rejoins and
-    departures never raise the live count. A regular build's n x degree
-    ends come on top. Past MAX_EDGE_ENDS growth factors it returns inf, so
-    no float can overflow; n must already be bounded (`_check_window`)."""
-    growth = _log_growth(cfg, iterations)
-    if growth > math.log(MAX_EDGE_ENDS):  # the grown live count alone passes it
-        return math.inf
-    most = cfg.n * math.exp(growth)
+    grown = math.exp(growth)
+    most = cfg.n * grown
     built = cfg.n * cfg.degree if cfg.topology == "regular" else 0
-    return built + 2 * min(cfg.attach_edges, most) * most
-
-
-def _check_edges(cfg: SimConfig, iterations: int) -> None:
-    ends = _edge_ends(cfg, iterations)
+    ends = built + 2 * min(cfg.attach_edges, most) * most
     if ends > MAX_EDGE_ENDS:
         raise ValueError(
             f"edges: the overlay could hold {ends:.3g} edge ends (two per edge, with growth "
             f"and rejoins), more than {MAX_EDGE_ENDS:.0e}"
         )
+    # The sum over k = 1..iterations of n * (1 + g/100) ** (k // period), in
+    # closed form per growth period. Every term is at least n, and a run this
+    # guard passes has fewer growth periods than `growth` caps.
+    if cfg.n * iterations > MAX_NODE_ITERATIONS:
+        return ends, math.inf
+    full = periods if rate == 0 else math.expm1(growth) / math.expm1(rate)
+    last = (iterations - period * periods + 1) * grown
+    return ends, cfg.n * (period * full + last - 1)
 
 
 def _check_work(node_iterations: float) -> None:
@@ -359,12 +334,12 @@ def _simulate_plan(grid, seeds, **sim) -> SimulatePlan:
         raise ValueError(
             f"{len(cells) * len(seeds)} runs (grid cells x seeds), more than {MAX_GRID_CELLS}"
         )
-    problems = []
+    problems, runs = [], []
     for label, change in [(f"grid cell {_cell_id(c)}", c) for c in cells] + [
         (f"seeds: {s}", {"seed": s}) for s in seeds
     ]:
         try:
-            dataclasses.replace(base, **change)
+            runs.append(dataclasses.replace(base, **change))
         except ValueError as err:
             problems.append(f"{label}: {err}")
     problems += [  # the largest seed names the longest CSV of a cell
@@ -380,19 +355,14 @@ def _simulate_plan(grid, seeds, **sim) -> SimulatePlan:
     ]
     if problems:
         raise ValueError("; ".join(problems))
-    runs = [dataclasses.replace(base, **c) for c in cells] or [base]
-    for cfg in runs:
-        _check_window(cfg, cfg.iterations)
-        _check_edges(cfg, cfg.iterations)
-    _check_work(len(seeds) * sum(_node_iterations(cfg, cfg.iterations) for cfg in runs))
+    runs = runs[: len(cells)] or [base]  # a seed changes no projection
+    _check_work(len(seeds) * sum(_project_run(cfg, cfg.iterations)[1] for cfg in runs))
     return SimulatePlan(base, cells, seeds)
 
 
 def _estimator_check_plan(injected, **sim) -> EstimatorCheckPlan:
     base = SimConfig(**sim)
-    _check_window(base, engine.GROWTH_PERIOD + 1)
-    _check_edges(base, engine.GROWTH_PERIOD + 1)
-    _check_work(_node_iterations(base, engine.GROWTH_PERIOD + 1))
+    _check_work(_project_run(base, engine.GROWTH_PERIOD + 1)[1])
     # Each planted rejoin needs a potential whitewasher. The first
     # GROWTH_PERIOD steps hold at most n nodes and one growth batch, and
     # with grants off and no growth nobody is one.
@@ -567,45 +537,29 @@ def _tail_means(records: list[IterationRecord]) -> tuple[float, float]:
     return frac, offer
 
 
-def scenario_grid(
-    base: SimConfig,
-    cells: tuple[dict, ...],
-    seeds: tuple[int, ...],
-    out_dir: Path,
-    quiet: bool = False,
-) -> list[tuple]:
-    """Run every cell x seed, write one CSV per run plus a summary CSV of
-    trailing-window means, and return the summary rows."""
+def _run_simulate(plan: SimulatePlan, out_dir: Path, quiet: bool) -> None:
+    """Run every grid cell x seed, or the one plain run, and write a CSV per
+    run. A grid then writes a summary CSV of trailing-window means; a plain
+    run prints them."""
     summary = []
-    for cell in cells:
-        for seed in seeds:
-            cfg = dataclasses.replace(base, **cell, seed=seed)
-            records = engine.run(cfg)
-            path = out_dir / _run_file(cell, seed)
+    for cell in plan.cells or ({},):
+        for seed in plan.seeds:
+            records = engine.run(dataclasses.replace(plan.base, **cell, seed=seed))
+            path = out_dir / (_run_file(cell, seed) if plan.cells else "run.csv")
             emit_csv(records, path)
             _say(quiet, f"wrote {path}")
-            frac, offer = _tail_means(records)
-            summary.append((_cell_id(cell), seed, frac, offer))
-    path = out_dir / "summary.csv"
-    _write_csv(
-        path,
-        "scenario,seed,final_window_whitewash_fraction,final_window_mean_offer",
-        summary,
-    )
-    _say(quiet, f"wrote {path}")
-    return summary
-
-
-def _run_simulate(plan: SimulatePlan, out_dir: Path, quiet: bool) -> None:
+            summary.append((_cell_id(cell), seed, *_tail_means(records)))
     if plan.cells:
-        scenario_grid(plan.base, plan.cells, plan.seeds, out_dir, quiet)
-        return
-    records = engine.run(plan.base)
-    path = out_dir / "run.csv"
-    emit_csv(records, path)
-    _say(quiet, f"wrote {path}")
-    frac, offer = _tail_means(records)
-    _say(quiet, f"final-window whitewash fraction {_fmt(frac)}, mean offer {_fmt(offer)}")
+        path = out_dir / "summary.csv"
+        _write_csv(
+            path,
+            "scenario,seed,final_window_whitewash_fraction,final_window_mean_offer",
+            summary,
+        )
+        _say(quiet, f"wrote {path}")
+    else:
+        _, _, frac, offer = summary[0]
+        _say(quiet, f"final-window whitewash fraction {_fmt(frac)}, mean offer {_fmt(offer)}")
 
 
 def _run_payoff_sweep(plan: PayoffSweepPlan, out_dir: Path, quiet: bool) -> None:

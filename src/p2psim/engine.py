@@ -426,10 +426,8 @@ class Simulation:
             first_hosts.append(t.attach(k, rng)[1][0])
             honesty.append(rng.random())
         honesty, first_hosts = np.array(honesty), np.array(first_hosts, dtype=np.int64)
-        washer = honesty < self.r_est
-        role = np.where(washer, Role.POTENTIAL_WHITEWASHER.value, Role.COOPERATIVE.value)
         ids = slice(first, t.next_id)
-        self._register_newcomers(ids, role, honesty, 0, 0)
+        self._register_newcomers(ids, agents_mod.role_codes(honesty, self.r_est), honesty, 0, 0)
         # The first host a newcomer contacts vouches for it: its offer, the
         # prime for a host of the same batch, is the newcomer's grant.
         self.reputation[ids] = self.grant[ids] = self._est.offers[first_hosts]

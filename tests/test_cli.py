@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -159,15 +160,24 @@ def run_cli(*args):
     return cli.main([str(a) for a in args])
 
 
-def test_simulate_writes_run_csv(tmp_path):
+def test_simulate_writes_run_csv(tmp_path, capsys):
     cfg = write_config(tmp_path, {"n": 150, "iterations": 15})
     out = tmp_path / "out"
     assert run_cli("simulate", "--config", cfg, "--out", out, "--quiet") == 0
+    assert capsys.readouterr().out == ""
     recs = oracles.read_records_csv(out / "run.csv")
     assert [r.iteration for r in recs] == list(range(1, 16))
+    # Without --quiet the run names its CSV and prints its final-window means.
+    loud = tmp_path / "loud"
+    assert run_cli("simulate", "--config", cfg, "--out", loud) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {loud / 'run.csv'}",
+        "final-window whitewash fraction 0.0613333333333, mean offer 0.291844008905",
+    ]
+    assert (loud / "run.csv").read_bytes() == (out / "run.csv").read_bytes()
 
 
-def test_simulate_grid_writes_cells_and_summary(tmp_path):
+def test_simulate_grid_writes_cells_and_summary(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
         {"n": 120, "iterations": 12, "grid": {"growth_percent_per_10": [0.0, 5.0]},
@@ -175,11 +185,24 @@ def test_simulate_grid_writes_cells_and_summary(tmp_path):
     )
     out = tmp_path / "out"
     assert run_cli("simulate", "--config", cfg, "--out", out, "--quiet") == 0
+    assert capsys.readouterr().out == ""
     cells = sorted(p.name for p in out.glob("sim-*.csv"))
     assert len(cells) == 4
     summary = (out / "summary.csv").read_text().splitlines()
     assert summary[0] == "scenario,seed,final_window_whitewash_fraction,final_window_mean_offer"
     assert len(summary) == 5
+    # Without --quiet every file written is named, cell by cell and seed by
+    # seed, the summary last; its bytes are the recorded ones.
+    loud = tmp_path / "loud"
+    assert run_cli("simulate", "--config", cfg, "--out", loud) == 0
+    names = [f"sim-growth_percent_per_10={g}-seed{s}.csv" for g in (0, 5) for s in (1, 2)]
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {loud / name}" for name in names + ["summary.csv"]
+    ]
+    assert sorted(names) == cells
+    assert hashlib.sha256((loud / "summary.csv").read_bytes()).hexdigest() == (
+        "2c238e48d5a99d3b16b9fd12e5a42e7c16ed83dc0b8058b557db4d59734a085d"
+    )
 
 
 def test_a_grid_cell_named_past_the_file_name_limit_is_a_config_error(tmp_path, capsys):
@@ -424,7 +447,7 @@ def test_work_bound_projects_growth_per_period(tmp_path):
     for n, growth, iterations in [(1000, 8.0, 500), (7, 2.0, 23), (5, 0.0, 9), (2, 50.0, 10)]:
         cfg = SimConfig(n=n, attach_edges=1, growth_percent_per_10=growth, iterations=iterations)
         expected = sum(n * (1 + growth / 100) ** (k // 10) for k in range(1, iterations + 1))
-        assert cli._node_iterations(cfg, iterations) == pytest.approx(expected, rel=1e-12)
+        assert cli._project_run(cfg, iterations)[1] == pytest.approx(expected, rel=1e-12)
     # Exactly at the bound is still accepted.
     plan = cli.parse_config(
         write_config(tmp_path, {"n": 2, "attach_edges": 1, "iterations": 500_000_000})
@@ -541,7 +564,7 @@ def test_edge_bound_holds_over_runs():
         for _ in range(cfg.iterations):
             sim.step()
             most = max(most, 2 * sim.topology.edge_count)
-        bound = cli._edge_ends(cfg, cfg.iterations)
+        bound = cli._project_run(cfg, cfg.iterations)[0]
         assert most <= bound, kwargs
         if kwargs.get("degree") == 2:
             assert most > 100 * cfg.n * cfg.degree
