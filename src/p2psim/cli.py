@@ -366,7 +366,7 @@ def _estimator_check_plan(injected, **sim) -> EstimatorCheckPlan:
     # Each planted rejoin needs a potential whitewasher. The first
     # GROWTH_PERIOD steps hold at most n nodes and one growth batch, and
     # with grants off and no growth nobody is one.
-    most = base.n + round(base.n * base.growth_percent_per_10 / 100)
+    most = base.n + engine.growth_batch(base.n, base.growth_percent_per_10)
     if injected > most:
         raise ValueError(
             f"injected: {injected} planted rejoins, more than the {most} nodes "
@@ -493,7 +493,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _say(quiet: bool, message: str) -> None:
+    if not quiet:
+        print(message)
+
+
+def _write_csv(path: Path, header: str, rows, quiet: bool) -> None:
+    """Write the header and one line per row, then `wrote <path>` unless quiet."""
     # Every command writes a CSV first, so a run that fails before it leaves
     # no output directory.
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -501,20 +507,16 @@ def _write_csv(path: Path, header: str, rows) -> None:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _say(quiet, f"wrote {path}")
 
 
 def emit_csv(records: list[IterationRecord], path: Path) -> None:
     """Write one iteration per row under the fixed simulate header; floats
     carry 12 significant digits so a parse round-trips the run exactly."""
-    _write_csv(Path(path), CSV_HEADER, (dataclasses.astuple(r) for r in records))
+    _write_csv(Path(path), CSV_HEADER, map(dataclasses.astuple, records), quiet=True)
 
 
 # ---- command bodies ------------------------------------------------------
-
-
-def _say(quiet: bool, message: str) -> None:
-    if not quiet:
-        print(message)
 
 
 def _cell_id(cell: dict) -> str:
@@ -546,17 +548,15 @@ def _run_simulate(plan: SimulatePlan, out_dir: Path, quiet: bool) -> None:
         for seed in plan.seeds:
             records = engine.run(dataclasses.replace(plan.base, **cell, seed=seed))
             path = out_dir / (_run_file(cell, seed) if plan.cells else "run.csv")
-            emit_csv(records, path)
-            _say(quiet, f"wrote {path}")
+            _write_csv(path, CSV_HEADER, map(dataclasses.astuple, records), quiet)
             summary.append((_cell_id(cell), seed, *_tail_means(records)))
     if plan.cells:
-        path = out_dir / "summary.csv"
         _write_csv(
-            path,
+            out_dir / "summary.csv",
             "scenario,seed,final_window_whitewash_fraction,final_window_mean_offer",
             summary,
+            quiet,
         )
-        _say(quiet, f"wrote {path}")
     else:
         _, _, frac, offer = summary[0]
         _say(quiet, f"final-window whitewash fraction {_fmt(frac)}, mean offer {_fmt(offer)}")
@@ -575,9 +575,7 @@ def _run_payoff_sweep(plan: PayoffSweepPlan, out_dir: Path, quiet: bool) -> None
         except payoff.CrossoverCapExceeded:
             k = f">{plan.cap}"
         rows.append((x, r_ini, regime.value, plan.mu, z, k))
-    path = out_dir / "payoff_sweep.csv"
-    _write_csv(path, "x,r_ini,regime,mu,z_over_c,k_crossover", rows)
-    _say(quiet, f"wrote {path}")
+    _write_csv(out_dir / "payoff_sweep.csv", "x,r_ini,regime,mu,z_over_c,k_crossover", rows, quiet)
 
 
 def _run_game_report(spec: GameSpec, out_dir: Path, quiet: bool) -> None:
@@ -590,9 +588,7 @@ def _run_game_report(spec: GameSpec, out_dir: Path, quiet: bool) -> None:
     for s in span.spans:
         for j, u in enumerate(span.payoffs_by_span[s]):
             rows.append((s, j, u))
-    path = out_dir / "game_report.csv"
-    _write_csv(path, "span,player,expected_payoff", rows)
-    _say(quiet, f"wrote {path}")
+    _write_csv(out_dir / "game_report.csv", "span,player,expected_payoff", rows, quiet)
 
     lines = [
         f"whitewash timing game: {spec.kappa} players, {spec.rounds} rounds",
@@ -632,9 +628,7 @@ def _run_fixed_point(plan: FixedPointPlan, out_dir: Path, quiet: bool) -> None:
         w = game.fixed_point(plan.r_ini_max, plan.r_ini_min, w_max)
         rows.append((plan.r_ini_max, plan.r_ini_min, w_max, w))
         _say(quiet, f"w_max {_fmt(w_max)}: operating point {_fmt(w)}")
-    path = out_dir / "fixed_point.csv"
-    _write_csv(path, "r_ini_max,r_ini_min,w_max,fixed_point", rows)
-    _say(quiet, f"wrote {path}")
+    _write_csv(out_dir / "fixed_point.csv", "r_ini_max,r_ini_min,w_max,fixed_point", rows, quiet)
 
 
 def _run_frontier(
@@ -643,12 +637,9 @@ def _run_frontier(
     plan, (r_star, x_star) = planned
     xs = np.arange(plan.x_step, 1.0, plan.x_step)
     rows = [(float(x), payoff.feasibility_boundary(plan.mu, float(x), plan.m_ratio)) for x in xs]
-    path = out_dir / "frontier.csv"
-    _write_csv(path, "x,max_r_ini", rows)
-    _say(quiet, f"wrote {path}")
-    path = out_dir / "frontier_best.csv"
-    _write_csv(path, "mu,m_ratio,r_star,x_star", [(plan.mu, plan.m_ratio, r_star, x_star)])
-    _say(quiet, f"wrote {path}")
+    _write_csv(out_dir / "frontier.csv", "x,max_r_ini", rows, quiet)
+    best = [(plan.mu, plan.m_ratio, r_star, x_star)]
+    _write_csv(out_dir / "frontier_best.csv", "mu,m_ratio,r_star,x_star", best, quiet)
     _say(quiet, f"largest defensible newcomer grant {_fmt(r_star)} at exponent {_fmt(x_star)}")
 
 
@@ -663,13 +654,12 @@ def _run_estimator_check(plan: EstimatorCheckPlan, out_dir: Path, quiet: bool) -
         plan.base.topology, plan.base.n, plan.base.growth_percent_per_10,
         plan.base.seed, plan.injected, estimated, true_level, abs(estimated - true_level),
     )
-    path = out_dir / "estimator_check.csv"
     _write_csv(
-        path,
+        out_dir / "estimator_check.csv",
         "topology,n,growth_percent_per_10,seed,injected,estimated,true_level,abs_error",
         [row],
+        quiet,
     )
-    _say(quiet, f"wrote {path}")
     _say(
         quiet,
         f"estimated {_fmt(estimated)} vs planted {_fmt(true_level)} "

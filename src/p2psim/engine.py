@@ -230,6 +230,11 @@ class IterationRecord:
     mean_w_max: float
 
 
+def growth_batch(node_count: int, growth_percent_per_10: float) -> int:
+    """Arrivals in one growth batch: a percentage of the live count, rounded."""
+    return round(node_count * growth_percent_per_10 / 100)
+
+
 def take_snapshot(t: graph_mod.Topology, noise: float, rng: Draws) -> tuple[float, float]:
     """(node count, degree sum), the aggregates every node learns by gossip.
     With noise > 0 (aggregation error) each is scaled by its own factor drawn
@@ -419,10 +424,9 @@ class Simulation:
 
     def _grow_population(self) -> None:
         t, rng, k = self.topology, self.rng, self.cfg.attach_edges
-        count = round(t.node_count * self.cfg.growth_percent_per_10 / 100)
         first = t.next_id
         first_hosts, honesty = [], []
-        for _ in range(count):
+        for _ in range(growth_batch(t.node_count, self.cfg.growth_percent_per_10)):
             first_hosts.append(t.attach(k, rng)[1][0])
             honesty.append(rng.random())
         honesty, first_hosts = np.array(honesty), np.array(first_hosts, dtype=np.int64)
@@ -482,11 +486,14 @@ def run(cfg: SimConfig) -> list[IterationRecord]:
 def closed_world_estimator_check(cfg: SimConfig, injected: int) -> tuple[float, float]:
     """Plant a known number of whitewash rejoins in an otherwise quiet run
     and compare the population-mean estimated level against the level
-    computed directly from the planted arrivals.
+    computed directly from the planted arrivals, both on the overlay the
+    rejoins leave, before the check step's own departures.
 
-    Returns (estimated, true). With zero growth the two agree to float
-    precision; with growth the background-arrival correction leaves a
-    residual error. injected = 0 returns (0.0, 0.0).
+    Returns (estimated, true); injected = 0 returns (0.0, 0.0). Without
+    growth or departures the two agree to float precision. Growth leaves the
+    residual of the background-arrival correction, and departures leave the
+    benign departures of the step before, read as churn, and the correction
+    for a shrinking overlay (ROADMAP item 5).
     """
     if injected < 0:
         raise ValueError("injected must be >= 0")
@@ -510,7 +517,6 @@ def closed_world_estimator_check(cfg: SimConfig, injected: int) -> tuple[float, 
         # this one, and hosting an arrival is not the same as being one.
         for u in t.neighbors(new_id):
             arrivals[u] = arrivals.get(u, 0) + 1
-    record = sim.step()
 
     contrib: dict[int, float] = {}
     for j, aj in arrivals.items():
@@ -523,4 +529,5 @@ def closed_world_estimator_check(cfg: SimConfig, injected: int) -> tuple[float, 
         den = sum(map(t.degree_of, t.neighbors(i)))
         if den > 0:
             total += min(max(contrib.get(i, 0.0) / den, 0.0), 1.0)
-    return record.mean_w_estimate, total / t.node_count
+    true_level = total / t.node_count
+    return sim.step().mean_w_estimate, true_level

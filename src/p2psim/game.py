@@ -2,10 +2,10 @@
 
 When several low-honesty nodes could all reset their identities, each one's
 newcomer grant depends on how many reset in the same round: offers fall
-quadratically with the co-arrival count. This module builds the one-shot
-pure-strategy table, checks the uniform mixed profile over a window of
-rounds, computes exact expected payoffs by enumeration, and finds the
-population-level operating point of the adaptive offer policy.
+quadratically with the co-arrival count. This module states the one-shot
+pure-strategy facts in closed form, checks the uniform mixed profile over a
+window of rounds, computes exact expected payoffs by enumeration, and finds
+the population-level operating point of the adaptive offer policy.
 
 The enumeration runs in blocks of at most ENUMERATION_BLOCK_ROWS joint
 assignments, in itertools.product order, so memory stays flat as kappa
@@ -113,7 +113,6 @@ class MixedEquilibrium(MixedProfile):
 @dataclass(frozen=True)
 class PureStrategyReport:
     kappa: int
-    table: dict  # action profile (0/1 per player) -> payoff tuple
     whitewash_weakly_dominant: bool
     all_whitewash_payoff: float
     collapse_note: str
@@ -134,35 +133,26 @@ class SpanReport:
 
 
 def pure_strategy_analysis(spec: GameSpec) -> PureStrategyReport:
-    """Payoff table of the one-shot whitewash/abstain game and the weak
-    dominance of whitewashing.
+    """Whether whitewashing weakly dominates in the one-shot whitewash/abstain
+    game, and what everyone whitewashing pays.
 
-    Payoffs here are the raw offers (acceptance filtering belongs to the
-    timing game): abstainers get 0, whitewashers split into the schedule
-    value for their co-arrival count.
+    Payoffs are the raw offers (acceptance filtering belongs to the timing
+    game). An abstainer gets 0 and a whitewasher among w (itself included)
+    the schedule offer for w, so whitewashing weakly dominates exactly when
+    no offer is below 0, as the floor r_ini_min >= 0 ensures, and everyone
+    whitewashing pays the last offer. The 2^kappa payoff table is the oracle
+    in tests/oracles.py.
     """
     if spec.kappa < 2:
         raise ValueError("dominance analysis needs at least 2 players")
     schedule = spec.schedule()
-    table: dict[tuple[int, ...], tuple[float, ...]] = {}
-    for profile in itertools.product((0, 1), repeat=spec.kappa):
-        w = sum(profile)
-        offer = schedule[w - 1] if w else 0.0
-        table[profile] = tuple(offer if act else 0.0 for act in profile)
-    dominant = True
-    for j in range(spec.kappa):
-        for profile, payoffs in table.items():
-            if profile[j] == 1:
-                flipped = profile[:j] + (0,) + profile[j + 1 :]
-                if payoffs[j] < table[flipped][j]:
-                    dominant = False
-    all_w = table[(1,) * spec.kappa][0]
+    all_w = schedule[-1]
     note = (
         f"all-whitewash pays the floor ({all_w:g}); an identity reset that "
         "only recovers the floor is not worth taking, so the realized payoff "
         "of the simultaneous rush collapses to 0"
     )
-    return PureStrategyReport(spec.kappa, table, dominant, all_w, note)
+    return PureStrategyReport(spec.kappa, min(schedule) >= 0.0, all_w, note)
 
 
 # ---- mixed strategies ---------------------------------------------------

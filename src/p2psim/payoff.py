@@ -33,7 +33,7 @@ _GAP_ERROR_ULPS = 128
 # Rounds evaluated per vectorized block when the window is wide.
 _SCAN_BLOCK = 65536
 
-# grid resolution for the numeric optimizers, refined afterwards
+# grid resolution for the numeric optimizer, refined afterwards
 _GRID_STEP = 1e-3
 _REFINE_TOL = 1e-12
 _FLOOR_X_GRID = np.arange(0.01, 1.0, 0.005)
@@ -243,19 +243,12 @@ def _ternary_min(f, lo: float, hi: float) -> float:
 
 
 def optimal_x_permanent(mu: float = 0.5) -> float:
-    """Exponent minimizing the permanent-identity threshold (numerically;
-    the minimizer is 1/2 for every mu in (0, 1))."""
+    """Exponent minimizing the permanent-identity threshold: 1/2 for every mu
+    in (0, 1), as mu^(x^2) / (mu^(x^2) - mu^x) = 1 / (1 - mu^(x(1 - x))) is
+    least where x(1 - x) is largest. tests/oracles.py searches for it."""
     if not 0 < mu < 1:
         raise ValueError("mu must be in (0, 1)")
-
-    def threshold(x: float) -> float:
-        mu_xx = mu ** (x * x)
-        den = mu_xx - mu**x
-        return math.inf if den <= 0 else mu_xx / den
-
-    xs = np.arange(_GRID_STEP, 1.0, _GRID_STEP)
-    best = xs[int(np.argmin([threshold(float(x)) for x in xs]))]
-    return _ternary_min(threshold, max(best - _GRID_STEP, 1e-9), min(best + _GRID_STEP, 1 - 1e-9))
+    return 0.5
 
 
 def feasibility_boundary(mu: float, x: float, m_ratio: float = 1.0) -> float:

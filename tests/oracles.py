@@ -9,7 +9,10 @@ neighborhood. Tests feed both the same churn and require equal results.
 The timing game's enumerators (`expected_payoffs`, `indifference_residual`)
 and the crossover search (`crossover_round`) are kept here as the scalar
 loops and the block scan that the shipped array kernels and affine solve
-must match bit for bit.
+must match bit for bit. `pure_strategy_analysis` builds the one-shot game's
+2^kappa payoff table and checks dominance profile by profile, and
+`optimal_x_permanent` searches the exponent on a grid and refines it: the
+references for the closed forms `p2psim.game` and `p2psim.payoff` ship.
 
 `pairing_attempt` is the pairing model one stub pair at a time, the
 reference for the shuffle rounds of `graph.generate_regular`.
@@ -61,10 +64,12 @@ from p2psim.graph import (
     UnknownNodeError,
 )
 from p2psim.payoff import (
+    _GRID_STEP,
     DEFAULT_CROSSOVER_CAP,
     CrossoverCapExceeded,
     IdentityRegime,
     PayoffParams,
+    _ternary_min,
     coop_payoff,
     defector_payoff,
 )
@@ -547,6 +552,28 @@ def read_records_csv(path: Path) -> list[IterationRecord]:
 # ---- timing game and crossover -------------------------------------------
 
 
+def pure_strategy_analysis(spec: GameSpec) -> tuple[dict, bool, float]:
+    """(table, whitewash weakly dominant, all-whitewash payoff) of the
+    one-shot whitewash/abstain game. The table maps each action profile (0
+    abstain, 1 whitewash per player) to its payoff tuple: abstainers get 0,
+    whitewashers the schedule offer for their co-arrival count. Dominance is
+    checked by flipping each whitewasher of each profile to abstain."""
+    schedule = spec.schedule()
+    table: dict[tuple[int, ...], tuple[float, ...]] = {}
+    for profile in itertools.product((0, 1), repeat=spec.kappa):
+        w = sum(profile)
+        offer = schedule[w - 1] if w else 0.0
+        table[profile] = tuple(offer if act else 0.0 for act in profile)
+    dominant = True
+    for j in range(spec.kappa):
+        for profile, payoffs in table.items():
+            if profile[j] == 1:
+                flipped = profile[:j] + (0,) + profile[j + 1 :]
+                if payoffs[j] < table[flipped][j]:
+                    dominant = False
+    return table, dominant, table[(1,) * spec.kappa][0]
+
+
 def expected_payoffs(spec: GameSpec, profile: MixedProfile) -> np.ndarray:
     """Per-player expected payoff, one joint assignment at a time."""
     schedule = spec.schedule()
@@ -616,3 +643,17 @@ def crossover_round(p: PayoffParams, regime: IdentityRegime, cap: int = DEFAULT_
     if diff[1] - diff[0] <= 0:
         return math.inf
     raise CrossoverCapExceeded(f"no crossover within {cap} rounds, gap still closing")
+
+
+def optimal_x_permanent(mu: float) -> float:
+    """Exponent minimizing the permanent-identity threshold, found by a
+    grid over (0, 1) refined by ternary search."""
+
+    def threshold(x: float) -> float:
+        mu_xx = mu ** (x * x)
+        den = mu_xx - mu**x
+        return math.inf if den <= 0 else mu_xx / den
+
+    xs = np.arange(_GRID_STEP, 1.0, _GRID_STEP)
+    best = xs[int(np.argmin([threshold(float(x)) for x in xs]))]
+    return _ternary_min(threshold, max(best - _GRID_STEP, 1e-9), min(best + _GRID_STEP, 1 - 1e-9))

@@ -205,6 +205,65 @@ def test_simulate_grid_writes_cells_and_summary(tmp_path, capsys):
     )
 
 
+# Each analytics command on its sample config (frontier on its defaults):
+# the stdout lines, with {out} for the output directory, and the SHA-256 of
+# each file written, in the order the command announces them.
+ANALYTICS_PINS = {
+    "payoff-sweep": ("payoff_sweep.json", ["wrote {out}/payoff_sweep.csv"], {
+        "payoff_sweep.csv": "2e72ddce57e1914ce33c90e3e3587a67d83153674d96c5c01451067f7f8eb107",
+    }),
+    "game-report": ("timing_game.json", [
+        "wrote {out}/game_report.csv",
+        "wrote {out}/game_report.txt",
+    ], {
+        "game_report.csv": "159e2e8e696a9b49d69acf624bff336e6286ff63fb6c56d02c913a45ce6ecafe",
+        "game_report.txt": "016b03512e6a425123e97a2b94d83992efadfe5122424c588097d0ad9d2379fa",
+    }),
+    "fixed-point": ("fixed_point.json", [
+        "w_max 1: operating point 0.267949192431",
+        "w_max 0.9: operating point 0.256005502074",
+        "w_max 0.8: operating point 0.242669636233",
+        "w_max 0.7: operating point 0.227659104059",
+        "w_max 0.6: operating point 0.210600240192",
+        "w_max 0.5: operating point 0.190983005625",
+        "w_max 0.4: operating point 0.168081641155",
+        "w_max 0.3: operating point 0.140801284113",
+        "w_max 0.2: operating point 0.107335008386",
+        "w_max 0.1: operating point 0.0641742430507",
+        "wrote {out}/fixed_point.csv",
+    ], {
+        "fixed_point.csv": "ccf9107e2ad9ad900802bf819d6e109526a4d1af290afac499354ddd69bb663c",
+    }),
+    "frontier": (None, [
+        "wrote {out}/frontier.csv",
+        "wrote {out}/frontier_best.csv",
+        "largest defensible newcomer grant 0.0359887376145 at exponent 0.738056638288",
+    ], {
+        "frontier.csv": "5c10f778292262b4016ef3fc0ded394011facc3361fefaa0eb4450086de9d80b",
+        "frontier_best.csv": "5623c4896ba5bbb95f2bbea2d8c91191903c861cc14221cd337d1cf8005c521b",
+    }),
+    "estimator-check": ("estimator_check.json", [
+        "wrote {out}/estimator_check.csv",
+        "estimated 0.006391171124 vs planted 0.006391171124 (abs error 0)",
+    ], {
+        "estimator_check.csv": "2a634724f6c9e55be426b005a25a6af1528bcca853f424b488fce5e82b655651",
+    }),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ANALYTICS_PINS))
+def test_analytics_stdout_and_files_are_the_recorded_ones(command, tmp_path, capsys):
+    sample, lines, digests = ANALYTICS_PINS[command]
+    root = Path(__file__).resolve().parent.parent
+    config = root / "demos" / "configs" / sample if sample else write_config(tmp_path, "")
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", config, "--out", out) == 0
+    assert capsys.readouterr().out.splitlines() == [line.format(out=out) for line in lines]
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    assert sorted(p.name for p in out.iterdir()) == sorted(digests)
+
+
 def test_a_grid_cell_named_past_the_file_name_limit_is_a_config_error(tmp_path, capsys):
     # A grid run's CSV is named after its cell's overrides and seed. A cell
     # whose name passes 255 bytes at one of the seeds is rejected before

@@ -822,6 +822,41 @@ def test_closed_world_exact_on_scale_free_topology():
     assert abs(est - true) < 1e-9
 
 
+@pytest.mark.parametrize("topology", ["regular", "scale_free"])
+def test_closed_world_truth_reads_the_overlay_the_estimate_reads(topology, monkeypatch):
+    # With departures on, the check step removes nodes after its estimate.
+    # The planted level is recounted here from the overlay as it stands
+    # just before that step and from each planted node's hosts; it must be
+    # the truth the check returns (it once read the overlay after the
+    # step's departures).
+    cfg = SimConfig(topology=topology, n=1000, degree=6, legit_departure_prob=0.01,
+                    iterations=0, seed=3)
+    force, step = Simulation.force_whitewash, Simulation.step
+    hosts, before = [], {}
+
+    def planting(sim, vid):
+        new_id = force(sim, vid)
+        hosts.extend(sim.topology.neighbors(new_id))
+        return new_id
+
+    def stepping(sim):
+        if hosts and not before:  # the check step, the first after planting
+            before.update(oracles.adjacency(sim.topology))
+        return step(sim)
+
+    monkeypatch.setattr(Simulation, "force_whitewash", planting)
+    monkeypatch.setattr(Simulation, "step", stepping)
+    _, true = engine.closed_world_estimator_check(cfg, 10)
+    arrivals = collections.Counter(hosts)
+    level = 0.0
+    for i in sorted(before):
+        den = sum(len(before[u]) for u in before[i])
+        if den > 0:
+            level += min(sum(arrivals[j] for j in before[i]) / den, 1.0)
+    assert level > 0
+    assert true == level / len(before)
+
+
 def test_closed_world_growth_bias_stays_bounded():
     # With background growth the correction subtracts the expected arrival
     # share, but the per-node clamp at zero keeps only the positive

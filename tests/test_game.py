@@ -85,26 +85,43 @@ def test_spec_validation():
 
 def test_two_player_table():
     report = game.pure_strategy_analysis(spec(2, 1))
-    assert report.table[(1, 1)] == pytest.approx((0.03, 0.03))
-    assert report.table[(1, 0)] == pytest.approx((0.125, 0.0))
-    assert report.table[(0, 1)] == pytest.approx((0.0, 0.125))
-    assert report.table[(0, 0)] == (0.0, 0.0)
+    table, _, _ = oracles.pure_strategy_analysis(spec(2, 1))
+    assert table[(1, 1)] == pytest.approx((0.03, 0.03))
+    assert table[(1, 0)] == pytest.approx((0.125, 0.0))
+    assert table[(0, 1)] == pytest.approx((0.0, 0.125))
+    assert table[(0, 0)] == (0.0, 0.0)
     assert report.whitewash_weakly_dominant
     assert report.all_whitewash_payoff == pytest.approx(0.03)
     assert "0" in report.collapse_note
 
 
 def test_two_player_zero_floor():
-    report = game.pure_strategy_analysis(GameSpec(2, 1, 0.5, 0.0, (0.0, 0.0)))
-    assert report.table[(1, 1)] == (0.0, 0.0)
+    zero_floor = GameSpec(2, 1, 0.5, 0.0, (0.0, 0.0))
+    report = game.pure_strategy_analysis(zero_floor)
+    table, _, _ = oracles.pure_strategy_analysis(zero_floor)
+    assert table[(1, 1)] == (0.0, 0.0)
     assert report.whitewash_weakly_dominant
 
 
 def test_three_player_all_whitewash():
-    report = game.pure_strategy_analysis(spec(3, 1))
-    assert report.table[(1, 1, 1)] == pytest.approx((0.03, 0.03, 0.03))
-    assert report.table[(0, 1, 0)] == pytest.approx((0.0, 4 / 9 * 0.5, 0.0))
-    assert report.table[(1, 1, 0)] == pytest.approx((1 / 18, 1 / 18, 0.0))
+    table, _, _ = oracles.pure_strategy_analysis(spec(3, 1))
+    assert table[(1, 1, 1)] == pytest.approx((0.03, 0.03, 0.03))
+    assert table[(0, 1, 0)] == pytest.approx((0.0, 4 / 9 * 0.5, 0.0))
+    assert table[(1, 1, 0)] == pytest.approx((1 / 18, 1 / 18, 0.0))
+
+
+@pytest.mark.parametrize("kappa", range(2, 11))
+@pytest.mark.parametrize("r_min", [0.0, 0.03])
+def test_pure_strategy_closed_form_matches_the_table(kappa, r_min):
+    # Custom honesty changes the timing game's acceptances, not the raw
+    # offers of the one-shot table.
+    honesty = tuple(np.linspace(0.9, 0.1, kappa))
+    for s in (spec(kappa, 1, r_min=r_min), spec(kappa, 1, r_min=r_min, honesty=honesty)):
+        report = game.pure_strategy_analysis(s)
+        _, dominant, all_w = oracles.pure_strategy_analysis(s)
+        assert report.kappa == kappa
+        assert report.whitewash_weakly_dominant is dominant is True
+        assert report.all_whitewash_payoff == all_w  # the same float
 
 
 # ---- mixed equilibrium -----------------------------------------------------

@@ -304,10 +304,18 @@ def test_steep_exponent_keeps_cooperation_underwater():
 
 
 def test_optimal_x_is_half():
-    # value-comparison search on a flat quadratic bottom resolves x only to
-    # about sqrt(machine eps)
-    assert payoff.optimal_x_permanent() == pytest.approx(0.5, abs=1e-6)
-    assert payoff.optimal_x_permanent(0.2) == pytest.approx(0.5, abs=1e-6)
+    assert payoff.optimal_x_permanent() == 0.5
+    for mu in (0.05, 0.2, 0.5, 0.9, 0.99):
+        assert payoff.optimal_x_permanent(mu) == 0.5
+        # The oracle's value-comparison search on a flat quadratic bottom
+        # resolves x only to about sqrt(machine eps).
+        assert oracles.optimal_x_permanent(mu) == pytest.approx(0.5, abs=1e-6), mu
+
+
+def test_optimal_x_rejects_mu_outside_the_open_unit_interval():
+    for mu in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ValueError):
+            payoff.optimal_x_permanent(mu)
 
 
 def test_threshold_unimodal_around_half():
