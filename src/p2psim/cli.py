@@ -363,19 +363,6 @@ def _simulate_plan(grid, seeds, **sim) -> SimulatePlan:
 def _estimator_check_plan(injected, **sim) -> EstimatorCheckPlan:
     base = SimConfig(**sim)
     _check_work(_project_run(base, engine.GROWTH_PERIOD + 1)[1])
-    # Each planted rejoin needs a potential whitewasher. The first
-    # GROWTH_PERIOD steps hold at most n nodes and one growth batch, and
-    # with grants off and no growth nobody is one.
-    most = base.n + engine.growth_batch(base.n, base.growth_percent_per_10)
-    if injected > most:
-        raise ValueError(
-            f"injected: {injected} planted rejoins, more than the {most} nodes "
-            f"the run holds after {engine.GROWTH_PERIOD} steps"
-        )
-    if injected > 0 and base.r_ini_max0 == 0 and base.growth_percent_per_10 == 0:
-        raise ValueError(
-            "injected: with r_ini_max0 0 and no growth, no agent is a potential whitewasher"
-        )
     return EstimatorCheckPlan(base, injected)
 
 

@@ -95,7 +95,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Mapping
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -322,10 +321,9 @@ class Simulation:
         return mean_offer, w_sum / n_now, wmax_sum / n_now
 
     @property
-    def last_w_sweep(self) -> Mapping[int, float]:
-        """Most recent per-node whitewash levels, for inspection; nodes
-        absent from the sweep saw no churn and sit at zero."""
-        return self._est.last_sweep
+    def last_w_sweep(self) -> np.ndarray:
+        """Ascending ids of the latest sweep, for inspection."""
+        return self._est.swept
 
     def _register_newcomers(self, ids: slice, role, honesty, attempts, successes) -> None:
         """Register the newest ids, a slice up to the topology's next id:

@@ -18,11 +18,9 @@ only the rows of the ids issued.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 import numpy as np
 
-from .graph import NodeId, grown
+from .graph import grown
 
 
 def legitimacy_threshold(r_ini_max: float, r_ini_min: float) -> float:
@@ -55,27 +53,6 @@ def _ordered_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
 
 
-class _SweepLevels(Mapping):
-    """Read-only view of one sweep's levels by node id, over the sweep's
-    ascending id array; nothing is copied until a value is read."""
-
-    def __init__(self, ids: np.ndarray, levels: np.ndarray):
-        self._ids = ids
-        self._levels = levels
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __iter__(self):
-        return iter(self._ids.tolist())
-
-    def __getitem__(self, vid: NodeId) -> float:
-        k = int(np.searchsorted(self._ids, vid))
-        if k == len(self._ids) or self._ids[k] != vid:
-            raise KeyError(vid)
-        return float(self._levels[k])
-
-
 class EstimatorArrays:
     """Every node's estimator state as arrays indexed by node id.
 
@@ -106,6 +83,9 @@ class EstimatorArrays:
     by one `offer_curve` call over the ratios of the nodes with a positive
     level, and the sums run in ascending-id order one element at a time.
     The next sweep's baseline `_prev_ndsum` is a copy, never a view.
+    `swept` holds the latest sweep's ascending ids (empty before the first);
+    a swept node's level stays in the ring's newest slot, as a prime after
+    the sweep writes that slot only at ids issued since.
     """
 
     def __init__(self, window: int, ndsum: np.ndarray):
@@ -116,8 +96,7 @@ class EstimatorArrays:
         self._peak, self.offers = np.zeros(len(ndsum)), np.zeros(len(ndsum))
         self._prev_ndsum = np.array(ndsum)
         self._slot = 0
-        self._swept = np.zeros(0, dtype=np.int64)
-        self._swept_w = np.zeros(0)
+        self.swept = np.zeros(0, dtype=np.int64)
 
     def prime(self, ids: slice, r_est: float) -> None:
         """Start the windows of the new ids, a slice that ends at the last id
@@ -141,11 +120,6 @@ class EstimatorArrays:
         reaches its row again. Their last offers stay readable until the
         next sweep, as a probe drawn before a removal may still land on it."""
         self._peak[ids] = 0.0
-
-    @property
-    def last_sweep(self) -> Mapping[NodeId, float]:
-        """Whitewash level of every node of the latest sweep, by node id."""
-        return _SweepLevels(self._swept, self._swept_w)
 
     def sweep(
         self,
@@ -200,7 +174,7 @@ class EstimatorArrays:
         self.offers[ids[hot]] = offer_curve(np.minimum(w_hot / peak[hot], 1.0), r_est, r_min)
 
         self._prev_ndsum[:issued] = ndsum
-        self._swept, self._swept_w = ids, w
+        self.swept = ids
         # w holds no -0.0, and adding +0.0 leaves any other float as it is,
         # so the level sum can skip the zero levels.
         return (

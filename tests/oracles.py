@@ -5,6 +5,7 @@ The simulation runs the estimator as one array kernel
 same arithmetic one node at a time, in the plainest form: the sliding-window
 peak, the offer against that peak, and the whitewash level of a node's
 neighborhood. Tests feed both the same churn and require equal results.
+`sweep_levels` reads the kernel's latest levels by node id.
 
 The timing game's enumerators (`expected_payoffs`, `indifference_residual`)
 and the crossover search (`crossover_round`) are kept here as the scalar
@@ -54,7 +55,7 @@ from p2psim.cli import CSV_HEADER
 from p2psim.draws import Draws
 from p2psim.agents import Role
 from p2psim.engine import NEWCOMER_MIN_TENURE, IterationRecord, Simulation
-from p2psim.estimator import offer_curve
+from p2psim.estimator import EstimatorArrays, offer_curve
 from p2psim.game import GameSpec, MixedProfile
 from p2psim.graph import (
     _PAIRING_RETRY_CAP,
@@ -170,6 +171,14 @@ def initial_reputation(st: EstimatorState, w: float) -> float:
     ratio = 0.0 if st.w_max <= 0 else min(w / st.w_max, 1.0)
     st.current_offer = offer_curve(ratio, st.r_ini_max, st.r_ini_min)
     return st.current_offer
+
+
+def sweep_levels(est: EstimatorArrays) -> dict[NodeId, float]:
+    """The latest sweep's whitewash level of each node it swept, by node id:
+    the ring's newest slot at `est.swept`. A prime after the sweep writes
+    that slot only at ids issued since, so the levels are still there."""
+    newest = est._ring[(est._slot - 1) % est.window]
+    return dict(zip(est.swept.tolist(), newest[est.swept].tolist()))
 
 
 def draws(seed: int) -> Draws:

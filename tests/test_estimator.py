@@ -277,7 +277,7 @@ def test_estimator_arrays_match_scalar_oracle():
         ndsum, _, _ = t.neighbor_degree_array()
         gained, lost = (oracles.churn_sums(t, m) for m in (arrivals, legit))
         swept, w_sum, wmax_sum, offer_sum = est.sweep(ndsum, gained, lost, coef, r_est, r_min)
-        levels = est.last_sweep
+        levels = oracles.sweep_levels(est)
         assert swept == len(levels)
         windows = window_rows(est)
         sums = [0.0, 0.0, 0.0]
@@ -451,8 +451,9 @@ def test_incremental_peak_is_the_row_max():
             swept, w_sum, wmax_sum, _ = est.sweep(
                 np.ones(size, dtype=np.int64), gained, np.zeros(size), 0.0, 0.5, 0.03
             )
-            ids = np.array(list(est.last_sweep), dtype=np.int64)
-            levels = np.array([est.last_sweep[v] for v in ids.tolist()])
+            swept_levels = oracles.sweep_levels(est)
+            ids = np.array(list(swept_levels), dtype=np.int64)
+            levels = np.array(list(swept_levels.values()))
             evicted, old_peak = before[ids, slot], before[ids].max(axis=1)
             held_twice = (before[ids] == old_peak[:, None]).sum(axis=1) > 1
             seen["evicted equals level"] += int(((evicted == levels) & (levels > 0)).sum())
@@ -504,7 +505,7 @@ def test_shrink_correction_depends_on_sweep_membership():
     est.retire(leaver)
     coef = (199.0 / 200.0 - 1.0) * sim.cfg.attach_edges / (2.0 * t.edge_count / 199.0)
     sim.step()
-    levels = sim.last_w_sweep
+    levels = oracles.sweep_levels(sim._est)
     quiet = [v for v in t.live_ids().tolist() if prev[v] == oracles.neighbor_degree_sum(t, v)]
     busy = [v for v in quiet if v in levels and levels[v] > 0]
     left_out = [v for v in quiet if v not in levels]

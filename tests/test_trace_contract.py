@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 from p2psim import engine
+from p2psim.estimator import EstimatorArrays
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,7 +41,7 @@ def test_every_traced_name_is_a_callable_of_the_package():
             assert Path(module.__file__).resolve().is_relative_to(src), module_name
             _, _, fn = resolve(module_name, path)
             assert callable(fn), f"{name}: {module_name}.{path}"
-    # The sweep hook counts swept nodes through this view.
+    # The sweep hook counts the swept ids this property returns.
     assert isinstance(engine.Simulation.last_w_sweep, property)
 
 
@@ -54,7 +55,17 @@ def test_a_traced_run_reports_every_layer_metric():
         for module_name, path in targets
     ]
     tracer = spans.Tracer()
+    # The kernel's own count of swept nodes, step by step, that the sweep
+    # hook must reproduce.
+    sweep, swept = EstimatorArrays.sweep, []
+
+    def counted_sweep(*args):
+        result = sweep(*args)
+        swept.append(result[0])
+        return result
+
     try:
+        EstimatorArrays.sweep = counted_sweep
         tracer.install()
         sim = engine.Simulation(
             engine.SimConfig(n=120, growth_percent_per_10=5.0, legit_departure_prob=0.02,
@@ -63,6 +74,7 @@ def test_a_traced_run_reports_every_layer_metric():
         for _ in range(30):
             sim.step()
     finally:
+        EstimatorArrays.sweep = sweep
         for owner, attr, fn in saved:
             setattr(owner, attr, fn)
     assert not tracer.missing
@@ -70,5 +82,5 @@ def test_a_traced_run_reports_every_layer_metric():
     for phase in spans.ENGINE_PHASES:
         assert calls[phase] > 0, phase
     metrics = spans.layer_metrics(tracer, 0.0)
-    assert metrics["estimator.swept_nodes"] > 0
+    assert metrics["estimator.swept_nodes"] == sum(swept) > 0
     assert [k for k, v in metrics.items() if v is None] == []
