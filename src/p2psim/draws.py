@@ -8,9 +8,14 @@ with `random_raw` from the run's own bit generator (PCG64; O'Neill 2014):
 
 - `random()` is `(word >> 11) * 2**-53`;
 - `uniform(lo, hi)` is `lo + (hi - lo) * random()`;
-- `integers(n)` for 1 <= n <= 2**32 is Lemire's bounded draw (Lemire 2019,
+- `below(n)` for 2 <= n < 2**32 is Lemire's bounded draw (Lemire 2019,
   "Fast Random Integer Generation in an Interval") on 32-bit halves: the
   low half of a word first, the high half kept for the next 32-bit draw.
+  It checks nothing, for the two bounded draws on a run's hot path: the
+  host index of `Topology.sample_attachment_targets` and the probe target
+  of `Simulation._whitewash_wave`;
+- `integers(n)` for 1 <= n <= 2**32 checks its argument and is `below(n)`,
+  0 for n = 1 (no draw), or a bare 32-bit half for n = 2**32.
 
 `sync()` steps the bit generator back over the words read ahead but not
 taken and drops them. PCG64 is a 128-bit LCG with period 2**128, so
@@ -122,13 +127,35 @@ class Draws:
             return self._delegate("integers", high, *args, **kwargs)
         if high == 1:
             return 0  # numpy draws nothing for a single value
-        m = self._uint32() * high
-        if m & _U32 < high and high != _TWO32:
+        if high == _TWO32:
+            return self._uint32()
+        return self.below(high)
+
+    def below(self, n: int) -> int:
+        """`integers(n)` for a Python int 2 <= n < 2**32, unchecked: the
+        bounded draw of the sampler's host index and the wave's probe
+        target. An `np.int64` bound would overflow `u * n` in int64, and
+        for n = 1 numpy draws nothing. Both callers hold n >= 2: the
+        sampler draws from the attachment pool, two entries per edge, and
+        the wave from the live ids, never fewer than attach_edges + 1."""
+        # `_uint32` inlined: on this path the call costs more than the draw.
+        u = self._spare
+        if u is None:
+            words = self._words
+            if not words:
+                self._refill()
+            w = words.pop()
+            self._spare = self._u32 = w >> 32
+            u = w & _U32
+        else:
+            self._spare = None
+        m = u * n
+        if m & _U32 < n:
             # Lemire's rejection: redraw while the low half falls below
             # 2**32 mod n (n itself bounds it, so most draws skip this).
-            threshold = (_TWO32 - high) % high
+            threshold = (_TWO32 - n) % n
             while m & _U32 < threshold:
-                m = self._uint32() * high
+                m = self._uint32() * n
         return m >> 32
 
     def _uint32(self) -> int:

@@ -373,11 +373,11 @@ class Simulation:
         threshold = legitimacy_threshold(self.r_est, self.cfg.r_ini_min)
         tried_ids, leavers, offers = [], [], []
         facts = (self.honesty, self.attempts, self.successes, self.grant, self.reputation)
+        below, live, est_offers = self.rng.below, len(pool), self._est.offers
         for vid, honesty, tried, won, grant, reputation in zip(
             polled.tolist(), *(a[polled].tolist() for a in facts)
         ):
-            target = pool[self.rng.integers(len(pool))]
-            offered = float(self._est.offers[target])
+            offered = float(est_offers[pool[below(live)]])
             if tried and offered <= grant + _GRANT_MARGIN:
                 continue  # probed a suppressed corner; not worth a reset
             outcome = agents_mod.decide_whitewash(honesty, tried, won, offered, self.rng)

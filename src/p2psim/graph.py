@@ -327,20 +327,21 @@ class Topology:
 
     def sample_attachment_targets(self, count: int, rng: Draws) -> list[NodeId]:
         """Sample `count` distinct existing nodes with probability proportional
-        to current degree. If fewer than `count` nodes have edges (none at
-        all in an edgeless graph), all of those are drawn that way and the
-        rest come uniformly from the isolated nodes."""
+        to current degree, drawing from the run's `Draws`. If fewer than
+        `count` nodes have edges (none at all in an edgeless graph), all of
+        those are drawn that way and the rest come uniformly from the
+        isolated nodes."""
         if not self.node_count:
             raise InvalidParameterError("no attachment targets available")
         count = min(count, self.node_count)
         if self._pool and self._pool_stale > _POOL_STALE_LIMIT * len(self._pool):
             self._rebuild_pool()
         pool, copies, degree = self._pool, self._pool_copies, self._degree
-        integers, random, size = rng.integers, rng.random, len(pool)
+        below, random, size = rng.below, rng.random, len(pool)
         chosen: list[NodeId] = []
         wanted = min(count, self.node_count - self.isolated_count)
         while len(chosen) < wanted:
-            v = pool[integers(size)]
+            v = pool[below(size)]
             if v in chosen:  # at most `count` long
                 continue
             d = degree[v]

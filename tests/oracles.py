@@ -37,6 +37,9 @@ the reference for the engine's registration of the whole batch in one write.
 topology's next id from outside the engine, and gathers the newcomer pool
 from join-iteration buckets: the reference for the engine's id ranges.
 
+`GeneratorDraws` gives a plain `Generator` the one draw that `Draws` adds,
+`below`, so the sampler and whole runs still run on numpy's own draws.
+
 `read_records_csv` parses a `simulate` CSV back into records, for the
 round-trip tests of the CLI's writer.
 """
@@ -185,6 +188,22 @@ def draws(seed: int) -> Draws:
     """A fresh run's draw source at `seed`, for the graph and gossip calls
     that take the run's `Draws`."""
     return Draws(np.random.default_rng(seed))
+
+
+class GeneratorDraws:
+    """A plain `Generator` behind the `Draws` interface: `below(n)` is
+    `Generator.integers(n)`, and every other attribute, `bit_generator`
+    included, is the wrapped Generator's. Code that takes the run's `Draws`
+    runs on it from numpy's own draws, the reference that `Draws` replays."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+
+    def below(self, n: int):
+        return self._rng.integers(n)
+
+    def __getattr__(self, name: str):
+        return getattr(self._rng, name)
 
 
 def pairing_attempt(n: int, degree: int, rng) -> tuple[list[tuple[int, int]] | None, int]:

@@ -1,14 +1,18 @@
 """`Draws` against its oracle, numpy's `Generator` on the same seed: every
 value and the final `bit_generator.state` must be equal, for single draws,
-mixed sequences and whole simulation runs."""
+mixed sequences and whole simulation runs. `below(n)` is checked against
+`Generator.integers(n)`, directly and through `oracles.GeneratorDraws`, the
+adapter that runs the sampler and whole runs on the plain Generator."""
 
 from __future__ import annotations
 
 import random
+import sys
 
 import numpy as np
 import pytest
 
+from oracles import GeneratorDraws
 from p2psim import engine, graph
 from p2psim.draws import Draws
 from p2psim.engine import SimConfig
@@ -16,6 +20,7 @@ from p2psim.engine import SimConfig
 # 1 draws nothing, 2**31 + 1 rejects almost half its draws, 2**32 - 1 is the
 # largest Lemire bound, 2**32 takes a bare 32-bit half, 2**33 + 5 goes to numpy.
 BOUNDS = (1, 2, 3, 1000, 46921, 2**31 + 1, 2**32 - 1, 2**32, 2**33 + 5)
+BELOW_BOUNDS = tuple(b for b in BOUNDS if 2 <= b < 2**32)
 SEEDS = (0, 1, 7, 12345)
 
 
@@ -36,6 +41,17 @@ def test_integers_match_numpy_at_each_bound(seed, bound):
         assert got == expected
     if bound <= 2**32:
         assert type(got) is int
+    assert_same_state(g, d)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("bound", BELOW_BOUNDS)
+def test_below_matches_numpy_at_each_bound(seed, bound):
+    g, d = pair(seed, chunk=7)
+    for _ in range(300):
+        expected, got = g.integers(bound), d.below(bound)
+        assert got == expected
+    assert type(got) is int
     assert_same_state(g, d)
 
 
@@ -92,6 +108,44 @@ def test_mixed_sequences_match_numpy(seed, chunk):
         elif ops.random() < 0.3:
             d.sync()
     assert_same_state(g, d)
+
+
+def test_interleaved_draws_match_the_generator_adapter():
+    # Any sequence of the draws a run makes, on `Draws` at any chunk size
+    # and on a plain Generator behind `GeneratorDraws`, from the same seed.
+    # `--hypothesis-profile=ci` runs more examples.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ops = st.lists(
+        st.one_of(
+            st.tuples(st.just("below"), st.sampled_from(BELOW_BOUNDS)),
+            st.tuples(st.just("integers"), st.sampled_from(BOUNDS)),
+            st.tuples(st.sampled_from(["random", "uniform"]), st.none()),
+            st.tuples(st.sampled_from(["random", "permutation", "shuffle"]), st.integers(0, 40)),
+        ),
+        max_size=60,
+    )
+
+    @hypothesis.settings(deadline=None, database=None)
+    @hypothesis.given(seed=st.integers(0, 2**32 - 1), chunk=st.sampled_from([1, 3, 7, 1024]),
+                      ops=ops)
+    def check(seed, chunk, ops):
+        d = Draws(np.random.default_rng(seed), chunk=chunk)
+        g = GeneratorDraws(np.random.default_rng(seed))
+        for step, (name, arg) in enumerate(ops):
+            if name == "uniform":
+                assert d.uniform(0.25, 4.5) == g.uniform(0.25, 4.5), step
+            elif name == "shuffle":
+                a, b = np.arange(arg), np.arange(arg)
+                d.shuffle(a)
+                g.shuffle(b)
+                assert np.array_equal(a, b), step
+            else:
+                got, expected = getattr(d, name)(arg), getattr(g, name)(arg)
+                assert np.array_equal(got, expected), step
+        assert d.bit_generator.state == g.bit_generator.state
+
+    check()
 
 
 def test_a_spare_half_used_between_syncs_is_written_back():
@@ -165,7 +219,8 @@ WHOLE_RUNS = {
 def run_counted(cfg: SimConfig, monkeypatch, plain: bool):
     """The run's records, final bit-generator state, and how often the pool
     was rebuilt and the isolated fill ran; driven by `Draws` or, with
-    `plain`, by the bare Generator it wraps."""
+    `plain`, by the Generator it wraps, behind `GeneratorDraws`, so that
+    every draw comes from numpy's own methods."""
     counts = {"rebuild": 0, "fill": 0}
     rebuild = graph.Topology._rebuild_pool
     sample = graph.Topology.sample_attachment_targets
@@ -180,11 +235,11 @@ def run_counted(cfg: SimConfig, monkeypatch, plain: bool):
 
     with monkeypatch.context() as m:
         if plain:
-            m.setattr(engine, "Draws", lambda rng: rng)
+            m.setattr(engine, "Draws", GeneratorDraws)
         m.setattr(graph.Topology, "_rebuild_pool", counted_rebuild)
         m.setattr(graph.Topology, "sample_attachment_targets", counted_sample)
         sim = engine.Simulation(cfg)
-        assert isinstance(sim.rng, np.random.Generator if plain else Draws)
+        assert isinstance(sim.rng, GeneratorDraws if plain else Draws)
         records = [sim.step() for _ in range(cfg.iterations)]
     return records, sim.rng.bit_generator.state, counts
 
@@ -201,3 +256,31 @@ def test_a_run_on_draws_equals_the_run_on_the_plain_generator(name, monkeypatch)
         assert drawn[2]["rebuild"] > 0 and drawn[2]["fill"] > 0
     else:
         assert drawn[0][-1].n_nodes < cfg.n  # departures drew and fired
+
+
+@pytest.mark.parametrize("name", WHOLE_RUNS)
+def test_a_run_draws_its_bounded_ints_through_below_alone(name, monkeypatch):
+    # Both bounded draws of a run, the sampler's host index and the wave's
+    # probe target, go through `below` with a Python int bound of at least
+    # 2, and `integers`, with its argument checks, is never called.
+    bounds, callers, integer_calls = [], set(), []
+    below, integers = Draws.below, Draws.integers
+
+    def checked_below(self, n):
+        bounds.append(n)
+        callers.add(sys._getframe(1).f_code.co_name)
+        return below(self, n)
+
+    def counted_integers(self, *args, **kwargs):
+        integer_calls.append(args)
+        return integers(self, *args, **kwargs)
+
+    monkeypatch.setattr(Draws, "below", checked_below)
+    monkeypatch.setattr(Draws, "integers", counted_integers)
+    cfg = WHOLE_RUNS[name]
+    sim = engine.Simulation(cfg)
+    for _ in range(cfg.iterations):
+        sim.step()
+    assert callers == {"sample_attachment_targets", "_whitewash_wave"}
+    assert all(type(n) is int and n >= 2 for n in bounds)
+    assert integer_calls == []

@@ -244,7 +244,7 @@ def test_estimator_arrays_match_scalar_oracle():
     # peak and offer must equal a scalar EstimatorState fed the same
     # levels, zero for the nodes the sweep left out, and the returned sums
     # must add in ascending-id order.
-    rng = np.random.default_rng(21)
+    rng = oracles.GeneratorDraws(np.random.default_rng(21))
     window, r_min, r_est = 4, 0.03, 0.5
     t = graph.generate_scale_free(30, 2, rng)
     est = primed(window, t.neighbor_degree_array()[0], r_est)
@@ -383,7 +383,7 @@ def test_sweep_reads_only_the_issued_rows_and_keeps_its_own_baseline():
     # estimator's baseline must be an array of its own: it never shares
     # memory with the topology, and at the next snapshot it still holds
     # the sums of the previous one.
-    rng = np.random.default_rng(29)
+    rng = oracles.GeneratorDraws(np.random.default_rng(29))
     r_est, r_min = 0.5, 0.03
     t = graph.generate_scale_free(30, 2, rng)
     est = primed(3, t.neighbor_degree_array()[0], r_est)

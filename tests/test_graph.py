@@ -90,7 +90,7 @@ def test_attachment_frequency_tracks_degree():
     """On a fixed path, attachment frequencies must match degree/2E within
     3 standard errors."""
     t = path_topology(5)  # degrees 1,2,2,2,1; 2E = 8
-    rng = np.random.default_rng(42)
+    rng = oracles.GeneratorDraws(np.random.default_rng(42))
     draws = 20000
     counts = collections.Counter()
     for _ in range(draws):
@@ -107,7 +107,7 @@ def test_attachment_survives_churn():
     t = path_topology(6)
     graph.remove_node(t, 5)
     graph.remove_node(t, 0)  # leaves path 1-2-3-4, degrees 1,2,2,1
-    rng = np.random.default_rng(9)
+    rng = oracles.GeneratorDraws(np.random.default_rng(9))
     draws = 20000
     counts = collections.Counter()
     for _ in range(draws):
@@ -121,7 +121,7 @@ def test_attachment_survives_churn():
 
 def test_attachment_targets_distinct():
     t = graph.generate_scale_free(50, 3, oracles.draws(3))
-    rng = np.random.default_rng(0)
+    rng = oracles.GeneratorDraws(np.random.default_rng(0))
     for _ in range(50):
         targets = t.sample_attachment_targets(3, rng)
         assert len(set(targets)) == 3
@@ -135,7 +135,7 @@ def test_attachment_falls_back_to_isolated_nodes():
     for v in range(5):
         graph.remove_node(t, v)  # leaves {5: {6}, 6: {5}, 7: {}}
     assert t.isolated_count == 1
-    rng = np.random.default_rng(0)
+    rng = oracles.GeneratorDraws(np.random.default_rng(0))
     targets = t.sample_attachment_targets(3, rng)
     assert sorted(targets[:2]) == [5, 6] and targets[2] == 7
     graph.remove_node(t, 6)  # no node has an edge left
@@ -211,7 +211,7 @@ def test_churn_keeps_bookkeeping_consistent():
     neighbor-degree snapshot equal to a brute-force recount after every
     mutation."""
     t = graph.generate_scale_free(30, 2, oracles.draws(6))
-    rng = np.random.default_rng(13)
+    rng = oracles.GeneratorDraws(np.random.default_rng(13))
     for step in range(60):
         if rng.random() < 0.4 and t.node_count > 5:
             victim = int(t.live_ids()[int(rng.integers(t.node_count))])
@@ -244,7 +244,7 @@ def test_neighbor_degree_snapshot_matches_recount():
     and mark is zero."""
     t = graph.generate_scale_free(30, 2, oracles.draws(5))
     t.neighbor_degree_array()  # clears the arrivals the build booked
-    rng = np.random.default_rng(17)
+    rng = oracles.GeneratorDraws(np.random.default_rng(17))
     arrived: collections.Counter = collections.Counter()
     benign_gone: collections.Counter = collections.Counter()
 
@@ -320,7 +320,7 @@ def test_neighbor_degree_snapshot_matches_recount():
 def test_live_ids_are_the_issued_ids_not_removed():
     # Through generation, growth and removals, live_ids() lists exactly the
     # ids issued and not removed, ascending, and `in` agrees with it.
-    rng = np.random.default_rng(8)
+    rng = oracles.GeneratorDraws(np.random.default_rng(8))
     for t in (graph.generate_scale_free(40, 2, rng), graph.generate_regular(40, 4, rng)):
         live = set(range(40))
         for step in range(60):
@@ -354,13 +354,15 @@ def test_attach_and_remove_node_match_the_per_edge_primitives():
     # (an edgeless node, and more hosts than there are linked nodes once the
     # overlay is small), and removes a node right after it attached. Both
     # sides draw from generators in the same state, so the samplers' pool
-    # rebuilds land at the same draws.
+    # rebuilds land at the same draws. The reference model calls `integers`
+    # on a bare Generator, the topology `below` through `GeneratorDraws`.
     control = np.random.default_rng(31)
     for seed in range(4):
         bulk = graph.generate_scale_free(40, 3, oracles.draws(seed))
         oracle = oracles.RefTopology.scale_free(40, 3, oracles.draws(seed))
         oracles.assert_same_topology(bulk, oracle, f"after the build at seed {seed}")
-        rng_bulk, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng_bulk = oracles.GeneratorDraws(np.random.default_rng(seed))
+        rng_oracle = np.random.default_rng(seed)
         kinds = collections.Counter()
 
         def remove(v, kind):
