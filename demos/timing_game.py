@@ -9,13 +9,14 @@ over more rounds never hurts.
 
 from __future__ import annotations
 
+import numpy as np
+
 from p2psim.game import (
     GameSpec,
     best_randomization_span,
     expected_payoffs,
     mixed_equilibrium,
     pure_strategy_analysis,
-    uniform_profile,
 )
 
 
@@ -31,10 +32,11 @@ def main() -> None:
     print(pure.collapse_note)
     print()
 
-    profile = mixed_equilibrium(spec)
-    print(f"equilibrium round lottery per player: {profile.probs[0].round(4)}")
-    print(f"indifference residual: {profile.residual:.2e}")
-    payoffs = expected_payoffs(spec, uniform_profile(spec))
+    residual = mixed_equilibrium(spec)
+    lottery = np.full(spec.rounds, 1.0 / spec.rounds)
+    print(f"equilibrium round lottery per player: {lottery.round(4)}")
+    print(f"indifference residual: {residual:.2e}")
+    payoffs = expected_payoffs(spec)
     for j, u in enumerate(payoffs):
         print(f"  player {j} (tolerance {spec.honesty[j]:.4f}): expected {u:.6f}")
     print()

@@ -405,7 +405,10 @@ def _frontier_plan(**values) -> tuple[FrontierPlan, tuple[float, float]]:
 def _game_assignments(kappa: int, rounds: int) -> int:
     """Joint round assignments one game-report enumerates: s^kappa for each
     randomization span s = 2..kappa, plus kappa * rounds^kappa for the
-    indifference residual when the mixed check runs (2 <= rounds <= kappa)."""
+    indifference residual when the mixed check runs (2 <= rounds <= kappa).
+    The residual enumerates the others' rounds^(kappa-1) assignments once
+    and adds a term for each of the kappa players in each of the rounds, so
+    kappa * rounds^kappa counts its terms."""
     work = sum(s**kappa for s in range(2, kappa + 1))
     if 2 <= rounds <= kappa:
         work += kappa * rounds**kappa
@@ -568,7 +571,7 @@ def _run_payoff_sweep(plan: PayoffSweepPlan, out_dir: Path, quiet: bool) -> None
 def _run_game_report(spec: GameSpec, out_dir: Path, quiet: bool) -> None:
     pure = game.pure_strategy_analysis(spec)
     mixed_ok = 2 <= spec.rounds <= spec.kappa
-    profile = game.mixed_equilibrium(spec) if mixed_ok else None
+    residual = game.mixed_equilibrium(spec) if mixed_ok else None
     span = game.best_randomization_span(spec)
 
     rows = []
@@ -587,13 +590,13 @@ def _run_game_report(spec: GameSpec, out_dir: Path, quiet: bool) -> None:
         f"  all-whitewash payoff: {_fmt(pure.all_whitewash_payoff)}",
         f"  {pure.collapse_note}",
     ]
-    if profile is not None:
+    if residual is not None:
         lines += [
             "",
             "mixed equilibrium (uniform over rounds):",
             f"  round probabilities per player: "
-            f"{', '.join(_fmt(float(p)) for p in profile.probs[0])}",
-            f"  indifference residual: {_fmt(profile.residual)}",
+            f"{', '.join([_fmt(1.0 / spec.rounds)] * spec.rounds)}",
+            f"  indifference residual: {_fmt(residual)}",
         ]
     lines += [
         "",

@@ -8,24 +8,21 @@ with `random_raw` from the run's own bit generator (PCG64; O'Neill 2014):
 
 - `random()` is `(word >> 11) * 2**-53`;
 - `uniform(lo, hi)` is `lo + (hi - lo) * random()`;
-- `below(n)` for 2 <= n < 2**32 is Lemire's bounded draw (Lemire 2019,
-  "Fast Random Integer Generation in an Interval") on 32-bit halves: the
-  low half of a word first, the high half kept for the next 32-bit draw.
-  It checks nothing, for the two bounded draws on a run's hot path: the
-  host index of `Topology.sample_attachment_targets` and the probe target
-  of `Simulation._whitewash_wave`;
-- `integers(n)` for 1 <= n <= 2**32 checks its argument and is `below(n)`,
-  0 for n = 1 (no draw), or a bare 32-bit half for n = 2**32.
+- `below(n)` for 2 <= n < 2**32 is `Generator.integers(n)`, Lemire's
+  bounded draw (Lemire 2019, "Fast Random Integer Generation in an
+  Interval") on 32-bit halves: the low half of a word first, the high half
+  kept for the next 32-bit draw. It checks nothing, for the two bounded
+  draws of a run: the host index of `Topology.sample_attachment_targets`
+  and the probe target of `Simulation._whitewash_wave`.
 
 `sync()` steps the bit generator back over the words read ahead but not
 taken and drops them. PCG64 is a 128-bit LCG with period 2**128, so
 `advance(2**128 - k)` rewinds it by exactly k words. `sync()` then writes
 back the spare half, which PCG64 keeps in its `has_uint32`/`uinteger`
 state. Every other draw (`random` and `uniform` with a size, `shuffle`,
-`permutation`, `integers` past 2**32 or with more arguments) syncs first
-and goes to numpy; reading `bit_generator` syncs too. So a run sees exactly
-the stream, and ends in exactly the state, that the plain `Generator` would
-give it.
+`permutation`) syncs first and goes to numpy; reading `bit_generator`
+syncs too. So a run sees exactly the stream, and ends in exactly the state,
+that the plain `Generator` would give it.
 
 The replay rests on numpy internals: how PCG64 buffers the spare 32-bit
 half and that `Generator.integers` uses Lemire's method for bounds up to
@@ -120,24 +117,13 @@ class Draws:
             return self._delegate("uniform", low, high)  # numpy's errors
         return low + span * self.random()
 
-    def integers(self, high, *args, **kwargs):
-        """`integers(n)` replayed for an int 1 <= n <= 2**32; any other
-        call goes to numpy."""
-        if args or kwargs or type(high) is not int or not 1 <= high <= _TWO32:
-            return self._delegate("integers", high, *args, **kwargs)
-        if high == 1:
-            return 0  # numpy draws nothing for a single value
-        if high == _TWO32:
-            return self._uint32()
-        return self.below(high)
-
     def below(self, n: int) -> int:
-        """`integers(n)` for a Python int 2 <= n < 2**32, unchecked: the
-        bounded draw of the sampler's host index and the wave's probe
-        target. An `np.int64` bound would overflow `u * n` in int64, and
-        for n = 1 numpy draws nothing. Both callers hold n >= 2: the
-        sampler draws from the attachment pool, two entries per edge, and
-        the wave from the live ids, never fewer than attach_edges + 1."""
+        """`Generator.integers(n)` for a Python int 2 <= n < 2**32,
+        unchecked: the bounded draw of the sampler's host index and the
+        wave's probe target. An `np.int64` bound would overflow `u * n` in
+        int64, and for n = 1 numpy draws nothing. Both callers hold n >= 2:
+        the sampler draws from the attachment pool, two entries per edge,
+        and the wave from the live ids, never fewer than attach_edges + 1."""
         # `_uint32` inlined: on this path the call costs more than the draw.
         u = self._spare
         if u is None:

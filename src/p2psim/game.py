@@ -7,17 +7,15 @@ pure-strategy facts in closed form, checks the uniform mixed profile over a
 window of rounds, computes exact expected payoffs by enumeration, and finds
 the population-level operating point of the adaptive offer policy.
 
-The enumeration runs in blocks of at most ENUMERATION_BLOCK_ROWS joint
-assignments, in itertools.product order, so memory stays flat as kappa
-grows. A block fixes the rounds of the leading "head" players and runs
-through every assignment of the trailing "tail" players, whose round digits
-and per-round counts are built once per call. A row's probability is the
-head's product followed by one np.multiply.outer per tail player: the
-multiplications of a scalar loop over the players, in its order. Each
-player's terms are summed one at a time in enumeration order (np.cumsum
-along the block, carried across blocks; np.sum may add pairwise), so every
-result is the float the scalar loops in tests/oracles.py give, down to the
-rounding noise game-report prints as the residual.
+Every player draws its round from the uniform lottery, so every joint
+assignment has one probability: 1/rounds multiplied in once per player, as
+the scalar loops in tests/oracles.py multiply it. The enumeration runs in
+blocks of at most ENUMERATION_BLOCK_ROWS joint assignments, in
+itertools.product order, so memory stays flat as kappa grows. Each player's
+terms are summed one at a time in enumeration order (np.cumsum along the
+block, carried across blocks; np.sum may add pairwise), so every result is
+the float those loops give, down to the rounding noise game-report prints
+as the residual.
 """
 
 from __future__ import annotations
@@ -92,25 +90,6 @@ class GameSpec:
 
 
 @dataclass(frozen=True)
-class MixedProfile:
-    probs: np.ndarray  # (kappa, rounds); row j is player j's round lottery
-
-    def __post_init__(self):
-        if np.any(self.probs < 0) or np.any(self.probs > 1):
-            raise ValueError("probabilities must be in [0, 1]")
-        if not np.allclose(self.probs.sum(axis=1), 1.0, atol=1e-12):
-            raise ValueError("each player's round lottery must sum to 1")
-
-
-@dataclass(frozen=True)
-class MixedEquilibrium(MixedProfile):
-    """A profile checked against the indifference system, with the residual
-    the check measured."""
-
-    residual: float
-
-
-@dataclass(frozen=True)
 class PureStrategyReport:
     kappa: int
     whitewash_weakly_dominant: bool
@@ -158,43 +137,39 @@ def pure_strategy_analysis(spec: GameSpec) -> PureStrategyReport:
 # ---- mixed strategies ---------------------------------------------------
 
 
-def _check_enumerable(spec: GameSpec, profile: MixedProfile) -> None:
+def _check_enumerable(spec: GameSpec) -> None:
     if spec.kappa > ENUMERATION_KAPPA_CAP:
         raise ValueError(f"enumeration supports kappa <= {ENUMERATION_KAPPA_CAP}")
-    if profile.probs.shape != (spec.kappa, spec.rounds):
-        raise ValueError("profile shape must be (kappa, rounds)")
 
 
-def _blocks(probs: np.ndarray, rounds: int):
-    """Every joint round assignment of the players whose round lotteries
-    are the rows of `probs`, in itertools.product order, as blocks of at
-    most ENUMERATION_BLOCK_ROWS rows.
+def _assignment_prob(players: int, rounds: int) -> float:
+    """The probability of each joint round assignment of `players` uniform
+    players: 1/rounds multiplied in once per player, in player order."""
+    prob = 1.0
+    for _ in range(players):
+        prob *= 1.0 / rounds
+    return prob
+
+
+def _blocks(players: int, rounds: int):
+    """Every joint round assignment of `players` players, in
+    itertools.product order, as blocks of at most ENUMERATION_BLOCK_ROWS
+    rows.
 
     A block fixes the rounds of the leading "head" players and runs through
-    every assignment of the last m, rounds^m rows. Yields (prob, counts,
-    head, tail_seat): each row's probability, the (rounds, rows) count of
-    players per round, the head's rounds (a head player in round r arrives
-    with counts[r]) and the (m, rows) flat index into counts of each tail
-    player's own round. prob is the head's product followed by one
-    np.multiply.outer per tail player: the same multiplications in the same
-    order as a loop doing `prob *= probs[j, round of j]` over the players."""
-    players = len(probs)
+    every assignment of the last m, rounds^m rows. Yields (counts, head,
+    tail_seat): the (rounds, rows) count of players per round, the head's
+    rounds (a head player in round r arrives with counts[r]) and the (m, rows)
+    flat index into counts of each tail player's own round."""
     m = 0
     while m < players and rounds ** (m + 1) <= ENUMERATION_BLOCK_ROWS:
         m += 1
-    lead, rows = players - m, rounds**m
+    rows = rounds**m
     tail_seat = np.indices((rounds,) * m).reshape(m, rows) * rows + np.arange(rows)
     tail_counts = np.bincount(tail_seat.ravel(), minlength=rounds * rows).reshape(rounds, rows)
-    head_probs, tail_probs = probs[:lead].tolist(), probs[lead:]
-    for head in itertools.product(range(rounds), repeat=lead):
-        prob = 1.0
-        for row, r in zip(head_probs, head):
-            prob *= row[r]
-        prob = np.float64(prob)
-        for row in tail_probs:
-            prob = np.multiply.outer(prob, row)
+    for head in itertools.product(range(rounds), repeat=players - m):
         counts = tail_counts + np.bincount(head, minlength=rounds)[:, None]
-        yield prob.reshape(rows), counts, head, tail_seat
+        yield counts, head, tail_seat
 
 
 def _realized_offers(spec: GameSpec) -> np.ndarray:
@@ -206,76 +181,66 @@ def _realized_offers(spec: GameSpec) -> np.ndarray:
 
 
 def _running_sum(carry: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """carry plus the columns of `terms` added one at a time in column
-    order, per row, as `total += term` in a loop would (np.sum may add
-    pairwise and round differently)."""
-    terms[:, 0] += carry
-    return np.cumsum(terms, axis=1)[:, -1]
+    """carry plus the rows of `terms` added one at a time in row order, per
+    column, as `total += term` in a loop would (np.sum may add pairwise and
+    round differently)."""
+    terms[0] += carry
+    return np.cumsum(terms, axis=0)[-1]
 
 
-def expected_payoffs(spec: GameSpec, profile: MixedProfile) -> np.ndarray:
-    """Exact per-player expected payoff by enumerating all rounds^kappa joint
-    assignments. A player realizes the schedule offer for its round's
-    co-arrival count, or 0 if that offer falls below its honesty.
-
-    Each block of assignments takes its probabilities as products in player
-    order, and every player's terms are added in enumeration order, so the
-    result is the same float as a scalar loop over the assignments."""
-    _check_enumerable(spec, profile)
+def expected_payoffs(spec: GameSpec) -> np.ndarray:
+    """Exact per-player expected payoff under the uniform round lottery, by
+    enumerating all rounds^kappa joint assignments. A player realizes the
+    schedule offer for its round's co-arrival count, or 0 if that offer
+    falls below its honesty."""
+    _check_enumerable(spec)
     realized = _realized_offers(spec)
     row_start = (np.arange(spec.kappa) * realized.shape[1])[:, None]  # player j's row, flat
+    prob = _assignment_prob(spec.kappa, spec.rounds)
     result = np.zeros(spec.kappa)
-    for prob, counts, head, tail_seat in _blocks(profile.probs, spec.rounds):
+    for counts, head, tail_seat in _blocks(spec.kappa, spec.rounds):
         co = np.concatenate((counts[list(head)], counts.take(tail_seat)))
         terms = realized.take(row_start + co) * prob
-        result = _running_sum(result, terms)
+        result = _running_sum(result, terms.T)
     return result
 
 
-def uniform_profile(spec: GameSpec) -> MixedProfile:
-    return MixedProfile(np.full((spec.kappa, spec.rounds), 1.0 / spec.rounds))
+def indifference_residual(spec: GameSpec) -> float:
+    """Worst per-player spread, across rounds, of the conditional expected
+    payoff under the uniform round lottery; 0 at an exact mixed equilibrium.
+
+    Every player faces the same kappa - 1 uniform others, so their
+    rounds^(kappa-1) joint assignments are enumerated once, and each block
+    adds its terms to every player's conditional payoff in each round, in
+    the order expected_payoffs adds its terms."""
+    _check_enumerable(spec)
+    # Row c: what each player realizes when c others arrive in its round.
+    arriving = _realized_offers(spec)[:, 1:].T
+    prob = _assignment_prob(spec.kappa - 1, spec.rounds)
+    conditional = np.zeros((spec.rounds, spec.kappa))
+    for counts, _, _ in _blocks(spec.kappa - 1, spec.rounds):
+        conditional = _running_sum(conditional, arriving.take(counts.T, axis=0) * prob)
+    return float(np.ptp(conditional, axis=0).max())
 
 
-def indifference_residual(spec: GameSpec, profile: MixedProfile) -> float:
-    """Worst per-player spread of conditional expected payoffs across rounds;
-    0 at an exact mixed equilibrium over fully mixed rows.
-
-    Player j's payoff in round i is enumerated over the other players'
-    rounds^(kappa-1) joint assignments, added in the same order as
-    expected_payoffs adds its terms."""
-    _check_enumerable(spec, profile)
-    realized = _realized_offers(spec)
-    worst = 0.0
-    for j in range(spec.kappa):
-        others = np.delete(profile.probs, j, axis=0)
-        conditional = np.zeros(spec.rounds)
-        arriving = realized[j, 1:]  # j itself arrives in every round
-        for prob, counts, _, _ in _blocks(others, spec.rounds):
-            conditional = _running_sum(conditional, arriving.take(counts) * prob)
-        conditional = conditional.tolist()
-        worst = max(worst, max(conditional) - min(conditional))
-    return worst
-
-
-def mixed_equilibrium(spec: GameSpec) -> MixedEquilibrium:
-    """The uniform round lottery, verified against the indifference system.
+def mixed_equilibrium(spec: GameSpec) -> float:
+    """Check the uniform round lottery against the indifference system and
+    return the residual it measured.
 
     With every opponent uniform, a player's co-arrival count has the same
-    distribution whatever round it picks, so the uniform profile should make
-    everyone exactly indifferent; this is checked, not assumed, and the
-    measured residual travels with the profile.
+    distribution whatever round it picks, so the uniform lottery should make
+    everyone exactly indifferent; this is checked, not assumed.
     """
     if spec.rounds < 2:
         raise ValueError("mixed analysis needs at least 2 rounds")
     if spec.rounds > spec.kappa:
         raise ValueError("rounds must not exceed the player count")
-    profile = uniform_profile(spec)
-    residual = indifference_residual(spec, profile)
+    residual = indifference_residual(spec)
     if residual >= RESIDUAL_TOL:
         raise NoEquilibriumError(
             f"uniform profile misses indifference by {residual:g}"
         )
-    return MixedEquilibrium(profile.probs, residual)
+    return residual
 
 
 def best_randomization_span(spec: GameSpec) -> SpanReport:
@@ -294,7 +259,7 @@ def best_randomization_span(spec: GameSpec) -> SpanReport:
         sub = GameSpec(
             spec.kappa, span, spec.r_ini_max, spec.r_ini_min, honesty=spec.honesty
         )
-        payoffs_by_span[span] = tuple(expected_payoffs(sub, uniform_profile(sub)))
+        payoffs_by_span[span] = tuple(expected_payoffs(sub))
     best = tuple(
         max(spans, key=lambda s: payoffs_by_span[s][j]) for j in range(spec.kappa)
     )

@@ -10,8 +10,10 @@ neighborhood. Tests feed both the same churn and require equal results.
 The timing game's enumerators (`expected_payoffs`, `indifference_residual`)
 and the crossover search (`crossover_round`) are kept here as the scalar
 loops and the block scan that the shipped array kernels and affine solve
-must match bit for bit. `pure_strategy_analysis` builds the one-shot game's
-2^kappa payoff table and checks dominance profile by profile, and
+must match bit for bit. The enumerators take any per-player round
+lotteries; the kernels play the uniform one. `pure_strategy_analysis`
+builds the one-shot game's 2^kappa payoff table and checks dominance
+profile by profile, and
 `optimal_x_permanent` searches the exponent on a grid and refines it: the
 references for the closed forms `p2psim.game` and `p2psim.payoff` ship.
 
@@ -39,6 +41,8 @@ from join-iteration buckets: the reference for the engine's id ranges.
 
 `GeneratorDraws` gives a plain `Generator` the one draw that `Draws` adds,
 `below`, so the sampler and whole runs still run on numpy's own draws.
+`draws_integers` is `Generator.integers` over a `Draws`: `below` with its
+argument checks and its edge bounds, for the tests that replay any bound.
 
 `read_records_csv` parses a `simulate` CSV back into records, for the
 round-trip tests of the CLI's writer.
@@ -59,7 +63,7 @@ from p2psim.draws import Draws
 from p2psim.agents import Role
 from p2psim.engine import NEWCOMER_MIN_TENURE, IterationRecord, Simulation
 from p2psim.estimator import EstimatorArrays, offer_curve
-from p2psim.game import GameSpec, MixedProfile
+from p2psim.game import GameSpec
 from p2psim.graph import (
     _PAIRING_RETRY_CAP,
     InfeasibleParametersError,
@@ -204,6 +208,20 @@ class GeneratorDraws:
 
     def __getattr__(self, name: str):
         return getattr(self._rng, name)
+
+
+def draws_integers(d: Draws, high, *args, **kwargs):
+    """`Generator.integers(high, ...)` drawn from `d`'s stream: replayed for
+    an int 1 <= high <= 2**32, as 0 for high = 1 (numpy draws nothing), a
+    bare 32-bit half for high = 2**32 and `d.below(high)` in between; any
+    other call goes to numpy through `d`, synced."""
+    if args or kwargs or type(high) is not int or not 1 <= high <= 2**32:
+        return d._delegate("integers", high, *args, **kwargs)
+    if high == 1:
+        return 0
+    if high == 2**32:
+        return d._uint32()
+    return d.below(high)
 
 
 def pairing_attempt(n: int, degree: int, rng) -> tuple[list[tuple[int, int]] | None, int]:
@@ -395,7 +413,9 @@ class RefTopology:
             self._rebuild_pool()
         chosen: list[NodeId] = []
         while len(chosen) < min(count, len(adj) - self.isolated_count):
-            v = self._pool[rng.integers(len(self._pool))]
+            # numpy's `integers` on a bare Generator, its replay on a `Draws`
+            n = len(self._pool)
+            v = self._pool[draws_integers(rng, n) if isinstance(rng, Draws) else rng.integers(n)]
             if v in chosen or v not in adj or not adj[v]:
                 continue
             d, c = len(adj[v]), self._pool_copies[v]
@@ -602,14 +622,15 @@ def pure_strategy_analysis(spec: GameSpec) -> tuple[dict, bool, float]:
     return table, dominant, table[(1,) * spec.kappa][0]
 
 
-def expected_payoffs(spec: GameSpec, profile: MixedProfile) -> np.ndarray:
-    """Per-player expected payoff, one joint assignment at a time."""
+def expected_payoffs(spec: GameSpec, probs: np.ndarray) -> np.ndarray:
+    """Per-player expected payoff, one joint assignment at a time, when
+    player j draws its round from row j of the (kappa, rounds) `probs`."""
     schedule = spec.schedule()
     result = np.zeros(spec.kappa)
     for assignment in itertools.product(range(spec.rounds), repeat=spec.kappa):
         prob = 1.0
         for j, r in enumerate(assignment):
-            prob *= profile.probs[j, r]
+            prob *= probs[j, r]
         if prob == 0.0:
             continue
         counts = [0] * spec.rounds
@@ -622,9 +643,10 @@ def expected_payoffs(spec: GameSpec, profile: MixedProfile) -> np.ndarray:
     return result
 
 
-def indifference_residual(spec: GameSpec, profile: MixedProfile) -> float:
+def indifference_residual(spec: GameSpec, probs: np.ndarray) -> float:
     """Worst per-player spread of conditional expected payoffs across
-    rounds, one assignment of the other players at a time."""
+    rounds, one assignment of the other players at a time, when player j
+    draws its round from row j of the (kappa, rounds) `probs`."""
     schedule = spec.schedule()
     worst = 0.0
     others = list(itertools.product(range(spec.rounds), repeat=spec.kappa - 1))
@@ -641,7 +663,7 @@ def indifference_residual(spec: GameSpec, profile: MixedProfile) -> float:
                     if other == j:
                         continue
                     r = rest[idx]
-                    prob *= profile.probs[other, r]
+                    prob *= probs[other, r]
                     counts[r] += 1
                     idx += 1
                 offer = schedule[counts[i] - 1]

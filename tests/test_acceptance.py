@@ -106,13 +106,13 @@ def test_ac06_mixed_equilibria():
     residuals = {}
     for kappa in (2, 3, 4):
         s = GameSpec(kappa, kappa)
-        residuals[kappa] = game.indifference_residual(s, game.uniform_profile(s))
+        residuals[kappa] = game.indifference_residual(s)
     residual_ok = all(r < 1e-9 for r in residuals.values())
 
     s33 = GameSpec(3, 3)
-    u33 = game.expected_payoffs(s33, game.uniform_profile(s33))
+    u33 = game.expected_payoffs(s33)
     s32 = GameSpec(3, 2)
-    u32 = game.expected_payoffs(s32, game.uniform_profile(s32))
+    u32 = game.expected_payoffs(s32)
     pin_ok = (
         abs(u33[0] - 16 / 81 * 0.5) <= 1e-12
         and abs(u33[1] - 20 / 81 * 0.5) <= 1e-12

@@ -2,7 +2,8 @@
 value and the final `bit_generator.state` must be equal, for single draws,
 mixed sequences and whole simulation runs. `below(n)` is checked against
 `Generator.integers(n)`, directly and through `oracles.GeneratorDraws`, the
-adapter that runs the sampler and whole runs on the plain Generator."""
+adapter that runs the sampler and whole runs on the plain Generator; any
+bound, through `oracles.draws_integers`."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import GeneratorDraws
+from oracles import GeneratorDraws, draws_integers
 from p2psim import engine, graph
 from p2psim.draws import Draws
 from p2psim.engine import SimConfig
@@ -37,7 +38,7 @@ def assert_same_state(g: np.random.Generator, d: Draws) -> None:
 def test_integers_match_numpy_at_each_bound(seed, bound):
     g, d = pair(seed, chunk=7)
     for _ in range(300):
-        expected, got = g.integers(bound), d.integers(bound)
+        expected, got = g.integers(bound), draws_integers(d, bound)
         assert got == expected
     if bound <= 2**32:
         assert type(got) is int
@@ -72,14 +73,14 @@ def test_uniform_permutation_and_shuffle_match_numpy(seed):
     g, d = pair(seed, chunk=5)
     for lo, hi in [(0.0, 1.0), (0.95, 1.05), (-3.5, 2.25), (2.0, 2.0)]:
         assert d.uniform(lo, hi) == g.uniform(lo, hi)
-        assert d.integers(10) == g.integers(10)  # leaves a spare half
+        assert draws_integers(d, 10) == g.integers(10)  # leaves a spare half
     assert np.array_equal(d.uniform(0.0, 1.0, 9), g.uniform(0.0, 1.0, 9))
     assert np.array_equal(d.permutation(30), g.permutation(30))
     a, b = np.arange(50), np.arange(50)
     d.shuffle(a)
     g.shuffle(b)
     assert np.array_equal(a, b)
-    assert d.integers(7) == g.integers(7)
+    assert draws_integers(d, 7) == g.integers(7)
     assert_same_state(g, d)
 
 
@@ -92,7 +93,7 @@ def test_mixed_sequences_match_numpy(seed, chunk):
         op = ops.randrange(10)
         if op < 4:
             bound = ops.choice(BOUNDS)
-            assert d.integers(bound) == g.integers(bound), step
+            assert draws_integers(d, bound) == g.integers(bound), step
         elif op < 6:
             assert d.random() == g.random(), step
         elif op == 6:
@@ -140,6 +141,8 @@ def test_interleaved_draws_match_the_generator_adapter():
                 d.shuffle(a)
                 g.shuffle(b)
                 assert np.array_equal(a, b), step
+            elif name == "integers":
+                assert draws_integers(d, arg) == g.integers(arg), step
             else:
                 got, expected = getattr(d, name)(arg), getattr(g, name)(arg)
                 assert np.array_equal(got, expected), step
@@ -149,15 +152,15 @@ def test_interleaved_draws_match_the_generator_adapter():
 
 
 def test_a_spare_half_used_between_syncs_is_written_back():
-    # The first integers() call leaves the high half of its word spare; a
+    # The first integers draw leaves the high half of its word spare; a
     # sync writes it back. The second call uses it without taking a word,
     # so the next sync advances by nothing but must still clear the spare.
     g, d = pair(3)
-    assert d.integers(100) == g.integers(100)
+    assert draws_integers(d, 100) == g.integers(100)
     d.sync()
     assert d._bg.state == g.bit_generator.state
     assert d._bg.state["has_uint32"] == 1
-    assert d.integers(100) == g.integers(100)
+    assert draws_integers(d, 100) == g.integers(100)
     d.sync()
     assert d._bg.state == g.bit_generator.state
     assert d._bg.state["has_uint32"] == 0
@@ -175,20 +178,20 @@ def test_sync_rewinds_over_the_words_read_ahead():
     assert d._bg.state == g.bit_generator.state
     assert not d._words
     for _ in range(20):
-        assert d.integers(2**31 + 1) == g.integers(2**31 + 1)
+        assert draws_integers(d, 2**31 + 1) == g.integers(2**31 + 1)
         assert d.random() == g.random()
     assert_same_state(g, d)
 
 
 def test_calls_numpy_cannot_replay_go_to_numpy():
     g, d = pair(5)
-    assert d.integers(2, 9) == g.integers(2, 9)
-    assert np.array_equal(d.integers(5, size=4), g.integers(5, size=4))
-    assert d.integers(np.int64(6)) == g.integers(np.int64(6))
+    assert draws_integers(d, 2, 9) == g.integers(2, 9)
+    assert np.array_equal(draws_integers(d, 5, size=4), g.integers(5, size=4))
+    assert draws_integers(d, np.int64(6)) == g.integers(np.int64(6))
     assert np.array_equal(d.random((2, 3)), g.random((2, 3)))
     for bad in (0, -4):
         with pytest.raises(ValueError):
-            d.integers(bad)
+            draws_integers(d, bad)
     with pytest.raises(ValueError):
         d.random(-1)
     with pytest.raises(OverflowError):
@@ -262,21 +265,22 @@ def test_a_run_on_draws_equals_the_run_on_the_plain_generator(name, monkeypatch)
 def test_a_run_draws_its_bounded_ints_through_below_alone(name, monkeypatch):
     # Both bounded draws of a run, the sampler's host index and the wave's
     # probe target, go through `below` with a Python int bound of at least
-    # 2, and `integers`, with its argument checks, is never called.
+    # 2, and no bounded int is drawn through numpy's `integers`.
     bounds, callers, integer_calls = [], set(), []
-    below, integers = Draws.below, Draws.integers
+    below, delegate = Draws.below, Draws._delegate
 
     def checked_below(self, n):
         bounds.append(n)
         callers.add(sys._getframe(1).f_code.co_name)
         return below(self, n)
 
-    def counted_integers(self, *args, **kwargs):
-        integer_calls.append(args)
-        return integers(self, *args, **kwargs)
+    def counted_delegate(self, name, *args, **kwargs):
+        if name == "integers":
+            integer_calls.append(args)
+        return delegate(self, name, *args, **kwargs)
 
     monkeypatch.setattr(Draws, "below", checked_below)
-    monkeypatch.setattr(Draws, "integers", counted_integers)
+    monkeypatch.setattr(Draws, "_delegate", counted_delegate)
     cfg = WHOLE_RUNS[name]
     sim = engine.Simulation(cfg)
     for _ in range(cfg.iterations):
@@ -284,3 +288,4 @@ def test_a_run_draws_its_bounded_ints_through_below_alone(name, monkeypatch):
     assert callers == {"sample_attachment_targets", "_whitewash_wave"}
     assert all(type(n) is int and n >= 2 for n in bounds)
     assert integer_calls == []
+    assert not hasattr(sim.rng, "integers")

@@ -561,7 +561,7 @@ class PerRejoinWave(Simulation):
         pool = self.topology.live_ids()
         attempts = successes = 0
         for vid in polled.tolist():
-            target = pool[self.rng.integers(len(pool))]
+            target = pool[oracles.draws_integers(self.rng, len(pool))]
             offered = float(self._est.offers[target])
             tried, won = int(self.attempts[vid]), int(self.successes[vid])
             if tried and offered <= self.grant[vid] + engine._GRANT_MARGIN:

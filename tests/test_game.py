@@ -7,11 +7,16 @@ import pytest
 
 import oracles
 from p2psim import game
-from p2psim.game import GameSpec, MixedProfile, NoRootError
+from p2psim.game import GameSpec, NoRootError
 
 
 def spec(kappa, rounds, r_max=0.5, r_min=0.03, honesty=None):
     return GameSpec(kappa, rounds, r_max, r_min, honesty)
+
+
+def uniform(s: GameSpec) -> np.ndarray:
+    """The uniform round lottery of every player, for the oracle loops."""
+    return np.full((s.kappa, s.rounds), 1.0 / s.rounds)
 
 
 # ---- Monte-Carlo oracle ------------------------------------------------
@@ -129,15 +134,14 @@ def test_pure_strategy_closed_form_matches_the_table(kappa, r_min):
 
 @pytest.mark.parametrize("kappa", [2, 3, 4])
 def test_uniform_equilibrium(kappa):
-    profile = game.mixed_equilibrium(spec(kappa, kappa))
-    assert profile.probs == pytest.approx(np.full((kappa, kappa), 1 / kappa))
-    assert game.indifference_residual(spec(kappa, kappa), profile) < 1e-9
+    s = spec(kappa, kappa)
+    assert game.mixed_equilibrium(s) < 1e-9
+    assert oracles.indifference_residual(s, uniform(s)) < 1e-9
 
 
 def test_equilibrium_carries_its_residual():
     s = spec(5, 4)
-    profile = game.mixed_equilibrium(s)
-    assert profile.residual == game.indifference_residual(s, game.uniform_profile(s))
+    assert game.mixed_equilibrium(s) == game.indifference_residual(s)
 
 
 def test_mixed_requires_enough_rounds():
@@ -152,7 +156,7 @@ def test_mixed_requires_enough_rounds():
 
 def test_three_round_payoffs_match_pinned_values():
     s = spec(3, 3)
-    u = game.expected_payoffs(s, game.uniform_profile(s))
+    u = game.expected_payoffs(s)
     assert u[0] == pytest.approx(16 / 81 * 0.5, abs=1e-12)
     assert u[1] == pytest.approx(20 / 81 * 0.5, abs=1e-12)
     assert u[2] == pytest.approx(20 / 81 * 0.5 + 1 / 9 * 0.03, abs=1e-12)
@@ -160,7 +164,7 @@ def test_three_round_payoffs_match_pinned_values():
 
 def test_two_round_payoffs_match_pinned_values():
     s = spec(3, 2)
-    u = game.expected_payoffs(s, game.uniform_profile(s))
+    u = game.expected_payoffs(s)
     assert u[0] == pytest.approx(4 / 36 * 0.5, abs=1e-12)
     assert u[1] == pytest.approx(6 / 36 * 0.5, abs=1e-12)
     assert u[2] == pytest.approx(6 / 36 * 0.5 + 1 / 4 * 0.03, abs=1e-12)
@@ -168,14 +172,14 @@ def test_two_round_payoffs_match_pinned_values():
 
 def test_equal_thresholds_give_equal_payoffs():
     s = GameSpec(4, 4, 0.5, 0.03, honesty=(0.03,) * 4)
-    u = game.expected_payoffs(s, game.uniform_profile(s))
+    u = game.expected_payoffs(s)
     assert np.ptp(u) < 1e-12
 
 
 def test_degenerate_profile_concentrates_co_arrivals():
     s = spec(2, 2)
-    both_first = MixedProfile(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    u = game.expected_payoffs(s, both_first)
+    both_first = np.array([[1.0, 0.0], [1.0, 0.0]])
+    u = oracles.expected_payoffs(s, both_first)
     # both land together: the floor offer, which player 0's threshold rejects
     assert u == pytest.approx([0.0, 0.03])
 
@@ -183,7 +187,7 @@ def test_degenerate_profile_concentrates_co_arrivals():
 @pytest.mark.parametrize("kappa,rounds", [(2, 2), (3, 3), (4, 4), (5, 5), (5, 3)])
 def test_enumeration_matches_monte_carlo(kappa, rounds):
     s = spec(kappa, rounds)
-    exact = game.expected_payoffs(s, game.uniform_profile(s))
+    exact = game.expected_payoffs(s)
     approx, se = monte_carlo_payoffs(s, draws=10**6, seed=kappa * 100 + rounds)
     for j in range(kappa):
         assert abs(exact[j] - approx[j]) < 3 * max(se[j], 1e-9), (j, exact, approx)
@@ -191,14 +195,9 @@ def test_enumeration_matches_monte_carlo(kappa, rounds):
 
 def test_enumeration_cap():
     with pytest.raises(ValueError):
-        game.expected_payoffs(spec(13, 2), game.uniform_profile(spec(13, 2)))
-
-
-def test_profile_shape_must_match_the_spec():
-    three_rounds = MixedProfile(np.full((3, 3), 1 / 3))
-    for measure in (game.expected_payoffs, game.indifference_residual):
-        with pytest.raises(ValueError, match="profile shape"):
-            measure(spec(3, 2), three_rounds)
+        game.expected_payoffs(spec(13, 2))
+    with pytest.raises(ValueError):
+        game.indifference_residual(spec(13, 2))
 
 
 # ---- array kernels against the scalar loops ----------------------------------
@@ -208,21 +207,20 @@ def test_profile_shape_must_match_the_spec():
 
 
 def random_game(rng, kappa, rounds):
-    """A spec with random non-increasing honesty (or the default) and a
-    profile with zero entries in some rows (or the uniform one)."""
+    """A spec with random non-increasing honesty, or the default."""
     honesty = None
     if rng.random() < 0.5:
         honesty = tuple(sorted((float(h) for h in rng.random(kappa) * 0.4), reverse=True))
-    s = spec(kappa, rounds, honesty=honesty)
-    if rng.random() < 0.25:
-        return s, game.uniform_profile(s)
-    probs = rng.random((kappa, rounds))
-    probs[rng.random((kappa, rounds)) < 0.3] = 0.0
-    probs[:, int(rng.integers(rounds))] += 0.01  # keep every row non-zero
-    return s, MixedProfile(probs / probs.sum(axis=1, keepdims=True))
+    return spec(kappa, rounds, honesty=honesty)
 
 
-KERNEL_SIZES = [(k, r) for k in range(2, 7) for r in range(1, 7) if k * r**k <= 20_000]
+def assert_kernels_match_loops(s):
+    expected = oracles.expected_payoffs(s, uniform(s))
+    assert game.expected_payoffs(s).tobytes() == expected.tobytes()
+    assert game.indifference_residual(s) == oracles.indifference_residual(s, uniform(s))
+
+
+KERNEL_SIZES = [(k, r) for k in range(1, 7) for r in range(1, 8) if k * r**k <= 60_000]
 
 
 # (6, 6) fills more than one 4,096-row block, so it enumerates a head at the
@@ -231,10 +229,7 @@ KERNEL_SIZES = [(k, r) for k in range(2, 7) for r in range(1, 7) if k * r**k <= 
 def test_kernels_match_loops_bit_for_bit(kappa, rounds):
     rng = np.random.default_rng(kappa * 10 + rounds)
     for _ in range(3):
-        s, profile = random_game(rng, kappa, rounds)
-        expected = oracles.expected_payoffs(s, profile)
-        assert game.expected_payoffs(s, profile).tobytes() == expected.tobytes()
-        assert game.indifference_residual(s, profile) == oracles.indifference_residual(s, profile)
+        assert_kernels_match_loops(random_game(rng, kappa, rounds))
 
 
 def test_kernels_carry_sums_across_blocks(monkeypatch):
@@ -244,21 +239,14 @@ def test_kernels_carry_sums_across_blocks(monkeypatch):
     for block in (1, 7):
         monkeypatch.setattr(game, "ENUMERATION_BLOCK_ROWS", block)
         for kappa, rounds in [(3, 3), (4, 3), (4, 4), (5, 2)]:
-            s, profile = random_game(rng, kappa, rounds)
-            expected = oracles.expected_payoffs(s, profile)
-            assert game.expected_payoffs(s, profile).tobytes() == expected.tobytes()
-            assert game.indifference_residual(s, profile) == oracles.indifference_residual(
-                s, profile
-            )
+            assert_kernels_match_loops(random_game(rng, kappa, rounds))
 
 
 def test_kernels_match_loops_on_any_small_game(monkeypatch):
-    # Any game of up to 5 players whose loops stay quick: random round
-    # lotteries with or without zero entries, random non-increasing honesty
-    # (or the schedule), each enumerated in blocks of one row, of at most 7
-    # rows and of the shipped size. Only a block with a head and a tail of
-    # two or more players can tell the order of a row's multiplications
-    # apart. `--hypothesis-profile=ci` runs more examples.
+    # Any uniform game of up to 5 players whose loops stay quick, with random
+    # non-increasing honesty (or the schedule), each enumerated in blocks of
+    # one row, of at most 7 rows and of the shipped size.
+    # `--hypothesis-profile=ci` runs more examples.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -272,32 +260,24 @@ def test_kernels_match_loops_on_any_small_game(monkeypatch):
                 lambda h: tuple(sorted(h, reverse=True))
             )
         )
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        probs = rng.random((kappa, rounds))
-        probs[rng.random((kappa, rounds)) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0
-        probs[np.arange(kappa), rng.integers(rounds, size=kappa)] += 0.01  # no all-zero row
-        profile = MixedProfile(probs / probs.sum(axis=1, keepdims=True))
-        return spec(kappa, rounds, honesty=honesty), profile
+        return spec(kappa, rounds, honesty=honesty)
 
     @hypothesis.settings(deadline=None, database=None)
     @hypothesis.given(games())
-    def check(game_):
-        s, profile = game_
-        expected = oracles.expected_payoffs(s, profile)
-        residual = oracles.indifference_residual(s, profile)
+    def check(s):
+        expected = oracles.expected_payoffs(s, uniform(s))
+        residual = oracles.indifference_residual(s, uniform(s))
         for block in (1, 7, 4096):
             monkeypatch.setattr(game, "ENUMERATION_BLOCK_ROWS", block)
-            assert game.expected_payoffs(s, profile).tobytes() == expected.tobytes(), block
-            assert game.indifference_residual(s, profile) == residual, block
+            assert game.expected_payoffs(s).tobytes() == expected.tobytes(), block
+            assert game.indifference_residual(s) == residual, block
 
     check()
 
 
 def test_uniform_six_player_residual_is_the_loop_noise():
     # The value game-report prints for perfbench's analytics config.
-    s = spec(6, 6)
-    residual = game.indifference_residual(s, game.uniform_profile(s))
-    assert residual == 6.022959908591474e-15
+    assert game.indifference_residual(spec(6, 6)) == 6.022959908591474e-15
 
 
 # ---- span comparison ---------------------------------------------------------
