@@ -158,9 +158,12 @@ MAX_EDGE_ENDS = 10**7
 # The longest file name most file systems take, in bytes: a grid run's CSV
 # is named after its cell's overrides and seed, so long overrides can pass it.
 MAX_FILE_NAME_BYTES = 255
-# Work bound on one game-report: the joint round assignments its exact
-# enumerations visit. kappa 7 (7.0M, about 0.2 s) fits; kappa 8 does not.
-MAX_GAME_ASSIGNMENTS = 10**7
+# Largest kappa one game-report takes, from a budget of 10^7 joint round
+# assignments across its exact enumerations: s^kappa for each span s =
+# 2..kappa, plus kappa * rounds^kappa for the residual at 2 <= rounds <= kappa.
+# The worst kappa-7 report (rounds 7) takes 1,200,303 + 7 * 7^7 = 6,965,104,
+# about 0.2 s; kappa 8's spans alone take 24,684,611.
+MAX_GAME_KAPPA = 7
 
 _SIM_SPECS = _specs(SimConfig)
 # A grid cell overrides any SimConfig field but the seed, which `seeds` sets.
@@ -402,27 +405,8 @@ def _frontier_plan(**values) -> tuple[FrontierPlan, tuple[float, float]]:
     return plan, payoff.max_feasible_r_ini(plan.mu, plan.m_ratio)
 
 
-def _game_assignments(kappa: int, rounds: int) -> int:
-    """Joint round assignments one game-report enumerates: s^kappa for each
-    randomization span s = 2..kappa, plus kappa * rounds^kappa for the
-    indifference residual when the mixed check runs (2 <= rounds <= kappa).
-    The residual enumerates the others' rounds^(kappa-1) assignments once
-    and adds a term for each of the kappa players in each of the rounds, so
-    kappa * rounds^kappa counts its terms."""
-    work = sum(s**kappa for s in range(2, kappa + 1))
-    if 2 <= rounds <= kappa:
-        work += kappa * rounds**kappa
-    return work
-
-
 def _game_spec(kappa, rounds, **rest) -> GameSpec:
     rounds = kappa if rounds is None else rounds
-    work = _game_assignments(kappa, rounds)
-    if work > MAX_GAME_ASSIGNMENTS:
-        raise ValueError(
-            f"work: {work} joint assignments to enumerate at kappa {kappa}, rounds {rounds}, "
-            f"more than {MAX_GAME_ASSIGNMENTS:.0e}"
-        )
     return GameSpec(kappa, rounds, **rest)
 
 
@@ -668,7 +652,7 @@ _COMMANDS = {
     "game-report": (
         {
             # The dominance analysis needs two players.
-            "kappa": Spec(int, 3, f"[2, {game.ENUMERATION_KAPPA_CAP}]"),
+            "kappa": Spec(int, 3, f"[2, {MAX_GAME_KAPPA}]"),
             "rounds": Spec(int),  # null means kappa
             "r_ini_max": Spec(float, 0.5),
             "r_ini_min": Spec(float, 0.03),

@@ -229,11 +229,6 @@ class IterationRecord:
     mean_w_max: float
 
 
-def growth_batch(node_count: int, growth_percent_per_10: float) -> int:
-    """Arrivals in one growth batch: a percentage of the live count, rounded."""
-    return round(node_count * growth_percent_per_10 / 100)
-
-
 def take_snapshot(t: graph_mod.Topology, noise: float, rng: Draws) -> tuple[float, float]:
     """(node count, degree sum), the aggregates every node learns by gossip.
     With noise > 0 (aggregation error) each is scaled by its own factor drawn
@@ -424,7 +419,7 @@ class Simulation:
         t, rng, k = self.topology, self.rng, self.cfg.attach_edges
         first = t.next_id
         first_hosts, honesty = [], []
-        for _ in range(growth_batch(t.node_count, self.cfg.growth_percent_per_10)):
+        for _ in range(round(t.node_count * self.cfg.growth_percent_per_10 / 100)):
             first_hosts.append(t.attach(k, rng)[1][0])
             honesty.append(rng.random())
         honesty, first_hosts = np.array(honesty), np.array(first_hosts, dtype=np.int64)

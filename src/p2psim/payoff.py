@@ -3,7 +3,8 @@
 Compares the expected cumulative payoff of a cooperative node against a
 defector under three identity regimes: permanent (defect once, live with the
 dead identity), zero-cost (dump the identity and rejoin every round for
-free), and finite-cost (same, but each new identity costs z). The crossing
+free), and finite-cost (same, but each new identity costs z). Every flow
+is counted in resource quanta, one per request served in full. The crossing
 point of the two payoff curves is the number of rounds a newcomer must be
 made to wait before cooperation wins.
 
@@ -60,9 +61,8 @@ class PayoffParams:
     mu: float = 0.5  # mean reputation of cooperative peers
     x: float = 0.5  # allocation exponent
     r_ini: float = 0.03  # reputation granted to a newcomer
-    c: float = 1.0  # resource quantum per request
     delta: float = 1e-6  # per-round gain from simply being served at all
-    z: float = 0.0  # price of a fresh identity
+    z: float = 0.0  # price of a fresh identity, in request quanta
     m: float = 1.0  # requests served per round
     m_prime: float = 1.0  # requests issued per round
 
@@ -73,8 +73,6 @@ class PayoffParams:
             raise ValueError("x must be positive")
         if not 0 <= self.r_ini <= 1:
             raise ValueError("r_ini must be in [0, 1]")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
         if self.delta < 0 or self.z < 0:
             raise ValueError("delta and z must be non-negative")
         if self.m < 0 or self.m_prime < 0:
@@ -91,7 +89,7 @@ def _check_regime(p: PayoffParams, regime: IdentityRegime) -> None:
 def coop_payoff(p: PayoffParams, k, regime: IdentityRegime = IdentityRegime.PERMANENT):
     """Expected cumulative payoff of a cooperative node after k rounds.
 
-    Each round it serves m requests (outflow m·μ^x·c) and issues m' requests,
+    Each round it serves m requests (outflow m·μ^x) and issues m' requests,
     served at its own reputation: r_ini^x in the first round, (μ^x)^x after.
     Accepts a scalar or array k.
     """
@@ -101,9 +99,9 @@ def coop_payoff(p: PayoffParams, k, regime: IdentityRegime = IdentityRegime.PERM
         raise ValueError("k must be >= 1")
     mu_x = p.mu**p.x
     total = (
-        -k * p.m * mu_x * p.c
-        + (k - 1) * p.m_prime * mu_x**p.x * p.c
-        + p.m_prime * p.r_ini**p.x * p.c
+        -k * p.m * mu_x
+        + (k - 1) * p.m_prime * mu_x**p.x
+        + p.m_prime * p.r_ini**p.x
         + k * p.delta
     )
     if regime is IdentityRegime.FINITE_COST:
@@ -122,7 +120,7 @@ def defector_payoff(p: PayoffParams, k, regime: IdentityRegime = IdentityRegime.
     k = np.asarray(k)
     if np.any(k < 1):
         raise ValueError("k must be >= 1")
-    round_take = p.m_prime * p.r_ini**p.x * p.c + p.delta
+    round_take = p.m_prime * p.r_ini**p.x + p.delta
     if regime is IdentityRegime.PERMANENT:
         total = np.full_like(k, round_take, dtype=float)
     elif regime is IdentityRegime.ZERO_COST:
@@ -144,10 +142,10 @@ def _gap_error_per_round(p: PayoffParams) -> float:
     times k bounds every partial sum), plus as many of the smallest
     subnormal for underflow."""
     mu_x = p.mu**p.x
-    served = p.m_prime * mu_x**p.x * p.c  # per round, and once as a constant
-    grant = p.m_prime * p.r_ini**p.x * p.c
+    served = p.m_prime * mu_x**p.x  # per round, and once as a constant
+    grant = p.m_prime * p.r_ini**p.x
     take = grant + p.delta
-    scale = p.m * mu_x * p.c + 2 * served + grant + p.delta + p.z + take + abs(take - p.z)
+    scale = p.m * mu_x + 2 * served + grant + p.delta + p.z + take + abs(take - p.z)
     return _GAP_ERROR_ULPS * (sys.float_info.epsilon * scale + math.ulp(0.0))
 
 
@@ -224,8 +222,8 @@ def closed_form_threshold(p: PayoffParams, regime: IdentityRegime) -> float | No
         num = p.m_prime * mu_xx - p.m_prime * r_x
         den = p.m_prime * mu_xx - p.m * mu_x - p.m_prime * r_x
     else:
-        num = p.m_prime * mu_xx - p.m_prime * r_x + p.z / p.c
-        den = p.m_prime * mu_xx - p.m * mu_x - p.m_prime * r_x + p.z / p.c
+        num = p.m_prime * mu_xx - p.m_prime * r_x + p.z
+        den = p.m_prime * mu_xx - p.m * mu_x - p.m_prime * r_x + p.z
     if den <= 0:
         return None
     return num / den

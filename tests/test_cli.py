@@ -515,13 +515,26 @@ def test_work_bound_projects_growth_per_period(tmp_path):
 
 
 def test_analytics_work_bounds_accept_every_sample_config(tmp_path):
-    # kappa 7 is the largest game-report the budget admits (7.0M assignments).
-    assert cli._game_assignments(6, 6) == 347_106
-    assert cli._game_assignments(7, 7) == 6_965_104 <= cli.MAX_GAME_ASSIGNMENTS
-    assert cli._game_assignments(8, 1) > cli.MAX_GAME_ASSIGNMENTS
-    assert cli.parse_config(write_config(tmp_path, {"kappa": 7}), "game-report").kappa == 7
-    # rounds above kappa skip the mixed check, so they cost nothing extra.
-    assert cli.parse_config(write_config(tmp_path, {"kappa": 3, "rounds": 10**9}), "game-report")
+    # game-report's kappa range is a budget of 10^7 joint assignments: s^kappa
+    # for each span s = 2..kappa, plus kappa * rounds^kappa for the residual
+    # at 2 <= rounds <= kappa, the most at rounds = kappa.
+    def spans(kappa):
+        return sum(s**kappa for s in range(2, kappa + 1))
+
+    assert spans(7) + 7 * 7**7 == 6_965_104 <= 10**7
+    assert spans(8) == 24_684_611 > 10**7
+    assert cli.MAX_GAME_KAPPA == max(k for k in range(2, 14) if spans(k) + k * k**k <= 10**7)
+    # Within the range every rounds passes (above kappa the residual is
+    # skipped); outside it none does.
+    for kappa in range(2, 14):
+        for rounds in [*range(1, kappa + 2), None, 10**9]:
+            path = write_config(tmp_path, {"kappa": kappa, "rounds": rounds})
+            if kappa <= cli.MAX_GAME_KAPPA:
+                spec = cli.parse_config(path, "game-report")
+                assert (spec.kappa, spec.rounds) == (kappa, rounds or kappa)
+            else:
+                with pytest.raises(ConfigError, match=rf"kappa: {kappa} outside \[2, 7\]"):
+                    cli.parse_config(path, "game-report")
     plan = cli.parse_config(
         write_config(tmp_path, {"x": [0.5] * 10, "r_ini": [0.1] * 100, "regimes": ["permanent"]}),
         "payoff-sweep",

@@ -9,7 +9,7 @@ digests were recorded while each potential whitewasher still had a record
 object and the wave kept ready and parked sets, before every agent fact
 became an array indexed by node id; `estimator_ground_truth.py` reaches
 the closed-world check at three configs, growth included. The game-report
-digests, of the largest game `cli.MAX_GAME_ASSIGNMENTS` admits (kappa 7,
+digests, of the largest game `cli.MAX_GAME_KAPPA` admits (kappa 7,
 rounds 7), were recorded while the enumeration still built every
 assignment's digits from its index. A digest that moves means the outputs
 changed: find out why. Never re-record one to make a test pass.

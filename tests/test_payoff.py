@@ -33,7 +33,7 @@ def ledger_coop(p: PayoffParams, k: int, regime: IdentityRegime) -> float:
     total = 0.0
     for j in range(1, k + 1):
         rep_in = p.r_ini if j == 1 else p.mu**p.x
-        total += -p.m * p.mu**p.x * p.c + p.m_prime * rep_in**p.x * p.c + p.delta
+        total += -p.m * p.mu**p.x + p.m_prime * rep_in**p.x + p.delta
     if regime is FINITE:
         total -= p.z
     return total
@@ -42,7 +42,7 @@ def ledger_coop(p: PayoffParams, k: int, regime: IdentityRegime) -> float:
 def ledger_defector(p: PayoffParams, k: int, regime: IdentityRegime) -> float:
     total = 0.0
     for j in range(1, k + 1):
-        take = p.m_prime * p.r_ini**p.x * p.c + p.delta
+        take = p.m_prime * p.r_ini**p.x + p.delta
         if regime is PERM:
             total += take if j == 1 else 0.0
         elif regime is ZERO:
@@ -57,7 +57,6 @@ def random_params(rng: np.random.Generator, z_positive: bool) -> PayoffParams:
         mu=float(rng.uniform(0.05, 1.0)),
         x=float(rng.uniform(0.05, 1.0)),
         r_ini=float(rng.uniform(0.0, 1.0)),
-        c=float(rng.uniform(0.1, 5.0)),
         delta=float(rng.uniform(0.0, 0.01)),
         z=float(rng.uniform(0.01, 2.0)) if z_positive else 0.0,
         m=float(rng.integers(1, 5)),
@@ -76,8 +75,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         PayoffParams(r_ini=1.5)
     with pytest.raises(ValueError):
-        PayoffParams(c=0.0)
-    with pytest.raises(ValueError):
         PayoffParams(delta=-1.0)
     PayoffParams(x=1.5)  # exponents above 1 are legal for analysis
 
@@ -94,7 +91,7 @@ def test_regime_consistency_enforced():
 
 def test_coop_first_round():
     p = PayoffParams(mu=0.5, x=0.5, r_ini=0.036, delta=2e-3)
-    expected = -p.m * p.mu**p.x * p.c + p.m_prime * p.r_ini**p.x * p.c + p.delta
+    expected = -p.m * p.mu**p.x + p.m_prime * p.r_ini**p.x + p.delta
     assert payoff.coop_payoff(p, 1, PERM) == pytest.approx(expected, abs=1e-15)
 
 
@@ -119,13 +116,13 @@ def test_defector_permanent_is_one_shot():
 
 def test_defector_zero_cost_two_rounds():
     p = PayoffParams(mu=0.5, x=0.5, r_ini=0.036, delta=1e-3)
-    expected = 2 * (p.m_prime * p.c * p.r_ini**p.x + p.delta)
+    expected = 2 * (p.m_prime * p.r_ini**p.x + p.delta)
     assert payoff.defector_payoff(p, 2, ZERO) == pytest.approx(expected, abs=1e-15)
 
 
 def test_defector_finite_cost_cancels():
     p0 = PayoffParams(mu=0.5, x=0.5, r_ini=0.036, delta=1e-3)
-    z = p0.m_prime * p0.c * p0.r_ini**p0.x + p0.delta
+    z = p0.m_prime * p0.r_ini**p0.x + p0.delta
     p = PayoffParams(mu=0.5, x=0.5, r_ini=0.036, delta=1e-3, z=z)
     for k in (1, 7, 50):
         assert payoff.defector_payoff(p, k, FINITE) == pytest.approx(0.0, abs=1e-12)
@@ -174,7 +171,7 @@ def test_crossover_matches_closed_form_within_one_round():
         regime = [PERM, ZERO, FINITE][int(rng.integers(3))]
         p = random_params(rng, z_positive=regime is FINITE)
         p = PayoffParams(
-            mu=p.mu, x=p.x, r_ini=p.r_ini, c=p.c, delta=0.0, z=p.z, m=p.m, m_prime=p.m_prime
+            mu=p.mu, x=p.x, r_ini=p.r_ini, delta=0.0, z=p.z, m=p.m, m_prime=p.m_prime
         )
         th = payoff.closed_form_threshold(p, regime)
         if th is None or th > 5e5:
