@@ -8,7 +8,7 @@ with `random_raw` from the run's own bit generator (PCG64; O'Neill 2014):
 
 - `random()` is `(word >> 11) * 2**-53`;
 - `uniform(lo, hi)` is `lo + (hi - lo) * random()`;
-- `below(n)` for 2 <= n < 2**32 is `Generator.integers(n)`, Lemire's
+- `below(n)` for 2 <= n <= 2**32 is `Generator.integers(n)`, Lemire's
   bounded draw (Lemire 2019, "Fast Random Integer Generation in an
   Interval") on 32-bit halves: the low half of a word first, the high half
   kept for the next 32-bit draw. It checks nothing, for the two bounded
@@ -118,43 +118,32 @@ class Draws:
         return low + span * self.random()
 
     def below(self, n: int) -> int:
-        """`Generator.integers(n)` for a Python int 2 <= n < 2**32,
+        """`Generator.integers(n)` for a Python int 2 <= n <= 2**32,
         unchecked: the bounded draw of the sampler's host index and the
         wave's probe target. An `np.int64` bound would overflow `u * n` in
         int64, and for n = 1 numpy draws nothing. Both callers hold n >= 2:
         the sampler draws from the attachment pool, two entries per edge,
-        and the wave from the live ids, never fewer than attach_edges + 1."""
-        # `_uint32` inlined: on this path the call costs more than the draw.
-        u = self._spare
-        if u is None:
-            words = self._words
-            if not words:
-                self._refill()
-            w = words.pop()
-            self._spare = self._u32 = w >> 32
-            u = w & _U32
-        else:
-            self._spare = None
-        m = u * n
-        if m & _U32 < n:
-            # Lemire's rejection: redraw while the low half falls below
-            # 2**32 mod n (n itself bounds it, so most draws skip this).
-            threshold = (_TWO32 - n) % n
-            while m & _U32 < threshold:
-                m = self._uint32() * n
-        return m >> 32
+        and the wave from the live ids, never fewer than attach_edges + 1.
 
-    def _uint32(self) -> int:
-        u = self._spare
-        if u is None:
-            words = self._words
-            if not words:
-                self._refill()
-            w = words.pop()
-            self._spare = self._u32 = w >> 32
-            return w & _U32
-        self._spare = None
-        return u
+        Lemire's loop: each pass takes a 32-bit half u (the spare high half,
+        else the low half of a popped word) and returns u * n >> 32 once its
+        low half reaches 2**32 mod n, a threshold below n (0 for n = 2**32,
+        which takes one bare half, as numpy does)."""
+        while True:
+            u = self._spare
+            if u is None:
+                words = self._words
+                if not words:
+                    self._refill()
+                w = words.pop()
+                self._spare = self._u32 = w >> 32
+                u = w & _U32
+            else:
+                self._spare = None
+            m = u * n
+            low = m & _U32
+            if low >= n or low >= (_TWO32 - n) % n:
+                return m >> 32
 
     def permutation(self, x):
         return self._delegate("permutation", x)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .estimator import offer_curve
 
-ENUMERATION_KAPPA_CAP = 12
+ENUMERATION_TERM_CAP = 10**7  # terms one enumeration may form; see _check_enumerable
 # Joint assignments enumerated per block: the enumeration's memory does not
 # grow with kappa.
 ENUMERATION_BLOCK_ROWS = 1 << 12
@@ -138,8 +138,13 @@ def pure_strategy_analysis(spec: GameSpec) -> PureStrategyReport:
 
 
 def _check_enumerable(spec: GameSpec) -> None:
-    if spec.kappa > ENUMERATION_KAPPA_CAP:
-        raise ValueError(f"enumeration supports kappa <= {ENUMERATION_KAPPA_CAP}")
+    """Refuse a spec whose enumeration forms more than ENUMERATION_TERM_CAP
+    terms: kappa * rounds^kappa for the payoffs or the residual, plus kappa^2
+    for the realized-offer table. kappa^2 and rounds are each at most that
+    count, so testing them first keeps rounds^kappa small."""
+    kappa, rounds, cap = spec.kappa, spec.rounds, ENUMERATION_TERM_CAP
+    if max(kappa * kappa, rounds) > cap or kappa * (rounds**kappa + kappa) > cap:
+        raise ValueError(f"enumeration supports at most {cap} terms")
 
 
 def _assignment_prob(players: int, rounds: int) -> float:

@@ -5,7 +5,7 @@ Node ids are monotonically increasing and never reused, so identity churn
 indexed by node id only ever grows: an `array('q')` by appends, a numpy
 one by `grown` to `next_id`. Every mutation is a node event or a whole
 build: `Topology.attach` joins a new node to all its hosts, `remove_node`
-unhooks one from all its neighbors and `Topology.from_edges` builds a
+unhooks one from all its neighbors and `Topology(n, edges)` builds a
 whole overlay from an edge array (the scale-free seed clique and every
 regular overlay). A regular overlay's edges come from the pairing model,
 one numpy pass per shuffle round over the stubs left (`generate_regular`);
@@ -110,32 +110,36 @@ def _row_positions(start: np.ndarray, length: np.ndarray) -> np.ndarray:
 class Topology:
     """Undirected simple graph with churn-friendly bookkeeping."""
 
-    def __init__(self):
-        self.next_id: NodeId = 0
-        self.node_count: int = 0
-        self.edge_count: int = 0
-        self.isolated_count: int = 0  # live nodes of degree zero
+    def __init__(self, n: int, edges):
+        """Nodes 0..n-1 wired by `edges`, distinct (u, v) pairs without
+        self-loops, as an (m, 2) array or a sequence of pairs: the state that
+        adding `n` nodes and then each edge (u, v) in order would leave."""
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        ends = pairs.ravel()  # u0, v0, u1, v1, ...: the pool's order
+        degree = np.bincount(ends, minlength=n)
+        by_row = np.argsort(ends, kind="stable")
+        self.next_id = self.node_count = n
+        self.edge_count = len(pairs)
+        self.isolated_count = n - int(np.count_nonzero(degree))  # live nodes of degree zero
         # Node v's row is _slab[_start[v] : _start[v] + _fill[v]], with room
         # for _cap[v] entries; until the next snapshot it may still hold ids
         # removed since (tombstones), which _degree does not count.
-        self._slab = array("q")
-        self._start = array("q")
-        self._fill = array("q")
-        self._cap = array("q")
-        self._degree = array("q")
-        self._live = bytearray()
+        self._slab = _q(ends[by_row ^ 1])  # an end's partner is the other end of its pair
+        self._start = _q(np.cumsum(degree) - degree)
+        self._degree = _q(degree)
+        self._fill, self._cap = self._degree[:], self._degree[:]
+        self._live = bytearray(b"\x01") * n
         # Degree and neighbor-degree sum of every id as of the last
         # snapshot; since then, per id, a mark if its neighbors changed, and
         # the arrivals and benign departures booked at it as a host.
         self._deg = np.zeros(0, dtype=np.int64)
         self._nds = np.zeros(0, dtype=np.int64)
-        self._touched = bytearray()
-        self._arrived = array("q")
-        self._benign_gone = array("q")
+        self._touched = bytearray((degree > 0).tobytes())
+        self._arrived, self._benign_gone = array("q", bytes(8 * n)), array("q", bytes(8 * n))
         # preferential-attachment pool: one entry per degree unit, lazily
         # pruned; copies counts each id's entries (0 once it is removed)
-        self._pool = array("q")
-        self._pool_copies = array("q")
+        self._pool = _q(ends)
+        self._pool_copies = self._degree[:]
         self._pool_stale: int = 0
         # The arrivals since the last settle, the ids from len(_fill) on:
         # their hosts in draw order, concatenated, how many each has, and
@@ -359,30 +363,6 @@ class Topology:
             chosen += isolated[order[: count - len(chosen)]].tolist()
         return chosen
 
-    @classmethod
-    def from_edges(cls, n: int, edges) -> Topology:
-        """Nodes 0..n-1 wired by `edges`, distinct (u, v) pairs without
-        self-loops, as an (m, 2) array or a sequence of pairs. Same end
-        state as adding `n` nodes and then the edge (u, v) for each pair in
-        order."""
-        t = cls()
-        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        ends = pairs.ravel()  # u0, v0, u1, v1, ...: the pool's order
-        degree = np.bincount(ends, minlength=n)
-        by_row = np.argsort(ends, kind="stable")
-        t._slab = _q(ends[by_row ^ 1])  # an end's partner is the other end of its pair
-        t._start = _q(np.cumsum(degree) - degree)
-        t._degree = _q(degree)
-        t._fill, t._cap, t._pool_copies = t._degree[:], t._degree[:], t._degree[:]
-        t._live = bytearray(b"\x01") * n
-        t._touched = bytearray((degree > 0).tobytes())
-        t._arrived, t._benign_gone = array("q", bytes(8 * n)), array("q", bytes(8 * n))
-        t._pool = _q(ends)
-        t.next_id = t.node_count = n
-        t.edge_count = len(pairs)
-        t.isolated_count = n - int(np.count_nonzero(degree))
-        return t
-
 
 # ---- generators ------------------------------------------------------
 
@@ -396,7 +376,7 @@ def generate_scale_free(n: int, attach_edges: int, rng: Draws) -> Topology:
         raise InvalidParameterError("need n > attach_edges")
     k = attach_edges + 1
     # The clique's pairs in itertools.combinations order.
-    t = Topology.from_edges(k, np.column_stack(np.triu_indices(k, 1)))
+    t = Topology(k, np.column_stack(np.triu_indices(k, 1)))
     for _ in range(n - k):
         t.attach(attach_edges, rng)
     return t
@@ -466,7 +446,7 @@ def generate_regular(n: int, degree: int, rng: Draws) -> Topology:
     for _ in range(_PAIRING_RETRY_CAP):
         edges = _try_pairing(n, n - 1 - degree if dense else degree, rng)
         if edges is not None:
-            return Topology.from_edges(n, _complement(n, edges) if dense else edges)
+            return Topology(n, _complement(n, edges) if dense else edges)
     raise InfeasibleParametersError(
         f"pairing model failed {_PAIRING_RETRY_CAP} times for n={n}, degree={degree}"
     )

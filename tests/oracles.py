@@ -212,15 +212,13 @@ class GeneratorDraws:
 
 def draws_integers(d: Draws, high, *args, **kwargs):
     """`Generator.integers(high, ...)` drawn from `d`'s stream: replayed for
-    an int 1 <= high <= 2**32, as 0 for high = 1 (numpy draws nothing), a
-    bare 32-bit half for high = 2**32 and `d.below(high)` in between; any
-    other call goes to numpy through `d`, synced."""
+    an int 1 <= high <= 2**32, as 0 for high = 1 (numpy draws nothing) and
+    `d.below(high)` above; any other call goes to numpy through `d`,
+    synced."""
     if args or kwargs or type(high) is not int or not 1 <= high <= 2**32:
         return d._delegate("integers", high, *args, **kwargs)
     if high == 1:
         return 0
-    if high == 2**32:
-        return d._uint32()
     return d.below(high)
 
 

@@ -19,9 +19,10 @@ from p2psim.draws import Draws
 from p2psim.engine import SimConfig
 
 # 1 draws nothing, 2**31 + 1 rejects almost half its draws, 2**32 - 1 is the
-# largest Lemire bound, 2**32 takes a bare 32-bit half, 2**33 + 5 goes to numpy.
+# largest bound with a rejection threshold, 2**32 (threshold 0) takes a bare
+# 32-bit half, 2**33 + 5 goes to numpy. `below` serves every bound from 2 to 2**32.
 BOUNDS = (1, 2, 3, 1000, 46921, 2**31 + 1, 2**32 - 1, 2**32, 2**33 + 5)
-BELOW_BOUNDS = tuple(b for b in BOUNDS if 2 <= b < 2**32)
+BELOW_BOUNDS = tuple(b for b in BOUNDS if 2 <= b <= 2**32)
 SEEDS = (0, 1, 7, 12345)
 
 

@@ -193,11 +193,28 @@ def test_enumeration_matches_monte_carlo(kappa, rounds):
         assert abs(exact[j] - approx[j]) < 3 * max(se[j], 1e-9), (j, exact, approx)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    # The cap bounds the terms formed, kappa * (rounds^kappa + kappa), not
+    # kappa: 13 players over 2 rounds form 106,665 and run.
+    s = spec(13, 2)
+    assert game.expected_payoffs(s).tobytes() == oracles.expected_payoffs(s, uniform(s)).tobytes()
+    for kappa, rounds in [(8, 8), (12, 12)]:
+        with pytest.raises(ValueError):
+            game.expected_payoffs(spec(kappa, rounds))
+        with pytest.raises(ValueError):
+            game.indifference_residual(spec(kappa, rounds))
+    # 10^4 players in one round: a rows-only bound would admit it and its
+    # 10^8-cell realized-offer table; the check refuses it before any table.
+    wide = spec(10**4, 1)
+
+    def no_table(_):
+        raise AssertionError("built the realized-offer table")
+
+    monkeypatch.setattr(game, "_realized_offers", no_table)
     with pytest.raises(ValueError):
-        game.expected_payoffs(spec(13, 2))
+        game.expected_payoffs(wide)
     with pytest.raises(ValueError):
-        game.indifference_residual(spec(13, 2))
+        game.indifference_residual(wide)
 
 
 # ---- array kernels against the scalar loops ----------------------------------

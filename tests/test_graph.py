@@ -16,7 +16,7 @@ from p2psim.graph import (
 
 
 def path_topology(n: int = 5) -> Topology:
-    return Topology.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Topology(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def is_connected(t: Topology) -> bool:
@@ -131,7 +131,7 @@ def test_attachment_falls_back_to_isolated_nodes():
     """More targets than nodes with edges: every linked node is drawn by
     degree, the rest uniformly from the isolated ones (this used to spin
     forever)."""
-    t = Topology.from_edges(8, [(i, i + 1) for i in range(6)])  # 7 has no edge
+    t = Topology(8, [(i, i + 1) for i in range(6)])  # 7 has no edge
     for v in range(5):
         graph.remove_node(t, v)  # leaves {5: {6}, 6: {5}, 7: {}}
     assert t.isolated_count == 1
@@ -397,7 +397,7 @@ def test_attach_and_remove_node_match_the_per_edge_primitives():
 
 
 def test_from_edges_matches_the_per_edge_build():
-    # generate_regular builds through from_edges; the per-edge build of the
+    # generate_regular builds through Topology(n, edges); the per-edge build of the
     # same sorted pairs must leave the same state.
     for n, degree, seed in [(10, 3, 0), (100, 4, 5), (1000, 6, 2)]:
         t = graph.generate_regular(n, degree, oracles.draws(seed))
@@ -408,7 +408,7 @@ def test_from_edges_matches_the_per_edge_build():
     pairs = {tuple(sorted(rng.choice(30, 2, replace=False).tolist())) for _ in range(40)}
     edges = [p[::-1] if i % 3 else p for i, p in enumerate(sorted(pairs, key=lambda p: -p[1]))]
     for n, es in [(40, edges), (5, [])]:
-        t = Topology.from_edges(n, es)
+        t = Topology(n, es)
         oracles.assert_same_topology(t, oracles.RefTopology.by_edges(n, es), f"at n={n}")
         assert t.isolated_count == sum(1 for nbrs in oracles.adjacency(t).values() if not nbrs)
 
@@ -418,7 +418,7 @@ def test_from_edges_peak_memory_per_edge_end():
     # `array('q')` is filled straight from numpy's buffer, with no `bytes`
     # copy in between, and each end's partner is gathered by index, with no
     # reversed copy of the pairs. On a dense edge list (n 400, every node
-    # of degree 200) the traced peak of `from_edges` stays within 3.5 int64
+    # of degree 200) the traced peak of `Topology(n, edges)` stays within 3.5 int64
     # words per edge end; with those copies it read 4.17.
     import tracemalloc
 
@@ -429,7 +429,7 @@ def test_from_edges_peak_memory_per_edge_end():
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        t = Topology.from_edges(n, edges)
+        t = Topology(n, edges)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
