@@ -5,7 +5,7 @@ below the advertised newcomer reputation are potential whitewashers: resetting
 their identity would hand them more reputation than their behavior earns, so
 they may dump a bad record and rejoin. Everyone else cooperates.
 
-Every agent fact is the engine's, held in arrays indexed by node id: role,
+Every agent fact is the engine's, held in arrays indexed by row: role,
 reputation, honesty, the attempt counters (which a rejoin carries over) and
 the grant the current identity was born with. This module draws the
 founders' facts, gives every founder and arrival its role (`role_codes`)
@@ -23,10 +23,10 @@ from .draws import Draws
 
 
 class Role(enum.IntEnum):
-    """An id's role; the values are the codes the engine keeps per id, where
-    0 marks an id that is gone or not issued yet. Compare an int8 code array
-    with `.value`: numpy takes a member as an int64 scalar and would widen
-    the whole array to compare."""
+    """A node's role; the values are the codes the engine keeps per row,
+    where 0 marks a node that is gone or a row not in use. Compare an int8
+    code array with `.value`: numpy takes a member as an int64 scalar and
+    would widen the whole array to compare."""
 
     COOPERATIVE = 1
     POTENTIAL_WHITEWASHER = 2

@@ -148,8 +148,10 @@ MAX_GRID_CELLS = 1000
 # all its runs project (`_project_run`), about 170 8%-growth scale-free runs.
 MAX_NODE_ITERATIONS = 10**9
 # Bound on one run's estimator windows (`_project_run`): window_n_prime float64
-# levels per id, 80 MB here, counted at the node count growth projects. The ids
-# rejoins take come on top: not a bound on what a run allocates (ROADMAP item 8).
+# levels per node, 80 MB here, counted at the node count growth projects. A run
+# drops the rows of removed nodes (ROADMAP item 8), and its rows stay within
+# twice its peak live count plus one growth batch on high-churn runs
+# (tests/test_engine.py), so what it allocates stays within about twice this.
 MAX_WINDOW_CELLS = 10**7
 # Bound on one run's overlay edge ends (two per edge), at the most it can hold
 # (`_project_run`). Slab slack and stale pool entries come on top, up to about
@@ -281,17 +283,16 @@ def _grid(grid) -> tuple[dict, ...]:
 def _project_run(cfg: SimConfig, iterations: int) -> tuple[float, float]:
     """Project one run of `iterations` steps with every growth batch adding
     its full percentage (departures only shrink it). Raises ValueError where
-    its estimator windows pass MAX_WINDOW_CELLS, leaving out the fresh ids
-    whitewash rejoins take, else where its overlay can hold more than
-    MAX_EDGE_ENDS edge ends; returns its edge ends and node-iterations. Every
-    edge is one node's own: a node that attaches, at growth or at a whitewash
-    rejoin, owns the edges it wires, attach_edges (or every other node, when
-    there are fewer), and so does each node of a scale-free build, the seed
-    clique's included. Only live nodes own edges, and rejoins and departures
-    never raise the live count. The windows are compared as logarithms, the
-    periods capped where the work bound rejects the run anyway; once they
-    fit, the grown node count is below MAX_WINDOW_CELLS, so no float below
-    can overflow."""
+    its estimator windows pass MAX_WINDOW_CELLS, else where its overlay can
+    hold more than MAX_EDGE_ENDS edge ends; returns its edge ends and
+    node-iterations. Every edge is one node's own: a node that attaches, at
+    growth or at a whitewash rejoin, owns the edges it wires, attach_edges
+    (or every other node, when there are fewer), and so does each node of a
+    scale-free build, the seed clique's included. Only live nodes own edges,
+    and rejoins and departures never raise the live count. The windows are
+    compared as logarithms, the periods capped where the work bound rejects
+    the run anyway; once they fit, the grown node count is below
+    MAX_WINDOW_CELLS, so no float below can overflow."""
     period = engine.GROWTH_PERIOD
     periods = iterations // period
     rate = math.log1p(cfg.growth_percent_per_10 / 100)

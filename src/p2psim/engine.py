@@ -45,35 +45,46 @@ neighbors), gathered once over the nodes whose neighbors changed. Node
 events themselves keep no sums. Outputs match the per-node formulas bit
 for bit: one `estimator.offer_curve` call per sweep, and per-iteration sums
 added in ascending-id order one element at a time, never pairwise. The
-snapshot and the sweep span the ids issued.
+snapshot and the sweep span the topology's rows.
 
 Every identity gets a fresh id, ids only grow, and every id issued during
 iteration n joins at n: the founding ids and a rejoin planted before the
 first step at 0, wave rejoins and growth arrivals during their step, and a
-rejoin planted between steps n and n + 1 at n. So the ids that joined at j
-are one range, from `_first_id[j]` (the topology's next id at the start of
-step j, 0 for j = 0) up to `_first_id[j + 1]`. Every agent fact is one
-array indexed by node id (`_ID_ROWS`), the only place that fact is kept:
-`reputation` (drawn for a founder, the grant for a newcomer, then the
-earned value from the transaction start); `role_code`, the id's
-`agents.Role` value, 0 once the phase in which the node leaves ends (or
-before the id is issued), so it also marks liveness; `honesty`; the
+rejoin planted between steps n and n + 1 at n. Every agent fact is one
+array indexed by row (`_ID_ROWS`), the topology's rows (see `graph`): one
+per node, ascending in id, so the nodes that joined at j hold one range of
+rows, from `_first_row[j]` (the topology's row count at the start of step
+j, 0 for j = 0) up to `_first_row[j + 1]`. That array is the only place the
+fact is kept: `reputation` (drawn for a founder, the grant for a newcomer,
+then the earned value from the transaction start); `role_code`, the
+node's `agents.Role` value, 0 once the phase in which the node leaves ends
+(or past the rows in use), so it also marks liveness; `honesty`; the
 attempt counters `attempts` and `successes`; and `grant`, what the current
-identity was born with (0 for a founder, which never reads it). Every id
+identity was born with (0 for a founder, which never reads it). Every node
 registers through one path, `Simulation._register_newcomers`, which grows
-these arrays and the estimator's to the ids issued (`graph.grown`), primes
-the windows and makes one write per array over one id range: the
-founders' at set-up, whose drawn reputations are written after it; a
-growth batch, whose grants, the offers of each arrival's first host, are
-read only once the batch is primed; or the rejoins of a wave or of one
-planted reset (`_register_rejoins`), each new id taking its person's role,
-honesty and counters and its offer as grant. A wave's loop makes only
-the draws and the topology calls, and its writes follow it: no read in
-the wave needs them, as it reads the pollers' facts and the live ids at
-its start, and r_est and the ring's write slot hold through it.
+these arrays and the estimator's to the row count (`graph.grown`, with
+room for twice the live nodes), primes the windows and makes one write per
+array over one row range: the founders' at set-up, whose drawn
+reputations are written after it; a growth batch, whose grants, the offers
+of each arrival's first host, are read only once the batch is primed; or
+the rejoins of a wave or of one planted reset (`_register_rejoins`), each
+new row taking its person's role, honesty and counters and its offer as
+grant. A wave's loop makes only the draws and the topology calls, and its
+writes follow it: no read in the wave needs them, as it reads the
+pollers' facts and the live rows at its start, and r_est and the ring's
+write slot hold through it.
 Departures write once too. The transaction start is two masked writes on
-one id range, the newcomer pool is the live ids of one range, and the
+one row range, the newcomer pool is the live rows of one range, and the
 departure candidates and the wave's pollers are one mask each.
+
+Once dead rows make up a quarter of all rows, the end of the step's
+estimate compacts them away (`Simulation._compact`): the topology, these
+arrays, the estimator's and the join ranges drop the same rows in one
+order-preserving pass. At that point the snapshot has just wired every
+arrival and dropped every tombstone, and no wave, growth batch or draw
+holds a row. Ids appear only at the edge: `graph.remove_node` and
+`Topology.attach` take and give them, and so do `force_whitewash`,
+`last_w_sweep` and `closed_world_estimator_check`.
 
 All randomness comes from one draw source per run, `Simulation.rng`, a
 `draws.Draws` over the run's seeded PCG64 `Generator` that yields exactly
@@ -119,7 +130,10 @@ NEWCOMER_MIN_TENURE = 3
 # average to a value a few ulps off), never a real difference.
 _GRANT_MARGIN = 1e-12
 
-# The Simulation's arrays indexed by node id, one row per id issued, by dtype.
+# Dead rows are compacted away once they make up this share of all rows.
+_COMPACT_SHARE = 0.25
+
+# The Simulation's arrays indexed by row, one entry per node, by dtype.
 _ID_ROWS = {"role_code": np.int8, "reputation": np.float64, "honesty": np.float64,
             "attempts": np.int64, "successes": np.int64, "grant": np.float64}
 
@@ -253,7 +267,7 @@ class Simulation:
         for name, dtype in _ID_ROWS.items():
             setattr(self, name, np.zeros(0, dtype))
         self.iteration = 0
-        self._first_id = [0]
+        self._first_row = [0]
         # Shared estimate of the ceiling other nodes grant newcomers, held
         # at no less than twice the floor so offers never pin themselves
         # into a corner the estimate cannot recover from.
@@ -278,16 +292,16 @@ class Simulation:
         # cooperator provides the mean share mu^x of what it is asked, a free
         # rider nothing, and later rounds scale both sides of that ratio.
         j = max(n - 2, 0)
-        ids = slice(self._first_id[j], self._first_id[j + 1])
-        code, reputation = self.role_code[ids], self.reputation[ids]
+        rows = slice(self._first_row[j], self._first_row[j + 1])
+        code, reputation = self.role_code[rows], self.reputation[rows]
         reputation[code == Role.COOPERATIVE.value] = self._mu_x
         reputation[code == Role.POTENTIAL_WHITEWASHER.value] = 0.0
 
     def _newcomer_pool(self, n: int) -> np.ndarray:
-        """Ascending ids of the live agents whose tenure at iteration n lies
+        """Ascending rows of the live agents whose tenure at iteration n lies
         in [NEWCOMER_MIN_TENURE, newcomer_window]."""
-        first = self._first_id[max(n - self.cfg.newcomer_window, 0)]
-        end = self._first_id[max(n - NEWCOMER_MIN_TENURE + 1, 0)]
+        first = self._first_row[max(n - self.cfg.newcomer_window, 0)]
+        end = self._first_row[max(n - NEWCOMER_MIN_TENURE + 1, 0)]
         return first + np.flatnonzero(self.role_code[first:end])
 
     def _estimate(self, n: int) -> tuple[float, float, float]:
@@ -312,49 +326,64 @@ class Simulation:
         )
         n_now = t.node_count
         self._prev_count = node_count
+        dead = t.rows - n_now
+        if dead and dead >= _COMPACT_SHARE * t.rows:
+            self._compact()
         mean_offer = (offer_sum + (n_now - swept) * self.r_est) / n_now
         return mean_offer, w_sum / n_now, wmax_sum / n_now
+
+    def _compact(self) -> None:
+        """Drop the dead rows everywhere in one order-preserving pass: the
+        topology's, these arrays', the estimator's and the join ranges'.
+        Right after the sweep, as `Topology.compact` requires."""
+        kept = self.topology.compact()
+        for name in _ID_ROWS:
+            setattr(self, name, getattr(self, name)[kept])
+        self._est.compact(kept)
+        self._first_row = np.searchsorted(kept, self._first_row).tolist()
 
     @property
     def last_w_sweep(self) -> np.ndarray:
         """Ascending ids of the latest sweep, for inspection."""
-        return self._est.swept
+        return self.topology.ids_at(self._est.swept)
 
-    def _register_newcomers(self, ids: slice, role, honesty, attempts, successes) -> None:
-        """Register the newest ids, a slice up to the topology's next id:
+    def _register_newcomers(self, rows: slice, role, honesty, attempts, successes) -> None:
+        """Register the newest rows, a slice up to the topology's row count:
         the founders, a growth batch or a wave's rejoins. Grows the arrays
-        indexed by node id, primes the windows and writes each person's
-        facts; the caller then writes the grants and the reputations."""
-        end = self.topology.next_id
-        if end > len(self.role_code):
+        indexed by row, primes the windows and writes each person's facts;
+        the caller then writes the grants and the reputations."""
+        t = self.topology
+        if t.rows > len(self.role_code):
             for name in _ID_ROWS:
-                setattr(self, name, graph_mod.grown(getattr(self, name), end))
-        self._est.prime(ids, self.r_est)
-        self.role_code[ids] = role
-        self.honesty[ids] = honesty
-        self.attempts[ids] = attempts
-        self.successes[ids] = successes
+                setattr(self, name, graph_mod.grown(getattr(self, name), t.rows, 2 * t.node_count))
+            self._est.reserve(len(self.role_code))
+        self._est.prime(rows, self.r_est)
+        self.role_code[rows] = role
+        self.honesty[rows] = honesty
+        self.attempts[rows] = attempts
+        self.successes[rows] = successes
 
     def _register_rejoins(self, leavers: list[int], offers: list[float]) -> None:
-        """Register the rejoins of `leavers`, removed and attached in this
-        order, as the newest ids: each takes its person's role, honesty and
-        counters, and its offer as grant and reputation; the old ids retire."""
-        end = self.topology.next_id
-        ids = slice(end - len(leavers), end)
-        self._register_newcomers(ids, self.role_code[leavers], self.honesty[leavers],
+        """Register the rejoins of the rows `leavers`, removed and attached
+        in this order, as the newest rows: each takes its person's role,
+        honesty and counters, and its offer as grant and reputation; the old
+        rows retire."""
+        end = self.topology.rows
+        rows = slice(end - len(leavers), end)
+        self._register_newcomers(rows, self.role_code[leavers], self.honesty[leavers],
                                  self.attempts[leavers], self.successes[leavers])
-        self.reputation[ids] = self.grant[ids] = offers
+        self.reputation[rows] = self.grant[rows] = offers
         self.role_code[leavers] = 0
         self._est.retire(leavers)
 
     def _pollers(self) -> np.ndarray:
-        """Ascending ids of the potential whitewashers the wave polls: the
+        """Ascending rows of the potential whitewashers the wave polls: the
         live ones that have not attempted yet, and the ones with a success
         whose grant the ceiling estimate beats by more than the margin. One
         with attempts but no success never attempts again (its success rate
         is 0), and while r_est <= grant + margin no offer anywhere can beat
         the grant it holds."""
-        end = self.topology.next_id
+        end = self.topology.rows
         tried = self.attempts[:end] > 0
         better = (self.successes[:end] > 0) & (self.grant[:end] + _GRANT_MARGIN < self.r_est)
         washer = self.role_code[:end] == Role.POTENTIAL_WHITEWASHER.value
@@ -364,13 +393,13 @@ class Simulation:
         polled = self._pollers()
         if not len(polled):
             return 0, 0
-        t, pool = self.topology, self.topology.live_ids()
+        t, pool = self.topology, self.topology.live_rows()
         threshold = legitimacy_threshold(self.r_est, self.cfg.r_ini_min)
-        tried_ids, leavers, offers = [], [], []
+        tried_rows, leavers, offers = [], [], []
         facts = (self.honesty, self.attempts, self.successes, self.grant, self.reputation)
         below, live, est_offers = self.rng.below, len(pool), self._est.offers
-        for vid, honesty, tried, won, grant, reputation in zip(
-            polled.tolist(), *(a[polled].tolist() for a in facts)
+        for row, vid, honesty, tried, won, grant, reputation in zip(
+            polled.tolist(), t.ids_at(polled).tolist(), *(a[polled].tolist() for a in facts)
         ):
             offered = float(est_offers[pool[below(live)]])
             if tried and offered <= grant + _GRANT_MARGIN:
@@ -378,24 +407,24 @@ class Simulation:
             outcome = agents_mod.decide_whitewash(honesty, tried, won, offered, self.rng)
             if outcome is WhitewashOutcome.NO_ATTEMPT:
                 continue
-            tried_ids.append(vid)
+            tried_rows.append(row)
             if outcome is WhitewashOutcome.WHITEWASHED:
                 # A leaver that still looks reputable is booked as a benign
                 # departure, so the rejoin slips past the estimator.
                 graph_mod.remove_node(t, vid, reputation >= threshold)
-                t.attach(self.cfg.attach_edges, self.rng)
-                leavers.append(vid)
+                t._attach(self.cfg.attach_edges, self.rng)
+                leavers.append(row)
                 offers.append(offered)
         # Each poller appears once; the rejoins carry the raised counters.
-        self.attempts[tried_ids] += 1
+        self.attempts[tried_rows] += 1
         self.successes[leavers] += 1
         self._register_rejoins(leavers, offers)
-        return len(tried_ids), len(leavers)
+        return len(tried_rows), len(leavers)
 
     def _voluntary_departures(self) -> None:
         cfg = self.cfg
         threshold = legitimacy_threshold(self.r_est, cfg.r_ini_min)
-        end = self.topology.next_id
+        end = self.topology.rows
         candidates = np.flatnonzero(
             (self.role_code[:end] == Role.COOPERATIVE.value) & (self.reputation[:end] >= threshold)
         )
@@ -410,31 +439,31 @@ class Simulation:
             batch = candidates[done : done + room - len(leavers)]
             done += len(batch)
             leavers += batch[self.rng.random(len(batch)) < cfg.legit_departure_prob].tolist()
-        for vid in leavers:
+        for vid in self.topology.ids_at(leavers).tolist():
             graph_mod.remove_node(self.topology, vid, True)
         self.role_code[leavers] = 0
         self._est.retire(leavers)
 
     def _grow_population(self) -> None:
         t, rng, k = self.topology, self.rng, self.cfg.attach_edges
-        first = t.next_id
+        first = t.rows
         first_hosts, honesty = [], []
         for _ in range(round(t.node_count * self.cfg.growth_percent_per_10 / 100)):
-            first_hosts.append(t.attach(k, rng)[1][0])
+            first_hosts.append(t._attach(k, rng)[0])
             honesty.append(rng.random())
         honesty, first_hosts = np.array(honesty), np.array(first_hosts, dtype=np.int64)
-        ids = slice(first, t.next_id)
-        self._register_newcomers(ids, agents_mod.role_codes(honesty, self.r_est), honesty, 0, 0)
+        rows = slice(first, t.rows)
+        self._register_newcomers(rows, agents_mod.role_codes(honesty, self.r_est), honesty, 0, 0)
         # The first host a newcomer contacts vouches for it: its offer, the
         # prime for a host of the same batch, is the newcomer's grant.
-        self.reputation[ids] = self.grant[ids] = self._est.offers[first_hosts]
+        self.reputation[rows] = self.grant[rows] = self._est.offers[first_hosts]
 
     # ---- public API ---------------------------------------------------
 
     def step(self) -> IterationRecord:
         self.iteration += 1
         n = self.iteration
-        self._first_id.append(self.topology.next_id)
+        self._first_row.append(self.topology.rows)
         self._record_transactions(n)
         mean_offer, mean_w, mean_wmax = self._estimate(n)
         attempts = successes = 0
@@ -457,12 +486,15 @@ class Simulation:
         )
 
     def force_whitewash(self, vid: int) -> int:
-        """Reset one agent's identity outside the decision machinery (the
-        attempt counters stay untouched); used to plant ground-truth churn."""
-        benign = self.reputation[vid] >= legitimacy_threshold(self.r_est, self.cfg.r_ini_min)
-        graph_mod.remove_node(self.topology, vid, benign)
-        new_id, _ = self.topology.attach(self.cfg.attach_edges, self.rng)
-        self._register_rejoins([vid], [self.r_est])
+        """Reset the identity of the live node `vid` outside the decision
+        machinery (the attempt counters stay untouched); used to plant
+        ground-truth churn. Returns the new id."""
+        t = self.topology
+        row = t.live_row(vid)
+        benign = self.reputation[row] >= legitimacy_threshold(self.r_est, self.cfg.r_ini_min)
+        graph_mod.remove_node(t, vid, benign)
+        new_id, _ = t.attach(self.cfg.attach_edges, self.rng)
+        self._register_rejoins([row], [self.r_est])
         return new_id
 
 
@@ -496,13 +528,13 @@ def closed_world_estimator_check(cfg: SimConfig, injected: int) -> tuple[float, 
     sim.auto_whitewash = False
     for _ in range(GROWTH_PERIOD):
         sim.step()
-    washers = np.flatnonzero(sim.role_code == Role.POTENTIAL_WHITEWASHER.value).tolist()
+    t = sim.topology
+    washers = t.ids_at(np.flatnonzero(sim.role_code == Role.POTENTIAL_WHITEWASHER.value)).tolist()
     if len(washers) < injected:
         raise TooFewWhitewashers(
             f"injected: {injected} planted rejoins, but the population has only "
             f"{len(washers)} potential whitewashers after {GROWTH_PERIOD} steps"
         )
-    t = sim.topology
     arrivals: dict[int, int] = {}
     for vid in washers[:injected]:
         new_id = sim.force_whitewash(vid)

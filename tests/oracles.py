@@ -5,7 +5,12 @@ The simulation runs the estimator as one array kernel
 same arithmetic one node at a time, in the plainest form: the sliding-window
 peak, the offer against that peak, and the whitewash level of a node's
 neighborhood. Tests feed both the same churn and require equal results.
-`sweep_levels` reads the kernel's latest levels by node id.
+`sweep_levels` reads the kernel's latest levels by row.
+
+`rows` is the one way the tests read an array indexed by row (the
+topology's, the engine's or the estimator's; see `p2psim.graph`) by node
+id. Until a run's first compaction each row is its id, so graph-only tests
+index by id directly.
 
 The timing game's enumerators (`expected_payoffs`, `indifference_residual`)
 and the crossover search (`crossover_round`) are kept here as the scalar
@@ -30,7 +35,8 @@ recounts from the sets what `Topology.neighbor_degree_array` keeps up to
 date. `adjacency`, `neighbor_degree_sum` and `churn_sums` read either
 model through the read API they share (`neighbors`, `degree_of`,
 `live_ids`, `in`). `books` reads the pool and the churn books of either
-model in the reference's form: the topology keeps them as per-id arrays.
+model in the reference's form, by node id: the topology keeps them as
+arrays indexed by row.
 
 `grow_one_at_a_time` is a growth batch registered one arrival at a time,
 the reference for the engine's registration of the whole batch in one write.
@@ -180,10 +186,22 @@ def initial_reputation(st: EstimatorState, w: float) -> float:
     return st.current_offer
 
 
-def sweep_levels(est: EstimatorArrays) -> dict[NodeId, float]:
-    """The latest sweep's whitewash level of each node it swept, by node id:
+def rows(x, ids):
+    """The rows of `ids`, one node id or a sequence of them, in the overlay
+    of `x`, a `Simulation` or a `graph.Topology`: an int for one id, an
+    array for a sequence. Every id must still hold a row: a live node, or a
+    removed one whose row no compaction has dropped yet."""
+    t = getattr(x, "topology", x)
+    held = t.ids_at(np.arange(t.rows))
+    at = np.searchsorted(held, ids)
+    assert np.array_equal(held[np.minimum(at, len(held) - 1)], ids), f"no row holds {ids}"
+    return int(at) if np.ndim(at) == 0 else at
+
+
+def sweep_levels(est: EstimatorArrays) -> dict[int, float]:
+    """The latest sweep's whitewash level of each node it swept, by row:
     the ring's newest slot at `est.swept`. A prime after the sweep writes
-    that slot only at ids issued since, so the levels are still there."""
+    that slot only at rows added since, so the levels are still there."""
     newest = est._ring[(est._slot - 1) % est.window]
     return dict(zip(est.swept.tolist(), newest[est.swept].tolist()))
 
@@ -453,18 +471,21 @@ class Books:
 
 
 def books(t) -> Books:
-    """The pool and the books of `graph.Topology` or `RefTopology`. The
-    topology keeps a per-id mark and two per-id counters, zero where
+    """The pool and the books of `graph.Topology` or `RefTopology`, by
+    node id. The topology keeps a mark and two counters per row, zero where
     nothing is booked; each is read here as the reference's set or dict,
-    once the topology has wired its arrival log (`Topology._settle`)."""
+    once the topology has wired its arrival log (`Topology._settle`). A
+    pool entry of a node whose row a compaction dropped reads as the id
+    of the dead row it now points at."""
     if isinstance(t, RefTopology):
         return Books(t._pool, t._touched, t._arrived, t._benign_gone)
     t._settle()
+    ids = t.ids_at(np.arange(t.rows)).tolist()
     return Books(
-        list(t._pool),
-        {v for v, mark in enumerate(t._touched) if mark},
-        {v: c for v, c in enumerate(t._arrived) if c},
-        {v: c for v, c in enumerate(t._benign_gone) if c},
+        [ids[r] for r in t._pool],
+        {ids[r] for r, mark in enumerate(t._touched) if mark},
+        {ids[r]: c for r, c in enumerate(t._arrived) if c},
+        {ids[r]: c for r, c in enumerate(t._benign_gone) if c},
     )
 
 
@@ -475,10 +496,12 @@ def topology_state(t) -> dict:
     counters, the marked nodes and the booked churn. It wires the
     topology's arrival log first (see `books`)."""
     b = books(t)
+    live = t.live_ids().tolist()
+    at = live if isinstance(t, RefTopology) else rows(t, live).tolist()
     return {
         "adj": adjacency(t),
         "pool": b.pool,
-        "pool_copies": {v: t._pool_copies[v] for v in t.live_ids().tolist()},
+        "pool_copies": {v: t._pool_copies[r] for v, r in zip(live, at)},
         "pool_stale": t._pool_stale,
         "node_count": t.node_count,
         "isolated_count": t.isolated_count,
@@ -524,7 +547,7 @@ def grow_one_at_a_time(sim: Simulation) -> list[tuple[NodeId, NodeId]]:
     attaches. Per arrival: the attachment draws, then the honesty draw; the
     grant is the offer its first host makes right then, before the arrival
     registers, which for a host of the same batch is the prime; then the
-    arrival registers alone, as a one-id slice
+    arrival registers alone, as a one-row slice
     (`Simulation._register_newcomers`), and its grant is written. Returns
     each arrival's id and first host."""
     t, rng = sim.topology, sim.rng
@@ -533,10 +556,11 @@ def grow_one_at_a_time(sim: Simulation) -> list[tuple[NodeId, NodeId]]:
     for _ in range(count):
         vid, hosts = t.attach(sim.cfg.attach_edges, rng)
         honesty = rng.random()
-        grant = float(sim._est.offers[hosts[0]])
+        grant = float(sim._est.offers[rows(sim, hosts[0])])
         role = Role.POTENTIAL_WHITEWASHER if honesty < sim.r_est else Role.COOPERATIVE
-        sim._register_newcomers(slice(vid, vid + 1), role, honesty, 0, 0)
-        sim.reputation[vid] = sim.grant[vid] = grant
+        row = rows(sim, vid)
+        sim._register_newcomers(slice(row, row + 1), role, honesty, 0, 0)
+        sim.reputation[row] = sim.grant[row] = grant
         arrivals.append((vid, hosts[0]))
     return arrivals
 

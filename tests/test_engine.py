@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import collections
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from oracles import NeighborhoodObservation
 from p2psim import agents, engine
 from p2psim import graph as graph_mod
 from p2psim.agents import Role
-from p2psim.engine import SimConfig, Simulation
+from p2psim.engine import IterationRecord, SimConfig, Simulation
 from p2psim.estimator import EstimatorArrays, legitimacy_threshold
 
 MU_X = 0.5**0.5  # stationary cooperative reputation at the defaults
@@ -18,11 +20,13 @@ MU_X = 0.5**0.5  # stationary cooperative reputation at the defaults
 
 def live_with_role(sim: Simulation, role: Role) -> list[int]:
     """Ascending live ids whose role code is `role`."""
-    return [v for v in sim.topology.live_ids().tolist() if sim.role_code[v] == role]
+    live = sim.topology.live_ids()
+    codes = sim.role_code[oracles.rows(sim, live)]
+    return [v for v, code in zip(live.tolist(), codes.tolist()) if code == role]
 
 
 def row_lengths(sim: Simulation) -> set[int]:
-    """The lengths of every array indexed by node id that the engine and its
+    """The lengths of every array indexed by row that the engine and its
     estimator keep; one registration path grows them all together."""
     est = sim._est
     return {len(getattr(sim, name)) for name in engine._ID_ROWS} | {
@@ -31,14 +35,14 @@ def row_lengths(sim: Simulation) -> set[int]:
 
 
 def check_roles_and_records(sim: Simulation) -> None:
-    """`role_code` is nonzero exactly on the live ids, every array indexed
-    by node id, the engine's and the estimator's, has one length with a
-    row for every id issued, a live potential whitewasher's successes never
-    exceed its attempts, and the wave would poll live potential
-    whitewashers only."""
+    """`role_code` is nonzero exactly at the rows of the live ids, every
+    array indexed by row, the engine's and the estimator's, has one length
+    with an entry for every row the topology holds, a live potential
+    whitewasher's successes never exceed its attempts, and the wave would
+    poll live potential whitewashers only."""
     code = sim.role_code
-    assert np.flatnonzero(code).tolist() == sim.topology.live_ids().tolist()
-    end = sim.topology.next_id
+    assert np.flatnonzero(code).tolist() == oracles.rows(sim, sim.topology.live_ids()).tolist()
+    end = sim.topology.rows
     (length,) = row_lengths(sim)
     assert length >= end
     washer = code[:end] == Role.POTENTIAL_WHITEWASHER.value
@@ -166,8 +170,9 @@ def test_transactions_settle_reputations():
     for _ in range(40):
         sim.step()
     for v in sim.topology.live_ids().tolist():
-        expect = 0.0 if sim.role_code[v] == Role.POTENTIAL_WHITEWASHER else MU_X
-        assert sim.reputation[v] == pytest.approx(expect, abs=1e-12)
+        row = oracles.rows(sim, v)
+        expect = 0.0 if sim.role_code[row] == Role.POTENTIAL_WHITEWASHER else MU_X
+        assert sim.reputation[row] == pytest.approx(expect, abs=1e-12)
 
 
 def test_reputation_starts_on_schedule():
@@ -180,29 +185,31 @@ def test_reputation_starts_on_schedule():
     sim = Simulation(SimConfig(n=200, iterations=0, growth_percent_per_10=5.0, seed=6))
     log = oracles.JoinLog(sim)
     early = log.force_whitewash(live_with_role(sim, Role.COOPERATIVE)[0])
-    born = {v: float(sim.reputation[v]) for v in sim.topology.live_ids().tolist()}
+    live = sim.topology.live_ids()
+    born = dict(zip(live.tolist(), sim.reputation[oracles.rows(sim, live)].tolist()))
     covered = collections.Counter()
     for n in range(1, 31):
         if n == 5:  # plant a rejoin between steps 4 and 5
             late = log.force_whitewash(live_with_role(sim, Role.POTENTIAL_WHITEWASHER)[0])
-            born[late] = float(sim.reputation[late])
+            born[late] = float(sim.reputation[oracles.rows(sim, late)])
         log.step()
         reputation, code = sim.reputation.tolist(), sim.role_code.tolist()
-        for v in sim.topology.live_ids().tolist():
-            born.setdefault(v, reputation[v])  # joined during this step
+        live = sim.topology.live_ids()
+        for v, row in zip(live.tolist(), oracles.rows(sim, live).tolist()):
+            born.setdefault(v, reputation[row])  # joined during this step
             joined = log.joined_at[v]
             start = joined + 2 if joined else 1
-            earned = MU_X if code[v] == Role.COOPERATIVE else 0.0
-            assert reputation[v] == (earned if n >= start else born[v]), (n, v)
+            earned = MU_X if code[row] == Role.COOPERATIVE else 0.0
+            assert reputation[row] == (earned if n >= start else born[v]), (n, v)
             if born[v] != earned and n - start in (-1, 0):
                 covered[joined > 0, n - start] += 1
         if n == 1:
-            assert (born[early], reputation[early]) == (0.5, MU_X)
+            assert (born[early], reputation[oracles.rows(sim, early)]) == (0.5, MU_X)
         if n == 5:
             assert log.joined_at[late] == 4
-            assert reputation[late] == born[late] > 0.0
+            assert reputation[oracles.rows(sim, late)] == born[late] > 0.0
         if n == 6:
-            assert reputation[late] == 0.0
+            assert reputation[oracles.rows(sim, late)] == 0.0
     # Both sides of each switch were seen on identities whose two values differ.
     assert set(covered) == {(False, 0), (True, -1), (True, 0)}
 
@@ -220,7 +227,7 @@ def test_newcomer_window_caps_tenure():
     log = oracles.JoinLog(sim)
     tenures = set()
     for n in range(1, 41):
-        pool = sim._newcomer_pool(n).tolist()
+        pool = sim.topology.ids_at(sim._newcomer_pool(n)).tolist()
         expect = [v for v in sim.topology.live_ids().tolist()
                   if engine.NEWCOMER_MIN_TENURE <= n - log.joined_at[v] <= window]
         assert pool == expect == log.newcomer_pool(n), n
@@ -254,7 +261,7 @@ def test_ceiling_estimate_is_the_clamped_newcomer_mean():
             assert sim.r_est == before, n
             seen["empty"] += 1
             continue
-        mean = float(np.mean(sim.reputation[pool]))
+        mean = float(np.mean(sim.reputation[oracles.rows(sim, pool)]))
         assert sim.r_est == min(max(mean, sim._est_floor), 1.0), n
         seen["floor" if mean < sim._est_floor else "mean"] += 1
     assert set(seen) == {"empty", "floor", "mean"}, seen
@@ -299,16 +306,17 @@ class ScanDepartures(Simulation):
     def _voluntary_departures(self):
         cfg = self.cfg
         threshold = (self.r_est + cfg.r_ini_min) / 2
-        for vid in self.topology.live_ids().tolist():
-            if self.role_code[vid] != Role.COOPERATIVE or self.reputation[vid] < threshold:
+        live = self.topology.live_ids()
+        for vid, row in zip(live.tolist(), oracles.rows(self, live).tolist()):
+            if self.role_code[row] != Role.COOPERATIVE or self.reputation[row] < threshold:
                 continue
             if self.topology.node_count <= cfg.attach_edges + 1:
                 break
             if self.rng.random() >= cfg.legit_departure_prob:
                 continue
             graph_mod.remove_node(self.topology, vid, True)
-            self.role_code[vid] = 0
-            self._est.retire(vid)
+            self.role_code[row] = 0
+            self._est.retire(row)
 
 
 def run_with_departure_log(sim: Simulation):
@@ -329,13 +337,13 @@ def run_with_departure_log(sim: Simulation):
     for _ in range(sim.cfg.iterations):
         records.append(sim.step())
         code = sim.role_code
-        assert len(code) == len(sim.reputation) >= sim.topology.next_id
+        assert len(code) == len(sim.reputation) >= sim.topology.rows
         check_roles_and_records(sim)
         threshold = legitimacy_threshold(sim.r_est, sim.cfg.r_ini_min)
         candidates = (code == Role.COOPERATIVE) & (sim.reputation >= threshold)
         assert np.flatnonzero(candidates).tolist() == [
-            v for v in sim.topology.live_ids().tolist()
-            if code[v] == Role.COOPERATIVE and sim.reputation[v] >= threshold
+            row for row in oracles.rows(sim, sim.topology.live_ids()).tolist()
+            if code[row] == Role.COOPERATIVE and sim.reputation[row] >= threshold
         ]
     return records, leavers, sim.rng.bit_generator.state
 
@@ -391,15 +399,16 @@ def test_wave_polls_fresh_and_ready_whitewashers_only():
     planted = {}
     for kind, vid, tried, won in [("fresh", washers[0], 0, 0), ("failed", washers[1], 2, 0),
                                   ("parked", washers[2], 1, 1), ("ready", washers[3], 3, 2)]:
-        sim.attempts[vid], sim.successes[vid] = tried, won
+        row = oracles.rows(sim, vid)
+        sim.attempts[row], sim.successes[row] = tried, won
         planted[kind] = sim.force_whitewash(vid)
     planted["cooperator"] = sim.force_whitewash(live_with_role(sim, Role.COOPERATIVE)[0])
     grant = sim.r_est
-    assert all(sim.grant[v] == grant for v in planted.values())
-    sim.grant[planted["ready"]] = grant / 2
+    assert all(sim.grant[oracles.rows(sim, v)] == grant for v in planted.values())
+    sim.grant[oracles.rows(sim, planted["ready"])] = grant / 2
 
     def polled():
-        ids = sim._pollers().tolist()
+        ids = sim.topology.ids_at(sim._pollers()).tolist()
         assert ids == sorted(ids)
         return {kind for kind, v in planted.items() if v in ids}
 
@@ -414,7 +423,7 @@ def test_wave_polls_fresh_and_ready_whitewashers_only():
     # for certain, so its counters move or it rejoins under a new id.
     sim.auto_whitewash = True
     record = sim.step()
-    fresh = planted["fresh"]
+    fresh = oracles.rows(sim, planted["fresh"])
     assert record.whitewash_attempts >= 1
     assert sim.role_code[fresh] == 0 or sim.attempts[fresh] == 1
 
@@ -449,7 +458,7 @@ def test_the_success_rate_rule_never_takes_effect(cfg, monkeypatch):
     sim = Simulation(cfg)
     for _ in range(300):
         sim.step()
-        end = sim.topology.next_id
+        end = sim.topology.rows
         tried, won = sim.attempts[:end], sim.successes[:end]
         assert (tried[won > 0] == won[won > 0]).all()
         assert (tried[won == 0] <= 1).all()
@@ -484,9 +493,10 @@ def test_rejoiners_get_fresh_ids_and_the_offered_grant():
     assert len(rejoined) == rec.whitewash_successes
     for v in rejoined:
         assert log.joined_at[v] == 1
-        assert sim.role_code[v] == Role.POTENTIAL_WHITEWASHER
-        assert sim.attempts[v] == sim.successes[v] == 1
-        assert sim.reputation[v] == sim.grant[v] == pytest.approx(0.5)  # the iteration-1 offer
+        row = oracles.rows(sim, v)
+        assert sim.role_code[row] == Role.POTENTIAL_WHITEWASHER
+        assert sim.attempts[row] == sim.successes[row] == 1
+        assert sim.reputation[row] == sim.grant[row] == pytest.approx(0.5)  # the iteration-1 offer
         # hosts picked at rejoin may themselves wash later in the same
         # wave, so membership is guaranteed but the edge count is not
         assert v in sim.topology
@@ -505,17 +515,21 @@ def test_records_follow_the_person_and_role_code_holds_role_and_liveness():
     register = sim._register_rejoins
 
     def person(v):
-        return (sim.role_code[v], sim.honesty[v], sim.attempts[v], sim.successes[v])
+        row = oracles.rows(sim, v)
+        return (sim.role_code[row], sim.honesty[row], sim.attempts[row], sim.successes[row])
 
     def checked(leavers, offers):
-        carried = [person(v) for v in leavers]
+        # The engine hands over the leavers' rows; each is read by its id.
+        ids = sim.topology.ids_at(leavers).tolist()
+        carried = [person(v) for v in ids]
         register(leavers, offers)
         end = sim.topology.next_id
-        new_ids = range(end - len(leavers), end)
-        for vid, new_id, was, offered in zip(leavers, new_ids, carried, offers, strict=True):
-            assert sim.role_code[vid] == 0 and vid not in sim.topology
+        new_ids = range(end - len(ids), end)
+        for vid, new_id, was, offered in zip(ids, new_ids, carried, offers, strict=True):
+            assert sim.role_code[oracles.rows(sim, vid)] == 0 and vid not in sim.topology
             assert person(new_id) == was
-            assert sim.grant[new_id] == sim.reputation[new_id] == offered
+            row = oracles.rows(sim, new_id)
+            assert sim.grant[row] == sim.reputation[row] == offered
             moved[Role(was[0])] += 1
 
     sim._register_rejoins = checked
@@ -539,42 +553,46 @@ class PerRejoinWave(Simulation):
     """Reference for the wave's deferred writes: the per-rejoin path they
     replaced. Each attempt raises the poller's counters at once, reading
     its facts at its turn; each rejoin removes the leaver, drops its role
-    code, retires its window, attaches and registers the new id alone, as a
-    one-id slice, before the next poller draws. Planted rejoins take the
-    same path, granted the ceiling estimate."""
+    code, retires its window, attaches and registers the new node alone,
+    as a one-row slice, before the next poller draws. Planted rejoins take
+    the same path, granted the ceiling estimate. Nodes are read by id
+    through `oracles.rows`; the probe draws a live id."""
 
     def _rejoin_alone(self, vid: int, offered: float) -> int:
-        person = (self.role_code[vid], self.honesty[vid], self.attempts[vid], self.successes[vid])
+        row = oracles.rows(self, vid)
+        person = (self.role_code[row], self.honesty[row], self.attempts[row], self.successes[row])
         threshold = legitimacy_threshold(self.r_est, self.cfg.r_ini_min)
-        graph_mod.remove_node(self.topology, vid, self.reputation[vid] >= threshold)
-        self.role_code[vid] = 0
-        self._est.retire(vid)
+        graph_mod.remove_node(self.topology, vid, self.reputation[row] >= threshold)
+        self.role_code[row] = 0
+        self._est.retire(row)
         new_id, _ = self.topology.attach(self.cfg.attach_edges, self.rng)
-        self._register_newcomers(slice(new_id, new_id + 1), *person)
-        self.reputation[new_id] = self.grant[new_id] = offered
+        new_row = oracles.rows(self, new_id)
+        self._register_newcomers(slice(new_row, new_row + 1), *person)
+        self.reputation[new_row] = self.grant[new_row] = offered
         return new_id
 
     def _whitewash_wave(self):
-        polled = self._pollers()
+        polled = self.topology.ids_at(self._pollers())
         if not len(polled):
             return 0, 0
         pool = self.topology.live_ids()
         attempts = successes = 0
         for vid in polled.tolist():
             target = pool[oracles.draws_integers(self.rng, len(pool))]
-            offered = float(self._est.offers[target])
-            tried, won = int(self.attempts[vid]), int(self.successes[vid])
-            if tried and offered <= self.grant[vid] + engine._GRANT_MARGIN:
+            offered = float(self._est.offers[oracles.rows(self, target)])
+            row = oracles.rows(self, vid)
+            tried, won = int(self.attempts[row]), int(self.successes[row])
+            if tried and offered <= self.grant[row] + engine._GRANT_MARGIN:
                 continue
-            outcome = agents.decide_whitewash(float(self.honesty[vid]), tried, won, offered,
+            outcome = agents.decide_whitewash(float(self.honesty[row]), tried, won, offered,
                                               self.rng)
             if outcome is agents.WhitewashOutcome.NO_ATTEMPT:
                 continue
             attempts += 1
-            self.attempts[vid] += 1
+            self.attempts[row] += 1
             if outcome is agents.WhitewashOutcome.WHITEWASHED:
                 successes += 1
-                self.successes[vid] += 1
+                self.successes[row] += 1
                 self._rejoin_alone(vid, offered)
         return attempts, successes
 
@@ -618,7 +636,7 @@ def test_wave_batch_matches_the_per_rejoin_path():
             assert batch.step() == single.step(), step
         assert batch.rng.bit_generator.state == single.rng.bit_generator.state
         oracles.assert_same_topology(batch.topology, single.topology)
-        end = batch.topology.next_id
+        end = batch.topology.rows
         for name in engine._ID_ROWS:
             assert getattr(batch, name)[:end].tobytes() == getattr(single, name)[:end].tobytes()
         assert batch._est.offers[:end].tobytes() == single._est.offers[:end].tobytes()
@@ -626,10 +644,155 @@ def test_wave_batch_matches_the_per_rejoin_path():
     check()
 
 
+# ---- compacted rows ---------------------------------------------------------
+
+
+def never_compacting(sim: Simulation) -> IterationRecord:
+    """One step of `sim` with compaction off: its rows stay its ids."""
+    with mock.patch.object(engine, "_COMPACT_SHARE", math.inf):
+        return sim.step()
+
+
+def test_compaction_changes_no_output():
+    # Small runs of either topology, with growth, voluntary departures,
+    # gossip noise, any window and planted rejoins between steps, once
+    # compacting at every step boundary where a row is dead and once never:
+    # equal records, live ids, overlays, and role codes, reputations,
+    # honesty, grants, counters, offers and window peaks of every live id,
+    # and the same final draw state. `--hypothesis-profile=ci` runs more
+    # examples.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = collections.Counter()
+
+    @hypothesis.settings(deadline=None, database=None)
+    @hypothesis.given(
+        topology=st.sampled_from(["scale_free", "regular"]),
+        n=st.integers(8, 150),
+        growth=st.sampled_from([0.0, 5.0, 30.0]),
+        departures=st.sampled_from([0.0, 0.02, 0.3]),
+        noise=st.sampled_from([0.0, 0.05]),
+        window=st.integers(1, 12),
+        steps=st.integers(1, 40),
+        planted=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 10**6)), max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    def check(topology, n, growth, departures, noise, window, steps, planted, seed):
+        cfg = SimConfig(topology=topology, n=n, degree=4, growth_percent_per_10=growth,
+                        legit_departure_prob=departures, gossip_noise=noise,
+                        window_n_prime=window, iterations=0, seed=seed)
+        every, never = Simulation(cfg), Simulation(cfg)
+        for step in range(steps):
+            for _, pick in (p for p in planted if p[0] == step):
+                live = every.topology.live_ids()
+                vid = int(live[pick % len(live)])
+                assert every.force_whitewash(vid) == never.force_whitewash(vid)
+            with mock.patch.object(engine, "_COMPACT_SHARE", 0.0):
+                record = every.step()
+            assert record == never_compacting(never), step
+        assert every.rng.bit_generator.state == never.rng.bit_generator.state
+        live = every.topology.live_ids()
+        assert live.tolist() == never.topology.live_ids().tolist()
+        assert oracles.adjacency(every.topology) == oracles.adjacency(never.topology)
+        assert never.topology.rows == never.topology.next_id
+        seen["compacted"] += every.topology.rows < every.topology.next_id
+        got, want = oracles.rows(every, live), oracles.rows(never, live)
+        for name in engine._ID_ROWS:
+            assert getattr(every, name)[got].tobytes() == getattr(never, name)[want].tobytes()
+        for name in ("offers", "_peak"):
+            assert (getattr(every._est, name)[got].tobytes()
+                    == getattr(never._est, name)[want].tobytes()), name
+
+    check()
+    assert seen["compacted"] > 0
+
+
+def test_ids_stay_the_public_edge_across_compactions():
+    # A churning run that compacts several times answers every question by
+    # id as a twin that never compacts does: the live ids, membership,
+    # degrees and neighbors of every id issued, recounted through the
+    # public API, and the latest sweep's ids, ascending and as many as it
+    # swept. A planted rejoin of a live id still works, and an id whose row
+    # is gone is unknown to it.
+    cfg = SimConfig(topology="regular", n=300, degree=6, growth_percent_per_10=5.0,
+                    legit_departure_prob=0.02, gossip_noise=0.05, iterations=0, seed=7)
+    sim, twin = Simulation(cfg), Simulation(cfg)
+    t, u = sim.topology, twin.topology
+    compacted = collections.Counter()
+    for step in range(60):
+        before, was_live = t.rows, set(t.live_ids().tolist())
+        assert sim.step() == never_compacting(twin), step
+        compacted[t.rows < before] += 1
+        live = t.live_ids().tolist()
+        assert live == u.live_ids().tolist() == sorted(live)
+        assert len(live) == t.node_count
+        alive = set(live)
+        degrees = 0
+        for v in range(-1, t.next_id + 1):
+            assert (v in t) == (v in alive) == (v in u), v
+            if v not in alive:
+                if 0 <= v < t.next_id:
+                    assert t.degree_of(v) == 0
+                continue
+            nbrs = t.neighbors(v)
+            assert sorted(nbrs) == sorted(u.neighbors(v)), v
+            assert t.degree_of(v) == len(nbrs) == u.degree_of(v)
+            assert all(v in t.neighbors(w) for w in nbrs)
+            degrees += len(nbrs)
+        assert degrees == 2 * t.edge_count
+        swept = sim.last_w_sweep
+        assert swept.tolist() == twin.last_w_sweep.tolist()
+        assert len(swept) == len(sim._est.swept) and set(swept.tolist()) <= was_live
+        assert (np.diff(swept) > 0).all()
+    assert compacted[True] >= 3 and t.rows < t.next_id, compacted
+    with pytest.raises(graph_mod.UnknownNodeError):
+        t.degree_of(t.next_id)
+    held = set(t.ids_at(np.arange(t.rows)).tolist())
+    dropped = next(v for v in range(t.next_id) if v not in held)
+    with pytest.raises(graph_mod.UnknownNodeError):
+        sim.force_whitewash(dropped)
+    washer = live_with_role(sim, Role.POTENTIAL_WHITEWASHER)[0]
+    assert sim.force_whitewash(washer) == twin.force_whitewash(washer) == t.next_id - 1
+    assert washer not in t and t.next_id - 1 in t
+    assert sim.step() == never_compacting(twin)
+    assert oracles.adjacency(t) == oracles.adjacency(u)
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(topology="regular", n=3000, legit_departure_prob=0.002, gossip_noise=0.05,
+              iterations=200, seed=0),
+    SimConfig(n=300, growth_percent_per_10=8.0, iterations=300, seed=0),
+], ids=["regular-departures-noise", "scale_free-growth"])
+def test_per_node_arrays_follow_the_live_overlay(cfg):
+    # Every whitewash rejoin takes a fresh id, but the arrays indexed by
+    # row, the topology's, the engine's and the estimator's, hold at most
+    # twice the peak live count plus one growth batch after every step, as
+    # compactions drop the rows of removed nodes and growth leaves room for
+    # twice the live nodes only (ROADMAP item 8). The regular run issues
+    # more ids than that; on the growing one, doubling the rows held, dead
+    # ones included, would pass it.
+    sim = Simulation(cfg)
+    t, est = sim.topology, sim._est
+    peak = cfg.n
+    for _ in range(cfg.iterations):
+        sim.step()
+        peak = max(peak, t.node_count)
+        bound = 2 * peak + math.ceil(peak * cfg.growth_percent_per_10 / 100)
+        arrays = [getattr(sim, name) for name in engine._ID_ROWS]
+        arrays += [*est._ring, est._peak, est.offers, est._prev_ndsum]
+        arrays += [getattr(t, name) for name in ("_ids", "_start", "_fill", "_cap", "_degree",
+                                                  "_live", "_deg", "_nds", "_touched",
+                                                  "_arrived", "_benign_gone", "_pool_copies")]
+        assert max(map(len, arrays)) <= bound, (sim.iteration, t.rows, peak)
+    assert t.rows < t.next_id
+    if cfg.topology == "regular":
+        assert t.next_id > bound
+
+
 def test_arrivals_book_one_count_per_host():
-    # A rejoin and a growth arrival attach the same way, one `attach` each:
+    # A rejoin and a growth arrival attach the same way, one `_attach` each:
     # attach_edges hosts drawn by degree, one arrival booked at each. Each
-    # arrival's first host is logged as it attaches.
+    # arrival's first host is logged by id as it attaches.
     sim = Simulation(SimConfig(n=100, iterations=0, growth_percent_per_10=3.0, seed=4))
     sim.auto_whitewash = False
     log = oracles.JoinLog(sim)
@@ -637,14 +800,14 @@ def test_arrivals_book_one_count_per_host():
         log.step()
     first_host = {}
     t = sim.topology
-    attach = t.attach
+    attach = t._attach
 
     def logged(count, rng):
-        v, hosts = attach(count, rng)
-        first_host[v] = hosts[0]
-        return v, hosts
+        hosts = attach(count, rng)
+        first_host[t.next_id - 1] = int(t.ids_at(hosts[0]))
+        return hosts
 
-    t.attach = logged
+    t._attach = logged
     new_id = log.force_whitewash(live_with_role(sim, Role.POTENTIAL_WHITEWASHER)[0])
     assert t.degree_of(new_id) == 3
     assert oracles.books(t).arrived == dict.fromkeys(t.neighbors(new_id), 1)
@@ -660,8 +823,11 @@ def test_arrivals_book_one_count_per_host():
     # Each growth arrival is born holding its grant, the offer of the first
     # host it contacts, which `grant` also keeps.
     for v in grown:
-        assert sim.reputation[v] == sim.grant[v] == sim._est.offers[first_host[v]]
-        assert sim.attempts[v] == sim.successes[v] == 0
+        row = oracles.rows(sim, v)
+        assert sim.reputation[row] == sim.grant[row] == sim._est.offers[
+            oracles.rows(sim, first_host[v])
+        ]
+        assert sim.attempts[row] == sim.successes[row] == 0
     arrived = oracles.books(t).arrived
     assert arrived == dict(collections.Counter(hosts))
     assert sum(arrived.values()) == 3 * 3
@@ -704,8 +870,9 @@ def test_founders_register_like_every_later_id():
         washer = live_with_role(sim, Role.POTENTIAL_WHITEWASHER)[0]
         new_id = sim.force_whitewash(washer)
         assert new_id == cfg.n and row_lengths(sim) == {2 * cfg.n}
-        assert sim.role_code[new_id] == Role.POTENTIAL_WHITEWASHER.value
-        assert sim._est._peak[new_id] == sim._est.offers[new_id] == cfg.r_ini_max0
+        row = oracles.rows(sim, new_id)
+        assert sim.role_code[row] == Role.POTENTIAL_WHITEWASHER.value
+        assert sim._est._peak[row] == sim._est.offers[row] == cfg.r_ini_max0
 
 
 def test_growth_batch_matches_the_per_arrival_registration():
@@ -727,12 +894,13 @@ def test_growth_batch_matches_the_per_arrival_registration():
             grow, arrivals = batch._grow_population, []
 
             def batch_grow(batch=batch, grow=grow):
-                first, capacity = batch.topology.next_id, len(batch.role_code)
+                first, capacity = batch.topology.rows, len(batch.role_code)
+                first_id = batch.topology.next_id
                 grow()
-                seen["straddled"] += first < capacity < batch.topology.next_id
+                seen["straddled"] += first < capacity < batch.topology.rows
                 for vid, host in arrivals:
-                    if host >= first:
-                        assert batch.grant[vid] == batch.r_est, (seed, vid)
+                    if host >= first_id:
+                        assert batch.grant[oracles.rows(batch, vid)] == batch.r_est, (seed, vid)
                         seen["host in batch"] += 1
 
             def single_grow(single=single):
@@ -743,7 +911,7 @@ def test_growth_batch_matches_the_per_arrival_registration():
                 # The oracle steps first, so that the batch can read its arrivals.
                 want = single.step()
                 assert batch.step() == want
-                end = batch.topology.next_id
+                end = batch.topology.rows
                 for name in engine._ID_ROWS:
                     np.testing.assert_array_equal(
                         getattr(batch, name)[:end], getattr(single, name)[:end], name
@@ -826,7 +994,7 @@ def test_sweep_matches_whitewash_level_observations():
         if not obs or sum(o.cur_size for o in obs) == 0:
             continue
         expect = oracles.whitewash_level(obs)
-        assert levels.get(i, 0.0) == pytest.approx(expect, abs=1e-12)
+        assert levels.get(oracles.rows(sim, i), 0.0) == pytest.approx(expect, abs=1e-12)
         checked += 1
     assert checked > 50
     assert sum(levels.values()) > 0

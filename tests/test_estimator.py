@@ -60,7 +60,7 @@ def test_classify_departure():
     for rep, legit in ((0.5, True), (0.265, True), (0.26499, False), (0.0, False)):
         sim = Simulation(SimConfig(n=30, degree=4, topology="regular", iterations=0))
         assert (sim.r_est, sim.cfg.r_ini_min) == (0.5, 0.03)
-        sim.reputation[0] = rep
+        sim.reputation[oracles.rows(sim, 0)] = rep
         neighbors = set(sim.topology.neighbors(0))
         sim.force_whitewash(0)
         booked = oracles.books(sim.topology).benign_gone
@@ -486,12 +486,15 @@ def test_shrink_correction_depends_on_sweep_membership():
     t, est = sim.topology, sim._est
     for _ in range(12):
         sim.step()
-    assert not est._peak[t.live_ids()].any()  # the primes have aged out
-    washer = min(v for v in t.live_ids().tolist() if sim.role_code[v] == Role.POTENTIAL_WHITEWASHER)
+    assert not est._peak[oracles.rows(sim, t.live_ids())].any()  # the primes have aged out
+    washer = min(
+        v for v in t.live_ids().tolist()
+        if sim.role_code[oracles.rows(sim, v)] == Role.POTENTIAL_WHITEWASHER
+    )
     sim.force_whitewash(washer)
     for _ in range(4):  # the rejoin's neighborhood keeps a level in its window
         sim.step()
-    active = {v for v in t.live_ids().tolist() if est._peak[v] > 0}
+    active = {v for v in t.live_ids().tolist() if est._peak[oracles.rows(sim, v)] > 0}
     assert len(active) == 19
     # One benign departure out of reach of every active node.
     leaver = next(
@@ -499,24 +502,27 @@ def test_shrink_correction_depends_on_sweep_membership():
         if v not in active
         and not any(active.intersection(t.neighbors(u)) or u in active for u in t.neighbors(v))
     )
-    prev = est._prev_ndsum.copy()
+    live = t.live_ids()
+    prev = dict(zip(live.tolist(), est._prev_ndsum[oracles.rows(sim, live)].tolist()))
     graph.remove_node(t, leaver, True)
-    sim.role_code[leaver] = 0
-    est.retire(leaver)
+    sim.role_code[oracles.rows(sim, leaver)] = 0
+    est.retire(oracles.rows(sim, leaver))
     coef = (199.0 / 200.0 - 1.0) * sim.cfg.attach_edges / (2.0 * t.edge_count / 199.0)
     sim.step()
-    levels = oracles.sweep_levels(sim._est)
+    by_row = oracles.sweep_levels(sim._est)
+    row = dict(zip(t.live_ids().tolist(), oracles.rows(sim, t.live_ids()).tolist()))
+    levels = {v: by_row[r] for v, r in row.items() if r in by_row}
     quiet = [v for v in t.live_ids().tolist() if prev[v] == oracles.neighbor_degree_sum(t, v)]
     busy = [v for v in quiet if v in levels and levels[v] > 0]
     left_out = [v for v in quiet if v not in levels]
     assert sorted(busy) == sorted(active)
     for v in busy:
         assert levels[v] == (0.0 - coef * prev[v]) / prev[v] == 0.0025253807106599005
-        assert est.offers[v] < sim.r_est
+        assert est.offers[row[v]] < sim.r_est
     assert len(left_out) == 145
     assert sum(1 for v in t.live_ids().tolist() if v not in levels) == 151
     for v in left_out:
-        assert est.offers[v] == sim.r_est
+        assert est.offers[row[v]] == sim.r_est
 
 
 # ---- offer floor calibration ----------------------------------------------
