@@ -39,8 +39,8 @@ benign departure at each neighbor of a benign leaver.
 The estimator state of step 2 lives in `estimator.EstimatorArrays` (the
 window ring, the kept peaks and a dense offer array that answers probes).
 Each sweep reads one snapshot from `Topology.neighbor_degree_array`: the
-neighbor-degree sums, which are also the next sweep's baseline, and the
-churn sums (arrivals and benign departures summed over each node's
+neighbor-degree sums, those of the previous snapshot as its baseline, and
+the churn sums (arrivals and benign departures summed over each node's
 neighbors), gathered once over the nodes whose neighbors changed. Node
 events themselves keep no sums. Outputs match the per-node formulas bit
 for bit: one `estimator.offer_curve` call per sweep, and per-iteration sums
@@ -82,9 +82,9 @@ estimate compacts them away (`Simulation._compact`): the topology, these
 arrays, the estimator's and the join ranges drop the same rows in one
 order-preserving pass. At that point the snapshot has just wired every
 arrival and dropped every tombstone, and no wave, growth batch or draw
-holds a row. Ids appear only at the edge: `graph.remove_node` and
-`Topology.attach` take and give them, and so do `force_whitewash`,
-`last_w_sweep` and `closed_world_estimator_check`.
+holds a row. Ids appear only at the edge: `Topology.attach`,
+`force_whitewash`, `last_w_sweep` and `closed_world_estimator_check` take
+or give them; `graph.remove_node` takes the row the engine holds.
 
 All randomness comes from one draw source per run, `Simulation.rng`, a
 `draws.Draws` over the run's seeded PCG64 `Generator` that yields exactly
@@ -274,9 +274,9 @@ class Simulation:
         self._est_floor = min(2 * cfg.r_ini_min, cfg.r_ini_max0)
         self.r_est = cfg.r_ini_max0
         self._mu_x = cfg.mu**cfg.x
-        # The first snapshot also returns the churn the build booked, which
-        # no estimate reads.
-        self._est = EstimatorArrays(cfg.window_n_prime, self.topology.neighbor_degree_array()[0])
+        # The first snapshot sets the first sweep's baseline and drops the build's churn.
+        self.topology.neighbor_degree_array()
+        self._est = EstimatorArrays(cfg.window_n_prime)
         # The founders register like every later id; their grant stays 0.
         self._register_newcomers(slice(0, cfg.n), role, honesty, 0, 0)
         self.reputation[:] = reputation
@@ -398,8 +398,8 @@ class Simulation:
         tried_rows, leavers, offers = [], [], []
         facts = (self.honesty, self.attempts, self.successes, self.grant, self.reputation)
         below, live, est_offers = self.rng.below, len(pool), self._est.offers
-        for row, vid, honesty, tried, won, grant, reputation in zip(
-            polled.tolist(), t.ids_at(polled).tolist(), *(a[polled].tolist() for a in facts)
+        for row, honesty, tried, won, grant, reputation in zip(
+            polled.tolist(), *(a[polled].tolist() for a in facts)
         ):
             offered = float(est_offers[pool[below(live)]])
             if tried and offered <= grant + _GRANT_MARGIN:
@@ -411,7 +411,7 @@ class Simulation:
             if outcome is WhitewashOutcome.WHITEWASHED:
                 # A leaver that still looks reputable is booked as a benign
                 # departure, so the rejoin slips past the estimator.
-                graph_mod.remove_node(t, vid, reputation >= threshold)
+                graph_mod.remove_node(t, row, reputation >= threshold)
                 t._attach(self.cfg.attach_edges, self.rng)
                 leavers.append(row)
                 offers.append(offered)
@@ -439,8 +439,8 @@ class Simulation:
             batch = candidates[done : done + room - len(leavers)]
             done += len(batch)
             leavers += batch[self.rng.random(len(batch)) < cfg.legit_departure_prob].tolist()
-        for vid in self.topology.ids_at(leavers).tolist():
-            graph_mod.remove_node(self.topology, vid, True)
+        for row in leavers:
+            graph_mod.remove_node(self.topology, row, True)
         self.role_code[leavers] = 0
         self._est.retire(leavers)
 
@@ -492,7 +492,7 @@ class Simulation:
         t = self.topology
         row = t.live_row(vid)
         benign = self.reputation[row] >= legitimacy_threshold(self.r_est, self.cfg.r_ini_min)
-        graph_mod.remove_node(t, vid, benign)
+        graph_mod.remove_node(t, row, benign)
         new_id, _ = t.attach(self.cfg.attach_edges, self.rng)
         self._register_rejoins([row], [self.r_est])
         return new_id

@@ -59,9 +59,9 @@ class EstimatorArrays:
 
     Between compactions rows only grow, and a removed node's row is simply
     never read again; `compact` drops such rows in one order-preserving
-    pass. The constructor allocates zero windows over the first snapshot,
-    its first baseline; `reserve` grows the arrays (`graph.grown`), and
-    `prime` starts every row, a founder's included.
+    pass. The constructor allocates no rows; `reserve` grows the arrays
+    (`graph.grown`), and `prime` starts every row, a founder's included,
+    reserving it first.
 
     The sliding windows share one ring of `window` slot arrays, each
     indexed by row, and one global write slot. A node is swept on every
@@ -87,19 +87,17 @@ class EstimatorArrays:
     primed with. Outputs match a per-node loop bit for bit: the quadratic
     is applied by one `offer_curve` call over the ratios of the nodes with
     a positive level, and the sums run over the swept nodes in ascending
-    row order, which is ascending id order, one element at a time. The
-    next sweep's baseline `_prev_ndsum` is a copy, never a view. A swept
+    row order, which is ascending id order, one element at a time. A swept
     node's level stays in the ring's newest slot, as a prime after the
     sweep writes that slot only at rows added since.
     """
 
-    def __init__(self, window: int, ndsum: np.ndarray):
+    def __init__(self, window: int):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
-        self._ring = [np.zeros(len(ndsum)) for _ in range(window)]
-        self._peak, self.offers = np.zeros(len(ndsum)), np.zeros(len(ndsum))
-        self._prev_ndsum = np.array(ndsum, dtype=float)
+        self._ring = [np.zeros(0) for _ in range(window)]
+        self._peak, self.offers = np.zeros(0), np.zeros(0)
         self._slot = 0
         self.swept = np.zeros(0, dtype=np.int64)
 
@@ -110,15 +108,14 @@ class EstimatorArrays:
         # grows.
         for k, column in enumerate(self._ring):
             self._ring[k] = grown(column, size, size)
-        for name in ("_peak", "offers", "_prev_ndsum"):
+        for name in ("_peak", "offers"):
             setattr(self, name, grown(getattr(self, name), size, size))
 
     def prime(self, rows: slice, r_est: float) -> None:
         """Start the windows of the new rows, a slice that ends at the last
         row, at the ceiling estimate: never written, so the prime is their
-        peak. Arrays not reserved that far double."""
-        if rows.stop > len(self._peak):
-            self.reserve(max(rows.stop, 2 * len(self._peak)))
+        peak. Arrays not reserved that far grow to `rows.stop`."""
+        self.reserve(rows.stop)
         self._ring[(self._slot - 1) % self.window][rows] = r_est
         self._peak[rows] = max(r_est, 0.0)
         self.offers[rows] = r_est
@@ -135,12 +132,13 @@ class EstimatorArrays:
         (`graph.Topology.compact`). The rows swept last must be among them."""
         for k, column in enumerate(self._ring):
             self._ring[k] = column[kept]
-        for name in ("_peak", "offers", "_prev_ndsum"):
+        for name in ("_peak", "offers"):
             setattr(self, name, getattr(self, name)[kept])
         self.swept = np.searchsorted(kept, self.swept)
 
     def sweep(
         self,
+        prev: np.ndarray,
         ndsum: np.ndarray,
         gained: np.ndarray,
         lost: np.ndarray,
@@ -151,12 +149,12 @@ class EstimatorArrays:
         """One estimator step over every node that saw churn or still holds
         a nonzero window.
 
-        All three arrays are indexed by row, one entry per row; the
+        All four arrays are indexed by row, one entry per row; the
         estimator's own arrays may hold spare rows past them, which the
-        sweep leaves alone. `ndsum` holds every node's neighbor-degree sum
-        now; it is copied as the next sweep's baseline. `gained` and `lost`
-        hold, per node, the new neighbors and the benign departures its
-        neighbors saw since the previous sweep. `coef` is the expected
+        sweep leaves alone. `prev` and `ndsum` hold each node's
+        neighbor-degree sum at the previous sweep and now. `gained` and
+        `lost` hold, per node, the new neighbors and the benign departures
+        its neighbors saw since the previous sweep. `coef` is the expected
         growth arrivals per unit of the previous sweep's neighbor-degree
         sum. Returns the number of nodes swept and the sums of their levels,
         window peaks and offers.
@@ -166,7 +164,7 @@ class EstimatorArrays:
         member = peak > 0
         member |= gained > 0
         member |= lost > 0
-        w = coef * self._prev_ndsum[:rows]
+        w = coef * prev
         np.subtract(gained, w, out=w)
         w -= lost
         # Clamped at 0 before the division by a positive sum, which keeps
@@ -195,7 +193,6 @@ class EstimatorArrays:
         offers[:] = r_est
         offers[hot] = offer_curve(np.minimum(w_hot / peak[hot], 1.0), r_est, r_min)
 
-        self._prev_ndsum[:rows] = ndsum
         self.swept = swept = np.flatnonzero(member)
         # w holds no -0.0, and adding +0.0 leaves any other float as it is,
         # so the level sum can skip the zero levels.

@@ -20,9 +20,9 @@ between compactions: an `array('q')` by appends, a numpy one by `grown` to
 the row count. `Topology.compact` drops the rows of removed nodes in one
 order-preserving pass and numbers the rest from 0 again; until the first
 compaction rows equal ids. Ids appear only at the public edge: `neighbors`,
-`degree_of`, `live_ids`, `in`, `attach`'s return and `remove_node`. `_ids`
-holds each row's id; after a compaction an id finds its row by bisection
-(`_row`).
+`degree_of`, `live_ids`, `in` and `attach`'s return; `remove_node` takes a
+row. `_ids` holds each row's id; after a compaction an id finds its row by
+bisection (`_row`).
 
 Every arrival, a growth arrival or a whitewasher's rejoin under a fresh id,
 takes the one path `_attach`. It makes only the writes the sampler reads,
@@ -133,10 +133,9 @@ class Topology:
         self.next_id = self.node_count = n
         self.edge_count = len(pairs)
         self.isolated_count = n - int(np.count_nonzero(degree))  # live nodes of degree zero
-        # Row r holds the node with id _ids[r], ascending; _dropped ids
-        # have lost their rows to compactions.
+        # Row r holds the node with id _ids[r], ascending; the next_id -
+        # len(_ids) ids it lacks have lost their rows to compactions.
         self._ids = _q(np.arange(n))
-        self._dropped = 0
         # Row v's neighbors are _slab[_start[v] : _start[v] + _fill[v]], with
         # room for _cap[v] entries; until the next snapshot they may still
         # hold rows removed since (tombstones), which _degree does not count.
@@ -177,11 +176,11 @@ class Topology:
         v, so the bisection searches that range only."""
         if not 0 <= v < self.next_id:
             return -1
-        dropped = self._dropped
-        if not dropped:
-            return v
         ids = self._ids
         n = len(ids)
+        dropped = self.next_id - n
+        if not dropped:
+            return v
         r = bisect_left(ids, v, max(v - dropped, 0), min(v + 1, n))
         return r if r < n and ids[r] == v else -1
 
@@ -218,7 +217,7 @@ class Topology:
     def neighbors(self, v: NodeId) -> list[NodeId]:
         """The live neighbors of the live node `v`, in no particular order."""
         nbrs, ids = self._neighbor_rows(self.live_row(v)), self._ids
-        return [ids[u] for u in nbrs] if self._dropped else nbrs
+        return [ids[u] for u in nbrs] if len(ids) < self.next_id else nbrs
 
     # ---- read side, by row -------------------------------------------
 
@@ -239,21 +238,22 @@ class Topology:
         keep = np.frombuffer(self._live, bool)[entries]
         return entries[keep], keep
 
-    def neighbor_degree_array(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ndsum, gained, lost), each indexed by row, one entry per row.
-        `ndsum` is every node's neighbor-degree sum, zero at a dead row, a
-        view of `_nds` that the next snapshot overwrites (`_deg` and `_nds`
-        grow here, to the row count with `grown`, room for twice the live
-        nodes). `gained` and `lost` are
-        the churn since the previous snapshot: per node, the arrivals and
-        the benign departures booked at its current neighbors. They are
-        floats holding integers, so they are exact in any order. The first
-        snapshot of a `generate_scale_free` overlay also returns the
-        arrivals its build booked, which `engine.Simulation.__init__`
-        discards. A snapshot wires the arrival log first (`_settle`), and
-        clears the marks and the bookings.
+    def neighbor_degree_array(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(prev, ndsum, gained, lost), each indexed by row, one entry per
+        row. `ndsum` is every node's neighbor-degree sum, zero at a dead
+        row, a view of `_nds` that the next snapshot overwrites (`_deg` and
+        `_nds` grow here, to the row count with `grown`, room for twice the
+        live nodes); `prev` is a copy of the sums the previous snapshot
+        left, zero at rows added since. `gained` and `lost` are the churn
+        since the previous snapshot: per node, the arrivals and the benign
+        departures booked at its current neighbors. They are floats holding
+        integers, so they are exact in any order. The first snapshot of a
+        `generate_scale_free` overlay also returns the arrivals its build
+        booked, which `engine.Simulation.__init__` discards. A snapshot
+        wires the arrival log first (`_settle`), and clears the marks and
+        the bookings.
 
-        One gather serves all three: the rows of the live nodes whose
+        One gather serves the other three: the rows of the live nodes whose
         neighbors changed since the previous snapshot, which include every
         live host, as booking a host changes its neighbors, and every live
         neighbor of a removed node. The gather drops the tombstones and
@@ -269,6 +269,7 @@ class Topology:
         self._deg = grown(self._deg, size, 2 * self.node_count)
         self._nds = grown(self._nds, size, 2 * self.node_count)
         deg, nds = self._deg, self._nds
+        prev = nds[:size].copy()
         marks = np.frombuffer(self._touched, bool)
         touched = np.flatnonzero(marks)
         alive = np.frombuffer(self._live, bool)[touched]
@@ -294,7 +295,7 @@ class Topology:
         )
         _int64(self._arrived)[touched] = _int64(self._benign_gone)[touched] = 0
         marks[touched] = False
-        return nds[:size], gained, lost
+        return prev, nds[:size], gained, lost
 
     def compact(self) -> np.ndarray:
         """Drop the rows of removed nodes in one order-preserving pass, and
@@ -325,7 +326,6 @@ class Topology:
         self._live = bytearray(live[kept].tobytes())
         self._touched = bytearray(np.frombuffer(self._touched, bool)[kept].tobytes())
         self._deg, self._nds = self._deg[kept], self._nds[kept]
-        self._dropped = self.next_id - len(kept)
         return kept
 
     # ---- preferential attachment ------------------------------------
@@ -553,13 +553,15 @@ def generate_regular(n: int, degree: int, rng: Draws) -> Topology:
 # ---- mutation ops ----------------------------------------------------
 
 
-def remove_node(t: Topology, v: NodeId, benign: bool = False) -> None:
-    """Remove `v` and every edge it had; if `benign`, book one benign
-    departure at each neighbor. Its row stays in its neighbors' rows as a
-    tombstone until the next snapshot. Same end state as removing each of
-    its edges and then dropping the node, whose pool copies count as stale
-    once more (see ROADMAP item 5)."""
-    r = t.live_row(v)  # raises UnknownNodeError unless v is live
+def remove_node(t: Topology, r: int, benign: bool = False) -> None:
+    """Remove the node at the live row `r` and every edge it had; if
+    `benign`, book one benign departure at each neighbor. Any other row, a
+    negative one included, raises UnknownNodeError. The row stays in its
+    neighbors' rows as a tombstone until the next snapshot. Same end state
+    as removing each of its edges and then dropping the node, whose pool
+    copies count as stale once more (see ROADMAP item 5)."""
+    if not 0 <= r < t.rows or not t._live[r]:
+        raise UnknownNodeError(r)
     nbrs = t._neighbor_rows(r)
     if benign:
         gone = t._benign_gone

@@ -30,11 +30,13 @@ sets per node, changed one node or edge at a time (`add_node`, `add_edge`,
 `remove_edge`), with its own attachment pool, stale count and sampler. Its
 node events (`attach`, `remove_node`) and builds (`by_edges`, `scale_free`,
 `regular`) replay the topology's one-pass events edge by edge, and must
-reach the same end state, the booked churn included. Its `snapshot`
-recounts from the sets what `Topology.neighbor_degree_array` keeps up to
-date. `adjacency`, `neighbor_degree_sum` and `churn_sums` read either
-model through the read API they share (`neighbors`, `degree_of`,
-`live_ids`, `in`). `books` reads the pool and the churn books of either
+reach the same end state, the booked churn included; its `remove_node`
+takes an id, the topology's a row, and the two agree on a topology that
+never compacts. Its `snapshot` recounts from the sets what
+`Topology.neighbor_degree_array` keeps up to date, and hands back first
+the sums it counted at its own previous snapshot. `adjacency`,
+`neighbor_degree_sum` and `churn_sums` read either model through the read
+API they share (`neighbors`, `degree_of`, `live_ids`, `in`). `books` reads the pool and the churn books of either
 model in the reference's form, by node id: the topology keeps them as
 arrays indexed by row.
 
@@ -291,6 +293,7 @@ class RefTopology:
         self._pool: list[NodeId] = []
         self._pool_copies: dict[NodeId, int] = {}
         self._pool_stale = 0
+        self._last_ndsum = np.zeros(0, dtype=np.int64)  # as counted at the last snapshot
 
     @classmethod
     def by_edges(cls, n: int, edges) -> RefTopology:
@@ -446,15 +449,20 @@ class RefTopology:
 
     # ---- snapshot ----------------------------------------------------------------
 
-    def snapshot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def snapshot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """What `Topology.neighbor_degree_array()` returns, counted from the
-        sets; clears the marks and the booked churn the same way."""
+        sets: first the sums this model counted at its previous snapshot,
+        zero for the ids issued since; clears the marks and the booked
+        churn the same way."""
+        prev = np.zeros(self.next_id, dtype=np.int64)
+        prev[: len(self._last_ndsum)] = self._last_ndsum
         ndsum = np.zeros(self.next_id, dtype=np.int64)
         for v in self.adj:
             ndsum[v] = neighbor_degree_sum(self, v)
         gained, lost = (churn_sums(self, m) for m in (self._arrived, self._benign_gone))
         self._touched, self._arrived, self._benign_gone = set(), {}, {}
-        return ndsum, gained, lost
+        self._last_ndsum = ndsum.copy()
+        return prev, ndsum, gained, lost
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ def row_lengths(sim: Simulation) -> set[int]:
     estimator keep; one registration path grows them all together."""
     est = sim._est
     return {len(getattr(sim, name)) for name in engine._ID_ROWS} | {
-        len(a) for a in (*est._ring, est._peak, est.offers, est._prev_ndsum)
+        len(a) for a in (*est._ring, est._peak, est.offers)
     }
 
 
@@ -306,15 +306,14 @@ class ScanDepartures(Simulation):
     def _voluntary_departures(self):
         cfg = self.cfg
         threshold = (self.r_est + cfg.r_ini_min) / 2
-        live = self.topology.live_ids()
-        for vid, row in zip(live.tolist(), oracles.rows(self, live).tolist()):
+        for row in oracles.rows(self, self.topology.live_ids()).tolist():
             if self.role_code[row] != Role.COOPERATIVE or self.reputation[row] < threshold:
                 continue
             if self.topology.node_count <= cfg.attach_edges + 1:
                 break
             if self.rng.random() >= cfg.legit_departure_prob:
                 continue
-            graph_mod.remove_node(self.topology, vid, True)
+            graph_mod.remove_node(self.topology, row, True)
             self.role_code[row] = 0
             self._est.retire(row)
 
@@ -562,7 +561,7 @@ class PerRejoinWave(Simulation):
         row = oracles.rows(self, vid)
         person = (self.role_code[row], self.honesty[row], self.attempts[row], self.successes[row])
         threshold = legitimacy_threshold(self.r_est, self.cfg.r_ini_min)
-        graph_mod.remove_node(self.topology, vid, self.reputation[row] >= threshold)
+        graph_mod.remove_node(self.topology, row, self.reputation[row] >= threshold)
         self.role_code[row] = 0
         self._est.retire(row)
         new_id, _ = self.topology.attach(self.cfg.attach_edges, self.rng)
@@ -758,6 +757,79 @@ def test_ids_stay_the_public_edge_across_compactions():
     assert oracles.adjacency(t) == oracles.adjacency(u)
 
 
+def test_remove_node_takes_the_live_row_on_a_compacted_overlay():
+    # After three compactions, removing live ids by their rows on the
+    # compacting run leaves the same overlay as removing the same ids on
+    # the twin that never compacts, whose rows are its ids, and the next
+    # step agrees. A dead row, the row count and -1 are unknown rows, and
+    # a call that raises changes nothing. A pool entry of a node whose row
+    # a compaction dropped points at the first dead row, so the pools may
+    # differ at dead entries only.
+    cfg = SimConfig(topology="regular", n=300, degree=6, growth_percent_per_10=5.0,
+                    legit_departure_prob=0.02, gossip_noise=0.05, iterations=0, seed=7)
+    sim, twin = Simulation(cfg), Simulation(cfg)
+    t, u = sim.topology, twin.topology
+    compactions = 0
+    while compactions < 3:
+        before = t.rows
+        assert sim.step() == never_compacting(twin)
+        compactions += t.rows < before
+    live = t.live_ids().tolist()
+    picked = live[:: len(live) // 5][:5]
+    dead_rows = []
+    for i, v in enumerate(picked):
+        for run, row in ((sim, t.live_row(v)), (twin, v)):
+            graph_mod.remove_node(run.topology, row, i % 2 == 0)
+            run.role_code[row] = 0
+            run._est.retire(row)
+        dead_rows.append(oracles.rows(sim, v))
+    assert dead_rows != picked and t.rows < u.rows
+    state = oracles.topology_state(t)
+    for row in (dead_rows[0], t.rows, -1):
+        with pytest.raises(graph_mod.UnknownNodeError):
+            graph_mod.remove_node(t, row, True)
+    got, want = oracles.topology_state(t), oracles.topology_state(u)
+    assert got == state
+    got_pool, want_pool = got.pop("pool"), want.pop("pool")
+    assert got == want
+    assert len(got_pool) == len(want_pool)
+    assert all(a == b or (a not in t and b not in u) for a, b in zip(got_pool, want_pool))
+    assert sim.step() == never_compacting(twin)
+    assert oracles.adjacency(t) == oracles.adjacency(u)
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(topology="regular", n=300, degree=6, legit_departure_prob=0.02, gossip_noise=0.05,
+              iterations=0, seed=0),
+    SimConfig(n=300, growth_percent_per_10=8.0, iterations=0, seed=0),
+], ids=["regular-departures", "scale_free-growth"])
+def test_a_step_removes_nodes_by_the_rows_it_holds(cfg):
+    # The wave and the departures hand `graph.remove_node` the rows they
+    # hold: no step turns an id back into a row (`Topology._row`), and
+    # every removal gets a row that is live when called, also once
+    # compactions have parted rows from ids.
+    sim = Simulation(cfg)
+    t = sim.topology
+    lookups, removals = collections.Counter(), collections.Counter()
+    row_of, remove = graph_mod.Topology._row, graph_mod.remove_node
+
+    def counted(self, v):
+        lookups[sim.iteration] += 1
+        return row_of(self, v)
+
+    def checked(topology, row, benign=False):
+        assert topology is t and 0 <= row < t.rows and t._live[row], row
+        removals["after a compaction" if t.rows < t.next_id else "before"] += 1
+        remove(topology, row, benign)
+
+    with mock.patch.object(graph_mod.Topology, "_row", counted), \
+            mock.patch.object(graph_mod, "remove_node", checked):
+        for _ in range(60):
+            sim.step()
+    assert not lookups, lookups
+    assert removals["after a compaction"] > 0, removals
+
+
 @pytest.mark.parametrize("cfg", [
     SimConfig(topology="regular", n=3000, legit_departure_prob=0.002, gossip_noise=0.05,
               iterations=200, seed=0),
@@ -779,7 +851,7 @@ def test_per_node_arrays_follow_the_live_overlay(cfg):
         peak = max(peak, t.node_count)
         bound = 2 * peak + math.ceil(peak * cfg.growth_percent_per_10 / 100)
         arrays = [getattr(sim, name) for name in engine._ID_ROWS]
-        arrays += [*est._ring, est._peak, est.offers, est._prev_ndsum]
+        arrays += [*est._ring, est._peak, est.offers]
         arrays += [getattr(t, name) for name in ("_ids", "_start", "_fill", "_cap", "_degree",
                                                   "_live", "_deg", "_nds", "_touched",
                                                   "_arrived", "_benign_gone", "_pool_copies")]
@@ -838,8 +910,9 @@ def test_founders_register_like_every_later_id():
     # hold exactly `agents.init_population`'s draws at the same point of
     # the same stream, right after the overlay's build, with zero counters
     # and grants, in the dtypes `_ID_ROWS` lists; their windows, peaks and
-    # offers are bit for bit an estimator over the first snapshot primed at
-    # r_ini_max0; and every array indexed by node id has one length after
+    # offers are bit for bit an estimator of as many rows primed at
+    # r_ini_max0, and the first sweep's baseline is the first snapshot of
+    # the build; and every array indexed by node id has one length after
     # set-up, and again after a rejoin that outruns it.
     for cfg in (
         SimConfig(n=50, iterations=0, seed=3, window_n_prime=4),
@@ -859,11 +932,12 @@ def test_founders_register_like_every_later_id():
             got = getattr(sim, name)
             assert got.dtype == engine._ID_ROWS[name], name
             np.testing.assert_array_equal(got, np.broadcast_to(want, cfg.n), name)
-        ref = EstimatorArrays(cfg.window_n_prime, t.neighbor_degree_array()[0])
+        t.neighbor_degree_array()
+        ref = EstimatorArrays(cfg.window_n_prime)
         ref.prime(slice(0, cfg.n), cfg.r_ini_max0)
         est = sim._est
-        for got, want in zip((*est._ring, est._peak, est.offers, est._prev_ndsum),
-                             (*ref._ring, ref._peak, ref.offers, ref._prev_ndsum)):
+        for got, want in zip((*est._ring, est._peak, est.offers, sim.topology._nds),
+                             (*ref._ring, ref._peak, ref.offers, t._nds)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert set(est.offers.tolist()) == set(est._peak.tolist()) == {cfg.r_ini_max0}
         assert row_lengths(sim) == {cfg.n}

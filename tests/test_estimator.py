@@ -228,11 +228,11 @@ def window_rows(est: EstimatorArrays) -> np.ndarray:
     return np.column_stack(est._ring)
 
 
-def primed(window: int, ndsum: np.ndarray, r_est: float) -> EstimatorArrays:
-    """An estimator over the ids of the snapshot `ndsum`, every one of them
-    primed at `r_est` as the engine registers its founders."""
-    est = EstimatorArrays(window, ndsum)
-    est.prime(slice(0, len(ndsum)), r_est)
+def primed(window: int, size: int, r_est: float) -> EstimatorArrays:
+    """An estimator over the ids 0 to `size` - 1, every one of them primed
+    at `r_est` as the engine registers its founders."""
+    est = EstimatorArrays(window)
+    est.prime(slice(0, size), r_est)
     return est
 
 
@@ -247,7 +247,8 @@ def test_estimator_arrays_match_scalar_oracle():
     rng = oracles.GeneratorDraws(np.random.default_rng(21))
     window, r_min, r_est = 4, 0.03, 0.5
     t = graph.generate_scale_free(30, 2, rng)
-    est = primed(window, t.neighbor_degree_array()[0], r_est)
+    t.neighbor_degree_array()  # the first sweep's baseline
+    est = primed(window, t.rows, r_est)
     oracle = {v: EstimatorState(v, r_est, r_min, window) for v in t.live_ids().tolist()}
     removed = added = quiet_then_busy = 0
     for step in range(80):
@@ -274,9 +275,10 @@ def test_estimator_arrays_match_scalar_oracle():
             added += 1
         coef = float(rng.uniform(-0.02, 0.05))
         # The snapshot's own churn is set aside for the hand-made maps.
-        ndsum, _, _ = t.neighbor_degree_array()
+        prev, ndsum, _, _ = t.neighbor_degree_array()
         gained, lost = (oracles.churn_sums(t, m) for m in (arrivals, legit))
-        swept, w_sum, wmax_sum, offer_sum = est.sweep(ndsum, gained, lost, coef, r_est, r_min)
+        swept, w_sum, wmax_sum, offer_sum = est.sweep(prev, ndsum, gained, lost, coef, r_est,
+                                                      r_min)
         levels = oracles.sweep_levels(est)
         assert swept == len(levels)
         windows = window_rows(est)
@@ -323,10 +325,9 @@ def test_shared_ratios_get_the_offer_curve_of_each_node():
     )
     rng.shuffle(levels)
     size = len(levels)
-    est = primed(2, np.ones(size, dtype=np.int64), 1.0)
-    swept, _, _, offer_sum = est.sweep(
-        np.ones(size, dtype=np.int64), levels, np.zeros(size), 0.0, r_est, r_min
-    )
+    est = primed(2, size, 1.0)
+    ones = np.ones(size, dtype=np.int64)
+    swept, _, _, offer_sum = est.sweep(ones, ones, levels, np.zeros(size), 0.0, r_est, r_min)
     assert swept == size
     expected = [estimator.offer_curve(w, r_est, r_min) if w > 0 else r_est for w in levels.tolist()]
     for v, offer in enumerate(expected):
@@ -362,8 +363,9 @@ def test_sweep_offers_are_the_scalar_curve_bit_for_bit():
     def check(values, picks, r_est, r_min):
         levels = np.array([values[i % len(values)] for i in picks])
         size = len(levels)
-        est = primed(2, np.ones(size, dtype=np.int64), 1.0)
-        est.sweep(np.ones(size, dtype=np.int64), levels, np.zeros(size), 0.0, r_est, r_min)
+        est = primed(2, size, 1.0)
+        ones = np.ones(size, dtype=np.int64)
+        est.sweep(ones, ones, levels, np.zeros(size), 0.0, r_est, r_min)
         want = [plain_curve(w, r_est, r_min) if w > 0 else r_est for w in levels.tolist()]
         assert float_bits(est.offers) == float_bits(want)
         for w in values:
@@ -375,42 +377,45 @@ def test_sweep_offers_are_the_scalar_curve_bit_for_bit():
 
 def test_sweep_reads_only_the_issued_rows_and_keeps_its_own_baseline():
     # An estimator sees churn on a scale-free overlay that grows and
-    # shrinks between sweeps, through snapshots one row per id issued. Its
-    # arrays grow by doubling, so they often hold spare rows past the last
-    # id: no sweep may write them, in the ring, the peaks, the offers or
-    # the baseline. The snapshot's neighbor-degree sums are a view of the
-    # topology's own array, which the next snapshot overwrites, so the
-    # estimator's baseline must be an array of its own: it never shares
-    # memory with the topology, and at the next snapshot it still holds
-    # the sums of the previous one.
+    # shrinks between sweeps, through snapshots one row per id issued. An
+    # explicit `reserve` keeps its arrays ahead of the ids, so they often
+    # hold spare rows past the last id: no sweep may write them, in the
+    # ring, the peaks or the offers. The snapshot's neighbor-degree sums
+    # are a view of the topology's own array, which the next snapshot
+    # overwrites, so the baseline the snapshot hands the sweep must be an
+    # array of its own: it never shares memory with the topology, and it
+    # holds the sums of the previous snapshot, zero at the ids issued since.
     rng = oracles.GeneratorDraws(np.random.default_rng(29))
     r_est, r_min = 0.5, 0.03
     t = graph.generate_scale_free(30, 2, rng)
-    est = primed(3, t.neighbor_degree_array()[0], r_est)
-    prev = est._prev_ndsum.copy()
+    last = t.neighbor_degree_array()[1].copy()
+    est = primed(3, t.rows, r_est)
     seen = collections.Counter()
     for _ in range(60):
-        assert not np.shares_memory(est._prev_ndsum, t._nds)
         for _ in range(int(rng.integers(0, 3))):
             victim = int(rng.choice(t.live_ids()))
             graph.remove_node(t, victim, bool(rng.integers(2)))
             est.retire(victim)
         r_est = float(rng.uniform(0.1, 0.6))
+        est.reserve(2 * t.next_id)
         for _ in range(int(rng.integers(0, 5))):
             vid, _ = t.attach(2, rng)
             est.prime(slice(vid, vid + 1), r_est)
         end = t.next_id
         snapshot = t.neighbor_degree_array()
         assert {len(a) for a in snapshot} == {end}
-        np.testing.assert_array_equal(est._prev_ndsum[: len(prev)], prev)
-        spare = [a[end:].copy() for a in (*est._ring, est._peak, est.offers, est._prev_ndsum)]
+        prev, ndsum = snapshot[:2]
+        assert not np.shares_memory(prev, t._nds)
+        np.testing.assert_array_equal(prev[: len(last)], last)
+        assert not prev[len(last) :].any()
+        spare = [a[end:].copy() for a in (*est._ring, est._peak, est.offers)]
         seen["spare rows"] += len(est._peak) > end
         got = est.sweep(*snapshot, float(rng.uniform(-0.02, 0.05)), r_est, r_min)
-        for before, after in zip(spare, (*est._ring, est._peak, est.offers, est._prev_ndsum)):
+        for before, after in zip(spare, (*est._ring, est._peak, est.offers)):
             assert float_bits(after[end:]) == float_bits(before)
         seen["hot"] += got[1] > 0
-        prev = snapshot[0].copy()
-    assert not np.shares_memory(est._prev_ndsum, t._nds)
+        last = ndsum.copy()
+        assert not np.shares_memory(prev, t._nds)
     assert seen["spare rows"] > 10 and seen["hot"] > 10, seen
 
 
@@ -429,7 +434,7 @@ def test_incremental_peak_is_the_row_max():
     seen = collections.Counter()
     for window in (1, 2, 3, 5):
         rng = np.random.default_rng(window)
-        est = primed(window, np.ones(30, dtype=np.int64), 0.5)
+        est = primed(window, 30, 0.5)
         live, retired, next_id = list(range(30)), [], 30
         for step in range(60):
             if step % 4 == 3:
@@ -448,9 +453,9 @@ def test_incremental_peak_is_the_row_max():
                 gained[v] = grid[int(rng.integers(4))]
             before, slot = window_rows(est), est._slot % window
             due = {v for v in live if before[v].max() > 0} | set(np.flatnonzero(gained).tolist())
-            swept, w_sum, wmax_sum, _ = est.sweep(
-                np.ones(size, dtype=np.int64), gained, np.zeros(size), 0.0, 0.5, 0.03
-            )
+            ones = np.ones(size, dtype=np.int64)
+            swept, w_sum, wmax_sum, _ = est.sweep(ones, ones, gained, np.zeros(size), 0.0, 0.5,
+                                                  0.03)
             swept_levels = oracles.sweep_levels(est)
             ids = np.array(list(swept_levels), dtype=np.int64)
             levels = np.array(list(swept_levels.values()))
@@ -503,8 +508,8 @@ def test_shrink_correction_depends_on_sweep_membership():
         and not any(active.intersection(t.neighbors(u)) or u in active for u in t.neighbors(v))
     )
     live = t.live_ids()
-    prev = dict(zip(live.tolist(), est._prev_ndsum[oracles.rows(sim, live)].tolist()))
-    graph.remove_node(t, leaver, True)
+    prev = dict(zip(live.tolist(), t._nds[oracles.rows(sim, live)].tolist()))
+    graph.remove_node(t, oracles.rows(sim, leaver), True)
     sim.role_code[oracles.rows(sim, leaver)] = 0
     est.retire(oracles.rows(sim, leaver))
     coef = (199.0 / 200.0 - 1.0) * sim.cfg.attach_edges / (2.0 * t.edge_count / 199.0)

@@ -90,9 +90,10 @@ def run_against_reference(kind: str, n: int, param: int, seed: int, ops) -> coll
     count), ("remove-logged", i, benign) the i-th of the logged ids and
     their hosts, and ("remove-wired", i, benign) the i-th of the other
     live ids, each the i-th live id if there is none; and ("snapshot", _, _)
-    takes a snapshot, one row per id issued. The comparison reads a copy of the slab
-    topology, which wires the copy's log, so the run keeps its arrivals
-    logged until one of its own reads wires them. Returns what the run
+    takes a snapshot, one row per id issued, the previous snapshot's sums
+    included. The comparison reads a copy of the slab topology, which
+    wires the copy's log, so the run keeps its arrivals logged until one of
+    its own reads wires them. Returns what the run
     covered: each `_settle` pass's row moves, labelled by the kind of
     arrival they host, the rebuilds the sampler starts and those the ops
     force, and the removals of logged ids and hosts."""
@@ -152,8 +153,9 @@ def run_against_reference(kind: str, n: int, param: int, seed: int, ops) -> coll
                 graph.remove_node(t, v, benign)
                 ref.remove_node(v, benign)
             elif op == "snapshot":
-                for got, want in zip(t.neighbor_degree_array(), ref.snapshot()):
-                    np.testing.assert_array_equal(got, want, err_msg=f"step {step}")
+                for name, got, want in zip(("prev", "ndsum", "gained", "lost"),
+                                           t.neighbor_degree_array(), ref.snapshot()):
+                    np.testing.assert_array_equal(got, want, err_msg=f"{name} at step {step}")
                 check_rows(t, after_snapshot=True)
                 covered["snapshot"] += 1
             check_rows(t)
