@@ -149,13 +149,13 @@ MAX_GRID_CELLS = 1000
 MAX_NODE_ITERATIONS = 10**9
 # Bound on one run's estimator windows (`_project_run`): window_n_prime float64
 # levels per node, 80 MB here, counted at the node count growth projects. A run
-# drops the rows of removed nodes (ROADMAP item 8), and its rows stay within
-# twice its peak live count plus one growth batch on high-churn runs
+# drops the rows of removed nodes (`Simulation._compact`), and its rows stay
+# within twice its peak live count plus one growth batch on high-churn runs
 # (tests/test_engine.py), so what it allocates stays within about twice this.
 MAX_WINDOW_CELLS = 10**7
 # Bound on one run's overlay edge ends (two per edge), at the most it can hold
 # (`_project_run`). Slab slack and stale pool entries come on top, up to about
-# 7 int64 words per edge end at a dense build's peak (ROADMAP item 8).
+# 7 int64 words per edge end at a dense build's peak (ROADMAP item 19).
 MAX_EDGE_ENDS = 10**7
 # The longest file name most file systems take, in bytes: a grid run's CSV
 # is named after its cell's overrides and seed, so long overrides can pass it.

@@ -83,8 +83,9 @@ arrays, the estimator's and the join ranges drop the same rows in one
 order-preserving pass. At that point the snapshot has just wired every
 arrival and dropped every tombstone, and no wave, growth batch or draw
 holds a row. Ids appear only at the edge: `Topology.attach`,
-`force_whitewash`, `last_w_sweep` and `closed_world_estimator_check` take
-or give them; `graph.remove_node` takes the row the engine holds.
+`force_whitewash` and `last_w_sweep` take or give them. `graph.remove_node`
+takes the row the engine holds, and a planted rejoin (`Simulation._plant`,
+which `closed_world_estimator_check` calls) the row it resets.
 
 All randomness comes from one draw source per run, `Simulation.rng`, a
 `draws.Draws` over the run's seeded PCG64 `Generator` that yields exactly
@@ -114,7 +115,7 @@ from . import agents as agents_mod
 from . import graph as graph_mod
 from .agents import Role, WhitewashOutcome
 from .draws import Draws
-from .estimator import EstimatorArrays, legitimacy_threshold
+from .estimator import EstimatorArrays, _ordered_sum, legitimacy_threshold
 
 TOPOLOGY_KINDS = ("scale_free", "regular")
 
@@ -485,17 +486,21 @@ class Simulation:
             mean_w_max=mean_wmax,
         )
 
-    def force_whitewash(self, vid: int) -> int:
-        """Reset the identity of the live node `vid` outside the decision
-        machinery (the attempt counters stay untouched); used to plant
-        ground-truth churn. Returns the new id."""
+    def _plant(self, row: int) -> list[int]:
+        """Plant a rejoin: reset the identity of the live node at `row` outside
+        the decision machinery (the attempt counters stay untouched). Returns
+        the new node's hosts, as rows in draw order."""
         t = self.topology
-        row = t.live_row(vid)
         benign = self.reputation[row] >= legitimacy_threshold(self.r_est, self.cfg.r_ini_min)
         graph_mod.remove_node(t, row, benign)
-        new_id, _ = t.attach(self.cfg.attach_edges, self.rng)
+        hosts = t._attach(self.cfg.attach_edges, self.rng)
         self._register_rejoins([row], [self.r_est])
-        return new_id
+        return hosts
+
+    def force_whitewash(self, vid: int) -> int:
+        """`_plant` for the live node `vid`; returns the new id."""
+        self._plant(self.topology.live_row(vid))
+        return self.topology.next_id - 1
 
 
 class TooFewWhitewashers(ValueError):
@@ -511,8 +516,8 @@ def run(cfg: SimConfig) -> list[IterationRecord]:
 def closed_world_estimator_check(cfg: SimConfig, injected: int) -> tuple[float, float]:
     """Plant a known number of whitewash rejoins in an otherwise quiet run
     and compare the population-mean estimated level against the level
-    computed directly from the planted arrivals, both on the overlay the
-    rejoins leave, before the check step's own departures.
+    computed directly from the planted arrivals (`planted_level`), both on
+    the overlay the rejoins leave, before the check step's own departures.
 
     Returns (estimated, true); injected = 0 returns (0.0, 0.0). Without
     growth or departures the two agree to float precision. Growth leaves the
@@ -528,31 +533,23 @@ def closed_world_estimator_check(cfg: SimConfig, injected: int) -> tuple[float, 
     sim.auto_whitewash = False
     for _ in range(GROWTH_PERIOD):
         sim.step()
-    t = sim.topology
-    washers = t.ids_at(np.flatnonzero(sim.role_code == Role.POTENTIAL_WHITEWASHER.value)).tolist()
+    washers = np.flatnonzero(sim.role_code == Role.POTENTIAL_WHITEWASHER.value)
     if len(washers) < injected:
         raise TooFewWhitewashers(
             f"injected: {injected} planted rejoins, but the population has only "
             f"{len(washers)} potential whitewashers after {GROWTH_PERIOD} steps"
         )
-    arrivals: dict[int, int] = {}
-    for vid in washers[:injected]:
-        new_id = sim.force_whitewash(vid)
-        # Record the hosts right away: a later planted node may attach to
-        # this one, and hosting an arrival is not the same as being one.
-        for u in t.neighbors(new_id):
-            arrivals[u] = arrivals.get(u, 0) + 1
-
-    contrib: dict[int, float] = {}
-    for j, aj in arrivals.items():
-        if j not in t:
-            continue  # the host was washed by a later injection
-        for i in t.neighbors(j):
-            contrib[i] = contrib.get(i, 0.0) + aj
-    total = 0.0
-    for i in t.live_ids().tolist():
-        den = sum(map(t.degree_of, t.neighbors(i)))
-        if den > 0:
-            total += min(max(contrib.get(i, 0.0) / den, 0.0), 1.0)
-    true_level = total / t.node_count
+    hosts = [u for row in washers[:injected].tolist() for u in sim._plant(row)]
+    true_level = planted_level(sim.topology, hosts)
     return sim.step().mean_w_estimate, true_level
+
+
+def planted_level(t: graph_mod.Topology, hosts: list[int]) -> float:
+    """The true whitewash level of planted rejoins on the overlay as it
+    stands, `hosts` being their hosts' rows, one per planted edge: each live
+    node's arrivals at its live neighbors over its neighbor-degree sum,
+    clipped to [0, 1], added in ascending row order one at a time and
+    divided by the live count. A washed host adds nothing. A node with no
+    arrival next to it is left out: its +0.0 would not change the sum."""
+    booked, ndsum = t.neighbor_sums(np.bincount(hosts, minlength=t.rows))
+    return _ordered_sum(np.clip(booked / ndsum, 0.0, 1.0)) / t.node_count

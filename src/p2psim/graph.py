@@ -119,6 +119,19 @@ def _row_positions(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     return np.repeat(start - first, length) + np.arange(int(length.sum()))
 
 
+def _hand_out(nbrs: np.ndarray, values: np.ndarray, degrees: np.ndarray, size: int) -> np.ndarray:
+    """`values[k]` added at each of the `degrees[k]` neighbors of its row in
+    `nbrs`, the rows' neighbors concatenated: floats by row, `size` rows."""
+    return np.bincount(nbrs, np.repeat(values, degrees), minlength=size)
+
+
+def _sum_by_row(values: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Per row, the sum of its `degrees[k]` consecutive `values`, as int64."""
+    total = np.zeros(len(degrees), dtype=np.int64)
+    np.add.at(total, np.repeat(np.arange(len(degrees)), degrees), values)
+    return total
+
+
 class Topology:
     """Undirected simple graph with churn-friendly bookkeeping."""
 
@@ -283,19 +296,30 @@ class Topology:
         # it reached is counted again below: only live nodes hand out.
         np.add.at(nds, nbrs, np.repeat(live_degs - deg[rows], live_degs))
         deg[rows] = live_degs
-        recount = np.zeros(len(rows), dtype=np.int64)
-        np.add.at(recount, np.repeat(np.arange(len(rows)), live_degs), deg[nbrs])
-        nds[rows] = recount
+        nds[rows] = _sum_by_row(deg[nbrs], live_degs)
         deg[gone] = nds[gone] = 0
         # Every booked host is marked, so clearing the marked rows clears
         # every booking, those at hosts removed since included.
-        gained, lost = (
-            np.bincount(nbrs, np.repeat(book[rows], live_degs), minlength=size)
-            for book in (_int64(self._arrived), _int64(self._benign_gone))
-        )
+        gained = _hand_out(nbrs, _int64(self._arrived)[rows], live_degs, size)
+        lost = _hand_out(nbrs, _int64(self._benign_gone)[rows], live_degs, size)
         _int64(self._arrived)[touched] = _int64(self._benign_gone)[touched] = 0
         marks[touched] = False
         return prev, nds[:size], gained, lost
+
+    def neighbor_sums(self, book: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The snapshot's gather for a `book` of arrivals by row: each live
+        row's entry handed out to its live neighbors, then the nodes that got
+        some counted afresh. Returns what they got (floats holding integers)
+        and their neighbor-degree sums, in ascending row order. It wires the
+        arrival log and writes nothing else (no mark, book, `_deg`, `_nds`)."""
+        self._settle()
+        hosts = np.flatnonzero(book * np.frombuffer(self._live, bool))
+        degree = _int64(self._degree)
+        nbrs, _ = self._row_entries(hosts)
+        booked = _hand_out(nbrs, book[hosts], degree[hosts], len(self._live))
+        rows = np.flatnonzero(booked)
+        nbrs, _ = self._row_entries(rows)
+        return booked[rows], _sum_by_row(degree[nbrs], degree[rows])
 
     def compact(self) -> np.ndarray:
         """Drop the rows of removed nodes in one order-preserving pass, and

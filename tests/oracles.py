@@ -36,9 +36,11 @@ never compacts. Its `snapshot` recounts from the sets what
 `Topology.neighbor_degree_array` keeps up to date, and hands back first
 the sums it counted at its own previous snapshot. `adjacency`,
 `neighbor_degree_sum` and `churn_sums` read either model through the read
-API they share (`neighbors`, `degree_of`, `live_ids`, `in`). `books` reads the pool and the churn books of either
-model in the reference's form, by node id: the topology keeps them as
-arrays indexed by row.
+API they share (`neighbors`, `degree_of`, `live_ids`, `in`), and
+`planted_level`, the closed-world truth as scalar loops over ids, is built
+on `churn_sums` and `neighbor_degree_sum`. `books` reads the pool and the
+churn books of either model in the reference's form, by node id: the
+topology keeps them as arrays indexed by row.
 
 `grow_one_at_a_time` is a growth batch registered one arrival at a time,
 the reference for the engine's registration of the whole batch in one write.
@@ -548,6 +550,21 @@ def churn_sums(t, counts: dict[NodeId, int]) -> np.ndarray:
             for i in t.neighbors(j):
                 sums[i] += c
     return sums
+
+
+def planted_level(t, arrivals: dict[NodeId, int]) -> float:
+    """The true whitewash level of planted rejoins one node at a time, the
+    reference for `engine.planted_level`: `arrivals` counts the planted
+    edges at each host id. Each live node, in ascending id order, adds the
+    arrivals at its live neighbors over its neighbor-degree sum, clipped to
+    [0, 1], unless that sum is 0; the total is divided by the live count."""
+    contrib = churn_sums(t, arrivals)
+    total = 0.0
+    for i in t.live_ids().tolist():
+        den = neighbor_degree_sum(t, i)
+        if den > 0:
+            total += min(max(contrib[i] / den, 0.0), 1.0)
+    return float(total / t.node_count)
 
 
 def grow_one_at_a_time(sim: Simulation) -> list[tuple[NodeId, NodeId]]:

@@ -444,8 +444,8 @@ def test_the_success_rate_rule_never_takes_effect(cfg, monkeypatch):
     #   grant + margin, so it succeeds too.
     # By induction attempts == successes wherever successes > 0, and the
     # decision never returns NO_ATTEMPT, though its draw is still made.
-    # Only `force_whitewash` on an agent with a success can break this: it
-    # may set a grant below the agent's honesty.
+    # Only a planted rejoin (`Simulation._plant`) of an agent with a success
+    # can break this: it may set a grant below the agent's honesty.
     decide, outcomes = agents.decide_whitewash, collections.Counter()
 
     def counted(*args):
@@ -840,9 +840,9 @@ def test_per_node_arrays_follow_the_live_overlay(cfg):
     # row, the topology's, the engine's and the estimator's, hold at most
     # twice the peak live count plus one growth batch after every step, as
     # compactions drop the rows of removed nodes and growth leaves room for
-    # twice the live nodes only (ROADMAP item 8). The regular run issues
-    # more ids than that; on the growing one, doubling the rows held, dead
-    # ones included, would pass it.
+    # twice the live nodes only (see `graph.grown` and `Simulation._compact`).
+    # The regular run issues more ids than that; on the growing one,
+    # doubling the rows held, dead ones included, would pass it.
     sim = Simulation(cfg)
     t, est = sim.topology, sim._est
     peak = cfg.n
@@ -1114,20 +1114,20 @@ def test_closed_world_truth_reads_the_overlay_the_estimate_reads(topology, monke
     # step's departures).
     cfg = SimConfig(topology=topology, n=1000, degree=6, legit_departure_prob=0.01,
                     iterations=0, seed=3)
-    force, step = Simulation.force_whitewash, Simulation.step
+    plant, step = Simulation._plant, Simulation.step
     hosts, before = [], {}
 
-    def planting(sim, vid):
-        new_id = force(sim, vid)
-        hosts.extend(sim.topology.neighbors(new_id))
-        return new_id
+    def planting(sim, row):
+        got = plant(sim, row)
+        hosts.extend(sim.topology.ids_at(got).tolist())
+        return got
 
     def stepping(sim):
         if hosts and not before:  # the check step, the first after planting
             before.update(oracles.adjacency(sim.topology))
         return step(sim)
 
-    monkeypatch.setattr(Simulation, "force_whitewash", planting)
+    monkeypatch.setattr(Simulation, "_plant", planting)
     monkeypatch.setattr(Simulation, "step", stepping)
     _, true = engine.closed_world_estimator_check(cfg, 10)
     arrivals = collections.Counter(hosts)
@@ -1138,6 +1138,64 @@ def test_closed_world_truth_reads_the_overlay_the_estimate_reads(topology, monke
             level += min(sum(arrivals[j] for j in before[i]) / den, 1.0)
     assert level > 0
     assert true == level / len(before)
+
+
+def test_planted_truth_is_the_scalar_truth_bit_for_bit():
+    # Small runs of either topology, with growth, voluntary departures and
+    # whitewash waves, then planted rejoins of any live node, of a host of
+    # an earlier plant or of an earlier planted node: some hosts are washed,
+    # some planted nodes host later ones, and some levels are clipped at 1,
+    # as a washed planted node leaves its arrival booked and takes its edge.
+    # The truth's gather over rows equals the scalar loops over ids bit for
+    # bit, and past wiring the arrival log it writes nothing the next
+    # snapshot reads. `--hypothesis-profile=ci` runs more examples.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = collections.Counter()
+    snapshot_state = ("_deg", "_nds", "_touched", "_arrived", "_benign_gone")
+
+    @hypothesis.settings(deadline=None, database=None)
+    @hypothesis.given(
+        topology=st.sampled_from(["scale_free", "regular"]),
+        n=st.integers(6, 120),
+        growth=st.sampled_from([0.0, 5.0, 30.0]),
+        departures=st.sampled_from([0.0, 0.02, 0.3]),
+        steps=st.integers(0, 30),
+        picks=st.lists(st.tuples(st.sampled_from(["any", "host", "planted"]),
+                                 st.integers(0, 10**6)), min_size=1, max_size=20),
+        seed=st.integers(0, 2**16),
+    )
+    # Washing each planted node in turn clips a level at 1 on these two.
+    @hypothesis.example("scale_free", 8, 0.0, 0.0, 0, [("any", 0)] + [("planted", 0)] * 7, 0)
+    @hypothesis.example("regular", 8, 0.0, 0.0, 0, [("any", 0)] + [("planted", 0)] * 7, 1)
+    def check(topology, n, growth, departures, steps, picks, seed):
+        cfg = SimConfig(topology=topology, n=n, degree=4, growth_percent_per_10=growth,
+                        legit_departure_prob=departures, iterations=0, seed=seed)
+        sim = Simulation(cfg)
+        for _ in range(steps):
+            sim.step()
+        t = sim.topology
+        hosts, planted = [], []
+        for kind, pick in picks:
+            earlier = {"any": [], "host": hosts, "planted": planted}[kind]
+            choices = [r for r in earlier if t._live[r]] or t.live_rows().tolist()
+            row = choices[pick % len(choices)]
+            seen["host washed"] += row in hosts
+            got = sim._plant(row)
+            seen["planted host"] += not set(planted).isdisjoint(got)
+            planted.append(t.rows - 1)
+            hosts += got
+        t._settle()
+        before = {name: bytes(getattr(t, name)) for name in snapshot_state}
+        got = engine.planted_level(t, hosts)
+        assert {name: bytes(getattr(t, name)) for name in snapshot_state} == before
+        booked, ndsum = t.neighbor_sums(np.bincount(hosts, minlength=t.rows))
+        seen["clipped"] += bool(np.any(booked > ndsum))
+        want = oracles.planted_level(t, collections.Counter(t.ids_at(hosts).tolist()))
+        assert got.hex() == want.hex()
+
+    check()
+    assert seen["host washed"] > 0 and seen["planted host"] > 0 and seen["clipped"] > 0
 
 
 def test_closed_world_growth_bias_stays_bounded():
