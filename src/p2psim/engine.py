@@ -398,22 +398,26 @@ class Simulation:
         threshold = legitimacy_threshold(self.r_est, self.cfg.r_ini_min)
         tried_rows, leavers, offers = [], [], []
         facts = (self.honesty, self.attempts, self.successes, self.grant, self.reputation)
-        below, live, est_offers = self.rng.below, len(pool), self._est.offers
+        rng, live, est_offers = self.rng, len(pool), self._est.offers
+        # Bound per wave, not at import, so that wrappers installed on these
+        # names before a run see every call.
+        below, attach, k = rng.below, t._attach, self.cfg.attach_edges
+        decide, remove_node = agents_mod.decide_whitewash, graph_mod.remove_node
         for row, honesty, tried, won, grant, reputation in zip(
             polled.tolist(), *(a[polled].tolist() for a in facts)
         ):
             offered = float(est_offers[pool[below(live)]])
             if tried and offered <= grant + _GRANT_MARGIN:
                 continue  # probed a suppressed corner; not worth a reset
-            outcome = agents_mod.decide_whitewash(honesty, tried, won, offered, self.rng)
+            outcome = decide(honesty, tried, won, offered, rng)
             if outcome is WhitewashOutcome.NO_ATTEMPT:
                 continue
             tried_rows.append(row)
             if outcome is WhitewashOutcome.WHITEWASHED:
                 # A leaver that still looks reputable is booked as a benign
                 # departure, so the rejoin slips past the estimator.
-                graph_mod.remove_node(t, row, reputation >= threshold)
-                t._attach(self.cfg.attach_edges, self.rng)
+                remove_node(t, row, reputation >= threshold)
+                attach(k, rng)
                 leavers.append(row)
                 offers.append(offered)
         # Each poller appears once; the rejoins carry the raised counters.

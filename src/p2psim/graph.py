@@ -26,12 +26,13 @@ bisection (`_row`).
 
 Every arrival, a growth arrival or a whitewasher's rejoin under a fresh id,
 takes the one path `_attach`. It makes only the writes the sampler reads,
-in draw order: the node counts, the degrees, the pool and its copies. Its
-hosts go to an arrival log. The rows and the books, which the sampler never
-reads, are wired for the whole log in one numpy pass (`Topology._settle`)
-at the next read of them: a snapshot, a pool rebuild, or the neighbors of
-a logged node or of one of its hosts, which is how `remove_node` sees the
-edges of an arrival still in the log.
+in draw order: the node counts, the degrees, the pool and its copies. The
+pool entries it appends, a (new row, host row) pair per host, are the
+arrival log: the pool's tail since the last settle. The rows and the books,
+which the sampler never reads, are wired for the whole log in one numpy
+pass (`Topology._settle`) at the next read of them: a snapshot, a pool
+rebuild, or the neighbors of a logged node or of one of its hosts, which is
+how `remove_node` sees the edges of an arrival still in the log.
 
 Every node's neighbors, as rows, are one row of a flat slab, an
 `array('q')`. Arrays indexed by row beside it hold each wired row's start,
@@ -49,11 +50,12 @@ compacts the rows in place, brings the dense neighbor-degree snapshot up to
 date, sums the booked churn over each node's neighbors and zeroes the
 counters and marks at the marked rows (see
 `Topology.neighbor_degree_array`). Each rebuild of the attachment pool, an
-`array('q')`, also rewrites the whole slab without dead rows, tombstones or
-spare room. A compaction renumbers the slab's and the pool's entries in
-place and leaves the pool's length, order and stale count as they are (see
-`Topology.compact`). The numpy views of these arrays live only inside one
-call: an `array` or a `bytearray` that exports its buffer cannot grow.
+`array('q')`, and each compaction also rewrite the whole slab without dead
+rows, tombstones or spare room (`Topology._rewrite_slab`). A compaction
+renumbers the pool's entries in place and leaves its length, order and
+stale count as they are (see `Topology.compact`). The numpy views of these
+arrays live only inside one call: an `array` or a `bytearray` that exports
+its buffer cannot grow.
 """
 
 from __future__ import annotations
@@ -169,11 +171,11 @@ class Topology:
         self._pool = _q(ends)
         self._pool_copies = self._degree[:]
         self._pool_stale: int = 0
-        # The arrivals since the last settle, the rows from len(_fill) on:
-        # their hosts in draw order, concatenated, how many each has, and
-        # the hosts as a set.
-        self._log_hosts = array("q")
-        self._log_counts = array("q")
+        # The arrival log: the arrivals since the last settle are the rows
+        # from len(_fill) on, and their edges are the pool's tail from
+        # _settled on, a (v, u) pair per host in draw order; their hosts
+        # are also kept as a set.
+        self._settled = len(self._pool)
         self._pending_hosts: set[int] = set()
 
     # ---- the id edge -------------------------------------------------
@@ -328,13 +330,14 @@ class Topology:
         The sampler rejects such an entry at degree 0 without a draw, so
         the pool's length, order and stale count, and so every draw, stay
         as they were. The slab's and the pool's entries are renumbered in
-        place; each array indexed by row keeps the kept rows.
+        place; each array indexed by row keeps the kept rows, and the slab
+        is then rewritten without dead space (`_rewrite_slab`).
 
         Only with a dead row, and right after a snapshot
         (`neighbor_degree_array`) with no node event since: the arrival log
-        is empty, no row is marked or booked, and every live row holds
-        exactly its live neighbors, so no entry of a live row points at a
-        dropped row."""
+        is empty, so the pool's tail from `_settled` is too, no row is
+        marked or booked, and every live row holds exactly its live
+        neighbors, so no entry of a live row points at a dropped row."""
         live = np.frombuffer(self._live, bool)
         first_dead = int(np.argmin(live))
         keep = live.copy()
@@ -350,16 +353,16 @@ class Topology:
         self._live = bytearray(live[kept].tobytes())
         self._touched = bytearray(np.frombuffer(self._touched, bool)[kept].tobytes())
         self._deg, self._nds = self._deg[kept], self._nds[kept]
+        self._rewrite_slab()
         return kept
 
     # ---- preferential attachment ------------------------------------
 
-    def _rebuild_pool(self) -> None:
-        """One pool entry per degree unit, ascending rows, and the slab
-        rewritten as the live rows back to back, each at capacity equal to
-        its degree. The arrival log is wired first, so that each row holds
-        as many live entries as its degree counts."""
-        self._settle()
+    def _rewrite_slab(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rewrite the slab as the live rows back to back, tombstones
+        dropped, each at capacity equal to its degree, and return the live
+        rows and their degrees. Only with the arrival log empty, so that
+        each row holds as many live entries as its degree counts."""
         rows = self.live_rows()
         degree = _int64(self._degree)[rows]
         nbrs, _ = self._row_entries(rows)
@@ -367,8 +370,17 @@ class Topology:
         start[rows] = np.cumsum(degree) - degree
         self._slab = _q(nbrs)
         self._start = _q(start)
-        self._fill, self._cap, self._pool_copies = self._degree[:], self._degree[:], self._degree[:]
+        self._fill, self._cap = self._degree[:], self._degree[:]
+        return rows, degree
+
+    def _rebuild_pool(self) -> None:
+        """One pool entry per degree unit, ascending rows, and the slab
+        rewritten (`_rewrite_slab`), the arrival log wired first."""
+        self._settle()
+        rows, degree = self._rewrite_slab()
+        self._pool_copies = self._degree[:]
         self._pool = _q(np.repeat(rows, degree))
+        self._settled = len(self._pool)
         self._pool_stale = 0
 
     def attach(self, count: int, rng: Draws) -> tuple[NodeId, list[NodeId]]:
@@ -384,10 +396,11 @@ class Topology:
         """`attach`, returning the hosts' rows in draw order; the new node
         takes the next row.
 
-        The writes the sampler reads are made here: the counters, the live
-        bit, the degrees and pool copies of both ends and the pool entries
-        (v, u) per host in order. The rows and the books wait in the arrival
-        log until `_settle`."""
+        The writes the sampler reads are made here, in one pass over the
+        hosts: the counters, the live bit, the degrees and pool copies of
+        both ends and the pool entries (v, u) per host in order. Those
+        entries are the arrival log: the rows and the books wait for
+        `_settle`, which reads them from the pool's tail."""
         targets = self.sample_attachment_targets(count, rng)
         v = len(self._live)
         self._ids.append(self.next_id)
@@ -401,15 +414,14 @@ class Topology:
         isolated = 0 if targets else 1  # v, until its first edge
         for u in targets:
             d = degree[u]
-            isolated -= not d
+            if not d:
+                isolated -= 1
             degree[u] = d + 1
             copies[u] += 1
             pool.append(v)
             pool.append(u)
         self.isolated_count += isolated
         self.edge_count += k
-        self._log_hosts.extend(targets)
-        self._log_counts.append(k)
         self._pending_hosts.update(targets)
         return targets
 
@@ -417,14 +429,16 @@ class Topology:
         """Wire the rows and the books of every logged arrival in one pass,
         and empty the log: a row per logged arrival, every host row's
         appends, one arrival booked per edge at its host and a mark on every
-        row that changed. A row with room takes its entries in place; a full
+        row that changed. The log's edges are the pool's (v, u) pairs from
+        `_settled` on. A row with room takes its entries in place; a full
         one moves once to the end of the slab, an old row at twice the
         capacity it needs and a new one at exactly that."""
-        if not self._log_counts:
+        first = len(self._fill)
+        n = len(self._live) - first
+        if not n:
             return
-        first, n = len(self._fill), len(self._log_counts)
-        u = _int64(self._log_hosts)
-        v = np.repeat(np.arange(first, first + n), _int64(self._log_counts))
+        tail = _int64(self._pool)[self._settled :]
+        v, u = tail[0::2], tail[1::2]
         for a in (self._start, self._fill, self._cap, self._arrived, self._benign_gone):
             a.frombytes(bytes(8 * n))
         self._touched += bytes(n)
@@ -448,7 +462,7 @@ class Topology:
         fill[grew] = need
         np.add.at(_int64(self._arrived), u, 1)
         np.frombuffer(self._touched, bool)[grew] = True
-        self._log_hosts, self._log_counts = array("q"), array("q")
+        self._settled = len(self._pool)
         self._pending_hosts = set()
 
     def sample_attachment_targets(self, count: int, rng: Draws) -> list[int]:
@@ -460,23 +474,24 @@ class Topology:
         if not self.node_count:
             raise InvalidParameterError("no attachment targets available")
         count = min(count, self.node_count)
-        if self._pool and self._pool_stale > _POOL_STALE_LIMIT * len(self._pool):
+        pool = self._pool
+        if pool and self._pool_stale > _POOL_STALE_LIMIT * len(pool):
             self._rebuild_pool()
-        pool, copies, degree = self._pool, self._pool_copies, self._degree
+            pool = self._pool
+        copies, degree = self._pool_copies, self._degree
         below, random, size = rng.below, rng.random, len(pool)
         chosen: list[int] = []
         wanted = min(count, self.node_count - self.isolated_count)
-        while len(chosen) < wanted:
+        while wanted:
             v = pool[below(size)]
-            if v in chosen:  # at most `count` long
-                continue
             d = degree[v]
-            if d == 0:
-                continue  # stale entry for a removed or isolated node
+            if not d or v in chosen:  # `chosen` is at most `count` long
+                continue  # a stale entry for a removed or isolated node, or a repeat
             c = copies[v]
             if d < c and random() >= d / c:
                 continue  # stale excess copies: thin back to the true degree
             chosen.append(v)
+            wanted -= 1
         if len(chosen) < count:
             isolated = np.flatnonzero(
                 np.frombuffer(self._live, bool) & (_int64(self._degree) == 0)
@@ -587,17 +602,15 @@ def remove_node(t: Topology, r: int, benign: bool = False) -> None:
     if not 0 <= r < t.rows or not t._live[r]:
         raise UnknownNodeError(r)
     nbrs = t._neighbor_rows(r)
-    if benign:
-        gone = t._benign_gone
-        for u in nbrs:
-            gone[u] += 1
-    degree, touched = t._degree, t._touched
+    degree, touched, gone = t._degree, t._touched, t._benign_gone
     emptied = 0
     for u in nbrs:
         d = degree[u] - 1
         degree[u] = d
         emptied += not d
         touched[u] = 1
+        if benign:
+            gone[u] += 1
     touched[r] = 1
     t._live[r] = 0
     degree[r] = 0

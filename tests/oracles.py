@@ -40,7 +40,8 @@ API they share (`neighbors`, `degree_of`, `live_ids`, `in`), and
 `planted_level`, the closed-world truth as scalar loops over ids, is built
 on `churn_sums` and `neighbor_degree_sum`. `books` reads the pool and the
 churn books of either model in the reference's form, by node id: the
-topology keeps them as arrays indexed by row.
+topology keeps them as arrays indexed by row. `arrival_log` reads the
+topology's arrival log, the (v, u) pairs at the pool's tail.
 
 `grow_one_at_a_time` is a growth batch registered one arrival at a time,
 the reference for the engine's registration of the whole batch in one write.
@@ -497,6 +498,14 @@ def books(t) -> Books:
         {ids[r]: c for r, c in enumerate(t._arrived) if c},
         {ids[r]: c for r, c in enumerate(t._benign_gone) if c},
     )
+
+
+def arrival_log(t) -> tuple[list[int], list[int]]:
+    """The arrival log of `graph.Topology`, one entry per logged edge in
+    draw order: the rows of the logged arrivals and the rows of their hosts,
+    read from the pool's (v, u) pairs from `_settled` on."""
+    tail = t._pool[t._settled :].tolist()
+    return tail[0::2], tail[1::2]
 
 
 def topology_state(t) -> dict:

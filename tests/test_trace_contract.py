@@ -81,6 +81,9 @@ def test_a_traced_run_reports_every_layer_metric():
     _, calls = tracer.self_times()
     for phase in spans.ENGINE_PHASES:
         assert calls[phase] > 0, phase
+    # The sampler runs once per arrival, so an arrival path that inlines it
+    # would leave the sampler's span short.
+    assert calls["graph.sample"] == sim.topology.next_id - sim.cfg.n
     metrics = spans.layer_metrics(tracer, 0.0)
     assert metrics["estimator.swept_nodes"] == sum(swept) > 0
     assert [k for k, v in metrics.items() if v is None] == []
